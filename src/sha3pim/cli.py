@@ -2,7 +2,8 @@
 
 Every digest is cross-checked against the software reference; the exit
 status is nonzero if any digest mismatches (1), an input cannot be parsed
-or read (2), or the message count exceeds unit capacity (3).
+or read or the crossbar geometry is invalid (2), or the message count
+exceeds unit capacity (3).
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -21,6 +22,7 @@ from . import engine, keccak_ref, metrics
 from .crossbar import CapacityError, CrossbarConfig
 from .keccak_xbar import (
     KECCAK,
+    CrossbarLayout,
     hash_messages,
     measure_round_stats,
     pad_message,
@@ -118,11 +120,16 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.text or args.hex or args.file or args.random or args.metrics):
         build_parser().error("no message source given (and no --metrics)")
 
-    config = CrossbarConfig(
-        rows=args.rows, cols=args.cols,
-        horizontal_partitions=args.hpart, vertical_partitions=args.vpart,
-        gate_delay_ns=args.gate_delay_ns, gate_energy_fj=args.gate_energy_fj,
-        strict_init=args.strict_init)
+    try:
+        config = CrossbarConfig(
+            rows=args.rows, cols=args.cols,
+            horizontal_partitions=args.hpart, vertical_partitions=args.vpart,
+            gate_delay_ns=args.gate_delay_ns, gate_energy_fj=args.gate_energy_fj,
+            strict_init=args.strict_init)
+        CrossbarLayout(config)      # the hash units and shared blocks must fit
+    except ValueError as exc:
+        print(f"error: bad crossbar geometry: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     try:
         messages, seed = _collect_messages(args)

@@ -42,34 +42,34 @@ class GateType(IntEnum):
     COPY = 7
 
 
-GATE_NUM_INPUTS = {
-    GateType.INIT0: 0,
-    GateType.INIT1: 0,
-    GateType.NOT: 1,
-    GateType.NOR2: 2,
-    GateType.NOR3: 3,
-    GateType.OR2: 2,
-    GateType.AND2: 2,
-    GateType.COPY: 1,
+def _truth(fn) -> tuple[int, ...]:
+    return tuple(fn(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+
+# The semantics of every gate, written once: its arity and its output for
+# each pattern of the input bits (a, b, c), at index a << 2 | b << 1 | c.
+# Inputs past the arity are ignored.
+GATE_TABLE: dict[GateType, tuple[int, tuple[int, ...]]] = {
+    GateType.INIT0: (0, _truth(lambda a, b, c: 0)),
+    GateType.INIT1: (0, _truth(lambda a, b, c: 1)),
+    GateType.NOT: (1, _truth(lambda a, b, c: a ^ 1)),
+    GateType.NOR2: (2, _truth(lambda a, b, c: (a | b) ^ 1)),
+    GateType.NOR3: (3, _truth(lambda a, b, c: (a | b | c) ^ 1)),
+    GateType.OR2: (2, _truth(lambda a, b, c: a | b)),
+    GateType.AND2: (2, _truth(lambda a, b, c: a & b)),
+    GateType.COPY: (1, _truth(lambda a, b, c: a)),
 }
+
+GATE_NUM_INPUTS = {gate: arity for gate, (arity, _) in GATE_TABLE.items()}
+
+# GATE_TABLE flattened for vectorized lookup at gate << 3 | a << 2 | b << 1 | c.
+GATE_TRUTH = np.array([bit for gate in GateType for bit in GATE_TABLE[gate][1]],
+                      dtype=np.uint8)
 
 
 def gate_function(gate: GateType, inputs: tuple[int, ...]) -> int:
-    if gate == GateType.INIT0:
-        return 0
-    if gate == GateType.INIT1:
-        return 1
-    if gate == GateType.NOT:
-        return inputs[0] ^ 1
-    if gate == GateType.NOR2 or gate == GateType.NOR3:
-        return 0 if any(inputs) else 1
-    if gate == GateType.OR2:
-        return 1 if any(inputs) else 0
-    if gate == GateType.AND2:
-        return inputs[0] & inputs[1]
-    if gate == GateType.COPY:
-        return inputs[0]
-    raise ValueError(f"unknown gate {gate!r}")
+    a, b, c = (tuple(inputs) + (0, 0, 0))[:3]
+    return GATE_TABLE[gate][1][a << 2 | b << 1 | c]
 
 
 class SimulationError(Exception):
@@ -300,7 +300,7 @@ class Crossbar:
         self.state = np.zeros((self.config.rows, self.config.cols), dtype=np.uint8)
         self.initialized = np.zeros((self.config.rows, self.config.cols), dtype=np.uint8)
         self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
-        self._trace: IO[str] | None = None
+        self.trace: IO[str] | None = None
 
     # ------------------------------------------------------------------ setup
 
@@ -310,8 +310,8 @@ class Crossbar:
         self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
 
     def attach_trace(self, stream: IO[str]) -> None:
-        """Emit one JSON line per executed cycle to ``stream``."""
-        self._trace = stream
+        """Emit one JSON line per executed gate cycle to ``stream``."""
+        self.trace = stream
 
     # ---------------------------------------------------------------- legality
 
@@ -432,13 +432,9 @@ class Crossbar:
             state[r, c] = value
             self.initialized[r, c] = 1
         self.stats.add_cycles(label, 1, len(bundle.ops))
-        if self._trace is not None:
-            self._emit_trace(bundle, label)
-
-    def execute(self, bundles: Iterable[CycleBundle], label: str = "main",
-                check: bool = True) -> None:
-        for bundle in bundles:
-            self.execute_bundle(bundle, label=label, check=check)
+        if self.trace is not None:
+            self.trace_cycle(self.stats.cycles, label,
+                             [(op.gate, op.inputs, op.output) for op in bundle.ops])
 
     # -------------------------------------------------------------- peripheral
 
@@ -473,20 +469,28 @@ class Crossbar:
 
     # ------------------------------------------------------------------- trace
 
-    def _emit_trace(self, bundle: CycleBundle, label: str) -> None:
-        record = {
-            "cycle": self.stats.cycles,
-            "label": label,
-            "ops": [
-                {
-                    "partition": list(self.partition_map.region_of(
-                        op.output, bundle.closed_switches)),
-                    "gate": op.gate.name,
-                    "orientation": op.orientation,
-                    "inputs": [list(c) for c in op.inputs],
-                    "output": list(op.output),
-                }
-                for op in bundle.ops
-            ],
-        }
-        self._trace.write(json.dumps(record) + "\n")
+    def trace_cycle(self, cycle: int, label: str,
+                    ops: Iterable[tuple[int, Iterable[Cell], Cell]]) -> None:
+        """Write one executed cycle, given as (gate, inputs, output) per gate
+        event, to the attached trace stream.
+
+        ``partition`` is the partition holding the output cell. ``orientation``
+        is the line the inputs share with the output, and null for presets,
+        which drive no input line.
+        """
+        records = []
+        for gate, inputs, output in ops:
+            inputs = [list(cell) for cell in inputs]
+            if not inputs:
+                orientation = None
+            else:
+                orientation = IN_ROW if inputs[0][0] == output[0] else IN_COL
+            records.append({
+                "partition": list(self.partition_map.region_of(output, frozenset())),
+                "gate": GateType(gate).name,
+                "orientation": orientation,
+                "inputs": inputs,
+                "output": list(output),
+            })
+        self.trace.write(json.dumps({"cycle": cycle, "label": label,
+                                     "ops": records}) + "\n")

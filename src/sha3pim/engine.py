@@ -3,7 +3,9 @@
 Microcode is generated and legality-checked once at the object level, then
 frozen into flat numpy arrays. Hashing replays those arrays millions of
 times, so replay is the hot loop: the default backend runs it through numba
-``@njit`` kernels, with a pure-numpy per-bundle path as fallback.
+``@njit`` kernels, with a pure-numpy per-bundle path as fallback. The numpy
+path looks every output up in ``crossbar.GATE_TRUTH``; the numba kernels
+spell out the same gates.
 
 Select the backend with the ``SHA3PIM_BACKEND`` environment variable
 (``numba`` or ``numpy``); numba is used when importable unless overridden.
@@ -25,14 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import Crossbar, CycleBundle, GateType, StrictInitError
+from .crossbar import (
+    GATE_NUM_INPUTS,
+    GATE_TRUTH,
+    Crossbar,
+    CycleBundle,
+    GateType,
+    StrictInitError,
+)
 
 ENV_BACKEND = "SHA3PIM_BACKEND"
 
 try:
     from numba import njit
     HAVE_NUMBA = True
-except ImportError:      # pragma: no cover - numba is a declared dependency
+except ImportError:      # pragma: no cover - numba is an optional extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -374,10 +383,8 @@ def _cell_indices(program: FrozenProgram, lo: int, hi: int, base: np.ndarray,
 
 
 def _replay_numpy(program: FrozenProgram, deltas_by_set: list[np.ndarray],
-                  grid: np.ndarray, init: np.ndarray | None,
-                  trace=None, crossbar: Crossbar | None = None,
-                  cycle_base: int = 0) -> None:
-    """Per-bundle vectorized replay; optional init tracking and trace."""
+                  grid: np.ndarray, init: np.ndarray | None) -> None:
+    """Per-bundle vectorized replay; optional init tracking."""
     sets = _bundle_sets(program)
     for b in range(program.n_bundles):
         lo = int(program.bundle_ptr[b])
@@ -400,87 +407,62 @@ def _replay_numpy(program: FrozenProgram, deltas_by_set: list[np.ndarray],
                         f"({flat // program.cols},{flat % program.cols})")
             return grid[safe]
 
-        a = gather(program.in1)
-        bvals = gather(program.in2)
-        cvals = gather(program.in3)
-
-        values = np.zeros(out_idx.shape[0], dtype=np.uint8)
-        values[gates == 1] = 1
-        values[gates == 0] = 0
-        m = gates == 2
-        values[m] = a[m] ^ 1
-        m = gates == 6
-        values[m] = a[m] & bvals[m]
-        m = gates == 5
-        values[m] = a[m] | bvals[m]
-        m = gates == 3
-        values[m] = (a[m] | bvals[m]) ^ 1
-        m = gates == 4
-        values[m] = (a[m] | bvals[m] | cvals[m]) ^ 1
-        m = gates == 7
-        values[m] = a[m]
-
-        grid[out_idx] = values
+        # unused operand slots read cell 0, which the truth table ignores
+        pattern = (gates << 3 | gather(program.in1) << 2
+                   | gather(program.in2) << 1 | gather(program.in3))
+        grid[out_idx] = np.take(GATE_TRUTH, pattern)
         if init is not None:
             init[out_idx] = 1
-        if trace is not None:
-            _trace_bundle(trace, program, b, lo, hi, deltas, crossbar,
-                          cycle_base + b + 1)
 
 
-_GATE_NAMES = {int(g): g.name for g in GateType}
-
-
-def _trace_bundle(stream, program, b, lo, hi, deltas, crossbar, cycle) -> None:
-    import json
+def _bundle_ops(program: FrozenProgram, lo: int, hi: int, deltas: np.ndarray):
+    """(gate, inputs, output) cells of events [lo, hi) x deltas."""
     cols = program.cols
-    label = program.label_names[program.bundle_label[b]]
-    ops = []
-    for d in deltas:
+    for d in deltas.tolist():
         for e in range(lo, hi):
+            gate = int(program.gate[e])
+            bases = [int(arr[e]) for arr in
+                     (program.in1, program.in2, program.in3)[:GATE_NUM_INPUTS[gate]]]
+            out, stride = int(program.out[e]), int(program.stride[e])
             for i in range(int(program.count[e])):
-                offset = int(d) + i * int(program.stride[e])
-                cells = []
-                for arr in (program.in1, program.in2, program.in3):
-                    if arr[e] != _NO_INPUT:
-                        flat = int(arr[e]) + offset
-                        cells.append([flat // cols, flat % cols])
-                flat = int(program.out[e]) + offset
-                out_cell = [flat // cols, flat % cols]
-                partition = None
-                if crossbar is not None:
-                    partition = list(crossbar.partition_map.region_of(
-                        tuple(out_cell), frozenset()))
-                ops.append({"partition": partition,
-                            "gate": _GATE_NAMES[int(program.gate[e])],
-                            "orientation": "row" if not cells
-                            or cells[0][0] == out_cell[0] else "col",
-                            "inputs": cells, "output": out_cell})
-    stream.write(json.dumps({"cycle": cycle, "label": label, "ops": ops}) + "\n")
+                offset = d + i * stride
+                yield (gate, [divmod(base + offset, cols) for base in bases],
+                       divmod(out + offset, cols))
+
+
+def _write_trace(program: FrozenProgram, crossbar: Crossbar,
+                 deltas_by_set: list[np.ndarray], first_cycle: int) -> None:
+    """One trace record per bundle, read back from the frozen arrays."""
+    sets = _bundle_sets(program)
+    for b in range(program.n_bundles):
+        ops = _bundle_ops(program, int(program.bundle_ptr[b]),
+                          int(program.bundle_ptr[b + 1]), deltas_by_set[sets[b]])
+        crossbar.trace_cycle(first_cycle + b,
+                             program.label_names[program.bundle_label[b]], ops)
 
 
 # ----------------------------------------------------------------- entry point
 
 def replay(program: FrozenProgram, crossbar: Crossbar,
-           deltas_by_set: list[np.ndarray], strict: bool | None = None,
-           trace=None) -> None:
-    """Run a frozen program on a crossbar and charge its stats.
+           deltas_by_set: list[np.ndarray]) -> None:
+    """Run a frozen program on a crossbar, charge its stats and trace it.
 
     ``deltas_by_set[s]`` holds the flat origin deltas replicated for origin
-    set ``s``. Tracing forces the per-bundle numpy path. The initialized
-    map is only maintained in strict mode (nothing consults it otherwise).
+    set ``s``. The initialized map is only maintained, and reads of
+    never-written cells only rejected, when ``crossbar.config.strict_init``
+    is set. With a stream attached by ``Crossbar.attach_trace``, one record
+    per bundle is written after the kernel returns, read back from the
+    frozen arrays, so traced and untraced runs execute the same kernel.
     """
-    if strict is None:
-        strict = crossbar.config.strict_init
+    strict = crossbar.config.strict_init
     grid = crossbar.state.reshape(-1)
     init = crossbar.initialized.reshape(-1)
     deltas_by_set = [np.asarray(d, dtype=np.int64) for d in deltas_by_set]
     assert len(deltas_by_set) == NUM_ORIGIN_SETS
+    first_cycle = crossbar.stats.cycles + 1
 
-    if trace is not None or active_backend() == "numpy":
-        _replay_numpy(program, deltas_by_set, grid, init if strict else None,
-                      trace=trace, crossbar=crossbar,
-                      cycle_base=crossbar.stats.cycles)
+    if active_backend() == "numpy":
+        _replay_numpy(program, deltas_by_set, grid, init if strict else None)
     else:
         set_ptr = np.zeros(NUM_ORIGIN_SETS + 1, dtype=np.int64)
         for s in range(NUM_ORIGIN_SETS):
@@ -494,7 +476,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                                        set_ptr, deltas, grid, init)
             if bad >= 0:
                 raise StrictInitError(
-                    f"{_GATE_NAMES[int(program.gate[bad])]} event {bad} read an "
+                    f"{GateType(int(program.gate[bad])).name} event {bad} read an "
                     "uninitialized cell")
         else:
             _replay_numba(program.gate, program.count, program.stride,
@@ -502,3 +484,5 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                           program.set_id, set_ptr, deltas, grid)
 
     program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
+    if crossbar.trace is not None:
+        _write_trace(program, crossbar, deltas_by_set, first_cycle)

@@ -603,7 +603,6 @@ class CompiledKeccak:
         self.layout = CrossbarLayout(config)
         self.partition_map = PartitionMap.from_config(config)
         ref = UnitLayout((0, 0))
-        self.ref_unit = ref
 
         def compiled(stream: OpStream, set_id: int) -> engine.FrozenProgram:
             program = schedule(stream, self.partition_map, verify=True)
@@ -611,67 +610,45 @@ class CompiledKeccak:
                                  [set_id] * len(program.bundles), config.cols)
 
         unit_set = engine.SET_UNIT
-        body = [compiled(theta_microcode(ref), unit_set)]
+        rho = []
         for j, core in enumerate(variable_rotate(ref, rho_lane_cols(ref))):
-            body.append(compiled(rot_fetch_microcode(self.layout, j),
-                                 engine.SET_PARTITION_COL))
-            body.append(compiled(core, unit_set))
-        body.append(compiled(pi_microcode(ref), unit_set))
-        body.append(compiled(chi_microcode(ref), unit_set))
-        round_body = engine.concat(body)
-
+            rho.append(compiled(rot_fetch_microcode(self.layout, j),
+                                engine.SET_PARTITION_COL))
+            rho.append(compiled(core, unit_set))
+        self._steps = {          # in round order; permute below relies on it
+            "theta": compiled(theta_microcode(ref), unit_set),
+            "rho": engine.concat(rho),
+            "pi": compiled(pi_microcode(ref), unit_set),
+            "chi": compiled(chi_microcode(ref), unit_set),
+        }
         iota_local = compiled(iota_local_microcode(ref), unit_set)
-        rounds = []
-        for round_index in range(KECCAK.rounds):
-            rounds.append(round_body)
-            rounds.append(compiled(rc_fetch_microcode(self.layout, round_index),
-                                   engine.SET_PARTITION_ROW))
-            rounds.append(iota_local)
-        self.permute = engine.concat(rounds)
+        self._iota = [
+            engine.concat([compiled(rc_fetch_microcode(self.layout, round_index),
+                                    engine.SET_PARTITION_ROW),
+                           iota_local])
+            for round_index in range(KECCAK.rounds)
+        ]
+        self.permute = engine.concat([program for iota in self._iota
+                                      for program in (*self._steps.values(), iota)])
 
         self.absorb = [
             compiled(absorb_microcode(ref, lanes, base=0), unit_set)
             for lanes in _ABSORB_BATCHES
         ]
-        self._compiled = compiled
-        self._step_cache: dict[tuple, engine.FrozenProgram] = {}
 
     def step_program(self, step: str, round_index: int = 0) -> engine.FrozenProgram:
         """Frozen microcode for a single permutation step (testing aid)."""
-        key = (step, round_index if step == "iota" else 0)
-        if key in self._step_cache:
-            return self._step_cache[key]
-        ref = self.ref_unit
-        unit_set = engine.SET_UNIT
-        if step == "theta":
-            program = self._compiled(theta_microcode(ref), unit_set)
-        elif step == "rho":
-            parts = []
-            for j, core in enumerate(variable_rotate(ref, rho_lane_cols(ref))):
-                parts.append(self._compiled(rot_fetch_microcode(self.layout, j),
-                                            engine.SET_PARTITION_COL))
-                parts.append(self._compiled(core, unit_set))
-            program = engine.concat(parts)
-        elif step == "pi":
-            program = self._compiled(pi_microcode(ref), unit_set)
-        elif step == "chi":
-            program = self._compiled(chi_microcode(ref), unit_set)
-        elif step == "iota":
+        if step == "iota":
             if not 0 <= round_index < KECCAK.rounds:
                 raise ValueError(f"round index {round_index} out of range")
-            program = engine.concat([
-                self._compiled(rc_fetch_microcode(self.layout, round_index),
-                               engine.SET_PARTITION_ROW),
-                self._compiled(iota_local_microcode(ref), unit_set),
-            ])
-        elif step == "rotate":
+            return self._iota[round_index]
+        if step == "rotate":
             # same as rho; named separately because the ROT block may hold
             # arbitrary offsets rather than the fixed table
-            return self.step_program("rho")
-        else:
+            step = "rho"
+        if step not in self._steps:
             raise ValueError(f"unknown step {step!r}")
-        self._step_cache[key] = program
-        return program
+        return self._steps[step]
 
     # ------------------------------------------------------------- replay glue
 
@@ -687,13 +664,11 @@ class CompiledKeccak:
                               dtype=np.int64)
         return [unit_deltas, row_deltas, col_deltas]
 
-    def run_permute(self, xbar: Crossbar, deltas: list[np.ndarray],
-                    trace=None) -> None:
-        engine.replay(self.permute, xbar, deltas, trace=trace)
+    def run_permute(self, xbar: Crossbar, deltas: list[np.ndarray]) -> None:
+        engine.replay(self.permute, xbar, deltas)
 
     def run_absorb(self, xbar: Crossbar, unit_ids: list[int],
-                   deltas: list[np.ndarray], lane_bits: np.ndarray,
-                   trace=None) -> None:
+                   deltas: list[np.ndarray], lane_bits: np.ndarray) -> None:
         """Stage one rate block per unit (io) and XOR it into the states.
 
         ``lane_bits[i]`` is the [rate_lanes, 64] bit array for unit i.
@@ -705,7 +680,7 @@ class CompiledKeccak:
                 c0 = unit.stage_col(0)
                 block = lane_bits[i][batch].T       # rows=bits, cols=lanes
                 xbar.write_region((r0, r0 + LANE_BITS), (c0, c0 + len(batch)), block)
-            engine.replay(program, xbar, deltas, trace=trace)
+            engine.replay(program, xbar, deltas)
 
 
 _compiled_cache: dict[tuple, CompiledKeccak] = {}
@@ -754,7 +729,8 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
 
     Messages sharing a block count run in lockstep cohorts (identical
     bundles across their partitions); cohorts and crossbars execute
-    sequentially and their stats merge into one report.
+    sequentially and their stats merge into one report. ``trace`` is
+    attached to every cohort's crossbar (``Crossbar.attach_trace``).
     """
     config = config or CrossbarConfig()
     compiled = compiled_keccak(config)
@@ -771,6 +747,8 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
 
     for cohort in cohorts:
         xbar = Crossbar(config)
+        if trace is not None:
+            xbar.attach_trace(trace)
         compiled.layout.setup_shared_blocks(xbar)
         unit_ids = list(range(len(cohort)))
         deltas = compiled.deltas_for(unit_ids)
@@ -779,12 +757,12 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
         for i, msg_index in enumerate(cohort):
             write_unit_state(xbar, compiled.layout.unit(i),
                              block_state_bits(blocks[msg_index][0], params))
-        compiled.run_permute(xbar, deltas, trace=trace)
+        compiled.run_permute(xbar, deltas)
         for b in range(1, n_blocks):
             lane_bits = np.stack([block_to_bits(blocks[m][b], params)
                                   for m in cohort])
-            compiled.run_absorb(xbar, unit_ids, deltas, lane_bits, trace=trace)
-            compiled.run_permute(xbar, deltas, trace=trace)
+            compiled.run_absorb(xbar, unit_ids, deltas, lane_bits)
+            compiled.run_permute(xbar, deltas)
 
         for i, msg_index in enumerate(cohort):
             state = read_unit_state(xbar, compiled.layout.unit(i))

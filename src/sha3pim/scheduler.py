@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .crossbar import (
+    GATE_NUM_INPUTS,
     IN_ROW,
     AllocationError,
     Cell,
@@ -65,8 +66,7 @@ _PRIMITIVE = {
 
 _NUM_INPUTS = {
     MacroKind.XOR2: 2, MacroKind.MUX: 3, MacroKind.COPY: 1,
-    MacroKind.NOT: 1, MacroKind.NOR2: 2, MacroKind.NOR3: 3,
-    MacroKind.OR2: 2, MacroKind.AND2: 2, MacroKind.INIT0: 0, MacroKind.INIT1: 0,
+    **{kind: GATE_NUM_INPUTS[gate] for kind, gate in _PRIMITIVE.items()},
 }
 
 SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.MUX: 3, MacroKind.COPY: 1}

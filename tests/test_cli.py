@@ -62,6 +62,17 @@ def test_unreadable_file(capsys, tmp_path):
     assert "cannot read file" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--hpart", "28"), ("--vpart", "15"),
+                                        ("--rows", "1010"),
+                                        ("--gate-delay-ns", "0")])
+def test_bad_geometry(capsys, flag, value):
+    status, out, err = run_cli(capsys, "--text", "abc", flag, value)
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: bad crossbar geometry")
+    assert len(err.splitlines()) == 1
+
+
 def test_capacity_exceeded(capsys):
     status, _, err = run_cli(capsys, "--random", "379", "--len", "1")
     assert status == EXIT_CAPACITY

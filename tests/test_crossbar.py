@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from sha3pim import engine
 from sha3pim.crossbar import (
     IN_COL,
     IN_ROW,
@@ -39,6 +40,8 @@ def seed_cells(xbar, assignments):
 # ----------------------------------------------------------- gate truth tables
 
 TRUTH = {
+    GateType.INIT0: lambda: 0,
+    GateType.INIT1: lambda: 1,
     GateType.NOT: lambda a: a ^ 1,
     GateType.NOR2: lambda a, b: (a | b) ^ 1,
     GateType.NOR3: lambda a, b, c: (a | b | c) ^ 1,
@@ -48,16 +51,34 @@ TRUTH = {
 }
 
 
-@pytest.mark.parametrize("gate", list(TRUTH))
-def test_gate_truth_tables_exhaustive(gate):
-    n = len(TRUTH[gate].__code__.co_varnames[:TRUTH[gate].__code__.co_argcount])
+def execute_object(xbar, op):
+    xbar.execute_bundle(CycleBundle([op]))
+
+
+def execute_frozen(xbar, op):
+    frozen = engine.freeze([CycleBundle([op])], ["main"], [engine.SET_UNIT],
+                           xbar.config.cols)
+    engine.replay(frozen, xbar, [np.zeros(1, dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64)])
+
+
+# object-path ids stay the bare gate number so that earlier test ids are stable
+@pytest.mark.parametrize("gate,execute", [
+    pytest.param(gate, execute, id=f"{int(gate)}{suffix}")
+    for execute, suffix in ((execute_object, ""), (execute_frozen, "-replay"))
+    for gate in TRUTH])
+def test_gate_truth_tables_exhaustive(gate, execute):
+    n = TRUTH[gate].__code__.co_argcount
     for values in itertools.product((0, 1), repeat=n):
         xbar = small_xbar()
         inputs = tuple((0, i + 1) for i in range(n))
+        expected = TRUTH[gate](*values)
         seed_cells(xbar, {cell: v for cell, v in zip(inputs, values)})
-        op = MicroOp(gate, IN_ROW, inputs, (0, 0))
-        xbar.execute_bundle(CycleBundle([op]))
-        assert xbar.state[0, 0] == TRUTH[gate](*values), (gate, values)
+        seed_cells(xbar, {(0, 0): expected ^ 1})     # the gate must overwrite it
+        execute(xbar, MicroOp(gate, IN_ROW, inputs, (0, 0)))
+        assert xbar.state[0, 0] == expected, (gate, values)
+        assert (xbar.stats.cycles, xbar.stats.gate_executions) == (1, 1)
 
 
 def test_init_gates():
@@ -338,3 +359,9 @@ def test_trace_export_format():
     op = record["ops"][0]
     assert set(op) == {"partition", "gate", "orientation", "inputs", "output"}
     assert op["gate"] == "NOR2"
+    assert op["orientation"] == "row"
+    # a preset drives no input line; partition is the output cell's
+    xbar.execute_bundle(CycleBundle([MicroOp(GateType.INIT1, IN_COL, (), (9, 3))]))
+    preset = json.loads(stream.getvalue().splitlines()[1])["ops"][0]
+    assert preset["orientation"] is None
+    assert preset["partition"] == [1, 0]

@@ -1,5 +1,7 @@
-"""Frozen-program replay: backends agree, strict mode, stats charging."""
+"""Frozen-program replay: backends agree, strict mode, stats charging, trace."""
 
+import io
+import json
 import random
 
 import numpy as np
@@ -161,3 +163,83 @@ def test_concat_preserves_counts():
     assert whole.n_gate_executions == 6
     assert whole.label_names == ["a", "b"]
     assert whole.cycles_by_label.tolist() == [4, 2]
+
+
+def canonical_trace(text):
+    """(cycle, label, sorted ops) per record: a cycle's ops are a multiset."""
+    records = [json.loads(line) for line in text.splitlines()]
+    return [(r["cycle"], r["label"],
+             sorted(json.dumps(op, sort_keys=True) for op in r["ops"]))
+            for r in records]
+
+
+def test_replay_trace_matches_object_trace():
+    for seed in range(40):
+        stream = random_stream(random.Random(seed))
+        object_xbar = small_crossbar()
+        object_xbar.initialized[:] = 1
+        object_trace = io.StringIO()
+        object_xbar.attach_trace(object_trace)
+        frozen, program = freeze_stream(stream, object_xbar)
+        for bundle, label in zip(program.bundles, program.labels):
+            object_xbar.execute_bundle(bundle, label=label, check=False)
+
+        replay_xbar = small_crossbar()
+        replay_xbar.initialized[:] = 1
+        replay_trace = io.StringIO()
+        replay_xbar.attach_trace(replay_trace)
+        engine.replay(frozen, replay_xbar, unit_deltas((0, 0)))
+
+        assert canonical_trace(replay_trace.getvalue()) == \
+            canonical_trace(object_trace.getvalue()), seed
+
+
+def kernel_args(frozen):
+    """The numba kernels' operands for replay at unit origin (0, 0)."""
+    set_ptr = np.array([0, 1, 1, 1], dtype=np.int64)
+    deltas = np.zeros(1, dtype=np.int64)
+    return (frozen.gate, frozen.count, frozen.stride, frozen.out, frozen.in1,
+            frozen.in2, frozen.in3, frozen.set_id, set_ptr, deltas)
+
+
+def test_numba_kernels_match_object_execution():
+    # without numba, njit is the identity and the kernels run as plain Python
+    rng = random.Random(5)
+    for trial in range(30):
+        stream = random_stream(rng)
+        initial = np.array([[rng.randint(0, 1) for _ in range(16)]
+                            for _ in range(16)], dtype=np.uint8)
+        written = np.ones((16, 16), dtype=np.uint8)
+        for _ in range(rng.randint(0, 30)):
+            written[rng.randrange(16), rng.randrange(16)] = 0
+
+        object_xbar = small_crossbar()
+        object_xbar.state[:] = initial
+        frozen, program = freeze_stream(stream, object_xbar)
+        for bundle, label in zip(program.bundles, program.labels):
+            object_xbar.execute_bundle(bundle, label=label, check=False)
+        grid = initial.reshape(-1).copy()
+        engine._replay_numba(*kernel_args(frozen), grid)
+        assert np.array_equal(grid.reshape(16, 16), object_xbar.state), trial
+
+        strict_xbar = small_crossbar()
+        strict_xbar.config.strict_init = True
+        strict_xbar.state[:] = initial
+        strict_xbar.initialized[:] = written
+        rejected = None
+        for b, (bundle, label) in enumerate(zip(program.bundles, program.labels)):
+            try:
+                strict_xbar.execute_bundle(bundle, label=label, check=False)
+            except StrictInitError:
+                rejected = b
+                break
+        grid = initial.reshape(-1).copy()
+        bad = engine._replay_numba_strict(*kernel_args(frozen), grid,
+                                          written.reshape(-1).copy())
+        if rejected is None:
+            assert bad == -1, trial
+            assert np.array_equal(grid.reshape(16, 16), object_xbar.state), trial
+        else:
+            # the returned event belongs to the cycle the object path rejected
+            assert frozen.bundle_ptr[rejected] <= bad \
+                < frozen.bundle_ptr[rejected + 1], trial
