@@ -120,6 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.text or args.hex or args.file or args.random or args.metrics):
         build_parser().error("no message source given (and no --metrics)")
 
+    if args.crossbars < 1:
+        print(f"error: --crossbars needs N >= 1, got {args.crossbars}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+
     try:
         config = CrossbarConfig(
             rows=args.rows, cols=args.cols,

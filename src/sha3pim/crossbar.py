@@ -272,14 +272,6 @@ class ExecutionStats:
     def energy_fj(self) -> float:
         return self.gate_executions * self.gate_energy_fj
 
-    def merge(self, other: "ExecutionStats") -> None:
-        self.cycles += other.cycles
-        self.gate_executions += other.gate_executions
-        for label, entry in other.per_label.items():
-            mine = self._label(label)
-            mine.cycles += entry.cycles
-            mine.gate_executions += entry.gate_executions
-
     def as_dict(self) -> dict:
         return {
             "cycles": self.cycles,

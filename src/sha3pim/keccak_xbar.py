@@ -729,8 +729,9 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
 
     Messages sharing a block count run in lockstep cohorts (identical
     bundles across their partitions); cohorts and crossbars execute
-    sequentially and their stats merge into one report. ``trace`` is
-    attached to every cohort's crossbar (``Crossbar.attach_trace``).
+    sequentially and charge one shared stats record, so cycle numbers, and
+    the trace records of ``trace`` (attached to every cohort's crossbar by
+    ``Crossbar.attach_trace``), continue from one cohort to the next.
     """
     config = config or CrossbarConfig()
     compiled = compiled_keccak(config)
@@ -747,6 +748,7 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
 
     for cohort in cohorts:
         xbar = Crossbar(config)
+        xbar.stats = stats
         if trace is not None:
             xbar.attach_trace(trace)
         compiled.layout.setup_shared_blocks(xbar)
@@ -767,7 +769,6 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
         for i, msg_index in enumerate(cohort):
             state = read_unit_state(xbar, compiled.layout.unit(i))
             digests[msg_index] = _digest_from_state(state, params)
-        stats.merge(xbar.stats)
 
     return digests, stats
 

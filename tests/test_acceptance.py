@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 and the per-step cycle/energy breakdown table.
 
 The multi-megabyte functional case assumes the numba backend (the default);
-it is skipped under the pure-numpy fallback, whose per-bundle dispatch is
-documented as a correctness path, not a throughput path.
+it is skipped under the numpy kernel. That kernel replays every event on
+all active units at once, but the 1 MB message is 7,711 blocks hashed one
+permutation at a time on a single unit, about 0.5-0.6 s each, which adds
+up to more than an hour.
 """
 
 import random

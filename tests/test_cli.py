@@ -73,6 +73,17 @@ def test_bad_geometry(capsys, flag, value):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [("--metrics", "--paper-constants",
+                                   "--crossbars", "0"),
+                                  ("--text", "abc", "--crossbars", "-1")])
+def test_bad_crossbar_count(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: --crossbars")
+    assert len(err.splitlines()) == 1
+
+
 def test_capacity_exceeded(capsys):
     status, _, err = run_cli(capsys, "--random", "379", "--len", "1")
     assert status == EXIT_CAPACITY

@@ -1,15 +1,21 @@
-"""Frozen-program replay: backends agree, strict mode, stats charging, trace."""
+"""Frozen-program replay: backends agree, strict mode, stats, trace, oracle."""
 
 import io
 import json
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sha3pim import engine
 from sha3pim.crossbar import (
+    GATE_NUM_INPUTS,
+    IN_COL,
     IN_ROW,
+    Crossbar,
+    CrossbarConfig,
     CycleBundle,
     GateType,
     MicroOp,
@@ -113,13 +119,23 @@ def test_strict_mode_catches_uninitialized_read(backend):
     try:
         engine.set_backend(backend)
         xbar = small_crossbar(); xbar.config.strict_init = True
+        xbar.state[0, 1] = 1
         stream = OpStream()
         stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
-        frozen, _ = freeze_stream(stream, xbar)
-        with pytest.raises(StrictInitError):
+        frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
+        assert frozen.n_bundles == 2
+        cell = r"\(0,1\)" if backend == "numpy" else ""
+        with pytest.raises(StrictInitError, match=cell):
             engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        # the preset bundle ran and the bundle that read (0,1) did not
+        expected = np.zeros((16, 16), dtype=np.uint8)
+        expected[0, 0] = 1
+        assert np.array_equal(xbar.initialized, expected)
+        expected[0, 1] = 1                  # the unwritten input's value
+        assert np.array_equal(xbar.state, expected)
         xbar.initialized[0, 1] = 1
         engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        assert xbar.state[0, 0] == 0
     finally:
         engine.set_backend(previous)
 
@@ -243,3 +259,133 @@ def test_numba_kernels_match_object_execution():
             # the returned event belongs to the cycle the object path rejected
             assert frozen.bundle_ptr[rejected] <= bad \
                 < frozen.bundle_ptr[rejected + 1], trial
+
+
+# ------------------------------------------------ differential replay oracle
+
+# 2 x 3 partitions of 4 x 4 cells, plus 3 spare rows and 2 spare columns
+# that form tiles of their own, as the shared ROT and RC blocks do
+ORACLE_GEOMETRY = dict(rows=11, cols=14, vertical_partitions=2,
+                       horizontal_partitions=3, unit_rows=4, unit_cols=4)
+RUN_STEPS = [(0, 1), (1, 0), (1, 1), (1, -1), (2, 0), (0, 3)]
+
+
+def shifted(op, shift):
+    dr, dc = shift
+    return MicroOp(op.gate, op.orientation,
+                   tuple((r + dr, c + dc) for r, c in op.inputs),
+                   (op.output[0] + dr, op.output[1] + dc))
+
+
+@st.composite
+def replay_cases(draw):
+    """A frozen program, the origin shifts of each set and a start state.
+
+    Ops sit anywhere on the grid, read anywhere along their line (so reads
+    hop partitions, as the ROT and RC fetches do) and come in runs that may
+    cross partitions. An op is kept when every shifted copy lies on the
+    grid, as the op itself must be, and no copy reads or writes a cell that
+    another copy in its bundle writes, which legal bundles guarantee.
+    """
+    config = CrossbarConfig(**ORACLE_GEOMETRY, strict_init=draw(st.booleans()))
+    rows, cols = config.rows, config.cols
+
+    def subset(n):
+        return sorted(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=n, unique=True)))
+
+    shifts = [[(u // 3 * 4, u % 3 * 4) for u in subset(6)],
+              [(v * 4, 0) for v in subset(2)],
+              [(0, h * 4) for h in subset(3)]]
+
+    def on_grid(cells):
+        return all(0 <= r + dr < rows and 0 <= c + dc < cols
+                   for r, c in cells for dr, dc in [(0, 0)] + shifts[set_id])
+
+    bundles, labels, set_ids = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        set_id = draw(st.integers(0, 2))
+        ops, written, read = [], set(), set()
+        for _ in range(draw(st.integers(1, 5))):
+            gate = draw(st.sampled_from(GateType))
+            arity = GATE_NUM_INPUTS[gate]
+            orientation = draw(st.sampled_from((IN_ROW, IN_COL)))
+            r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            length = cols if orientation == IN_ROW else rows
+            line = draw(st.lists(st.integers(0, length - 1), min_size=arity,
+                                 max_size=arity, unique=True))
+            inputs = [(r, k) if orientation == IN_ROW else (k, c) for k in line]
+            dr, dc = draw(st.sampled_from(RUN_STEPS))
+            for i in range(draw(st.integers(1, 5))):
+                op = MicroOp(gate, orientation,
+                             tuple((a + i * dr, b + i * dc) for a, b in inputs),
+                             (r + i * dr, c + i * dc))
+                if op.output in op.inputs or not on_grid(op.cells()):
+                    continue
+                copies = [shifted(op, shift) for shift in shifts[set_id]]
+                outs = {copy.output for copy in copies}
+                ins = {cell for copy in copies for cell in copy.inputs}
+                if outs & (written | read) or ins & (written | outs):
+                    continue
+                ops.append(op)
+                written |= outs
+                read |= ins
+        bundles.append(CycleBundle(ops))
+        labels.append(draw(st.sampled_from(("a", "b"))))
+        set_ids.append(set_id)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    initialized = (rng.random((rows, cols)) < 0.9).astype(np.uint8)
+    return config, engine.freeze(bundles, labels, set_ids, cols), \
+        list(zip(bundles, labels, set_ids)), shifts, state, initialized
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(replay_cases())
+def test_replay_matches_serial_execution_of_shifted_bundles(case):
+    config, frozen, bundles, shifts, state, initialized = case
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.state[:] = state
+        crossbar.initialized[:] = initialized
+    rejected = None
+    for bundle, label, set_id in bundles:
+        copies = CycleBundle([shifted(op, shift) for shift in shifts[set_id]
+                              for op in bundle.ops])
+        try:
+            oracle.execute_bundle(copies, label=label, check=False)
+        except StrictInitError:
+            rejected = copies
+            break
+
+    deltas = [np.array([dr * config.cols + dc for dr, dc in s], dtype=np.int64)
+              for s in shifts]
+    previous = engine.active_backend()
+    try:
+        engine.set_backend("numpy")
+        if rejected is None:
+            engine.replay(frozen, xbar, deltas)
+            assert xbar.stats.as_dict() == oracle.stats.as_dict()
+        else:
+            with pytest.raises(StrictInitError) as error:
+                engine.replay(frozen, xbar, deltas)
+            r, c = map(int, re.search(r"\((\d+),(\d+)\)",
+                                      str(error.value)).groups())
+            assert (r, c) in {cell for op in rejected.ops for cell in op.inputs}
+            assert not oracle.initialized[r, c]
+    finally:
+        engine.set_backend(previous)
+    assert np.array_equal(xbar.state, oracle.state)
+    if config.strict_init:
+        assert np.array_equal(xbar.initialized, oracle.initialized)
+
+
+@pytest.mark.parametrize("origin", [(0, 1), (4, 0), (8, 7)])
+def test_replay_rejects_delta_off_partition_grid(origin):
+    xbar = small_crossbar()
+    stream = OpStream()
+    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    frozen, _ = freeze_stream(stream, xbar)
+    with pytest.raises(ValueError, match="whole"):
+        engine.replay(frozen, xbar, unit_deltas((0, 0), origin))

@@ -1,5 +1,6 @@
 """Crossbar SHA-3: layout, padding, per-step equivalence, rotation, hashing."""
 
+import io
 import random
 
 import numpy as np
@@ -341,6 +342,17 @@ def test_mixed_lengths_batch():
     messages = [b"", b"abc", bytes(200), b"x" * 136]
     digests, _ = hash_messages(messages)
     assert digests == [ref.sha3_256(m) for m in messages]
+
+
+def test_trace_cycles_continue_across_cohorts(monkeypatch):
+    # cohorts of one and of two blocks; the recorder builds no JSON
+    cycles = []
+    monkeypatch.setattr(Crossbar, "trace_cycle",
+                        lambda self, cycle, label, ops: cycles.append(cycle))
+    _, stats = hash_messages([b"a", bytes(200)], trace=io.StringIO())
+    assert len(cycles) == 234_085
+    assert all(a < b for a, b in zip(cycles, cycles[1:]))
+    assert cycles[-1] <= stats.cycles
 
 
 def test_capacity_error():
