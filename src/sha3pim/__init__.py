@@ -15,7 +15,7 @@ from .crossbar import (
     SimulationError,
     StrictInitError,
 )
-from .engine import active_backend, set_backend
+from .engine import active_backend
 from .keccak_xbar import (
     KECCAK,
     KeccakParams,
@@ -32,7 +32,7 @@ __all__ = [
     "AddressError", "AllocationError", "CapacityError", "Crossbar",
     "CrossbarConfig", "CycleBundle", "ExecutionStats", "GateType", "MicroOp",
     "PartitionMap", "SchedulingError", "SimulationError", "StrictInitError",
-    "active_backend", "set_backend", "KECCAK", "KeccakParams", "hash_message",
+    "active_backend", "KECCAK", "KeccakParams", "hash_message",
     "hash_messages", "measure_round_stats", "pad_message", "MetricsInput",
     "MetricsReport", "compute_metrics",
 ]

@@ -2,33 +2,28 @@
 
 Microcode is generated and legality-checked once at the object level, then
 frozen into flat numpy arrays. Hashing replays those arrays millions of
-times, so replay is the hot loop. It runs on one of two backends: numba
-``@njit`` kernels when numba is importable, or a pure-numpy kernel. The
-numpy kernel reads each gate's output off ``crossbar.GATE_TRUTH``; the
-numba kernels spell out the same gates.
-
-Select the backend with the ``SHA3PIM_BACKEND`` environment variable
-(``numba`` or ``numpy``); numba is used when importable unless overridden.
+times, so replay is the hot loop. One numpy kernel runs it, reading each
+gate's output off ``crossbar.GATE_TRUTH``.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its ops collapse into *vector events* - (gate,
-base cells, count, stride) - and the kernels loop over cells without
+base cells, count, stride) - and the kernel runs over cells without
 touching per-cell metadata. Cell addresses are flat indices relative to a
 reference instance; replay adds per-origin deltas, so one frozen program
 serves any set of hash units. Events carry an *origin set* id (0 = per
 active unit, 1 = per partition row, 2 = per partition column) and each set
 supplies its own delta list at run time.
 
-The numpy kernel is partition-major. It holds the grid as ``q[cell,
-tile]``, one column per partition-sized tile, so a delta of whole
-partitions moves only the tile. Each event is then one vectorised
-operation on a strided run of cells across the tiles of every origin in
-its set, which for contiguous units is a slice.
+The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
+column per partition-sized tile, so a delta of whole partitions moves only
+the tile. Each event is then one vectorised operation on a strided run of
+cells across the tiles of every origin in its set, which for contiguous
+units is a slice.
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,47 +38,13 @@ from .crossbar import (
     StrictInitError,
 )
 
-ENV_BACKEND = "SHA3PIM_BACKEND"
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:      # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_backend: str | None = None
-
-
-def default_backend() -> str:
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("SHA3PIM_BACKEND=numba but numba is not importable")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
+# Benchmark provenance records it; the package never imports it.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def active_backend() -> str:
-    global _backend
-    if _backend is None:
-        _backend = default_backend()
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Override the backend in-process (used by tests and the benchmark)."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
+    """The replay kernel's name, as the CLI report's ``backend`` key."""
+    return "numpy"
 
 
 NUM_ORIGIN_SETS = 3
@@ -131,7 +92,7 @@ class FrozenProgram:
             stats.add_cycles(label, int(self.cycles_by_label[idx]), gates)
 
 
-def _bundle_vector_events(bundle: CycleBundle) -> list[tuple]:
+def _bundle_vector_events(bundle: CycleBundle, cols: int) -> list[tuple]:
     """Collapse a bundle into (gate, count, stride, out, in1, in2, in3) runs.
 
     Ops are grouped by gate and input-to-output offsets (constant within an
@@ -140,7 +101,6 @@ def _bundle_vector_events(bundle: CycleBundle) -> list[tuple]:
     """
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for op in bundle.ops:
-        cells = [op.output] + list(op.inputs)
         deltas = tuple((c[0] - op.output[0], c[1] - op.output[1])
                        for c in op.inputs)
         groups.setdefault((int(op.gate), deltas), []).append(op.output)
@@ -160,6 +120,12 @@ def _bundle_vector_events(bundle: CycleBundle) -> list[tuple]:
                 runs.append([cur])
                 stride = None
         for run in runs:
+            # a run is a line, so its ends bound every cell it touches
+            for r, c in (run[0], run[-1]):
+                for dr, dc in ((0, 0),) + deltas:
+                    if r + dr < 0 or not 0 <= c + dc < cols:
+                        raise AddressError(f"cell ({r + dr},{c + dc}) is off "
+                                           f"a grid of {cols} columns")
             events.append((gate, len(run),
                            (run[1][0] - run[0][0], run[1][1] - run[0][1])
                            if len(run) > 1 else (0, 0),
@@ -172,9 +138,11 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     """Pack checked bundles into flat replay arrays.
 
     ``set_ids`` gives each bundle's origin set. Coordinates must already be
-    those of the reference instance (deltas are applied at run time).
+    those of the reference instance (deltas are applied at run time). A
+    cell with a negative row or a column outside ``[0, cols)`` raises
+    ``AddressError``, because its flat address would be another cell's.
     """
-    per_bundle = [_bundle_vector_events(b) for b in bundles]
+    per_bundle = [_bundle_vector_events(b, cols) for b in bundles]
     n = sum(len(ev) for ev in per_bundle)
     gate = np.zeros(n, dtype=np.uint8)
     count = np.zeros(n, dtype=np.int32)
@@ -247,123 +215,7 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
         label_names, cols, cycles, cells)
 
 
-# -------------------------------------------------------------- numba kernels
-
-@njit(cache=True)
-def _replay_numba(gate, count, stride, out, in1, in2, in3, set_id,
-                  set_ptr, deltas, grid):
-    for e in range(gate.shape[0]):
-        g = gate[e]
-        cnt = count[e]
-        st = stride[e]
-        for k in range(set_ptr[set_id[e]], set_ptr[set_id[e] + 1]):
-            d = deltas[k]
-            o = out[e] + d
-            if g == 1:                                   # INIT1
-                for i in range(cnt):
-                    grid[o + i * st] = 1
-            elif g == 6:                                 # AND2
-                a = in1[e] + d
-                b = in2[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st] & grid[b + i * st]
-            elif g == 5:                                 # OR2
-                a = in1[e] + d
-                b = in2[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st] | grid[b + i * st]
-            elif g == 3:                                 # NOR2
-                a = in1[e] + d
-                b = in2[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = (grid[a + i * st] | grid[b + i * st]) ^ 1
-            elif g == 2:                                 # NOT
-                a = in1[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st] ^ 1
-            elif g == 0:                                 # INIT0
-                for i in range(cnt):
-                    grid[o + i * st] = 0
-            elif g == 4:                                 # NOR3
-                a = in1[e] + d
-                b = in2[e] + d
-                c = in3[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = (grid[a + i * st] | grid[b + i * st]
-                                        | grid[c + i * st]) ^ 1
-            else:                                        # COPY
-                a = in1[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st]
-
-
-@njit(cache=True)
-def _replay_numba_strict(gate, count, stride, out, in1, in2, in3, set_id,
-                         set_ptr, deltas, grid, init):
-    for e in range(gate.shape[0]):
-        g = gate[e]
-        cnt = count[e]
-        st = stride[e]
-        for k in range(set_ptr[set_id[e]], set_ptr[set_id[e] + 1]):
-            d = deltas[k]
-            o = out[e] + d
-            if g > 1:
-                a = in1[e] + d
-                for i in range(cnt):
-                    if not init[a + i * st]:
-                        return e
-                if 3 <= g <= 6:
-                    b = in2[e] + d
-                    for i in range(cnt):
-                        if not init[b + i * st]:
-                            return e
-                if g == 4:
-                    c = in3[e] + d
-                    for i in range(cnt):
-                        if not init[c + i * st]:
-                            return e
-            if g == 1:
-                for i in range(cnt):
-                    grid[o + i * st] = 1
-            elif g == 0:
-                for i in range(cnt):
-                    grid[o + i * st] = 0
-            elif g == 2:
-                a = in1[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st] ^ 1
-            elif g == 6:
-                a = in1[e] + d
-                b = in2[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st] & grid[b + i * st]
-            elif g == 5:
-                a = in1[e] + d
-                b = in2[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st] | grid[b + i * st]
-            elif g == 3:
-                a = in1[e] + d
-                b = in2[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = (grid[a + i * st] | grid[b + i * st]) ^ 1
-            elif g == 4:
-                a = in1[e] + d
-                b = in2[e] + d
-                c = in3[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = (grid[a + i * st] | grid[b + i * st]
-                                        | grid[c + i * st]) ^ 1
-            else:
-                a = in1[e] + d
-                for i in range(cnt):
-                    grid[o + i * st] = grid[a + i * st]
-            for i in range(cnt):
-                init[o + i * st] = 1
-    return -1
-
-
-# --------------------------------------------------------------- numpy kernel
+# --------------------------------------------------------------------- kernel
 
 _PLAN_EVENTS = 1024   # events planned at once; bounds the plan's memory
 
@@ -579,29 +431,6 @@ def _execute(q: np.ndarray, rows: list, axes: list,
             init[o:o + span:step, axes[ok]] = 1
 
 
-def _replay_numpy(program: FrozenProgram, crossbar: Crossbar,
-                  shifts: list) -> None:
-    """Partition-major replay: one vectorised operation per event, over the
-    tiles of every origin at once."""
-    tiles = _Tiles(crossbar.config)
-    q = tiles.gather(crossbar.state)
-    init = tiles.gather(crossbar.initialized) \
-        if crossbar.config.strict_init else None
-    try:
-        for rows, starts, axes in _plans(program, tiles, shifts):
-            if init is None:
-                _execute(q, rows, axes, None)
-                continue
-            # a bundle that reads an unwritten cell writes nothing
-            for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-                _check_reads(tiles, init, rows[lo:hi], axes)
-                _execute(q, rows[lo:hi], axes, init)
-    finally:
-        tiles.scatter(q, crossbar.state)
-        if init is not None:
-            tiles.scatter(init, crossbar.initialized)
-
-
 def _bundle_sets(program: FrozenProgram) -> np.ndarray:
     """Origin set of each bundle (bundles never mix sets)."""
     first = program.bundle_ptr[:-1]
@@ -661,29 +490,23 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     shifts = [_partition_shifts(crossbar.config, d) for d in deltas_by_set]
     first_cycle = crossbar.stats.cycles + 1
 
-    if active_backend() == "numpy":
-        _replay_numpy(program, crossbar, shifts)
-    else:
-        grid = crossbar.state.reshape(-1)
-        set_ptr = np.zeros(NUM_ORIGIN_SETS + 1, dtype=np.int64)
-        for s in range(NUM_ORIGIN_SETS):
-            set_ptr[s + 1] = set_ptr[s] + deltas_by_set[s].shape[0]
-        deltas = np.concatenate(deltas_by_set) if set_ptr[-1] else \
-            np.zeros(0, dtype=np.int64)
-        if crossbar.config.strict_init:
-            bad = _replay_numba_strict(program.gate, program.count, program.stride,
-                                       program.out, program.in1, program.in2,
-                                       program.in3, program.set_id, set_ptr,
-                                       deltas, grid,
-                                       crossbar.initialized.reshape(-1))
-            if bad >= 0:
-                raise StrictInitError(
-                    f"{GateType(int(program.gate[bad])).name} event {bad} read an "
-                    "uninitialized cell")
-        else:
-            _replay_numba(program.gate, program.count, program.stride,
-                          program.out, program.in1, program.in2, program.in3,
-                          program.set_id, set_ptr, deltas, grid)
+    tiles = _Tiles(crossbar.config)
+    q = tiles.gather(crossbar.state)
+    init = tiles.gather(crossbar.initialized) \
+        if crossbar.config.strict_init else None
+    try:
+        for rows, starts, axes in _plans(program, tiles, shifts):
+            if init is None:
+                _execute(q, rows, axes, None)
+                continue
+            # a bundle that reads an unwritten cell writes nothing
+            for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+                _check_reads(tiles, init, rows[lo:hi], axes)
+                _execute(q, rows[lo:hi], axes, init)
+    finally:
+        tiles.scatter(q, crossbar.state)
+        if init is not None:
+            tiles.scatter(init, crossbar.initialized)
 
     program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
     if crossbar.trace is not None:

@@ -1,4 +1,4 @@
-"""Frozen-program replay: backends agree, strict mode, stats, trace, oracle."""
+"""Frozen-program replay: freezing, strict mode, stats, trace, oracle."""
 
 import io
 import json
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sha3pim import engine
 from sha3pim.crossbar import (
     GATE_NUM_INPUTS,
+    AddressError,
     IN_COL,
     IN_ROW,
     Crossbar,
@@ -61,27 +62,6 @@ def test_replay_matches_object_execution():
         assert replay_xbar.stats.gate_executions == object_xbar.stats.gate_executions
 
 
-def test_backends_agree():
-    rng = random.Random(123)
-    stream = random_stream(rng)
-    results = []
-    previous = engine.active_backend()
-    try:
-        for backend in ("numpy", "numba") if engine.HAVE_NUMBA else ("numpy",):
-            engine.set_backend(backend)
-            xbar = small_crossbar()
-            xbar.initialized[:] = 1
-            frozen, _ = freeze_stream(stream, xbar)
-            engine.replay(frozen, xbar, unit_deltas((0, 0)))
-            results.append((backend, xbar.state.copy(), xbar.stats.gate_executions))
-    finally:
-        engine.set_backend(previous)
-    states = [state for _, state, _ in results]
-    gates = {g for _, _, g in results}
-    assert all(np.array_equal(states[0], s) for s in states[1:])
-    assert len(gates) == 1
-
-
 def test_origin_replication():
     # one NOT replayed at two unit origins in different partitions
     xbar = small_crossbar()
@@ -111,59 +91,36 @@ def test_vector_event_compression():
     assert frozen.n_gate_executions == 8
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_strict_mode_catches_uninitialized_read(backend):
-    if backend == "numba" and not engine.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    previous = engine.active_backend()
-    try:
-        engine.set_backend(backend)
-        xbar = small_crossbar(); xbar.config.strict_init = True
-        xbar.state[0, 1] = 1
-        stream = OpStream()
-        stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
-        frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
-        assert frozen.n_bundles == 2
-        cell = r"\(0,1\)" if backend == "numpy" else ""
-        with pytest.raises(StrictInitError, match=cell):
-            engine.replay(frozen, xbar, unit_deltas((0, 0)))
-        # the preset bundle ran and the bundle that read (0,1) did not
-        expected = np.zeros((16, 16), dtype=np.uint8)
-        expected[0, 0] = 1
-        assert np.array_equal(xbar.initialized, expected)
-        expected[0, 1] = 1                  # the unwritten input's value
-        assert np.array_equal(xbar.state, expected)
-        xbar.initialized[0, 1] = 1
+def test_strict_mode_catches_uninitialized_read():
+    xbar = small_crossbar(); xbar.config.strict_init = True
+    xbar.state[0, 1] = 1
+    stream = OpStream()
+    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
+    assert frozen.n_bundles == 2
+    with pytest.raises(StrictInitError, match=r"\(0,1\)"):
         engine.replay(frozen, xbar, unit_deltas((0, 0)))
-        assert xbar.state[0, 0] == 0
-    finally:
-        engine.set_backend(previous)
+    # the preset bundle ran and the bundle that read (0,1) did not
+    expected = np.zeros((16, 16), dtype=np.uint8)
+    expected[0, 0] = 1
+    assert np.array_equal(xbar.initialized, expected)
+    expected[0, 1] = 1                  # the unwritten input's value
+    assert np.array_equal(xbar.state, expected)
+    xbar.initialized[0, 1] = 1
+    engine.replay(frozen, xbar, unit_deltas((0, 0)))
+    assert xbar.state[0, 0] == 0
 
 
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv(engine.ENV_BACKEND, "numpy")
-    assert engine.default_backend() == "numpy"
-    monkeypatch.delenv(engine.ENV_BACKEND)
-    assert engine.default_backend() in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        engine.set_backend("cuda")
-
-
-def test_numpy_backend_hashes_end_to_end():
-    # the fallback path must produce the same digest and the same stats
-    from sha3pim import keccak_ref as ref
-    from sha3pim.keccak_xbar import hash_message
-    previous = engine.active_backend()
-    try:
-        engine.set_backend("numpy")
-        digest, stats = hash_message(b"fallback")
-    finally:
-        engine.set_backend(previous)
-    assert digest == ref.sha3_256(b"fallback")
-    reference_digest, reference_stats = hash_message(b"fallback")
-    assert digest == reference_digest
-    assert stats.cycles == reference_stats.cycles
-    assert stats.gate_executions == reference_stats.gate_executions
+@pytest.mark.parametrize("output, input_", [((1, -1), (1, 2)), ((1, 14), (1, 2)),
+                                            ((-1, 3), (-1, 5)), ((1, 2), (1, 14))],
+                         ids=["output-left", "output-right", "output-above",
+                              "input-right"])
+def test_freeze_rejects_cells_off_the_grid(output, input_):
+    # on 14 columns, (1, -1) and (1, 14) have the flat addresses of (0, 13)
+    # and (2, 0)
+    op = MicroOp(GateType.NOT, IN_ROW, (input_,), output)
+    with pytest.raises(AddressError, match="off a grid"):
+        engine.freeze([CycleBundle([op])], ["a"], [engine.SET_UNIT], 14)
 
 
 def test_concat_preserves_counts():
@@ -208,57 +165,6 @@ def test_replay_trace_matches_object_trace():
 
         assert canonical_trace(replay_trace.getvalue()) == \
             canonical_trace(object_trace.getvalue()), seed
-
-
-def kernel_args(frozen):
-    """The numba kernels' operands for replay at unit origin (0, 0)."""
-    set_ptr = np.array([0, 1, 1, 1], dtype=np.int64)
-    deltas = np.zeros(1, dtype=np.int64)
-    return (frozen.gate, frozen.count, frozen.stride, frozen.out, frozen.in1,
-            frozen.in2, frozen.in3, frozen.set_id, set_ptr, deltas)
-
-
-def test_numba_kernels_match_object_execution():
-    # without numba, njit is the identity and the kernels run as plain Python
-    rng = random.Random(5)
-    for trial in range(30):
-        stream = random_stream(rng)
-        initial = np.array([[rng.randint(0, 1) for _ in range(16)]
-                            for _ in range(16)], dtype=np.uint8)
-        written = np.ones((16, 16), dtype=np.uint8)
-        for _ in range(rng.randint(0, 30)):
-            written[rng.randrange(16), rng.randrange(16)] = 0
-
-        object_xbar = small_crossbar()
-        object_xbar.state[:] = initial
-        frozen, program = freeze_stream(stream, object_xbar)
-        for bundle, label in zip(program.bundles, program.labels):
-            object_xbar.execute_bundle(bundle, label=label, check=False)
-        grid = initial.reshape(-1).copy()
-        engine._replay_numba(*kernel_args(frozen), grid)
-        assert np.array_equal(grid.reshape(16, 16), object_xbar.state), trial
-
-        strict_xbar = small_crossbar()
-        strict_xbar.config.strict_init = True
-        strict_xbar.state[:] = initial
-        strict_xbar.initialized[:] = written
-        rejected = None
-        for b, (bundle, label) in enumerate(zip(program.bundles, program.labels)):
-            try:
-                strict_xbar.execute_bundle(bundle, label=label, check=False)
-            except StrictInitError:
-                rejected = b
-                break
-        grid = initial.reshape(-1).copy()
-        bad = engine._replay_numba_strict(*kernel_args(frozen), grid,
-                                          written.reshape(-1).copy())
-        if rejected is None:
-            assert bad == -1, trial
-            assert np.array_equal(grid.reshape(16, 16), object_xbar.state), trial
-        else:
-            # the returned event belongs to the cycle the object path rejected
-            assert frozen.bundle_ptr[rejected] <= bad \
-                < frozen.bundle_ptr[rejected + 1], trial
 
 
 # ------------------------------------------------ differential replay oracle
@@ -361,21 +267,16 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
 
     deltas = [np.array([dr * config.cols + dc for dr, dc in s], dtype=np.int64)
               for s in shifts]
-    previous = engine.active_backend()
-    try:
-        engine.set_backend("numpy")
-        if rejected is None:
+    if rejected is None:
+        engine.replay(frozen, xbar, deltas)
+        assert xbar.stats.as_dict() == oracle.stats.as_dict()
+    else:
+        with pytest.raises(StrictInitError) as error:
             engine.replay(frozen, xbar, deltas)
-            assert xbar.stats.as_dict() == oracle.stats.as_dict()
-        else:
-            with pytest.raises(StrictInitError) as error:
-                engine.replay(frozen, xbar, deltas)
-            r, c = map(int, re.search(r"\((\d+),(\d+)\)",
-                                      str(error.value)).groups())
-            assert (r, c) in {cell for op in rejected.ops for cell in op.inputs}
-            assert not oracle.initialized[r, c]
-    finally:
-        engine.set_backend(previous)
+        r, c = map(int, re.search(r"\((\d+),(\d+)\)",
+                                  str(error.value)).groups())
+        assert (r, c) in {cell for op in rejected.ops for cell in op.inputs}
+        assert not oracle.initialized[r, c]
     assert np.array_equal(xbar.state, oracle.state)
     if config.strict_init:
         assert np.array_equal(xbar.initialized, oracle.initialized)
