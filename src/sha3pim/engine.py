@@ -1,28 +1,34 @@
 """Fast replay of frozen gate programs.
 
 Microcode is generated and legality-checked once at the object level, then
-frozen into flat numpy arrays. Hashing replays those arrays millions of
+frozen into an array of kernel rows. Hashing replays those rows millions of
 times, so replay is the hot loop. One numpy kernel runs it, reading each
 gate's output off ``crossbar.GATE_TRUTH``.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
-pattern along a line, so its ops collapse into *vector events* - (gate,
-base cells, count, stride) - and the kernel runs over cells without
-touching per-cell metadata. Cell addresses are flat indices relative to a
-reference instance; replay adds per-origin deltas, so one frozen program
-serves any set of hash units. Events carry an *origin set* id (0 = per
-active unit, 1 = per partition row, 2 = per partition column) and each set
-supplies its own delta list at run time.
+pattern along a line, so its ops collapse into *vector events* - one gate
+applied along a strided run of cells - and the kernel runs over cells
+without touching per-cell metadata. Cells are those of a reference
+instance; replay moves them by per-origin deltas, so one frozen program
+serves any set of hash units. Each bundle belongs to an *origin set* (0 =
+per active unit, 1 = per partition row, 2 = per partition column) and each
+set supplies its own delta list at run time.
 
 The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
-column per partition-sized tile, so a delta of whole partitions moves only
-the tile. Each event is then one vectorised operation on a strided run of
-cells across the tiles of every origin in its set, which for contiguous
-units is a slice.
+column per partition-sized tile, so a delta of whole partitions keeps a
+cell's index and moves only its tile. ``freeze`` therefore writes each event
+as one row of tile-local ints: the gate, the run's step and span along the
+cell axis, then the first cell and a (set, tile) key of the output and of
+each input. Only the unit axis of a key - the tiles its set's deltas move
+the key's tile to - depends on the deltas, so ``replay`` builds those axes,
+checks them against the crossbar and executes. Each row is then one
+vectorised operation across the tiles of every origin in its set, which
+for contiguous units is a slice.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 from dataclasses import dataclass
 
@@ -33,6 +39,7 @@ from .crossbar import (
     GATE_TRUTH,
     AddressError,
     Crossbar,
+    CrossbarConfig,
     CycleBundle,
     GateType,
     StrictInitError,
@@ -50,31 +57,25 @@ def active_backend() -> str:
 NUM_ORIGIN_SETS = 3
 SET_UNIT, SET_PARTITION_ROW, SET_PARTITION_COL = 0, 1, 2
 
-_NO_INPUT = -(1 << 30)   # placeholder base for unused operand slots
-
-
 @dataclass
 class FrozenProgram:
-    """Flat vector-event arrays for one replayable microcode segment."""
+    """Kernel rows for one replayable microcode segment."""
 
-    gate: np.ndarray          # uint8 [n_events]
-    count: np.ndarray         # int32 cells per event
-    stride: np.ndarray        # int32 flat step between cells
-    out: np.ndarray           # int32 flat base of the output run
-    in1: np.ndarray           # int32 flat base, _NO_INPUT if unused
-    in2: np.ndarray
-    in3: np.ndarray
-    set_id: np.ndarray        # uint8 [n_events]
-    bundle_ptr: np.ndarray    # int64 [n_bundles + 1] event index per bundle
+    rows: np.ndarray          # int16 [n_events, 11]: gate, step, span, then
+    #                           the first cell and the key of the output and
+    #                           of in1..in3 (0 and 0 for a slot not read)
+    bundle_ptr: np.ndarray    # int64 [n_bundles + 1] first row of each bundle
     bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
     label_names: list[str]
-    cols: int
+    geometry: tuple           # _Tiles.geometry of the config frozen for
+    reach: np.ndarray         # int16 [n_keys, 2] largest local (row, col)
+    #                           any slot touches per key, -1 for unused keys
     cycles_by_label: np.ndarray      # int64 [n_labels]
     gates_by_label_set: np.ndarray   # int64 [n_labels, NUM_ORIGIN_SETS] cells
 
     @property
     def n_events(self) -> int:
-        return int(self.gate.shape[0])
+        return int(self.rows.shape[0])
 
     @property
     def n_bundles(self) -> int:
@@ -82,7 +83,8 @@ class FrozenProgram:
 
     @property
     def n_gate_executions(self) -> int:
-        return int(self.count.sum())
+        step, span = self.rows[:, 1].astype(np.int64), self.rows[:, 2]
+        return int(((span - 1) // step + 1).sum())
 
     def charge(self, stats, origin_counts: list[int]) -> None:
         """Add this program's cycles and gate executions to ``stats``."""
@@ -92,12 +94,15 @@ class FrozenProgram:
             stats.add_cycles(label, int(self.cycles_by_label[idx]), gates)
 
 
-def _bundle_vector_events(bundle: CycleBundle, cols: int) -> list[tuple]:
-    """Collapse a bundle into (gate, count, stride, out, in1, in2, in3) runs.
+def _bundle_vector_events(bundle: CycleBundle, rows: int,
+                          cols: int) -> list[tuple[int, ...]]:
+    """Collapse a bundle into runs (gate, count, dr, dc, then the row and
+    column of the output and of three input slots).
 
     Ops are grouped by gate and input-to-output offsets (constant within an
     aligned pattern), sorted by output cell, and split at stride breaks.
-    Order inside a bundle is free: legal bundles are conflict-free.
+    Input slots a gate does not read repeat its output. Order inside a
+    bundle is free: legal bundles are conflict-free.
     """
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for op in bundle.ops:
@@ -119,82 +124,98 @@ def _bundle_vector_events(bundle: CycleBundle, cols: int) -> list[tuple]:
             else:
                 runs.append([cur])
                 stride = None
+        slots = ((0, 0),) + deltas + ((0, 0),) * (3 - len(deltas))
         for run in runs:
             # a run is a line, so its ends bound every cell it touches
             for r, c in (run[0], run[-1]):
-                for dr, dc in ((0, 0),) + deltas:
-                    if r + dr < 0 or not 0 <= c + dc < cols:
+                for dr, dc in slots:
+                    if not (0 <= r + dr < rows and 0 <= c + dc < cols):
                         raise AddressError(f"cell ({r + dr},{c + dc}) is off "
-                                           f"a grid of {cols} columns")
-            events.append((gate, len(run),
-                           (run[1][0] - run[0][0], run[1][1] - run[0][1])
-                           if len(run) > 1 else (0, 0),
-                           run[0], deltas))
+                                           f"a grid of {rows}x{cols} cells")
+            r, c = run[0]
+            dr, dc = (run[1][0] - r, run[1][1] - c) if len(run) > 1 else (0, 0)
+            events.append((gate, len(run), dr, dc,
+                           *(v for sr, sc in slots for v in (r + sr, c + sc))))
     return events
 
 
 def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
-           cols: int) -> FrozenProgram:
-    """Pack checked bundles into flat replay arrays.
+           config: CrossbarConfig) -> FrozenProgram:
+    """Pack checked bundles into kernel rows for ``config``'s tile grid.
 
     ``set_ids`` gives each bundle's origin set. Coordinates must already be
     those of the reference instance (deltas are applied at run time). A
-    cell with a negative row or a column outside ``[0, cols)`` raises
-    ``AddressError``, because its flat address would be another cell's.
+    cell off the crossbar raises ``AddressError``. A run that leaves its
+    tile becomes one row per cell.
     """
-    per_bundle = [_bundle_vector_events(b, cols) for b in bundles]
-    n = sum(len(ev) for ev in per_bundle)
-    gate = np.zeros(n, dtype=np.uint8)
-    count = np.zeros(n, dtype=np.int32)
-    stride = np.zeros(n, dtype=np.int32)
-    out = np.zeros(n, dtype=np.int32)
-    in1 = np.full(n, _NO_INPUT, dtype=np.int32)
-    in2 = np.full(n, _NO_INPUT, dtype=np.int32)
-    in3 = np.full(n, _NO_INPUT, dtype=np.int32)
-    set_id = np.zeros(n, dtype=np.uint8)
-    bundle_ptr = np.zeros(len(bundles) + 1, dtype=np.int64)
+    tiles = _Tiles(config)
+    ur, uc = tiles.unit_rows, tiles.unit_cols
+    per_bundle = [_bundle_vector_events(b, tiles.rows, tiles.cols)
+                  for b in bundles]
+    sizes = np.array([len(events) for events in per_bundle], dtype=np.int64)
+    events = np.array([e for events in per_bundle for e in events],
+                      dtype=np.int64).reshape(-1, 12)
     label_names = sorted(set(labels))
     label_index = {name: i for i, name in enumerate(label_names)}
-    bundle_label = np.zeros(len(bundles), dtype=np.uint16)
-    cycles = np.zeros(len(label_names), dtype=np.int64)
+    bundle_label = np.array([label_index[name] for name in labels],
+                            dtype=np.uint16)
+    gate, count, dr, dc = (events[:, k] for k in range(4))
+    r, c = events[:, 4::2], events[:, 5::2]     # [event, slot]
+    sets = np.repeat(np.asarray(set_ids, dtype=np.int64), sizes)
     cells = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
+    np.add.at(cells, (np.repeat(bundle_label, sizes), sets), count)
 
-    e = 0
-    ins = (in1, in2, in3)
-    for b, (events, label, sid) in enumerate(zip(per_bundle, labels, set_ids)):
-        bundle_ptr[b] = e
-        idx = label_index[label]
-        bundle_label[b] = idx
-        cycles[idx] += 1
-        for g, cnt, step, base, deltas in events:
-            gate[e] = g
-            count[e] = cnt
-            stride[e] = step[0] * cols + step[1]
-            out[e] = base[0] * cols + base[1]
-            for slot, (dr, dc) in zip(ins, deltas):
-                slot[e] = out[e] + dr * cols + dc
-            set_id[e] = sid
-            cells[idx, sid] += cnt
-            e += 1
-    bundle_ptr[len(bundles)] = e
-    return FrozenProgram(gate, count, stride, out, in1, in2, in3, set_id,
-                         bundle_ptr, bundle_label, label_names, cols,
-                         cycles, cells)
+    last = (count - 1)[:, None]
+    leaves = ((r // ur != (r + last * dr[:, None]) // ur)
+              | (c // uc != (c + last * dc[:, None]) // uc)).any(axis=1)
+    bundle_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    if leaves.any():        # never in the Keccak microcode; skip the copies
+        per_event = np.where(leaves, count, 1)
+        first_row = np.concatenate([[0], np.cumsum(per_event)])
+        event = np.repeat(np.arange(gate.shape[0]), per_event)
+        cell = (np.arange(event.shape[0]) - first_row[event])[:, None]
+        r = r[event] + cell * dr[event, None]
+        c = c[event] + cell * dc[event, None]
+        gate, sets, dr, dc = gate[event], sets[event], dr[event], dc[event]
+        count = np.where(leaves[event], 1, count[event])
+        bundle_ptr = first_row[bundle_ptr]
+
+    last = count - 1
+    step = np.where(count > 1, dr * uc + dc, 1)
+    tv, lr = np.divmod(r, ur)
+    th, lc = np.divmod(c, uc)
+    keys = sets[:, None] * tiles.count + tiles.index[tv, th]
+    used = np.arange(4) <= _ARITY[gate][:, None]
+    limit = max(ur * uc, NUM_ORIGIN_SETS * tiles.count)
+    dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
+    rows = np.empty((gate.shape[0], 11), dtype=dtype)
+    rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, last * step + 1
+    rows[:, 3::2] = np.where(used, lr * uc + lc, 0)
+    rows[:, 4::2] = np.where(used, keys, 0)
+    # runs stay inside their tile, so their two ends bound every local cell
+    reach = np.full((NUM_ORIGIN_SETS * tiles.count, 2), -1, dtype=dtype)
+    for axis, (start, extent) in enumerate(((lr, last * dr), (lc, last * dc))):
+        end = start + extent[:, None]
+        np.maximum.at(reach[:, axis], keys[used], np.maximum(start, end)[used])
+    return FrozenProgram(rows, bundle_ptr, bundle_label, label_names,
+                         tiles.geometry, reach,
+                         np.bincount(bundle_label, minlength=len(label_names)),
+                         cells)
 
 
 def concat(programs: list[FrozenProgram]) -> FrozenProgram:
     """Concatenate segments into one program (bundle order preserved)."""
     label_names = sorted({name for p in programs for name in p.label_names})
     label_index = {name: i for i, name in enumerate(label_names)}
-    cols = programs[0].cols
-    assert all(p.cols == cols for p in programs)
+    geometry = programs[0].geometry
+    assert all(p.geometry == geometry for p in programs)
 
     remaps = [np.array([label_index[name] for name in p.label_names], dtype=np.uint16)
               for p in programs]
-    event_offsets = np.cumsum([0] + [p.n_events for p in programs])
+    row_offsets = np.cumsum([0] + [p.n_events for p in programs])
     bundle_ptr = np.concatenate(
-        [p.bundle_ptr[:-1] + off for p, off in zip(programs, event_offsets)]
-        + [np.array([event_offsets[-1]], dtype=np.int64)])
+        [p.bundle_ptr[:-1] + off for p, off in zip(programs, row_offsets)]
+        + [np.array([row_offsets[-1]], dtype=np.int64)])
     cycles = np.zeros(len(label_names), dtype=np.int64)
     cells = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
     for p, remap in zip(programs, remaps):
@@ -202,22 +223,17 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
             cycles[new] += p.cycles_by_label[old]
             cells[new] += p.gates_by_label_set[old]
     return FrozenProgram(
-        np.concatenate([p.gate for p in programs]),
-        np.concatenate([p.count for p in programs]),
-        np.concatenate([p.stride for p in programs]),
-        np.concatenate([p.out for p in programs]),
-        np.concatenate([p.in1 for p in programs]),
-        np.concatenate([p.in2 for p in programs]),
-        np.concatenate([p.in3 for p in programs]),
-        np.concatenate([p.set_id for p in programs]),
+        np.concatenate([p.rows for p in programs]),
         bundle_ptr,
         np.concatenate([remap[p.bundle_label] for p, remap in zip(programs, remaps)]),
-        label_names, cols, cycles, cells)
+        label_names, geometry,
+        functools.reduce(np.maximum, [p.reach for p in programs]),
+        cycles, cells)
 
 
 # --------------------------------------------------------------------- kernel
 
-_PLAN_EVENTS = 1024   # events planned at once; bounds the plan's memory
+_PLAN_EVENTS = 1024   # rows listed at once; bounds the lists' memory
 
 
 def _gate_form(gate: GateType) -> tuple[np.ufunc, int]:
@@ -255,9 +271,12 @@ class _Tiles:
     index and moves only the tile.
     """
 
-    def __init__(self, config):
+    def __init__(self, config: CrossbarConfig):
         self.rows, self.cols = config.rows, config.cols
         self.unit_rows, self.unit_cols = config.unit_rows, config.unit_cols
+        self.geometry = (config.rows, config.cols, config.vertical_partitions,
+                         config.horizontal_partitions, config.unit_rows,
+                         config.unit_cols)
         self.grid = (-(-config.rows // config.unit_rows),
                      -(-config.cols // config.unit_cols))
         partitions = np.zeros(self.grid, dtype=bool)
@@ -315,87 +334,45 @@ def _unit_axis(targets: np.ndarray):
     return targets
 
 
-def _plans(program: FrozenProgram, tiles: _Tiles, shifts: list):
-    """Yield the kernel's rows for whole bundles of at most _PLAN_EVENTS
-    events at a time, with the index of each bundle's first row.
+def _unit_axes(program: FrozenProgram, tiles: _Tiles, shifts: list) -> list:
+    """``axes[key]``: the tiles the key's set shifts the key's tile to.
 
-    A row is the gate, the step and the span of its runs in ``q``'s cell
-    axis, then the first cell and the unit axis key of the output and of
-    each input slot (0 and 0 for a slot the gate does not read); the unit
-    axis is ``axes[key]``. Rows hold only ints, so the garbage collector
-    stops tracking them at once. A run that leaves its tile becomes one row
-    per cell.
+    Raises ``AddressError`` if a shifted tile, or a cell the program
+    touches in it, lies off the crossbar. Negative tile indices would wrap,
+    so they are checked before indexing.
     """
-    cols, ur, uc = tiles.cols, tiles.unit_rows, tiles.unit_cols
-    shift_range = np.array([[dv.min(), dv.max(), dh.min(), dh.max()]
-                            if dv.shape[0] else [0, 0, 0, 0]
-                            for dv, dh in shifts], dtype=np.int64)
-    axes: list = [None] * (NUM_ORIGIN_SETS * tiles.count)   # by set and tile
+    axes: list = [None] * program.reach.shape[0]
+    for key in np.flatnonzero(program.reach[:, 0] >= 0).tolist():
+        s, tile = divmod(key, tiles.count)
+        dv, dh = shifts[s]
+        tv, th = divmod(int(tiles.place[tile]), tiles.grid[1])
+        tv, th = tv + dv, th + dh
+        last_row, last_col = program.reach[key].tolist()
+        if tv.shape[0] and (
+                tv.min() < 0 or th.min() < 0
+                or tv.max() * tiles.unit_rows + last_row >= tiles.rows
+                or th.max() * tiles.unit_cols + last_col >= tiles.cols):
+            raise AddressError("a replayed run leaves the crossbar")
+        axes[key] = _unit_axis(tiles.index[tv, th])
+    return axes
+
+
+def _chunks(program: FrozenProgram):
+    """Yield the rows of whole bundles, at most _PLAN_EVENTS at a time
+    unless one bundle has more, with the index of each bundle's first row.
+
+    Rows come as tuples of ints, which the garbage collector stops tracking
+    at once; lists would stay tracked and slow every collection.
+    """
     ptr = program.bundle_ptr
     b = 0
     while b < program.n_bundles:
         end = max(b + 1, int(np.searchsorted(ptr, ptr[b] + _PLAN_EVENTS,
                                              side="right")) - 1)
         lo, hi = int(ptr[b]), int(ptr[end])
-        starts = ptr[b:end] - lo
+        yield (list(zip(*program.rows[lo:hi].T.tolist())),
+               (ptr[b:end] - lo).tolist())
         b = end
-
-        gate = program.gate[lo:hi].astype(np.int64)
-        arity = _ARITY[gate]
-        count = program.count[lo:hi].astype(np.int64)
-        stride = program.stride[lo:hi].astype(np.int64)
-        sets = program.set_id[lo:hi].astype(np.int64)
-        out = program.out[lo:hi].astype(np.int64)
-        # unused input slots repeat the output so that every slot is a cell
-        bases = [out] + [np.where(arity > k, base[lo:hi], out)
-                         for k, base in enumerate((program.in1, program.in2,
-                                                   program.in3))]
-        r0, c0 = np.divmod(out, cols)
-        r1, c1 = np.divmod(out + stride, cols)
-        dr, dc = r1 - r0, c1 - c0          # the run's step in (row, col)
-
-        last = count - 1
-        leaves = np.zeros(gate.shape[0], dtype=bool)
-        for base in bases:
-            r, c = np.divmod(base, cols)
-            leaves |= ((r // ur != (r + last * dr) // ur)
-                       | (c // uc != (c + last * dc) // uc))
-        if leaves.any():
-            per_event = np.where(leaves, count, 1)
-            first_row = np.concatenate([[0], np.cumsum(per_event)])
-            event = np.repeat(np.arange(gate.shape[0]), per_event)
-            cell = np.arange(event.shape[0]) - first_row[event]
-            gate, arity, sets = gate[event], arity[event], sets[event]
-            bases = [base[event] + cell * stride[event] for base in bases]
-            count = np.where(leaves[event], 1, count[event])
-            dr, dc = dr[event], dc[event]
-            starts = first_row[starts]
-            last = count - 1
-
-        step = np.where(count > 1, dr * uc + dc, 1)
-        lo_r, hi_r, lo_c, hi_c = (shift_range[sets, k] for k in range(4))
-        row = [gate.tolist(), step.tolist(), (last * step + 1).tolist()]
-        for slot, base in enumerate(bases):
-            r, c = np.divmod(base, cols)
-            r_end, c_end = r + last * dr, c + last * dc
-            if ((np.minimum(r, r_end) + lo_r * ur < 0).any()
-                    or (np.maximum(r, r_end) + hi_r * ur >= tiles.rows).any()
-                    or (np.minimum(c, c_end) + lo_c * uc < 0).any()
-                    or (np.maximum(c, c_end) + hi_c * uc >= tiles.cols).any()):
-                raise AddressError("a replayed run leaves the crossbar")
-            tv, lr = np.divmod(r, ur)
-            th, lc = np.divmod(c, uc)
-            keys = sets * tiles.count + tiles.index[tv, th]
-            used = arity >= slot
-            for key in np.flatnonzero(np.bincount(keys[used])).tolist():
-                if axes[key] is None:
-                    s, tile = divmod(key, tiles.count)
-                    dv, dh = shifts[s]
-                    tv0, th0 = divmod(int(tiles.place[tile]), tiles.grid[1])
-                    axes[key] = _unit_axis(tiles.index[tv0 + dv, th0 + dh])
-            row += [np.where(used, lr * uc + lc, 0).tolist(),
-                    np.where(used, keys, 0).tolist()]
-        yield list(zip(*row)), starts.tolist(), axes
 
 
 def _check_reads(tiles: _Tiles, init: np.ndarray, rows: list,
@@ -431,40 +408,31 @@ def _execute(q: np.ndarray, rows: list, axes: list,
             init[o:o + span:step, axes[ok]] = 1
 
 
-def _bundle_sets(program: FrozenProgram) -> np.ndarray:
-    """Origin set of each bundle (bundles never mix sets)."""
-    first = program.bundle_ptr[:-1]
-    n = program.n_bundles
-    sets = np.zeros(n, dtype=np.uint8)
-    nonempty = program.bundle_ptr[1:] > first
-    sets[nonempty] = program.set_id[first[nonempty]]
-    return sets
+def _bundle_ops(rows: list, tiles: _Tiles, units: dict):
+    """(gate, inputs, output) cells of a bundle's rows, unit by unit."""
+    if not rows:
+        return
+    for u in range(len(units[rows[0][4]])):     # bundles never mix sets
+        for g, step, span, *slots in rows:
+            n = 1 + _ARITY[g]
+            places = [(units[key][u], start)
+                      for start, key in zip(slots[:2 * n:2], slots[1:2 * n:2])]
+            for i in range(0, span, step):
+                cells = [tiles.cell(tile, start + i) for tile, start in places]
+                yield g, cells[1:], cells[0]
 
 
-def _bundle_ops(program: FrozenProgram, lo: int, hi: int, deltas: np.ndarray):
-    """(gate, inputs, output) cells of events [lo, hi) x deltas."""
-    cols = program.cols
-    for d in deltas.tolist():
-        for e in range(lo, hi):
-            gate = int(program.gate[e])
-            bases = [int(arr[e]) for arr in
-                     (program.in1, program.in2, program.in3)[:GATE_NUM_INPUTS[gate]]]
-            out, stride = int(program.out[e]), int(program.stride[e])
-            for i in range(int(program.count[e])):
-                offset = d + i * stride
-                yield (gate, [divmod(base + offset, cols) for base in bases],
-                       divmod(out + offset, cols))
-
-
-def _write_trace(program: FrozenProgram, crossbar: Crossbar,
-                 deltas_by_set: list[np.ndarray], first_cycle: int) -> None:
-    """One trace record per bundle, read back from the frozen arrays."""
-    sets = _bundle_sets(program)
+def _write_trace(program: FrozenProgram, crossbar: Crossbar, tiles: _Tiles,
+                 axes: list, first_cycle: int) -> None:
+    """One trace record per bundle, read back from the frozen rows."""
+    units = {key: np.arange(tiles.count)[axis].tolist()
+             for key, axis in enumerate(axes) if axis is not None}
+    ptr = program.bundle_ptr
     for b in range(program.n_bundles):
-        ops = _bundle_ops(program, int(program.bundle_ptr[b]),
-                          int(program.bundle_ptr[b + 1]), deltas_by_set[sets[b]])
+        rows = program.rows[ptr[b]:ptr[b + 1]].tolist()
         crossbar.trace_cycle(first_cycle + b,
-                             program.label_names[program.bundle_label[b]], ops)
+                             program.label_names[program.bundle_label[b]],
+                             _bundle_ops(rows, tiles, units))
 
 
 # ----------------------------------------------------------------- entry point
@@ -477,25 +445,31 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     set ``s``. Each delta is ``r * cols + c`` with ``r`` a multiple of the
     config's ``unit_rows`` and ``0 <= c`` a multiple of its ``unit_cols``,
     so it moves the program by whole partitions; any other delta raises
-    ``ValueError``. The initialized map is only maintained, and reads of
+    ``ValueError``, and so does a program frozen for another geometry. A
+    delta that moves a cell off the crossbar raises ``AddressError`` before
+    any bundle runs. The initialized map is only maintained, and reads of
     never-written cells only rejected, when ``crossbar.config.strict_init``
     is set; a rejected read raises ``StrictInitError`` and leaves the grids
     holding every bundle before the one that read. With a stream attached
     by ``Crossbar.attach_trace``, one record per bundle is written after
-    the kernel returns, read back from the frozen arrays, so traced and
+    the kernel returns, read back from the frozen rows, so traced and
     untraced runs execute the same kernel.
     """
     deltas_by_set = [np.asarray(d, dtype=np.int64) for d in deltas_by_set]
     assert len(deltas_by_set) == NUM_ORIGIN_SETS
+    tiles = _Tiles(crossbar.config)
+    if program.geometry != tiles.geometry:
+        raise ValueError(f"a program frozen for geometry {program.geometry} "
+                         f"cannot replay on {tiles.geometry}")
     shifts = [_partition_shifts(crossbar.config, d) for d in deltas_by_set]
+    axes = _unit_axes(program, tiles, shifts)
     first_cycle = crossbar.stats.cycles + 1
 
-    tiles = _Tiles(crossbar.config)
     q = tiles.gather(crossbar.state)
     init = tiles.gather(crossbar.initialized) \
         if crossbar.config.strict_init else None
     try:
-        for rows, starts, axes in _plans(program, tiles, shifts):
+        for rows, starts in _chunks(program):
             if init is None:
                 _execute(q, rows, axes, None)
                 continue
@@ -510,4 +484,4 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
 
     program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
     if crossbar.trace is not None:
-        _write_trace(program, crossbar, deltas_by_set, first_cycle)
+        _write_trace(program, crossbar, tiles, axes, first_cycle)

@@ -215,36 +215,6 @@ class CrossbarLayout:
     def rc_col(self, round_index: int) -> int:
         return self.rc_base_col + round_index
 
-    def describe(self) -> dict:
-        """Structured dump of the address map and constants (debugging aid)."""
-        unit = UnitLayout((0, 0))
-        return {
-            "crossbar": {"rows": self.config.rows, "cols": self.config.cols,
-                         "partitions": [self.vparts, self.hparts],
-                         "units": self.num_units},
-            "unit": {
-                "rows": UnitLayout.ROWS, "cols": UnitLayout.COLS,
-                "state": "lane (x,y) -> col 5x+y, bit z -> row z",
-                "theta_c_cols": [unit.c_col(x) for x in range(5)],
-                "theta_d_cols": [unit.d_col(x) for x in range(5)],
-                "spare_lane_col": unit.x_col,
-                "scratch_col": unit.m_col,
-                "select_rows": [unit.t_row, unit.tn_row],
-                "mux_partial_rows": [unit.p_row, unit.q_row],
-                "redundant_slice_row": unit.s_row,
-                "hop_rows": [unit.a_row, unit.b_row],
-            },
-            "shared_rot_block": {"rows": [self.rot_base_row,
-                                          self.rot_base_row + self.ROT_PLANES],
-                                 "copies": self.hparts,
-                                 "offsets": ROTATION_OFFSETS},
-            "shared_rc_block": {"cols": [self.rc_base_col,
-                                         self.rc_base_col + len(ROUND_CONSTANTS)],
-                                "copies": self.vparts,
-                                "round_constants": [f"0x{rc:016x}"
-                                                    for rc in ROUND_CONSTANTS]},
-        }
-
     def setup_shared_blocks(self, xbar: Crossbar,
                             offsets: list[list[int]] | None = None) -> None:
         """Write the ROT bit-planes and RC constants (peripheral io)."""
@@ -607,7 +577,7 @@ class CompiledKeccak:
         def compiled(stream: OpStream, set_id: int) -> engine.FrozenProgram:
             program = schedule(stream, self.partition_map, verify=True)
             return engine.freeze(program.bundles, program.labels,
-                                 [set_id] * len(program.bundles), config.cols)
+                                 [set_id] * len(program.bundles), config)
 
         unit_set = engine.SET_UNIT
         rho = []
@@ -642,10 +612,6 @@ class CompiledKeccak:
             if not 0 <= round_index < KECCAK.rounds:
                 raise ValueError(f"round index {round_index} out of range")
             return self._iota[round_index]
-        if step == "rotate":
-            # same as rho; named separately because the ROT block may hold
-            # arbitrary offsets rather than the fixed table
-            step = "rho"
         if step not in self._steps:
             raise ValueError(f"unknown step {step!r}")
         return self._steps[step]

@@ -5,8 +5,8 @@ and the per-step cycle/energy breakdown table.
 
 The 1 MB functional case is always skipped: the replay kernel runs every
 event on all active units at once, but the 1 MB message is 7,711 blocks
-hashed one permutation at a time on a single unit, about 0.5 s each, which
-adds up to more than an hour. Criterion 1 hashes a 5-block message in its
+hashed one permutation at a time on a single unit, about 0.17 s each, which
+adds up to about 22 minutes. Criterion 1 hashes a 5-block message in its
 place.
 """
 
@@ -75,8 +75,8 @@ def test_criterion_1_functional_correctness():
         assert digest == ref.sha3_256(five_blocks)
 
 
-@pytest.mark.skip(reason="7,711 one-unit permutations at about 0.5 s each "
-                         "take more than an hour")
+@pytest.mark.skip(reason="7,711 one-unit permutations at about 0.17 s each "
+                         "take about 22 minutes")
 def test_criterion_1_one_megabyte_message():
     with verdict(1, "1 MB message, digest bit-exact"):
         rng = np.random.default_rng(1 << 20)

@@ -57,7 +57,7 @@ def execute_object(xbar, op):
 
 def execute_frozen(xbar, op):
     frozen = engine.freeze([CycleBundle([op])], ["main"], [engine.SET_UNIT],
-                           xbar.config.cols)
+                           xbar.config)
     engine.replay(frozen, xbar, [np.zeros(1, dtype=np.int64),
                                  np.zeros(0, dtype=np.int64),
                                  np.zeros(0, dtype=np.int64)])

@@ -30,7 +30,7 @@ def freeze_stream(stream, xbar):
     program = schedule(stream, xbar.partition_map)
     return engine.freeze(program.bundles, program.labels,
                          [engine.SET_UNIT] * len(program.bundles),
-                         xbar.config.cols), program
+                         xbar.config), program
 
 
 def unit_deltas(*origins, cols=16):
@@ -80,14 +80,17 @@ def test_origin_replication():
 
 
 def test_vector_event_compression():
-    # aligned row-parallel ops with shared columns become single events
+    # aligned row-parallel ops with shared columns become single events: one
+    # row whose run steps down the 8-column tile one row at a time
     xbar = small_crossbar()
     ops = [MicroOp(GateType.NOR2, IN_ROW, ((r, 1), (r, 2)), (r, 0))
            for r in range(8)]
-    frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT], 16)
+    frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT],
+                           xbar.config)
     assert frozen.n_events == 1
-    assert int(frozen.count[0]) == 8
-    assert int(frozen.stride[0]) == 16
+    gate, step, span = frozen.rows[0, :3].tolist()
+    assert (gate, step) == (GateType.NOR2, 8)
+    assert len(range(0, span, step)) == 8
     assert frozen.n_gate_executions == 8
 
 
@@ -112,15 +115,17 @@ def test_strict_mode_catches_uninitialized_read():
 
 
 @pytest.mark.parametrize("output, input_", [((1, -1), (1, 2)), ((1, 14), (1, 2)),
-                                            ((-1, 3), (-1, 5)), ((1, 2), (1, 14))],
+                                            ((-1, 3), (-1, 5)), ((1, 2), (1, 14)),
+                                            ((11, 3), (11, 5))],
                          ids=["output-left", "output-right", "output-above",
-                              "input-right"])
+                              "input-right", "output-below"])
 def test_freeze_rejects_cells_off_the_grid(output, input_):
-    # on 14 columns, (1, -1) and (1, 14) have the flat addresses of (0, 13)
-    # and (2, 0)
+    # each op has a cell off the 11 x 14 grid; row 11 lies in the padding
+    # of the remainder tiles
     op = MicroOp(GateType.NOT, IN_ROW, (input_,), output)
     with pytest.raises(AddressError, match="off a grid"):
-        engine.freeze([CycleBundle([op])], ["a"], [engine.SET_UNIT], 14)
+        engine.freeze([CycleBundle([op])], ["a"], [engine.SET_UNIT],
+                      CrossbarConfig(**ORACLE_GEOMETRY))
 
 
 def test_concat_preserves_counts():
@@ -243,7 +248,7 @@ def replay_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     initialized = (rng.random((rows, cols)) < 0.9).astype(np.uint8)
-    return config, engine.freeze(bundles, labels, set_ids, cols), \
+    return config, engine.freeze(bundles, labels, set_ids, config), \
         list(zip(bundles, labels, set_ids)), shifts, state, initialized
 
 
@@ -282,6 +287,26 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
         assert np.array_equal(xbar.initialized, oracle.initialized)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(replay_cases())
+def test_replay_trace_matches_serial_trace_of_shifted_bundles(case):
+    config, frozen, bundles, shifts, state, _ = case
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    streams = [io.StringIO(), io.StringIO()]
+    for crossbar, stream in zip((oracle, xbar), streams):
+        crossbar.state[:] = state
+        crossbar.initialized[:] = 1
+        crossbar.attach_trace(stream)
+    for bundle, label, set_id in bundles:
+        oracle.execute_bundle(CycleBundle([shifted(op, shift) for shift in shifts[set_id]
+                                           for op in bundle.ops]),
+                              label=label, check=False)
+    engine.replay(frozen, xbar, [np.array([dr * config.cols + dc for dr, dc in s],
+                                          dtype=np.int64) for s in shifts])
+    assert canonical_trace(streams[1].getvalue()) == \
+        canonical_trace(streams[0].getvalue())
+
+
 @pytest.mark.parametrize("origin", [(0, 1), (4, 0), (8, 7)])
 def test_replay_rejects_delta_off_partition_grid(origin):
     xbar = small_crossbar()
@@ -290,3 +315,63 @@ def test_replay_rejects_delta_off_partition_grid(origin):
     frozen, _ = freeze_stream(stream, xbar)
     with pytest.raises(ValueError, match="whole"):
         engine.replay(frozen, xbar, unit_deltas((0, 0), origin))
+
+
+@pytest.mark.parametrize("set_id, outputs, shift", [
+    (engine.SET_UNIT, [(0, 0)], (-4, 0)),
+    (engine.SET_PARTITION_ROW, [(4, 0)], (8, 0)),
+    (engine.SET_PARTITION_COL, [(0, 8)], (0, 8)),
+    (engine.SET_UNIT, [(3, 0)], (8, 0)),
+    (engine.SET_UNIT, [(2, 0), (3, 0)], (8, 0)),
+], ids=["negative-unit", "row-past-grid", "col-past-grid", "padding",
+        "padding-run-end"])
+def test_replay_rejects_runs_that_leave_the_crossbar(set_id, outputs, shift):
+    # the tile grid of the 11 x 14 oracle crossbar is 3 x 4 tiles of 4 x 4;
+    # the padding cases move row 3 to row 11, inside the padding of the
+    # remainder tile of rows 8-11 but off the crossbar (in the last case
+    # only the second cell of a run lands there)
+    config = CrossbarConfig(**ORACLE_GEOMETRY)
+    xbar = Crossbar(config)
+    xbar.state[:] = np.random.default_rng(5).integers(0, 2, xbar.state.shape)
+    xbar.initialized[:] = 1
+    ops = [MicroOp(GateType.NOT, IN_ROW, ((r, c + 1),), (r, c)) for r, c in outputs]
+    frozen = engine.freeze([CycleBundle(ops)], ["main"], [set_id], config)
+    assert frozen.n_events == 1
+    deltas = [np.zeros(0, dtype=np.int64) for _ in range(engine.NUM_ORIGIN_SETS)]
+    deltas[set_id] = np.array([0, shift[0] * config.cols + shift[1]])
+    state, initialized = xbar.state.copy(), xbar.initialized.copy()
+    stats = xbar.stats.as_dict()
+    with pytest.raises(AddressError, match="leaves the crossbar"):
+        engine.replay(frozen, xbar, deltas)
+    assert np.array_equal(xbar.state, state)
+    assert np.array_equal(xbar.initialized, initialized)
+    assert xbar.stats.as_dict() == stats
+
+
+def test_replay_rejects_a_program_frozen_for_another_geometry():
+    xbar = small_crossbar()
+    stream = OpStream()
+    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    frozen, _ = freeze_stream(stream, xbar)
+    with pytest.raises(ValueError, match="geometry"):
+        engine.replay(frozen, Crossbar(CrossbarConfig(**ORACLE_GEOMETRY)),
+                      unit_deltas((0, 0), cols=14))
+
+
+def test_replay_keys_past_the_int16_range():
+    # 138 x 138 tiles: a partition-column key is 2 * 19,044 + tile, past 32,767
+    config = CrossbarConfig(rows=1100, cols=1100, vertical_partitions=2,
+                            horizontal_partitions=2, unit_rows=8, unit_cols=8)
+    xbar = Crossbar(config)
+    xbar.state[1099, 1098:] = 1
+    op = MicroOp(GateType.NOT, IN_ROW, ((1099, 1099),), (1099, 1098))
+    frozen = engine.freeze([CycleBundle([op])], ["main"],
+                           [engine.SET_PARTITION_COL], config)
+    assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max
+    engine.replay(frozen, xbar, [np.zeros(0, dtype=np.int64)] * 2
+                  + [np.zeros(1, dtype=np.int64)])
+    assert xbar.state[1099, 1098] == 0
+    xbar.state[1099, 1099] = 0
+    engine.replay(frozen, xbar, [np.zeros(0, dtype=np.int64)] * 2
+                  + [np.zeros(1, dtype=np.int64)])
+    assert xbar.state[1099, 1098] == 1

@@ -48,16 +48,6 @@ def test_state_mapping():
     assert unit.m_col == 37 + 36
 
 
-def test_layout_description_is_json_serializable():
-    import json
-    description = CrossbarLayout(CrossbarConfig()).describe()
-    parsed = json.loads(json.dumps(description))
-    assert parsed["crossbar"]["units"] == 378
-    assert parsed["shared_rc_block"]["round_constants"][0] == \
-        "0x0000000000000001"
-    assert parsed["unit"]["theta_c_cols"] == [25, 26, 27, 28, 29]
-
-
 def test_params_validation():
     assert KECCAK.state_bits == KECCAK.rate_bits + KECCAK.capacity_bits
     with pytest.raises(ValueError):
@@ -272,7 +262,7 @@ def rotate_with_offsets(step_runner, lanes_by_col, offsets_by_col):
     for col, value in enumerate(lanes_by_col):
         x, y = divmod(col, 5)
         lanes[x + 5 * y] = value
-    out = step_runner.run("rotate", lanes)
+    out = step_runner.run("rho", lanes)
     step_runner.set_offsets(ref.ROTATION)   # restore
     result = []
     for col in range(25):
