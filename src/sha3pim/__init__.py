@@ -2,7 +2,6 @@
 
 from .crossbar import (
     AddressError,
-    AllocationError,
     CapacityError,
     Crossbar,
     CrossbarConfig,
@@ -29,9 +28,9 @@ from .metrics import MetricsInput, MetricsReport, compute as compute_metrics
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressError", "AllocationError", "CapacityError", "Crossbar",
-    "CrossbarConfig", "CycleBundle", "ExecutionStats", "GateType", "MicroOp",
-    "PartitionMap", "SchedulingError", "SimulationError", "StrictInitError",
+    "AddressError", "CapacityError", "Crossbar", "CrossbarConfig",
+    "CycleBundle", "ExecutionStats", "GateType", "MicroOp", "PartitionMap",
+    "SchedulingError", "SimulationError", "StrictInitError",
     "active_backend", "KECCAK", "KeccakParams", "hash_message",
     "hash_messages", "measure_round_stats", "pad_message", "MetricsInput",
     "MetricsReport", "compute_metrics",

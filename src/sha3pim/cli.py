@@ -2,8 +2,8 @@
 
 Every digest is cross-checked against the software reference; the exit
 status is nonzero if any digest mismatches (1), an input cannot be parsed
-or read or the crossbar geometry is invalid (2), or the message count
-exceeds unit capacity (3).
+or read, an output path cannot be written or the crossbar geometry is
+invalid (2), or the message count exceeds unit capacity (3).
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -12,6 +12,7 @@ versioned JSON report (redirect with ``--report``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -78,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "operating point (3,494 cycles, 0.765 nJ, 378 "
                           "units, 333 MHz) instead of measuring")
     out.add_argument("--trace", metavar="PATH",
-                     help="write a per-cycle gate trace (JSON lines); slow")
+                     help="write the vector events replay ran, one JSON "
+                          "line per cycle (trace schema 2)")
     out.add_argument("--report", metavar="PATH",
                      help="write the JSON report here instead of stdout")
     return parser
@@ -142,6 +144,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
+    with contextlib.ExitStack() as outputs:
+        try:        # before hashing, so a bad path costs no hash
+            trace, report_file = (
+                outputs.enter_context(open(path, "w")) if path else None
+                for path in (args.trace, args.report))
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_BAD_INPUT
+        return _run(args, config, messages, seed, trace, report_file)
+
+
+def _run(args, config: CrossbarConfig, messages: list[bytes],
+         seed: int | None, trace, report_file) -> int:
+    """Hash, check and report; ``trace`` and ``report_file`` are open
+    streams or None."""
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "backend": engine.active_backend(),
@@ -155,17 +173,13 @@ def main(argv: list[str] | None = None) -> int:
 
     status = EXIT_OK
     if messages:
-        trace_stream = open(args.trace, "w") if args.trace else None
         try:
             digests, stats = hash_messages(messages, config=config,
                                            crossbars=args.crossbars,
-                                           trace=trace_stream)
+                                           trace=trace)
         except CapacityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAPACITY
-        finally:
-            if trace_stream:
-                trace_stream.close()
 
         entries = []
         for i, (message, digest) in enumerate(zip(messages, digests)):
@@ -215,12 +229,7 @@ def main(argv: list[str] | None = None) -> int:
                              "inputs": dataclasses.asdict(inputs),
                              **metrics.compute(inputs).as_dict()}
 
-    document = json.dumps(report, indent=2)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(document + "\n")
-    else:
-        print(document)
+    print(json.dumps(report, indent=2), file=report_file)
     return status
 
 

@@ -15,7 +15,6 @@ label with a per-row cycle cost and zero gate energy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO, Iterable
@@ -85,11 +84,7 @@ class SchedulingError(SimulationError):
 
 
 class StrictInitError(SimulationError):
-    """A gate read a cell that was never written since the last reset."""
-
-
-class AllocationError(SimulationError):
-    """A scratch area ran out of free cells."""
+    """A gate read a cell that was never written."""
 
 
 class CapacityError(SimulationError):
@@ -296,13 +291,9 @@ class Crossbar:
 
     # ------------------------------------------------------------------ setup
 
-    def reset(self) -> None:
-        self.state[:] = 0
-        self.initialized[:] = 0
-        self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
-
     def attach_trace(self, stream: IO[str]) -> None:
-        """Emit one JSON line per executed gate cycle to ``stream``."""
+        """Have ``engine.replay`` write its trace (schema 2: a header per
+        replay, then one JSON line per bundle) to ``stream``."""
         self.trace = stream
 
     # ---------------------------------------------------------------- legality
@@ -424,9 +415,6 @@ class Crossbar:
             state[r, c] = value
             self.initialized[r, c] = 1
         self.stats.add_cycles(label, 1, len(bundle.ops))
-        if self.trace is not None:
-            self.trace_cycle(self.stats.cycles, label,
-                             [(op.gate, op.inputs, op.output) for op in bundle.ops])
 
     # -------------------------------------------------------------- peripheral
 
@@ -458,31 +446,3 @@ class Crossbar:
                                   "read before being written")
         self.stats.add_cycles(label, (r1 - r0) * self.config.io_cycles_per_row, 0)
         return self.state[r0:r1, c0:c1].copy()
-
-    # ------------------------------------------------------------------- trace
-
-    def trace_cycle(self, cycle: int, label: str,
-                    ops: Iterable[tuple[int, Iterable[Cell], Cell]]) -> None:
-        """Write one executed cycle, given as (gate, inputs, output) per gate
-        event, to the attached trace stream.
-
-        ``partition`` is the partition holding the output cell. ``orientation``
-        is the line the inputs share with the output, and null for presets,
-        which drive no input line.
-        """
-        records = []
-        for gate, inputs, output in ops:
-            inputs = [list(cell) for cell in inputs]
-            if not inputs:
-                orientation = None
-            else:
-                orientation = IN_ROW if inputs[0][0] == output[0] else IN_COL
-            records.append({
-                "partition": list(self.partition_map.region_of(output, frozenset())),
-                "gate": GateType(gate).name,
-                "orientation": orientation,
-                "inputs": inputs,
-                "output": list(output),
-            })
-        self.trace.write(json.dumps({"cycle": cycle, "label": label,
-                                     "ops": records}) + "\n")

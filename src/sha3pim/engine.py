@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +257,7 @@ def _gate_form(gate: GateType) -> tuple[np.ufunc, int]:
 
 
 _ARITY = np.array([GATE_NUM_INPUTS[g] for g in GateType], dtype=np.int64)
+_GATE_NAMES = [g.name for g in GateType]
 _FORMS = [(GATE_NUM_INPUTS[g], *_gate_form(g), int(GATE_TRUTH[g << 3]))
           for g in GateType]
 
@@ -408,31 +410,57 @@ def _execute(q: np.ndarray, rows: list, axes: list,
             init[o:o + span:step, axes[ok]] = 1
 
 
-def _bundle_ops(rows: list, tiles: _Tiles, units: dict):
-    """(gate, inputs, output) cells of a bundle's rows, unit by unit."""
-    if not rows:
-        return
-    for u in range(len(units[rows[0][4]])):     # bundles never mix sets
-        for g, step, span, *slots in rows:
-            n = 1 + _ARITY[g]
-            places = [(units[key][u], start)
-                      for start, key in zip(slots[:2 * n:2], slots[1:2 * n:2])]
-            for i in range(0, span, step):
-                cells = [tiles.cell(tile, start + i) for tile, start in places]
-                yield g, cells[1:], cells[0]
-
-
-def _write_trace(program: FrozenProgram, crossbar: Crossbar, tiles: _Tiles,
-                 axes: list, first_cycle: int) -> None:
-    """One trace record per bundle, read back from the frozen rows."""
-    units = {key: np.arange(tiles.count)[axis].tolist()
-             for key, axis in enumerate(axes) if axis is not None}
-    ptr = program.bundle_ptr
+def _write_trace(program: FrozenProgram, stream, tiles: _Tiles,
+                 shifts: list, first_cycle: int) -> None:
+    """A header with each set's cell shifts, then one record per bundle
+    listing the frozen rows it ran as events of the reference instance."""
+    offsets = [[[v * tiles.unit_rows, h * tiles.unit_cols]
+                for v, h in zip(rows.tolist(), cols.tolist())]
+               for rows, cols in shifts]
+    stream.write(json.dumps({"trace_schema": 2, "shifts": offsets}) + "\n")
+    ptr = program.bundle_ptr.tolist()
     for b in range(program.n_bundles):
         rows = program.rows[ptr[b]:ptr[b + 1]].tolist()
-        crossbar.trace_cycle(first_cycle + b,
-                             program.label_names[program.bundle_label[b]],
-                             _bundle_ops(rows, tiles, units))
+        events = []
+        for g, step, span, *slots in rows:
+            out, *ins = [tiles.cell(key % tiles.count, start) for start, key
+                         in zip(slots[:2 + 2 * _ARITY[g]:2], slots[1::2])]
+            count = (span - 1) // step + 1
+            run = [0, 0]
+            if count > 1:       # runs never leave their tile
+                r, c = tiles.cell(slots[1] % tiles.count, slots[0] + step)
+                run = [r - out[0], c - out[1]]
+            events.append([_GATE_NAMES[g], count, run, out, ins])
+        stream.write(json.dumps({
+            "cycle": first_cycle + b,
+            "label": program.label_names[program.bundle_label[b]],
+            # a bundle never mixes sets
+            "set": rows[0][4] // tiles.count if rows else 0,
+            "events": events}) + "\n")
+
+
+def trace_ops(lines):
+    """Expand a trace (schema 2) back to per-op form.
+
+    Yields ``(cycle, label, [(gate, inputs, output), ...])`` per record,
+    with every event's cells moved by each shift of the record's set.
+    """
+    shifts: list = []
+    for line in lines:
+        record = json.loads(line)
+        if "trace_schema" in record:
+            shifts = record["shifts"]
+            continue
+        ops = []
+        for dr, dc in shifts[record["set"]]:
+            for name, count, (sr, sc), output, inputs in record["events"]:
+                gate = GateType[name]
+                for i in range(count):
+                    r, c = dr + i * sr, dc + i * sc
+                    ops.append((gate,
+                                tuple((a + r, b + c) for a, b in inputs),
+                                (output[0] + r, output[1] + c)))
+        yield record["cycle"], record["label"], ops
 
 
 # ----------------------------------------------------------------- entry point
@@ -451,9 +479,10 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     never-written cells only rejected, when ``crossbar.config.strict_init``
     is set; a rejected read raises ``StrictInitError`` and leaves the grids
     holding every bundle before the one that read. With a stream attached
-    by ``Crossbar.attach_trace``, one record per bundle is written after
-    the kernel returns, read back from the frozen rows, so traced and
-    untraced runs execute the same kernel.
+    by ``Crossbar.attach_trace``, a header and one record per bundle are
+    written after the kernel returns: the frozen rows the bundle ran, as
+    events of the reference instance (``trace_ops`` expands them). Traced
+    and untraced runs execute the same kernel.
     """
     deltas_by_set = [np.asarray(d, dtype=np.int64) for d in deltas_by_set]
     assert len(deltas_by_set) == NUM_ORIGIN_SETS
@@ -484,4 +513,4 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
 
     program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
     if crossbar.trace is not None:
-        _write_trace(program, crossbar, tiles, axes, first_cycle)
+        _write_trace(program, crossbar.trace, tiles, shifts, first_cycle)

@@ -208,10 +208,6 @@ class CrossbarLayout:
 
     # shared-block cells (absolute)
 
-    def rot_cell(self, plane: int, x: int, y: int, hpart: int = 0) -> tuple[int, int]:
-        return (self.rot_base_row + plane,
-                hpart * self.config.unit_cols + 5 * x + y)
-
     def rc_col(self, round_index: int) -> int:
         return self.rc_base_col + round_index
 
@@ -747,42 +743,28 @@ def hash_message(message: bytes, config: CrossbarConfig | None = None,
 
 def measure_round_stats(n_units: int = 1,
                         config: CrossbarConfig | None = None) -> dict:
-    """Per-round cycle/gate/energy figures measured from one permutation."""
+    """Per-round cycle/gate/energy figures of one permutation on ``n_units``
+    units, as replaying it would charge them."""
     config = config or CrossbarConfig()
     compiled = compiled_keccak(config)
-    xbar = Crossbar(config)
-    compiled.layout.setup_shared_blocks(xbar)
-    unit_ids = list(range(n_units))
-    deltas = compiled.deltas_for(unit_ids)
-    for u in unit_ids:
-        write_unit_state(xbar, compiled.layout.unit(u),
-                         np.zeros((LANE_BITS, STATE_COLS), dtype=np.uint8))
-    before = {k: (v.cycles, v.gate_executions)
-              for k, v in xbar.stats.per_label.items()}
-    compiled.run_permute(xbar, deltas)
+    if not 0 < n_units <= compiled.layout.num_units:
+        raise ValueError(f"n_units must be 1 to {compiled.layout.num_units}, "
+                         f"got {n_units}")
+    stats = ExecutionStats(gate_energy_fj=config.gate_energy_fj)
+    compiled.permute.charge(stats, [len(d) for d in
+                                    compiled.deltas_for(range(n_units))])
 
-    steps = {}
-    total_cycles = 0
-    total_gates = 0
-    for label, entry in sorted(xbar.stats.per_label.items()):
-        cycles0, gates0 = before.get(label, (0, 0))
-        cycles = entry.cycles - cycles0
-        gates = entry.gate_executions - gates0
-        if label == "io":
-            continue
-        steps[label] = {
+    def per_round(cycles: int, gates: int) -> dict:
+        return {
             "cycles_per_round": cycles / KECCAK.rounds,
             "gate_executions_per_round": gates / KECCAK.rounds,
             "energy_per_round_per_unit_nj":
                 gates * config.gate_energy_fj / KECCAK.rounds / n_units * 1e-6,
         }
-        total_cycles += cycles
-        total_gates += gates
+
     return {
         "units": n_units,
-        "cycles_per_round": total_cycles / KECCAK.rounds,
-        "gate_executions_per_round": total_gates / KECCAK.rounds,
-        "energy_per_round_per_unit_nj":
-            total_gates * config.gate_energy_fj / KECCAK.rounds / n_units * 1e-6,
-        "per_step": steps,
+        **per_round(stats.cycles, stats.gate_executions),
+        "per_step": {label: per_round(entry.cycles, entry.gate_executions)
+                     for label, entry in sorted(stats.per_label.items())},
     }

@@ -12,9 +12,8 @@ Fixed decompositions (each line is one cycle; presets batched where legal):
     XOR2(a,b)   = OR2(a,b)->u; AND2(a,b)->v; NOT v->w; AND2(u,w)->out
     MUX(s,a,b)  = NOT s->n; AND2(a,s)->p; AND2(b,n)->q; OR2(p,q)->out
 
-Scratch cells either come attached to the macro (how the hash microcode
-pins its layout) or are drawn from a bump allocator that resets at every
-barrier.
+XOR2, MUX and COPY carry their scratch cells pinned on the macro, which is
+how the hash microcode lays out its units.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from enum import Enum
 from .crossbar import (
     GATE_NUM_INPUTS,
     IN_ROW,
-    AllocationError,
     Cell,
     CycleBundle,
     GateType,
@@ -76,10 +74,10 @@ SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.MUX: 3, MacroKind.COPY: 1}
 class MacroOp:
     """One logical operation before decomposition into primitives.
 
-    ``scratch`` optionally pins the cells used by the expansion. ``switches``
-    lists partition boundaries that must be bridged for this op (used by the
-    inter-unit copy hops); such ops only share a bundle with ops declaring
-    the identical switch set.
+    ``scratch`` pins the cells an XOR2, MUX or COPY expansion uses.
+    ``switches`` lists partition boundaries that must be bridged for this op
+    (used by the inter-unit copy hops); such ops only share a bundle with
+    ops declaring the identical switch set.
     """
 
     kind: MacroKind
@@ -115,16 +113,9 @@ class OpStream:
     def append(self, op: MacroOp) -> None:
         self._items.append(op)
 
-    def extend(self, ops) -> None:
-        self._items.extend(ops)
-
     def barrier(self) -> None:
         if self._items and self._items[-1] is not _BARRIER:
             self._items.append(_BARRIER)
-
-    def concat(self, other: "OpStream") -> None:
-        self.barrier()
-        self._items.extend(other._items)
 
     def __len__(self) -> int:
         return sum(1 for item in self._items if item is not _BARRIER)
@@ -143,51 +134,7 @@ class OpStream:
             yield group
 
 
-class ScratchPool:
-    """Bump allocator over a unit's free columns and rows, reset per barrier.
-
-    Macros with the same shape signature share an allocation, so replicas of
-    one logical operation across rows (or columns) reuse the same scratch
-    lines and stay packable into common bundles.
-    """
-
-    def __init__(self, columns=(), rows=()):
-        self._columns = list(columns)
-        self._rows = list(rows)
-        self.reset()
-
-    def reset(self) -> None:
-        self._next_col = 0
-        self._next_row = 0
-        self._assigned: dict[tuple, tuple[int, ...]] = {}
-
-    def _take(self, lines: list, cursor: int, count: int, what: str) -> tuple[int, ...]:
-        if cursor + count > len(lines):
-            raise AllocationError(f"scratch {what} exhausted "
-                                  f"(need {count}, have {len(lines) - cursor})")
-        return tuple(lines[cursor:cursor + count])
-
-    def allocate(self, macro: MacroOp, count: int) -> tuple[Cell, ...]:
-        axis = 0 if macro.orientation == IN_ROW else 1
-        key = (macro.kind, macro.orientation,
-               tuple(c[1 - axis] for c in macro.inputs), macro.output[1 - axis])
-        line = macro.output[axis]
-        if key not in self._assigned:
-            if macro.orientation == IN_ROW:
-                self._assigned[key] = self._take(self._columns, self._next_col,
-                                                 count, "columns")
-                self._next_col += count
-            else:
-                self._assigned[key] = self._take(self._rows, self._next_row,
-                                                 count, "rows")
-                self._next_row += count
-        taken = self._assigned[key]
-        if macro.orientation == IN_ROW:
-            return tuple((line, col) for col in taken)
-        return tuple((row, line) for row in taken)
-
-
-def expand(macro: MacroOp, pool: ScratchPool | None = None) -> list[list[MicroOp]]:
+def expand(macro: MacroOp) -> list[list[MicroOp]]:
     """Decompose one macro into stages of co-schedulable micro-ops.
 
     Stages are sequentially dependent; ops inside one stage are not.
@@ -203,12 +150,7 @@ def expand(macro: MacroOp, pool: ScratchPool | None = None) -> list[list[MicroOp
                          macro.output)]]
 
     need = SCRATCH_NEEDS[kind]
-    scratch = macro.scratch
-    if scratch is None:
-        if pool is None:
-            raise AllocationError(f"{kind.name} needs {need} scratch cells and "
-                                  "no pool is available")
-        scratch = pool.allocate(macro, need)
+    scratch = macro.scratch or ()
     if len(scratch) != need:
         raise ShapeError(f"{kind.name} needs {need} scratch cells, got {len(scratch)}")
     o = macro.orientation
@@ -252,13 +194,6 @@ class ScheduledProgram:
 
     bundles: list[CycleBundle] = field(default_factory=list)
     labels: list[str] = field(default_factory=list)
-
-    def extend(self, other: "ScheduledProgram") -> None:
-        self.bundles.extend(other.bundles)
-        self.labels.extend(other.labels)
-
-    def __len__(self) -> int:
-        return len(self.bundles)
 
 
 class _OpenBundle:
@@ -365,7 +300,6 @@ class _OpenBundle:
 
 
 def schedule(stream: OpStream, partition_map: PartitionMap,
-             pool: ScratchPool | None = None,
              verify: bool = False) -> ScheduledProgram:
     """Expand and pack a macro stream into legal cycle bundles.
 
@@ -377,15 +311,13 @@ def schedule(stream: OpStream, partition_map: PartitionMap,
     program = ScheduledProgram()
     checker = _RegionOracle(partition_map)
     for group in stream.groups():
-        if pool is not None:
-            pool.reset()
         open_bundles: list[_OpenBundle] = []
         group_label = group[0].label
         for macro in group:
             if macro.label != group_label:
                 raise SchedulingError(
                     f"mixed labels {group_label!r}/{macro.label!r} in one barrier group")
-            stages = expand(macro, pool)
+            stages = expand(macro)
             floor = -1
             for stage in stages:
                 stage_top = floor

@@ -131,10 +131,28 @@ def test_report_file_and_trace(capsys, tmp_path):
     assert status == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["messages"][0]["digest"] == ref.sha3_256(b"hi").hex()
-    first = json.loads(trace_path.read_text().splitlines()[0])
-    assert {"cycle", "label", "ops"} <= set(first)
-    op = first["ops"][0]
-    assert {"partition", "gate", "orientation", "inputs", "output"} <= set(op)
+    # every gate execution the report counts is one traced event cell on
+    # one copy of its set
+    executions = 0
+    with open(trace_path) as trace:
+        for record in map(json.loads, trace):
+            if "trace_schema" in record:
+                shifts = record["shifts"]
+            else:
+                copies = len(shifts[record["set"]])
+                executions += copies * sum(e[1] for e in record["events"])
+    assert executions == report["stats"]["gate_executions"] == 3_009_744
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--report"])
+def test_unwritable_output_path(capsys, tmp_path, flag):
+    # rejected before hashing, with one line and the bad-input status
+    status, out, err = run_cli(capsys, "--text", "abc",
+                               flag, str(tmp_path / "missing" / "out.json"))
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert len(err.splitlines()) == 1
 
 
 def test_strict_init_flag(capsys):

@@ -345,23 +345,25 @@ def test_partition_map_validation():
 # ----------------------------------------------------------------------- trace
 
 def test_trace_export_format():
+    # a row-parallel NOR2 run on two units, then a preset on one row
     xbar = small_xbar()
-    xbar.initialized[:] = 1
     stream = io.StringIO()
     xbar.attach_trace(stream)
-    xbar.execute_bundle(row_parallel_nor_bundle(range(2)), label="theta")
-    lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["cycle"] == 1
-    assert record["label"] == "theta"
-    assert len(record["ops"]) == 2
-    op = record["ops"][0]
-    assert set(op) == {"partition", "gate", "orientation", "inputs", "output"}
-    assert op["gate"] == "NOR2"
-    assert op["orientation"] == "row"
-    # a preset drives no input line; partition is the output cell's
-    xbar.execute_bundle(CycleBundle([MicroOp(GateType.INIT1, IN_COL, (), (9, 3))]))
-    preset = json.loads(stream.getvalue().splitlines()[1])["ops"][0]
-    assert preset["orientation"] is None
-    assert preset["partition"] == [1, 0]
+    bundles = [row_parallel_nor_bundle(range(2)),
+               CycleBundle([MicroOp(GateType.INIT1, IN_COL, (), (1, 3))])]
+    frozen = engine.freeze(bundles, ["theta", "main"],
+                           [engine.SET_UNIT, engine.SET_PARTITION_ROW],
+                           xbar.config)
+    engine.replay(frozen, xbar, [np.array([0, 8 * 16 + 8]),
+                                 np.array([8 * 16]), np.zeros(0, dtype=int)])
+    header, *records = map(json.loads, stream.getvalue().splitlines())
+    assert header == {"trace_schema": 2, "shifts": [[[0, 0], [8, 8]], [[8, 0]], []]}
+    assert len(records) == 2
+    record = records[0]
+    assert set(record) == {"cycle", "label", "set", "events"}
+    assert (record["cycle"], record["label"], record["set"]) == (1, "theta", 0)
+    # gate, cell count, step between cells, first output, its inputs
+    assert record["events"] == [["NOR2", 2, [1, 0], [0, 0], [[0, 1], [0, 2]]]]
+    # a preset reads nothing
+    assert records[1] == {"cycle": 2, "label": "main", "set": 1,
+                          "events": [["INIT1", 1, [0, 0], [1, 3], []]]}

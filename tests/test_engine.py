@@ -1,7 +1,6 @@
 """Frozen-program replay: freezing, strict mode, stats, trace, oracle."""
 
 import io
-import json
 import random
 import re
 
@@ -143,33 +142,29 @@ def test_concat_preserves_counts():
     assert whole.cycles_by_label.tolist() == [4, 2]
 
 
-def canonical_trace(text):
+def traced_ops(text):
     """(cycle, label, sorted ops) per record: a cycle's ops are a multiset."""
-    records = [json.loads(line) for line in text.splitlines()]
-    return [(r["cycle"], r["label"],
-             sorted(json.dumps(op, sort_keys=True) for op in r["ops"]))
-            for r in records]
+    return [(cycle, label, sorted(ops))
+            for cycle, label, ops in engine.trace_ops(text.splitlines())]
+
+
+def bundle_ops(bundles, labels):
+    """What a trace of ``bundles`` from cycle 1 on must expand to."""
+    return [(cycle, label, sorted((op.gate, op.inputs, op.output)
+                                  for op in bundle.ops))
+            for cycle, (bundle, label) in enumerate(zip(bundles, labels), 1)]
 
 
 def test_replay_trace_matches_object_trace():
     for seed in range(40):
         stream = random_stream(random.Random(seed))
-        object_xbar = small_crossbar()
-        object_xbar.initialized[:] = 1
-        object_trace = io.StringIO()
-        object_xbar.attach_trace(object_trace)
-        frozen, program = freeze_stream(stream, object_xbar)
-        for bundle, label in zip(program.bundles, program.labels):
-            object_xbar.execute_bundle(bundle, label=label, check=False)
-
-        replay_xbar = small_crossbar()
-        replay_xbar.initialized[:] = 1
-        replay_trace = io.StringIO()
-        replay_xbar.attach_trace(replay_trace)
-        engine.replay(frozen, replay_xbar, unit_deltas((0, 0)))
-
-        assert canonical_trace(replay_trace.getvalue()) == \
-            canonical_trace(object_trace.getvalue()), seed
+        xbar = small_crossbar()
+        trace = io.StringIO()
+        xbar.attach_trace(trace)
+        frozen, program = freeze_stream(stream, xbar)
+        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        assert traced_ops(trace.getvalue()) == \
+            bundle_ops(program.bundles, program.labels), seed
 
 
 # ------------------------------------------------ differential replay oracle
@@ -291,20 +286,17 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
 @given(replay_cases())
 def test_replay_trace_matches_serial_trace_of_shifted_bundles(case):
     config, frozen, bundles, shifts, state, _ = case
-    oracle, xbar = Crossbar(config), Crossbar(config)
-    streams = [io.StringIO(), io.StringIO()]
-    for crossbar, stream in zip((oracle, xbar), streams):
-        crossbar.state[:] = state
-        crossbar.initialized[:] = 1
-        crossbar.attach_trace(stream)
-    for bundle, label, set_id in bundles:
-        oracle.execute_bundle(CycleBundle([shifted(op, shift) for shift in shifts[set_id]
-                                           for op in bundle.ops]),
-                              label=label, check=False)
+    xbar = Crossbar(config)
+    xbar.state[:] = state
+    xbar.initialized[:] = 1
+    trace = io.StringIO()
+    xbar.attach_trace(trace)
     engine.replay(frozen, xbar, [np.array([dr * config.cols + dc for dr, dc in s],
                                           dtype=np.int64) for s in shifts])
-    assert canonical_trace(streams[1].getvalue()) == \
-        canonical_trace(streams[0].getvalue())
+    copies = [CycleBundle([shifted(op, shift) for shift in shifts[set_id]
+                           for op in bundle.ops]) for bundle, _, set_id in bundles]
+    assert traced_ops(trace.getvalue()) == \
+        bundle_ops(copies, [label for _, label, _ in bundles])
 
 
 @pytest.mark.parametrize("origin", [(0, 1), (4, 0), (8, 7)])

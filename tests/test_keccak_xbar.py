@@ -1,6 +1,7 @@
 """Crossbar SHA-3: layout, padding, per-step equivalence, rotation, hashing."""
 
 import io
+import json
 import random
 
 import numpy as np
@@ -334,12 +335,12 @@ def test_mixed_lengths_batch():
     assert digests == [ref.sha3_256(m) for m in messages]
 
 
-def test_trace_cycles_continue_across_cohorts(monkeypatch):
-    # cohorts of one and of two blocks; the recorder builds no JSON
-    cycles = []
-    monkeypatch.setattr(Crossbar, "trace_cycle",
-                        lambda self, cycle, label, ops: cycles.append(cycle))
-    _, stats = hash_messages([b"a", bytes(200)], trace=io.StringIO())
+def test_trace_cycles_continue_across_cohorts():
+    # cohorts of one and of two blocks; each replay writes a header first
+    trace = io.StringIO()
+    _, stats = hash_messages([b"a", bytes(200)], trace=trace)
+    records = map(json.loads, trace.getvalue().splitlines())
+    cycles = [r["cycle"] for r in records if "cycle" in r]
     assert len(cycles) == 234_085
     assert all(a < b for a, b in zip(cycles, cycles[1:]))
     assert cycles[-1] <= stats.cycles
@@ -372,3 +373,6 @@ def test_measure_round_stats_shape():
     assert set(measured["per_step"]) == {"theta", "rho", "pi", "chi", "iota"}
     assert measured["cycles_per_round"] == pytest.approx(
         sum(s["cycles_per_round"] for s in measured["per_step"].values()))
+    for n_units in (0, 379):
+        with pytest.raises(ValueError, match="n_units"):
+            measure_round_stats(n_units=n_units)

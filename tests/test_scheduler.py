@@ -1,4 +1,4 @@
-"""Macro expansion, scratch allocation, and greedy bundle packing."""
+"""Macro expansion and greedy bundle packing."""
 
 import itertools
 import random
@@ -8,7 +8,6 @@ import pytest
 from sha3pim.crossbar import (
     IN_COL,
     IN_ROW,
-    AllocationError,
     Crossbar,
     CrossbarConfig,
     CycleBundle,
@@ -18,7 +17,6 @@ from sha3pim.scheduler import (
     MacroKind,
     MacroOp,
     OpStream,
-    ScratchPool,
     ShapeError,
     expand,
     schedule,
@@ -72,24 +70,9 @@ def test_macro_validation():
     with pytest.raises(ShapeError):
         # cells share neither a row nor a column
         expand(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (1, 2)))
-
-
-def test_scratch_pool_allocates_and_resets():
-    pool = ScratchPool(columns=[10, 11, 12])
-    macro = MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0))
-    stages = expand(macro, pool)
-    scratch = {op.output for op in stages[0]} - {(0, 0)}
-    assert scratch == {(0, 10), (0, 11), (0, 12)}
-    # identical pattern on another row reuses the same columns
-    macro2 = MacroOp(MacroKind.XOR2, IN_ROW, ((5, 1), (5, 2)), (5, 0))
-    stages2 = expand(macro2, pool)
-    assert {op.output for op in stages2[0]} - {(5, 0)} == {(5, 10), (5, 11), (5, 12)}
-    # a different pattern needs fresh columns and exhausts the pool
-    macro3 = MacroOp(MacroKind.XOR2, IN_ROW, ((0, 2), (0, 3)), (0, 1))
-    with pytest.raises(AllocationError):
-        expand(macro3, pool)
-    pool.reset()
-    expand(macro3, pool)
+    with pytest.raises(ShapeError, match="scratch"):
+        # XOR2 needs three pinned scratch cells
+        expand(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
 
 
 def test_single_not_schedules_as_two_bundles():
