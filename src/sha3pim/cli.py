@@ -24,6 +24,7 @@ from .crossbar import CapacityError, CrossbarConfig
 from .keccak_xbar import (
     KECCAK,
     CrossbarLayout,
+    check_capacity,
     hash_messages,
     measure_round_stats,
     pad_message,
@@ -144,6 +145,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
+    try:        # before the outputs, so none is left empty
+        check_capacity(len(messages), config, args.crossbars)
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+
     with contextlib.ExitStack() as outputs:
         try:        # before hashing, so a bad path costs no hash
             trace, report_file = (
@@ -173,13 +180,8 @@ def _run(args, config: CrossbarConfig, messages: list[bytes],
 
     status = EXIT_OK
     if messages:
-        try:
-            digests, stats = hash_messages(messages, config=config,
-                                           crossbars=args.crossbars,
-                                           trace=trace)
-        except CapacityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
+        digests, stats = hash_messages(messages, config=config,
+                                       crossbars=args.crossbars, trace=trace)
 
         entries = []
         for i, (message, digest) in enumerate(zip(messages, digests)):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -177,63 +177,36 @@ class CycleBundle:
 
 
 class PartitionMap:
-    """Partition boundaries of a crossbar and per-cycle switch merging."""
+    """The config's grid of equal partitions and per-cycle switch merging.
 
-    def __init__(self, row_boundaries: Iterable[int], col_boundaries: Iterable[int],
-                 rows: int, cols: int):
-        self.row_boundaries = sorted(row_boundaries)
-        self.col_boundaries = sorted(col_boundaries)
-        self.rows = rows
-        self.cols = cols
-        for b, limit, name in ((self.row_boundaries, rows, "row"),
-                               (self.col_boundaries, cols, "col")):
-            if any(x <= 0 or x >= limit for x in b):
-                raise ValueError(f"{name} boundary outside grid")
-            if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-                raise ValueError(f"{name} boundaries must be strictly increasing")
+    Row switches sit at multiples of ``unit_rows`` inside the partition
+    grid, column switches at multiples of ``unit_cols``; cells beyond the
+    grid belong to the last partition row or column.
+    """
 
-    @classmethod
-    def from_config(cls, config: CrossbarConfig) -> "PartitionMap":
-        rb = [config.unit_rows * i for i in range(1, config.vertical_partitions)]
-        cb = [config.unit_cols * i for i in range(1, config.horizontal_partitions)]
-        return cls(rb, cb, config.rows, config.cols)
-
-    def switch_ids(self) -> list[SwitchId]:
-        return ([("row", b) for b in self.row_boundaries]
-                + [("col", b) for b in self.col_boundaries])
-
-    @staticmethod
-    def _group_index(boundaries: list[int], closed: set[int], coord: int) -> int:
-        """Index of the merged interval containing ``coord``.
-
-        Adjacent intervals separated by a closed switch count as one group.
-        """
-        group = 0
-        for b in boundaries:
-            if coord < b:
-                break
-            if b not in closed:
-                group += 1
-        return group
+    def __init__(self, config: CrossbarConfig):
+        self.unit_rows = config.unit_rows
+        self.unit_cols = config.unit_cols
+        self.vparts = config.vertical_partitions
+        self.hparts = config.horizontal_partitions
+        self.switches: frozenset[SwitchId] = frozenset(
+            [("row", self.unit_rows * i) for i in range(1, self.vparts)]
+            + [("col", self.unit_cols * i) for i in range(1, self.hparts)])
 
     def region_of(self, cell: Cell, closed_switches: frozenset[SwitchId]) -> tuple[int, int]:
-        closed_rows = {b for kind, b in closed_switches if kind == "row"}
-        closed_cols = {b for kind, b in closed_switches if kind == "col"}
-        return (self._group_index(self.row_boundaries, closed_rows, cell[0]),
-                self._group_index(self.col_boundaries, closed_cols, cell[1]))
-
-    def regions_of_bundle(self, bundle: CycleBundle) -> list[set[tuple[int, int]]]:
-        """Per-op sets of merged regions touched by the op's cells."""
-        closed_rows = {b for kind, b in bundle.closed_switches if kind == "row"}
-        closed_cols = {b for kind, b in bundle.closed_switches if kind == "col"}
-        out = []
-        for op in bundle.ops:
-            regions = set()
-            for r, c in op.cells():
-                regions.add((self._group_index(self.row_boundaries, closed_rows, r),
-                             self._group_index(self.col_boundaries, closed_cols, c)))
-            out.append(regions)
-        return out
+        """Merged region of ``cell``: its partition, less one for each closed
+        switch at or before it. Ids that are not switches are ignored."""
+        r, c = cell
+        v = min(r // self.unit_rows, self.vparts - 1)
+        h = min(c // self.unit_cols, self.hparts - 1)
+        for switch in closed_switches:
+            if switch in self.switches:
+                kind, b = switch
+                if kind == "row" and b <= r:
+                    v -= 1
+                elif kind == "col" and b <= c:
+                    h -= 1
+        return v, h
 
 
 @dataclass
@@ -280,10 +253,9 @@ class ExecutionStats:
 class Crossbar:
     """One crossbar instance: cell grid, partition map, stats, trace."""
 
-    def __init__(self, config: CrossbarConfig | None = None,
-                 partition_map: PartitionMap | None = None):
+    def __init__(self, config: CrossbarConfig | None = None):
         self.config = config or CrossbarConfig()
-        self.partition_map = partition_map or PartitionMap.from_config(self.config)
+        self.partition_map = PartitionMap(self.config)
         self.state = np.zeros((self.config.rows, self.config.cols), dtype=np.uint8)
         self.initialized = np.zeros((self.config.rows, self.config.cols), dtype=np.uint8)
         self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
@@ -320,16 +292,18 @@ class Crossbar:
         if violations:
             return False, violations
 
+        partitions = self.partition_map
         for sw in bundle.closed_switches:
-            if sw not in self.partition_map.switch_ids():
+            if sw not in partitions.switches:
                 violations.append(f"no switch at boundary {sw}")
         if violations:
             return False, violations
 
         # Rule 2/3: each op must sit inside a single merged region.
-        op_regions = self.partition_map.regions_of_bundle(bundle)
         by_region: dict[tuple[int, int], list[int]] = {}
-        for i, regions in enumerate(op_regions):
+        for i, op in enumerate(bundle.ops):
+            regions = {partitions.region_of(cell, bundle.closed_switches)
+                       for cell in op.cells()}
             if len(regions) > 1:
                 violations.append(f"op {i}: crosses an open partition boundary")
             else:

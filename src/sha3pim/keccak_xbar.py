@@ -32,7 +32,6 @@ from .crossbar import (
     Crossbar,
     CrossbarConfig,
     ExecutionStats,
-    PartitionMap,
 )
 from .scheduler import MacroKind, MacroOp, OpStream, schedule
 
@@ -271,28 +270,28 @@ def read_unit_state(xbar: Crossbar, unit: UnitLayout) -> np.ndarray:
 
 # ------------------------------------------------------------------- messages
 
-def pad_message(message: bytes, params: KeccakParams = KECCAK) -> list[bytes]:
+def pad_message(message: bytes) -> list[bytes]:
     """Split ``message`` into rate-sized blocks with SHA-3 pad10*1 applied."""
     padded = bytearray(message)
     padded.append(0x06)
-    while len(padded) % params.rate_bytes:
+    while len(padded) % KECCAK.rate_bytes:
         padded.append(0x00)
     padded[-1] |= 0x80
-    return [bytes(padded[i:i + params.rate_bytes])
-            for i in range(0, len(padded), params.rate_bytes)]
+    return [bytes(padded[i:i + KECCAK.rate_bytes])
+            for i in range(0, len(padded), KECCAK.rate_bytes)]
 
 
-def block_to_bits(block: bytes, params: KeccakParams = KECCAK) -> np.ndarray:
+def block_to_bits(block: bytes) -> np.ndarray:
     """One rate block -> [rate_lanes, 64] bit array in lane order."""
     bits = np.unpackbits(np.frombuffer(block, dtype=np.uint8), bitorder="little")
-    return bits.reshape(params.rate_lanes, params.lane_bits)
+    return bits.reshape(KECCAK.rate_lanes, KECCAK.lane_bits)
 
 
-def block_state_bits(block: bytes, params: KeccakParams = KECCAK) -> np.ndarray:
+def block_state_bits(block: bytes) -> np.ndarray:
     """One rate block -> full 64x25 state bits (capacity lanes zero)."""
     bits = np.zeros((LANE_BITS, STATE_COLS), dtype=np.uint8)
-    lane_bits = block_to_bits(block, params)
-    for lane in range(params.rate_lanes):
+    lane_bits = block_to_bits(block)
+    for lane in range(KECCAK.rate_lanes):
         x, y = lane % 5, lane // 5
         bits[:, 5 * x + y] = lane_bits[lane]
     return bits
@@ -567,11 +566,11 @@ class CompiledKeccak:
     def __init__(self, config: CrossbarConfig):
         self.config = config
         self.layout = CrossbarLayout(config)
-        self.partition_map = PartitionMap.from_config(config)
+        xbar = Crossbar(config)
         ref = UnitLayout((0, 0))
 
         def compiled(stream: OpStream, set_id: int) -> engine.FrozenProgram:
-            program = schedule(stream, self.partition_map, verify=True)
+            program = schedule(stream, xbar)
             return engine.freeze(program.bundles, program.labels,
                                  [set_id] * len(program.bundles), config)
 
@@ -659,11 +658,10 @@ def compiled_keccak(config: CrossbarConfig | None = None) -> CompiledKeccak:
 
 # -------------------------------------------------------------------- hashing
 
-def _digest_from_state(bits: np.ndarray, params: KeccakParams) -> bytes:
+def _digest_from_state(bits: np.ndarray) -> bytes:
     lanes = bits_to_lanes(bits)
-    raw = b"".join(lanes[lane].to_bytes(8, "little")
-                   for lane in range(params.digest_bits // params.lane_bits))
-    return raw[:params.digest_bits // 8]
+    return b"".join(lanes[lane].to_bytes(8, "little")
+                    for lane in range(KECCAK.digest_bits // KECCAK.lane_bits))
 
 
 def plan_cohorts(block_counts: list[int], units_per_crossbar: int) -> list[list[int]]:
@@ -684,9 +682,17 @@ def plan_cohorts(block_counts: list[int], units_per_crossbar: int) -> list[list[
     return cohorts
 
 
+def check_capacity(n_messages: int, config: CrossbarConfig, crossbars: int) -> None:
+    """Raise ``CapacityError`` if the messages need more units than exist."""
+    capacity = config.num_units * crossbars
+    if n_messages > capacity:
+        raise CapacityError(
+            f"{n_messages} messages exceed {capacity} units "
+            f"({config.num_units} per crossbar x {crossbars})")
+
+
 def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
-                  crossbars: int = 1, params: KeccakParams = KECCAK,
-                  trace=None) -> tuple[list[bytes], ExecutionStats]:
+                  crossbars: int = 1, trace=None) -> tuple[list[bytes], ExecutionStats]:
     """Hash messages on simulated crossbars, one unit per message.
 
     Messages sharing a block count run in lockstep cohorts (identical
@@ -696,14 +702,10 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
     ``Crossbar.attach_trace``), continue from one cohort to the next.
     """
     config = config or CrossbarConfig()
+    check_capacity(len(messages), config, crossbars)
     compiled = compiled_keccak(config)
-    capacity = compiled.layout.num_units * crossbars
-    if len(messages) > capacity:
-        raise CapacityError(
-            f"{len(messages)} messages exceed {capacity} units "
-            f"({compiled.layout.num_units} per crossbar x {crossbars})")
 
-    blocks = [pad_message(m, params) for m in messages]
+    blocks = [pad_message(m) for m in messages]
     digests: list[bytes | None] = [None] * len(messages)
     stats = ExecutionStats(gate_energy_fj=config.gate_energy_fj)
     cohorts = plan_cohorts([len(b) for b in blocks], compiled.layout.num_units)
@@ -720,24 +722,23 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
 
         for i, msg_index in enumerate(cohort):
             write_unit_state(xbar, compiled.layout.unit(i),
-                             block_state_bits(blocks[msg_index][0], params))
+                             block_state_bits(blocks[msg_index][0]))
         compiled.run_permute(xbar, deltas)
         for b in range(1, n_blocks):
-            lane_bits = np.stack([block_to_bits(blocks[m][b], params)
-                                  for m in cohort])
+            lane_bits = np.stack([block_to_bits(blocks[m][b]) for m in cohort])
             compiled.run_absorb(xbar, unit_ids, deltas, lane_bits)
             compiled.run_permute(xbar, deltas)
 
         for i, msg_index in enumerate(cohort):
             state = read_unit_state(xbar, compiled.layout.unit(i))
-            digests[msg_index] = _digest_from_state(state, params)
+            digests[msg_index] = _digest_from_state(state)
 
     return digests, stats
 
 
-def hash_message(message: bytes, config: CrossbarConfig | None = None,
-                 params: KeccakParams = KECCAK) -> tuple[bytes, ExecutionStats]:
-    digests, stats = hash_messages([message], config=config, params=params)
+def hash_message(message: bytes, config: CrossbarConfig | None = None
+                 ) -> tuple[bytes, ExecutionStats]:
+    digests, stats = hash_messages([message], config=config)
     return digests[0], stats
 
 

@@ -39,17 +39,6 @@ class MetricsInput:
 # per unit at 333 MHz with 378 units on one 1024x1024 crossbar.
 REFERENCE_INPUT = MetricsInput()
 
-# Published accelerator comparison rows (display-only, never recomputed):
-# frequency MHz, throughput Gbps, throughput/W Gbps/W, throughput/area bps/F^2.
-COMPARISON_TABLE = {
-    "65nm ASIC": {"f_mhz": 1000, "tput_gbps": 48.0, "tput_per_w": None,
-                  "tput_per_area": 7619.0},
-    "SHINE-1": {"f_mhz": 2000, "tput_gbps": 33.4, "tput_per_w": 263.0,
-                "tput_per_area": 21916.0},
-    "SHINE-2": {"f_mhz": 2000, "tput_gbps": 54.0, "tput_per_w": 311.0,
-                "tput_per_area": 22227.0},
-}
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -1,6 +1,6 @@
 """Macro-op expansion and greedy packing of gate streams into cycle bundles.
 
-Producers emit streams of macro operations (XOR2, MUX, COPY plus the raw
+Producers emit streams of macro operations (XOR2 and COPY plus the raw
 primitives) separated by barriers; ops between two barriers are declared
 independent by the producer. Expansion rewrites each macro into its fixed
 primitive sequence, and a first-fit pass packs the resulting micro-ops into
@@ -10,9 +10,8 @@ Fixed decompositions (each line is one cycle; presets batched where legal):
 
     COPY(a)     = INIT1 t; NOT a->t; INIT1 out; NOT t->out
     XOR2(a,b)   = OR2(a,b)->u; AND2(a,b)->v; NOT v->w; AND2(u,w)->out
-    MUX(s,a,b)  = NOT s->n; AND2(a,s)->p; AND2(b,n)->q; OR2(p,q)->out
 
-XOR2, MUX and COPY carry their scratch cells pinned on the macro, which is
+XOR2 and COPY carry their scratch cells pinned on the macro, which is
 how the hash microcode lays out its units.
 """
 
@@ -25,6 +24,7 @@ from .crossbar import (
     GATE_NUM_INPUTS,
     IN_ROW,
     Cell,
+    Crossbar,
     CycleBundle,
     GateType,
     MicroOp,
@@ -41,7 +41,6 @@ class ShapeError(SimulationError):
 
 class MacroKind(Enum):
     XOR2 = "xor2"
-    MUX = "mux"
     COPY = "copy"
     NOT = "not"
     NOR2 = "nor2"
@@ -63,18 +62,18 @@ _PRIMITIVE = {
 }
 
 _NUM_INPUTS = {
-    MacroKind.XOR2: 2, MacroKind.MUX: 3, MacroKind.COPY: 1,
+    MacroKind.XOR2: 2, MacroKind.COPY: 1,
     **{kind: GATE_NUM_INPUTS[gate] for kind, gate in _PRIMITIVE.items()},
 }
 
-SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.MUX: 3, MacroKind.COPY: 1}
+SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.COPY: 1}
 
 
 @dataclass(slots=True)
 class MacroOp:
     """One logical operation before decomposition into primitives.
 
-    ``scratch`` pins the cells an XOR2, MUX or COPY expansion uses.
+    ``scratch`` pins the cells an XOR2 or COPY expansion uses.
     ``switches`` lists partition boundaries that must be bridged for this op
     (used by the inter-unit copy hops); such ops only share a bundle with
     ops declaring the identical switch set.
@@ -167,25 +166,13 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
         return [init(t), op(GateType.NOT, (a,), t),
                 init(macro.output), op(GateType.NOT, (t,), macro.output)]
 
-    if kind is MacroKind.XOR2:
-        a, b = macro.inputs
-        u, v, w = scratch
-        return [init(u, v, w, macro.output),
-                op(GateType.OR2, (a, b), u),
-                op(GateType.AND2, (a, b), v),
-                op(GateType.NOT, (v,), w),
-                op(GateType.AND2, (u, w), macro.output)]
-
-    if kind is MacroKind.MUX:
-        s, a, b = macro.inputs
-        n, p, q = scratch
-        return [init(n, p, q, macro.output),
-                op(GateType.NOT, (s,), n),
-                op(GateType.AND2, (a, s), p),
-                op(GateType.AND2, (b, n), q),
-                op(GateType.OR2, (p, q), macro.output)]
-
-    raise ShapeError(f"unknown macro kind {kind!r}")
+    a, b = macro.inputs     # XOR2
+    u, v, w = scratch
+    return [init(u, v, w, macro.output),
+            op(GateType.OR2, (a, b), u),
+            op(GateType.AND2, (a, b), v),
+            op(GateType.NOT, (v,), w),
+            op(GateType.AND2, (u, w), macro.output)]
 
 
 @dataclass
@@ -299,17 +286,17 @@ class _OpenBundle:
         return out
 
 
-def schedule(stream: OpStream, partition_map: PartitionMap,
-             verify: bool = False) -> ScheduledProgram:
+def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     """Expand and pack a macro stream into legal cycle bundles.
 
     Within each barrier group a greedy first-fit pass places every micro-op
     into the earliest bundle that stays legal and respects the op's position
     in its macro's expansion. Bundle order concatenated across groups
-    preserves the stream's serial semantics.
+    preserves the stream's serial semantics. Every bundle is then checked
+    by ``crossbar.check_bundle``; an illegal one raises ``SchedulingError``.
     """
     program = ScheduledProgram()
-    checker = _RegionOracle(partition_map)
+    partitions = crossbar.partition_map
     for group in stream.groups():
         open_bundles: list[_OpenBundle] = []
         group_label = group[0].label
@@ -322,7 +309,7 @@ def schedule(stream: OpStream, partition_map: PartitionMap,
             for stage in stages:
                 stage_top = floor
                 for op in stage:
-                    region = checker.region(op, macro.switches)
+                    region = _region(partitions, op, macro.switches)
                     index = floor + 1
                     while index < len(open_bundles) and not \
                             open_bundles[index].admits(op, region, macro.switches):
@@ -336,37 +323,19 @@ def schedule(stream: OpStream, partition_map: PartitionMap,
             for bundle in ob.finalize():
                 program.bundles.append(bundle)
                 program.labels.append(group_label)
-    if verify:
-        from .crossbar import Crossbar, CrossbarConfig
-        shell = Crossbar(CrossbarConfig(rows=partition_map.rows, cols=partition_map.cols,
-                                        horizontal_partitions=1, vertical_partitions=1,
-                                        unit_rows=1, unit_cols=1),
-                         partition_map=partition_map)
-        for bundle in program.bundles:
-            ok, violations = shell.check_bundle(bundle)
-            if not ok:
-                raise SchedulingError("scheduler emitted an illegal bundle: "
-                                      + "; ".join(violations))
+    for bundle in program.bundles:
+        ok, violations = crossbar.check_bundle(bundle)
+        if not ok:
+            raise SchedulingError("scheduler emitted an illegal bundle: "
+                                  + "; ".join(violations))
     return program
 
 
-class _RegionOracle:
-    """Cached merged-region lookup for the packer."""
-
-    def __init__(self, partition_map: PartitionMap):
-        self._map = partition_map
-        self._cache: dict[tuple[Cell, frozenset], tuple[int, int]] = {}
-
-    def region(self, op: MicroOp, switches: frozenset[SwitchId]) -> tuple[int, int]:
-        regions = set()
-        for cell in op.cells():
-            key = (cell, switches)
-            value = self._cache.get(key)
-            if value is None:
-                value = self._map.region_of(cell, switches)
-                self._cache[key] = value
-            regions.add(value)
-        if len(regions) > 1:
-            raise SchedulingError(
-                f"op on cells {op.cells()} crosses an open partition boundary")
-        return regions.pop()
+def _region(partitions: PartitionMap, op: MicroOp,
+            switches: frozenset[SwitchId]) -> tuple[int, int]:
+    """The one merged region holding every cell of ``op``."""
+    regions = {partitions.region_of(cell, switches) for cell in op.cells()}
+    if len(regions) > 1:
+        raise SchedulingError(
+            f"op on cells {op.cells()} crosses an open partition boundary")
+    return regions.pop()

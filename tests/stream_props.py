@@ -14,10 +14,10 @@ from sha3pim.crossbar import Crossbar, CrossbarConfig, CycleBundle, IN_COL, IN_R
 from sha3pim.scheduler import SCRATCH_NEEDS, MacroKind, MacroOp, OpStream, expand, schedule
 
 GRID = 16
-KINDS = [MacroKind.XOR2, MacroKind.MUX, MacroKind.COPY, MacroKind.NOT,
+KINDS = [MacroKind.XOR2, MacroKind.COPY, MacroKind.NOT,
          MacroKind.NOR2, MacroKind.NOR3, MacroKind.OR2, MacroKind.AND2,
          MacroKind.INIT0, MacroKind.INIT1]
-NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.MUX: 3, MacroKind.COPY: 1,
+NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.COPY: 1,
               MacroKind.NOT: 1, MacroKind.NOR2: 2, MacroKind.NOR3: 3,
               MacroKind.OR2: 2, MacroKind.AND2: 2,
               MacroKind.INIT0: 0, MacroKind.INIT1: 0}
@@ -84,7 +84,7 @@ def check_equivalence(rng: random.Random) -> int:
     bundled = small_crossbar()
     bundled.state[:] = initial
     bundled.initialized[:] = 1
-    program = schedule(stream, bundled.partition_map)
+    program = schedule(stream, bundled)
     for bundle, label in zip(program.bundles, program.labels):
         ok, violations = bundled.check_bundle(bundle)
         assert ok, f"illegal bundle emitted: {violations}"

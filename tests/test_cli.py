@@ -84,10 +84,14 @@ def test_bad_crossbar_count(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
-def test_capacity_exceeded(capsys):
-    status, _, err = run_cli(capsys, "--random", "379", "--len", "1")
+@pytest.mark.parametrize("report", [False, True], ids=["stdout", "report"])
+def test_capacity_exceeded(capsys, tmp_path, report):
+    path = tmp_path / "cap.json"
+    extra = ("--report", str(path)) if report else ()
+    status, _, err = run_cli(capsys, "--random", "379", "--len", "1", *extra)
     assert status == EXIT_CAPACITY
     assert "exceed" in err
+    assert not path.exists()
 
 
 def test_random_is_deterministic(capsys):

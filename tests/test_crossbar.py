@@ -335,11 +335,41 @@ def test_config_validation():
         CrossbarConfig(gate_delay_ns=-1)
 
 
-def test_partition_map_validation():
-    with pytest.raises(ValueError):
-        PartitionMap([0], [], 16, 16)
-    with pytest.raises(ValueError):
-        PartitionMap([8, 8], [], 16, 16)
+def brute_region(config, cell, closed):
+    """Open partition boundaries at or before ``cell``, counted one by one."""
+    row_bounds = [config.unit_rows * i for i in range(1, config.vertical_partitions)]
+    col_bounds = [config.unit_cols * i for i in range(1, config.horizontal_partitions)]
+    return (sum(b <= cell[0] and ("row", b) not in closed for b in row_bounds),
+            sum(b <= cell[1] and ("col", b) not in closed for b in col_bounds))
+
+
+def edge_lines(unit, parts, size):
+    """Both sides of every partition edge, the margin past the grid included."""
+    return sorted({0, size - 1} | {unit * k + d for k in range(1, parts + 1)
+                                   for d in (-1, 0)})
+
+
+@pytest.mark.parametrize("config, cells", [
+    (small_xbar().config, list(itertools.product(range(16), repeat=2))),
+    (CrossbarConfig(), None),
+], ids=["oracle_16x16", "default"])
+def test_region_of_counts_open_boundaries(config, cells):
+    partitions = PartitionMap(config)
+    if cells is None:   # a sample: cells on partition edges, then anywhere
+        rng = random.Random(11)
+        rows = edge_lines(config.unit_rows, config.vertical_partitions, config.rows)
+        cols = edge_lines(config.unit_cols, config.horizontal_partitions, config.cols)
+        cells = [(rng.choice(rows), rng.choice(cols)) for _ in range(40)] \
+            + [(rng.randrange(config.rows), rng.randrange(config.cols))
+               for _ in range(40)]
+    # every set of at most two closed ids: the switches, and one id that is not
+    ids = sorted(partitions.switches) + [("row", config.unit_rows // 2)]
+    closed_sets = [frozenset(c) for n in range(3)
+                   for c in itertools.combinations(ids, n)]
+    for closed in closed_sets:
+        for cell in cells:
+            assert partitions.region_of(cell, closed) == \
+                brute_region(config, cell, closed), (cell, sorted(closed))
 
 
 # ----------------------------------------------------------------------- trace

@@ -26,7 +26,7 @@ from stream_props import random_stream, small_crossbar
 
 
 def freeze_stream(stream, xbar):
-    program = schedule(stream, xbar.partition_map)
+    program = schedule(stream, xbar)
     return engine.freeze(program.bundles, program.labels,
                          [engine.SET_UNIT] * len(program.bundles),
                          xbar.config), program

@@ -12,8 +12,10 @@ from sha3pim.crossbar import (
     CrossbarConfig,
     CycleBundle,
     GateType,
+    SchedulingError,
 )
 from sha3pim.scheduler import (
+    SCRATCH_NEEDS,
     MacroKind,
     MacroOp,
     OpStream,
@@ -32,7 +34,7 @@ def run_macro(kind, values, scratch_cells=2):
     for cell, v in zip(inputs, values):
         xbar.state[cell] = v
         xbar.initialized[cell] = 1
-    need = {MacroKind.XOR2: 3, MacroKind.MUX: 3, MacroKind.COPY: 1}.get(kind, 0)
+    need = SCRATCH_NEEDS.get(kind, 0)
     scratch = tuple((0, 4 + i) for i in range(need)) or None
     macro = MacroOp(kind, IN_ROW, inputs, (0, 0), scratch=scratch)
     for stage in expand(macro):
@@ -44,12 +46,6 @@ def run_macro(kind, values, scratch_cells=2):
 def test_xor2_truth_table():
     for a, b in itertools.product((0, 1), repeat=2):
         assert run_macro(MacroKind.XOR2, (a, b)) == a ^ b
-
-
-def test_mux_truth_table():
-    # inputs are (select, a, b): select=1 picks a, select=0 picks b
-    for s, a, b in itertools.product((0, 1), repeat=3):
-        assert run_macro(MacroKind.MUX, (s, a, b)) == (a if s else b)
 
 
 def test_copy_truth_table():
@@ -66,7 +62,9 @@ def test_primitives_pass_through_with_preset():
 
 def test_macro_validation():
     with pytest.raises(ShapeError):
-        expand(MacroOp(MacroKind.MUX, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
+        # XOR2 takes two inputs
+        expand(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1),), (0, 0),
+                       scratch=((0, 4), (0, 5), (0, 6))))
     with pytest.raises(ShapeError):
         # cells share neither a row nor a column
         expand(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (1, 2)))
@@ -79,7 +77,7 @@ def test_single_not_schedules_as_two_bundles():
     xbar = small_crossbar()
     stream = OpStream()
     stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
-    program = schedule(stream, xbar.partition_map)
+    program = schedule(stream, xbar)
     assert len(program.bundles) == 2
     assert program.bundles[0].ops[0].gate == GateType.INIT1
     assert program.bundles[1].ops[0].gate == GateType.NOT
@@ -95,7 +93,7 @@ def test_column_parallel_xor_collapses():
     for c in range(25):
         stream.append(MacroOp(MacroKind.XOR2, IN_COL, ((1, c), (2, c)), (3, c),
                               scratch=((4, c), (5, c), (6, c))))
-    program = schedule(stream, xbar.partition_map)
+    program = schedule(stream, xbar)
     assert len(program.bundles) == 5
     xbar.initialized[:] = 1
     for bundle in program.bundles:
@@ -111,7 +109,7 @@ def test_barrier_orders_dependent_macros():
     stream.barrier()
     stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 0), (0, 3)), (0, 7),
                           scratch=((0, 4), (0, 5), (0, 6))))
-    program = schedule(stream, xbar.partition_map)
+    program = schedule(stream, xbar)
     # second macro strictly after the first's last bundle: 5 + 5 cycles
     assert len(program.bundles) == 10
     first_write = next(i for i, b in enumerate(program.bundles)
@@ -128,18 +126,26 @@ def test_row_replicated_macros_share_bundles():
     for r in range(8):
         stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((r, 1), (r, 2)), (r, 0),
                               scratch=((r, 4), (r, 5), (r, 6))))
-    program = schedule(stream, xbar.partition_map)
+    program = schedule(stream, xbar)
     assert len(program.bundles) == 5   # presets + OR2 + AND2 + NOT + AND2
 
 
 def test_mixed_labels_in_group_rejected():
-    from sha3pim.crossbar import SchedulingError
     stream = OpStream()
     stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
     stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
     xbar = small_crossbar()
     with pytest.raises(SchedulingError):
-        schedule(stream, xbar.partition_map)
+        schedule(stream, xbar)
+
+
+def test_switch_that_does_not_exist_rejected():
+    # row 5 is inside a partition of the 16x16 grid, not a boundary
+    stream = OpStream()
+    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0),
+                          switches=frozenset({("row", 5)})))
+    with pytest.raises(SchedulingError, match="no switch at boundary"):
+        schedule(stream, small_crossbar())
 
 
 def test_randomized_equivalence_sample():
