@@ -76,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--metrics", action="store_true",
                      help="include throughput/power/area metrics in the report")
     out.add_argument("--paper-constants", action="store_true",
-                     help="compute metrics from the published reference "
-                          "operating point (3,494 cycles, 0.765 nJ, 378 "
-                          "units, 333 MHz) instead of measuring")
+                     help="with --metrics: compute metrics from the "
+                          "published reference operating point (3,494 "
+                          "cycles, 0.765 nJ, 378 units, 333 MHz) instead of "
+                          "measuring")
     out.add_argument("--trace", metavar="PATH",
                      help="write the vector events replay ran, one JSON "
                           "line per cycle (trace schema 2)")
@@ -120,7 +121,12 @@ class SystemExit2(Exception):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not (args.text or args.hex or args.file or args.random or args.metrics):
+    if args.paper_constants and not args.metrics:
+        print("error: --paper-constants only applies with --metrics",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if not (args.text or args.hex or args.file or args.random is not None
+            or args.metrics):
         build_parser().error("no message source given (and no --metrics)")
 
     if args.crossbars < 1:

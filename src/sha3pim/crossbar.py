@@ -29,46 +29,40 @@ IN_COL = "col"
 
 
 class GateType(IntEnum):
-    """Single-cycle stateful-logic primitives (plus output presets)."""
+    """Single-cycle stateful-logic primitives (plus the output preset)."""
 
-    INIT0 = 0
-    INIT1 = 1
-    NOT = 2
-    NOR2 = 3
-    NOR3 = 4
-    OR2 = 5
-    AND2 = 6
-    COPY = 7
+    INIT1 = 0
+    NOT = 1
+    NOR2 = 2
+    OR2 = 3
+    AND2 = 4
 
 
 def _truth(fn) -> tuple[int, ...]:
-    return tuple(fn(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    return tuple(fn(a, b) for a in (0, 1) for b in (0, 1))
 
 
 # The semantics of every gate, written once: its arity and its output for
-# each pattern of the input bits (a, b, c), at index a << 2 | b << 1 | c.
-# Inputs past the arity are ignored.
+# each pattern of the input bits (a, b), at index a << 1 | b. Inputs past
+# the arity are ignored.
 GATE_TABLE: dict[GateType, tuple[int, tuple[int, ...]]] = {
-    GateType.INIT0: (0, _truth(lambda a, b, c: 0)),
-    GateType.INIT1: (0, _truth(lambda a, b, c: 1)),
-    GateType.NOT: (1, _truth(lambda a, b, c: a ^ 1)),
-    GateType.NOR2: (2, _truth(lambda a, b, c: (a | b) ^ 1)),
-    GateType.NOR3: (3, _truth(lambda a, b, c: (a | b | c) ^ 1)),
-    GateType.OR2: (2, _truth(lambda a, b, c: a | b)),
-    GateType.AND2: (2, _truth(lambda a, b, c: a & b)),
-    GateType.COPY: (1, _truth(lambda a, b, c: a)),
+    GateType.INIT1: (0, _truth(lambda a, b: 1)),
+    GateType.NOT: (1, _truth(lambda a, b: a ^ 1)),
+    GateType.NOR2: (2, _truth(lambda a, b: (a | b) ^ 1)),
+    GateType.OR2: (2, _truth(lambda a, b: a | b)),
+    GateType.AND2: (2, _truth(lambda a, b: a & b)),
 }
 
 GATE_NUM_INPUTS = {gate: arity for gate, (arity, _) in GATE_TABLE.items()}
 
-# GATE_TABLE flattened for vectorized lookup at gate << 3 | a << 2 | b << 1 | c.
+# GATE_TABLE flattened for vectorized lookup at gate << 2 | a << 1 | b.
 GATE_TRUTH = np.array([bit for gate in GateType for bit in GATE_TABLE[gate][1]],
                       dtype=np.uint8)
 
 
 def gate_function(gate: GateType, inputs: tuple[int, ...]) -> int:
-    a, b, c = (tuple(inputs) + (0, 0, 0))[:3]
-    return GATE_TABLE[gate][1][a << 2 | b << 1 | c]
+    a, b = (tuple(inputs) + (0, 0))[:2]
+    return GATE_TABLE[gate][1][a << 1 | b]
 
 
 class SimulationError(Exception):
@@ -126,6 +120,12 @@ class CrossbarConfig:
             raise ValueError(
                 f"{self.cols} cols cannot hold {self.horizontal_partitions} "
                 f"partitions of {self.unit_cols} cols")
+
+    @property
+    def geometry(self) -> tuple[int, ...]:
+        """The fields that fix the cell grid and its partition grid."""
+        return (self.rows, self.cols, self.vertical_partitions,
+                self.horizontal_partitions, self.unit_rows, self.unit_cols)
 
     @property
     def num_units(self) -> int:
@@ -319,7 +319,7 @@ class Crossbar:
                     f"{sorted(g.name for g in gates)} (ops {indices})")
                 continue
             gate = ops[0].gate
-            if gate in (GateType.INIT0, GateType.INIT1):
+            if gate is GateType.INIT1:
                 # Preset of an arbitrary cell set, provided it forms a grid
                 # pattern (rows x cols cross product) so line drivers align.
                 cells = {op.output for op in ops}

@@ -17,13 +17,14 @@ set supplies its own delta list at run time.
 The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
 column per partition-sized tile, so a delta of whole partitions keeps a
 cell's index and moves only its tile. ``freeze`` therefore writes each event
-as one row of tile-local ints: the gate, the run's step and span along the
-cell axis, then the first cell and a (set, tile) key of the output and of
-each input. Only the unit axis of a key - the tiles its set's deltas move
-the key's tile to - depends on the deltas, so ``replay`` builds those axes,
-checks them against the crossbar and executes. Each row is then one
-vectorised operation across the tiles of every origin in its set, which
-for contiguous units is a slice.
+as one row of nine tile-local ints: the gate, the run's step and span along
+the cell axis, then the first cell and a (set, tile) key of the output and
+of two input slots. Ops are grouped by the tile of every cell they touch,
+so no run leaves its tile. Only the unit axis of a key - the tiles its
+set's deltas move the key's tile to - depends on the deltas, so ``replay``
+builds those axes, checks them against the crossbar and executes. Each row
+is then one vectorised operation across the tiles of every origin in its
+set, which for contiguous units is a slice.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ SET_UNIT, SET_PARTITION_ROW, SET_PARTITION_COL = 0, 1, 2
 class FrozenProgram:
     """Kernel rows for one replayable microcode segment."""
 
-    rows: np.ndarray          # int16 [n_events, 11]: gate, step, span, then
+    rows: np.ndarray          # int16 [n_events, 9]: gate, step, span, then
     #                           the first cell and the key of the output and
-    #                           of in1..in3 (0 and 0 for a slot not read)
+    #                           of in1 and in2 (0 and 0 for a slot not read)
     bundle_ptr: np.ndarray    # int64 [n_bundles + 1] first row of each bundle
     bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
     label_names: list[str]
@@ -95,23 +96,27 @@ class FrozenProgram:
             stats.add_cycles(label, int(self.cycles_by_label[idx]), gates)
 
 
-def _bundle_vector_events(bundle: CycleBundle, rows: int,
-                          cols: int) -> list[tuple[int, ...]]:
+def _bundle_vector_events(bundle: CycleBundle,
+                          tiles: _Tiles) -> list[tuple[int, ...]]:
     """Collapse a bundle into runs (gate, count, dr, dc, then the row and
-    column of the output and of three input slots).
+    column of the output and of two input slots).
 
-    Ops are grouped by gate and input-to-output offsets (constant within an
-    aligned pattern), sorted by output cell, and split at stride breaks.
-    Input slots a gate does not read repeat its output. Order inside a
-    bundle is free: legal bundles are conflict-free.
+    Ops are grouped by gate, input-to-output offsets (constant within an
+    aligned pattern) and the tile of every cell, sorted by output cell, and
+    split at stride breaks, so every run stays inside its tiles. Input
+    slots a gate does not read repeat its output. Order inside a bundle is
+    free: legal bundles are conflict-free.
     """
+    rows, cols = tiles.rows, tiles.cols
+    ur, uc = tiles.unit_rows, tiles.unit_cols
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for op in bundle.ops:
         deltas = tuple((c[0] - op.output[0], c[1] - op.output[1])
                        for c in op.inputs)
-        groups.setdefault((int(op.gate), deltas), []).append(op.output)
+        where = tuple((r // ur, c // uc) for r, c in op.cells())
+        groups.setdefault((int(op.gate), deltas, where), []).append(op.output)
     events = []
-    for (gate, deltas), outs in groups.items():
+    for (gate, deltas, _), outs in groups.items():
         outs.sort()
         runs: list[list[tuple[int, int]]] = [[outs[0]]]
         stride: tuple[int, int] | None = None
@@ -125,7 +130,7 @@ def _bundle_vector_events(bundle: CycleBundle, rows: int,
             else:
                 runs.append([cur])
                 stride = None
-        slots = ((0, 0),) + deltas + ((0, 0),) * (3 - len(deltas))
+        slots = ((0, 0),) + deltas + ((0, 0),) * (2 - len(deltas))
         for run in runs:
             # a run is a line, so its ends bound every cell it touches
             for r, c in (run[0], run[-1]):
@@ -146,16 +151,14 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
 
     ``set_ids`` gives each bundle's origin set. Coordinates must already be
     those of the reference instance (deltas are applied at run time). A
-    cell off the crossbar raises ``AddressError``. A run that leaves its
-    tile becomes one row per cell.
+    cell off the crossbar raises ``AddressError``.
     """
     tiles = _Tiles(config)
     ur, uc = tiles.unit_rows, tiles.unit_cols
-    per_bundle = [_bundle_vector_events(b, tiles.rows, tiles.cols)
-                  for b in bundles]
+    per_bundle = [_bundle_vector_events(b, tiles) for b in bundles]
     sizes = np.array([len(events) for events in per_bundle], dtype=np.int64)
     events = np.array([e for events in per_bundle for e in events],
-                      dtype=np.int64).reshape(-1, 12)
+                      dtype=np.int64).reshape(-1, 10)
     label_names = sorted(set(labels))
     label_index = {name: i for i, name in enumerate(label_names)}
     bundle_label = np.array([label_index[name] for name in labels],
@@ -166,30 +169,16 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     cells = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
     np.add.at(cells, (np.repeat(bundle_label, sizes), sets), count)
 
-    last = (count - 1)[:, None]
-    leaves = ((r // ur != (r + last * dr[:, None]) // ur)
-              | (c // uc != (c + last * dc[:, None]) // uc)).any(axis=1)
     bundle_ptr = np.concatenate([[0], np.cumsum(sizes)])
-    if leaves.any():        # never in the Keccak microcode; skip the copies
-        per_event = np.where(leaves, count, 1)
-        first_row = np.concatenate([[0], np.cumsum(per_event)])
-        event = np.repeat(np.arange(gate.shape[0]), per_event)
-        cell = (np.arange(event.shape[0]) - first_row[event])[:, None]
-        r = r[event] + cell * dr[event, None]
-        c = c[event] + cell * dc[event, None]
-        gate, sets, dr, dc = gate[event], sets[event], dr[event], dc[event]
-        count = np.where(leaves[event], 1, count[event])
-        bundle_ptr = first_row[bundle_ptr]
-
     last = count - 1
     step = np.where(count > 1, dr * uc + dc, 1)
     tv, lr = np.divmod(r, ur)
     th, lc = np.divmod(c, uc)
     keys = sets[:, None] * tiles.count + tiles.index[tv, th]
-    used = np.arange(4) <= _ARITY[gate][:, None]
+    used = np.arange(3) <= _ARITY[gate][:, None]
     limit = max(ur * uc, NUM_ORIGIN_SETS * tiles.count)
     dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
-    rows = np.empty((gate.shape[0], 11), dtype=dtype)
+    rows = np.empty((gate.shape[0], 9), dtype=dtype)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, last * step + 1
     rows[:, 3::2] = np.where(used, lr * uc + lc, 0)
     rows[:, 4::2] = np.where(used, keys, 0)
@@ -245,8 +234,8 @@ def _gate_form(gate: GateType) -> tuple[np.ufunc, int]:
     units, so the kernel evaluates this form, read off the truth table.
     """
     arity = GATE_NUM_INPUTS[gate]
-    truth = GATE_TRUTH[gate << 3:(gate + 1) << 3].tolist()
-    inputs = [(p >> 2 & 1, p >> 1 & 1, p & 1)[:arity] for p in range(8)]
+    truth = GATE_TRUTH[gate << 2:(gate + 1) << 2].tolist()
+    inputs = [(p >> 1 & 1, p & 1)[:arity] for p in range(4)]
     for reduce, fold in ((np.bitwise_or, any), (np.bitwise_and, all)):
         plain = [int(fold(bits)) for bits in inputs]
         for invert in (0, 1):
@@ -258,7 +247,7 @@ def _gate_form(gate: GateType) -> tuple[np.ufunc, int]:
 
 _ARITY = np.array([GATE_NUM_INPUTS[g] for g in GateType], dtype=np.int64)
 _GATE_NAMES = [g.name for g in GateType]
-_FORMS = [(GATE_NUM_INPUTS[g], *_gate_form(g), int(GATE_TRUTH[g << 3]))
+_FORMS = [(GATE_NUM_INPUTS[g], *_gate_form(g), int(GATE_TRUTH[g << 2]))
           for g in GateType]
 
 
@@ -276,9 +265,7 @@ class _Tiles:
     def __init__(self, config: CrossbarConfig):
         self.rows, self.cols = config.rows, config.cols
         self.unit_rows, self.unit_cols = config.unit_rows, config.unit_cols
-        self.geometry = (config.rows, config.cols, config.vertical_partitions,
-                         config.horizontal_partitions, config.unit_rows,
-                         config.unit_cols)
+        self.geometry = config.geometry
         self.grid = (-(-config.rows // config.unit_rows),
                      -(-config.cols // config.unit_cols))
         partitions = np.zeros(self.grid, dtype=bool)
@@ -393,7 +380,7 @@ def _check_reads(tiles: _Tiles, init: np.ndarray, rows: list,
 
 def _execute(q: np.ndarray, rows: list, axes: list,
              init: np.ndarray | None) -> None:
-    for g, step, span, o, ok, a, ak, b, bk, c, ck in rows:
+    for g, step, span, o, ok, a, ak, b, bk in rows:
         arity, reduce, invert, preset = _FORMS[g]
         if arity == 0:
             value = preset
@@ -401,8 +388,6 @@ def _execute(q: np.ndarray, rows: list, axes: list,
             value = q[a:a + span:step, axes[ak]]
             if arity > 1:
                 value = reduce(value, q[b:b + span:step, axes[bk]])
-                if arity > 2:
-                    reduce(value, q[c:c + span:step, axes[ck]], out=value)
             if invert:
                 value = value ^ 1
         q[o:o + span:step, axes[ok]] = value

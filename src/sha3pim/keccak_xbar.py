@@ -32,6 +32,7 @@ from .crossbar import (
     Crossbar,
     CrossbarConfig,
     ExecutionStats,
+    GateType,
 )
 from .scheduler import MacroKind, MacroOp, OpStream, schedule
 
@@ -303,13 +304,13 @@ def _xor_inplace(stream: OpStream, rows: list[int], a_col: int, b_col: int,
                  u_col: int, v_col: int, label: str) -> None:
     """a ^= b across ``rows`` via NOR/AND/NOR (3 gates, 2 scratch columns)."""
     for z in rows:
-        stream.append(MacroOp(MacroKind.NOR2, IN_ROW, ((z, a_col), (z, b_col)),
+        stream.append(MacroOp(GateType.NOR2, IN_ROW, ((z, a_col), (z, b_col)),
                               (z, u_col), label))
-        stream.append(MacroOp(MacroKind.AND2, IN_ROW, ((z, a_col), (z, b_col)),
+        stream.append(MacroOp(GateType.AND2, IN_ROW, ((z, a_col), (z, b_col)),
                               (z, v_col), label))
     stream.barrier()
     for z in rows:
-        stream.append(MacroOp(MacroKind.NOR2, IN_ROW, ((z, u_col), (z, v_col)),
+        stream.append(MacroOp(GateType.NOR2, IN_ROW, ((z, u_col), (z, v_col)),
                               (z, a_col), label))
     stream.barrier()
 
@@ -348,7 +349,7 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
     # D[x] <- not C[x+1] (row-parallel copies, inverted once)
     for x in range(5):
         for z in rows:
-            s.append(MacroOp(MacroKind.NOT, IN_ROW, ((z, unit.c_col((x + 1) % 5)),),
+            s.append(MacroOp(GateType.NOT, IN_ROW, ((z, unit.c_col((x + 1) % 5)),),
                              (z, unit.d_col(x)), label))
     s.barrier()
 
@@ -357,20 +358,20 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
     # shifts in place; each NOT also undoes the inversion from the copy.
     dcols = [unit.d_col(x) for x in range(5)]
     for c in dcols:
-        s.append(MacroOp(MacroKind.NOT, IN_COL, ((unit.row(63), c),),
+        s.append(MacroOp(GateType.NOT, IN_COL, ((unit.row(63), c),),
                          (unit.a_row, c), label))
     s.barrier()
     for c in dcols:
-        s.append(MacroOp(MacroKind.NOT, IN_COL, ((unit.a_row, c),),
+        s.append(MacroOp(GateType.NOT, IN_COL, ((unit.a_row, c),),
                          (unit.b_row, c), label))
     s.barrier()
     for z in range(63, 0, -1):
         for c in dcols:
-            s.append(MacroOp(MacroKind.NOT, IN_COL, ((unit.row(z - 1), c),),
+            s.append(MacroOp(GateType.NOT, IN_COL, ((unit.row(z - 1), c),),
                              (unit.row(z), c), label))
         s.barrier()
     for c in dcols:
-        s.append(MacroOp(MacroKind.NOT, IN_COL, ((unit.b_row, c),),
+        s.append(MacroOp(GateType.NOT, IN_COL, ((unit.b_row, c),),
                          (unit.row(0), c), label))
     s.barrier()
 
@@ -399,12 +400,12 @@ def variable_rotate(unit: UnitLayout, lane_cols: list[int],
     for j in range(6):
         s = OpStream()
         for c in lane_cols:
-            s.append(MacroOp(MacroKind.NOT, IN_COL, ((t, c),), (tn, c), label))
+            s.append(MacroOp(GateType.NOT, IN_COL, ((t, c),), (tn, c), label))
         s.barrier()
         step = 1 << j
         for start in range(step):
             for c in lane_cols:
-                s.append(MacroOp(MacroKind.NOT, IN_COL, ((unit.row(start), c),),
+                s.append(MacroOp(GateType.NOT, IN_COL, ((unit.row(start), c),),
                                  (sr, c), label))
             s.barrier()
             length = LANE_BITS // step
@@ -416,16 +417,16 @@ def variable_rotate(unit: UnitLayout, lane_cols: list[int],
                     if last:
                         # source bit was overwritten first; use its stashed
                         # complement: a & t == NOR(~a, ~t)
-                        s.append(MacroOp(MacroKind.NOR2, IN_COL,
+                        s.append(MacroOp(GateType.NOR2, IN_COL,
                                          ((sr, c), (tn, c)), (p, c), label))
                     else:
-                        s.append(MacroOp(MacroKind.AND2, IN_COL,
+                        s.append(MacroOp(GateType.AND2, IN_COL,
                                          ((src, c), (t, c)), (p, c), label))
-                    s.append(MacroOp(MacroKind.AND2, IN_COL,
+                    s.append(MacroOp(GateType.AND2, IN_COL,
                                      ((unit.row(dest), c), (tn, c)), (q, c), label))
                 s.barrier()
                 for c in lane_cols:
-                    s.append(MacroOp(MacroKind.OR2, IN_COL, ((p, c), (q, c)),
+                    s.append(MacroOp(GateType.OR2, IN_COL, ((p, c), (q, c)),
                                      (unit.row(dest), c), label))
                 s.barrier()
         streams.append(s)
@@ -458,18 +459,18 @@ def chi_microcode(unit: UnitLayout) -> OpStream:
     for y in range(5):
         for x in range(5):
             for z in rows:
-                s.append(MacroOp(MacroKind.NOT, IN_ROW, ((z, unit.lane_col(x, y)),),
+                s.append(MacroOp(GateType.NOT, IN_ROW, ((z, unit.lane_col(x, y)),),
                                  (z, unit.c_col(x)), label))
         s.barrier()
         for x in range(5):
             # the inverted copies preserve this plane's pre-step values
             for z in rows:
-                s.append(MacroOp(MacroKind.NOT, IN_ROW,
+                s.append(MacroOp(GateType.NOT, IN_ROW,
                                  ((z, unit.c_col((x + 2) % 5)),),
                                  (z, unit.m_col), label))
             s.barrier()
             for z in rows:
-                s.append(MacroOp(MacroKind.AND2, IN_ROW,
+                s.append(MacroOp(GateType.AND2, IN_ROW,
                                  ((z, unit.c_col((x + 1) % 5)), (z, unit.m_col)),
                                  (z, unit.x_col), label))
             s.barrier()
@@ -515,11 +516,11 @@ def rot_fetch_microcode(layout: CrossbarLayout, plane: int) -> OpStream:
     def hop(src_row: int, dst: UnitLayout, switch=None) -> None:
         switches = frozenset([switch]) if switch else frozenset()
         for c in cols:
-            s.append(MacroOp(MacroKind.NOT, IN_COL, ((src_row, c),),
+            s.append(MacroOp(GateType.NOT, IN_COL, ((src_row, c),),
                              (dst.a_row, c), label, switches=switches))
         s.barrier()
         for c in cols:
-            s.append(MacroOp(MacroKind.NOT, IN_COL, ((dst.a_row, c),),
+            s.append(MacroOp(GateType.NOT, IN_COL, ((dst.a_row, c),),
                              (dst.t_row, c), label))
         s.barrier()
 
@@ -540,11 +541,11 @@ def rc_fetch_microcode(layout: CrossbarLayout, round_index: int) -> OpStream:
     def hop(src_col: int, dst: UnitLayout, switch=None) -> None:
         switches = frozenset([switch]) if switch else frozenset()
         for z in rows:
-            s.append(MacroOp(MacroKind.NOT, IN_ROW, ((z, src_col),),
+            s.append(MacroOp(GateType.NOT, IN_ROW, ((z, src_col),),
                              (z, dst.x_col), label, switches=switches))
         s.barrier()
         for z in rows:
-            s.append(MacroOp(MacroKind.NOT, IN_ROW, ((z, dst.x_col),),
+            s.append(MacroOp(GateType.NOT, IN_ROW, ((z, dst.x_col),),
                              (z, dst.m_col), label))
         s.barrier()
 
@@ -649,11 +650,9 @@ _compiled_cache: dict[tuple, CompiledKeccak] = {}
 
 def compiled_keccak(config: CrossbarConfig | None = None) -> CompiledKeccak:
     config = config or CrossbarConfig()
-    key = (config.rows, config.cols, config.horizontal_partitions,
-           config.vertical_partitions, config.unit_rows, config.unit_cols)
-    if key not in _compiled_cache:
-        _compiled_cache[key] = CompiledKeccak(config)
-    return _compiled_cache[key]
+    if config.geometry not in _compiled_cache:
+        _compiled_cache[config.geometry] = CompiledKeccak(config)
+    return _compiled_cache[config.geometry]
 
 
 # -------------------------------------------------------------------- hashing

@@ -1,13 +1,15 @@
 """Macro-op expansion and greedy packing of gate streams into cycle bundles.
 
-Producers emit streams of macro operations (XOR2 and COPY plus the raw
-primitives) separated by barriers; ops between two barriers are declared
-independent by the producer. Expansion rewrites each macro into its fixed
+Producers emit streams of macro operations separated by barriers; ops
+between two barriers are declared independent by the producer. A macro is
+one of the two ``MacroKind`` macros, XOR2 and COPY, or a single gate, whose
+kind is its ``GateType``. Expansion rewrites each macro into its fixed
 primitive sequence, and a first-fit pass packs the resulting micro-ops into
 the fewest bundles it can without violating the crossbar legality rules.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
 
+    gate(ins)   = INIT1 out; gate ins->out      (INIT1 alone: the preset only)
     COPY(a)     = INIT1 t; NOT a->t; INIT1 out; NOT t->out
     XOR2(a,b)   = OR2(a,b)->u; AND2(a,b)->v; NOT v->w; AND2(u,w)->out
 
@@ -40,31 +42,13 @@ class ShapeError(SimulationError):
 
 
 class MacroKind(Enum):
+    """The macros that expand to several gates."""
+
     XOR2 = "xor2"
     COPY = "copy"
-    NOT = "not"
-    NOR2 = "nor2"
-    NOR3 = "nor3"
-    OR2 = "or2"
-    AND2 = "and2"
-    INIT0 = "init0"
-    INIT1 = "init1"
 
 
-_PRIMITIVE = {
-    MacroKind.NOT: GateType.NOT,
-    MacroKind.NOR2: GateType.NOR2,
-    MacroKind.NOR3: GateType.NOR3,
-    MacroKind.OR2: GateType.OR2,
-    MacroKind.AND2: GateType.AND2,
-    MacroKind.INIT0: GateType.INIT0,
-    MacroKind.INIT1: GateType.INIT1,
-}
-
-_NUM_INPUTS = {
-    MacroKind.XOR2: 2, MacroKind.COPY: 1,
-    **{kind: GATE_NUM_INPUTS[gate] for kind, gate in _PRIMITIVE.items()},
-}
+_NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.COPY: 1, **GATE_NUM_INPUTS}
 
 SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.COPY: 1}
 
@@ -79,7 +63,7 @@ class MacroOp:
     ops declaring the identical switch set.
     """
 
-    kind: MacroKind
+    kind: MacroKind | GateType
     orientation: str
     inputs: tuple[Cell, ...]
     output: Cell
@@ -140,13 +124,13 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
     """
     macro.validate()
     kind = macro.kind
-    if kind in (MacroKind.INIT0, MacroKind.INIT1):
-        return [[MicroOp(_PRIMITIVE[kind], macro.orientation, (), macro.output)]]
-    if kind in _PRIMITIVE:
+    if isinstance(kind, GateType):
         # Every gate output is INIT1-prepared; the preset cycle is counted.
-        return [[MicroOp(GateType.INIT1, macro.orientation, (), macro.output)],
-                [MicroOp(_PRIMITIVE[kind], macro.orientation, macro.inputs,
-                         macro.output)]]
+        stages = [[MicroOp(GateType.INIT1, macro.orientation, (), macro.output)]]
+        if kind is not GateType.INIT1:
+            stages.append([MicroOp(kind, macro.orientation, macro.inputs,
+                                   macro.output)])
+        return stages
 
     need = SCRATCH_NEEDS[kind]
     scratch = macro.scratch or ()
@@ -186,9 +170,8 @@ class ScheduledProgram:
 class _OpenBundle:
     """Incremental legality bookkeeping for one bundle being packed.
 
-    INIT cells are admitted freely (per gate polarity) and reconciled into
-    grid patterns when the bundle closes; everything else is enforced on
-    admission.
+    INIT1 cells are admitted freely and reconciled into grid patterns when
+    the bundle closes; everything else is enforced on admission.
     """
 
     __slots__ = ("ops", "switches", "writes", "reads", "regions")
@@ -198,7 +181,7 @@ class _OpenBundle:
         self.switches = switches
         self.writes: set[Cell] = set()
         self.reads: set[Cell] = set()
-        # region -> ("init", gate, set of cells) or (gate, orientation, pattern)
+        # region -> ("init", set of cells) or (gate, orientation, pattern)
         self.regions: dict[tuple[int, int], tuple] = {}
 
     def admits(self, op: MicroOp, region: tuple[int, int],
@@ -210,11 +193,10 @@ class _OpenBundle:
         if any(cell in self.writes for cell in op.inputs):
             return False
         sig = self.regions.get(region)
-        is_init = op.gate in (GateType.INIT0, GateType.INIT1)
         if sig is None:
             return True
-        if is_init:
-            return sig[0] == "init" and sig[1] == op.gate
+        if op.gate is GateType.INIT1:
+            return sig[0] == "init"
         if sig[0] == "init":
             return False
         axis = 1 if op.orientation == IN_ROW else 0
@@ -225,12 +207,12 @@ class _OpenBundle:
         self.ops.append(op)
         self.writes.add(op.output)
         self.reads.update(op.inputs)
-        if op.gate in (GateType.INIT0, GateType.INIT1):
+        if op.gate is GateType.INIT1:
             sig = self.regions.get(region)
             if sig is None:
-                self.regions[region] = ("init", op.gate, {op.output})
+                self.regions[region] = ("init", {op.output})
             else:
-                sig[2].add(op.output)
+                sig[1].add(op.output)
         else:
             axis = 1 if op.orientation == IN_ROW else 0
             self.regions[region] = (op.gate, op.orientation,
@@ -250,7 +232,7 @@ class _OpenBundle:
         for region, sig in self.regions.items():
             if sig[0] != "init":
                 continue
-            cells = sig[2]
+            cells = sig[1]
             rows = {r for r, _ in cells}
             cols = {c for _, c in cells}
             if len(cells) == len(rows) * len(cols):
@@ -267,18 +249,15 @@ class _OpenBundle:
                 by_row.setdefault(key, []).extend((r, c) for c in key)
             groups = min((by_col, by_row), key=len)
             first = True
-            gate = sig[1]
-            orientation = IN_ROW
             for group_cells in groups.values():
                 if first:
                     init_cells_kept.update(group_cells)
                     first = False
                 else:
-                    spill.append([MicroOp(gate, orientation, (), cell)
+                    spill.append([MicroOp(GateType.INIT1, IN_ROW, (), cell)
                                   for cell in sorted(group_cells)])
         for op in self.ops:
-            if op.gate in (GateType.INIT0, GateType.INIT1) \
-                    and op.output not in init_cells_kept:
+            if op.gate is GateType.INIT1 and op.output not in init_cells_kept:
                 continue
             keep.append(op)
         out = [CycleBundle(keep, self.switches)]

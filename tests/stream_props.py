@@ -10,17 +10,14 @@ import random
 
 import numpy as np
 
-from sha3pim.crossbar import Crossbar, CrossbarConfig, CycleBundle, IN_COL, IN_ROW
+from sha3pim.crossbar import (GATE_NUM_INPUTS, Crossbar, CrossbarConfig,
+                              CycleBundle, GateType, IN_COL, IN_ROW)
 from sha3pim.scheduler import SCRATCH_NEEDS, MacroKind, MacroOp, OpStream, expand, schedule
 
 GRID = 16
-KINDS = [MacroKind.XOR2, MacroKind.COPY, MacroKind.NOT,
-         MacroKind.NOR2, MacroKind.NOR3, MacroKind.OR2, MacroKind.AND2,
-         MacroKind.INIT0, MacroKind.INIT1]
-NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.COPY: 1,
-              MacroKind.NOT: 1, MacroKind.NOR2: 2, MacroKind.NOR3: 3,
-              MacroKind.OR2: 2, MacroKind.AND2: 2,
-              MacroKind.INIT0: 0, MacroKind.INIT1: 0}
+KINDS = [MacroKind.XOR2, MacroKind.COPY, GateType.NOT, GateType.NOR2,
+         GateType.OR2, GateType.AND2, GateType.INIT1]
+NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.COPY: 1, **GATE_NUM_INPUTS}
 
 
 def small_crossbar() -> Crossbar:

@@ -73,14 +73,26 @@ def test_bad_geometry(capsys, flag, value):
     assert len(err.splitlines()) == 1
 
 
+# each case ends in a flag given a count it rejects; the error names that flag
 @pytest.mark.parametrize("argv", [("--metrics", "--paper-constants",
                                    "--crossbars", "0"),
-                                  ("--text", "abc", "--crossbars", "-1")])
+                                  ("--text", "abc", "--crossbars", "-1"),
+                                  ("--random", "0")])
 def test_bad_crossbar_count(capsys, argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == EXIT_BAD_INPUT
     assert out == ""
-    assert err.startswith("error: --crossbars")
+    assert err.startswith(f"error: {argv[-2]} ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("--paper-constants",),
+                                  ("--text", "abc", "--paper-constants")])
+def test_paper_constants_needs_metrics(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "--metrics" in err
     assert len(err.splitlines()) == 1
 
 

@@ -21,7 +21,7 @@ from sha3pim.crossbar import (
     MicroOp,
     StrictInitError,
 )
-from sha3pim.scheduler import MacroKind, MacroOp, OpStream, schedule
+from sha3pim.scheduler import MacroOp, OpStream, schedule
 from stream_props import random_stream, small_crossbar
 
 
@@ -68,7 +68,7 @@ def test_origin_replication():
     xbar.state[8, 9] = 0
     xbar.initialized[:] = 1
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     engine.replay(frozen, xbar, unit_deltas((0, 0), (8, 8)))
     assert xbar.state[0, 0] == 0
@@ -91,13 +91,24 @@ def test_vector_event_compression():
     assert (gate, step) == (GateType.NOR2, 8)
     assert len(range(0, span, step)) == 8
     assert frozen.n_gate_executions == 8
+    # rows 0-15 span two tiles of 8 rows: one run per tile, never a split
+    # into one-cell rows
+    ops = [MicroOp(GateType.NOR2, IN_ROW, ((r, 1), (r, 2)), (r, 0))
+           for r in range(16)]
+    frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT],
+                           xbar.config)
+    assert frozen.n_events == 2
+    for gate, step, span in frozen.rows[:, :3].tolist():
+        assert (gate, step, len(range(0, span, step))) == (GateType.NOR2, 8, 8)
+    assert frozen.rows[0, 4] != frozen.rows[1, 4]      # the two output tiles
+    assert frozen.n_gate_executions == 16
 
 
 def test_strict_mode_catches_uninitialized_read():
     xbar = small_crossbar(); xbar.config.strict_init = True
     xbar.state[0, 1] = 1
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
     assert frozen.n_bundles == 2
     with pytest.raises(StrictInitError, match=r"\(0,1\)"):
@@ -130,10 +141,10 @@ def test_freeze_rejects_cells_off_the_grid(output, input_):
 def test_concat_preserves_counts():
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
     f1, _ = freeze_stream(stream, xbar)
     stream2 = OpStream()
-    stream2.append(MacroOp(MacroKind.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
+    stream2.append(MacroOp(GateType.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
     f2, _ = freeze_stream(stream2, xbar)
     whole = engine.concat([f1, f2, f1])
     assert whole.n_bundles == 6
@@ -303,7 +314,7 @@ def test_replay_trace_matches_serial_trace_of_shifted_bundles(case):
 def test_replay_rejects_delta_off_partition_grid(origin):
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     with pytest.raises(ValueError, match="whole"):
         engine.replay(frozen, xbar, unit_deltas((0, 0), origin))
@@ -343,7 +354,7 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, outputs, shift):
 def test_replay_rejects_a_program_frozen_for_another_geometry():
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     with pytest.raises(ValueError, match="geometry"):
         engine.replay(frozen, Crossbar(CrossbarConfig(**ORACLE_GEOMETRY)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sha3pim import keccak_ref as ref
-from sha3pim.crossbar import CapacityError, Crossbar, CrossbarConfig
+from sha3pim.crossbar import CapacityError, Crossbar, CrossbarConfig, GateType
 from sha3pim.keccak_xbar import (
     KECCAK,
     CrossbarLayout,
@@ -150,6 +150,12 @@ def test_absorb_twice_cancels(compiled):
         compiled.run_absorb(xbar, [0], compiled.deltas_for([0]),
                             np.stack([block_to_bits(block)]))
     assert bits_to_lanes(read_unit_state(xbar, unit)) == [0] * 25
+
+
+def test_microcode_runs_every_gate(compiled):
+    # a gate that no microcode emits is dead code in the model and the kernel
+    rows = np.concatenate([p.rows for p in (compiled.permute, *compiled.absorb)])
+    assert {GateType(g) for g in np.unique(rows[:, 0]).tolist()} == set(GateType)
 
 
 # ------------------------------------------------------- per-step equivalence

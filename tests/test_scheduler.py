@@ -54,7 +54,7 @@ def test_copy_truth_table():
 
 
 def test_primitives_pass_through_with_preset():
-    stages = expand(MacroOp(MacroKind.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
+    stages = expand(MacroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
     assert len(stages) == 2
     assert stages[0][0].gate == GateType.INIT1
     assert stages[1][0].gate == GateType.NOR2
@@ -67,7 +67,7 @@ def test_macro_validation():
                        scratch=((0, 4), (0, 5), (0, 6))))
     with pytest.raises(ShapeError):
         # cells share neither a row nor a column
-        expand(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (1, 2)))
+        expand(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (1, 2)))
     with pytest.raises(ShapeError, match="scratch"):
         # XOR2 needs three pinned scratch cells
         expand(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
@@ -76,7 +76,7 @@ def test_macro_validation():
 def test_single_not_schedules_as_two_bundles():
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
     program = schedule(stream, xbar)
     assert len(program.bundles) == 2
     assert program.bundles[0].ops[0].gate == GateType.INIT1
@@ -132,8 +132,8 @@ def test_row_replicated_macros_share_bundles():
 
 def test_mixed_labels_in_group_rejected():
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
     xbar = small_crossbar()
     with pytest.raises(SchedulingError):
         schedule(stream, xbar)
@@ -142,7 +142,7 @@ def test_mixed_labels_in_group_rejected():
 def test_switch_that_does_not_exist_rejected():
     # row 5 is inside a partition of the 16x16 grid, not a boundary
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.NOT, IN_ROW, ((0, 1),), (0, 0),
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0),
                           switches=frozenset({("row", 5)})))
     with pytest.raises(SchedulingError, match="no switch at boundary"):
         schedule(stream, small_crossbar())
