@@ -53,10 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hash a file's contents (repeatable)")
     src.add_argument("--random", type=int, metavar="N",
                      help="hash N pseudorandom messages")
-    src.add_argument("--len", type=int, default=136, metavar="L",
-                     help="length in bytes of each random message (default 136)")
-    src.add_argument("--seed", type=int, default=1, metavar="S",
-                     help="PRNG seed for --random (default 1; printed)")
+    src.add_argument("--len", type=int, metavar="L",
+                     help="with --random: length in bytes of each message "
+                          "(default 136)")
+    src.add_argument("--seed", type=int, metavar="S",
+                     help="with --random: PRNG seed (default 1; printed)")
 
     hw = parser.add_argument_group("crossbar configuration")
     hw.add_argument("--crossbars", type=int, default=1, metavar="N",
@@ -103,15 +104,19 @@ def _collect_messages(args) -> tuple[list[bytes], int | None]:
                 messages.append(fh.read())
         except OSError as exc:
             raise SystemExit2(f"cannot read file {path}: {exc}")
-    seed = None
-    if args.random is not None:
-        if args.random <= 0 or args.len < 0:
-            raise SystemExit2("--random needs N > 0 and --len L >= 0")
-        seed = args.seed
-        rng = np.random.default_rng(seed)
-        for _ in range(args.random):
-            messages.append(rng.integers(0, 256, size=args.len,
-                                         dtype=np.uint8).tobytes())
+    if args.random is None:
+        for flag, value in (("--len", args.len), ("--seed", args.seed)):
+            if value is not None:
+                raise SystemExit2(f"{flag} only applies with --random")
+        return messages, None
+    length = 136 if args.len is None else args.len
+    seed = 1 if args.seed is None else args.seed
+    if args.random <= 0 or length < 0:
+        raise SystemExit2("--random needs N > 0 and --len L >= 0")
+    rng = np.random.default_rng(seed)
+    for _ in range(args.random):
+        messages.append(rng.integers(0, 256, size=length,
+                                     dtype=np.uint8).tobytes())
     return messages, seed
 
 

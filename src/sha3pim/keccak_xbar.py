@@ -15,7 +15,11 @@ double-inverting hop per unit, once per use.
 
 Microcode is generated for a reference unit, packed by the scheduler,
 checked once, and frozen; hashing replays the frozen program on every
-active unit in lockstep (`engine`).
+active unit in lockstep (`engine`). Each distinct program is compiled
+once: only the first hop of a fetch reads the shared block, so the RC
+chain (shared by the 24 rounds) and the ROT chain (shared by the 6 offset
+planes) are each scheduled, checked and frozen once, and spliced after
+every round's or plane's own first hop.
 """
 
 from __future__ import annotations
@@ -501,59 +505,83 @@ def absorb_microcode(unit: UnitLayout, lanes: list[int], base: int) -> OpStream:
 
 # ------------------------------------------------------------- shared fetches
 
-def rot_fetch_microcode(layout: CrossbarLayout, plane: int) -> OpStream:
-    """Copy offset bit-plane ``plane`` up the chain of vertically aligned
-    units (reference column of units; replicated per active unit column).
+def _hop(stream: OpStream, orientation: str, lines: list[int], src: int,
+         via: int, dst: int, label: str, switch=None) -> None:
+    """Double-inverting copy ``src -> via -> dst`` along each of ``lines``.
 
-    Each hop is a double inversion through the hop row, crossing one closed
-    row switch, so every unit receives the true bit values.
+    ``src``, ``via`` and ``dst`` are columns of each row for ``IN_ROW`` and
+    rows of each column for ``IN_COL``; only the first inversion may cross
+    ``switch``, so the destination receives the true bit values.
     """
-    s = OpStream()
+    def cell(line: int, at: int) -> tuple[int, int]:
+        return (line, at) if orientation == IN_ROW else (at, line)
+
+    switches = frozenset([switch]) if switch else frozenset()
+    for line in lines:
+        stream.append(MacroOp(GateType.NOT, orientation, (cell(line, src),),
+                              cell(line, via), label, switches=switches))
+    stream.barrier()
+    for line in lines:
+        stream.append(MacroOp(GateType.NOT, orientation, (cell(line, via),),
+                              cell(line, dst), label))
+    stream.barrier()
+
+
+def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
+    """Copy the offset bit-planes up the chain of vertically aligned units
+    (reference column of units; replicated per active unit column).
+
+    Returns one stream per plane, then the shared chain. Stream ``j`` is the
+    first hop: it copies plane ``j`` from the ROT block into the bottom
+    unit's select row. The chain then hops the select row up one unit at a
+    time, each hop crossing one closed row switch. Only the first hop reads
+    the ROT block, so the chain is the same for every plane and is compiled
+    once.
+    """
     label = "rho"
     cols = list(range(STATE_COLS))
     units = [UnitLayout((v * UnitLayout.ROWS, 0)) for v in range(layout.vparts)]
-
-    def hop(src_row: int, dst: UnitLayout, switch=None) -> None:
-        switches = frozenset([switch]) if switch else frozenset()
-        for c in cols:
-            s.append(MacroOp(GateType.NOT, IN_COL, ((src_row, c),),
-                             (dst.a_row, c), label, switches=switches))
-        s.barrier()
-        for c in cols:
-            s.append(MacroOp(GateType.NOT, IN_COL, ((dst.a_row, c),),
-                             (dst.t_row, c), label))
-        s.barrier()
-
     bottom = layout.vparts - 1
-    hop(layout.rot_base_row + plane, units[bottom])
+    streams = []
+    for plane in range(layout.ROT_PLANES):
+        first = OpStream()
+        _hop(first, IN_COL, cols, layout.rot_base_row + plane,
+             units[bottom].a_row, units[bottom].t_row, label)
+        streams.append(first)
+    chain = OpStream()
     for v in range(bottom - 1, -1, -1):
-        hop(units[v + 1].t_row, units[v], switch=layout.row_switch(v + 1))
-    return s
+        _hop(chain, IN_COL, cols, units[v + 1].t_row, units[v].a_row,
+             units[v].t_row, label, switch=layout.row_switch(v + 1))
+    streams.append(chain)
+    return streams
 
 
-def rc_fetch_microcode(layout: CrossbarLayout, round_index: int) -> OpStream:
-    """Copy RC[round] leftward along a row of units into each scratch column."""
-    s = OpStream()
+def rc_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
+    """Copy a round constant leftward along a row of units into each
+    scratch column (reference row of units; replicated per active unit row).
+
+    Returns one stream per round, then the shared chain. Stream ``r`` is the
+    first hop: it copies RC column ``r`` into the rightmost unit's scratch
+    column. The chain then hops the scratch column left one unit at a time,
+    each hop crossing one closed column switch. Only the first hop reads the
+    RC block, so the chain is the same for every round and is compiled once.
+    """
     label = "iota"
     units = [UnitLayout((0, h * UnitLayout.COLS)) for h in range(layout.hparts)]
     rows = list(range(LANE_BITS))
-
-    def hop(src_col: int, dst: UnitLayout, switch=None) -> None:
-        switches = frozenset([switch]) if switch else frozenset()
-        for z in rows:
-            s.append(MacroOp(GateType.NOT, IN_ROW, ((z, src_col),),
-                             (z, dst.x_col), label, switches=switches))
-        s.barrier()
-        for z in rows:
-            s.append(MacroOp(GateType.NOT, IN_ROW, ((z, dst.x_col),),
-                             (z, dst.m_col), label))
-        s.barrier()
-
     rightmost = layout.hparts - 1
-    hop(layout.rc_col(round_index), units[rightmost])
+    streams = []
+    for round_index in range(KECCAK.rounds):
+        first = OpStream()
+        _hop(first, IN_ROW, rows, layout.rc_col(round_index),
+             units[rightmost].x_col, units[rightmost].m_col, label)
+        streams.append(first)
+    chain = OpStream()
     for h in range(rightmost - 1, -1, -1):
-        hop(units[h + 1].m_col, units[h], switch=layout.col_switch(h + 1))
-    return s
+        _hop(chain, IN_ROW, rows, units[h + 1].m_col, units[h].x_col,
+             units[h].m_col, label, switch=layout.col_switch(h + 1))
+    streams.append(chain)
+    return streams
 
 
 # ------------------------------------------------------------------ compiler
@@ -576,24 +604,23 @@ class CompiledKeccak:
                                  [set_id] * len(program.bundles), config)
 
         unit_set = engine.SET_UNIT
+        row_set, col_set = engine.SET_PARTITION_ROW, engine.SET_PARTITION_COL
+        *rot_hops, rot_chain = rot_fetch_microcode(self.layout)
+        rot_chain = compiled(rot_chain, col_set)
         rho = []
-        for j, core in enumerate(variable_rotate(ref, rho_lane_cols(ref))):
-            rho.append(compiled(rot_fetch_microcode(self.layout, j),
-                                engine.SET_PARTITION_COL))
-            rho.append(compiled(core, unit_set))
+        for hop, core in zip(rot_hops, variable_rotate(ref, rho_lane_cols(ref))):
+            rho += [compiled(hop, col_set), rot_chain, compiled(core, unit_set)]
         self._steps = {          # in round order; permute below relies on it
             "theta": compiled(theta_microcode(ref), unit_set),
             "rho": engine.concat(rho),
             "pi": compiled(pi_microcode(ref), unit_set),
             "chi": compiled(chi_microcode(ref), unit_set),
         }
+        *rc_hops, rc_chain = rc_fetch_microcode(self.layout)
+        rc_chain = compiled(rc_chain, row_set)
         iota_local = compiled(iota_local_microcode(ref), unit_set)
-        self._iota = [
-            engine.concat([compiled(rc_fetch_microcode(self.layout, round_index),
-                                    engine.SET_PARTITION_ROW),
-                           iota_local])
-            for round_index in range(KECCAK.rounds)
-        ]
+        self._iota = [engine.concat([compiled(hop, row_set), rc_chain, iota_local])
+                      for hop in rc_hops]
         self.permute = engine.concat([program for iota in self._iota
                                       for program in (*self._steps.values(), iota)])
 

@@ -86,6 +86,16 @@ def test_bad_crossbar_count(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+# --len and --seed only shape the --random messages; alone they are bad input
+@pytest.mark.parametrize("flag,value", [("--len", "-5"), ("--seed", "3")])
+def test_random_option_without_random(capsys, flag, value):
+    status, out, err = run_cli(capsys, "--text", "abc", flag, value)
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and "--random" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [("--paper-constants",),
                                   ("--text", "abc", "--paper-constants")])
 def test_paper_constants_needs_metrics(capsys, argv):

@@ -1,5 +1,6 @@
 """Crossbar SHA-3: layout, padding, per-step equivalence, rotation, hashing."""
 
+import dataclasses
 import io
 import json
 import random
@@ -7,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from sha3pim import engine
 from sha3pim import keccak_ref as ref
 from sha3pim.crossbar import CapacityError, Crossbar, CrossbarConfig, GateType
 from sha3pim.keccak_xbar import (
@@ -21,7 +23,9 @@ from sha3pim.keccak_xbar import (
     lanes_to_bits,
     measure_round_stats,
     pad_message,
+    rc_fetch_microcode,
     read_unit_state,
+    rot_fetch_microcode,
     write_unit_state,
 )
 from conftest import random_lanes
@@ -71,6 +75,49 @@ def test_constant_tables_match_reference():
                for x in range(5) for y in range(5))
     assert ROUND_CONSTANTS[0] == 0x0000000000000001
     assert len(ROUND_CONSTANTS) == 24
+
+
+@pytest.mark.parametrize("fetch", ["rc", "rot"])
+def test_fetch_chain_reads_no_shared_block(fetch):
+    # why each fetch chain is compiled once: the first hops differ only in
+    # the shared-block line they read, and the chain reads no block line
+    layout = CrossbarLayout(CrossbarConfig())
+    if fetch == "rc":
+        *hops, chain = rc_fetch_microcode(layout)
+        lines, axis = [layout.rc_col(r) for r in range(KECCAK.rounds)], 1
+    else:
+        *hops, chain = rot_fetch_microcode(layout)
+        lines = [layout.rot_base_row + j for j in range(layout.ROT_PLANES)]
+        axis = 0
+
+    def block_lines_read(stream):
+        return {cell[axis] for group in stream.groups() for op in group
+                for cell in op.inputs} & set(lines)
+
+    def with_line_blanked(stream, line):
+        def blank(cell):
+            return tuple(-1 if k == axis and v == line else v
+                         for k, v in enumerate(cell))
+        return [[dataclasses.replace(op, inputs=tuple(map(blank, op.inputs)))
+                 for op in group] for group in stream.groups()]
+
+    assert len(hops) == len(lines)
+    assert [block_lines_read(hop) for hop in hops] == [{line} for line in lines]
+    blanked = [with_line_blanked(hop, line) for hop, line in zip(hops, lines)]
+    assert all(b == blanked[0] for b in blanked)
+    assert len(chain) > 0 and block_lines_read(chain) == set()
+
+
+def test_compiled_program_shape(compiled):
+    # how the compile is organised must not change what it emits
+    permute = compiled.permute
+    assert permute.n_bundles == 78_000
+    assert permute.n_events == 240_384
+    assert permute.n_gate_executions == 3_009_744
+    assert dict(zip(permute.label_names, permute.cycles_by_label.tolist())) == {
+        "rho": 57_456, "theta": 9_312, "chi": 6_120, "iota": 2_712, "pi": 2_400}
+    assert [(p.n_bundles, p.n_events) for p in compiled.absorb] == [
+        (50, 680), (35, 476)]
 
 
 # -------------------------------------------------------------------- padding
@@ -244,6 +291,27 @@ def test_iota_cumulative_all_rounds(step_runner):
         expected ^= rc
     assert state[0] == expected
     assert state[1:] == [0] * 24
+
+
+@pytest.mark.parametrize("step,round_index",
+                         [("iota", 0), ("iota", 11), ("iota", 23), ("rho", 0)])
+def test_step_on_every_unit(compiled, step, round_index):
+    # every hop of the shared RC and ROT fetch chains feeds some unit, under
+    # every partition-row and partition-column shift
+    xbar = Crossbar(CrossbarConfig())
+    compiled.layout.setup_shared_blocks(xbar)
+    units = list(range(compiled.layout.num_units))
+    rng = random.Random(f"{step}-{round_index}")
+    states = [random_lanes(rng) for _ in units]
+    for unit_id, lanes in zip(units, states):
+        write_unit_state(xbar, compiled.layout.unit(unit_id), lanes_to_bits(lanes))
+    engine.replay(compiled.step_program(step, round_index), xbar,
+                  compiled.deltas_for(units))
+    for unit_id, lanes in zip(units, states):
+        expected = (ref.iota(lanes, round_index) if step == "iota"
+                    else ref.rho(lanes))
+        got = bits_to_lanes(read_unit_state(xbar, compiled.layout.unit(unit_id)))
+        assert got == expected, unit_id
 
 
 def test_iota_out_of_range(compiled):
