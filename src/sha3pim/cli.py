@@ -3,7 +3,9 @@
 Every digest is cross-checked against the software reference; the exit
 status is nonzero if any digest mismatches (1), an input cannot be parsed
 or read, an output path cannot be written or the crossbar geometry is
-invalid (2), or the message count exceeds unit capacity (3).
+invalid (2), the message count exceeds unit capacity (3), or the reader
+of stdout closed it early (141, as a shell reports SIGPIPE; nothing more
+is printed).
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -15,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +175,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {exc.filename}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-        return _run(args, config, messages, seed, trace, report_file)
+        try:
+            status = _run(args, config, messages, seed, trace, report_file)
+            sys.stdout.flush()      # a closed pipe shows here, not at exit
+        except BrokenPipeError:     # e.g. ``sha3pim ... | head -2``
+            # point stdout at devnull so the shutdown flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_STDOUT
+        return status
 
 
 def _run(args, config: CrossbarConfig, messages: list[bytes],

@@ -164,6 +164,26 @@ class MicroOp:
         return None
 
 
+def line_pattern(op: MicroOp) -> tuple:
+    """What one merged region's line drivers apply in a cycle; every op of
+    a region must share it. An INIT1 preset is the gate alone; any other
+    gate adds its orientation and the along-line coordinates of its inputs
+    and output."""
+    if op.gate is GateType.INIT1:
+        return (op.gate,)
+    axis = 1 if op.orientation == IN_ROW else 0
+    return (op.gate, op.orientation, tuple(c[axis] for c in op.inputs),
+            op.output[axis])
+
+
+def is_grid(cells: set[Cell]) -> bool:
+    """True if ``cells`` is a rows x cols cross product, the cell set one
+    preset cycle can drive."""
+    rows = {r for r, _ in cells}
+    cols = {c for _, c in cells}
+    return len(cells) == len(rows) * len(cols)
+
+
 @dataclass(slots=True)
 class CycleBundle:
     """Gate events co-scheduled in one clock cycle.
@@ -207,6 +227,13 @@ class PartitionMap:
                 elif kind == "col" and b <= c:
                     h -= 1
         return v, h
+
+    def op_region(self, op: MicroOp,
+                  closed_switches: frozenset[SwitchId]) -> tuple[int, int] | None:
+        """The one merged region holding every cell of ``op``, or None if
+        the op crosses an open partition boundary."""
+        regions = {self.region_of(cell, closed_switches) for cell in op.cells()}
+        return regions.pop() if len(regions) == 1 else None
 
 
 @dataclass
@@ -274,10 +301,9 @@ class Crossbar:
         """Validate a bundle against the single-cycle legality rules.
 
         Legal iff: op shapes are well-formed and in bounds; no op spans an
-        open switch; within each (merged) partition all ops share one gate
-        type and orientation with aligned line patterns (arbitrary INIT cell
-        sets must form a rows x cols grid); and no read/write or write/write
-        cell conflicts exist anywhere in the bundle.
+        open switch; within each (merged) partition all ops share one
+        ``line_pattern`` and preset cells form a rows x cols grid; and no
+        read/write or write/write cell conflicts exist anywhere in the bundle.
         """
         violations: list[str] = []
         for i, op in enumerate(bundle.ops):
@@ -302,45 +328,26 @@ class Crossbar:
         # Rule 2/3: each op must sit inside a single merged region.
         by_region: dict[tuple[int, int], list[int]] = {}
         for i, op in enumerate(bundle.ops):
-            regions = {partitions.region_of(cell, bundle.closed_switches)
-                       for cell in op.cells()}
-            if len(regions) > 1:
+            region = partitions.op_region(op, bundle.closed_switches)
+            if region is None:
                 violations.append(f"op {i}: crosses an open partition boundary")
             else:
-                by_region.setdefault(next(iter(regions)), []).append(i)
+                by_region.setdefault(region, []).append(i)
 
-        # Rule 1: per-region uniformity.
+        # Rule 1: one line pattern per region; presets form a grid.
         for region, indices in by_region.items():
-            ops = [bundle.ops[i] for i in indices]
-            gates = {op.gate for op in ops}
-            if len(gates) > 1:
-                violations.append(
-                    f"partition {region}: mixed gate types "
-                    f"{sorted(g.name for g in gates)} (ops {indices})")
-                continue
-            gate = ops[0].gate
-            if gate is GateType.INIT1:
-                # Preset of an arbitrary cell set, provided it forms a grid
-                # pattern (rows x cols cross product) so line drivers align.
-                cells = {op.output for op in ops}
-                rows = {r for r, _ in cells}
-                cols = {c for _, c in cells}
-                if len(cells) != len(rows) * len(cols):
-                    violations.append(
-                        f"partition {region}: INIT cells do not form a grid pattern")
-                continue
-            orientations = {op.orientation for op in ops}
-            if len(orientations) > 1:
-                violations.append(f"partition {region}: mixed orientations (ops {indices})")
-                continue
-            orientation = ops[0].orientation
-            axis = 1 if orientation == IN_ROW else 0   # the aligned coordinate
-            patterns = {(tuple(c[axis] for c in op.inputs), op.output[axis]) for op in ops}
+            patterns = {line_pattern(bundle.ops[i]) for i in indices}
             if len(patterns) > 1:
-                what = "columns" if orientation == IN_ROW else "rows"
+                gates = {p[0] for p in patterns}
+                what = (f"mixed gate types {sorted(g.name for g in gates)}"
+                        if len(gates) > 1 else
+                        "mixed orientations" if len({p[1] for p in patterns}) > 1
+                        else "unaligned input/output lines")
+                violations.append(f"partition {region}: {what} (ops {indices})")
+            elif patterns.pop()[0] is GateType.INIT1 and not is_grid(
+                    {bundle.ops[i].output for i in indices}):
                 violations.append(
-                    f"partition {region}: in-{orientation} ops with unaligned "
-                    f"input/output {what} (ops {indices})")
+                    f"partition {region}: INIT cells do not form a grid pattern")
 
         # Rule 4: cell conflicts.
         writers: dict[Cell, int] = {}
@@ -399,7 +406,7 @@ class Crossbar:
             raise AddressError(f"region rows {row_range} cols {col_range} out of bounds")
 
     def write_region(self, row_range: tuple[int, int], col_range: tuple[int, int],
-                     bits: np.ndarray, label: str = "io") -> None:
+                     bits: np.ndarray) -> None:
         """Peripheral write; costs io cycles per row, no gate energy."""
         self._check_range(row_range, col_range)
         r0, r1 = row_range
@@ -407,10 +414,10 @@ class Crossbar:
         block = np.asarray(bits, dtype=np.uint8).reshape(r1 - r0, c1 - c0)
         self.state[r0:r1, c0:c1] = block
         self.initialized[r0:r1, c0:c1] = 1
-        self.stats.add_cycles(label, (r1 - r0) * self.config.io_cycles_per_row, 0)
+        self.stats.add_cycles("io", (r1 - r0) * self.config.io_cycles_per_row, 0)
 
-    def read_region(self, row_range: tuple[int, int], col_range: tuple[int, int],
-                    label: str = "io") -> np.ndarray:
+    def read_region(self, row_range: tuple[int, int],
+                    col_range: tuple[int, int]) -> np.ndarray:
         """Peripheral read; costs io cycles per row, no gate energy."""
         self._check_range(row_range, col_range)
         r0, r1 = row_range
@@ -418,5 +425,5 @@ class Crossbar:
         if self.config.strict_init and not self.initialized[r0:r1, c0:c1].all():
             raise StrictInitError(f"region rows {row_range} cols {col_range} "
                                   "read before being written")
-        self.stats.add_cycles(label, (r1 - r0) * self.config.io_cycles_per_row, 0)
+        self.stats.add_cycles("io", (r1 - r0) * self.config.io_cycles_per_row, 0)
         return self.state[r0:r1, c0:c1].copy()

@@ -5,7 +5,9 @@ between two barriers are declared independent by the producer. A macro is
 one of the two ``MacroKind`` macros, XOR2 and COPY, or a single gate, whose
 kind is its ``GateType``. Expansion rewrites each macro into its fixed
 primitive sequence, and a first-fit pass packs the resulting micro-ops into
-the fewest bundles it can without violating the crossbar legality rules.
+bundles of one merged region and one ``crossbar.line_pattern`` each. The
+microcode is written for one reference unit and replayed in lockstep on
+every unit, so no bundle needs to hold more than one region.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
 
@@ -30,10 +32,11 @@ from .crossbar import (
     CycleBundle,
     GateType,
     MicroOp,
-    PartitionMap,
     SchedulingError,
     SimulationError,
     SwitchId,
+    is_grid,
+    line_pattern,
 )
 
 
@@ -88,7 +91,11 @@ _BARRIER = object()
 
 
 class OpStream:
-    """Ordered macro ops with explicit sequence-point barriers."""
+    """Ordered macro ops with explicit sequence-point barriers.
+
+    The macros between two barriers form a group. They must be independent
+    of each other, and no two of them may write the same cell.
+    """
 
     def __init__(self):
         self._items: list = []
@@ -167,139 +174,72 @@ class ScheduledProgram:
     labels: list[str] = field(default_factory=list)
 
 
-class _OpenBundle:
-    """Incremental legality bookkeeping for one bundle being packed.
+def _close(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundle]:
+    """Emit one open bundle, split into grids if its presets are not one.
 
-    INIT1 cells are admitted freely and reconciled into grid patterns when
-    the bundle closes; everything else is enforced on admission.
+    A single-cycle preset drives selected wordlines x bitlines, so the
+    cells of one INIT group must form a full cross product. A non-grid set
+    is split into the groups of lines sharing one cross-line set (columns
+    or rows, whichever gives fewer), one bundle each.
     """
-
-    __slots__ = ("ops", "switches", "writes", "reads", "regions")
-
-    def __init__(self, switches: frozenset[SwitchId]):
-        self.ops: list[MicroOp] = []
-        self.switches = switches
-        self.writes: set[Cell] = set()
-        self.reads: set[Cell] = set()
-        # region -> ("init", set of cells) or (gate, orientation, pattern)
-        self.regions: dict[tuple[int, int], tuple] = {}
-
-    def admits(self, op: MicroOp, region: tuple[int, int],
-               switches: frozenset[SwitchId]) -> bool:
-        if switches != self.switches:
-            return False
-        if op.output in self.writes or op.output in self.reads:
-            return False
-        if any(cell in self.writes for cell in op.inputs):
-            return False
-        sig = self.regions.get(region)
-        if sig is None:
-            return True
-        if op.gate is GateType.INIT1:
-            return sig[0] == "init"
-        if sig[0] == "init":
-            return False
-        axis = 1 if op.orientation == IN_ROW else 0
-        return sig == (op.gate, op.orientation,
-                       tuple(c[axis] for c in op.inputs), op.output[axis])
-
-    def add(self, op: MicroOp, region: tuple[int, int]) -> None:
-        self.ops.append(op)
-        self.writes.add(op.output)
-        self.reads.update(op.inputs)
-        if op.gate is GateType.INIT1:
-            sig = self.regions.get(region)
-            if sig is None:
-                self.regions[region] = ("init", {op.output})
-            else:
-                sig[1].add(op.output)
-        else:
-            axis = 1 if op.orientation == IN_ROW else 0
-            self.regions[region] = (op.gate, op.orientation,
-                                    tuple(c[axis] for c in op.inputs),
-                                    op.output[axis])
-
-    def finalize(self) -> list[CycleBundle]:
-        """Close the bundle, spilling non-grid INIT cell sets into follow-ups.
-
-        A single-cycle preset drives selected wordlines x bitlines, so the
-        cells of one INIT group must form a full cross product. Leftover
-        groups become their own (grid-shaped) bundles.
-        """
-        spill: list[list[MicroOp]] = []
-        keep: list[MicroOp] = []
-        init_cells_kept: set[Cell] = set()
-        for region, sig in self.regions.items():
-            if sig[0] != "init":
-                continue
-            cells = sig[1]
-            rows = {r for r, _ in cells}
-            cols = {c for _, c in cells}
-            if len(cells) == len(rows) * len(cols):
-                init_cells_kept.update(cells)
-                continue
-            # Split into groups of lines sharing the same cross-line set.
-            by_col: dict[frozenset, list[Cell]] = {}
-            by_row: dict[frozenset, list[Cell]] = {}
-            for c in cols:
-                key = frozenset(r for r, cc in cells if cc == c)
-                by_col.setdefault(key, []).extend((r, c) for r in key)
-            for r in rows:
-                key = frozenset(c for rr, c in cells if rr == r)
-                by_row.setdefault(key, []).extend((r, c) for c in key)
-            groups = min((by_col, by_row), key=len)
-            first = True
-            for group_cells in groups.values():
-                if first:
-                    init_cells_kept.update(group_cells)
-                    first = False
-                else:
-                    spill.append([MicroOp(GateType.INIT1, IN_ROW, (), cell)
-                                  for cell in sorted(group_cells)])
-        for op in self.ops:
-            if op.gate is GateType.INIT1 and op.output not in init_cells_kept:
-                continue
-            keep.append(op)
-        out = [CycleBundle(keep, self.switches)]
-        out.extend(CycleBundle(ops, self.switches) for ops in spill)
-        return out
+    cells = {op.output for op in ops}
+    if ops[0].gate is not GateType.INIT1 or is_grid(cells):
+        return [CycleBundle(ops, switches)]
+    rows = {r for r, _ in cells}
+    cols = {c for _, c in cells}
+    by_col: dict[frozenset, set[Cell]] = {}
+    by_row: dict[frozenset, set[Cell]] = {}
+    for c in cols:
+        key = frozenset(r for r, cc in cells if cc == c)
+        by_col.setdefault(key, set()).update((r, c) for r in key)
+    for r in rows:
+        key = frozenset(c for rr, c in cells if rr == r)
+        by_row.setdefault(key, set()).update((r, c) for c in key)
+    return [CycleBundle([op for op in ops if op.output in group], switches)
+            for group in min((by_col, by_row), key=len).values()]
 
 
 def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     """Expand and pack a macro stream into legal cycle bundles.
 
-    Within each barrier group a greedy first-fit pass places every micro-op
-    into the earliest bundle that stays legal and respects the op's position
-    in its macro's expansion. Bundle order concatenated across groups
-    preserves the stream's serial semantics. Every bundle is then checked
-    by ``crossbar.check_bundle``; an illegal one raises ``SchedulingError``.
+    Each bundle holds one merged region, one switch set and one
+    ``line_pattern``; that triple is its key. Within each barrier group,
+    first fit puts every micro-op into the earliest bundle past its macro's
+    previous stage whose key equals the op's. Bundle order concatenated
+    across groups preserves the stream's serial semantics.
+
+    The producer promises that the macros of one group are independent and
+    that no two of them write the same cell. Every bundle is checked by
+    ``crossbar.check_bundle``; an illegal one, such as two writes of one
+    cell, raises ``SchedulingError``.
     """
     program = ScheduledProgram()
     partitions = crossbar.partition_map
     for group in stream.groups():
-        open_bundles: list[_OpenBundle] = []
+        keys: list[tuple] = []
+        bundles: list[list[MicroOp]] = []
         group_label = group[0].label
         for macro in group:
             if macro.label != group_label:
                 raise SchedulingError(
                     f"mixed labels {group_label!r}/{macro.label!r} in one barrier group")
-            stages = expand(macro)
             floor = -1
-            for stage in stages:
+            for stage in expand(macro):
                 stage_top = floor
                 for op in stage:
-                    region = _region(partitions, op, macro.switches)
-                    index = floor + 1
-                    while index < len(open_bundles) and not \
-                            open_bundles[index].admits(op, region, macro.switches):
-                        index += 1
-                    if index == len(open_bundles):
-                        open_bundles.append(_OpenBundle(macro.switches))
-                    open_bundles[index].add(op, region)
+                    key = (partitions.op_region(op, macro.switches),
+                           macro.switches, line_pattern(op))
+                    try:
+                        index = keys.index(key, floor + 1)
+                    except ValueError:
+                        index = len(keys)
+                        keys.append(key)
+                        bundles.append([])
+                    bundles[index].append(op)
                     stage_top = max(stage_top, index)
                 floor = stage_top
-        for ob in open_bundles:
-            for bundle in ob.finalize():
+        for (_, switches, _), ops in zip(keys, bundles):
+            for bundle in _close(ops, switches):
                 program.bundles.append(bundle)
                 program.labels.append(group_label)
     for bundle in program.bundles:
@@ -308,13 +248,3 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
             raise SchedulingError("scheduler emitted an illegal bundle: "
                                   + "; ".join(violations))
     return program
-
-
-def _region(partitions: PartitionMap, op: MicroOp,
-            switches: frozenset[SwitchId]) -> tuple[int, int]:
-    """The one merged region holding every cell of ``op``."""
-    regions = {partitions.region_of(cell, switches) for cell in op.cells()}
-    if len(regions) > 1:
-        raise SchedulingError(
-            f"op on cells {op.cells()} crosses an open partition boundary")
-    return regions.pop()

@@ -3,7 +3,7 @@
 Used by the scheduler unit tests and, at full volume, by the acceptance
 suite: scheduled execution must leave the grid exactly as executing every
 expanded micro-op one per cycle, and every emitted bundle must pass the
-legality check.
+legality check and hold one merged region and one line pattern.
 """
 
 import random
@@ -11,7 +11,8 @@ import random
 import numpy as np
 
 from sha3pim.crossbar import (GATE_NUM_INPUTS, Crossbar, CrossbarConfig,
-                              CycleBundle, GateType, IN_COL, IN_ROW)
+                              CycleBundle, GateType, IN_COL, IN_ROW,
+                              line_pattern)
 from sha3pim.scheduler import SCRATCH_NEEDS, MacroKind, MacroOp, OpStream, expand, schedule
 
 GRID = 16
@@ -82,9 +83,13 @@ def check_equivalence(rng: random.Random) -> int:
     bundled.state[:] = initial
     bundled.initialized[:] = 1
     program = schedule(stream, bundled)
+    partitions = bundled.partition_map
     for bundle, label in zip(program.bundles, program.labels):
         ok, violations = bundled.check_bundle(bundle)
         assert ok, f"illegal bundle emitted: {violations}"
+        keys = {(partitions.op_region(op, bundle.closed_switches),
+                 line_pattern(op)) for op in bundle.ops}
+        assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"
         bundled.execute_bundle(bundle, label=label, check=False)
 
     assert np.array_equal(serial.state, bundled.state), \

@@ -1,13 +1,19 @@
 """Command-line behavior: digests, verdicts, reports, errors, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sha3pim
 from sha3pim import keccak_ref as ref
 from sha3pim.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
+    EXIT_CLOSED_STDOUT,
     EXIT_OK,
     main,
 )
@@ -179,6 +185,24 @@ def test_unwritable_output_path(capsys, tmp_path, flag):
     assert out == ""
     assert err.startswith("error: cannot write ")
     assert len(err.splitlines()) == 1
+
+
+def test_stdout_closed_early():
+    # stdout is a pipe whose reader is already gone, as after ``| head``;
+    # --metrics --paper-constants writes a report without compiling
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(sha3pim.__file__).parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sha3pim.cli", "--metrics",
+             "--paper-constants"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr.decode()
+    assert done.returncode == EXIT_CLOSED_STDOUT == 141
 
 
 def test_strict_init_flag(capsys):

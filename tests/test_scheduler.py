@@ -139,6 +139,15 @@ def test_mixed_labels_in_group_rejected():
         schedule(stream, xbar)
 
 
+def test_two_writes_of_one_cell_in_a_group_rejected():
+    # the producer promises no two macros of a group write one cell
+    stream = OpStream()
+    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 0)))
+    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 0)))
+    with pytest.raises(SchedulingError, match="both write"):
+        schedule(stream, small_crossbar())
+
+
 def test_switch_that_does_not_exist_rejected():
     # row 5 is inside a partition of the 16x16 grid, not a boundary
     stream = OpStream()
