@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "measuring")
     out.add_argument("--trace", metavar="PATH",
                      help="write the vector events replay ran, one JSON "
-                          "line per cycle (trace schema 2)")
+                          "line per cycle, with the dead presets it skipped "
+                          "(trace schema 3)")
     out.add_argument("--report", metavar="PATH",
                      help="write the JSON report here instead of stdout")
     return parser

@@ -291,7 +291,7 @@ class Crossbar:
     # ------------------------------------------------------------------ setup
 
     def attach_trace(self, stream: IO[str]) -> None:
-        """Have ``engine.replay`` write its trace (schema 2: a header per
+        """Have ``engine.replay`` write its trace (schema 3: a header per
         replay, then one JSON line per bundle) to ``stream``."""
         self.trace = stream
 

@@ -25,6 +25,15 @@ set's deltas move the key's tile to - depends on the deltas, so ``replay``
 builds those axes, checks them against the crossbar and executes. Each row
 is then one vectorised operation across the tiles of every origin in its
 set, which for contiguous units is a slice.
+
+Every gate's output is preset (INIT1) first, and the model charges that
+cycle. But a gate here computes its output from its inputs alone, so a
+preset that the next access to its cell overwrites is never seen.
+``freeze`` proves which preset rows are dead and marks each row ``live`` or
+not. Outside strict mode replay runs only the live rows; in strict mode it
+runs every row, bundle by bundle, so an uninitialized read fails at the
+same bundle. Cycles and gate executions are charged for every row either
+way, and the trace lists the rows a bundle skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +75,10 @@ class FrozenProgram:
     rows: np.ndarray          # int16 [n_events, 9]: gate, step, span, then
     #                           the first cell and the key of the output and
     #                           of in1 and in2 (0 and 0 for a slot not read)
+    live: np.ndarray          # bool [n_events]: False for a row of INIT1
+    #                           presets that are all dead (overwritten before
+    #                           any read); counted and charged, never replayed
+    #                           outside strict mode
     bundle_ptr: np.ndarray    # int64 [n_bundles + 1] first row of each bundle
     bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
     label_names: list[str]
@@ -74,6 +87,10 @@ class FrozenProgram:
     #                           any slot touches per key, -1 for unused keys
     cycles_by_label: np.ndarray      # int64 [n_labels]
     gates_by_label_set: np.ndarray   # int64 [n_labels, NUM_ORIGIN_SETS] cells
+    # each bundle's trace record after its cycle number, keyed by whether
+    # dead rows were skipped; built by the first traced replay of each kind
+    trace_tails: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def n_events(self) -> int:
@@ -145,6 +162,62 @@ def _bundle_vector_events(bundle: CycleBundle,
     return events
 
 
+def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
+               local: np.ndarray, keys: np.ndarray, used: np.ndarray,
+               bundle: np.ndarray) -> np.ndarray:
+    """Which rows replay must run: False for a row whose presets are dead.
+
+    A preset is dead when the next bundle that touches its cell overwrites
+    it and reads nothing there, so its value is never seen. Replay moves
+    cells by whole partitions, so two reference cells can only meet on the
+    crossbar if they share a tile-local index. Accesses are therefore
+    grouped by local index, and a preset is dead only if the next bundle
+    touching that index reads none of its cells and writes the preset's
+    own (local, key) - the same cell, moved by the same set's deltas.
+    A preset never touched again in the segment stays live.
+    """
+    live = gate != GateType.INIT1
+    if not count.sum():
+        return live
+    # one access per cell of each slot a row uses, writes first; int32
+    # holds every local index, key and row, in half the memory
+    parts = []
+    for slot in range(3):
+        rows = np.flatnonzero(used[:, slot])
+        n = count[rows]
+        row = np.repeat(rows, n)
+        along = np.arange(row.shape[0]) - np.repeat(np.cumsum(n) - n, n)
+        parts.append(np.stack([local[row, slot] + along * step[row],
+                               keys[row, slot], row]).astype(np.int32))
+    write = np.arange(sum(p.shape[1] for p in parts)) < parts[0].shape[1]
+    cell, key, access_row = np.concatenate(parts, axis=1)
+    del parts
+    at = bundle[access_row]
+    order = np.lexsort((key, at, cell))
+    cell, key, write, access_row, at = (
+        a[order] for a in (cell, key, write, access_row, at))
+    del order
+    # a group is the accesses of one bundle to one local index
+    starts = np.r_[True, (cell[1:] != cell[:-1]) | (at[1:] != at[:-1])]
+    group = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    reads = np.logical_or.reduceat(~write, first)
+    n_keys = int(keys.max()) + 1
+    writes = (group * n_keys + key)[write]      # sorted, as the accesses are
+
+    preset = np.flatnonzero(~live[access_row])
+    nxt = group[preset] + 1
+    dead = nxt < first.shape[0]
+    nxt[~dead] = 0
+    dead &= cell[first[nxt]] == cell[preset]
+    dead &= ~reads[nxt]
+    wanted = nxt * n_keys + key[preset]
+    found = np.minimum(np.searchsorted(writes, wanted), writes.shape[0] - 1)
+    dead &= writes[found] == wanted
+    live[access_row[preset[~dead]]] = True
+    return live
+
+
 def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
            config: CrossbarConfig) -> FrozenProgram:
     """Pack checked bundles into kernel rows for ``config``'s tile grid.
@@ -180,14 +253,17 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
     rows = np.empty((gate.shape[0], 9), dtype=dtype)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, last * step + 1
-    rows[:, 3::2] = np.where(used, lr * uc + lc, 0)
+    local = lr * uc + lc
+    rows[:, 3::2] = np.where(used, local, 0)
     rows[:, 4::2] = np.where(used, keys, 0)
+    live = _live_rows(gate, count, step, local, keys, used,
+                      np.repeat(np.arange(sizes.shape[0]), sizes))
     # runs stay inside their tile, so their two ends bound every local cell
     reach = np.full((NUM_ORIGIN_SETS * tiles.count, 2), -1, dtype=dtype)
     for axis, (start, extent) in enumerate(((lr, last * dr), (lc, last * dc))):
         end = start + extent[:, None]
         np.maximum.at(reach[:, axis], keys[used], np.maximum(start, end)[used])
-    return FrozenProgram(rows, bundle_ptr, bundle_label, label_names,
+    return FrozenProgram(rows, live, bundle_ptr, bundle_label, label_names,
                          tiles.geometry, reach,
                          np.bincount(bundle_label, minlength=len(label_names)),
                          cells)
@@ -214,6 +290,7 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
             cells[new] += p.gates_by_label_set[old]
     return FrozenProgram(
         np.concatenate([p.rows for p in programs]),
+        np.concatenate([p.live for p in programs]),
         bundle_ptr,
         np.concatenate([remap[p.bundle_label] for p, remap in zip(programs, remaps)]),
         label_names, geometry,
@@ -346,22 +423,32 @@ def _unit_axes(program: FrozenProgram, tiles: _Tiles, shifts: list) -> list:
     return axes
 
 
+def _listed(rows: np.ndarray) -> list:
+    """Rows as tuples of ints, which the garbage collector stops tracking at
+    once; lists would stay tracked and slow every collection."""
+    return list(zip(*rows.T.tolist()))
+
+
 def _chunks(program: FrozenProgram):
     """Yield the rows of whole bundles, at most _PLAN_EVENTS at a time
-    unless one bundle has more, with the index of each bundle's first row.
-
-    Rows come as tuples of ints, which the garbage collector stops tracking
-    at once; lists would stay tracked and slow every collection.
-    """
+    unless one bundle has more, with the index of each bundle's first row."""
     ptr = program.bundle_ptr
     b = 0
     while b < program.n_bundles:
         end = max(b + 1, int(np.searchsorted(ptr, ptr[b] + _PLAN_EVENTS,
                                              side="right")) - 1)
         lo, hi = int(ptr[b]), int(ptr[end])
-        yield (list(zip(*program.rows[lo:hi].T.tolist())),
-               (ptr[b:end] - lo).tolist())
+        yield _listed(program.rows[lo:hi]), (ptr[b:end] - lo).tolist()
         b = end
+
+
+def _live_chunks(program: FrozenProgram):
+    """Yield the live rows, _PLAN_EVENTS at a time. Bundle boundaries do
+    not matter: rows run in program order, and within a bundle any order
+    is the bundle's own."""
+    live = np.flatnonzero(program.live)
+    for lo in range(0, live.shape[0], _PLAN_EVENTS):
+        yield _listed(program.rows[live[lo:lo + _PLAN_EVENTS]])
 
 
 def _check_reads(tiles: _Tiles, init: np.ndarray, rows: list,
@@ -395,40 +482,83 @@ def _execute(q: np.ndarray, rows: list, axes: list,
             init[o:o + span:step, axes[ok]] = 1
 
 
+def _trace_tails(program: FrozenProgram, tiles: _Tiles,
+                 skipping: bool) -> list[str]:
+    """Each bundle's trace record after its cycle number, with a
+    ``skipped`` list of its dead rows when ``skipping``; built once per
+    program and kind, then reused by every traced replay."""
+    tails = program.trace_tails.get(skipping)
+    if tails is not None:
+        return tails
+    rows = program.rows.astype(np.int64)
+    gate, step, span = rows[:, 0], rows[:, 1], rows[:, 2]
+    origins = np.array(tiles.origins, dtype=np.int64).reshape(-1, 2)
+
+    def cells(local, key):          # (rows, cols) on the reference instance
+        origin = origins[key % tiles.count]
+        return (origin[..., 0] + local // tiles.unit_cols,
+                origin[..., 1] + local % tiles.unit_cols)
+
+    r, c = cells(rows[:, 3::2], rows[:, 4::2])          # [row, slot]
+    count = (span - 1) // step + 1
+    # runs never leave their tile, so the next cell's offset is the step
+    r2, c2 = cells(rows[:, 3] + step, rows[:, 4])
+    sr = np.where(count > 1, r2 - r[:, 0], 0)
+    sc = np.where(count > 1, c2 - c[:, 0], 0)
+    names = [json.dumps(name) for name in _GATE_NAMES]
+    arity = _ARITY.tolist()
+    events = [
+        f"[{names[g]}, {n}, [{dr}, {dc}], [{ro}, {co}], "
+        + ("[]", f"[[{ra}, {ca}]]", f"[[{ra}, {ca}], [{rb}, {cb}]]")[arity[g]]
+        + "]"
+        for g, n, dr, dc, (ro, ra, rb), (co, ca, cb) in zip(
+            gate.tolist(), count.tolist(), sr.tolist(), sc.tolist(),
+            r.tolist(), c.tolist())]
+
+    ptr = program.bundle_ptr.tolist()
+    labels = [json.dumps(name) for name in program.label_names]
+    # a bundle never mixes sets
+    sets = (rows[:, 4] // tiles.count).tolist()
+    skipped: dict[int, list[int]] = {}
+    if skipping:
+        dead = np.flatnonzero(~program.live)
+        owner = np.searchsorted(program.bundle_ptr, dead, side="right") - 1
+        for b, row in zip(owner.tolist(), dead.tolist()):
+            skipped.setdefault(b, []).append(row - ptr[b])
+    tails = []
+    for b, label in enumerate(program.bundle_label.tolist()):
+        lo, hi = ptr[b], ptr[b + 1]
+        tail = (f', "label": {labels[label]}, "set": '
+                f'{sets[lo] if hi > lo else 0}, "events": '
+                f'[{", ".join(events[lo:hi])}]')
+        if b in skipped:
+            tail += f', "skipped": {skipped[b]}'
+        tails.append(tail + "}\n")
+    program.trace_tails[skipping] = tails
+    return tails
+
+
 def _write_trace(program: FrozenProgram, stream, tiles: _Tiles,
-                 shifts: list, first_cycle: int) -> None:
+                 shifts: list, first_cycle: int, skipping: bool) -> None:
     """A header with each set's cell shifts, then one record per bundle
-    listing the frozen rows it ran as events of the reference instance."""
+    listing the frozen rows it ran as events of the reference instance,
+    and which of them it skipped as dead presets."""
     offsets = [[[v * tiles.unit_rows, h * tiles.unit_cols]
                 for v, h in zip(rows.tolist(), cols.tolist())]
                for rows, cols in shifts]
-    stream.write(json.dumps({"trace_schema": 2, "shifts": offsets}) + "\n")
-    ptr = program.bundle_ptr.tolist()
-    for b in range(program.n_bundles):
-        rows = program.rows[ptr[b]:ptr[b + 1]].tolist()
-        events = []
-        for g, step, span, *slots in rows:
-            out, *ins = [tiles.cell(key % tiles.count, start) for start, key
-                         in zip(slots[:2 + 2 * _ARITY[g]:2], slots[1::2])]
-            count = (span - 1) // step + 1
-            run = [0, 0]
-            if count > 1:       # runs never leave their tile
-                r, c = tiles.cell(slots[1] % tiles.count, slots[0] + step)
-                run = [r - out[0], c - out[1]]
-            events.append([_GATE_NAMES[g], count, run, out, ins])
-        stream.write(json.dumps({
-            "cycle": first_cycle + b,
-            "label": program.label_names[program.bundle_label[b]],
-            # a bundle never mixes sets
-            "set": rows[0][4] // tiles.count if rows else 0,
-            "events": events}) + "\n")
+    stream.write(json.dumps({"trace_schema": 3, "shifts": offsets}) + "\n")
+    stream.writelines(f'{{"cycle": {cycle}{tail}' for cycle, tail in
+                      enumerate(_trace_tails(program, tiles, skipping),
+                                first_cycle))
 
 
 def trace_ops(lines):
-    """Expand a trace (schema 2) back to per-op form.
+    """Expand a trace (schema 3) back to per-op form.
 
     Yields ``(cycle, label, [(gate, inputs, output), ...])`` per record,
     with every event's cells moved by each shift of the record's set.
+    Events a record lists as ``skipped`` are expanded too: they are the
+    bundle's own ops, and the model charges them.
     """
     shifts: list = []
     for line in lines:
@@ -462,12 +592,14 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     delta that moves a cell off the crossbar raises ``AddressError`` before
     any bundle runs. The initialized map is only maintained, and reads of
     never-written cells only rejected, when ``crossbar.config.strict_init``
-    is set; a rejected read raises ``StrictInitError`` and leaves the grids
-    holding every bundle before the one that read. With a stream attached
-    by ``Crossbar.attach_trace``, a header and one record per bundle are
-    written after the kernel returns: the frozen rows the bundle ran, as
-    events of the reference instance (``trace_ops`` expands them). Traced
-    and untraced runs execute the same kernel.
+    is set; then every row runs, and a rejected read raises
+    ``StrictInitError`` and leaves the grids holding every bundle before
+    the one that read. Otherwise only the live rows run, which leaves the
+    same grid. With a stream attached by ``Crossbar.attach_trace``, a
+    header and one record per bundle are written after the kernel returns:
+    the frozen rows of the bundle, as events of the reference instance
+    (``trace_ops`` expands them), and the ones it skipped as dead presets.
+    Traced and untraced runs execute the same kernel.
     """
     deltas_by_set = [np.asarray(d, dtype=np.int64) for d in deltas_by_set]
     assert len(deltas_by_set) == NUM_ORIGIN_SETS
@@ -483,14 +615,16 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     init = tiles.gather(crossbar.initialized) \
         if crossbar.config.strict_init else None
     try:
-        for rows, starts in _chunks(program):
-            if init is None:
+        if init is None:
+            for rows in _live_chunks(program):
                 _execute(q, rows, axes, None)
-                continue
-            # a bundle that reads an unwritten cell writes nothing
-            for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-                _check_reads(tiles, init, rows[lo:hi], axes)
-                _execute(q, rows[lo:hi], axes, init)
+        else:
+            # every row runs, and a bundle that reads an unwritten cell
+            # writes nothing
+            for rows, starts in _chunks(program):
+                for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+                    _check_reads(tiles, init, rows[lo:hi], axes)
+                    _execute(q, rows[lo:hi], axes, init)
     finally:
         tiles.scatter(q, crossbar.state)
         if init is not None:
@@ -498,4 +632,5 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
 
     program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
     if crossbar.trace is not None:
-        _write_trace(program, crossbar.trace, tiles, shifts, first_cycle)
+        _write_trace(program, crossbar.trace, tiles, shifts, first_cycle,
+                     skipping=init is None)

@@ -39,6 +39,10 @@ class MetricsInput:
 # per unit at 333 MHz with 378 units on one 1024x1024 crossbar.
 REFERENCE_INPUT = MetricsInput()
 
+# Throughput per watt of SHINE-2, the memristive SHA-3 accelerator the
+# published design is compared with (1,422 / 311 = 4.6x).
+SHINE2_GBPS_PER_W = 311
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -54,6 +58,8 @@ class MetricsReport:
             "tput_system_gbps": self.tput_system_bps / 1e9,
             "power_system_w": self.power_system_w,
             "tput_per_watt_gbps": self.tput_per_watt_bps / 1e9,
+            "tput_per_watt_vs_shine2":
+                self.tput_per_watt_bps / 1e9 / SHINE2_GBPS_PER_W,
             "tput_per_area_bps_f2": self.tput_per_area_bps_f2,
         }
 

@@ -13,10 +13,18 @@ Fixed decompositions (each line is one cycle; presets batched where legal):
 
     gate(ins)   = INIT1 out; gate ins->out      (INIT1 alone: the preset only)
     COPY(a)     = INIT1 t; NOT a->t; INIT1 out; NOT t->out
-    XOR2(a,b)   = OR2(a,b)->u; AND2(a,b)->v; NOT v->w; AND2(u,w)->out
+    XOR2(a,b)   = INIT1 u,v,w,out; OR2(a,b)->u; AND2(a,b)->v; NOT v->w;
+                  AND2(u,w)->out
 
 XOR2 and COPY carry their scratch cells pinned on the macro, which is
 how the hash microcode lays out its units.
+
+Presets are counted: each INIT1 cycle is part of the modelled cost. The
+preset rule (``check_presets``) proves on every scheduled segment that each
+gate writes a cell preset since its last write and not read since, so no
+microcode can drop one. A preset that only feeds its gate is dead on the
+host, where a gate's output depends on its inputs alone; ``engine.freeze``
+marks such rows, and replay skips them outside strict mode.
 """
 
 from __future__ import annotations
@@ -132,7 +140,8 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
     macro.validate()
     kind = macro.kind
     if isinstance(kind, GateType):
-        # Every gate output is INIT1-prepared; the preset cycle is counted.
+        # Every gate output is INIT1-prepared; the preset cycle is counted,
+        # the preset rule proves it, and replay skips it when it is dead.
         stages = [[MicroOp(GateType.INIT1, macro.orientation, (), macro.output)]]
         if kind is not GateType.INIT1:
             stages.append([MicroOp(kind, macro.orientation, macro.inputs,
@@ -210,8 +219,9 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
 
     The producer promises that the macros of one group are independent and
     that no two of them write the same cell. Every bundle is checked by
-    ``crossbar.check_bundle``; an illegal one, such as two writes of one
-    cell, raises ``SchedulingError``.
+    ``crossbar.check_bundle``, and the segment by ``check_presets``; an
+    illegal one, such as two writes of one cell or a gate whose preset was
+    read first, raises ``SchedulingError``.
     """
     program = ScheduledProgram()
     partitions = crossbar.partition_map
@@ -247,4 +257,33 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
         if not ok:
             raise SchedulingError("scheduler emitted an illegal bundle: "
                                   + "; ".join(violations))
+    check_presets(program.bundles)
     return program
+
+
+def check_presets(bundles: list[CycleBundle]) -> None:
+    """The preset rule: raise ``SchedulingError`` unless every non-INIT1
+    gate writes a cell that was INIT1-preset since its last write, with no
+    read of it in between.
+
+    A stateful gate can only switch its output cell away from the preset
+    value, so without a fresh preset its result would depend on the cell's
+    old value.
+    Each preset comes from the same macro as its gate, and so from the same
+    segment, which makes this check of one segment in reference
+    coordinates exact. A preset that is read (a constant 1) is legal; it
+    only cannot then serve a gate.
+    """
+    preset: set[Cell] = set()
+    for index, bundle in enumerate(bundles):
+        # a bundle reads before it writes
+        preset.difference_update([cell for op in bundle.ops for cell in op.inputs])
+        for op in bundle.ops:
+            if op.gate is GateType.INIT1:
+                preset.add(op.output)
+            elif op.output in preset:
+                preset.remove(op.output)
+            else:
+                raise SchedulingError(
+                    f"bundle {index}: {op.gate.name} writes {op.output}, "
+                    "which was not preset since its last write or read")

@@ -2,8 +2,9 @@
 
 Used by the scheduler unit tests and, at full volume, by the acceptance
 suite: scheduled execution must leave the grid exactly as executing every
-expanded micro-op one per cycle, and every emitted bundle must pass the
-legality check and hold one merged region and one line pattern.
+expanded micro-op one per cycle, every emitted bundle must pass the
+legality check and hold one merged region and one line pattern, and every
+gate must write a freshly preset cell (the preset rule).
 """
 
 import random
@@ -13,7 +14,8 @@ import numpy as np
 from sha3pim.crossbar import (GATE_NUM_INPUTS, Crossbar, CrossbarConfig,
                               CycleBundle, GateType, IN_COL, IN_ROW,
                               line_pattern)
-from sha3pim.scheduler import SCRATCH_NEEDS, MacroKind, MacroOp, OpStream, expand, schedule
+from sha3pim.scheduler import (SCRATCH_NEEDS, MacroKind, MacroOp, OpStream,
+                               check_presets, expand, schedule)
 
 GRID = 16
 KINDS = [MacroKind.XOR2, MacroKind.COPY, GateType.NOT, GateType.NOR2,
@@ -91,6 +93,7 @@ def check_equivalence(rng: random.Random) -> int:
                  line_pattern(op)) for op in bundle.ops}
         assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"
         bundled.execute_bundle(bundle, label=label, check=False)
+    check_presets(program.bundles)
 
     assert np.array_equal(serial.state, bundled.state), \
         "scheduled execution diverged from serial execution"

@@ -386,7 +386,7 @@ def test_trace_export_format():
     engine.replay(frozen, xbar, [np.array([0, 8 * 16 + 8]),
                                  np.array([8 * 16]), np.zeros(0, dtype=int)])
     header, *records = map(json.loads, stream.getvalue().splitlines())
-    assert header == {"trace_schema": 2, "shifts": [[[0, 0], [8, 8]], [[8, 0]], []]}
+    assert header == {"trace_schema": 3, "shifts": [[[0, 0], [8, 8]], [[8, 0]], []]}
     assert len(records) == 2
     record = records[0]
     assert set(record) == {"cycle", "label", "set", "events"}

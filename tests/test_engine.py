@@ -1,6 +1,7 @@
 """Frozen-program replay: freezing, strict mode, stats, trace, oracle."""
 
 import io
+import json
 import random
 import re
 
@@ -122,6 +123,62 @@ def test_strict_mode_catches_uninitialized_read():
     xbar.initialized[0, 1] = 1
     engine.replay(frozen, xbar, unit_deltas((0, 0)))
     assert xbar.state[0, 0] == 0
+
+
+def test_preset_that_is_read_runs():
+    # (0,0) is only preset, then read: a constant 1 whose preset must run;
+    # NOT's own preset of (0,1) is overwritten unread, and the preset of
+    # (0,12) is never touched again, so it must run too
+    stream = OpStream()
+    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 0)))
+    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 12)))
+    stream.barrier()
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 0),), (0, 1)))
+    oracle, xbar = small_crossbar(), small_crossbar()
+    frozen, program = freeze_stream(stream, xbar)
+    assert [[op.output for op in b.ops] for b in program.bundles] == [
+        [(0, 0)], [(0, 12)], [(0, 1)], [(0, 1)]]
+    assert frozen.live.tolist() == [True, True, False, True]
+    for bundle in program.bundles:
+        oracle.execute_bundle(bundle)
+    engine.replay(frozen, xbar, unit_deltas((0, 0), (8, 0)))
+    assert np.array_equal(xbar.state[:8], oracle.state[:8])
+    assert np.array_equal(xbar.state[8:], oracle.state[:8])
+    assert xbar.state[0, [0, 1, 12]].tolist() == [1, 0, 1]
+
+
+def test_preset_another_set_reads_runs():
+    # the unit set presets (0,0) on both units; the partition-row set reads
+    # the second unit's copy, (8,0), before the gate overwrites (0,0), so
+    # the preset is seen although its own reference cell is not read
+    config = small_crossbar().config
+    bundles = [CycleBundle([MicroOp(GateType.INIT1, IN_ROW, (), (0, 0))]),
+               CycleBundle([MicroOp(GateType.NOT, IN_ROW, ((8, 0),), (8, 1))]),
+               CycleBundle([MicroOp(GateType.NOT, IN_ROW, ((0, 2),), (0, 0))])]
+    set_ids = [engine.SET_UNIT, engine.SET_PARTITION_ROW, engine.SET_UNIT]
+    frozen = engine.freeze(bundles, ["a"] * 3, set_ids, config)
+    assert frozen.live.tolist() == [True, True, True]
+    xbar = Crossbar(config)
+    engine.replay(frozen, xbar, [np.array([0, 8 * 16]), np.array([0]),
+                                 np.zeros(0, dtype=np.int64)])
+    assert xbar.state[8, 1] == 0            # NOT of the preset 1
+
+
+def test_trace_lists_the_skipped_presets():
+    stream = OpStream()
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    for strict, skipped in ((False, [0]), (True, None)):
+        xbar = small_crossbar()
+        xbar.config.strict_init = strict
+        xbar.initialized[:] = 1
+        trace = io.StringIO()
+        xbar.attach_trace(trace)
+        frozen, _ = freeze_stream(stream, xbar)
+        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        header, preset, gate = map(json.loads, trace.getvalue().splitlines())
+        assert header["trace_schema"] == 3
+        assert preset.get("skipped") == skipped
+        assert "skipped" not in gate
 
 
 @pytest.mark.parametrize("output, input_", [((1, -1), (1, 2)), ((1, 14), (1, 2)),

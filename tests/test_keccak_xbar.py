@@ -120,6 +120,30 @@ def test_compiled_program_shape(compiled):
         (50, 680), (35, 476)]
 
 
+@pytest.mark.parametrize("units", [1, 378])
+def test_dead_presets_skip_without_changing_the_grid(compiled, units):
+    # every preset of the compiled microcode is overwritten unread, so
+    # replay runs only the gate rows; the grid must match running every row
+    programs = [(compiled.permute, 45_288), (compiled.absorb[0], 30),
+                (compiled.absorb[1], 21)]
+    deltas = compiled.deltas_for(list(range(units)))
+    rng = np.random.default_rng(units)
+    for program, live in programs:
+        presets = program.rows[:, 0] == GateType.INIT1
+        assert not program.live[presets].any()
+        assert program.live[~presets].all()
+        assert int(program.live.sum()) == live
+        every_row = dataclasses.replace(program, live=np.ones_like(program.live))
+        state = rng.integers(0, 2, (1024, 1024), dtype=np.uint8)
+        grids = []
+        for frozen in (program, every_row):
+            xbar = Crossbar(CrossbarConfig())
+            xbar.state[:] = state
+            engine.replay(frozen, xbar, deltas)
+            grids.append(xbar.state)
+        assert np.array_equal(*grids)
+
+
 # -------------------------------------------------------------------- padding
 
 def test_pad_empty_message():

@@ -23,6 +23,7 @@ from sha3pim.scheduler import (
     expand,
     schedule,
 )
+from sha3pim import scheduler
 from stream_props import check_equivalence, small_crossbar
 
 
@@ -161,3 +162,39 @@ def test_randomized_equivalence_sample():
     rng = random.Random(2024)
     for _ in range(150):
         check_equivalence(rng)
+
+
+# ------------------------------------------------------------- preset rule
+
+def xor_stream(output=(0, 0)):
+    stream = OpStream()
+    stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), output,
+                          scratch=((0, 4), (0, 5), (0, 6))))
+    return stream
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 4), (0, 6)])
+def test_gate_without_its_preset_fails_to_compile(monkeypatch, cell):
+    # an expansion that forgets the preset of one of the XOR's outputs
+    def forgetful(macro):
+        return [[op for op in stage
+                 if not (op.gate is GateType.INIT1 and op.output == cell)]
+                for stage in expand(macro)]
+    monkeypatch.setattr(scheduler, "expand", forgetful)
+    with pytest.raises(SchedulingError, match=rf"writes \({cell[0]}, {cell[1]}\)"
+                                              ", which was not preset"):
+        schedule(xor_stream(), small_crossbar())
+
+
+def test_read_between_preset_and_gate_fails_to_compile():
+    # an in-place XOR presets its output, which is also its input, so the
+    # OR2 reads the preset and the final AND2 writes an unprepared cell
+    with pytest.raises(SchedulingError, match=r"AND2 writes \(0, 1\)"):
+        schedule(xor_stream(output=(0, 1)), small_crossbar())
+    # one macro of a group reads a cell another macro of it writes; the
+    # packing puts both presets first, then the read, then the write
+    stream = OpStream()
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 2)))
+    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 3),), (0, 1)))
+    with pytest.raises(SchedulingError, match=r"NOT writes \(0, 1\)"):
+        schedule(stream, small_crossbar())
