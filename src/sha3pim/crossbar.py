@@ -15,6 +15,7 @@ label with a per-row cycle cost and zero gate energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO
@@ -110,8 +111,12 @@ class CrossbarConfig:
                    self.vertical_partitions, self.unit_rows, self.unit_cols,
                    self.gate_delay_ns, self.gate_energy_fj, self.cell_area_f2,
                    self.io_cycles_per_row)
-        if any(v <= 0 for v in numeric):
-            raise ValueError("all crossbar parameters must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in numeric):
+            raise ValueError("all crossbar parameters must be finite and positive")
+        if self.gate_energy_fj * 1e-15 == 0 or self.gate_delay_ns * 1e-9 == 0 \
+                or not math.isfinite(self.clock_hz):
+            raise ValueError("gate delay and energy must stay nonzero in s and J, "
+                             "with a finite clock")
         if self.rows < self.vertical_partitions * self.unit_rows:
             raise ValueError(
                 f"{self.rows} rows cannot hold {self.vertical_partitions} "
@@ -138,20 +143,28 @@ class CrossbarConfig:
 
 @dataclass(slots=True)
 class MicroOp:
-    """One gate event: a primitive applied to cells sharing a row or column."""
+    """One gate event: a primitive applied to cells sharing a row or column.
+
+    Its orientation follows from its cells: in-row when the first input
+    shares the output's row, in-column otherwise, and None for a preset,
+    which has no inputs.
+    """
 
     gate: GateType
-    orientation: str            # IN_ROW or IN_COL
     inputs: tuple[Cell, ...]
     output: Cell
+
+    @property
+    def orientation(self) -> str | None:
+        if not self.inputs:
+            return None
+        return IN_ROW if self.inputs[0][0] == self.output[0] else IN_COL
 
     def cells(self) -> tuple[Cell, ...]:
         return self.inputs + (self.output,)
 
     def validate_shape(self) -> str | None:
         """Return a violation message, or None if the op is well-formed."""
-        if self.orientation not in (IN_ROW, IN_COL):
-            return f"unknown orientation {self.orientation!r}"
         expected = GATE_NUM_INPUTS[self.gate]
         if len(self.inputs) != expected:
             return f"{self.gate.name} takes {expected} inputs, got {len(self.inputs)}"
@@ -160,7 +173,7 @@ class MicroOp:
         axis = 0 if self.orientation == IN_ROW else 1
         line = self.output[axis]
         if any(cell[axis] != line for cell in self.inputs):
-            return f"in-{self.orientation} op cells do not share {self.orientation} {line}"
+            return f"cells {self.cells()} share neither one row nor one column"
         return None
 
 
@@ -171,9 +184,9 @@ def line_pattern(op: MicroOp) -> tuple:
     and output."""
     if op.gate is GateType.INIT1:
         return (op.gate,)
-    axis = 1 if op.orientation == IN_ROW else 0
-    return (op.gate, op.orientation, tuple(c[axis] for c in op.inputs),
-            op.output[axis])
+    if op.orientation == IN_ROW:
+        return (op.gate, IN_ROW, tuple(c for _, c in op.inputs), op.output[1])
+    return (op.gate, IN_COL, tuple(r for r, _ in op.inputs), op.output[0])
 
 
 def is_grid(cells: set[Cell]) -> bool:

@@ -305,25 +305,22 @@ def block_state_bits(block: bytes) -> np.ndarray:
 # --------------------------------------------------------- microcode helpers
 
 def _xor_inplace(stream: OpStream, rows: list[int], a_col: int, b_col: int,
-                 u_col: int, v_col: int, label: str) -> None:
+                 u_col: int, v_col: int) -> None:
     """a ^= b across ``rows`` via NOR/AND/NOR (3 gates, 2 scratch columns)."""
     for z in rows:
-        stream.append(MacroOp(GateType.NOR2, IN_ROW, ((z, a_col), (z, b_col)),
-                              (z, u_col), label))
-        stream.append(MacroOp(GateType.AND2, IN_ROW, ((z, a_col), (z, b_col)),
-                              (z, v_col), label))
+        stream.append(MacroOp(GateType.NOR2, ((z, a_col), (z, b_col)), (z, u_col)))
+        stream.append(MacroOp(GateType.AND2, ((z, a_col), (z, b_col)), (z, v_col)))
     stream.barrier()
     for z in rows:
-        stream.append(MacroOp(GateType.NOR2, IN_ROW, ((z, u_col), (z, v_col)),
-                              (z, a_col), label))
+        stream.append(MacroOp(GateType.NOR2, ((z, u_col), (z, v_col)), (z, a_col)))
     stream.barrier()
 
 
 def _copy_col(stream: OpStream, rows: list[int], src_col: int, dst_col: int,
-              tmp_col: int, label: str) -> None:
+              tmp_col: int) -> None:
     for z in rows:
-        stream.append(MacroOp(MacroKind.COPY, IN_ROW, ((z, src_col),),
-                              (z, dst_col), label, scratch=((z, tmp_col),)))
+        stream.append(MacroOp(MacroKind.COPY, ((z, src_col),), (z, dst_col),
+                              scratch=((z, tmp_col),)))
     stream.barrier()
 
 
@@ -331,8 +328,7 @@ def _copy_col(stream: OpStream, rows: list[int], src_col: int, dst_col: int,
 
 def theta_microcode(unit: UnitLayout) -> OpStream:
     """C[x] = xor of plane columns; D[x] = C[x-1] ^ (C[x+1] <<< 1); A ^= D."""
-    s = OpStream()
-    label = "theta"
+    s = OpStream("theta")
     rows = [unit.row(z) for z in range(LANE_BITS)]
     m, xc = unit.m_col, unit.x_col
 
@@ -344,17 +340,16 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
                  (xc, cols[3], m), (m, cols[4], unit.c_col(x))]
         for a, b, out in chain:
             for z in rows:
-                s.append(MacroOp(MacroKind.XOR2, IN_ROW, ((z, a), (z, b)), (z, out),
-                                 label, scratch=((z, unit.d_col(0)),
-                                                 (z, unit.d_col(1)),
-                                                 (z, unit.d_col(2)))))
+                s.append(MacroOp(MacroKind.XOR2, ((z, a), (z, b)), (z, out),
+                                 scratch=((z, unit.d_col(0)), (z, unit.d_col(1)),
+                                          (z, unit.d_col(2)))))
             s.barrier()
 
     # D[x] <- not C[x+1] (row-parallel copies, inverted once)
     for x in range(5):
         for z in rows:
-            s.append(MacroOp(GateType.NOT, IN_ROW, ((z, unit.c_col((x + 1) % 5)),),
-                             (z, unit.d_col(x)), label))
+            s.append(MacroOp(GateType.NOT, ((z, unit.c_col((x + 1) % 5)),),
+                             (z, unit.d_col(x))))
     s.barrier()
 
     # Rotate the D columns by one row (in-column). The top bit is stashed
@@ -362,34 +357,29 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
     # shifts in place; each NOT also undoes the inversion from the copy.
     dcols = [unit.d_col(x) for x in range(5)]
     for c in dcols:
-        s.append(MacroOp(GateType.NOT, IN_COL, ((unit.row(63), c),),
-                         (unit.a_row, c), label))
+        s.append(MacroOp(GateType.NOT, ((unit.row(63), c),), (unit.a_row, c)))
     s.barrier()
     for c in dcols:
-        s.append(MacroOp(GateType.NOT, IN_COL, ((unit.a_row, c),),
-                         (unit.b_row, c), label))
+        s.append(MacroOp(GateType.NOT, ((unit.a_row, c),), (unit.b_row, c)))
     s.barrier()
     for z in range(63, 0, -1):
         for c in dcols:
-            s.append(MacroOp(GateType.NOT, IN_COL, ((unit.row(z - 1), c),),
-                             (unit.row(z), c), label))
+            s.append(MacroOp(GateType.NOT, ((unit.row(z - 1), c),), (unit.row(z), c)))
         s.barrier()
     for c in dcols:
-        s.append(MacroOp(GateType.NOT, IN_COL, ((unit.b_row, c),),
-                         (unit.row(0), c), label))
+        s.append(MacroOp(GateType.NOT, ((unit.b_row, c),), (unit.row(0), c)))
     s.barrier()
 
     # D[x] ^= C[x-1], then every lane ^= its D column.
     for x in range(5):
-        _xor_inplace(s, rows, unit.d_col(x), unit.c_col((x - 1) % 5), xc, m, label)
+        _xor_inplace(s, rows, unit.d_col(x), unit.c_col((x - 1) % 5), xc, m)
     for x in range(5):
         for y in range(5):
-            _xor_inplace(s, rows, unit.lane_col(x, y), unit.d_col(x), xc, m, label)
+            _xor_inplace(s, rows, unit.lane_col(x, y), unit.d_col(x), xc, m)
     return s
 
 
-def variable_rotate(unit: UnitLayout, lane_cols: list[int],
-                    label: str = "rho") -> list[OpStream]:
+def variable_rotate(unit: UnitLayout, lane_cols: list[int]) -> list[OpStream]:
     """Data-dependent cyclic rotation of whole lanes, one stream per level.
 
     Level j muxes every lane between itself and itself shifted by 2^j rows,
@@ -402,15 +392,14 @@ def variable_rotate(unit: UnitLayout, lane_cols: list[int],
     streams = []
     t, tn, p, q, sr = unit.t_row, unit.tn_row, unit.p_row, unit.q_row, unit.s_row
     for j in range(6):
-        s = OpStream()
+        s = OpStream("rho")
         for c in lane_cols:
-            s.append(MacroOp(GateType.NOT, IN_COL, ((t, c),), (tn, c), label))
+            s.append(MacroOp(GateType.NOT, ((t, c),), (tn, c)))
         s.barrier()
         step = 1 << j
         for start in range(step):
             for c in lane_cols:
-                s.append(MacroOp(GateType.NOT, IN_COL, ((unit.row(start), c),),
-                                 (sr, c), label))
+                s.append(MacroOp(GateType.NOT, ((unit.row(start), c),), (sr, c)))
             s.barrier()
             length = LANE_BITS // step
             for k in range(length):
@@ -421,17 +410,15 @@ def variable_rotate(unit: UnitLayout, lane_cols: list[int],
                     if last:
                         # source bit was overwritten first; use its stashed
                         # complement: a & t == NOR(~a, ~t)
-                        s.append(MacroOp(GateType.NOR2, IN_COL,
-                                         ((sr, c), (tn, c)), (p, c), label))
+                        s.append(MacroOp(GateType.NOR2, ((sr, c), (tn, c)), (p, c)))
                     else:
-                        s.append(MacroOp(GateType.AND2, IN_COL,
-                                         ((src, c), (t, c)), (p, c), label))
-                    s.append(MacroOp(GateType.AND2, IN_COL,
-                                     ((unit.row(dest), c), (tn, c)), (q, c), label))
+                        s.append(MacroOp(GateType.AND2, ((src, c), (t, c)), (p, c)))
+                    s.append(MacroOp(GateType.AND2, ((unit.row(dest), c), (tn, c)),
+                                     (q, c)))
                 s.barrier()
                 for c in lane_cols:
-                    s.append(MacroOp(GateType.OR2, IN_COL, ((p, c), (q, c)),
-                                     (unit.row(dest), c), label))
+                    s.append(MacroOp(GateType.OR2, ((p, c), (q, c)),
+                                     (unit.row(dest), c)))
                 s.barrier()
         streams.append(s)
     return streams
@@ -443,70 +430,67 @@ def rho_lane_cols(unit: UnitLayout) -> list[int]:
 
 def pi_microcode(unit: UnitLayout) -> OpStream:
     """Walk the 24-lane permutation cycle through the spare lane column."""
-    s = OpStream()
-    label = "pi"
+    s = OpStream("pi")
     rows = [unit.row(z) for z in range(LANE_BITS)]
     cols = [unit.lane_col(x, y) for x, y in PI_CYCLE]
-    _copy_col(s, rows, cols[0], unit.x_col, unit.m_col, label)
-    _copy_col(s, rows, cols[-1], cols[0], unit.m_col, label)
+    _copy_col(s, rows, cols[0], unit.x_col, unit.m_col)
+    _copy_col(s, rows, cols[-1], cols[0], unit.m_col)
     for k in range(len(cols) - 1, 1, -1):
-        _copy_col(s, rows, cols[k - 1], cols[k], unit.m_col, label)
-    _copy_col(s, rows, unit.x_col, cols[1], unit.m_col, label)
+        _copy_col(s, rows, cols[k - 1], cols[k], unit.m_col)
+    _copy_col(s, rows, unit.x_col, cols[1], unit.m_col)
     return s
 
 
 def chi_microcode(unit: UnitLayout) -> OpStream:
     """Per plane: invert the five lanes, then A[x] ^= ~A[x+1] & A[x+2]."""
-    s = OpStream()
-    label = "chi"
+    s = OpStream("chi")
     rows = [unit.row(z) for z in range(LANE_BITS)]
     for y in range(5):
         for x in range(5):
             for z in rows:
-                s.append(MacroOp(GateType.NOT, IN_ROW, ((z, unit.lane_col(x, y)),),
-                                 (z, unit.c_col(x)), label))
+                s.append(MacroOp(GateType.NOT, ((z, unit.lane_col(x, y)),),
+                                 (z, unit.c_col(x))))
         s.barrier()
         for x in range(5):
             # the inverted copies preserve this plane's pre-step values
             for z in rows:
-                s.append(MacroOp(GateType.NOT, IN_ROW,
-                                 ((z, unit.c_col((x + 2) % 5)),),
-                                 (z, unit.m_col), label))
+                s.append(MacroOp(GateType.NOT, ((z, unit.c_col((x + 2) % 5)),),
+                                 (z, unit.m_col)))
             s.barrier()
             for z in rows:
-                s.append(MacroOp(GateType.AND2, IN_ROW,
+                s.append(MacroOp(GateType.AND2,
                                  ((z, unit.c_col((x + 1) % 5)), (z, unit.m_col)),
-                                 (z, unit.x_col), label))
+                                 (z, unit.x_col)))
             s.barrier()
             _xor_inplace(s, rows, unit.lane_col(x, y), unit.x_col,
-                         unit.d_col(0), unit.m_col, label)
+                         unit.d_col(0), unit.m_col)
     return s
 
 
 def iota_local_microcode(unit: UnitLayout) -> OpStream:
     """XOR the fetched round constant (in the scratch column) into A[0][0]."""
-    s = OpStream()
+    s = OpStream("iota")
     rows = [unit.row(z) for z in range(LANE_BITS)]
     _xor_inplace(s, rows, unit.lane_col(0, 0), unit.m_col,
-                 unit.x_col, unit.d_col(0), "iota")
+                 unit.x_col, unit.d_col(0))
     return s
 
 
 def absorb_microcode(unit: UnitLayout, lanes: list[int], base: int) -> OpStream:
     """XOR staged message lanes (staging column base+k) into the state."""
-    s = OpStream()
+    s = OpStream("io")
     rows = [unit.row(z) for z in range(LANE_BITS)]
     for k, lane in enumerate(lanes):
         x, y = lane % 5, lane // 5
         _xor_inplace(s, rows, unit.lane_col(x, y), unit.stage_col(base + k),
-                     unit.x_col, unit.m_col, "io")
+                     unit.x_col, unit.m_col)
     return s
 
 
 # ------------------------------------------------------------- shared fetches
 
 def _hop(stream: OpStream, orientation: str, lines: list[int], src: int,
-         via: int, dst: int, label: str, switch=None) -> None:
+         via: int, dst: int, switch=None) -> None:
     """Double-inverting copy ``src -> via -> dst`` along each of ``lines``.
 
     ``src``, ``via`` and ``dst`` are columns of each row for ``IN_ROW`` and
@@ -518,12 +502,11 @@ def _hop(stream: OpStream, orientation: str, lines: list[int], src: int,
 
     switches = frozenset([switch]) if switch else frozenset()
     for line in lines:
-        stream.append(MacroOp(GateType.NOT, orientation, (cell(line, src),),
-                              cell(line, via), label, switches=switches))
+        stream.append(MacroOp(GateType.NOT, (cell(line, src),),
+                              cell(line, via), switches=switches))
     stream.barrier()
     for line in lines:
-        stream.append(MacroOp(GateType.NOT, orientation, (cell(line, via),),
-                              cell(line, dst), label))
+        stream.append(MacroOp(GateType.NOT, (cell(line, via),), cell(line, dst)))
     stream.barrier()
 
 
@@ -538,20 +521,19 @@ def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     the ROT block, so the chain is the same for every plane and is compiled
     once.
     """
-    label = "rho"
     cols = list(range(STATE_COLS))
-    units = [UnitLayout((v * UnitLayout.ROWS, 0)) for v in range(layout.vparts)]
+    units = [layout.unit(v * layout.hparts) for v in range(layout.vparts)]
     bottom = layout.vparts - 1
     streams = []
     for plane in range(layout.ROT_PLANES):
-        first = OpStream()
+        first = OpStream("rho")
         _hop(first, IN_COL, cols, layout.rot_base_row + plane,
-             units[bottom].a_row, units[bottom].t_row, label)
+             units[bottom].a_row, units[bottom].t_row)
         streams.append(first)
-    chain = OpStream()
+    chain = OpStream("rho")
     for v in range(bottom - 1, -1, -1):
         _hop(chain, IN_COL, cols, units[v + 1].t_row, units[v].a_row,
-             units[v].t_row, label, switch=layout.row_switch(v + 1))
+             units[v].t_row, switch=layout.row_switch(v + 1))
     streams.append(chain)
     return streams
 
@@ -566,20 +548,19 @@ def rc_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     each hop crossing one closed column switch. Only the first hop reads the
     RC block, so the chain is the same for every round and is compiled once.
     """
-    label = "iota"
-    units = [UnitLayout((0, h * UnitLayout.COLS)) for h in range(layout.hparts)]
+    units = [layout.unit(h) for h in range(layout.hparts)]
     rows = list(range(LANE_BITS))
     rightmost = layout.hparts - 1
     streams = []
     for round_index in range(KECCAK.rounds):
-        first = OpStream()
+        first = OpStream("iota")
         _hop(first, IN_ROW, rows, layout.rc_col(round_index),
-             units[rightmost].x_col, units[rightmost].m_col, label)
+             units[rightmost].x_col, units[rightmost].m_col)
         streams.append(first)
-    chain = OpStream()
+    chain = OpStream("iota")
     for h in range(rightmost - 1, -1, -1):
         _hop(chain, IN_ROW, rows, units[h + 1].m_col, units[h].x_col,
-             units[h].m_col, label, switch=layout.col_switch(h + 1))
+             units[h].m_col, switch=layout.col_switch(h + 1))
     streams.append(chain)
     return streams
 
@@ -600,8 +581,9 @@ class CompiledKeccak:
 
         def compiled(stream: OpStream, set_id: int) -> engine.FrozenProgram:
             program = schedule(stream, xbar)
-            return engine.freeze(program.bundles, program.labels,
-                                 [set_id] * len(program.bundles), config)
+            n = len(program.bundles)
+            return engine.freeze(program.bundles, [program.label] * n,
+                                 [set_id] * n, config)
 
         unit_set = engine.SET_UNIT
         row_set, col_set = engine.SET_PARTITION_ROW, engine.SET_PARTITION_COL

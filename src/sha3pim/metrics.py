@@ -13,6 +13,7 @@ from the published reference constants (see ``REFERENCE_INPUT``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -31,8 +32,8 @@ class MetricsInput:
         values = (self.clock_hz, self.rate_bits, self.latency_round_cycles,
                   self.energy_unit_j, self.units_per_crossbar, self.crossbars,
                   self.cell_area_f2, self.crossbar_cells)
-        if any(v <= 0 for v in values):
-            raise ValueError("all metrics inputs must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("all metrics inputs must be finite and positive")
 
 
 # Published reference operating point: 3,494 cycles and 0.765 nJ per round

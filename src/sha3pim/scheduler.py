@@ -17,7 +17,10 @@ Fixed decompositions (each line is one cycle; presets batched where legal):
                   AND2(u,w)->out
 
 XOR2 and COPY carry their scratch cells pinned on the macro, which is
-how the hash microcode lays out its units.
+how the hash microcode lays out its units. No op declares an orientation:
+a macro's cells share one row or one column, and each micro-op's
+orientation follows from its cells. A stream carries one step label, which
+every bundle scheduled from it takes.
 
 Presets are counted: each INIT1 cycle is part of the modelled cost. The
 preset rule (``check_presets``) proves on every scheduled segment that each
@@ -34,7 +37,6 @@ from enum import Enum
 
 from .crossbar import (
     GATE_NUM_INPUTS,
-    IN_ROW,
     Cell,
     Crossbar,
     CycleBundle,
@@ -49,7 +51,7 @@ from .crossbar import (
 
 
 class ShapeError(SimulationError):
-    """A macro references cells that share neither a row nor a column."""
+    """A macro's cells share no row or column, or it repeats a cell it writes."""
 
 
 class MacroKind(Enum):
@@ -68,6 +70,8 @@ SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.COPY: 1}
 class MacroOp:
     """One logical operation before decomposition into primitives.
 
+    Its inputs, output and scratch cells share one row or one column,
+    which fixes the orientation of every micro-op it expands to.
     ``scratch`` pins the cells an XOR2 or COPY expansion uses.
     ``switches`` lists partition boundaries that must be bridged for this op
     (used by the inter-unit copy hops); such ops only share a bundle with
@@ -75,10 +79,8 @@ class MacroOp:
     """
 
     kind: MacroKind | GateType
-    orientation: str
     inputs: tuple[Cell, ...]
     output: Cell
-    label: str = "main"
     scratch: tuple[Cell, ...] | None = None
     switches: frozenset[SwitchId] = frozenset()
 
@@ -87,25 +89,31 @@ class MacroOp:
             raise ShapeError(
                 f"{self.kind.name} takes {_NUM_INPUTS[self.kind]} inputs, "
                 f"got {len(self.inputs)}")
-        axis = 0 if self.orientation == IN_ROW else 1
         cells = self.inputs + (self.output,) + (self.scratch or ())
-        if len({cell[axis] for cell in cells}) > 1:
+        if len(set(cells)) < len(cells):        # only inputs may repeat
+            for cell in cells[len(self.inputs):]:
+                if cells.count(cell) > 1:
+                    raise ShapeError(f"{self.kind.name} writes {cell}, which it "
+                                     "also reads or writes elsewhere")
+        if len({r for r, _ in cells}) > 1 and len({c for _, c in cells}) > 1:
             raise ShapeError(
-                f"{self.kind.name} cells {cells} do not share one "
-                f"{'row' if axis == 0 else 'column'}")
+                f"{self.kind.name} cells {cells} share neither one row nor "
+                "one column")
 
 
 _BARRIER = object()
 
 
 class OpStream:
-    """Ordered macro ops with explicit sequence-point barriers.
+    """Ordered macro ops with explicit sequence-point barriers, under one
+    step label.
 
     The macros between two barriers form a group. They must be independent
     of each other, and no two of them may write the same cell.
     """
 
-    def __init__(self):
+    def __init__(self, label: str = "main"):
+        self.label = label
         self._items: list = []
 
     def append(self, op: MacroOp) -> None:
@@ -142,23 +150,21 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
     if isinstance(kind, GateType):
         # Every gate output is INIT1-prepared; the preset cycle is counted,
         # the preset rule proves it, and replay skips it when it is dead.
-        stages = [[MicroOp(GateType.INIT1, macro.orientation, (), macro.output)]]
+        stages = [[MicroOp(GateType.INIT1, (), macro.output)]]
         if kind is not GateType.INIT1:
-            stages.append([MicroOp(kind, macro.orientation, macro.inputs,
-                                   macro.output)])
+            stages.append([MicroOp(kind, macro.inputs, macro.output)])
         return stages
 
     need = SCRATCH_NEEDS[kind]
     scratch = macro.scratch or ()
     if len(scratch) != need:
         raise ShapeError(f"{kind.name} needs {need} scratch cells, got {len(scratch)}")
-    o = macro.orientation
 
     def init(*cells: Cell) -> list[MicroOp]:
-        return [MicroOp(GateType.INIT1, o, (), cell) for cell in cells]
+        return [MicroOp(GateType.INIT1, (), cell) for cell in cells]
 
     def op(gate: GateType, ins: tuple[Cell, ...], out: Cell) -> list[MicroOp]:
-        return [MicroOp(gate, o, ins, out)]
+        return [MicroOp(gate, ins, out)]
 
     if kind is MacroKind.COPY:
         (a,) = macro.inputs
@@ -177,10 +183,10 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
 
 @dataclass
 class ScheduledProgram:
-    """Packed bundles plus the step label of each bundle."""
+    """Packed bundles, all under their stream's step label."""
 
+    label: str
     bundles: list[CycleBundle] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
 
 
 def _close(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundle]:
@@ -223,16 +229,12 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     illegal one, such as two writes of one cell or a gate whose preset was
     read first, raises ``SchedulingError``.
     """
-    program = ScheduledProgram()
+    program = ScheduledProgram(stream.label)
     partitions = crossbar.partition_map
     for group in stream.groups():
         keys: list[tuple] = []
         bundles: list[list[MicroOp]] = []
-        group_label = group[0].label
         for macro in group:
-            if macro.label != group_label:
-                raise SchedulingError(
-                    f"mixed labels {group_label!r}/{macro.label!r} in one barrier group")
             floor = -1
             for stage in expand(macro):
                 stage_top = floor
@@ -249,9 +251,7 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
                     stage_top = max(stage_top, index)
                 floor = stage_top
         for (_, switches, _), ops in zip(keys, bundles):
-            for bundle in _close(ops, switches):
-                program.bundles.append(bundle)
-                program.labels.append(group_label)
+            program.bundles += _close(ops, switches)
     for bundle in program.bundles:
         ok, violations = crossbar.check_bundle(bundle)
         if not ok:

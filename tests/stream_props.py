@@ -61,7 +61,7 @@ def _place_macro(rng: random.Random, used: set) -> MacroOp | None:
         used.update(cells)
         n_in = NUM_INPUTS[kind]
         scratch = tuple(cells[n_in + 1:]) or None
-        return MacroOp(kind, orientation, tuple(cells[:n_in]), cells[n_in],
+        return MacroOp(kind, tuple(cells[:n_in]), cells[n_in],
                        scratch=scratch)
     return None
 
@@ -86,13 +86,13 @@ def check_equivalence(rng: random.Random) -> int:
     bundled.initialized[:] = 1
     program = schedule(stream, bundled)
     partitions = bundled.partition_map
-    for bundle, label in zip(program.bundles, program.labels):
+    for bundle in program.bundles:
         ok, violations = bundled.check_bundle(bundle)
         assert ok, f"illegal bundle emitted: {violations}"
         keys = {(partitions.op_region(op, bundle.closed_switches),
                  line_pattern(op)) for op in bundle.ops}
         assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"
-        bundled.execute_bundle(bundle, label=label, check=False)
+        bundled.execute_bundle(bundle, label=program.label, check=False)
     check_presets(program.bundles)
 
     assert np.array_equal(serial.state, bundled.state), \

@@ -70,13 +70,20 @@ def test_unreadable_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--hpart", "28"), ("--vpart", "15"),
                                         ("--rows", "1010"),
-                                        ("--gate-delay-ns", "0")])
+                                        ("--gate-delay-ns", "0"),
+                                        ("--gate-delay-ns", "nan"),
+                                        ("--gate-delay-ns", "inf"),
+                                        ("--gate-delay-ns", "1e-320"),
+                                        ("--gate-energy-fj", "1e-320")])
 def test_bad_geometry(capsys, flag, value):
-    status, out, err = run_cli(capsys, "--text", "abc", flag, value)
-    assert status == EXIT_BAD_INPUT
-    assert out == ""
-    assert err.startswith("error: bad crossbar geometry")
-    assert len(err.splitlines()) == 1
+    # both with a hash and with --metrics alone, which reads the cost
+    # parameters that a hash only reports
+    for source in (("--text", "abc"), ("--metrics",)):
+        status, out, err = run_cli(capsys, *source, flag, value)
+        assert status == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: bad crossbar geometry")
+        assert len(err.splitlines()) == 1
 
 
 # each case ends in a flag given a count it rejects; the error names that flag

@@ -10,8 +10,6 @@ import pytest
 
 from sha3pim import engine
 from sha3pim.crossbar import (
-    IN_COL,
-    IN_ROW,
     AddressError,
     Crossbar,
     CrossbarConfig,
@@ -77,14 +75,14 @@ def test_gate_truth_tables_exhaustive(gate, execute):
         expected = TRUTH[gate](*values)
         seed_cells(xbar, {cell: v for cell, v in zip(inputs, values)})
         seed_cells(xbar, {(0, 0): expected ^ 1})     # the gate must overwrite it
-        execute(xbar, MicroOp(gate, IN_ROW, inputs, (0, 0)))
+        execute(xbar, MicroOp(gate, inputs, (0, 0)))
         assert xbar.state[0, 0] == expected, (gate, values)
         assert (xbar.stats.cycles, xbar.stats.gate_executions) == (1, 1)
 
 
 def test_init_gates():
     xbar = small_xbar()
-    xbar.execute_bundle(CycleBundle([MicroOp(GateType.INIT1, IN_ROW, (), (3, 3))]))
+    xbar.execute_bundle(CycleBundle([MicroOp(GateType.INIT1, (), (3, 3))]))
     assert xbar.state[3, 3] == 1
     assert xbar.initialized[3, 3] == 1
     assert xbar.stats.cycles == 1
@@ -96,7 +94,7 @@ def test_nor2_spec_examples():
     for values, expected in [((0, 0), 1), ((1, 0), 0)]:
         xbar = small_xbar()
         seed_cells(xbar, {(0, 1): values[0], (0, 2): values[1]})
-        op = MicroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0))
+        op = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0))
         xbar.execute_bundle(CycleBundle([op]))
         assert xbar.state[0, 0] == expected
 
@@ -104,8 +102,7 @@ def test_nor2_spec_examples():
 # ------------------------------------------------------------------- legality
 
 def row_parallel_nor_bundle(rows, in_cols=(1, 2), out_col=0):
-    ops = [MicroOp(GateType.NOR2, IN_ROW,
-                   tuple((r, c) for c in in_cols), (r, out_col))
+    ops = [MicroOp(GateType.NOR2, tuple((r, c) for c in in_cols), (r, out_col))
            for r in rows]
     return CycleBundle(ops)
 
@@ -127,16 +124,16 @@ def test_row_parallel_bundle_one_cycle():
 def test_different_partitions_unconstrained():
     # ops with different column patterns are legal across partitions
     xbar = small_xbar()
-    ops = [MicroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)),
-           MicroOp(GateType.NOR2, IN_ROW, ((1, 9), (1, 11)), (1, 13))]
+    ops = [MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0)),
+           MicroOp(GateType.NOR2, ((1, 9), (1, 11)), (1, 13))]
     ok, violations = xbar.check_bundle(CycleBundle(ops))
     assert ok, violations
 
 
 def test_same_partition_misaligned_columns_illegal():
     xbar = small_xbar()
-    ops = [MicroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)),
-           MicroOp(GateType.NOR2, IN_ROW, ((1, 2), (1, 3)), (1, 0))]
+    ops = [MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0)),
+           MicroOp(GateType.NOR2, ((1, 2), (1, 3)), (1, 0))]
     ok, violations = xbar.check_bundle(CycleBundle(ops))
     assert not ok
     assert any("unaligned" in v for v in violations)
@@ -144,8 +141,8 @@ def test_same_partition_misaligned_columns_illegal():
 
 def test_same_partition_mixed_gates_illegal():
     xbar = small_xbar()
-    ops = [MicroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)),
-           MicroOp(GateType.AND2, IN_ROW, ((1, 1), (1, 2)), (1, 0))]
+    ops = [MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0)),
+           MicroOp(GateType.AND2, ((1, 1), (1, 2)), (1, 0))]
     ok, _ = xbar.check_bundle(CycleBundle(ops))
     assert not ok
 
@@ -153,7 +150,7 @@ def test_same_partition_mixed_gates_illegal():
 def test_op_crossing_open_switch_illegal():
     # in-column NOT spanning the row boundary at 8 with the switch open
     xbar = small_xbar()
-    op = MicroOp(GateType.NOT, IN_COL, ((6, 3),), (10, 3))
+    op = MicroOp(GateType.NOT, ((6, 3),), (10, 3))
     ok, violations = xbar.check_bundle(CycleBundle([op]))
     assert not ok
     assert any("open partition boundary" in v for v in violations)
@@ -161,12 +158,12 @@ def test_op_crossing_open_switch_illegal():
 
 def test_op_crossing_closed_switch_legal_and_merges():
     xbar = small_xbar()
-    crossing = MicroOp(GateType.NOT, IN_COL, ((6, 3),), (10, 3))
+    crossing = MicroOp(GateType.NOT, ((6, 3),), (10, 3))
     ok, violations = xbar.check_bundle(
         CycleBundle([crossing], closed_switches=frozenset({("row", 8)})))
     assert ok, violations
     # merged region now enforces alignment against ops in the other half
-    other = MicroOp(GateType.NOT, IN_COL, ((5, 4),), (9, 4))
+    other = MicroOp(GateType.NOT, ((5, 4),), (9, 4))
     ok, _ = xbar.check_bundle(
         CycleBundle([crossing, other], closed_switches=frozenset({("row", 8)})))
     assert not ok  # row patterns (6->10) vs (5->9) differ inside one region
@@ -174,8 +171,8 @@ def test_op_crossing_closed_switch_legal_and_merges():
 
 def test_write_write_conflict():
     xbar = small_xbar()
-    ops = [MicroOp(GateType.INIT1, IN_ROW, (), (0, 0)),
-           MicroOp(GateType.INIT1, IN_ROW, (), (0, 0))]
+    ops = [MicroOp(GateType.INIT1, (), (0, 0)),
+           MicroOp(GateType.INIT1, (), (0, 0))]
     ok, violations = xbar.check_bundle(CycleBundle(ops))
     assert not ok
     assert any("both write" in v for v in violations)
@@ -183,8 +180,8 @@ def test_write_write_conflict():
 
 def test_read_write_conflict_detected():
     xbar = small_xbar()
-    bundle = CycleBundle([MicroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)),
-                          MicroOp(GateType.NOT, IN_ROW, ((0, 0),), (0, 2))])
+    bundle = CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0)),
+                          MicroOp(GateType.NOT, ((0, 0),), (0, 2))])
     ok, violations = xbar.check_bundle(bundle)
     assert not ok
     assert any("reads" in v and "written by" in v for v in violations)
@@ -193,10 +190,10 @@ def test_read_write_conflict_detected():
 def test_init_grid_pattern_rule():
     xbar = small_xbar()
     grid_cells = [(r, c) for r in (1, 3) for c in (2, 4, 6)]
-    ops = [MicroOp(GateType.INIT1, IN_COL, (), cell) for cell in grid_cells]
+    ops = [MicroOp(GateType.INIT1, (), cell) for cell in grid_cells]
     ok, violations = xbar.check_bundle(CycleBundle(ops))
     assert ok, violations
-    ops.append(MicroOp(GateType.INIT1, IN_COL, (), (5, 2)))  # breaks the grid
+    ops.append(MicroOp(GateType.INIT1, (), (5, 2)))  # breaks the grid
     ok, violations = xbar.check_bundle(CycleBundle(ops))
     assert not ok
     assert any("grid pattern" in v for v in violations)
@@ -204,7 +201,7 @@ def test_init_grid_pattern_rule():
 
 def test_multi_row_init_counts_per_cell():
     xbar = small_xbar()
-    ops = [MicroOp(GateType.INIT1, IN_COL, (), (r, 2)) for r in range(8)]
+    ops = [MicroOp(GateType.INIT1, (), (r, 2)) for r in range(8)]
     xbar.execute_bundle(CycleBundle(ops))
     assert xbar.stats.cycles == 1
     assert xbar.stats.gate_executions == 8
@@ -212,15 +209,15 @@ def test_multi_row_init_counts_per_cell():
 
 def test_execute_rejects_illegal_bundle():
     xbar = small_xbar()
-    ops = [MicroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)),
-           MicroOp(GateType.NOR2, IN_ROW, ((1, 2), (1, 3)), (1, 0))]
+    ops = [MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0)),
+           MicroOp(GateType.NOR2, ((1, 2), (1, 3)), (1, 0))]
     with pytest.raises(SchedulingError):
         xbar.execute_bundle(CycleBundle(ops))
 
 
 def test_out_of_bounds_address_error():
     xbar = small_xbar()
-    op = MicroOp(GateType.INIT1, IN_ROW, (), (99, 0))
+    op = MicroOp(GateType.INIT1, (), (99, 0))
     ok, violations = xbar.check_bundle(CycleBundle([op]))
     assert not ok
     with pytest.raises(AddressError):
@@ -229,10 +226,10 @@ def test_out_of_bounds_address_error():
 
 def test_malformed_shapes_rejected():
     xbar = small_xbar()
-    diagonal = MicroOp(GateType.NOT, IN_ROW, ((0, 1),), (1, 2))
+    diagonal = MicroOp(GateType.NOT, ((0, 1),), (1, 2))
     ok, violations = xbar.check_bundle(CycleBundle([diagonal]))
     assert not ok
-    overlapping = MicroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 1))
+    overlapping = MicroOp(GateType.NOT, ((0, 1),), (0, 1))
     ok, violations = xbar.check_bundle(CycleBundle([overlapping]))
     assert not ok
 
@@ -307,7 +304,7 @@ def test_strict_read_of_unwritten_region():
 
 def test_strict_gate_input():
     xbar = small_xbar(strict_init=True)
-    op = MicroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0))
+    op = MicroOp(GateType.NOT, ((0, 1),), (0, 0))
     with pytest.raises(StrictInitError):
         xbar.execute_bundle(CycleBundle([op]))
     xbar.config.strict_init = False
@@ -332,6 +329,11 @@ def test_config_validation():
         CrossbarConfig(rows=100, vertical_partitions=2, unit_rows=72)
     with pytest.raises(ValueError):
         CrossbarConfig(gate_delay_ns=-1)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CrossbarConfig(gate_delay_ns=value)
+        with pytest.raises(ValueError):
+            CrossbarConfig(gate_energy_fj=value)
 
 
 def brute_region(config, cell, closed):
@@ -379,7 +381,7 @@ def test_trace_export_format():
     stream = io.StringIO()
     xbar.attach_trace(stream)
     bundles = [row_parallel_nor_bundle(range(2)),
-               CycleBundle([MicroOp(GateType.INIT1, IN_COL, (), (1, 3))])]
+               CycleBundle([MicroOp(GateType.INIT1, (), (1, 3))])]
     frozen = engine.freeze(bundles, ["theta", "main"],
                            [engine.SET_UNIT, engine.SET_PARTITION_ROW],
                            xbar.config)

@@ -28,9 +28,9 @@ from stream_props import random_stream, small_crossbar
 
 def freeze_stream(stream, xbar):
     program = schedule(stream, xbar)
-    return engine.freeze(program.bundles, program.labels,
-                         [engine.SET_UNIT] * len(program.bundles),
-                         xbar.config), program
+    n = len(program.bundles)
+    return engine.freeze(program.bundles, [program.label] * n,
+                         [engine.SET_UNIT] * n, xbar.config), program
 
 
 def unit_deltas(*origins, cols=16):
@@ -49,8 +49,8 @@ def test_replay_matches_object_execution():
         object_xbar.state[:] = initial
         object_xbar.initialized[:] = 1
         frozen, program = freeze_stream(stream, object_xbar)
-        for bundle, label in zip(program.bundles, program.labels):
-            object_xbar.execute_bundle(bundle, label=label, check=False)
+        for bundle in program.bundles:
+            object_xbar.execute_bundle(bundle, label=program.label, check=False)
 
         replay_xbar = small_crossbar()
         replay_xbar.state[:] = initial
@@ -69,7 +69,7 @@ def test_origin_replication():
     xbar.state[8, 9] = 0
     xbar.initialized[:] = 1
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     engine.replay(frozen, xbar, unit_deltas((0, 0), (8, 8)))
     assert xbar.state[0, 0] == 0
@@ -83,7 +83,7 @@ def test_vector_event_compression():
     # aligned row-parallel ops with shared columns become single events: one
     # row whose run steps down the 8-column tile one row at a time
     xbar = small_crossbar()
-    ops = [MicroOp(GateType.NOR2, IN_ROW, ((r, 1), (r, 2)), (r, 0))
+    ops = [MicroOp(GateType.NOR2, ((r, 1), (r, 2)), (r, 0))
            for r in range(8)]
     frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT],
                            xbar.config)
@@ -94,7 +94,7 @@ def test_vector_event_compression():
     assert frozen.n_gate_executions == 8
     # rows 0-15 span two tiles of 8 rows: one run per tile, never a split
     # into one-cell rows
-    ops = [MicroOp(GateType.NOR2, IN_ROW, ((r, 1), (r, 2)), (r, 0))
+    ops = [MicroOp(GateType.NOR2, ((r, 1), (r, 2)), (r, 0))
            for r in range(16)]
     frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT],
                            xbar.config)
@@ -109,7 +109,7 @@ def test_strict_mode_catches_uninitialized_read():
     xbar = small_crossbar(); xbar.config.strict_init = True
     xbar.state[0, 1] = 1
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
     assert frozen.n_bundles == 2
     with pytest.raises(StrictInitError, match=r"\(0,1\)"):
@@ -130,10 +130,10 @@ def test_preset_that_is_read_runs():
     # NOT's own preset of (0,1) is overwritten unread, and the preset of
     # (0,12) is never touched again, so it must run too
     stream = OpStream()
-    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 0)))
-    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 12)))
+    stream.append(MacroOp(GateType.INIT1, (), (0, 0)))
+    stream.append(MacroOp(GateType.INIT1, (), (0, 12)))
     stream.barrier()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 0),), (0, 1)))
+    stream.append(MacroOp(GateType.NOT, ((0, 0),), (0, 1)))
     oracle, xbar = small_crossbar(), small_crossbar()
     frozen, program = freeze_stream(stream, xbar)
     assert [[op.output for op in b.ops] for b in program.bundles] == [
@@ -152,9 +152,9 @@ def test_preset_another_set_reads_runs():
     # the second unit's copy, (8,0), before the gate overwrites (0,0), so
     # the preset is seen although its own reference cell is not read
     config = small_crossbar().config
-    bundles = [CycleBundle([MicroOp(GateType.INIT1, IN_ROW, (), (0, 0))]),
-               CycleBundle([MicroOp(GateType.NOT, IN_ROW, ((8, 0),), (8, 1))]),
-               CycleBundle([MicroOp(GateType.NOT, IN_ROW, ((0, 2),), (0, 0))])]
+    bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (0, 0))]),
+               CycleBundle([MicroOp(GateType.NOT, ((8, 0),), (8, 1))]),
+               CycleBundle([MicroOp(GateType.NOT, ((0, 2),), (0, 0))])]
     set_ids = [engine.SET_UNIT, engine.SET_PARTITION_ROW, engine.SET_UNIT]
     frozen = engine.freeze(bundles, ["a"] * 3, set_ids, config)
     assert frozen.live.tolist() == [True, True, True]
@@ -166,7 +166,7 @@ def test_preset_another_set_reads_runs():
 
 def test_trace_lists_the_skipped_presets():
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     for strict, skipped in ((False, [0]), (True, None)):
         xbar = small_crossbar()
         xbar.config.strict_init = strict
@@ -189,7 +189,7 @@ def test_trace_lists_the_skipped_presets():
 def test_freeze_rejects_cells_off_the_grid(output, input_):
     # each op has a cell off the 11 x 14 grid; row 11 lies in the padding
     # of the remainder tiles
-    op = MicroOp(GateType.NOT, IN_ROW, (input_,), output)
+    op = MicroOp(GateType.NOT, (input_,), output)
     with pytest.raises(AddressError, match="off a grid"):
         engine.freeze([CycleBundle([op])], ["a"], [engine.SET_UNIT],
                       CrossbarConfig(**ORACLE_GEOMETRY))
@@ -197,11 +197,11 @@ def test_freeze_rejects_cells_off_the_grid(output, input_):
 
 def test_concat_preserves_counts():
     xbar = small_crossbar()
-    stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
+    stream = OpStream("a")
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     f1, _ = freeze_stream(stream, xbar)
-    stream2 = OpStream()
-    stream2.append(MacroOp(GateType.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
+    stream2 = OpStream("b")
+    stream2.append(MacroOp(GateType.NOT, ((1, 1),), (1, 0)))
     f2, _ = freeze_stream(stream2, xbar)
     whole = engine.concat([f1, f2, f1])
     assert whole.n_bundles == 6
@@ -231,8 +231,9 @@ def test_replay_trace_matches_object_trace():
         xbar.attach_trace(trace)
         frozen, program = freeze_stream(stream, xbar)
         engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        labels = [program.label] * len(program.bundles)
         assert traced_ops(trace.getvalue()) == \
-            bundle_ops(program.bundles, program.labels), seed
+            bundle_ops(program.bundles, labels), seed
 
 
 # ------------------------------------------------ differential replay oracle
@@ -246,8 +247,7 @@ RUN_STEPS = [(0, 1), (1, 0), (1, 1), (1, -1), (2, 0), (0, 3)]
 
 def shifted(op, shift):
     dr, dc = shift
-    return MicroOp(op.gate, op.orientation,
-                   tuple((r + dr, c + dc) for r, c in op.inputs),
+    return MicroOp(op.gate, tuple((r + dr, c + dc) for r, c in op.inputs),
                    (op.output[0] + dr, op.output[1] + dc))
 
 
@@ -272,9 +272,21 @@ def replay_cases(draw):
               [(v * 4, 0) for v in subset(2)],
               [(0, h * 4) for h in subset(3)]]
 
-    def on_grid(cells):
-        return all(0 <= r + dr < rows and 0 <= c + dc < cols
-                   for r, c in cells for dr, dc in [(0, 0)] + shifts[set_id])
+    def add(op, set_id, written, read):
+        """Whether ``op`` fits a bundle of ``set_id`` that writes and reads
+        ``written`` and ``read`` so far; if it does, add its copies' cells."""
+        if op.output in op.inputs or not all(
+                0 <= r + dr < rows and 0 <= c + dc < cols for r, c in op.cells()
+                for dr, dc in [(0, 0)] + shifts[set_id]):
+            return False
+        copies = [shifted(op, shift) for shift in shifts[set_id]]
+        outs = {copy.output for copy in copies}
+        ins = {cell for copy in copies for cell in copy.inputs}
+        if outs & (written | read) or ins & (written | outs):
+            return False
+        written |= outs
+        read |= ins
+        return True
 
     bundles, labels, set_ids = [], [], []
     for _ in range(draw(st.integers(1, 6))):
@@ -291,22 +303,35 @@ def replay_cases(draw):
             inputs = [(r, k) if orientation == IN_ROW else (k, c) for k in line]
             dr, dc = draw(st.sampled_from(RUN_STEPS))
             for i in range(draw(st.integers(1, 5))):
-                op = MicroOp(gate, orientation,
-                             tuple((a + i * dr, b + i * dc) for a, b in inputs),
+                op = MicroOp(gate, tuple((a + i * dr, b + i * dc) for a, b in inputs),
                              (r + i * dr, c + i * dc))
-                if op.output in op.inputs or not on_grid(op.cells()):
-                    continue
-                copies = [shifted(op, shift) for shift in shifts[set_id]]
-                outs = {copy.output for copy in copies}
-                ins = {cell for copy in copies for cell in copy.inputs}
-                if outs & (written | read) or ins & (written | outs):
-                    continue
-                ops.append(op)
-                written |= outs
-                read |= ins
+                if add(op, set_id, written, read):
+                    ops.append(op)
         bundles.append(CycleBundle(ops))
         labels.append(draw(st.sampled_from(("a", "b"))))
         set_ids.append(set_id)
+
+    # When a preset's copies allow it, a reader in another origin set reads
+    # a shifted copy of the preset before the preset's own gate overwrites
+    # it, so the preset is seen only where two sets' copies meet.
+    presets = [(i, op.output) for i, bundle in enumerate(bundles)
+               for op in bundle.ops if op.gate is GateType.INIT1]
+    if presets:
+        i, (r, c) = draw(st.sampled_from(presets))
+        own = set_ids[i]
+        other = draw(st.sampled_from([k for k in range(3) if k != own]))
+        ar, ac = draw(st.sampled_from(shifts[own]))
+        br, bc = draw(st.sampled_from(shifts[other]))
+        qr, qc = r + ar - br, c + ac - bc
+        # each op's cells are one column apart, so its copies never overlap
+        reader = MicroOp(GateType.NOT, ((qr, qc),),
+                         (qr, qc + draw(st.sampled_from((-1, 1)))))
+        gate = MicroOp(GateType.NOT, ((r, c + draw(st.sampled_from((-1, 1)))),),
+                       (r, c))
+        if add(reader, other, set(), set()) and add(gate, own, set(), set()):
+            bundles[i + 1:i + 1] = [CycleBundle([reader]), CycleBundle([gate])]
+            labels[i + 1:i + 1] = [labels[i]] * 2
+            set_ids[i + 1:i + 1] = [other, own]
 
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
@@ -371,7 +396,7 @@ def test_replay_trace_matches_serial_trace_of_shifted_bundles(case):
 def test_replay_rejects_delta_off_partition_grid(origin):
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     with pytest.raises(ValueError, match="whole"):
         engine.replay(frozen, xbar, unit_deltas((0, 0), origin))
@@ -394,7 +419,7 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, outputs, shift):
     xbar = Crossbar(config)
     xbar.state[:] = np.random.default_rng(5).integers(0, 2, xbar.state.shape)
     xbar.initialized[:] = 1
-    ops = [MicroOp(GateType.NOT, IN_ROW, ((r, c + 1),), (r, c)) for r, c in outputs]
+    ops = [MicroOp(GateType.NOT, ((r, c + 1),), (r, c)) for r, c in outputs]
     frozen = engine.freeze([CycleBundle(ops)], ["main"], [set_id], config)
     assert frozen.n_events == 1
     deltas = [np.zeros(0, dtype=np.int64) for _ in range(engine.NUM_ORIGIN_SETS)]
@@ -411,7 +436,7 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, outputs, shift):
 def test_replay_rejects_a_program_frozen_for_another_geometry():
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     with pytest.raises(ValueError, match="geometry"):
         engine.replay(frozen, Crossbar(CrossbarConfig(**ORACLE_GEOMETRY)),
@@ -424,7 +449,7 @@ def test_replay_keys_past_the_int16_range():
                             horizontal_partitions=2, unit_rows=8, unit_cols=8)
     xbar = Crossbar(config)
     xbar.state[1099, 1098:] = 1
-    op = MicroOp(GateType.NOT, IN_ROW, ((1099, 1099),), (1099, 1098))
+    op = MicroOp(GateType.NOT, ((1099, 1099),), (1099, 1098))
     frozen = engine.freeze([CycleBundle([op])], ["main"],
                            [engine.SET_PARTITION_COL], config)
     assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max

@@ -1,6 +1,7 @@
 """Crossbar SHA-3: layout, padding, per-step equivalence, rotation, hashing."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -118,6 +119,25 @@ def test_compiled_program_shape(compiled):
         "rho": 57_456, "theta": 9_312, "chi": 6_120, "iota": 2_712, "pi": 2_400}
     assert [(p.n_bundles, p.n_events) for p in compiled.absorb] == [
         (50, 680), (35, 476)]
+
+
+def test_compiled_programs_fingerprint(compiled):
+    # Pins every frozen row of permute and both absorb programs, bundle by
+    # bundle: its label, and its rows with ``live`` as a tenth column,
+    # sorted so that the order of rows inside a bundle is free. A change to
+    # this digest is a modelling change and is recorded in CHANGES.md, like
+    # a change to perfbench/expected_sim.json.
+    digest = hashlib.sha256()
+    for program in (compiled.permute, *compiled.absorb):
+        table = np.column_stack([program.rows, program.live]).astype(np.int64)
+        bundle = np.repeat(np.arange(program.n_bundles), np.diff(program.bundle_ptr))
+        table = table[np.lexsort((*table.T[::-1], bundle))]
+        for b, label in enumerate(program.bundle_label.tolist()):
+            rows = table[program.bundle_ptr[b]:program.bundle_ptr[b + 1]]
+            digest.update(f"{program.label_names[label]}:{len(rows)};".encode())
+            digest.update(rows.tobytes())
+    assert digest.hexdigest() == (
+        "8e853d1265d9e10559cf60de6d9ffe1cc60e91742088a20598854a5b88e60948")
 
 
 @pytest.mark.parametrize("units", [1, 378])

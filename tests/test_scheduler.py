@@ -2,12 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from sha3pim.crossbar import (
-    IN_COL,
-    IN_ROW,
     Crossbar,
     CrossbarConfig,
     CycleBundle,
@@ -37,7 +36,7 @@ def run_macro(kind, values, scratch_cells=2):
         xbar.initialized[cell] = 1
     need = SCRATCH_NEEDS.get(kind, 0)
     scratch = tuple((0, 4 + i) for i in range(need)) or None
-    macro = MacroOp(kind, IN_ROW, inputs, (0, 0), scratch=scratch)
+    macro = MacroOp(kind, inputs, (0, 0), scratch=scratch)
     for stage in expand(macro):
         for op in stage:
             xbar.execute_bundle(CycleBundle([op]), check=False)
@@ -55,7 +54,7 @@ def test_copy_truth_table():
 
 
 def test_primitives_pass_through_with_preset():
-    stages = expand(MacroOp(GateType.NOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
+    stages = expand(MacroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0)))
     assert len(stages) == 2
     assert stages[0][0].gate == GateType.INIT1
     assert stages[1][0].gate == GateType.NOR2
@@ -64,20 +63,38 @@ def test_primitives_pass_through_with_preset():
 def test_macro_validation():
     with pytest.raises(ShapeError):
         # XOR2 takes two inputs
-        expand(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1),), (0, 0),
+        expand(MacroOp(MacroKind.XOR2, ((0, 1),), (0, 0),
                        scratch=((0, 4), (0, 5), (0, 6))))
     with pytest.raises(ShapeError):
         # cells share neither a row nor a column
-        expand(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (1, 2)))
+        expand(MacroOp(GateType.NOT, ((0, 1),), (1, 2)))
     with pytest.raises(ShapeError, match="scratch"):
         # XOR2 needs three pinned scratch cells
-        expand(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0)))
+        expand(MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0)))
+    # a cell the macro writes that it also reads or writes elsewhere: an
+    # in-place XOR2 or COPY, an output or scratch cell that repeats a
+    # scratch cell, and a scratch cell that repeats an input
+    repeats = [
+        (MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 1),
+                 scratch=((0, 4), (0, 5), (0, 6))), (0, 1)),
+        (MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 4),
+                 scratch=((0, 4), (0, 5), (0, 6))), (0, 4)),
+        (MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0),
+                 scratch=((0, 5), (0, 5), (0, 6))), (0, 5)),
+        (MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0),
+                 scratch=((0, 2), (0, 5), (0, 6))), (0, 2)),
+        (MacroOp(MacroKind.COPY, ((0, 1),), (0, 1), scratch=((0, 4),)), (0, 1)),
+        (MacroOp(MacroKind.COPY, ((0, 1),), (0, 0), scratch=((0, 1),)), (0, 1)),
+    ]
+    for macro, cell in repeats:
+        with pytest.raises(ShapeError, match=re.escape(f"writes {cell}")):
+            expand(macro)
 
 
 def test_single_not_schedules_as_two_bundles():
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     program = schedule(stream, xbar)
     assert len(program.bundles) == 2
     assert program.bundles[0].ops[0].gate == GateType.INIT1
@@ -92,7 +109,7 @@ def test_column_parallel_xor_collapses():
                                    unit_cols=64))
     stream = OpStream()
     for c in range(25):
-        stream.append(MacroOp(MacroKind.XOR2, IN_COL, ((1, c), (2, c)), (3, c),
+        stream.append(MacroOp(MacroKind.XOR2, ((1, c), (2, c)), (3, c),
                               scratch=((4, c), (5, c), (6, c))))
     program = schedule(stream, xbar)
     assert len(program.bundles) == 5
@@ -105,10 +122,10 @@ def test_column_parallel_xor_collapses():
 def test_barrier_orders_dependent_macros():
     xbar = small_crossbar()
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), (0, 0),
+    stream.append(MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0),
                           scratch=((0, 4), (0, 5), (0, 6))))
     stream.barrier()
-    stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 0), (0, 3)), (0, 7),
+    stream.append(MacroOp(MacroKind.XOR2, ((0, 0), (0, 3)), (0, 7),
                           scratch=((0, 4), (0, 5), (0, 6))))
     program = schedule(stream, xbar)
     # second macro strictly after the first's last bundle: 5 + 5 cycles
@@ -125,26 +142,17 @@ def test_row_replicated_macros_share_bundles():
     xbar = small_crossbar()
     stream = OpStream()
     for r in range(8):
-        stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((r, 1), (r, 2)), (r, 0),
+        stream.append(MacroOp(MacroKind.XOR2, ((r, 1), (r, 2)), (r, 0),
                               scratch=((r, 4), (r, 5), (r, 6))))
     program = schedule(stream, xbar)
     assert len(program.bundles) == 5   # presets + OR2 + AND2 + NOT + AND2
 
 
-def test_mixed_labels_in_group_rejected():
-    stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0), label="a"))
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((1, 1),), (1, 0), label="b"))
-    xbar = small_crossbar()
-    with pytest.raises(SchedulingError):
-        schedule(stream, xbar)
-
-
 def test_two_writes_of_one_cell_in_a_group_rejected():
     # the producer promises no two macros of a group write one cell
     stream = OpStream()
-    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 0)))
-    stream.append(MacroOp(GateType.INIT1, IN_ROW, (), (0, 0)))
+    stream.append(MacroOp(GateType.INIT1, (), (0, 0)))
+    stream.append(MacroOp(GateType.INIT1, (), (0, 0)))
     with pytest.raises(SchedulingError, match="both write"):
         schedule(stream, small_crossbar())
 
@@ -152,7 +160,7 @@ def test_two_writes_of_one_cell_in_a_group_rejected():
 def test_switch_that_does_not_exist_rejected():
     # row 5 is inside a partition of the 16x16 grid, not a boundary
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 0),
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0),
                           switches=frozenset({("row", 5)})))
     with pytest.raises(SchedulingError, match="no switch at boundary"):
         schedule(stream, small_crossbar())
@@ -166,9 +174,9 @@ def test_randomized_equivalence_sample():
 
 # ------------------------------------------------------------- preset rule
 
-def xor_stream(output=(0, 0)):
+def xor_stream():
     stream = OpStream()
-    stream.append(MacroOp(MacroKind.XOR2, IN_ROW, ((0, 1), (0, 2)), output,
+    stream.append(MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0),
                           scratch=((0, 4), (0, 5), (0, 6))))
     return stream
 
@@ -187,14 +195,10 @@ def test_gate_without_its_preset_fails_to_compile(monkeypatch, cell):
 
 
 def test_read_between_preset_and_gate_fails_to_compile():
-    # an in-place XOR presets its output, which is also its input, so the
-    # OR2 reads the preset and the final AND2 writes an unprepared cell
-    with pytest.raises(SchedulingError, match=r"AND2 writes \(0, 1\)"):
-        schedule(xor_stream(output=(0, 1)), small_crossbar())
     # one macro of a group reads a cell another macro of it writes; the
     # packing puts both presets first, then the read, then the write
     stream = OpStream()
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 1),), (0, 2)))
-    stream.append(MacroOp(GateType.NOT, IN_ROW, ((0, 3),), (0, 1)))
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 2)))
+    stream.append(MacroOp(GateType.NOT, ((0, 3),), (0, 1)))
     with pytest.raises(SchedulingError, match=r"NOT writes \(0, 1\)"):
         schedule(stream, small_crossbar())
