@@ -166,6 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    try:
+        modelled = _metrics(args, config) if args.metrics else {}
+    except (ValueError, OverflowError) as exc:     # a metric overflowed
+        print(f"error: bad crossbar geometry: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     with contextlib.ExitStack() as outputs:
         try:        # before hashing, so a bad path costs no hash
@@ -177,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_BAD_INPUT
         try:
-            status = _run(args, config, messages, seed, trace, report_file)
+            status = _run(args, config, messages, seed, modelled, trace,
+                          report_file)
             sys.stdout.flush()      # a closed pipe shows here, not at exit
         except BrokenPipeError:     # e.g. ``sha3pim ... | head -2``
             # point stdout at devnull so the shutdown flush stays quiet
@@ -186,10 +192,37 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
 
+def _metrics(args, config: CrossbarConfig) -> dict:
+    """The report's ``metrics`` entry, after the round measurement it is
+    computed from in measured mode; raises ``ValueError`` if a metric
+    would not be finite."""
+    entries: dict = {}
+    if args.paper_constants:
+        inputs = dataclasses.replace(metrics.REFERENCE_INPUT,
+                                     crossbars=args.crossbars)
+        source = "reference-constants"
+    else:
+        measured = measure_round_stats(n_units=config.num_units, config=config)
+        entries["round_measurement"] = measured
+        inputs = metrics.MetricsInput(
+            clock_hz=config.clock_hz,
+            latency_round_cycles=measured["cycles_per_round"],
+            energy_unit_j=measured["energy_per_round_per_unit_nj"] * 1e-9,
+            units_per_crossbar=config.num_units,
+            crossbars=args.crossbars,
+            cell_area_f2=config.cell_area_f2,
+            crossbar_cells=config.rows * config.cols)
+        source = "measured"
+    entries["metrics"] = {"source": source,
+                          "inputs": dataclasses.asdict(inputs),
+                          **metrics.compute(inputs).as_dict()}
+    return entries
+
+
 def _run(args, config: CrossbarConfig, messages: list[bytes],
-         seed: int | None, trace, report_file) -> int:
-    """Hash, check and report; ``trace`` and ``report_file`` are open
-    streams or None."""
+         seed: int | None, modelled: dict, trace, report_file) -> int:
+    """Hash, check and report, with the ``modelled`` metrics entries;
+    ``trace`` and ``report_file`` are open streams or None."""
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "backend": engine.active_backend(),
@@ -232,28 +265,7 @@ def _run(args, config: CrossbarConfig, messages: list[bytes],
                                  for c in cohorts],
         }
 
-    if args.metrics:
-        if args.paper_constants:
-            inputs = dataclasses.replace(metrics.REFERENCE_INPUT,
-                                         crossbars=args.crossbars)
-            source = "reference-constants"
-        else:
-            measured = measure_round_stats(n_units=config.num_units,
-                                           config=config)
-            report["round_measurement"] = measured
-            inputs = metrics.MetricsInput(
-                clock_hz=config.clock_hz,
-                latency_round_cycles=measured["cycles_per_round"],
-                energy_unit_j=measured["energy_per_round_per_unit_nj"] * 1e-9,
-                units_per_crossbar=config.num_units,
-                crossbars=args.crossbars,
-                cell_area_f2=config.cell_area_f2,
-                crossbar_cells=config.rows * config.cols)
-            source = "measured"
-        report["metrics"] = {"source": source,
-                             "inputs": dataclasses.asdict(inputs),
-                             **metrics.compute(inputs).as_dict()}
-
+    report.update(modelled)
     print(json.dumps(report, indent=2), file=report_file)
     return status
 

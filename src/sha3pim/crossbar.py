@@ -4,9 +4,11 @@ The crossbar is a grid of binary cells. In every clock cycle a *bundle* of
 single-cycle gates executes; each gate reads input cells and overwrites one
 output cell along a single wordline (in-row) or bitline (in-column).
 Transistor switches at fixed partition boundaries electrically isolate
-sub-arrays, which is what lets unrelated gates share a cycle. Bundles are
-validated against the alignment/isolation rules before execution, and every
-executed gate is charged one gate-energy quantum.
+sub-arrays, which is what lets unrelated gates share a cycle. A bundle holds
+*runs*: one gate pattern repeated along parallel lines (``MicroOp`` with a
+count and a stride). Bundles are validated against the alignment/isolation
+rules before execution, with every run expanded to its cells by numpy, and
+every executed gate is charged one gate-energy quantum.
 
 Peripheral reads/writes (message load, digest readout) move data in and out
 of the array without gates; they are accounted under the separate ``io``
@@ -15,6 +17,7 @@ label with a per-row cycle cost and zero gate energy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -113,10 +116,12 @@ class CrossbarConfig:
                    self.io_cycles_per_row)
         if not all(math.isfinite(v) and v > 0 for v in numeric):
             raise ValueError("all crossbar parameters must be finite and positive")
+        # the clock and the bits per joule scale with their reciprocals
         if self.gate_energy_fj * 1e-15 == 0 or self.gate_delay_ns * 1e-9 == 0 \
-                or not math.isfinite(self.clock_hz):
+                or not math.isfinite(self.clock_hz) \
+                or not math.isfinite(1 / (self.gate_energy_fj * 1e-15)):
             raise ValueError("gate delay and energy must stay nonzero in s and J, "
-                             "with a finite clock")
+                             "with finite reciprocals")
         if self.rows < self.vertical_partitions * self.unit_rows:
             raise ValueError(
                 f"{self.rows} rows cannot hold {self.vertical_partitions} "
@@ -141,18 +146,49 @@ class CrossbarConfig:
         return 1.0 / (self.gate_delay_ns * 1e-9)
 
 
+def run_violation(cells: tuple[Cell, ...], count: int, stride: Cell) -> str | None:
+    """Why ``count`` copies of the line ``cells``, each ``stride`` past the
+    last, are not a run, or None if they are.
+
+    A run's lines must not meet, so its stride is nonzero and does not move
+    along the line; every line then shares the first line's
+    ``line_pattern``.
+    """
+    if count < 1:
+        return f"a run needs at least one line, got {count}"
+    if count == 1:
+        return None
+    in_row = len({r for r, _ in cells}) == 1
+    in_col = len({c for _, c in cells}) == 1
+    if stride == (0, 0) or (in_row and not in_col and stride[1]) \
+            or (in_col and not in_row and stride[0]):
+        return f"run stride {stride} moves along the line of {cells}"
+    return None
+
+
+def shift(cells: tuple[Cell, ...], k: int, stride: Cell) -> tuple[Cell, ...]:
+    """``cells`` moved by ``k`` strides."""
+    dr, dc = k * stride[0], k * stride[1]
+    return tuple((r + dr, c + dc) for r, c in cells)
+
+
 @dataclass(slots=True)
 class MicroOp:
-    """One gate event: a primitive applied to cells sharing a row or column.
+    """A run of one gate event along ``count`` parallel lines.
 
-    Its orientation follows from its cells: in-row when the first input
-    shares the output's row, in-column otherwise, and None for a preset,
-    which has no inputs.
+    The first line applies ``gate`` to ``inputs`` and writes ``output``,
+    cells sharing a row or a column; line ``k`` is the first moved by ``k``
+    strides. Its orientation follows from the first line's cells: in-row
+    when the first input shares the output's row, in-column otherwise, and
+    None for a preset, which has no inputs. A single gate event is a run of
+    one line.
     """
 
     gate: GateType
     inputs: tuple[Cell, ...]
     output: Cell
+    count: int = 1
+    stride: Cell = (0, 0)
 
     @property
     def orientation(self) -> str | None:
@@ -161,7 +197,15 @@ class MicroOp:
         return IN_ROW if self.inputs[0][0] == self.output[0] else IN_COL
 
     def cells(self) -> tuple[Cell, ...]:
+        """The first line's cells, inputs first."""
         return self.inputs + (self.output,)
+
+    def lines(self) -> list[MicroOp]:
+        """The run as one-line ops, in line order."""
+        n = len(self.inputs)
+        return [MicroOp(self.gate, cells[:n], cells[n])
+                for cells in (shift(self.cells(), k, self.stride)
+                              for k in range(self.count))]
 
     def validate_shape(self) -> str | None:
         """Return a violation message, or None if the op is well-formed."""
@@ -174,14 +218,14 @@ class MicroOp:
         line = self.output[axis]
         if any(cell[axis] != line for cell in self.inputs):
             return f"cells {self.cells()} share neither one row nor one column"
-        return None
+        return run_violation(self.cells(), self.count, self.stride)
 
 
 def line_pattern(op: MicroOp) -> tuple:
     """What one merged region's line drivers apply in a cycle; every op of
     a region must share it. An INIT1 preset is the gate alone; any other
     gate adds its orientation and the along-line coordinates of its inputs
-    and output."""
+    and output, which every line of a run shares."""
     if op.gate is GateType.INIT1:
         return (op.gate,)
     if op.orientation == IN_ROW:
@@ -189,17 +233,38 @@ def line_pattern(op: MicroOp) -> tuple:
     return (op.gate, IN_COL, tuple(r for r, _ in op.inputs), op.output[0])
 
 
-def is_grid(cells: set[Cell]) -> bool:
-    """True if ``cells`` is a rows x cols cross product, the cell set one
-    preset cycle can drive."""
-    rows = {r for r, _ in cells}
-    cols = {c for _, c in cells}
-    return len(cells) == len(rows) * len(cols)
+def is_grid(rows, cols) -> bool:
+    """True if the cells (``rows[i]``, ``cols[i]``) form a rows x cols cross
+    product, the cell set one preset cycle can drive."""
+    r, c = np.asarray(rows), np.asarray(cols)
+    r, c = r - r.min(), c - c.min()
+    cells = np.sort(r * (int(c.max()) + 1) + c)
+    distinct = 1 + np.count_nonzero(cells[1:] != cells[:-1])
+    return distinct == np.count_nonzero(np.bincount(r)) * np.count_nonzero(np.bincount(c))
+
+
+def run_lines(ops: list[MicroOp]) -> tuple[np.ndarray, np.ndarray]:
+    """Every line of every run in ``ops``, in order: the index of each
+    line's op, and its cells ``[line, slot, (row, col)]`` with slot 0 the
+    output and slots 1 and 2 the inputs; a slot past the gate's arity
+    repeats the output."""
+    table, counts, start = [], [], 0
+    for op in ops:
+        a, b = (op.inputs + (op.output, op.output))[:2]
+        table.append((start, *op.output, *a, *b, *op.stride))
+        counts.append(op.count)
+        start += op.count
+    table = np.array(table, dtype=np.int64).reshape(-1, 9)
+    owner = np.repeat(np.arange(len(ops)), counts)
+    k = np.arange(start) - table[owner, 0]
+    cells = table[owner, 1:7].reshape(-1, 3, 2)
+    cells += (k[:, None] * table[owner, 7:])[:, None, :]
+    return owner, cells
 
 
 @dataclass(slots=True)
 class CycleBundle:
-    """Gate events co-scheduled in one clock cycle.
+    """Gate events co-scheduled in one clock cycle, as runs.
 
     Switches default open; ``closed_switches`` lists the partition
     boundaries explicitly bridged during this cycle.
@@ -207,6 +272,10 @@ class CycleBundle:
 
     ops: list[MicroOp] = field(default_factory=list)
     closed_switches: frozenset[SwitchId] = frozenset()
+
+    def lines(self) -> list[MicroOp]:
+        """Every line of every run, as one-line ops in order."""
+        return [line for op in self.ops for line in op.lines()]
 
 
 class PartitionMap:
@@ -226,27 +295,35 @@ class PartitionMap:
             [("row", self.unit_rows * i) for i in range(1, self.vparts)]
             + [("col", self.unit_cols * i) for i in range(1, self.hparts)])
 
-    def region_of(self, cell: Cell, closed_switches: frozenset[SwitchId]) -> tuple[int, int]:
+    def region_of(self, cell, closed_switches: frozenset[SwitchId]) -> tuple:
         """Merged region of ``cell``: its partition, less one for each closed
-        switch at or before it. Ids that are not switches are ignored."""
+        switch at or before it. Ids that are not switches are ignored.
+
+        The row and column may be arrays of equal shape; the result is then
+        a pair of arrays. Either way the region is monotone in the row and
+        in the column, so the two ends of a straight run of cells bound the
+        regions of every cell between them.
+        """
         r, c = cell
-        v = min(r // self.unit_rows, self.vparts - 1)
-        h = min(c // self.unit_cols, self.hparts - 1)
-        for switch in closed_switches:
-            if switch in self.switches:
-                kind, b = switch
-                if kind == "row" and b <= r:
-                    v -= 1
-                elif kind == "col" and b <= c:
-                    h -= 1
+        v = np.minimum(r // self.unit_rows, self.vparts - 1)
+        h = np.minimum(c // self.unit_cols, self.hparts - 1)
+        for kind, b in closed_switches & self.switches:
+            if kind == "row":
+                v = v - (r >= b)
+            else:
+                h = h - (c >= b)
         return v, h
 
     def op_region(self, op: MicroOp,
                   closed_switches: frozenset[SwitchId]) -> tuple[int, int] | None:
-        """The one merged region holding every cell of ``op``, or None if
-        the op crosses an open partition boundary."""
-        regions = {self.region_of(cell, closed_switches) for cell in op.cells()}
-        return regions.pop() if len(regions) == 1 else None
+        """The one merged region holding every cell of every line of the run
+        ``op``, or None if there is none: a line crosses an open partition
+        boundary, or two lines sit in different regions."""
+        cells = op.cells() + shift(op.cells(), op.count - 1, op.stride)
+        v, h = self.region_of(np.array(cells).T, closed_switches)
+        if (v != v[0]).any() or (h != h[0]).any():
+            return None
+        return int(v[0]), int(h[0])
 
 
 @dataclass
@@ -313,23 +390,35 @@ class Crossbar:
     def check_bundle(self, bundle: CycleBundle) -> tuple[bool, list[str]]:
         """Validate a bundle against the single-cycle legality rules.
 
-        Legal iff: op shapes are well-formed and in bounds; no op spans an
-        open switch; within each (merged) partition all ops share one
-        ``line_pattern`` and preset cells form a rows x cols grid; and no
-        read/write or write/write cell conflicts exist anywhere in the bundle.
+        Legal iff: op shapes are well-formed and in bounds; every op sits in
+        one merged region, so no line spans an open switch and no run has
+        lines on both sides of one; within each (merged) partition all ops
+        share one ``line_pattern`` and preset cells form a rows x cols grid;
+        and no read/write or write/write cell conflicts exist anywhere in
+        the bundle. The ops are runs. Their lines are expanded to cell
+        arrays, every rule is checked on every cell of every line, and a
+        violation names the run (``op i``) it is found in.
         """
-        violations: list[str] = []
-        for i, op in enumerate(bundle.ops):
-            msg = op.validate_shape()
-            if msg:
-                violations.append(f"op {i}: {msg}")
-                continue
-            for r, c in op.cells():
-                if not (0 <= r < self.config.rows and 0 <= c < self.config.cols):
-                    violations.append(f"op {i}: cell ({r},{c}) out of bounds")
-                    break
-        if violations:
+        ops = bundle.ops
+        violations = [f"op {i}: {msg}" for i, op in enumerate(ops)
+                      if (msg := op.validate_shape())]
+        if violations or not ops:
+            return not violations, violations
+        owner, cells = run_lines(ops)
+        rows, cols = self.config.rows, self.config.cols
+        # a slot past a gate's arity repeats its output, so every slot of
+        # every line is checked as it stands
+        if cells.min() < 0 or cells[..., 0].max() >= rows \
+                or cells[..., 1].max() >= cols:
+            for i, op in enumerate(ops):
+                cell = next(((r, c) for line in op.lines() for r, c in line.cells()
+                             if not (0 <= r < rows and 0 <= c < cols)), None)
+                if cell is not None:
+                    violations.append(f"op {i}: cell ({cell[0]},{cell[1]}) "
+                                      "out of bounds")
             return False, violations
+        # slots past the bundle's largest arity only repeat outputs
+        cells = cells[:, :1 + max(len(op.inputs) for op in ops)]
 
         partitions = self.partition_map
         for sw in bundle.closed_switches:
@@ -338,42 +427,64 @@ class Crossbar:
         if violations:
             return False, violations
 
-        # Rule 2/3: each op must sit inside a single merged region.
-        by_region: dict[tuple[int, int], list[int]] = {}
-        for i, op in enumerate(bundle.ops):
-            region = partitions.op_region(op, bundle.closed_switches)
-            if region is None:
-                violations.append(f"op {i}: crosses an open partition boundary")
-            else:
-                by_region.setdefault(region, []).append(i)
+        # Rule 2/3: each run must sit inside a single merged region: every
+        # cell of every line in the region of its first line's output.
+        v, h = partitions.region_of((cells[..., 0], cells[..., 1]),
+                                    bundle.closed_switches)
+        where = v * partitions.hparts + h                      # [line, slot]
+        home = where[list(itertools.accumulate([op.count for op in ops[:-1]],
+                                               initial=0)), 0]
+        inside = (where == home[owner][:, None]).all(axis=1)
+        crossing = set()
+        if not inside.all():
+            crossing = set(owner[~inside].tolist())
+            violations += [f"op {i}: crosses an open partition boundary"
+                           for i in sorted(crossing)]
 
         # Rule 1: one line pattern per region; presets form a grid.
+        by_region: dict[int, list[int]] = {}
+        for i, region in enumerate(home.tolist()):
+            if i not in crossing:
+                by_region.setdefault(region, []).append(i)
         for region, indices in by_region.items():
-            patterns = {line_pattern(bundle.ops[i]) for i in indices}
+            patterns = {line_pattern(ops[i]) for i in indices}
             if len(patterns) > 1:
                 gates = {p[0] for p in patterns}
                 what = (f"mixed gate types {sorted(g.name for g in gates)}"
                         if len(gates) > 1 else
                         "mixed orientations" if len({p[1] for p in patterns}) > 1
                         else "unaligned input/output lines")
-                violations.append(f"partition {region}: {what} (ops {indices})")
-            elif patterns.pop()[0] is GateType.INIT1 and not is_grid(
-                    {bundle.ops[i].output for i in indices}):
-                violations.append(
-                    f"partition {region}: INIT cells do not form a grid pattern")
+                violations.append(f"partition {divmod(region, partitions.hparts)}: "
+                                  f"{what} (ops {indices})")
+            elif patterns.pop()[0] is GateType.INIT1:
+                outputs = cells[home[owner] == region, 0]
+                if not is_grid(outputs[:, 0], outputs[:, 1]):
+                    violations.append(f"partition {divmod(region, partitions.hparts)}: "
+                                      "INIT cells do not form a grid pattern")
 
-        # Rule 4: cell conflicts.
-        writers: dict[Cell, int] = {}
-        for i, op in enumerate(bundle.ops):
-            if op.output in writers:
-                violations.append(
-                    f"ops {writers[op.output]} and {i} both write {op.output}")
-            writers[op.output] = i
-        for i, op in enumerate(bundle.ops):
-            for cell in op.inputs:
-                j = writers.get(cell)
-                if j is not None and j != i:
-                    violations.append(f"op {i} reads {cell} written by op {j}")
+        # Rule 4: cell conflicts. Each cell is paired with the last line
+        # that writes it; a pair of different runs is a conflict.
+        flat = cells[..., 0] * cols + cells[..., 1]             # [line, slot]
+        order = np.argsort(flat[:, 0], kind="stable")
+        written = flat[order, 0]
+        last = np.searchsorted(written, flat, side="right") - 1
+        writer = owner[order[last]]
+        clash = (written[last] == flat) & (writer != owner[:, None])
+        if clash.any():
+            def cell(i, slot):
+                return (int(cells[i, slot, 0]), int(cells[i, slot, 1]))
+            again = np.flatnonzero(written[1:] == written[:-1])
+            for j, i in sorted(zip(order[again].tolist(),
+                                   order[again + 1].tolist()),
+                               key=lambda pair: pair[1]):
+                violations.append(f"ops {owner[j]} and {owner[i]} both write "
+                                  f"{cell(i, 0)}")
+            arity = np.array([len(op.inputs) for op in ops])[owner]
+            slots = np.arange(cells.shape[1])
+            reads = clash & (slots > 0) & (slots <= arity[:, None])
+            for i, slot in zip(*np.nonzero(reads)):
+                violations.append(f"op {owner[i]} reads {cell(i, slot)} "
+                                  f"written by op {writer[i, slot]}")
 
         return not violations, violations
 
@@ -381,11 +492,12 @@ class Crossbar:
 
     def execute_bundle(self, bundle: CycleBundle, label: str = "main",
                        check: bool = True) -> None:
-        """Apply one cycle: every op's output becomes its gate function.
+        """Apply one cycle: every output of every line of every run becomes
+        its gate function, one line at a time.
 
         Reads happen before any write (legal bundles are conflict-free, so
-        this matches any serial order). Adds one cycle and ``len(ops)`` gate
-        executions to the stats.
+        this matches any serial order). Adds one cycle and one gate
+        execution per line to the stats.
         """
         if check:
             ok, violations = self.check_bundle(bundle)
@@ -394,7 +506,7 @@ class Crossbar:
         state = self.state
         rows, cols = state.shape
         results: list[tuple[Cell, int]] = []
-        for op in bundle.ops:
+        for op in bundle.lines():
             for r, c in op.cells():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise AddressError(f"cell ({r},{c}) out of bounds")
@@ -408,7 +520,7 @@ class Crossbar:
         for (r, c), value in results:
             state[r, c] = value
             self.initialized[r, c] = 1
-        self.stats.add_cycles(label, 1, len(bundle.ops))
+        self.stats.add_cycles(label, 1, len(results))
 
     # -------------------------------------------------------------- peripheral
 

@@ -6,22 +6,25 @@ times, so replay is the hot loop. One numpy kernel runs it, reading each
 gate's output off ``crossbar.GATE_TRUTH``.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
-pattern along a line, so its ops collapse into *vector events* - one gate
-applied along a strided run of cells - and the kernel runs over cells
-without touching per-cell metadata. Cells are those of a reference
-instance; replay moves them by per-origin deltas, so one frozen program
-serves any set of hash units. Each bundle belongs to an *origin set* (0 =
-per active unit, 1 = per partition row, 2 = per partition column) and each
-set supplies its own delta list at run time.
+pattern along a line, so its runs are *vector events* - one gate applied
+along a strided run of cells - and the kernel runs over cells without
+touching per-cell metadata. The lines of a bundle's runs are grouped and
+sorted with numpy and split only at stride breaks, so a run the scheduler
+carried whole is one event unless it leaves a tile or shares a group with
+another run. Cells are those of a reference instance; replay moves them
+by per-origin deltas, so one frozen program serves any set of hash units.
+Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
+partition row, 2 = per partition column) and each set supplies its own
+delta list at run time.
 
 The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
 column per partition-sized tile, so a delta of whole partitions keeps a
 cell's index and moves only its tile. ``freeze`` therefore writes each event
 as one row of nine tile-local ints: the gate, the run's step and span along
 the cell axis, then the first cell and a (set, tile) key of the output and
-of two input slots. Ops are grouped by the tile of every cell they touch,
-so no run leaves its tile. Only the unit axis of a key - the tiles its
-set's deltas move the key's tile to - depends on the deltas, so ``replay``
+of two input slots. Lines are grouped by the tile of every cell they
+touch, so no event leaves its tile. Only the unit axis of a key - the tiles
+its set's deltas move the key's tile to - depends on the deltas, so ``replay``
 builds those axes, checks them against the crossbar and executes. Each row
 is then one vectorised operation across the tiles of every origin in its
 set, which for contiguous units is a slice.
@@ -38,6 +41,7 @@ way, and the trace lists the rows a bundle skipped.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import importlib.util
 import json
@@ -54,6 +58,7 @@ from .crossbar import (
     CycleBundle,
     GateType,
     StrictInitError,
+    run_lines,
 )
 
 # Benchmark provenance records it; the package never imports it.
@@ -113,53 +118,69 @@ class FrozenProgram:
             stats.add_cycles(label, int(self.cycles_by_label[idx]), gates)
 
 
-def _bundle_vector_events(bundle: CycleBundle,
-                          tiles: _Tiles) -> list[tuple[int, ...]]:
-    """Collapse a bundle into runs (gate, count, dr, dc, then the row and
-    column of the output and of two input slots).
+def _vector_events(bundles: list[CycleBundle], tiles: _Tiles) -> np.ndarray:
+    """Collapse the bundles into runs: [event, (bundle, gate, count, dr, dc,
+    then the row and column of the output and of two input slots)].
 
-    Ops are grouped by gate, input-to-output offsets (constant within an
-    aligned pattern) and the tile of every cell, sorted by output cell, and
-    split at stride breaks, so every run stays inside its tiles. Input
-    slots a gate does not read repeat its output. Order inside a bundle is
-    free: legal bundles are conflict-free.
+    Within a bundle, lines are grouped by gate, input-to-output offsets
+    (constant within an aligned pattern) and the tile of every cell, in the
+    order each group's first line appears; each group is sorted by output
+    cell and split greedily where the step between outputs changes, so
+    every run stays inside its tiles. A run the scheduler carried whole
+    comes out as one event unless it leaves a tile or shares its group
+    with another run. Input slots a gate does not read repeat its output.
+    Order inside a bundle is free: legal bundles are conflict-free.
     """
-    rows, cols = tiles.rows, tiles.cols
-    ur, uc = tiles.unit_rows, tiles.unit_cols
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for op in bundle.ops:
-        deltas = tuple((c[0] - op.output[0], c[1] - op.output[1])
-                       for c in op.inputs)
-        where = tuple((r // ur, c // uc) for r, c in op.cells())
-        groups.setdefault((int(op.gate), deltas, where), []).append(op.output)
-    events = []
-    for (gate, deltas, _), outs in groups.items():
-        outs.sort()
-        runs: list[list[tuple[int, int]]] = [[outs[0]]]
-        stride: tuple[int, int] | None = None
-        for prev, cur in zip(outs, outs[1:]):
-            step = (cur[0] - prev[0], cur[1] - prev[1])
-            if stride is None and len(runs[-1]) == 1:
-                stride = step
-                runs[-1].append(cur)
-            elif step == stride:
-                runs[-1].append(cur)
-            else:
-                runs.append([cur])
-                stride = None
-        slots = ((0, 0),) + deltas + ((0, 0),) * (2 - len(deltas))
-        for run in runs:
-            # a run is a line, so its ends bound every cell it touches
-            for r, c in (run[0], run[-1]):
-                for dr, dc in slots:
-                    if not (0 <= r + dr < rows and 0 <= c + dc < cols):
-                        raise AddressError(f"cell ({r + dr},{c + dc}) is off "
-                                           f"a grid of {rows}x{cols} cells")
-            r, c = run[0]
-            dr, dc = (run[1][0] - r, run[1][1] - c) if len(run) > 1 else (0, 0)
-            events.append((gate, len(run), dr, dc,
-                           *(v for sr, sc in slots for v in (r + sr, c + sc))))
-    return events
+    ops = [op for bundle in bundles for op in bundle.ops]
+    owner, cells = run_lines(ops)
+    n = owner.shape[0]
+    if not n:
+        return np.zeros((0, 11), dtype=np.int64)
+    r, c = cells[..., 0], cells[..., 1]
+    off = (r < 0) | (r >= tiles.rows) | (c < 0) | (c >= tiles.cols)
+    if off.any():
+        line, slot = np.argwhere(off)[0]
+        raise AddressError(f"cell ({r[line, slot]},{c[line, slot]}) is off a "
+                           f"grid of {tiles.rows}x{tiles.cols} cells")
+    # a segment is a stretch of one run's lines in one set of tiles; a
+    # group is the segments of one bundle that share its key, ranked by
+    # its first segment (a stable sort puts that one first)
+    tile = r // tiles.unit_rows * tiles.grid[1] + c // tiles.unit_cols
+    head = np.flatnonzero(np.r_[True, (owner[1:] != owner[:-1])
+                                | (tile[1:] != tile[:-1]).any(axis=1)])
+    op_bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
+    op_gate = np.array([op.gate for op in ops], dtype=np.int64)
+    seg_op = owner[head]
+    key = np.column_stack([op_bundle[seg_op], op_gate[seg_op],
+                           (cells[head, 1:] - cells[head, :1]).reshape(-1, 4),
+                           tile[head]])
+    del tile
+    by_key = np.lexsort(key.T[::-1])
+    new = np.r_[True, (np.diff(key[by_key], axis=0) != 0).any(axis=1)]
+    group = np.empty_like(by_key)
+    group[by_key] = np.cumsum(new) - 1
+    rank = np.repeat(np.argsort(np.argsort(by_key[new]))[group],
+                     np.diff(np.r_[head, n]))
+    order = np.lexsort((c[:, 0], r[:, 0], rank))
+    out, rank = cells[order, 0], rank[order]
+    # a streak is a stretch of one group with one step between outputs;
+    # a greedy run takes the line after its streak too
+    step = np.diff(out, axis=0)
+    joined = np.r_[rank[1:] == rank[:-1], False]    # line i + 1 is in its group
+    ends = np.flatnonzero(~joined[:-1] | ~joined[1:]
+                          | np.r_[(step[1:] != step[:-1]).any(axis=1), True]).tolist()
+    ends.append(n - 1)
+    starts, i = [], 0
+    while i < n:
+        starts.append(i)
+        i = ends[bisect.bisect_left(ends, i)] + 2 if joined[i] else i + 1
+    starts = np.array(starts, dtype=np.int64)
+    count = np.diff(np.r_[starts, n])
+    stride = np.zeros((starts.shape[0], 2), dtype=np.int64)
+    stride[count > 1] = step[starts[count > 1]]
+    head = order[starts]
+    return np.column_stack([op_bundle[owner[head]], op_gate[owner[head]], count,
+                            stride, cells[head].reshape(-1, 6)])
 
 
 def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
@@ -228,10 +249,9 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     """
     tiles = _Tiles(config)
     ur, uc = tiles.unit_rows, tiles.unit_cols
-    per_bundle = [_bundle_vector_events(b, tiles) for b in bundles]
-    sizes = np.array([len(events) for events in per_bundle], dtype=np.int64)
-    events = np.array([e for events in per_bundle for e in events],
-                      dtype=np.int64).reshape(-1, 10)
+    events = _vector_events(bundles, tiles)
+    sizes = np.bincount(events[:, 0], minlength=len(bundles))
+    events = events[:, 1:]
     label_names = sorted(set(labels))
     label_index = {name: i for i, name in enumerate(label_names)}
     bundle_label = np.array([label_index[name] for name in labels],

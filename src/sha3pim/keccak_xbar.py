@@ -304,23 +304,33 @@ def block_state_bits(block: bytes) -> np.ndarray:
 
 # --------------------------------------------------------- microcode helpers
 
-def _xor_inplace(stream: OpStream, rows: list[int], a_col: int, b_col: int,
+def _lane_rows(unit: UnitLayout) -> range:
+    return range(unit.row(0), unit.row(LANE_BITS))
+
+
+def _along(lines: range, orientation: str) -> dict:
+    """The count and stride of a macro run over ``lines``: the rows of an
+    in-row macro, the columns of an in-column one."""
+    step = (lines.step, 0) if orientation == IN_ROW else (0, lines.step)
+    return {"count": len(lines), "stride": step}
+
+
+def _xor_inplace(stream: OpStream, rows: range, a_col: int, b_col: int,
                  u_col: int, v_col: int) -> None:
-    """a ^= b across ``rows`` via NOR/AND/NOR (3 gates, 2 scratch columns)."""
-    for z in rows:
-        stream.append(MacroOp(GateType.NOR2, ((z, a_col), (z, b_col)), (z, u_col)))
-        stream.append(MacroOp(GateType.AND2, ((z, a_col), (z, b_col)), (z, v_col)))
+    """a ^= b down ``rows`` via NOR/AND/NOR (3 gates, 2 scratch columns)."""
+    z, run = rows[0], _along(rows, IN_ROW)
+    stream.append(MacroOp(GateType.NOR2, ((z, a_col), (z, b_col)), (z, u_col), **run))
+    stream.append(MacroOp(GateType.AND2, ((z, a_col), (z, b_col)), (z, v_col), **run))
     stream.barrier()
-    for z in rows:
-        stream.append(MacroOp(GateType.NOR2, ((z, u_col), (z, v_col)), (z, a_col)))
+    stream.append(MacroOp(GateType.NOR2, ((z, u_col), (z, v_col)), (z, a_col), **run))
     stream.barrier()
 
 
-def _copy_col(stream: OpStream, rows: list[int], src_col: int, dst_col: int,
+def _copy_col(stream: OpStream, rows: range, src_col: int, dst_col: int,
               tmp_col: int) -> None:
-    for z in rows:
-        stream.append(MacroOp(MacroKind.COPY, ((z, src_col),), (z, dst_col),
-                              scratch=((z, tmp_col),)))
+    z = rows[0]
+    stream.append(MacroOp(MacroKind.COPY, ((z, src_col),), (z, dst_col),
+                          scratch=((z, tmp_col),), **_along(rows, IN_ROW)))
     stream.barrier()
 
 
@@ -329,7 +339,8 @@ def _copy_col(stream: OpStream, rows: list[int], src_col: int, dst_col: int,
 def theta_microcode(unit: UnitLayout) -> OpStream:
     """C[x] = xor of plane columns; D[x] = C[x-1] ^ (C[x+1] <<< 1); A ^= D."""
     s = OpStream("theta")
-    rows = [unit.row(z) for z in range(LANE_BITS)]
+    rows = _lane_rows(unit)
+    z, down = rows[0], _along(rows, IN_ROW)
     m, xc = unit.m_col, unit.x_col
 
     # Five-column XOR reduction into C[x], chained through the scratch
@@ -339,35 +350,31 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
         chain = [(cols[0], cols[1], m), (m, cols[2], xc),
                  (xc, cols[3], m), (m, cols[4], unit.c_col(x))]
         for a, b, out in chain:
-            for z in rows:
-                s.append(MacroOp(MacroKind.XOR2, ((z, a), (z, b)), (z, out),
-                                 scratch=((z, unit.d_col(0)), (z, unit.d_col(1)),
-                                          (z, unit.d_col(2)))))
+            s.append(MacroOp(MacroKind.XOR2, ((z, a), (z, b)), (z, out),
+                             scratch=((z, unit.d_col(0)), (z, unit.d_col(1)),
+                                      (z, unit.d_col(2))), **down))
             s.barrier()
 
     # D[x] <- not C[x+1] (row-parallel copies, inverted once)
     for x in range(5):
-        for z in rows:
-            s.append(MacroOp(GateType.NOT, ((z, unit.c_col((x + 1) % 5)),),
-                             (z, unit.d_col(x))))
+        s.append(MacroOp(GateType.NOT, ((z, unit.c_col((x + 1) % 5)),),
+                         (z, unit.d_col(x)), **down))
     s.barrier()
 
     # Rotate the D columns by one row (in-column). The top bit is stashed
     # through two spare rows (double inversion), then a descending pass
     # shifts in place; each NOT also undoes the inversion from the copy.
-    dcols = [unit.d_col(x) for x in range(5)]
-    for c in dcols:
-        s.append(MacroOp(GateType.NOT, ((unit.row(63), c),), (unit.a_row, c)))
+    dcols = range(unit.d_col(0), unit.d_col(5))
+    d, across = dcols[0], _along(dcols, IN_COL)
+    s.append(MacroOp(GateType.NOT, ((unit.row(63), d),), (unit.a_row, d), **across))
     s.barrier()
-    for c in dcols:
-        s.append(MacroOp(GateType.NOT, ((unit.a_row, c),), (unit.b_row, c)))
+    s.append(MacroOp(GateType.NOT, ((unit.a_row, d),), (unit.b_row, d), **across))
     s.barrier()
-    for z in range(63, 0, -1):
-        for c in dcols:
-            s.append(MacroOp(GateType.NOT, ((unit.row(z - 1), c),), (unit.row(z), c)))
+    for row in range(63, 0, -1):
+        s.append(MacroOp(GateType.NOT, ((unit.row(row - 1), d),), (unit.row(row), d),
+                         **across))
         s.barrier()
-    for c in dcols:
-        s.append(MacroOp(GateType.NOT, ((unit.b_row, c),), (unit.row(0), c)))
+    s.append(MacroOp(GateType.NOT, ((unit.b_row, d),), (unit.row(0), d), **across))
     s.barrier()
 
     # D[x] ^= C[x-1], then every lane ^= its D column.
@@ -379,7 +386,7 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
     return s
 
 
-def variable_rotate(unit: UnitLayout, lane_cols: list[int]) -> list[OpStream]:
+def variable_rotate(unit: UnitLayout, lane_cols: range) -> list[OpStream]:
     """Data-dependent cyclic rotation of whole lanes, one stream per level.
 
     Level j muxes every lane between itself and itself shifted by 2^j rows,
@@ -388,50 +395,50 @@ def variable_rotate(unit: UnitLayout, lane_cols: list[int]) -> list[OpStream]:
     execute serially: each chain stashes its first destination's source
     into the redundant slice row, then walks destinations in source order,
     computing both mux partials in spare rows before overwriting in place.
+    Every macro runs across ``lane_cols``.
     """
     streams = []
     t, tn, p, q, sr = unit.t_row, unit.tn_row, unit.p_row, unit.q_row, unit.s_row
+    c, across = lane_cols[0], _along(lane_cols, IN_COL)
     for j in range(6):
         s = OpStream("rho")
-        for c in lane_cols:
-            s.append(MacroOp(GateType.NOT, ((t, c),), (tn, c)))
+        s.append(MacroOp(GateType.NOT, ((t, c),), (tn, c), **across))
         s.barrier()
         step = 1 << j
         for start in range(step):
-            for c in lane_cols:
-                s.append(MacroOp(GateType.NOT, ((unit.row(start), c),), (sr, c)))
+            s.append(MacroOp(GateType.NOT, ((unit.row(start), c),), (sr, c), **across))
             s.barrier()
             length = LANE_BITS // step
             for k in range(length):
                 dest = (start - k * step) % LANE_BITS
                 src = unit.row((dest - step) % LANE_BITS)
-                last = k == length - 1
-                for c in lane_cols:
-                    if last:
-                        # source bit was overwritten first; use its stashed
-                        # complement: a & t == NOR(~a, ~t)
-                        s.append(MacroOp(GateType.NOR2, ((sr, c), (tn, c)), (p, c)))
-                    else:
-                        s.append(MacroOp(GateType.AND2, ((src, c), (t, c)), (p, c)))
-                    s.append(MacroOp(GateType.AND2, ((unit.row(dest), c), (tn, c)),
-                                     (q, c)))
+                if k == length - 1:
+                    # source bit was overwritten first; use its stashed
+                    # complement: a & t == NOR(~a, ~t)
+                    s.append(MacroOp(GateType.NOR2, ((sr, c), (tn, c)), (p, c),
+                                     **across))
+                else:
+                    s.append(MacroOp(GateType.AND2, ((src, c), (t, c)), (p, c),
+                                     **across))
+                s.append(MacroOp(GateType.AND2, ((unit.row(dest), c), (tn, c)),
+                                 (q, c), **across))
                 s.barrier()
-                for c in lane_cols:
-                    s.append(MacroOp(GateType.OR2, ((p, c), (q, c)),
-                                     (unit.row(dest), c)))
+                s.append(MacroOp(GateType.OR2, ((p, c), (q, c)),
+                                 (unit.row(dest), c), **across))
                 s.barrier()
         streams.append(s)
     return streams
 
 
-def rho_lane_cols(unit: UnitLayout) -> list[int]:
-    return [unit.lane_col(x, y) for x in range(5) for y in range(5)]
+def rho_lane_cols(unit: UnitLayout) -> range:
+    """The 25 lane columns, which are contiguous in lane order."""
+    return range(unit.lane_col(0, 0), unit.lane_col(4, 4) + 1)
 
 
 def pi_microcode(unit: UnitLayout) -> OpStream:
     """Walk the 24-lane permutation cycle through the spare lane column."""
     s = OpStream("pi")
-    rows = [unit.row(z) for z in range(LANE_BITS)]
+    rows = _lane_rows(unit)
     cols = [unit.lane_col(x, y) for x, y in PI_CYCLE]
     _copy_col(s, rows, cols[0], unit.x_col, unit.m_col)
     _copy_col(s, rows, cols[-1], cols[0], unit.m_col)
@@ -444,23 +451,21 @@ def pi_microcode(unit: UnitLayout) -> OpStream:
 def chi_microcode(unit: UnitLayout) -> OpStream:
     """Per plane: invert the five lanes, then A[x] ^= ~A[x+1] & A[x+2]."""
     s = OpStream("chi")
-    rows = [unit.row(z) for z in range(LANE_BITS)]
+    rows = _lane_rows(unit)
+    z, down = rows[0], _along(rows, IN_ROW)
     for y in range(5):
         for x in range(5):
-            for z in rows:
-                s.append(MacroOp(GateType.NOT, ((z, unit.lane_col(x, y)),),
-                                 (z, unit.c_col(x))))
+            s.append(MacroOp(GateType.NOT, ((z, unit.lane_col(x, y)),),
+                             (z, unit.c_col(x)), **down))
         s.barrier()
         for x in range(5):
             # the inverted copies preserve this plane's pre-step values
-            for z in rows:
-                s.append(MacroOp(GateType.NOT, ((z, unit.c_col((x + 2) % 5)),),
-                                 (z, unit.m_col)))
+            s.append(MacroOp(GateType.NOT, ((z, unit.c_col((x + 2) % 5)),),
+                             (z, unit.m_col), **down))
             s.barrier()
-            for z in rows:
-                s.append(MacroOp(GateType.AND2,
-                                 ((z, unit.c_col((x + 1) % 5)), (z, unit.m_col)),
-                                 (z, unit.x_col)))
+            s.append(MacroOp(GateType.AND2,
+                             ((z, unit.c_col((x + 1) % 5)), (z, unit.m_col)),
+                             (z, unit.x_col), **down))
             s.barrier()
             _xor_inplace(s, rows, unit.lane_col(x, y), unit.x_col,
                          unit.d_col(0), unit.m_col)
@@ -470,8 +475,7 @@ def chi_microcode(unit: UnitLayout) -> OpStream:
 def iota_local_microcode(unit: UnitLayout) -> OpStream:
     """XOR the fetched round constant (in the scratch column) into A[0][0]."""
     s = OpStream("iota")
-    rows = [unit.row(z) for z in range(LANE_BITS)]
-    _xor_inplace(s, rows, unit.lane_col(0, 0), unit.m_col,
+    _xor_inplace(s, _lane_rows(unit), unit.lane_col(0, 0), unit.m_col,
                  unit.x_col, unit.d_col(0))
     return s
 
@@ -479,34 +483,33 @@ def iota_local_microcode(unit: UnitLayout) -> OpStream:
 def absorb_microcode(unit: UnitLayout, lanes: list[int], base: int) -> OpStream:
     """XOR staged message lanes (staging column base+k) into the state."""
     s = OpStream("io")
-    rows = [unit.row(z) for z in range(LANE_BITS)]
     for k, lane in enumerate(lanes):
         x, y = lane % 5, lane // 5
-        _xor_inplace(s, rows, unit.lane_col(x, y), unit.stage_col(base + k),
-                     unit.x_col, unit.m_col)
+        _xor_inplace(s, _lane_rows(unit), unit.lane_col(x, y),
+                     unit.stage_col(base + k), unit.x_col, unit.m_col)
     return s
 
 
 # ------------------------------------------------------------- shared fetches
 
-def _hop(stream: OpStream, orientation: str, lines: list[int], src: int,
+def _hop(stream: OpStream, orientation: str, lines: range, src: int,
          via: int, dst: int, switch=None) -> None:
-    """Double-inverting copy ``src -> via -> dst`` along each of ``lines``.
+    """Double-inverting copy ``src -> via -> dst`` along each of ``lines``,
+    one run per inversion.
 
     ``src``, ``via`` and ``dst`` are columns of each row for ``IN_ROW`` and
     rows of each column for ``IN_COL``; only the first inversion may cross
     ``switch``, so the destination receives the true bit values.
     """
-    def cell(line: int, at: int) -> tuple[int, int]:
-        return (line, at) if orientation == IN_ROW else (at, line)
+    def cell(at: int) -> tuple[int, int]:
+        return (lines[0], at) if orientation == IN_ROW else (at, lines[0])
 
+    run = _along(lines, orientation)
     switches = frozenset([switch]) if switch else frozenset()
-    for line in lines:
-        stream.append(MacroOp(GateType.NOT, (cell(line, src),),
-                              cell(line, via), switches=switches))
+    stream.append(MacroOp(GateType.NOT, (cell(src),), cell(via),
+                          switches=switches, **run))
     stream.barrier()
-    for line in lines:
-        stream.append(MacroOp(GateType.NOT, (cell(line, via),), cell(line, dst)))
+    stream.append(MacroOp(GateType.NOT, (cell(via),), cell(dst), **run))
     stream.barrier()
 
 
@@ -521,7 +524,7 @@ def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     the ROT block, so the chain is the same for every plane and is compiled
     once.
     """
-    cols = list(range(STATE_COLS))
+    cols = range(STATE_COLS)
     units = [layout.unit(v * layout.hparts) for v in range(layout.vparts)]
     bottom = layout.vparts - 1
     streams = []
@@ -549,7 +552,7 @@ def rc_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     RC block, so the chain is the same for every round and is compiled once.
     """
     units = [layout.unit(h) for h in range(layout.hparts)]
-    rows = list(range(LANE_BITS))
+    rows = range(LANE_BITS)
     rightmost = layout.hparts - 1
     streams = []
     for round_index in range(KECCAK.rounds):

@@ -66,18 +66,24 @@ class MetricsReport:
 
 
 def compute(inputs: MetricsInput) -> MetricsReport:
+    """The metrics of ``inputs``; raises ``ValueError`` if an input is bad
+    or a metric is not finite (it overflowed)."""
     inputs.validate()
     tput_unit = inputs.rate_bits / inputs.latency_round_cycles * inputs.clock_hz
     tput_system = tput_unit * inputs.units_per_crossbar * inputs.crossbars
     power = tput_system * inputs.energy_unit_j / inputs.rate_bits
     area = inputs.crossbars * inputs.crossbar_cells * inputs.cell_area_f2
-    return MetricsReport(
+    report = MetricsReport(
         tput_unit_bps=tput_unit,
         tput_system_bps=tput_system,
         power_system_w=power,
         tput_per_watt_bps=tput_system / power,
         tput_per_area_bps_f2=tput_system / area,
     )
+    for name, value in report.as_dict().items():
+        if not math.isfinite(value):
+            raise ValueError(f"metric {name} is not finite ({value})")
+    return report
 
 
 def scaled(inputs: MetricsInput, crossbars: int) -> MetricsReport:

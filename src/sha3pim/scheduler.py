@@ -3,9 +3,13 @@
 Producers emit streams of macro operations separated by barriers; ops
 between two barriers are declared independent by the producer. A macro is
 one of the two ``MacroKind`` macros, XOR2 and COPY, or a single gate, whose
-kind is its ``GateType``. Expansion rewrites each macro into its fixed
-primitive sequence, and a first-fit pass packs the resulting micro-ops into
-bundles of one merged region and one ``crossbar.line_pattern`` each. The
+kind is its ``GateType``. Every macro is a *run*: its first line's cells
+plus a count and a stride that repeats them along parallel rows or
+columns, the unit a row-parallel crossbar operation works in (a single
+macro is a run of one line). Expansion rewrites each run into its fixed
+primitive sequence, as micro-op runs, and a first-fit pass keys each
+micro-op run once and packs it into bundles of one merged region and one
+``crossbar.line_pattern`` each, where its lines would go one by one. The
 microcode is written for one reference unit and replayed in lockstep on
 every unit, so no bundle needs to hold more than one region.
 
@@ -35,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .crossbar import (
     GATE_NUM_INPUTS,
     Cell,
@@ -42,11 +48,15 @@ from .crossbar import (
     CycleBundle,
     GateType,
     MicroOp,
+    PartitionMap,
     SchedulingError,
     SimulationError,
     SwitchId,
     is_grid,
     line_pattern,
+    run_lines,
+    run_violation,
+    shift,
 )
 
 
@@ -68,14 +78,16 @@ SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.COPY: 1}
 
 @dataclass(slots=True)
 class MacroOp:
-    """One logical operation before decomposition into primitives.
+    """One logical operation before decomposition into primitives, run
+    along ``count`` parallel lines.
 
-    Its inputs, output and scratch cells share one row or one column,
-    which fixes the orientation of every micro-op it expands to.
-    ``scratch`` pins the cells an XOR2 or COPY expansion uses.
-    ``switches`` lists partition boundaries that must be bridged for this op
-    (used by the inter-unit copy hops); such ops only share a bundle with
-    ops declaring the identical switch set.
+    The first line's inputs, output and scratch cells share one row or one
+    column, which fixes the orientation of every micro-op it expands to;
+    line ``k`` is the first moved by ``k`` strides, and the stride may not
+    move along the line. ``scratch`` pins the cells an XOR2 or COPY
+    expansion uses. ``switches`` lists partition boundaries that must be
+    bridged for this op (used by the inter-unit copy hops); such ops only
+    share a bundle with ops declaring the identical switch set.
     """
 
     kind: MacroKind | GateType
@@ -83,6 +95,8 @@ class MacroOp:
     output: Cell
     scratch: tuple[Cell, ...] | None = None
     switches: frozenset[SwitchId] = frozenset()
+    count: int = 1
+    stride: Cell = (0, 0)
 
     def validate(self) -> None:
         if len(self.inputs) != _NUM_INPUTS[self.kind]:
@@ -99,6 +113,22 @@ class MacroOp:
             raise ShapeError(
                 f"{self.kind.name} cells {cells} share neither one row nor "
                 "one column")
+        msg = run_violation(cells, self.count, self.stride)
+        if msg:
+            raise ShapeError(f"{self.kind.name}: {msg}")
+
+    def part(self, start: int, count: int) -> MacroOp:
+        """Its lines ``start`` to ``start + count - 1``, as a run."""
+        n = len(self.inputs)
+        cells = shift(self.inputs + (self.output,) + (self.scratch or ()),
+                      start, self.stride)
+        return MacroOp(self.kind, cells[:n], cells[n],
+                       None if self.scratch is None else cells[n + 1:],
+                       self.switches, count, self.stride)
+
+    def lines(self) -> list[MacroOp]:
+        """The run as one-line macros, in line order."""
+        return [self.part(k, 1) for k in range(self.count)]
 
 
 _BARRIER = object()
@@ -124,7 +154,8 @@ class OpStream:
             self._items.append(_BARRIER)
 
     def __len__(self) -> int:
-        return sum(1 for item in self._items if item is not _BARRIER)
+        """The number of lines of its macros."""
+        return sum(item.count for item in self._items if item is not _BARRIER)
 
     def groups(self):
         """Yield lists of macros delimited by barriers."""
@@ -141,18 +172,20 @@ class OpStream:
 
 
 def expand(macro: MacroOp) -> list[list[MicroOp]]:
-    """Decompose one macro into stages of co-schedulable micro-ops.
+    """Decompose one macro into stages of co-schedulable micro-ops, each a
+    run along the macro's lines.
 
     Stages are sequentially dependent; ops inside one stage are not.
     """
     macro.validate()
     kind = macro.kind
+    run = {"count": macro.count, "stride": macro.stride}
     if isinstance(kind, GateType):
         # Every gate output is INIT1-prepared; the preset cycle is counted,
         # the preset rule proves it, and replay skips it when it is dead.
-        stages = [[MicroOp(GateType.INIT1, (), macro.output)]]
+        stages = [[MicroOp(GateType.INIT1, (), macro.output, **run)]]
         if kind is not GateType.INIT1:
-            stages.append([MicroOp(kind, macro.inputs, macro.output)])
+            stages.append([MicroOp(kind, macro.inputs, macro.output, **run)])
         return stages
 
     need = SCRATCH_NEEDS[kind]
@@ -161,10 +194,10 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
         raise ShapeError(f"{kind.name} needs {need} scratch cells, got {len(scratch)}")
 
     def init(*cells: Cell) -> list[MicroOp]:
-        return [MicroOp(GateType.INIT1, (), cell) for cell in cells]
+        return [MicroOp(GateType.INIT1, (), cell, **run) for cell in cells]
 
     def op(gate: GateType, ins: tuple[Cell, ...], out: Cell) -> list[MicroOp]:
-        return [MicroOp(gate, ins, out)]
+        return [MicroOp(gate, ins, out, **run)]
 
     if kind is MacroKind.COPY:
         (a,) = macro.inputs
@@ -194,24 +227,49 @@ def _close(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundl
 
     A single-cycle preset drives selected wordlines x bitlines, so the
     cells of one INIT group must form a full cross product. A non-grid set
-    is split into the groups of lines sharing one cross-line set (columns
-    or rows, whichever gives fewer), one bundle each.
+    is split line by line into the groups of lines sharing one cross-line
+    set (columns or rows, whichever gives fewer), one bundle each.
     """
-    cells = {op.output for op in ops}
-    if ops[0].gate is not GateType.INIT1 or is_grid(cells):
+    if ops[0].gate is not GateType.INIT1:
         return [CycleBundle(ops, switches)]
-    rows = {r for r, _ in cells}
-    cols = {c for _, c in cells}
+    _, cells = run_lines(ops)
+    if is_grid(cells[:, 0, 0], cells[:, 0, 1]):
+        return [CycleBundle(ops, switches)]
+    lines = [line for op in ops for line in op.lines()]
+    outputs = {line.output for line in lines}
     by_col: dict[frozenset, set[Cell]] = {}
     by_row: dict[frozenset, set[Cell]] = {}
-    for c in cols:
-        key = frozenset(r for r, cc in cells if cc == c)
+    for c in sorted({c for _, c in outputs}):
+        key = frozenset(r for r, cc in outputs if cc == c)
         by_col.setdefault(key, set()).update((r, c) for r in key)
-    for r in rows:
-        key = frozenset(c for rr, c in cells if rr == r)
+    for r in sorted({r for r, _ in outputs}):
+        key = frozenset(c for rr, c in outputs if rr == r)
         by_row.setdefault(key, set()).update((r, c) for c in key)
-    return [CycleBundle([op for op in ops if op.output in group], switches)
+    return [CycleBundle([line for line in lines if line.output in group], switches)
             for group in min((by_col, by_row), key=len).values()]
+
+
+def _parts(macro: MacroOp, partitions: PartitionMap):
+    """Yield the stages of ``macro``'s expansion and the merged region of
+    each of their ops, split into runs of lines that agree on every region.
+
+    Such lines share every bundle key, so first fit places a part where it
+    would place each of its lines on its own. A run is split only where its
+    lines change region or cross an open boundary.
+    """
+    stages = expand(macro)
+    regions = [[partitions.op_region(op, macro.switches) for op in stage]
+               for stage in stages]
+    if macro.count == 1 or all(None not in r for r in regions):
+        yield stages, regions
+        return
+    keys = [[[partitions.op_region(op, macro.switches) for op in stage]
+             for stage in expand(line)] for line in macro.lines()]
+    start = 0
+    for k in range(1, macro.count + 1):
+        if k == macro.count or keys[k] != keys[start]:
+            yield expand(macro.part(start, k - start)), keys[start]
+            start = k
 
 
 def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
@@ -219,9 +277,11 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
 
     Each bundle holds one merged region, one switch set and one
     ``line_pattern``; that triple is its key. Within each barrier group,
-    first fit puts every micro-op into the earliest bundle past its macro's
-    previous stage whose key equals the op's. Bundle order concatenated
-    across groups preserves the stream's serial semantics.
+    first fit puts every micro-op run into the earliest bundle past its
+    macro's previous stage whose key equals the run's. A run is keyed
+    once, and placed whole, as each of its lines would be placed alone.
+    Bundle order concatenated across groups preserves the stream's serial
+    semantics.
 
     The producer promises that the macros of one group are independent and
     that no two of them write the same cell. Every bundle is checked by
@@ -235,21 +295,21 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
         keys: list[tuple] = []
         bundles: list[list[MicroOp]] = []
         for macro in group:
-            floor = -1
-            for stage in expand(macro):
-                stage_top = floor
-                for op in stage:
-                    key = (partitions.op_region(op, macro.switches),
-                           macro.switches, line_pattern(op))
-                    try:
-                        index = keys.index(key, floor + 1)
-                    except ValueError:
-                        index = len(keys)
-                        keys.append(key)
-                        bundles.append([])
-                    bundles[index].append(op)
-                    stage_top = max(stage_top, index)
-                floor = stage_top
+            for stages, regions in _parts(macro, partitions):
+                floor = -1
+                for stage, stage_regions in zip(stages, regions):
+                    stage_top = floor
+                    for op, region in zip(stage, stage_regions):
+                        key = (region, macro.switches, line_pattern(op))
+                        try:
+                            index = keys.index(key, floor + 1)
+                        except ValueError:
+                            index = len(keys)
+                            keys.append(key)
+                            bundles.append([])
+                        bundles[index].append(op)
+                        stage_top = max(stage_top, index)
+                    floor = stage_top
         for (_, switches, _), ops in zip(keys, bundles):
             program.bundles += _close(ops, switches)
     for bundle in program.bundles:
@@ -273,17 +333,36 @@ def check_presets(bundles: list[CycleBundle]) -> None:
     segment, which makes this check of one segment in reference
     coordinates exact. A preset that is read (a constant 1) is legal; it
     only cannot then serve a gate.
+
+    Every line of every run is one access per cell it touches. Accesses
+    are sorted by cell, then bundle, reads before writes (a bundle reads
+    before it writes), then line; a gate's write is legal iff the access
+    before it is an INIT1 write of its cell.
     """
-    preset: set[Cell] = set()
-    for index, bundle in enumerate(bundles):
-        # a bundle reads before it writes
-        preset.difference_update([cell for op in bundle.ops for cell in op.inputs])
-        for op in bundle.ops:
-            if op.gate is GateType.INIT1:
-                preset.add(op.output)
-            elif op.output in preset:
-                preset.remove(op.output)
-            else:
-                raise SchedulingError(
-                    f"bundle {index}: {op.gate.name} writes {op.output}, "
-                    "which was not preset since its last write or read")
+    ops = [op for bundle in bundles for op in bundle.ops]
+    if not ops:
+        return
+    owner, cells = run_lines(ops)
+    gate = np.array([op.gate for op in ops], dtype=np.int64)
+    arity = np.array([len(op.inputs) for op in ops], dtype=np.int64)
+    bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
+    r, c = cells[..., 0], cells[..., 1]
+    line, slot = np.nonzero(np.arange(3) <= arity[owner][:, None])
+    cell = (r[line, slot] - r.min()) * (int(c.max() - c.min()) + 1) \
+        + c[line, slot] - c.min()
+    # one int64 per access orders it by cell, bundle, then reads before
+    # writes; the stable sort keeps the line order of the rest
+    order = np.argsort((cell * len(bundles) + bundle[owner[line]]) * 2 + (slot == 0),
+                       kind="stable")
+    line, write, cell = line[order], slot[order] == 0, cell[order]
+    del order, slot
+    gated = np.flatnonzero(write & (gate[owner[line]] != GateType.INIT1))
+    before = np.maximum(gated - 1, 0)
+    legal = (gated > 0) & (cell[before] == cell[gated]) & write[before] \
+        & (gate[owner[line[before]]] == GateType.INIT1)
+    if not legal.all():
+        bad = int(line[gated[~legal]].min())
+        raise SchedulingError(
+            f"bundle {bundle[owner[bad]]}: {GateType(gate[owner[bad]]).name} writes "
+            f"{(int(r[bad, 0]), int(c[bad, 0]))}, which was not preset since "
+            "its last write or read")

@@ -2,9 +2,11 @@
 
 Used by the scheduler unit tests and, at full volume, by the acceptance
 suite: scheduled execution must leave the grid exactly as executing every
-expanded micro-op one per cycle, every emitted bundle must pass the
-legality check and hold one merged region and one line pattern, and every
-gate must write a freshly preset cell (the preset rule).
+expanded micro-op of every line one per cycle, every emitted bundle must
+pass the legality check and hold one merged region and one line pattern,
+every gate must write a freshly preset cell (the preset rule), and a
+stream of runs must schedule to the bundles its one-line macros schedule
+to.
 """
 
 import random
@@ -43,9 +45,13 @@ def random_stream(rng: random.Random) -> OpStream:
 
 
 def _place_macro(rng: random.Random, used: set) -> MacroOp | None:
+    """A run of 1-4 lines, each inside one partition along its line; the
+    stride, perpendicular to the line, may carry it across partitions."""
     kind = rng.choice(KINDS)
     need = NUM_INPUTS[kind] + 1 + SCRATCH_NEEDS.get(kind, 0)
     orientation = rng.choice((IN_ROW, IN_COL))
+    count, step = rng.randint(1, 4), rng.choice((1, 2, -1))
+    stride = (step, 0) if orientation == IN_ROW else (0, step)
     for _ in range(20):
         part_r, part_c = rng.randint(0, 1) * 8, rng.randint(0, 1) * 8
         if orientation == IN_ROW:
@@ -54,16 +60,37 @@ def _place_macro(rng: random.Random, used: set) -> MacroOp | None:
         else:
             line = part_c + rng.randint(0, 7)
             candidates = [(part_r + i, line) for i in range(8)]
-        free = [c for c in candidates if c not in used]
+        if not 0 <= line + (count - 1) * step < GRID:
+            continue
+        runs = {cell: [(cell[0] + k * stride[0], cell[1] + k * stride[1])
+                       for k in range(count)] for cell in candidates}
+        free = [c for c in candidates if not used.intersection(runs[c])]
         if len(free) < need:
             continue
         cells = rng.sample(free, need)
-        used.update(cells)
+        used.update(cell for c in cells for cell in runs[c])
         n_in = NUM_INPUTS[kind]
         scratch = tuple(cells[n_in + 1:]) or None
         return MacroOp(kind, tuple(cells[:n_in]), cells[n_in],
-                       scratch=scratch)
+                       scratch=scratch, count=count, stride=stride)
     return None
+
+
+def one_line_macros(stream: OpStream) -> OpStream:
+    """``stream`` with every run split into its one-line macros."""
+    split = OpStream(stream.label)
+    for group in stream.groups():
+        for macro in group:
+            for line in macro.lines():
+                split.append(line)
+        split.barrier()
+    return split
+
+
+def bundle_cells(bundles) -> list[set]:
+    """Each bundle as the set of (gate, inputs, output) of its lines."""
+    return [{(op.gate, op.inputs, op.output) for op in bundle.lines()}
+            for bundle in bundles]
 
 
 def check_equivalence(rng: random.Random) -> int:
@@ -75,7 +102,7 @@ def check_equivalence(rng: random.Random) -> int:
     serial = small_crossbar()
     serial.state[:] = initial
     serial.initialized[:] = 1
-    for group in stream.groups():
+    for group in one_line_macros(stream).groups():
         for macro in group:
             for stage in expand(macro):
                 for op in stage:
@@ -97,4 +124,7 @@ def check_equivalence(rng: random.Random) -> int:
 
     assert np.array_equal(serial.state, bundled.state), \
         "scheduled execution diverged from serial execution"
+    one_line = schedule(one_line_macros(stream), small_crossbar())
+    assert bundle_cells(one_line.bundles) == bundle_cells(program.bundles), \
+        "runs scheduled to other bundles than their one-line macros"
     return len(program.bundles)

@@ -74,7 +74,8 @@ def test_unreadable_file(capsys, tmp_path):
                                         ("--gate-delay-ns", "nan"),
                                         ("--gate-delay-ns", "inf"),
                                         ("--gate-delay-ns", "1e-320"),
-                                        ("--gate-energy-fj", "1e-320")])
+                                        ("--gate-energy-fj", "1e-320"),
+                                        ("--gate-energy-fj", "1e-300")])
 def test_bad_geometry(capsys, flag, value):
     # both with a hash and with --metrics alone, which reads the cost
     # parameters that a hash only reports

@@ -148,12 +148,14 @@ def test_same_partition_mixed_gates_illegal():
 
 
 def test_op_crossing_open_switch_illegal():
-    # in-column NOT spanning the row boundary at 8 with the switch open
+    # in-column NOT spanning the row boundary at 8 with the switch open, and
+    # an in-row run whose last line (row 8) lies across that boundary
     xbar = small_xbar()
-    op = MicroOp(GateType.NOT, ((6, 3),), (10, 3))
-    ok, violations = xbar.check_bundle(CycleBundle([op]))
-    assert not ok
-    assert any("open partition boundary" in v for v in violations)
+    for op in (MicroOp(GateType.NOT, ((6, 3),), (10, 3)),
+               MicroOp(GateType.NOT, ((6, 1),), (6, 0), count=3, stride=(1, 0))):
+        ok, violations = xbar.check_bundle(CycleBundle([op]))
+        assert not ok
+        assert any("open partition boundary" in v for v in violations)
 
 
 def test_op_crossing_closed_switch_legal_and_merges():
@@ -170,21 +172,30 @@ def test_op_crossing_closed_switch_legal_and_merges():
 
 
 def test_write_write_conflict():
+    # two presets of one cell, and a run whose last line writes (2, 0),
+    # which another run writes too
     xbar = small_xbar()
-    ops = [MicroOp(GateType.INIT1, (), (0, 0)),
-           MicroOp(GateType.INIT1, (), (0, 0))]
-    ok, violations = xbar.check_bundle(CycleBundle(ops))
-    assert not ok
-    assert any("both write" in v for v in violations)
+    for ops in ([MicroOp(GateType.INIT1, (), (0, 0)),
+                 MicroOp(GateType.INIT1, (), (0, 0))],
+                [MicroOp(GateType.INIT1, (), (0, 0), count=3, stride=(1, 0)),
+                 MicroOp(GateType.INIT1, (), (2, 0))]):
+        ok, violations = xbar.check_bundle(CycleBundle(ops))
+        assert not ok
+        assert any("both write" in v for v in violations)
 
 
 def test_read_write_conflict_detected():
+    # one op reads what another writes, and one reads (2, 0), which the
+    # last line of a run writes
     xbar = small_xbar()
-    bundle = CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0)),
-                          MicroOp(GateType.NOT, ((0, 0),), (0, 2))])
-    ok, violations = xbar.check_bundle(bundle)
-    assert not ok
-    assert any("reads" in v and "written by" in v for v in violations)
+    for bundle in (CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0)),
+                                MicroOp(GateType.NOT, ((0, 0),), (0, 2))]),
+                   CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0),
+                                        count=3, stride=(1, 0)),
+                                MicroOp(GateType.NOT, ((2, 0),), (2, 2))])):
+        ok, violations = xbar.check_bundle(bundle)
+        assert not ok
+        assert any("reads" in v and "written by" in v for v in violations)
 
 
 def test_init_grid_pattern_rule():

@@ -219,7 +219,7 @@ def traced_ops(text):
 def bundle_ops(bundles, labels):
     """What a trace of ``bundles`` from cycle 1 on must expand to."""
     return [(cycle, label, sorted((op.gate, op.inputs, op.output)
-                                  for op in bundle.ops))
+                                  for op in bundle.lines()))
             for cycle, (bundle, label) in enumerate(zip(bundles, labels), 1)]
 
 

@@ -121,6 +121,37 @@ def test_compiled_program_shape(compiled):
         (50, 680), (35, 476)]
 
 
+def test_compile_carries_runs(monkeypatch):
+    # The compile's own structure on the default geometry: the generators
+    # emit runs of lines, and the scheduler packs and checks runs. A fall
+    # back to one macro or micro-op per line multiplies the run counts
+    # while every figure the programs carry stays the same.
+    from sha3pim import keccak_xbar
+    scheduled, checks = [], []
+    schedule, check_bundle = keccak_xbar.schedule, Crossbar.check_bundle
+
+    def recorded_schedule(stream, crossbar):
+        scheduled.append((stream, schedule(stream, crossbar)))
+        return scheduled[-1][1]
+
+    def counted_check(self, bundle):
+        checks.append(len(bundle.ops))
+        return check_bundle(self, bundle)
+
+    monkeypatch.setattr(keccak_xbar, "schedule", recorded_schedule)
+    monkeypatch.setattr(Crossbar, "check_bundle", counted_check)
+    compiled = keccak_xbar.CompiledKeccak(CrossbarConfig())
+    streams = [stream for stream, _ in scheduled]
+    assert len(streams) == 44
+    assert sum(len(stream) for stream in streams) == 60_221       # lines
+    assert sum(len(group) for stream in streams
+               for group in stream.groups()) == 1_769             # runs
+    assert sum(len(program.bundles) for _, program in scheduled) == 3_167
+    assert len(checks) == 3_167
+    assert sum(checks) == 3_708                                   # micro-op runs
+    assert compiled.permute.n_events == 240_384
+
+
 def test_compiled_programs_fingerprint(compiled):
     # Pins every frozen row of permute and both absorb programs, bundle by
     # bundle: its label, and its rows with ``live`` as a tenth column,

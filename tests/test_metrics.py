@@ -49,3 +49,6 @@ def test_invalid_inputs():
         compute(MetricsInput(latency_round_cycles=0))
     with pytest.raises(ValueError):
         compute(MetricsInput(crossbars=-1))
+    with pytest.raises(ValueError, match="not finite"):
+        # finite inputs whose system throughput overflows
+        compute(MetricsInput(clock_hz=1e307))

@@ -71,6 +71,9 @@ def test_macro_validation():
     with pytest.raises(ShapeError, match="scratch"):
         # XOR2 needs three pinned scratch cells
         expand(MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0)))
+    with pytest.raises(ShapeError, match="moves along the line"):
+        # a run whose stride moves along its own line, a row
+        expand(MacroOp(GateType.NOT, ((0, 1),), (0, 0), count=2, stride=(0, 2)))
     # a cell the macro writes that it also reads or writes elsewhere: an
     # in-place XOR2 or COPY, an output or scratch cell that repeats a
     # scratch cell, and a scratch cell that repeats an input
