@@ -166,9 +166,12 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    measured = None
+    if args.metrics and not args.paper_constants:
+        measured = measure_round_stats(n_units=config.num_units, config=config)
     try:
-        modelled = _metrics(args, config) if args.metrics else {}
-    except (ValueError, OverflowError) as exc:     # a metric overflowed
+        modelled = _metrics(args, config, measured) if args.metrics else {}
+    except (ValueError, OverflowError) as exc:     # a metric is out of range
         print(f"error: bad crossbar geometry: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -192,17 +195,16 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
 
-def _metrics(args, config: CrossbarConfig) -> dict:
-    """The report's ``metrics`` entry, after the round measurement it is
-    computed from in measured mode; raises ``ValueError`` if a metric
-    would not be finite."""
+def _metrics(args, config: CrossbarConfig, measured: dict | None) -> dict:
+    """The report's ``metrics`` entry, from the reference constants, or
+    from the round measurement ``measured``, which is reported before it;
+    raises ``ValueError`` if a metric would not be a finite positive float."""
     entries: dict = {}
-    if args.paper_constants:
+    if measured is None:
         inputs = dataclasses.replace(metrics.REFERENCE_INPUT,
                                      crossbars=args.crossbars)
         source = "reference-constants"
     else:
-        measured = measure_round_stats(n_units=config.num_units, config=config)
         entries["round_measurement"] = measured
         inputs = metrics.MetricsInput(
             clock_hz=config.clock_hz,

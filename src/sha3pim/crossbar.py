@@ -116,12 +116,14 @@ class CrossbarConfig:
                    self.io_cycles_per_row)
         if not all(math.isfinite(v) and v > 0 for v in numeric):
             raise ValueError("all crossbar parameters must be finite and positive")
-        # the clock and the bits per joule scale with their reciprocals
+        # the clock and the bits per joule scale with their reciprocals,
+        # the power with their ratio
         if self.gate_energy_fj * 1e-15 == 0 or self.gate_delay_ns * 1e-9 == 0 \
                 or not math.isfinite(self.clock_hz) \
-                or not math.isfinite(1 / (self.gate_energy_fj * 1e-15)):
+                or not math.isfinite(1 / (self.gate_energy_fj * 1e-15)) \
+                or self.gate_energy_fj * 1e-15 * self.clock_hz == 0:
             raise ValueError("gate delay and energy must stay nonzero in s and J, "
-                             "with finite reciprocals")
+                             "with finite reciprocals and a nonzero ratio")
         if self.rows < self.vertical_partitions * self.unit_rows:
             raise ValueError(
                 f"{self.rows} rows cannot hold {self.vertical_partitions} "
@@ -457,7 +459,7 @@ class Crossbar:
                 violations.append(f"partition {divmod(region, partitions.hparts)}: "
                                   f"{what} (ops {indices})")
             elif patterns.pop()[0] is GateType.INIT1:
-                outputs = cells[home[owner] == region, 0]
+                outputs = cells[np.isin(owner, indices), 0]
                 if not is_grid(outputs[:, 0], outputs[:, 1]):
                     violations.append(f"partition {divmod(region, partitions.hparts)}: "
                                       "INIT cells do not form a grid pattern")

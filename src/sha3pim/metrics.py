@@ -67,7 +67,8 @@ class MetricsReport:
 
 def compute(inputs: MetricsInput) -> MetricsReport:
     """The metrics of ``inputs``; raises ``ValueError`` if an input is bad
-    or a metric is not finite (it overflowed)."""
+    or a metric is not a finite positive float (it overflowed or
+    underflowed)."""
     inputs.validate()
     tput_unit = inputs.rate_bits / inputs.latency_round_cycles * inputs.clock_hz
     tput_system = tput_unit * inputs.units_per_crossbar * inputs.crossbars
@@ -77,12 +78,12 @@ def compute(inputs: MetricsInput) -> MetricsReport:
         tput_unit_bps=tput_unit,
         tput_system_bps=tput_system,
         power_system_w=power,
-        tput_per_watt_bps=tput_system / power,
+        tput_per_watt_bps=inputs.rate_bits / inputs.energy_unit_j,
         tput_per_area_bps_f2=tput_system / area,
     )
     for name, value in report.as_dict().items():
-        if not math.isfinite(value):
-            raise ValueError(f"metric {name} is not finite ({value})")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"metric {name} is not finite and positive ({value})")
     return report
 
 

@@ -9,8 +9,10 @@ columns, the unit a row-parallel crossbar operation works in (a single
 macro is a run of one line). Expansion rewrites each run into its fixed
 primitive sequence, as micro-op runs, and a first-fit pass keys each
 micro-op run once and packs it into bundles of one merged region and one
-``crossbar.line_pattern`` each, where its lines would go one by one. The
-microcode is written for one reference unit and replayed in lockstep on
+``crossbar.line_pattern`` each, where its lines would go one by one. A
+run must lie in one merged region, as every run of the hash microcode
+does inside its unit; ``crossbar.check_bundle`` rejects one that does
+not. The microcode is written for one reference unit and replayed in lockstep on
 every unit, so no bundle needs to hold more than one region.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
@@ -48,7 +50,6 @@ from .crossbar import (
     CycleBundle,
     GateType,
     MicroOp,
-    PartitionMap,
     SchedulingError,
     SimulationError,
     SwitchId,
@@ -56,7 +57,6 @@ from .crossbar import (
     line_pattern,
     run_lines,
     run_violation,
-    shift,
 )
 
 
@@ -116,19 +116,6 @@ class MacroOp:
         msg = run_violation(cells, self.count, self.stride)
         if msg:
             raise ShapeError(f"{self.kind.name}: {msg}")
-
-    def part(self, start: int, count: int) -> MacroOp:
-        """Its lines ``start`` to ``start + count - 1``, as a run."""
-        n = len(self.inputs)
-        cells = shift(self.inputs + (self.output,) + (self.scratch or ()),
-                      start, self.stride)
-        return MacroOp(self.kind, cells[:n], cells[n],
-                       None if self.scratch is None else cells[n + 1:],
-                       self.switches, count, self.stride)
-
-    def lines(self) -> list[MacroOp]:
-        """The run as one-line macros, in line order."""
-        return [self.part(k, 1) for k in range(self.count)]
 
 
 _BARRIER = object()
@@ -249,29 +236,6 @@ def _close(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundl
             for group in min((by_col, by_row), key=len).values()]
 
 
-def _parts(macro: MacroOp, partitions: PartitionMap):
-    """Yield the stages of ``macro``'s expansion and the merged region of
-    each of their ops, split into runs of lines that agree on every region.
-
-    Such lines share every bundle key, so first fit places a part where it
-    would place each of its lines on its own. A run is split only where its
-    lines change region or cross an open boundary.
-    """
-    stages = expand(macro)
-    regions = [[partitions.op_region(op, macro.switches) for op in stage]
-               for stage in stages]
-    if macro.count == 1 or all(None not in r for r in regions):
-        yield stages, regions
-        return
-    keys = [[[partitions.op_region(op, macro.switches) for op in stage]
-             for stage in expand(line)] for line in macro.lines()]
-    start = 0
-    for k in range(1, macro.count + 1):
-        if k == macro.count or keys[k] != keys[start]:
-            yield expand(macro.part(start, k - start)), keys[start]
-            start = k
-
-
 def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     """Expand and pack a macro stream into legal cycle bundles.
 
@@ -279,7 +243,9 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     ``line_pattern``; that triple is its key. Within each barrier group,
     first fit puts every micro-op run into the earliest bundle past its
     macro's previous stage whose key equals the run's. A run is keyed
-    once, and placed whole, as each of its lines would be placed alone.
+    once, and placed whole, as each of its lines would be placed alone;
+    a run outside one merged region has no region, and its bundle fails
+    the check below.
     Bundle order concatenated across groups preserves the stream's serial
     semantics.
 
@@ -295,21 +261,21 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
         keys: list[tuple] = []
         bundles: list[list[MicroOp]] = []
         for macro in group:
-            for stages, regions in _parts(macro, partitions):
-                floor = -1
-                for stage, stage_regions in zip(stages, regions):
-                    stage_top = floor
-                    for op, region in zip(stage, stage_regions):
-                        key = (region, macro.switches, line_pattern(op))
-                        try:
-                            index = keys.index(key, floor + 1)
-                        except ValueError:
-                            index = len(keys)
-                            keys.append(key)
-                            bundles.append([])
-                        bundles[index].append(op)
-                        stage_top = max(stage_top, index)
-                    floor = stage_top
+            floor = -1
+            for stage in expand(macro):
+                stage_top = floor
+                for op in stage:
+                    key = (partitions.op_region(op, macro.switches),
+                           macro.switches, line_pattern(op))
+                    try:
+                        index = keys.index(key, floor + 1)
+                    except ValueError:
+                        index = len(keys)
+                        keys.append(key)
+                        bundles.append([])
+                    bundles[index].append(op)
+                    stage_top = max(stage_top, index)
+                floor = stage_top
         for (_, switches, _), ops in zip(keys, bundles):
             program.bundles += _close(ops, switches)
     for bundle in program.bundles:

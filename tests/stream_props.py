@@ -15,7 +15,7 @@ import numpy as np
 
 from sha3pim.crossbar import (GATE_NUM_INPUTS, Crossbar, CrossbarConfig,
                               CycleBundle, GateType, IN_COL, IN_ROW,
-                              line_pattern)
+                              line_pattern, shift)
 from sha3pim.scheduler import (SCRATCH_NEEDS, MacroKind, MacroOp, OpStream,
                                check_presets, expand, schedule)
 
@@ -45,8 +45,8 @@ def random_stream(rng: random.Random) -> OpStream:
 
 
 def _place_macro(rng: random.Random, used: set) -> MacroOp | None:
-    """A run of 1-4 lines, each inside one partition along its line; the
-    stride, perpendicular to the line, may carry it across partitions."""
+    """A run of 1-4 lines inside one partition, its stride perpendicular
+    to the line."""
     kind = rng.choice(KINDS)
     need = NUM_INPUTS[kind] + 1 + SCRATCH_NEEDS.get(kind, 0)
     orientation = rng.choice((IN_ROW, IN_COL))
@@ -60,7 +60,7 @@ def _place_macro(rng: random.Random, used: set) -> MacroOp | None:
         else:
             line = part_c + rng.randint(0, 7)
             candidates = [(part_r + i, line) for i in range(8)]
-        if not 0 <= line + (count - 1) * step < GRID:
+        if (line + (count - 1) * step) // 8 != line // 8:
             continue
         runs = {cell: [(cell[0] + k * stride[0], cell[1] + k * stride[1])
                        for k in range(count)] for cell in candidates}
@@ -81,8 +81,12 @@ def one_line_macros(stream: OpStream) -> OpStream:
     split = OpStream(stream.label)
     for group in stream.groups():
         for macro in group:
-            for line in macro.lines():
-                split.append(line)
+            n = len(macro.inputs)
+            for k in range(macro.count):
+                cells = shift(macro.inputs + (macro.output,)
+                              + (macro.scratch or ()), k, macro.stride)
+                split.append(MacroOp(macro.kind, cells[:n], cells[n],
+                                     cells[n + 1:] or None, macro.switches))
         split.barrier()
     return split
 

@@ -87,6 +87,18 @@ def test_bad_geometry(capsys, flag, value):
         assert len(err.splitlines()) == 1
 
 
+def test_gate_power_underflow_rejected(capsys):
+    # each value is fine alone, but a gate's power, energy over delay,
+    # underflows to 0 W, and so would the system power of the metrics
+    for source in (("--text", "abc"), ("--metrics",)):
+        status, out, err = run_cli(capsys, *source, "--gate-delay-ns", "1e300",
+                                   "--gate-energy-fj", "1e-290")
+        assert status == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: bad crossbar geometry")
+        assert len(err.splitlines()) == 1
+
+
 # each case ends in a flag given a count it rejects; the error names that flag
 @pytest.mark.parametrize("argv", [("--metrics", "--paper-constants",
                                    "--crossbars", "0"),

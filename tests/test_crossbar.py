@@ -210,6 +210,17 @@ def test_init_grid_pattern_rule():
     assert any("grid pattern" in v for v in violations)
 
 
+def test_crossing_run_kept_out_of_grid_rule():
+    # a preset run whose last line (row 8) lies across the open switch is
+    # reported once, as crossing; the grid test covers the other presets
+    xbar = small_xbar()
+    ops = [MicroOp(GateType.INIT1, (), (r, c)) for r in (1, 3) for c in (2, 4, 6)]
+    ops.append(MicroOp(GateType.INIT1, (), (6, 2), count=3, stride=(1, 0)))
+    ok, violations = xbar.check_bundle(CycleBundle(ops))
+    assert not ok
+    assert violations == ["op 6: crosses an open partition boundary"]
+
+
 def test_multi_row_init_counts_per_cell():
     xbar = small_xbar()
     ops = [MicroOp(GateType.INIT1, (), (r, 2)) for r in range(8)]

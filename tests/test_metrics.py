@@ -52,3 +52,6 @@ def test_invalid_inputs():
     with pytest.raises(ValueError, match="not finite"):
         # finite inputs whose system throughput overflows
         compute(MetricsInput(clock_hz=1e307))
+    with pytest.raises(ValueError, match="not finite and positive"):
+        # finite inputs whose system power underflows to 0 W
+        compute(MetricsInput(clock_hz=1e-291, energy_unit_j=1.25e-300))

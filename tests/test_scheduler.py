@@ -169,6 +169,16 @@ def test_switch_that_does_not_exist_rejected():
         schedule(stream, small_crossbar())
 
 
+def test_run_across_partitions_rejected():
+    # each line sits in one partition, but the run's lines go from rows
+    # 6-7 to row 8, across the open switch; a run must lie in one region
+    stream = OpStream()
+    stream.append(MacroOp(GateType.NOT, ((6, 1),), (6, 0), count=3,
+                          stride=(1, 0)))
+    with pytest.raises(SchedulingError, match="crosses an open partition"):
+        schedule(stream, small_crossbar())
+
+
 def test_randomized_equivalence_sample():
     rng = random.Random(2024)
     for _ in range(150):
