@@ -8,11 +8,10 @@ gate's output off ``crossbar.GATE_TRUTH``.
 Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its runs are *vector events* - one gate applied
 along a strided run of cells - and the kernel runs over cells without
-touching per-cell metadata. The lines of a bundle's runs are grouped and
-sorted with numpy and split only at stride breaks, so a run the scheduler
-carried whole is one event unless it leaves a tile or shares a group with
-another run. Cells are those of a reference instance; replay moves them
-by per-origin deltas, so one frozen program serves any set of hash units.
+touching per-cell metadata. Each run the scheduler carried is one event,
+split only where its lines change tile (no Keccak run does). Cells are
+those of a reference instance; replay moves them by per-origin deltas, so
+one frozen program serves any set of hash units.
 Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
 partition row, 2 = per partition column) and each set supplies its own
 delta list at run time.
@@ -22,12 +21,13 @@ column per partition-sized tile, so a delta of whole partitions keeps a
 cell's index and moves only its tile. ``freeze`` therefore writes each event
 as one row of nine tile-local ints: the gate, the run's step and span along
 the cell axis, then the first cell and a (set, tile) key of the output and
-of two input slots. Lines are grouped by the tile of every cell they
-touch, so no event leaves its tile. Only the unit axis of a key - the tiles
-its set's deltas move the key's tile to - depends on the deltas, so ``replay``
-builds those axes, checks them against the crossbar and executes. Each row
-is then one vectorised operation across the tiles of every origin in its
-set, which for contiguous units is a slice.
+of two input slots. No event leaves its tile, and a run that steps
+backward along the cell axis is written from its last line, so each row is
+a forward slice. Only the unit axis of a key - the tiles its set's deltas
+move the key's tile to - depends on the deltas, so ``replay`` builds those
+axes, checks them against the crossbar and executes. Each row is then one
+vectorised operation across the tiles of every origin in its set, which
+for contiguous units is a slice.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -41,7 +41,6 @@ way, and the trace lists the rows a bundle skipped.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import importlib.util
 import json
@@ -77,9 +76,10 @@ SET_UNIT, SET_PARTITION_ROW, SET_PARTITION_COL = 0, 1, 2
 class FrozenProgram:
     """Kernel rows for one replayable microcode segment."""
 
-    rows: np.ndarray          # int16 [n_events, 9]: gate, step, span, then
-    #                           the first cell and the key of the output and
-    #                           of in1 and in2 (0 and 0 for a slot not read)
+    rows: np.ndarray          # int16 (int32 past its range) [n_events, 9]:
+    #                           gate, step, span, then the first cell and the
+    #                           key of the output and of in1 and in2 (0 and 0
+    #                           for a slot not read)
     live: np.ndarray          # bool [n_events]: False for a row of INIT1
     #                           presets that are all dead (overwritten before
     #                           any read); counted and charged, never replayed
@@ -88,8 +88,8 @@ class FrozenProgram:
     bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
     label_names: list[str]
     geometry: tuple           # _Tiles.geometry of the config frozen for
-    reach: np.ndarray         # int16 [n_keys, 2] largest local (row, col)
-    #                           any slot touches per key, -1 for unused keys
+    reach: np.ndarray         # rows.dtype [n_keys, 2] largest local (row,
+    #                           col) any slot touches per key, -1 if unused
     cycles_by_label: np.ndarray      # int64 [n_labels]
     gates_by_label_set: np.ndarray   # int64 [n_labels, NUM_ORIGIN_SETS] cells
     # each bundle's trace record after its cycle number, keyed by whether
@@ -119,17 +119,13 @@ class FrozenProgram:
 
 
 def _vector_events(bundles: list[CycleBundle], tiles: _Tiles) -> np.ndarray:
-    """Collapse the bundles into runs: [event, (bundle, gate, count, dr, dc,
-    then the row and column of the output and of two input slots)].
+    """One event per run of the bundles: [event, (bundle, gate, count, dr,
+    dc, then the row and column of the output and of two input slots)].
 
-    Within a bundle, lines are grouped by gate, input-to-output offsets
-    (constant within an aligned pattern) and the tile of every cell, in the
-    order each group's first line appears; each group is sorted by output
-    cell and split greedily where the step between outputs changes, so
-    every run stays inside its tiles. A run the scheduler carried whole
-    comes out as one event unless it leaves a tile or shares its group
-    with another run. Input slots a gate does not read repeat its output.
-    Order inside a bundle is free: legal bundles are conflict-free.
+    A run is split only where its lines change tile, so every event stays
+    inside its tiles. Replay slices forward along a tile's cells, so a run
+    whose stride steps backward there starts at its last line, with the
+    stride negated. Input slots a gate does not read repeat its output.
     """
     ops = [op for bundle in bundles for op in bundle.ops]
     owner, cells = run_lines(ops)
@@ -142,45 +138,19 @@ def _vector_events(bundles: list[CycleBundle], tiles: _Tiles) -> np.ndarray:
         line, slot = np.argwhere(off)[0]
         raise AddressError(f"cell ({r[line, slot]},{c[line, slot]}) is off a "
                            f"grid of {tiles.rows}x{tiles.cols} cells")
-    # a segment is a stretch of one run's lines in one set of tiles; a
-    # group is the segments of one bundle that share its key, ranked by
-    # its first segment (a stable sort puts that one first)
     tile = r // tiles.unit_rows * tiles.grid[1] + c // tiles.unit_cols
     head = np.flatnonzero(np.r_[True, (owner[1:] != owner[:-1])
                                 | (tile[1:] != tile[:-1]).any(axis=1)])
+    count = np.diff(np.r_[head, n])
+    op = owner[head]
+    stride = np.array([o.stride for o in ops], dtype=np.int64)[op]
+    back = stride[:, 0] * tiles.unit_cols + stride[:, 1] < 0
+    stride[back] *= -1
+    first = np.where(back, head + count - 1, head)
     op_bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
-    op_gate = np.array([op.gate for op in ops], dtype=np.int64)
-    seg_op = owner[head]
-    key = np.column_stack([op_bundle[seg_op], op_gate[seg_op],
-                           (cells[head, 1:] - cells[head, :1]).reshape(-1, 4),
-                           tile[head]])
-    del tile
-    by_key = np.lexsort(key.T[::-1])
-    new = np.r_[True, (np.diff(key[by_key], axis=0) != 0).any(axis=1)]
-    group = np.empty_like(by_key)
-    group[by_key] = np.cumsum(new) - 1
-    rank = np.repeat(np.argsort(np.argsort(by_key[new]))[group],
-                     np.diff(np.r_[head, n]))
-    order = np.lexsort((c[:, 0], r[:, 0], rank))
-    out, rank = cells[order, 0], rank[order]
-    # a streak is a stretch of one group with one step between outputs;
-    # a greedy run takes the line after its streak too
-    step = np.diff(out, axis=0)
-    joined = np.r_[rank[1:] == rank[:-1], False]    # line i + 1 is in its group
-    ends = np.flatnonzero(~joined[:-1] | ~joined[1:]
-                          | np.r_[(step[1:] != step[:-1]).any(axis=1), True]).tolist()
-    ends.append(n - 1)
-    starts, i = [], 0
-    while i < n:
-        starts.append(i)
-        i = ends[bisect.bisect_left(ends, i)] + 2 if joined[i] else i + 1
-    starts = np.array(starts, dtype=np.int64)
-    count = np.diff(np.r_[starts, n])
-    stride = np.zeros((starts.shape[0], 2), dtype=np.int64)
-    stride[count > 1] = step[starts[count > 1]]
-    head = order[starts]
-    return np.column_stack([op_bundle[owner[head]], op_gate[owner[head]], count,
-                            stride, cells[head].reshape(-1, 6)])
+    op_gate = np.array([o.gate for o in ops], dtype=np.int64)
+    return np.column_stack([op_bundle[op], op_gate[op], count, stride,
+                            cells[first].reshape(-1, 6)])
 
 
 def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
@@ -241,7 +211,8 @@ def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
 
 def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
            config: CrossbarConfig) -> FrozenProgram:
-    """Pack checked bundles into kernel rows for ``config``'s tile grid.
+    """Pack checked bundles into kernel rows for ``config``'s tile grid:
+    one row per micro-op run, split only where its lines change tile.
 
     ``set_ids`` gives each bundle's origin set. Coordinates must already be
     those of the reference instance (deltas are applied at run time). A

@@ -402,7 +402,8 @@ def test_trace_export_format():
     xbar = small_xbar()
     stream = io.StringIO()
     xbar.attach_trace(stream)
-    bundles = [row_parallel_nor_bundle(range(2)),
+    run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=2, stride=(1, 0))
+    bundles = [CycleBundle([run]),
                CycleBundle([MicroOp(GateType.INIT1, (), (1, 3))])]
     frozen = engine.freeze(bundles, ["theta", "main"],
                            [engine.SET_UNIT, engine.SET_PARTITION_ROW],

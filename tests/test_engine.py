@@ -80,29 +80,55 @@ def test_origin_replication():
 
 
 def test_vector_event_compression():
-    # aligned row-parallel ops with shared columns become single events: one
-    # row whose run steps down the 8-column tile one row at a time
+    # a run of row-parallel ops is a single event: one row whose run steps
+    # down the 8-column tile one row at a time
     xbar = small_crossbar()
-    ops = [MicroOp(GateType.NOR2, ((r, 1), (r, 2)), (r, 0))
-           for r in range(8)]
-    frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT],
+    run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=8, stride=(1, 0))
+    frozen = engine.freeze([CycleBundle([run])], ["main"], [engine.SET_UNIT],
                            xbar.config)
     assert frozen.n_events == 1
     gate, step, span = frozen.rows[0, :3].tolist()
     assert (gate, step) == (GateType.NOR2, 8)
     assert len(range(0, span, step)) == 8
     assert frozen.n_gate_executions == 8
-    # rows 0-15 span two tiles of 8 rows: one run per tile, never a split
-    # into one-cell rows
-    ops = [MicroOp(GateType.NOR2, ((r, 1), (r, 2)), (r, 0))
-           for r in range(16)]
-    frozen = engine.freeze([CycleBundle(ops)], ["main"], [engine.SET_UNIT],
+    # rows 0-15 span two tiles of 8 rows: one row per tile
+    run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=16, stride=(1, 0))
+    frozen = engine.freeze([CycleBundle([run])], ["main"], [engine.SET_UNIT],
                            xbar.config)
     assert frozen.n_events == 2
     for gate, step, span in frozen.rows[:, :3].tolist():
         assert (gate, step, len(range(0, span, step))) == (GateType.NOR2, 8, 8)
     assert frozen.rows[0, 4] != frozen.rows[1, 4]      # the two output tiles
     assert frozen.n_gate_executions == 16
+    # freeze keeps the scheduler's runs: eight one-line ops stay eight rows
+    frozen = engine.freeze([CycleBundle(run.lines()[:8])], ["main"],
+                           [engine.SET_UNIT], xbar.config)
+    assert frozen.n_events == 8
+    assert frozen.n_gate_executions == 8
+
+
+@pytest.mark.parametrize("run", [
+    MicroOp(GateType.NOR2, ((7, 1), (7, 2)), (7, 0), count=8, stride=(-1, 0)),
+    MicroOp(GateType.NOR2, ((1, 7), (2, 7)), (0, 7), count=8, stride=(0, -1)),
+], ids=["rows-up", "cols-left"])
+def test_backward_run_is_one_forward_row(run):
+    # replay slices forward, so a run that steps back along the tile's
+    # cells is written from its last line
+    config = small_crossbar().config
+    bundles = [CycleBundle([run])]
+    frozen = engine.freeze(bundles, ["main"], [engine.SET_UNIT], config)
+    assert frozen.n_events == 1
+    assert frozen.rows[0, 1] > 0
+    assert frozen.n_gate_executions == 8
+    state = np.random.default_rng(3).integers(0, 2, (16, 16), dtype=np.uint8)
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.state[:] = state
+        crossbar.initialized[:] = 1
+    oracle.execute_bundle(bundles[0])
+    engine.replay(frozen, xbar, unit_deltas((0, 0)))
+    assert np.array_equal(xbar.state, oracle.state)
+    assert xbar.stats.as_dict() == oracle.stats.as_dict()
 
 
 def test_strict_mode_catches_uninitialized_read():
@@ -402,15 +428,15 @@ def test_replay_rejects_delta_off_partition_grid(origin):
         engine.replay(frozen, xbar, unit_deltas((0, 0), origin))
 
 
-@pytest.mark.parametrize("set_id, outputs, shift", [
-    (engine.SET_UNIT, [(0, 0)], (-4, 0)),
-    (engine.SET_PARTITION_ROW, [(4, 0)], (8, 0)),
-    (engine.SET_PARTITION_COL, [(0, 8)], (0, 8)),
-    (engine.SET_UNIT, [(3, 0)], (8, 0)),
-    (engine.SET_UNIT, [(2, 0), (3, 0)], (8, 0)),
+@pytest.mark.parametrize("set_id, output, count, shift", [
+    (engine.SET_UNIT, (0, 0), 1, (-4, 0)),
+    (engine.SET_PARTITION_ROW, (4, 0), 1, (8, 0)),
+    (engine.SET_PARTITION_COL, (0, 8), 1, (0, 8)),
+    (engine.SET_UNIT, (3, 0), 1, (8, 0)),
+    (engine.SET_UNIT, (2, 0), 2, (8, 0)),
 ], ids=["negative-unit", "row-past-grid", "col-past-grid", "padding",
         "padding-run-end"])
-def test_replay_rejects_runs_that_leave_the_crossbar(set_id, outputs, shift):
+def test_replay_rejects_runs_that_leave_the_crossbar(set_id, output, count, shift):
     # the tile grid of the 11 x 14 oracle crossbar is 3 x 4 tiles of 4 x 4;
     # the padding cases move row 3 to row 11, inside the padding of the
     # remainder tile of rows 8-11 but off the crossbar (in the last case
@@ -419,8 +445,9 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, outputs, shift):
     xbar = Crossbar(config)
     xbar.state[:] = np.random.default_rng(5).integers(0, 2, xbar.state.shape)
     xbar.initialized[:] = 1
-    ops = [MicroOp(GateType.NOT, ((r, c + 1),), (r, c)) for r, c in outputs]
-    frozen = engine.freeze([CycleBundle(ops)], ["main"], [set_id], config)
+    r, c = output
+    op = MicroOp(GateType.NOT, ((r, c + 1),), (r, c), count=count, stride=(1, 0))
+    frozen = engine.freeze([CycleBundle([op])], ["main"], [set_id], config)
     assert frozen.n_events == 1
     deltas = [np.zeros(0, dtype=np.int64) for _ in range(engine.NUM_ORIGIN_SETS)]
     deltas[set_id] = np.array([0, shift[0] * config.cols + shift[1]])

@@ -11,7 +11,13 @@ import pytest
 
 from sha3pim import engine
 from sha3pim import keccak_ref as ref
-from sha3pim.crossbar import CapacityError, Crossbar, CrossbarConfig, GateType
+from sha3pim.crossbar import (
+    GATE_NUM_INPUTS,
+    CapacityError,
+    Crossbar,
+    CrossbarConfig,
+    GateType,
+)
 from sha3pim.keccak_xbar import (
     KECCAK,
     CrossbarLayout,
@@ -113,12 +119,12 @@ def test_compiled_program_shape(compiled):
     # how the compile is organised must not change what it emits
     permute = compiled.permute
     assert permute.n_bundles == 78_000
-    assert permute.n_events == 240_384
+    assert permute.n_events == 90_576
     assert permute.n_gate_executions == 3_009_744
     assert dict(zip(permute.label_names, permute.cycles_by_label.tolist())) == {
         "rho": 57_456, "theta": 9_312, "chi": 6_120, "iota": 2_712, "pi": 2_400}
     assert [(p.n_bundles, p.n_events) for p in compiled.absorb] == [
-        (50, 680), (35, 476)]
+        (50, 60), (35, 42)]
 
 
 def test_compile_carries_runs(monkeypatch):
@@ -127,8 +133,9 @@ def test_compile_carries_runs(monkeypatch):
     # back to one macro or micro-op per line multiplies the run counts
     # while every figure the programs carry stays the same.
     from sha3pim import keccak_xbar
-    scheduled, checks = [], []
+    scheduled, checks, frozen = [], [], []
     schedule, check_bundle = keccak_xbar.schedule, Crossbar.check_bundle
+    freeze = engine.freeze
 
     def recorded_schedule(stream, crossbar):
         scheduled.append((stream, schedule(stream, crossbar)))
@@ -138,8 +145,13 @@ def test_compile_carries_runs(monkeypatch):
         checks.append(len(bundle.ops))
         return check_bundle(self, bundle)
 
+    def recorded_freeze(*args):
+        frozen.append(freeze(*args))
+        return frozen[-1]
+
     monkeypatch.setattr(keccak_xbar, "schedule", recorded_schedule)
     monkeypatch.setattr(Crossbar, "check_bundle", counted_check)
+    monkeypatch.setattr(engine, "freeze", recorded_freeze)
     compiled = keccak_xbar.CompiledKeccak(CrossbarConfig())
     streams = [stream for stream, _ in scheduled]
     assert len(streams) == 44
@@ -149,26 +161,56 @@ def test_compile_carries_runs(monkeypatch):
     assert sum(len(program.bundles) for _, program in scheduled) == 3_167
     assert len(checks) == 3_167
     assert sum(checks) == 3_708                                   # micro-op runs
-    assert compiled.permute.n_events == 240_384
+    # freeze writes one row per micro-op run
+    assert len(frozen) == 44
+    assert sum(program.n_events for program in frozen) == 3_708
+    assert compiled.permute.n_events == 90_576
+
+
+def expanded_lines(program, lo, hi):
+    """The lines of bundles ``lo`` to ``hi`` (bundle, [line, 8]), sorted.
+
+    A line is its gate, then the tile-local cell and key of each slot it
+    uses (-1 and -1 for a slot it does not use), then its row's ``live``.
+    """
+    start, end = program.bundle_ptr[lo], program.bundle_ptr[hi]
+    rows = program.rows[start:end].astype(np.int64)
+    step, span = rows[:, 1], rows[:, 2]
+    count = (span - 1) // step + 1
+    row = np.repeat(np.arange(rows.shape[0]), count)
+    along = np.arange(row.shape[0]) - np.repeat(np.cumsum(count) - count, count)
+    rows = rows[row]
+    arity = np.array([GATE_NUM_INPUTS[g] for g in GateType])[rows[:, 0]]
+    used = np.arange(3) <= arity[:, None]
+    local = np.where(used, rows[:, 3::2] + (along * step[row])[:, None], -1)
+    key = np.where(used, rows[:, 4::2], -1)
+    table = np.column_stack([rows[:, 0], np.stack([local, key], axis=2).reshape(-1, 6),
+                             program.live[start:end][row]])
+    bundle = np.repeat(np.arange(lo, hi), np.diff(program.bundle_ptr[lo:hi + 1]))[row]
+    order = np.lexsort((*table.T[::-1], bundle))
+    return bundle[order], table[order]
 
 
 def test_compiled_programs_fingerprint(compiled):
-    # Pins every frozen row of permute and both absorb programs, bundle by
-    # bundle: its label, and its rows with ``live`` as a tenth column,
-    # sorted so that the order of rows inside a bundle is free. A change to
+    # Pins every line of permute and both absorb programs, bundle by
+    # bundle: its label and its sorted lines, so neither the order inside
+    # a bundle nor how freeze cuts lines into rows can move it. A change to
     # this digest is a modelling change and is recorded in CHANGES.md, like
     # a change to perfbench/expected_sim.json.
     digest = hashlib.sha256()
     for program in (compiled.permute, *compiled.absorb):
-        table = np.column_stack([program.rows, program.live]).astype(np.int64)
-        bundle = np.repeat(np.arange(program.n_bundles), np.diff(program.bundle_ptr))
-        table = table[np.lexsort((*table.T[::-1], bundle))]
-        for b, label in enumerate(program.bundle_label.tolist()):
-            rows = table[program.bundle_ptr[b]:program.bundle_ptr[b + 1]]
-            digest.update(f"{program.label_names[label]}:{len(rows)};".encode())
-            digest.update(rows.tobytes())
+        # 2,000 bundles at a time: permute expands to 3,009,744 lines
+        for lo in range(0, program.n_bundles, 2_000):
+            hi = min(lo + 2_000, program.n_bundles)
+            bundle, table = expanded_lines(program, lo, hi)
+            ends = np.searchsorted(bundle, np.arange(lo, hi + 1))
+            for b in range(lo, hi):
+                label = program.label_names[program.bundle_label[b]]
+                lines = table[ends[b - lo]:ends[b - lo + 1]]
+                digest.update(f"{label}:{len(lines)};".encode())
+                digest.update(lines.tobytes())
     assert digest.hexdigest() == (
-        "8e853d1265d9e10559cf60de6d9ffe1cc60e91742088a20598854a5b88e60948")
+        "76c0549b068c746236de2c7706f69d60af168d81f8507b68d649923d3726cd34")
 
 
 @pytest.mark.parametrize("units", [1, 378])
