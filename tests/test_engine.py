@@ -1,5 +1,6 @@
 """Frozen-program replay: freezing, strict mode, stats, trace, oracle."""
 
+import dataclasses
 import io
 import json
 import random
@@ -268,13 +269,14 @@ def test_replay_trace_matches_object_trace():
 # that form tiles of their own, as the shared ROT and RC blocks do
 ORACLE_GEOMETRY = dict(rows=11, cols=14, vertical_partitions=2,
                        horizontal_partitions=3, unit_rows=4, unit_cols=4)
-RUN_STEPS = [(0, 1), (1, 0), (1, 1), (1, -1), (2, 0), (0, 3)]
+RUN_STEPS = [(0, 1), (1, 0), (1, 1), (1, -1), (2, 0), (0, 3), (-1, 0),
+             (0, -1), (-2, 1)]
 
 
 def shifted(op, shift):
     dr, dc = shift
     return MicroOp(op.gate, tuple((r + dr, c + dc) for r, c in op.inputs),
-                   (op.output[0] + dr, op.output[1] + dc))
+                   (op.output[0] + dr, op.output[1] + dc), op.count, op.stride)
 
 
 @st.composite
@@ -282,10 +284,14 @@ def replay_cases(draw):
     """A frozen program, the origin shifts of each set and a start state.
 
     Ops sit anywhere on the grid, read anywhere along their line (so reads
-    hop partitions, as the ROT and RC fetches do) and come in runs that may
-    cross partitions. An op is kept when every shifted copy lies on the
-    grid, as the op itself must be, and no copy reads or writes a cell that
-    another copy in its bundle writes, which legal bundles guarantee.
+    hop partitions, as the ROT and RC fetches do) and are runs of up to six
+    lines, stepping forward or backward, that may cross partitions (freeze
+    splits them there). A run keeps its lines up to the first that does not
+    fit: a line fits when every shifted copy lies on the grid, as the line
+    itself must, and no copy reads or writes a cell that another copy in its
+    bundle writes, which legal bundles guarantee. Unit sets need not be
+    evenly spaced (units 0, 2 and 3, say), so replay also meets unit axes
+    that are not slices.
     """
     config = CrossbarConfig(**ORACLE_GEOMETRY, strict_init=draw(st.booleans()))
     rows, cols = config.rows, config.cols
@@ -327,12 +333,15 @@ def replay_cases(draw):
             line = draw(st.lists(st.integers(0, length - 1), min_size=arity,
                                  max_size=arity, unique=True))
             inputs = [(r, k) if orientation == IN_ROW else (k, c) for k in line]
-            dr, dc = draw(st.sampled_from(RUN_STEPS))
-            for i in range(draw(st.integers(1, 5))):
-                op = MicroOp(gate, tuple((a + i * dr, b + i * dc) for a, b in inputs),
-                             (r + i * dr, c + i * dc))
-                if add(op, set_id, written, read):
-                    ops.append(op)
+            run = MicroOp(gate, tuple(inputs), (r, c),
+                          count=draw(st.integers(1, 6)),
+                          stride=draw(st.sampled_from(RUN_STEPS)))
+            count = 0
+            while count < run.count and add(run.lines()[count], set_id,
+                                            written, read):
+                count += 1
+            if count:
+                ops.append(dataclasses.replace(run, count=count))
         bundles.append(CycleBundle(ops))
         labels.append(draw(st.sampled_from(("a", "b"))))
         set_ids.append(set_id)
@@ -394,11 +403,46 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
             engine.replay(frozen, xbar, deltas)
         r, c = map(int, re.search(r"\((\d+),(\d+)\)",
                                   str(error.value)).groups())
-        assert (r, c) in {cell for op in rejected.ops for cell in op.inputs}
+        assert (r, c) in {cell for op in rejected.lines() for cell in op.inputs}
         assert not oracle.initialized[r, c]
     assert np.array_equal(xbar.state, oracle.state)
     if config.strict_init:
         assert np.array_equal(xbar.initialized, oracle.initialized)
+
+
+@pytest.mark.parametrize("set_id, shifts", [
+    (engine.SET_UNIT, [(0, 0), (0, 8), (4, 0)]),        # units 0, 2 and 3
+    (engine.SET_PARTITION_COL, [(0, 0), (0, 8)]),
+], ids=["uneven-units", "partition-cols"])
+def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
+    # the middle line of the second run of the second bundle reads (1,3),
+    # which is unwritten on the copy shifted by (0,8) alone
+    config = CrossbarConfig(**ORACLE_GEOMETRY, strict_init=True)
+    bundles = [
+        CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0), 3, (1, 0))]),
+        CycleBundle([MicroOp(GateType.NOT, ((3, 1),), (3, 0)),
+                     MicroOp(GateType.NOR2, ((0, 2), (0, 3)), (0, 1), 3, (1, 0)),
+                     MicroOp(GateType.NOT, ((3, 2),), (3, 3))]),
+        CycleBundle([MicroOp(GateType.NOT, ((0, 0),), (0, 2))]),
+    ]
+    frozen = engine.freeze(bundles, ["a"] * 3, [set_id] * 3, config)
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.state[:] = np.random.default_rng(9).integers(0, 2, (11, 14))
+        crossbar.initialized[:] = 1
+        crossbar.initialized[1, 11] = 0
+    with pytest.raises(StrictInitError) as expected:
+        for bundle in bundles:
+            oracle.execute_bundle(CycleBundle(
+                [shifted(op, shift) for shift in shifts for op in bundle.ops]),
+                check=False)
+    assert str(expected.value) == "NOR2 reads uninitialized cell (1,11)"
+    deltas = [np.zeros(0, dtype=np.int64)] * engine.NUM_ORIGIN_SETS
+    deltas[set_id] = np.array([r * config.cols + c for r, c in shifts])
+    with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
+        engine.replay(frozen, xbar, deltas)
+    assert np.array_equal(xbar.state, oracle.state)
+    assert np.array_equal(xbar.initialized, oracle.initialized)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
