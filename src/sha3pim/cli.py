@@ -3,9 +3,10 @@
 Every digest is cross-checked against the software reference; the exit
 status is nonzero if any digest mismatches (1), an input cannot be parsed
 or read, an output path cannot be written or the crossbar geometry is
-invalid (2), the message count exceeds unit capacity (3), or the reader
-of stdout closed it early (141, as a shell reports SIGPIPE; nothing more
-is printed).
+invalid (2), the message count exceeds unit capacity (3), the C replay
+kernel cannot be built or loaded, as without a C compiler (4), or the
+reader of stdout closed it early (141, as a shell reports SIGPIPE; nothing
+more is printed).
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_NO_KERNEL = 4
 EXIT_CLOSED_STDOUT = 141
 
 
@@ -166,6 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    if messages:
+        try:    # before the outputs too: the first hash would build it
+            engine.kernel()
+        except engine.KernelBuildError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NO_KERNEL
     measured = None
     if args.metrics and not args.paper_constants:
         measured = measure_round_stats(n_units=config.num_units, config=config)
@@ -251,13 +259,15 @@ def _run(args, config: CrossbarConfig, messages: list[bytes],
             entries.append({"index": i, "bytes": len(message),
                             "blocks": len(pad_message(message)),
                             "digest": digest.hex(), "verdict": verdict})
-        rounds = KECCAK.rounds * sum(e["blocks"] for e in entries)
         report["messages"] = entries
         report["stats"] = stats.as_dict()
+        # a lockstep cohort runs one permutation per block for all its units
+        cohorts = plan_cohorts([e["blocks"] for e in entries], config.num_units)
+        permutations = sum(entries[c[0]]["blocks"] for c in cohorts)
         non_io_cycles = sum(v.cycles for k, v in stats.per_label.items()
                             if k != "io")
-        report["stats"]["keccak_cycles_per_round"] = non_io_cycles / rounds
-        cohorts = plan_cohorts([e["blocks"] for e in entries], config.num_units)
+        report["stats"]["keccak_cycles_per_round"] = (
+            non_io_cycles / (KECCAK.rounds * permutations))
         report["unit_packing"] = {
             "units_per_crossbar": config.num_units,
             "unit_cells": [config.unit_rows, config.unit_cols],

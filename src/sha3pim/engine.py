@@ -2,8 +2,11 @@
 
 Microcode is generated and legality-checked once at the object level, then
 frozen into an array of kernel rows. Hashing replays those rows millions of
-times, so replay is the hot loop. One numpy kernel runs it, reading each
-gate's output off ``crossbar.GATE_TRUTH``.
+times, so replay is the hot loop. One small C kernel (``_rows.c``) runs it:
+the frozen rows are already a straight-line program, so only the host loop
+that walks them is compiled. It evaluates each gate in the form read off
+``crossbar.GATE_TRUTH`` (an OR or AND of its inputs, inverted or not),
+passed to it as data.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its runs are *vector events* - one gate applied
@@ -23,28 +26,39 @@ as one row of nine tile-local ints: the gate, the run's step and span along
 the cell axis, then the first cell and a (set, tile) key of the output and
 of two input slots. No event leaves its tile, and a run that steps
 backward along the cell axis is written from its last line, so each row is
-a forward slice. Only the unit axis of a key - the tiles its set's deltas
+a forward walk. Only the unit axis of a key - the tiles its set's deltas
 move the key's tile to - depends on the deltas, so ``replay`` builds those
-axes, checks them against the crossbar and executes. Each row is then one
-vectorised operation across the tiles of every origin in its set, which
-for contiguous units is a slice.
+axes as (first tile, stride, count), or as a list of tiles where they are
+not evenly spaced, checks them against the crossbar, copies the tiles they
+reach into ``q`` and calls the kernel once. For contiguous units the loop
+over units is a contiguous one that the compiler vectorises; on one unit
+the kernel walks the run's cells instead.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
 preset that the next access to its cell overwrites is never seen.
 ``freeze`` proves which preset rows are dead and marks each row ``live`` or
 not. Outside strict mode replay runs only the live rows; in strict mode it
-runs every row, bundle by bundle, so an uninitialized read fails at the
-same bundle. Cycles and gate executions are charged for every row either
-way, and the trace lists the rows a bundle skipped.
+runs every row, and checks each bundle's reads against the initialized map
+before the bundle writes, so an uninitialized read fails at the same
+bundle. Cycles and gate executions are charged for every row either way,
+and the trace lists the rows a bundle skipped.
+
+The kernel is compiled from the checkout on first use with the C compiler
+Python was built with, and cached in the package's ``__pycache__``; see
+``kernel``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.util
 import json
+import os
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -66,7 +80,7 @@ HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 def active_backend() -> str:
     """The replay kernel's name, as the CLI report's ``backend`` key."""
-    return "numpy"
+    return "c"
 
 
 NUM_ORIGIN_SETS = 3
@@ -291,32 +305,98 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
 
 # --------------------------------------------------------------------- kernel
 
-_PLAN_EVENTS = 1024   # rows listed at once; bounds the lists' memory
+def _gate_form(gate: GateType) -> tuple[int, int]:
+    """(either, invert) such that GATE_TRUTH gives the gate's output as the
+    OR (``either``) or AND of its inputs, XOR ``invert``.
 
-
-def _gate_form(gate: GateType) -> tuple[np.ufunc, int]:
-    """(reduce, invert) such that GATE_TRUTH gives the gate's output as
-    ``reduce`` over its inputs, XOR ``invert``.
-
-    A ufunc per event is several times faster than a table lookup over all
-    units, so the kernel evaluates this form, read off the truth table.
+    The C kernel evaluates this form, read off the truth table, because it
+    vectorises over units where a table lookup would not.
     """
     arity = GATE_NUM_INPUTS[gate]
     truth = GATE_TRUTH[gate << 2:(gate + 1) << 2].tolist()
     inputs = [(p >> 1 & 1, p & 1)[:arity] for p in range(4)]
-    for reduce, fold in ((np.bitwise_or, any), (np.bitwise_and, all)):
+    for either, fold in ((1, any), (0, all)):
         plain = [int(fold(bits)) for bits in inputs]
         for invert in (0, 1):
             if truth == [bit ^ invert for bit in plain]:
-                return reduce, invert
+                return either, invert
     raise ValueError(f"{gate.name} is not an AND or OR of its inputs, "
                      "inverted or not")
 
 
 _ARITY = np.array([GATE_NUM_INPUTS[g] for g in GateType], dtype=np.int64)
 _GATE_NAMES = [g.name for g in GateType]
-_FORMS = [(GATE_NUM_INPUTS[g], *_gate_form(g), int(GATE_TRUTH[g << 2]))
-          for g in GateType]
+# per gate code: arity, either, invert, preset (the output of no inputs)
+_FORMS = np.array([(GATE_NUM_INPUTS[g], *_gate_form(g), GATE_TRUTH[g << 2])
+                   for g in GateType], dtype=np.int64)
+
+_SOURCE = Path(__file__).with_name("_rows.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_FLAGS = ["-O3", "-shared", "-fPIC"]
+
+
+class KernelBuildError(RuntimeError):
+    """The C replay kernel could not be built or loaded."""
+
+
+def _compiler() -> list[str]:
+    """The C compiler Python was built with, as a command."""
+    import shlex
+    import sysconfig
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _build(command: list[str], path: Path) -> None:
+    """Compile the kernel source into ``path``. It is written under a
+    temporary name and renamed, so a concurrent build never exposes a
+    half-written file."""
+    import subprocess
+    import tempfile
+    tmp = None
+    try:
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+        os.close(fd)
+        done = subprocess.run([*command, "-o", tmp, str(_SOURCE)],
+                              capture_output=True, text=True)
+        if done.returncode:
+            lines = done.stderr.strip().splitlines() or [
+                f"exit status {done.returncode}"]
+            raise KernelBuildError(f"cannot build the C replay kernel with "
+                                   f"{command[0]}: {lines[-1]}")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build the C replay kernel with "
+                               f"{command[0]}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def kernel():
+    """The C row kernel's entry point, built on first use.
+
+    The shared library is cached in the package's ``__pycache__``, keyed by
+    a hash of the C source and the compile command, so it is built once
+    per source and compiler. Raises ``KernelBuildError`` if it cannot be
+    built or loaded, as without a C compiler.
+    """
+    command = _compiler() + _FLAGS
+    key = zlib.crc32(_SOURCE.read_bytes() + " ".join(command).encode())
+    path = _CACHE / f"_rows-{key:08x}.so"
+    if not path.exists():
+        _build(command, path)
+    try:
+        run_rows = ctypes.CDLL(str(path)).run_rows
+    except OSError as exc:
+        raise KernelBuildError(f"cannot load the C replay kernel: {exc}") \
+            from None
+    pointer, i64 = ctypes.c_void_p, ctypes.c_int64
+    run_rows.argtypes = [pointer, pointer, i64, pointer, ctypes.c_int, pointer,
+                         pointer, i64, pointer, pointer, pointer, pointer]
+    run_rows.restype = ctypes.c_int
+    return run_rows
 
 
 class _Tiles:
@@ -349,18 +429,23 @@ class _Tiles:
                         for tv, th in map(divmod, self.place.tolist(),
                                           [self.grid[1]] * self.count)]
 
-    def gather(self, cells: np.ndarray) -> np.ndarray:
+    def gather(self, cells: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+        """``cells`` in tile layout: the listed tiles copied in, the rest 0."""
         q = np.zeros((self.unit_rows * self.unit_cols, self.count),
                      dtype=cells.dtype)
         by_cell = q.reshape(self.unit_rows, self.unit_cols, self.count)
-        for tile, (r, c) in enumerate(self.origins):
+        for tile in tiles.tolist():
+            r, c = self.origins[tile]
             block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
             by_cell[:block.shape[0], :block.shape[1], tile] = block
         return q
 
-    def scatter(self, q: np.ndarray, cells: np.ndarray) -> None:
+    def scatter(self, q: np.ndarray, cells: np.ndarray,
+                tiles: np.ndarray) -> None:
+        """Copy the listed tiles of ``q`` back into ``cells``."""
         by_cell = q.reshape(self.unit_rows, self.unit_cols, self.count)
-        for tile, (r, c) in enumerate(self.origins):
+        for tile in tiles.tolist():
+            r, c = self.origins[tile]
             block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
             block[...] = by_cell[:block.shape[0], :block.shape[1], tile]
 
@@ -380,97 +465,46 @@ def _partition_shifts(config, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows // config.unit_rows, cols // config.unit_cols
 
 
-def _unit_axis(targets: np.ndarray):
-    """Tile indices as a slice where they are evenly spaced, else as is."""
-    if targets.shape[0] < 2:
-        first = int(targets[0]) if targets.shape[0] else 0
-        return slice(first, first + targets.shape[0])
-    step = int(targets[1] - targets[0])
-    if step > 0 and (np.diff(targets) == step).all():
-        return slice(int(targets[0]), int(targets[-1]) + 1, step)
-    return targets
+def _unit_axes(program: FrozenProgram, tiles: _Tiles,
+               shifts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit axis of each key: the tiles its set shifts its tile to.
 
-
-def _unit_axes(program: FrozenProgram, tiles: _Tiles, shifts: list) -> list:
-    """``axes[key]``: the tiles the key's set shifts the key's tile to.
-
-    Raises ``AddressError`` if a shifted tile, or a cell the program
-    touches in it, lies off the crossbar. Negative tile indices would wrap,
-    so they are checked before indexing.
+    Returns ``axes[key]`` = (first tile, stride, count) where those tiles
+    are evenly spaced, else (offset into ``index``, 0, count); ``index``;
+    and every tile an axis reaches. Raises ``AddressError`` if a shifted
+    tile, or a cell the program touches in it, lies off the crossbar.
+    Negative tile indices would wrap, so they are checked before indexing.
     """
-    axes: list = [None] * program.reach.shape[0]
-    for key in np.flatnonzero(program.reach[:, 0] >= 0).tolist():
-        s, tile = divmod(key, tiles.count)
-        dv, dh = shifts[s]
-        tv, th = divmod(int(tiles.place[tile]), tiles.grid[1])
-        tv, th = tv + dv, th + dh
-        last_row, last_col = program.reach[key].tolist()
-        if tv.shape[0] and (
-                tv.min() < 0 or th.min() < 0
-                or tv.max() * tiles.unit_rows + last_row >= tiles.rows
-                or th.max() * tiles.unit_cols + last_col >= tiles.cols):
+    keys = np.flatnonzero(program.reach[:, 0] >= 0)
+    axes = np.zeros((program.reach.shape[0], 3), dtype=np.int64)
+    index, reached, offset = [], [], 0
+    for s, (dv, dh) in enumerate(shifts):
+        own, n = keys[keys // tiles.count == s], dv.shape[0]
+        if not (own.shape[0] and n):
+            continue
+        tv, th = np.divmod(tiles.place[own % tiles.count], tiles.grid[1])
+        tv, th = tv[:, None] + dv, th[:, None] + dh         # [key, unit]
+        last = program.reach[own].astype(np.int64)
+        if (tv.min() < 0 or th.min() < 0
+                or (tv.max(axis=1) * tiles.unit_rows + last[:, 0]
+                    >= tiles.rows).any()
+                or (th.max(axis=1) * tiles.unit_cols + last[:, 1]
+                    >= tiles.cols).any()):
             raise AddressError("a replayed run leaves the crossbar")
-        axes[key] = _unit_axis(tiles.index[tv, th])
-    return axes
-
-
-def _listed(rows: np.ndarray) -> list:
-    """Rows as tuples of ints, which the garbage collector stops tracking at
-    once; lists would stay tracked and slow every collection."""
-    return list(zip(*rows.T.tolist()))
-
-
-def _chunks(program: FrozenProgram):
-    """Yield the rows of whole bundles, at most _PLAN_EVENTS at a time
-    unless one bundle has more, with the index of each bundle's first row."""
-    ptr = program.bundle_ptr
-    b = 0
-    while b < program.n_bundles:
-        end = max(b + 1, int(np.searchsorted(ptr, ptr[b] + _PLAN_EVENTS,
-                                             side="right")) - 1)
-        lo, hi = int(ptr[b]), int(ptr[end])
-        yield _listed(program.rows[lo:hi]), (ptr[b:end] - lo).tolist()
-        b = end
-
-
-def _live_chunks(program: FrozenProgram):
-    """Yield the live rows, _PLAN_EVENTS at a time. Bundle boundaries do
-    not matter: rows run in program order, and within a bundle any order
-    is the bundle's own."""
-    live = np.flatnonzero(program.live)
-    for lo in range(0, live.shape[0], _PLAN_EVENTS):
-        yield _listed(program.rows[live[lo:lo + _PLAN_EVENTS]])
-
-
-def _check_reads(tiles: _Tiles, init: np.ndarray, rows: list,
-                 axes: list) -> None:
-    """Raise StrictInitError at the first input cell not yet written."""
-    for g, step, span, _, _, *inputs in rows:
-        for start, key in zip(inputs[::2], inputs[1::2][:_ARITY[g]]):
-            read = init[start:start + span:step, axes[key]]
-            if not read.all():
-                cell, unit = divmod(int(read.argmin()), read.shape[1])
-                tile = np.arange(tiles.count)[axes[key]][unit]
-                row, col = tiles.cell(tile, start + cell * step)
-                raise StrictInitError(f"{GateType(g).name} reads "
-                                      f"uninitialized cell ({row},{col})")
-
-
-def _execute(q: np.ndarray, rows: list, axes: list,
-             init: np.ndarray | None) -> None:
-    for g, step, span, o, ok, a, ak, b, bk in rows:
-        arity, reduce, invert, preset = _FORMS[g]
-        if arity == 0:
-            value = preset
-        else:
-            value = q[a:a + span:step, axes[ak]]
-            if arity > 1:
-                value = reduce(value, q[b:b + span:step, axes[bk]])
-            if invert:
-                value = value ^ 1
-        q[o:o + span:step, axes[ok]] = value
-        if init is not None:
-            init[o:o + span:step, axes[ok]] = 1
+        targets = tiles.index[tv, th]
+        steps = np.diff(targets, axis=1)
+        stride = steps[:, 0] if n > 1 else np.ones(own.shape[0], np.int64)
+        uneven = ~(steps == stride[:, None]).all(axis=1) | (stride == 0)
+        axes[own] = np.column_stack([targets[:, 0], stride,
+                                     np.full(own.shape[0], n)])
+        axes[own[uneven], 0] = offset + n * np.arange(np.count_nonzero(uneven))
+        axes[own[uneven], 1] = 0
+        offset += n * np.count_nonzero(uneven)
+        index.append(targets[uneven].ravel())
+        reached.append(targets.ravel())
+    none = np.zeros(0, dtype=np.int64)
+    return (axes, np.concatenate([none, *index]),
+            np.unique(np.concatenate([none, *reached])))
 
 
 def _trace_tails(program: FrozenProgram, tiles: _Tiles,
@@ -599,27 +633,33 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         raise ValueError(f"a program frozen for geometry {program.geometry} "
                          f"cannot replay on {tiles.geometry}")
     shifts = [_partition_shifts(crossbar.config, d) for d in deltas_by_set]
-    axes = _unit_axes(program, tiles, shifts)
+    axes, index, reached = _unit_axes(program, tiles, shifts)
+    run_rows = kernel()
     first_cycle = crossbar.stats.cycles + 1
 
-    q = tiles.gather(crossbar.state)
-    init = tiles.gather(crossbar.initialized) \
+    q = tiles.gather(crossbar.state, reached)
+    init = tiles.gather(crossbar.initialized, reached) \
         if crossbar.config.strict_init else None
-    try:
-        if init is None:
-            for rows in _live_chunks(program):
-                _execute(q, rows, axes, None)
-        else:
-            # every row runs, and a bundle that reads an unwritten cell
-            # writes nothing
-            for rows, starts in _chunks(program):
-                for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-                    _check_reads(tiles, init, rows[lo:hi], axes)
-                    _execute(q, rows[lo:hi], axes, init)
-    finally:
-        tiles.scatter(q, crossbar.state)
-        if init is not None:
-            tiles.scatter(init, crossbar.initialized)
+    # C buffers, copied only if a caller built the program's arrays with
+    # another layout than freeze and concat do
+    rows = np.ascontiguousarray(
+        program.rows, np.int16 if program.rows.dtype == np.int16 else np.int32)
+    live = np.ascontiguousarray(program.live, np.bool_)
+    bundle_ptr = np.ascontiguousarray(program.bundle_ptr, np.int64)
+    fail = np.zeros(4, dtype=np.int64)
+    failed = run_rows(q.ctypes.data, None if init is None else init.ctypes.data,
+                      tiles.count, rows.ctypes.data, rows.dtype == np.int32,
+                      live.ctypes.data, bundle_ptr.ctypes.data,
+                      program.n_bundles, _FORMS.ctypes.data, axes.ctypes.data,
+                      index.ctypes.data, fail.ctypes.data)
+    tiles.scatter(q, crossbar.state, reached)
+    if init is not None:
+        tiles.scatter(init, crossbar.initialized, reached)
+    if failed:
+        row, _, local, tile = fail.tolist()
+        r, c = tiles.cell(tile, local)
+        raise StrictInitError(f"{GateType(int(rows[row, 0])).name} reads "
+                              f"uninitialized cell ({r},{c})")
 
     program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
     if crossbar.trace is not None:

@@ -9,11 +9,12 @@ import sys
 import pytest
 
 import sha3pim
-from sha3pim import keccak_ref as ref
+from sha3pim import engine, keccak_ref as ref
 from sha3pim.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
     EXIT_CLOSED_STDOUT,
+    EXIT_NO_KERNEL,
     EXIT_OK,
     main,
 )
@@ -149,6 +150,36 @@ def test_random_is_deterministic(capsys):
     assert status1 == status2 == EXIT_OK
     assert out1 == out2
     assert "seed: 7" in out1
+
+
+@pytest.mark.parametrize("args", [
+    ("--random", "3", "--len", "20"),
+    ("--text", "", "--text", "x" * 200),        # cohorts of 1 and 2 blocks
+], ids=["random-3", "two-cohorts"])
+def test_keccak_cycles_per_round(capsys, args):
+    # the non-io cycles over 24 rounds of each permutation actually run,
+    # which lockstep units share
+    status, out, _ = run_cli(capsys, *args)
+    assert status == EXIT_OK
+    _, report = split_output(out)
+    assert report["stats"]["keccak_cycles_per_round"] == 3250
+
+
+def test_missing_compiler(capsys, monkeypatch, tmp_path):
+    # a fresh kernel cache and no compiler: one line, no traceback, no output
+    monkeypatch.setattr(engine, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(engine, "_compiler",
+                        lambda: [str(tmp_path / "missing-cc")])
+    engine.kernel.cache_clear()
+    try:
+        status, out, err = run_cli(capsys, "--text", "abc")
+    finally:
+        engine.kernel.cache_clear()
+    assert status == EXIT_NO_KERNEL
+    assert out == ""
+    assert err.startswith("error: cannot build the C replay kernel")
+    assert len(err.splitlines()) == 1
+    assert not list((tmp_path / "cache").iterdir())     # no partial file
 
 
 def test_metrics_with_reference_constants(capsys):
