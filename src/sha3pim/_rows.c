@@ -1,5 +1,5 @@
 /* The replay kernel of sha3pim.engine: runs frozen kernel rows over the
-   tile grid q[cell][tile], one byte per cell, `tiles` bytes per cell.
+   tile grid q[cell][tile], one byte per cell and `tiles` tiles.
 
    A row is nine ints (int16, or int32 when `wide`): the gate, the step and
    span along the tile's cells, then the first cell and key of the output
@@ -38,25 +38,17 @@ static void run(u8 *q, i64 tiles, const i64 *f, const i64 *g,
               *kb = axes + 3 * f[fb + 1];
     i64 n = ko[2], so = ko[1], sa = ka[1], sb = kb[1];
     u8 either = g[1] ? 0xff : 0, invert = (u8)g[2], preset = (u8)g[3];
-    if (!(so && sa && sb)) {
-        for (i64 i = 0; i < f[2]; i += f[1]) {
-            u8 *out = q + (f[3] + i) * tiles;
-            const u8 *x = q + (a + i) * tiles, *y = q + (b + i) * tiles;
+    for (i64 i = 0; i < f[2]; i += f[1]) {
+        u8 *out = q + (f[3] + i) * tiles;
+        const u8 *x = q + (a + i) * tiles, *y = q + (b + i) * tiles;
+        if (!(so && sa && sb)) {
             for (i64 u = 0; u < n; u++)
                 out[TILE(ko, u)] = arity ? GATE(x[TILE(ka, u)], y[TILE(kb, u)])
                                          : preset;
+            continue;
         }
-        return;
-    }
-    /* cells x units; the inner loop walks the units, or the cells when
-       there is only one unit */
-    i64 sc = f[1] * tiles, cells = (f[2] - 1) / f[1] + 1;
-    if (n == 1)
-        n = cells, cells = 1, so = sa = sb = sc;
-    for (i64 i = 0; i < cells; i++) {
-        u8 *po = q + f[3] * tiles + ko[0] + i * sc;
-        const u8 *pa = q + a * tiles + ka[0] + i * sc,
-                 *pb = q + b * tiles + kb[0] + i * sc;
+        u8 *po = out + ko[0];
+        const u8 *pa = x + ka[0], *pb = y + kb[0];
         if (!arity)
             for (i64 u = 0; u < n; u++) po[u * so] = preset;
         else if (so == 1 && sa == 1 && sb == 1)

@@ -328,13 +328,13 @@ class PartitionMap:
         return int(v[0]), int(h[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class LabelStats:
     cycles: int = 0
     gate_executions: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionStats:
     """Latency/energy bookkeeping, broken down by microcode step label."""
 

@@ -30,9 +30,9 @@ a forward walk. Only the unit axis of a key - the tiles its set's deltas
 move the key's tile to - depends on the deltas, so ``replay`` builds those
 axes as (first tile, stride, count), or as a list of tiles where they are
 not evenly spaced, checks them against the crossbar, copies the tiles they
-reach into ``q`` and calls the kernel once. For contiguous units the loop
-over units is a contiguous one that the compiler vectorises; on one unit
-the kernel walks the run's cells instead.
+reach into ``q`` (one column per reached tile) and calls the kernel once.
+For contiguous units the loop over units is a contiguous one that the
+compiler vectorises.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -430,24 +430,23 @@ class _Tiles:
                                           [self.grid[1]] * self.count)]
 
     def gather(self, cells: np.ndarray, tiles: np.ndarray) -> np.ndarray:
-        """``cells`` in tile layout: the listed tiles copied in, the rest 0."""
-        q = np.zeros((self.unit_rows * self.unit_cols, self.count),
+        """The listed tiles of ``cells``, as ``q[cell, i]`` for ``tiles[i]``."""
+        q = np.zeros((self.unit_rows, self.unit_cols, tiles.shape[0]),
                      dtype=cells.dtype)
-        by_cell = q.reshape(self.unit_rows, self.unit_cols, self.count)
-        for tile in tiles.tolist():
+        for i, tile in enumerate(tiles.tolist()):
             r, c = self.origins[tile]
             block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
-            by_cell[:block.shape[0], :block.shape[1], tile] = block
-        return q
+            q[:block.shape[0], :block.shape[1], i] = block
+        return q.reshape(self.unit_rows * self.unit_cols, tiles.shape[0])
 
     def scatter(self, q: np.ndarray, cells: np.ndarray,
                 tiles: np.ndarray) -> None:
-        """Copy the listed tiles of ``q`` back into ``cells``."""
-        by_cell = q.reshape(self.unit_rows, self.unit_cols, self.count)
-        for tile in tiles.tolist():
+        """Copy ``q``, gathered from ``tiles``, back into ``cells``."""
+        by_cell = q.reshape(self.unit_rows, self.unit_cols, tiles.shape[0])
+        for i, tile in enumerate(tiles.tolist()):
             r, c = self.origins[tile]
             block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
-            block[...] = by_cell[:block.shape[0], :block.shape[1], tile]
+            block[...] = by_cell[:block.shape[0], :block.shape[1], i]
 
     def cell(self, tile: int, local: int) -> tuple[int, int]:
         """(row, col) of cell ``local`` of ``tile``."""
@@ -469,21 +468,21 @@ def _unit_axes(program: FrozenProgram, tiles: _Tiles,
                shifts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unit axis of each key: the tiles its set shifts its tile to.
 
-    Returns ``axes[key]`` = (first tile, stride, count) where those tiles
-    are evenly spaced, else (offset into ``index``, 0, count); ``index``;
-    and every tile an axis reaches. Raises ``AddressError`` if a shifted
-    tile, or a cell the program touches in it, lies off the crossbar.
-    Negative tile indices would wrap, so they are checked before indexing.
+    Returns every tile an axis reaches, sorted; ``axes[key]`` = (first,
+    stride, count) of the key's tiles as places in that list where they are
+    evenly spaced, else (offset into ``index``, 0, count); and ``index``.
+    Raises ``AddressError`` if a shifted tile, or a cell the program
+    touches in it, lies off the crossbar. Negative tile indices would wrap,
+    so they are checked before indexing.
     """
     keys = np.flatnonzero(program.reach[:, 0] >= 0)
-    axes = np.zeros((program.reach.shape[0], 3), dtype=np.int64)
-    index, reached, offset = [], [], 0
+    targets = []                                # (keys, [key, unit] tiles)
     for s, (dv, dh) in enumerate(shifts):
-        own, n = keys[keys // tiles.count == s], dv.shape[0]
-        if not (own.shape[0] and n):
+        own = keys[keys // tiles.count == s]
+        if not (own.shape[0] and dv.shape[0]):
             continue
         tv, th = np.divmod(tiles.place[own % tiles.count], tiles.grid[1])
-        tv, th = tv[:, None] + dv, th[:, None] + dh         # [key, unit]
+        tv, th = tv[:, None] + dv, th[:, None] + dh
         last = program.reach[own].astype(np.int64)
         if (tv.min() < 0 or th.min() < 0
                 or (tv.max(axis=1) * tiles.unit_rows + last[:, 0]
@@ -491,20 +490,26 @@ def _unit_axes(program: FrozenProgram, tiles: _Tiles,
                 or (th.max(axis=1) * tiles.unit_cols + last[:, 1]
                     >= tiles.cols).any()):
             raise AddressError("a replayed run leaves the crossbar")
-        targets = tiles.index[tv, th]
-        steps = np.diff(targets, axis=1)
+        targets.append((own, tiles.index[tv, th]))
+    reached = np.unique(np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [t.ravel() for _, t in targets]))
+
+    axes = np.zeros((program.reach.shape[0], 3), dtype=np.int64)
+    index = [np.zeros(0, dtype=np.int64)]
+    offset = 0
+    for own, tile in targets:
+        place = np.searchsorted(reached, tile)
+        n = place.shape[1]
+        steps = np.diff(place, axis=1)
         stride = steps[:, 0] if n > 1 else np.ones(own.shape[0], np.int64)
         uneven = ~(steps == stride[:, None]).all(axis=1) | (stride == 0)
-        axes[own] = np.column_stack([targets[:, 0], stride,
+        axes[own] = np.column_stack([place[:, 0], stride,
                                      np.full(own.shape[0], n)])
         axes[own[uneven], 0] = offset + n * np.arange(np.count_nonzero(uneven))
         axes[own[uneven], 1] = 0
         offset += n * np.count_nonzero(uneven)
-        index.append(targets[uneven].ravel())
-        reached.append(targets.ravel())
-    none = np.zeros(0, dtype=np.int64)
-    return (axes, np.concatenate([none, *index]),
-            np.unique(np.concatenate([none, *reached])))
+        index.append(place[uneven].ravel())
+    return reached, axes, np.concatenate(index)
 
 
 def _trace_tails(program: FrozenProgram, tiles: _Tiles,
@@ -633,7 +638,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         raise ValueError(f"a program frozen for geometry {program.geometry} "
                          f"cannot replay on {tiles.geometry}")
     shifts = [_partition_shifts(crossbar.config, d) for d in deltas_by_set]
-    axes, index, reached = _unit_axes(program, tiles, shifts)
+    reached, axes, index = _unit_axes(program, tiles, shifts)
     run_rows = kernel()
     first_cycle = crossbar.stats.cycles + 1
 
@@ -648,7 +653,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     bundle_ptr = np.ascontiguousarray(program.bundle_ptr, np.int64)
     fail = np.zeros(4, dtype=np.int64)
     failed = run_rows(q.ctypes.data, None if init is None else init.ctypes.data,
-                      tiles.count, rows.ctypes.data, rows.dtype == np.int32,
+                      reached.shape[0], rows.ctypes.data, rows.dtype == np.int32,
                       live.ctypes.data, bundle_ptr.ctypes.data,
                       program.n_bundles, _FORMS.ctypes.data, axes.ctypes.data,
                       index.ctypes.data, fail.ctypes.data)
@@ -656,8 +661,8 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     if init is not None:
         tiles.scatter(init, crossbar.initialized, reached)
     if failed:
-        row, _, local, tile = fail.tolist()
-        r, c = tiles.cell(tile, local)
+        row, _, local, place = fail.tolist()
+        r, c = tiles.cell(int(reached[place]), local)
         raise StrictInitError(f"{GateType(int(rows[row, 0])).name} reads "
                               f"uninitialized cell ({r},{c})")
 
