@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     if messages:
-        try:    # before the outputs too: the first hash would build it
+        try:    # built here, not by the first hash, so it fails before any output
             engine.kernel()
         except engine.KernelBuildError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -332,7 +332,6 @@ _FORMS = np.array([(GATE_NUM_INPUTS[g], *_gate_form(g), GATE_TRUTH[g << 2])
 
 _SOURCE = Path(__file__).with_name("_rows.c")
 _CACHE = Path(__file__).with_name("__pycache__")
-_FLAGS = ["-O3", "-shared", "-fPIC"]
 
 
 class KernelBuildError(RuntimeError):
@@ -382,7 +381,7 @@ def kernel():
     per source and compiler. Raises ``KernelBuildError`` if it cannot be
     built or loaded, as without a C compiler.
     """
-    command = _compiler() + _FLAGS
+    command = _compiler() + ["-O3", "-shared", "-fPIC"]
     key = zlib.crc32(_SOURCE.read_bytes() + " ".join(command).encode())
     path = _CACHE / f"_rows-{key:08x}.so"
     if not path.exists():
@@ -651,6 +650,11 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         program.rows, np.int16 if program.rows.dtype == np.int16 else np.int32)
     live = np.ascontiguousarray(program.live, np.bool_)
     bundle_ptr = np.ascontiguousarray(program.bundle_ptr, np.int64)
+    if (rows.shape[1:] != (9,) or live.shape != rows.shape[:1]
+            or bundle_ptr.shape != (program.n_bundles + 1,)
+            or bundle_ptr[0] != 0 or bundle_ptr[-1] != rows.shape[0]):
+        raise ValueError("a frozen program's rows, live flags and bundle "
+                         "pointers do not match")
     fail = np.zeros(4, dtype=np.int64)
     failed = run_rows(q.ctypes.data, None if init is None else init.ctypes.data,
                       reached.shape[0], rows.ctypes.data, rows.dtype == np.int32,

@@ -514,6 +514,18 @@ def test_replay_rejects_a_program_frozen_for_another_geometry():
                       unit_deltas((0, 0), cols=14))
 
 
+def test_replay_rejects_a_program_whose_arrays_disagree():
+    # the kernel reads the arrays through raw pointers, so replay checks
+    # their shapes first
+    xbar = small_crossbar()
+    stream = OpStream()
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
+    frozen, _ = freeze_stream(stream, xbar)
+    frozen.live = frozen.live[:1]
+    with pytest.raises(ValueError, match="do not match"):
+        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+
+
 def test_replay_keys_past_the_int16_range():
     # 138 x 138 tiles: a partition-column key is 2 * 19,044 + tile, past 32,767
     config = CrossbarConfig(rows=1100, cols=1100, vertical_partitions=2,
