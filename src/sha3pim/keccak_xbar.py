@@ -743,6 +743,7 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
         for i, msg_index in enumerate(cohort):
             state = read_unit_state(xbar, compiled.layout.unit(i))
             digests[msg_index] = _digest_from_state(state)
+        del xbar        # free this cohort's grids before the next is built
 
     return digests, stats
 
