@@ -2,7 +2,8 @@
 
 Every digest is cross-checked against the software reference; the exit
 status is nonzero if any digest mismatches (1), an input cannot be parsed
-or read, an output path cannot be written or the crossbar geometry is
+or read, an output path cannot be written or names the same file as
+another output or a ``--file`` input, or the crossbar geometry is
 invalid (2), the message count exceeds unit capacity (3), the C replay
 kernel cannot be built or loaded, as without a C compiler (4), or the
 reader of stdout closed it early (141, as a shell reports SIGPIPE; nothing
@@ -99,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _collect_messages(args) -> tuple[list[bytes], int | None]:
     messages: list[bytes] = []
     for text in args.text:
-        messages.append(text.encode("utf-8"))
+        try:
+            messages.append(text.encode("utf-8"))
+        except UnicodeEncodeError:      # argv held bytes that are not UTF-8
+            raise SystemExit2(f"--text is not valid UTF-8: {text!r}")
     for hx in args.hex:
         try:
             messages.append(bytes.fromhex(hx))
@@ -120,11 +124,30 @@ def _collect_messages(args) -> tuple[list[bytes], int | None]:
     seed = 1 if args.seed is None else args.seed
     if args.random <= 0 or length < 0:
         raise SystemExit2("--random needs N > 0 and --len L >= 0")
+    if seed < 0:
+        raise SystemExit2(f"--seed needs S >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(args.random):
         messages.append(rng.integers(0, 256, size=length,
                                      dtype=np.uint8).tobytes())
     return messages, seed
+
+
+def _shared_output(args) -> str | None:
+    """Why an output would clobber another output or a ``--file`` input (the
+    same regular file, by ``realpath``), or None; devices such as /dev/null
+    are exempt."""
+    claimed = {os.path.realpath(path): f"--file {path}" for path in args.file}
+    for flag, path in (("--trace", args.trace), ("--report", args.report)):
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            continue
+        if real in claimed:
+            return f"{flag} {path} is the same file as {claimed[real]}"
+        claimed[real] = f"{flag} {path}"
+    return None
 
 
 class SystemExit2(Exception):
@@ -157,6 +180,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: bad crossbar geometry: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
+    clash = _shared_output(args)
+    if clash:
+        print(f"error: {clash}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         messages, seed = _collect_messages(args)
     except SystemExit2 as exc:

@@ -1,8 +1,9 @@
 """SHA3-256 as crossbar microcode: state mapping, step generators, driver.
 
 Each hash unit is one 72x37 partition. The 5x5x64 state maps onto a 25x64
-cell block: lane (x, y) lives in column ``5x + y`` and bit z in row z, so
-plane-wise XORs run row-parallel and lane rotations run column-parallel.
+cell block: lane (x, y) lives in column ``5x + y`` (``UnitLayout.lane_col``;
+``LANE_COLS`` tabulates it by lane x + 5y) and bit z in row z, so plane-wise
+XORs run row-parallel and lane rotations run column-parallel.
 The 12 columns right of the state hold the theta intermediates (C, D), one
 spare lane and one scratch column; the 8 rows below it hold the rotation
 select bits and the in-column scratch rows.
@@ -40,7 +41,6 @@ from .crossbar import (
 )
 from .scheduler import MacroKind, MacroOp, OpStream, schedule
 
-LANE_BITS = 64
 STATE_COLS = 25
 
 # FIPS-202 rotation offsets r[x][y] and round constants RC[0..23].
@@ -91,6 +91,7 @@ class KeccakParams:
 
 
 KECCAK = KeccakParams()
+LANE_BITS = KECCAK.lane_bits
 
 
 def _pi_cycle() -> list[tuple[int, int]]:
@@ -173,6 +174,11 @@ class UnitLayout:
         return self.origin[1] + 25 + k
 
 
+# Column offset of lane x + 5y within a unit, the one table the data path
+# indexes by lane.
+LANE_COLS = np.array([UnitLayout().lane_col(x, y) for y in range(5) for x in range(5)])
+
+
 class CrossbarLayout:
     """Unit tiling plus the shared ROT/RC block placement for one crossbar."""
 
@@ -219,19 +225,13 @@ class CrossbarLayout:
                             offsets: list[list[int]] | None = None) -> None:
         """Write the ROT bit-planes and RC constants (peripheral io)."""
         offsets = offsets if offsets is not None else ROTATION_OFFSETS
-        rot = np.zeros((self.ROT_PLANES, STATE_COLS), dtype=np.uint8)
-        for x in range(5):
-            for y in range(5):
-                for j in range(self.ROT_PLANES):
-                    rot[j, 5 * x + y] = (offsets[x][y] >> j) & 1
+        rot = np.empty((self.ROT_PLANES, STATE_COLS), dtype=np.uint8)
+        rot[:, LANE_COLS] = _bit_planes(np.transpose(offsets).ravel(), self.ROT_PLANES)
         for h in range(self.hparts):
             c0 = h * self.config.unit_cols
             xbar.write_region((self.rot_base_row, self.rot_base_row + self.ROT_PLANES),
                               (c0, c0 + STATE_COLS), rot)
-        rc = np.zeros((LANE_BITS, len(ROUND_CONSTANTS)), dtype=np.uint8)
-        for i, value in enumerate(ROUND_CONSTANTS):
-            for z in range(LANE_BITS):
-                rc[z, i] = (value >> z) & 1
+        rc = _bit_planes(ROUND_CONSTANTS, LANE_BITS)
         for v in range(self.vparts):
             r0 = v * self.config.unit_rows
             xbar.write_region((r0, r0 + LANE_BITS),
@@ -241,26 +241,23 @@ class CrossbarLayout:
 
 # ------------------------------------------------------- state/bit conversions
 
+def _bit_planes(words, n: int) -> np.ndarray:
+    """[n, len(words)] bits: row j holds bit j of each word."""
+    words = np.asarray(words, dtype=np.uint64)
+    return (words >> np.arange(n, dtype=np.uint64)[:, None] & 1).astype(np.uint8)
+
+
 def lanes_to_bits(lanes: list[int]) -> np.ndarray:
-    """25 lane words -> 64x25 cell bits (bit z of lane (x,y) at [z, 5x+y])."""
-    bits = np.zeros((LANE_BITS, STATE_COLS), dtype=np.uint8)
-    for x in range(5):
-        for y in range(5):
-            word = lanes[x + 5 * y]
-            col = 5 * x + y
-            for z in range(LANE_BITS):
-                bits[z, col] = (word >> z) & 1
+    """25 lane words -> 64x25 cell bits (bit z of lane i at [z, LANE_COLS[i]])."""
+    bits = np.empty((LANE_BITS, STATE_COLS), dtype=np.uint8)
+    bits[:, LANE_COLS] = _bit_planes(lanes, LANE_BITS)
     return bits
 
 
 def bits_to_lanes(bits: np.ndarray) -> list[int]:
-    lanes = [0] * 25
-    weights = 1 << np.arange(LANE_BITS, dtype=np.uint64)
-    for x in range(5):
-        for y in range(5):
-            col = bits[:, 5 * x + y].astype(np.uint64)
-            lanes[x + 5 * y] = int((col * weights).sum())
-    return lanes
+    """64x25 cell bits -> 25 lane words (inverse of ``lanes_to_bits``)."""
+    lane_bytes = np.packbits(bits[:, LANE_COLS], axis=0, bitorder="little")
+    return np.ascontiguousarray(lane_bytes.T).view("<u8").ravel().tolist()
 
 
 def write_unit_state(xbar: Crossbar, unit: UnitLayout, bits: np.ndarray) -> None:
@@ -277,13 +274,10 @@ def read_unit_state(xbar: Crossbar, unit: UnitLayout) -> np.ndarray:
 
 def pad_message(message: bytes) -> list[bytes]:
     """Split ``message`` into rate-sized blocks with SHA-3 pad10*1 applied."""
-    padded = bytearray(message)
-    padded.append(0x06)
-    while len(padded) % KECCAK.rate_bytes:
-        padded.append(0x00)
+    rate = KECCAK.rate_bytes
+    padded = bytearray(message + b"\x06" + bytes(-(len(message) + 1) % rate))
     padded[-1] |= 0x80
-    return [bytes(padded[i:i + KECCAK.rate_bytes])
-            for i in range(0, len(padded), KECCAK.rate_bytes)]
+    return [bytes(padded[i:i + rate]) for i in range(0, len(padded), rate)]
 
 
 def block_to_bits(block: bytes) -> np.ndarray:
@@ -295,10 +289,7 @@ def block_to_bits(block: bytes) -> np.ndarray:
 def block_state_bits(block: bytes) -> np.ndarray:
     """One rate block -> full 64x25 state bits (capacity lanes zero)."""
     bits = np.zeros((LANE_BITS, STATE_COLS), dtype=np.uint8)
-    lane_bits = block_to_bits(block)
-    for lane in range(KECCAK.rate_lanes):
-        x, y = lane % 5, lane // 5
-        bits[:, 5 * x + y] = lane_bits[lane]
+    bits[:, LANE_COLS[:KECCAK.rate_lanes]] = block_to_bits(block).T
     return bits
 
 
@@ -484,8 +475,7 @@ def absorb_microcode(unit: UnitLayout, lanes: list[int], base: int) -> OpStream:
     """XOR staged message lanes (staging column base+k) into the state."""
     s = OpStream("io")
     for k, lane in enumerate(lanes):
-        x, y = lane % 5, lane // 5
-        _xor_inplace(s, _lane_rows(unit), unit.lane_col(x, y),
+        _xor_inplace(s, _lane_rows(unit), unit.origin[1] + int(LANE_COLS[lane]),
                      unit.stage_col(base + k), unit.x_col, unit.m_col)
     return s
 

@@ -123,6 +123,17 @@ def test_random_option_without_random(capsys, flag, value):
     assert len(err.splitlines()) == 1
 
 
+# inputs that reach the encoder or the PRNG before any check of their own
+@pytest.mark.parametrize("argv", [("--text", "\udcff"),   # argv byte 0xff
+                                  ("--random", "1", "--len", "3", "--seed", "-1")])
+def test_unusable_input_value(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {argv[-2]} ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [("--paper-constants",),
                                   ("--text", "abc", "--paper-constants")])
 def test_paper_constants_needs_metrics(capsys, argv):
@@ -236,6 +247,34 @@ def test_unwritable_output_path(capsys, tmp_path, flag):
     assert out == ""
     assert err.startswith("error: cannot write ")
     assert len(err.splitlines()) == 1
+
+
+# an output may not land on another output or on a --file input, by any
+# name; the refusal comes before any file is opened
+@pytest.mark.parametrize("argv", [
+    ("--text", "hi", "--trace", "{new}", "--report", "{new}"),
+    ("--text", "hi", "--trace", "{old}", "--report", "{link}"),
+    ("--file", "{old}", "--trace", "{old}"),
+    ("--file", "{link}", "--report", "{old}"),
+], ids=["trace-report-new", "trace-report-link", "file-trace", "file-report"])
+def test_output_shares_a_file(capsys, tmp_path, argv):
+    old, new, link = tmp_path / "old.bin", tmp_path / "new.json", tmp_path / "link"
+    old.write_bytes(b"keep")
+    link.symlink_to(old)
+    status, out, err = run_cli(
+        capsys, *(a.format(old=old, new=new, link=link) for a in argv))
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: --") and "same file" in err
+    assert len(err.splitlines()) == 1
+    assert old.read_bytes() == b"keep" and not new.exists()
+
+
+def test_device_outputs_may_repeat(capsys):
+    status, out, _ = run_cli(capsys, "--text", "abc", "--trace", os.devnull,
+                             "--report", os.devnull)
+    assert status == EXIT_OK
+    assert out == f"{ref.sha3_256(b'abc').hex()}  OK\n"
 
 
 def test_stdout_closed_early():

@@ -66,6 +66,31 @@ def test_params_validation():
         KeccakParams(rate_bits=1100, capacity_bits=512)
 
 
+def test_lanes_to_bits_layout():
+    # spelled independently of the module's table: bit z of lane x + 5y
+    # sits at row z, column 5x + y
+    lanes = random_lanes(random.Random(4))
+    bits = lanes_to_bits(lanes)
+    assert all(bits[z, 5 * x + y] == (lanes[x + 5 * y] >> z) & 1
+               for x in range(5) for y in range(5) for z in range(64))
+
+
+def test_shared_blocks_hold_reference_tables(prepared_xbar):
+    # read back through an independent spelling of the layout: offset
+    # r[x][y] bit-sliced down the ROT rows of column 5x + y of every unit
+    # column, round constant i down rows 0-63 of RC column i of every unit row
+    layout = CrossbarLayout(CrossbarConfig())
+    state = prepared_xbar.state
+    rot_rows = range(layout.rot_base_row, layout.rot_base_row + 6)
+    for h in range(layout.hparts):
+        assert [[sum(int(state[row, 37 * h + 5 * x + y]) << j
+                     for j, row in enumerate(rot_rows)) for y in range(5)]
+                for x in range(5)] == ref.ROTATION
+    for v in range(layout.vparts):
+        assert [sum(int(state[72 * v + z, layout.rc_base_col + i]) << z
+                    for z in range(64)) for i in range(24)] == ref.ROUND_CONSTANTS
+
+
 def test_lane_bit_roundtrip():
     rng = random.Random(8)
     lanes = random_lanes(rng)
@@ -248,17 +273,20 @@ def test_pad_empty_message():
     assert all(b == 0 for b in block[1:135])
 
 
-def test_pad_boundary_135_bytes():
-    blocks = pad_message(bytes(135))
-    assert len(blocks) == 1
-    assert blocks[0][135] == 0x86   # 0x06 and 0x80 share the final byte
+@pytest.mark.parametrize("length", [135, 271])
+def test_pad_boundary_135_bytes(length):
+    blocks = pad_message(bytes(length))
+    assert len(blocks) == length // 136 + 1
+    assert blocks[-1][135] == 0x86  # 0x06 and 0x80 share the final byte
 
 
-def test_pad_exact_rate_forces_extra_block():
-    blocks = pad_message(bytes(136))
-    assert len(blocks) == 2
-    assert blocks[1][0] == 0x06
-    assert blocks[1][135] == 0x80
+@pytest.mark.parametrize("length", [136, 272])
+def test_pad_exact_rate_forces_extra_block(length):
+    blocks = pad_message(bytes(length))
+    assert len(blocks) == length // 136 + 1
+    assert blocks[-1][0] == 0x06
+    assert blocks[-1][135] == 0x80
+    assert not any(blocks[-1][1:135])
 
 
 def test_first_block_state_bits():
