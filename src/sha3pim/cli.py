@@ -3,11 +3,12 @@
 Every digest is cross-checked against the software reference; the exit
 status is nonzero if any digest mismatches (1), an input cannot be parsed
 or read, an output path cannot be written or names the same file as
-another output or a ``--file`` input, or the crossbar geometry is
-invalid (2), the message count exceeds unit capacity (3), the C replay
-kernel cannot be built or loaded, as without a C compiler (4), or the
-reader of stdout closed it early (141, as a shell reports SIGPIPE; nothing
-more is printed).
+another output or a ``--file`` input, the crossbar geometry is invalid, or
+the host cannot allocate the memory the run needs (2), the message count
+exceeds unit capacity (3, checked before any ``--random`` message is
+generated), the C replay kernel cannot be built or loaded, as without a C
+compiler (4), or the reader of stdout closed it early (141, as a shell
+reports SIGPIPE; nothing more is printed).
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -97,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_messages(args) -> tuple[list[bytes], int | None]:
+def _collect_messages(args, config: CrossbarConfig) -> tuple[list[bytes], int | None]:
+    """Every source's messages and the ``--random`` seed or None; the units
+    must hold them before any ``--random`` one is made (``CapacityError``)."""
     messages: list[bytes] = []
     for text in args.text:
         try:
@@ -115,17 +118,19 @@ def _collect_messages(args) -> tuple[list[bytes], int | None]:
                 messages.append(fh.read())
         except OSError as exc:
             raise SystemExit2(f"cannot read file {path}: {exc}")
+    length = 136 if args.len is None else args.len
+    seed = 1 if args.seed is None else args.seed
     if args.random is None:
         for flag, value in (("--len", args.len), ("--seed", args.seed)):
             if value is not None:
                 raise SystemExit2(f"{flag} only applies with --random")
-        return messages, None
-    length = 136 if args.len is None else args.len
-    seed = 1 if args.seed is None else args.seed
-    if args.random <= 0 or length < 0:
+    elif args.random <= 0 or length < 0:
         raise SystemExit2("--random needs N > 0 and --len L >= 0")
-    if seed < 0:
+    elif seed < 0:
         raise SystemExit2(f"--seed needs S >= 0, got {seed}")
+    check_capacity(len(messages) + (args.random or 0), config, args.crossbars)
+    if args.random is None:
+        return messages, None
     rng = np.random.default_rng(seed)
     for _ in range(args.random):
         messages.append(rng.integers(0, 256, size=length,
@@ -155,7 +160,15 @@ class SystemExit2(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:    # grids, compile and --random messages all allocate host memory
+        return _main(build_parser().parse_args(argv))
+    except MemoryError as exc:      # numpy's names the array it could not get
+        print(f"error: out of host memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+
+
+def _main(args) -> int:
     if args.paper_constants and not args.metrics:
         print("error: --paper-constants only applies with --metrics",
               file=sys.stderr)
@@ -185,14 +198,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {clash}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        messages, seed = _collect_messages(args)
+        messages, seed = _collect_messages(args, config)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-    try:        # before the outputs, so none is left empty
-        check_capacity(len(messages), config, args.crossbars)
-    except CapacityError as exc:
+    except CapacityError as exc:    # before the outputs, so none is left empty
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     if messages:

@@ -13,21 +13,21 @@ pattern along a line, so its runs are *vector events* - one gate applied
 along a strided run of cells - and the kernel runs over cells without
 touching per-cell metadata. Each run the scheduler carried is one event,
 split only where its lines change tile (no Keccak run does). Cells are
-those of a reference instance; replay moves them by per-origin deltas, so
-one frozen program serves any set of hash units.
+those of a reference instance; replay moves copies of them by whole
+partitions, so one frozen program serves any set of hash units.
 Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
 partition row, 2 = per partition column) and each set supplies its own
-delta list at run time.
+shifts at run time, one (partition rows, partition columns) pair per copy.
 
 The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
-column per partition-sized tile, so a delta of whole partitions keeps a
+column per partition-sized tile, so a shift of whole partitions keeps a
 cell's index and moves only its tile. ``freeze`` therefore writes each event
 as one row of nine tile-local ints: the gate, the run's step and span along
 the cell axis, then the first cell and a (set, tile) key of the output and
 of two input slots. No event leaves its tile, and a run that steps
 backward along the cell axis is written from its last line, so each row is
-a forward walk. Only the unit axis of a key - the tiles its set's deltas
-move the key's tile to - depends on the deltas, so ``replay`` builds those
+a forward walk. Only the unit axis of a key - the tiles its set's shifts
+move the key's tile to - depends on the shifts, so ``replay`` builds those
 axes as (first tile, stride, count), or as a list of tiles where they are
 not evenly spaced, checks them against the crossbar, copies the tiles they
 reach into ``q`` (one column per reached tile) and calls the kernel once.
@@ -152,7 +152,7 @@ def _vector_events(bundles: list[CycleBundle], tiles: _Tiles) -> np.ndarray:
         line, slot = np.argwhere(off)[0]
         raise AddressError(f"cell ({r[line, slot]},{c[line, slot]}) is off a "
                            f"grid of {tiles.rows}x{tiles.cols} cells")
-    tile = r // tiles.unit_rows * tiles.grid[1] + c // tiles.unit_cols
+    tile = tiles.locate(r, c)[0]
     head = np.flatnonzero(np.r_[True, (owner[1:] != owner[:-1])
                                 | (tile[1:] != tile[:-1]).any(axis=1)])
     count = np.diff(np.r_[head, n])
@@ -178,7 +178,7 @@ def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
     crossbar if they share a tile-local index. Accesses are therefore
     grouped by local index, and a preset is dead only if the next bundle
     touching that index reads none of its cells and writes the preset's
-    own (local, key) - the same cell, moved by the same set's deltas.
+    own (local, key) - the same cell, moved by the same set's shifts.
     A preset never touched again in the segment stays live.
     """
     live = gate != GateType.INIT1
@@ -229,7 +229,7 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     one row per micro-op run, split only where its lines change tile.
 
     ``set_ids`` gives each bundle's origin set. Coordinates must already be
-    those of the reference instance (deltas are applied at run time). A
+    those of the reference instance (shifts are applied at run time). A
     cell off the crossbar raises ``AddressError``.
     """
     tiles = _Tiles(config)
@@ -250,22 +250,21 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     bundle_ptr = np.concatenate([[0], np.cumsum(sizes)])
     last = count - 1
     step = np.where(count > 1, dr * uc + dc, 1)
-    tv, lr = np.divmod(r, ur)
-    th, lc = np.divmod(c, uc)
-    keys = sets[:, None] * tiles.count + tiles.index[tv, th]
+    tile, local = tiles.locate(r, c)
+    keys = sets[:, None] * tiles.count + tile
     used = np.arange(3) <= _ARITY[gate][:, None]
     limit = max(ur * uc, NUM_ORIGIN_SETS * tiles.count)
     dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
     rows = np.empty((gate.shape[0], 9), dtype=dtype)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, last * step + 1
-    local = lr * uc + lc
     rows[:, 3::2] = np.where(used, local, 0)
     rows[:, 4::2] = np.where(used, keys, 0)
     live = _live_rows(gate, count, step, local, keys, used,
                       np.repeat(np.arange(sizes.shape[0]), sizes))
     # runs stay inside their tile, so their two ends bound every local cell
     reach = np.full((NUM_ORIGIN_SETS * tiles.count, 2), -1, dtype=dtype)
-    for axis, (start, extent) in enumerate(((lr, last * dr), (lc, last * dc))):
+    for axis, (start, extent) in enumerate(((r % ur, last * dr),
+                                             (c % uc, last * dc))):
         end = start + extent[:, None]
         np.maximum.at(reach[:, axis], keys[used], np.maximum(start, end)[used])
     return FrozenProgram(rows, live, bundle_ptr, bundle_label, label_names,
@@ -404,9 +403,10 @@ class _Tiles:
     The tile grid is the partition grid of the config, continued over the
     rest of the array and padded to whole tiles. Partitions come first, in
     unit-id order, then the remaining tiles in row-major order (for Keccak,
-    the shared RC column and ROT row). A cell's index is ``r * unit_cols
-    + c`` within its tile, so a delta of whole partitions keeps the cell
-    index and moves only the tile.
+    the shared RC column and ROT row). A cell's local index is ``r *
+    unit_cols + c`` within its tile, so a shift of whole partitions keeps
+    the local index and moves only the tile. ``locate`` and ``cell`` are
+    the map between cells and (tile, local index), both ways.
     """
 
     def __init__(self, config: CrossbarConfig):
@@ -418,22 +418,31 @@ class _Tiles:
         partitions = np.zeros(self.grid, dtype=bool)
         partitions[:config.vertical_partitions, :config.horizontal_partitions] = True
         # tile -> row-major place in the tile grid, and back
-        self.place = np.concatenate([np.flatnonzero(partitions),
-                                     np.flatnonzero(~partitions)])
+        place = np.concatenate([np.flatnonzero(partitions),
+                                np.flatnonzero(~partitions)])
         self.index = np.empty(partitions.size, dtype=np.int64)
-        self.index[self.place] = np.arange(partitions.size)
+        self.index[place] = np.arange(partitions.size)
         self.index = self.index.reshape(self.grid)
         self.count = partitions.size
-        self.origins = [(tv * self.unit_rows, th * self.unit_cols)
-                        for tv, th in map(divmod, self.place.tolist(),
-                                          [self.grid[1]] * self.count)]
+        self.origins = np.column_stack(np.divmod(place, self.grid[1])) \
+            * (self.unit_rows, self.unit_cols)        # [tile, (row, col)]
+
+    def locate(self, r, c):
+        """(tile, local index) of the cells (r, c), which must be on the grid."""
+        tv, lr = np.divmod(r, self.unit_rows)
+        th, lc = np.divmod(c, self.unit_cols)
+        return self.index[tv, th], lr * self.unit_cols + lc
+
+    def cell(self, tile, local):
+        """(row, col) of cell ``local`` of ``tile``: the inverse of ``locate``."""
+        r, c = np.divmod(local, self.unit_cols)
+        return self.origins[tile, 0] + r, self.origins[tile, 1] + c
 
     def gather(self, cells: np.ndarray, tiles: np.ndarray) -> np.ndarray:
         """The listed tiles of ``cells``, as ``q[cell, i]`` for ``tiles[i]``."""
         q = np.zeros((self.unit_rows, self.unit_cols, tiles.shape[0]),
                      dtype=cells.dtype)
-        for i, tile in enumerate(tiles.tolist()):
-            r, c = self.origins[tile]
+        for i, (r, c) in enumerate(self.origins[tiles].tolist()):
             block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
             q[:block.shape[0], :block.shape[1], i] = block
         return q.reshape(self.unit_rows * self.unit_cols, tiles.shape[0])
@@ -442,25 +451,9 @@ class _Tiles:
                 tiles: np.ndarray) -> None:
         """Copy ``q``, gathered from ``tiles``, back into ``cells``."""
         by_cell = q.reshape(self.unit_rows, self.unit_cols, tiles.shape[0])
-        for i, tile in enumerate(tiles.tolist()):
-            r, c = self.origins[tile]
+        for i, (r, c) in enumerate(self.origins[tiles].tolist()):
             block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
             block[...] = by_cell[:block.shape[0], :block.shape[1], i]
-
-    def cell(self, tile: int, local: int) -> tuple[int, int]:
-        """(row, col) of cell ``local`` of ``tile``."""
-        r, c = divmod(local, self.unit_cols)
-        return self.origins[tile][0] + r, self.origins[tile][1] + c
-
-
-def _partition_shifts(config, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat origin deltas -> (partition rows, partition cols) they move by."""
-    rows, cols = np.divmod(deltas, config.cols)
-    if (rows % config.unit_rows).any() or (cols % config.unit_cols).any():
-        raise ValueError(
-            f"replay deltas must move by whole {config.unit_rows}x"
-            f"{config.unit_cols} partitions: {deltas.tolist()}")
-    return rows // config.unit_rows, cols // config.unit_cols
 
 
 def _unit_axes(program: FrozenProgram, tiles: _Tiles,
@@ -476,20 +469,18 @@ def _unit_axes(program: FrozenProgram, tiles: _Tiles,
     """
     keys = np.flatnonzero(program.reach[:, 0] >= 0)
     targets = []                                # (keys, [key, unit] tiles)
-    for s, (dv, dh) in enumerate(shifts):
+    for s, shift in enumerate(shifts):
         own = keys[keys // tiles.count == s]
-        if not (own.shape[0] and dv.shape[0]):
+        if not (own.shape[0] and shift.shape[0]):
             continue
-        tv, th = np.divmod(tiles.place[own % tiles.count], tiles.grid[1])
-        tv, th = tv[:, None] + dv, th[:, None] + dh
+        r, c = tiles.cell(own[:, None] % tiles.count, 0)   # the tiles' origins
+        r, c = r + shift[:, 0] * tiles.unit_rows, c + shift[:, 1] * tiles.unit_cols
         last = program.reach[own].astype(np.int64)
-        if (tv.min() < 0 or th.min() < 0
-                or (tv.max(axis=1) * tiles.unit_rows + last[:, 0]
-                    >= tiles.rows).any()
-                or (th.max(axis=1) * tiles.unit_cols + last[:, 1]
-                    >= tiles.cols).any()):
+        if (r.min() < 0 or c.min() < 0
+                or (r.max(axis=1) + last[:, 0] >= tiles.rows).any()
+                or (c.max(axis=1) + last[:, 1] >= tiles.cols).any()):
             raise AddressError("a replayed run leaves the crossbar")
-        targets.append((own, tiles.index[tv, th]))
+        targets.append((own, tiles.locate(r, c)[0]))
     reached = np.unique(np.concatenate(
         [np.zeros(0, dtype=np.int64)] + [t.ravel() for _, t in targets]))
 
@@ -521,17 +512,11 @@ def _trace_tails(program: FrozenProgram, tiles: _Tiles,
         return tails
     rows = program.rows.astype(np.int64)
     gate, step, span = rows[:, 0], rows[:, 1], rows[:, 2]
-    origins = np.array(tiles.origins, dtype=np.int64).reshape(-1, 2)
-
-    def cells(local, key):          # (rows, cols) on the reference instance
-        origin = origins[key % tiles.count]
-        return (origin[..., 0] + local // tiles.unit_cols,
-                origin[..., 1] + local % tiles.unit_cols)
-
-    r, c = cells(rows[:, 3::2], rows[:, 4::2])          # [row, slot]
+    # cells on the reference instance, [row, slot]
+    r, c = tiles.cell(rows[:, 4::2] % tiles.count, rows[:, 3::2])
     count = (span - 1) // step + 1
     # runs never leave their tile, so the next cell's offset is the step
-    r2, c2 = cells(rows[:, 3] + step, rows[:, 4])
+    r2, c2 = tiles.cell(rows[:, 4] % tiles.count, rows[:, 3] + step)
     sr = np.where(count > 1, r2 - r[:, 0], 0)
     sc = np.where(count > 1, c2 - c[:, 0], 0)
     names = [json.dumps(name) for name in _GATE_NAMES]
@@ -569,12 +554,11 @@ def _trace_tails(program: FrozenProgram, tiles: _Tiles,
 
 def _write_trace(program: FrozenProgram, stream, tiles: _Tiles,
                  shifts: list, first_cycle: int, skipping: bool) -> None:
-    """A header with each set's cell shifts, then one record per bundle
+    """A header with each set's shifts in cells, then one record per bundle
     listing the frozen rows it ran as events of the reference instance,
     and which of them it skipped as dead presets."""
-    offsets = [[[v * tiles.unit_rows, h * tiles.unit_cols]
-                for v, h in zip(rows.tolist(), cols.tolist())]
-               for rows, cols in shifts]
+    offsets = [(shift * (tiles.unit_rows, tiles.unit_cols)).tolist()
+               for shift in shifts]
     stream.write(json.dumps({"trace_schema": 3, "shifts": offsets}) + "\n")
     stream.writelines(f'{{"cycle": {cycle}{tail}' for cycle, tail in
                       enumerate(_trace_tails(program, tiles, skipping),
@@ -610,33 +594,36 @@ def trace_ops(lines):
 # ----------------------------------------------------------------- entry point
 
 def replay(program: FrozenProgram, crossbar: Crossbar,
-           deltas_by_set: list[np.ndarray]) -> None:
+           per_set: list[np.ndarray]) -> None:
     """Run a frozen program on a crossbar, charge its stats and trace it.
 
-    ``deltas_by_set[s]`` holds the flat origin deltas replicated for origin
-    set ``s``. Each delta is ``r * cols + c`` with ``r`` a multiple of the
-    config's ``unit_rows`` and ``0 <= c`` a multiple of its ``unit_cols``,
-    so it moves the program by whole partitions; any other delta raises
-    ``ValueError``, and so does a program frozen for another geometry. A
-    delta that moves a cell off the crossbar raises ``AddressError`` before
-    any bundle runs. The initialized map is only maintained, and reads of
-    never-written cells only rejected, when ``crossbar.config.strict_init``
-    is set; then every row runs, and a rejected read raises
-    ``StrictInitError`` and leaves the grids holding every bundle before
-    the one that read. Otherwise only the live rows run, which leaves the
-    same grid. With a stream attached by ``Crossbar.attach_trace``, a
-    header and one record per bundle are written after the kernel returns:
-    the frozen rows of the bundle, as events of the reference instance
-    (``trace_ops`` expands them), and the ones it skipped as dead presets.
-    Traced and untraced runs execute the same kernel.
+    ``per_set[s]`` is an integer array of shape [n, 2]: the n copies of
+    origin set ``s``, each as the (partition rows, partition columns) it
+    moves the reference instance by. Anything else, and a program frozen
+    for another geometry, raises ``ValueError``. A shift that moves a cell
+    off the crossbar raises ``AddressError`` before any bundle runs. The
+    initialized map is only maintained, and reads of never-written cells
+    only rejected, when ``crossbar.config.strict_init`` is set; then every
+    row runs, and a rejected read raises ``StrictInitError`` and leaves the
+    grids holding every bundle before the one that read. Otherwise only the
+    live rows run, which leaves the same grid. With a stream attached by
+    ``Crossbar.attach_trace``, a header and one record per bundle are
+    written after the kernel returns: the frozen rows of the bundle, as
+    events of the reference instance (``trace_ops`` expands them), and the
+    ones it skipped as dead presets. Traced and untraced runs execute the
+    same kernel.
     """
-    deltas_by_set = [np.asarray(d, dtype=np.int64) for d in deltas_by_set]
-    assert len(deltas_by_set) == NUM_ORIGIN_SETS
+    shifts = [np.asarray(s) for s in per_set]
+    if len(shifts) != NUM_ORIGIN_SETS or any(
+            s.shape[1:] != (2,) or s.dtype.kind not in "iu" for s in shifts):
+        raise ValueError(f"replay takes {NUM_ORIGIN_SETS} integer arrays of "
+                         "shape [n, 2], one (partition rows, partition "
+                         "columns) shift per copy")
+    shifts = [s.astype(np.int64) for s in shifts]
     tiles = _Tiles(crossbar.config)
     if program.geometry != tiles.geometry:
         raise ValueError(f"a program frozen for geometry {program.geometry} "
                          f"cannot replay on {tiles.geometry}")
-    shifts = [_partition_shifts(crossbar.config, d) for d in deltas_by_set]
     reached, axes, index = _unit_axes(program, tiles, shifts)
     run_rows = kernel()
     first_cycle = crossbar.stats.cycles + 1
@@ -670,7 +657,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         raise StrictInitError(f"{GateType(int(rows[row, 0])).name} reads "
                               f"uninitialized cell ({r},{c})")
 
-    program.charge(crossbar.stats, [d.shape[0] for d in deltas_by_set])
+    program.charge(crossbar.stats, [s.shape[0] for s in shifts])
     if crossbar.trace is not None:
         _write_trace(program, crossbar.trace, tiles, shifts, first_cycle,
                      skipping=init is None)

@@ -201,8 +201,12 @@ class CrossbarLayout:
     def num_units(self) -> int:
         return self.vparts * self.hparts
 
+    def partition(self, unit_id):
+        """(partition row, partition column) of a unit id or an id array."""
+        return divmod(unit_id, self.hparts)
+
     def unit_origin(self, unit_id: int) -> tuple[int, int]:
-        v, h = divmod(unit_id, self.hparts)
+        v, h = self.partition(unit_id)
         return (v * self.config.unit_rows, h * self.config.unit_cols)
 
     def unit(self, unit_id: int) -> UnitLayout:
@@ -617,32 +621,29 @@ class CompiledKeccak:
     # ------------------------------------------------------------- replay glue
 
     def deltas_for(self, unit_ids: list[int]) -> list[np.ndarray]:
-        cols = self.config.cols
-        origins = [self.layout.unit_origin(u) for u in unit_ids]
-        unit_deltas = np.array([r * cols + c for r, c in origins], dtype=np.int64)
-        vparts = sorted({u // self.layout.hparts for u in unit_ids})
-        hparts = sorted({u % self.layout.hparts for u in unit_ids})
-        row_deltas = np.array([v * self.config.unit_rows * cols for v in vparts],
-                              dtype=np.int64)
-        col_deltas = np.array([h * self.config.unit_cols for h in hparts],
-                              dtype=np.int64)
-        return [unit_deltas, row_deltas, col_deltas]
+        """``engine.replay``'s shifts for ``unit_ids``: each unit's partition
+        (v, h), then (v, 0) per partition row and (0, h) per column used."""
+        v, h = self.layout.partition(np.asarray(unit_ids, dtype=np.int64))
+        rows, cols = np.unique(v), np.unique(h)
+        return [np.column_stack([v, h]), np.column_stack([rows, 0 * rows]),
+                np.column_stack([0 * cols, cols])]
 
     def run_permute(self, xbar: Crossbar, deltas: list[np.ndarray]) -> None:
         engine.replay(self.permute, xbar, deltas)
 
-    def run_absorb(self, xbar: Crossbar, unit_ids: list[int],
-                   deltas: list[np.ndarray], lane_bits: np.ndarray) -> None:
+    def run_absorb(self, xbar: Crossbar, deltas: list[np.ndarray],
+                   lane_bits: np.ndarray) -> None:
         """Stage one rate block per unit (io) and XOR it into the states.
 
-        ``lane_bits[i]`` is the [rate_lanes, 64] bit array for unit i.
+        ``lane_bits[i]`` is the [rate_lanes, 64] bit array for the unit at
+        the i-th shift of ``deltas``'s unit set.
         """
         for batch, program in zip(_ABSORB_BATCHES, self.absorb):
-            for i, unit_id in enumerate(unit_ids):
-                unit = self.layout.unit(unit_id)
+            for (v, h), bits in zip(deltas[engine.SET_UNIT].tolist(), lane_bits):
+                unit = UnitLayout((v * self.config.unit_rows, h * self.config.unit_cols))
                 r0 = unit.row(0)
                 c0 = unit.stage_col(0)
-                block = lane_bits[i][batch].T       # rows=bits, cols=lanes
+                block = bits[batch].T       # rows=bits, cols=lanes
                 xbar.write_region((r0, r0 + LANE_BITS), (c0, c0 + len(batch)), block)
             engine.replay(program, xbar, deltas)
 
@@ -717,8 +718,7 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
         if trace is not None:
             xbar.attach_trace(trace)
         compiled.layout.setup_shared_blocks(xbar)
-        unit_ids = list(range(len(cohort)))
-        deltas = compiled.deltas_for(unit_ids)
+        deltas = compiled.deltas_for(range(len(cohort)))
         n_blocks = len(blocks[cohort[0]])
 
         for i, msg_index in enumerate(cohort):
@@ -727,7 +727,7 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
         compiled.run_permute(xbar, deltas)
         for b in range(1, n_blocks):
             lane_bits = np.stack([block_to_bits(blocks[m][b]) for m in cohort])
-            compiled.run_absorb(xbar, unit_ids, deltas, lane_bits)
+            compiled.run_absorb(xbar, deltas, lane_bits)
             compiled.run_permute(xbar, deltas)
 
         for i, msg_index in enumerate(cohort):

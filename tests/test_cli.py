@@ -6,10 +6,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sha3pim
 from sha3pim import engine, keccak_ref as ref
+from sha3pim.crossbar import Crossbar
 from sha3pim.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
@@ -152,6 +154,42 @@ def test_capacity_exceeded(capsys, tmp_path, report):
     assert status == EXIT_CAPACITY
     assert "exceed" in err
     assert not path.exists()
+
+
+def test_capacity_checked_before_random_messages_exist(capsys, monkeypatch):
+    # 10^11 messages would take hours to generate before being refused
+    def no_generator(*_):
+        raise AssertionError("a --random message was generated")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    status, out, err = run_cli(capsys, "--text", "abc", "--random",
+                               "100000000000", "--len", "1")
+    assert status == EXIT_CAPACITY
+    assert out == ""
+    assert err.startswith("error: 100000000001 messages exceed 378 units")
+    assert len(err.splitlines()) == 1
+
+
+def out_of_memory(*_, **__):
+    # stands in for an allocation the host refuses; a test must not make a
+    # huge one, which a host that overcommits memory may grant lazily
+    raise MemoryError("Unable to allocate 3.64 TiB for an array with shape "
+                      "(2000000, 2000000) and data type uint8")
+
+
+# the crossbar's grids (allocated by the hash or, with --metrics, by the
+# compile of a new geometry) and the --random messages
+@pytest.mark.parametrize("argv, owner, attr", [
+    (("--text", "abc"), Crossbar, "__init__"),
+    (("--cols", "1100", "--metrics"), Crossbar, "__init__"),
+    (("--random", "1", "--len", "5"), np.random, "default_rng"),
+], ids=["hash", "metrics", "random"])
+def test_out_of_host_memory(capsys, monkeypatch, argv, owner, attr):
+    monkeypatch.setattr(owner, attr, out_of_memory)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: out of host memory: Unable to allocate")
+    assert len(err.splitlines()) == 1
 
 
 def test_random_is_deterministic(capsys):

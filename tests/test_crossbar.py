@@ -58,9 +58,9 @@ def execute_object(xbar, op):
 def execute_frozen(xbar, op):
     frozen = engine.freeze([CycleBundle([op])], ["main"], [engine.SET_UNIT],
                            xbar.config)
-    engine.replay(frozen, xbar, [np.zeros(1, dtype=np.int64),
-                                 np.zeros(0, dtype=np.int64),
-                                 np.zeros(0, dtype=np.int64)])
+    engine.replay(frozen, xbar, [np.zeros((1, 2), dtype=np.int64),
+                                 np.zeros((0, 2), dtype=np.int64),
+                                 np.zeros((0, 2), dtype=np.int64)])
 
 
 @pytest.mark.parametrize("gate,execute", [
@@ -408,8 +408,8 @@ def test_trace_export_format():
     frozen = engine.freeze(bundles, ["theta", "main"],
                            [engine.SET_UNIT, engine.SET_PARTITION_ROW],
                            xbar.config)
-    engine.replay(frozen, xbar, [np.array([0, 8 * 16 + 8]),
-                                 np.array([8 * 16]), np.zeros(0, dtype=int)])
+    engine.replay(frozen, xbar, [np.array([[0, 0], [1, 1]]), np.array([[1, 0]]),
+                                 np.zeros((0, 2), dtype=int)])
     header, *records = map(json.loads, stream.getvalue().splitlines())
     assert header == {"trace_schema": 3, "shifts": [[[0, 0], [8, 8]], [[8, 0]], []]}
     assert len(records) == 2

@@ -34,9 +34,20 @@ def freeze_stream(stream, xbar):
                          [engine.SET_UNIT] * n, xbar.config), program
 
 
-def unit_deltas(*origins, cols=16):
-    return [np.array([r * cols + c for r, c in origins], dtype=np.int64),
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)]
+NO_COPIES = np.zeros((0, 2), dtype=np.int64)
+
+
+def unit_shifts(*partitions):
+    """Replay's shifts for copies of the unit set at each (partition row,
+    partition column) shift, and no copies of the other sets."""
+    return [np.array(partitions, dtype=np.int64), NO_COPIES, NO_COPIES]
+
+
+def partition_shifts(cell_shifts, config):
+    """Each set's cell offsets, all whole partitions, as replay's shifts."""
+    unit = (config.unit_rows, config.unit_cols)
+    return [np.array(s, dtype=np.int64).reshape(-1, 2) // unit
+            for s in cell_shifts]
 
 
 def test_replay_matches_object_execution():
@@ -56,7 +67,7 @@ def test_replay_matches_object_execution():
         replay_xbar = small_crossbar()
         replay_xbar.state[:] = initial
         replay_xbar.initialized[:] = 1
-        engine.replay(frozen, replay_xbar, unit_deltas((0, 0)))
+        engine.replay(frozen, replay_xbar, unit_shifts((0, 0)))
 
         assert np.array_equal(object_xbar.state, replay_xbar.state), trial
         assert replay_xbar.stats.cycles == object_xbar.stats.cycles
@@ -72,7 +83,7 @@ def test_origin_replication():
     stream = OpStream()
     stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
-    engine.replay(frozen, xbar, unit_deltas((0, 0), (8, 8)))
+    engine.replay(frozen, xbar, unit_shifts((0, 0), (1, 1)))
     assert xbar.state[0, 0] == 0
     assert xbar.state[8, 8] == 1
     # 2 bundles x 2 units: 2 cycles, 4 gate executions
@@ -127,7 +138,7 @@ def test_backward_run_is_one_forward_row(run):
         crossbar.state[:] = state
         crossbar.initialized[:] = 1
     oracle.execute_bundle(bundles[0])
-    engine.replay(frozen, xbar, unit_deltas((0, 0)))
+    engine.replay(frozen, xbar, unit_shifts((0, 0)))
     assert np.array_equal(xbar.state, oracle.state)
     assert xbar.stats.as_dict() == oracle.stats.as_dict()
 
@@ -140,7 +151,7 @@ def test_strict_mode_catches_uninitialized_read():
     frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
     assert frozen.n_bundles == 2
     with pytest.raises(StrictInitError, match=r"\(0,1\)"):
-        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        engine.replay(frozen, xbar, unit_shifts((0, 0)))
     # the preset bundle ran and the bundle that read (0,1) did not
     expected = np.zeros((16, 16), dtype=np.uint8)
     expected[0, 0] = 1
@@ -148,7 +159,7 @@ def test_strict_mode_catches_uninitialized_read():
     expected[0, 1] = 1                  # the unwritten input's value
     assert np.array_equal(xbar.state, expected)
     xbar.initialized[0, 1] = 1
-    engine.replay(frozen, xbar, unit_deltas((0, 0)))
+    engine.replay(frozen, xbar, unit_shifts((0, 0)))
     assert xbar.state[0, 0] == 0
 
 
@@ -168,7 +179,7 @@ def test_preset_that_is_read_runs():
     assert frozen.live.tolist() == [True, True, False, True]
     for bundle in program.bundles:
         oracle.execute_bundle(bundle)
-    engine.replay(frozen, xbar, unit_deltas((0, 0), (8, 0)))
+    engine.replay(frozen, xbar, unit_shifts((0, 0), (1, 0)))
     assert np.array_equal(xbar.state[:8], oracle.state[:8])
     assert np.array_equal(xbar.state[8:], oracle.state[:8])
     assert xbar.state[0, [0, 1, 12]].tolist() == [1, 0, 1]
@@ -186,8 +197,8 @@ def test_preset_another_set_reads_runs():
     frozen = engine.freeze(bundles, ["a"] * 3, set_ids, config)
     assert frozen.live.tolist() == [True, True, True]
     xbar = Crossbar(config)
-    engine.replay(frozen, xbar, [np.array([0, 8 * 16]), np.array([0]),
-                                 np.zeros(0, dtype=np.int64)])
+    engine.replay(frozen, xbar, [np.array([[0, 0], [1, 0]]), np.array([[0, 0]]),
+                                 NO_COPIES])
     assert xbar.state[8, 1] == 0            # NOT of the preset 1
 
 
@@ -201,7 +212,7 @@ def test_trace_lists_the_skipped_presets():
         trace = io.StringIO()
         xbar.attach_trace(trace)
         frozen, _ = freeze_stream(stream, xbar)
-        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        engine.replay(frozen, xbar, unit_shifts((0, 0)))
         header, preset, gate = map(json.loads, trace.getvalue().splitlines())
         assert header["trace_schema"] == 3
         assert preset.get("skipped") == skipped
@@ -257,7 +268,7 @@ def test_replay_trace_matches_object_trace():
         trace = io.StringIO()
         xbar.attach_trace(trace)
         frozen, program = freeze_stream(stream, xbar)
-        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        engine.replay(frozen, xbar, unit_shifts((0, 0)))
         labels = [program.label] * len(program.bundles)
         assert traced_ops(trace.getvalue()) == \
             bundle_ops(program.bundles, labels), seed
@@ -393,14 +404,13 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
             rejected = copies
             break
 
-    deltas = [np.array([dr * config.cols + dc for dr, dc in s], dtype=np.int64)
-              for s in shifts]
+    per_set = partition_shifts(shifts, config)
     if rejected is None:
-        engine.replay(frozen, xbar, deltas)
+        engine.replay(frozen, xbar, per_set)
         assert xbar.stats.as_dict() == oracle.stats.as_dict()
     else:
         with pytest.raises(StrictInitError) as error:
-            engine.replay(frozen, xbar, deltas)
+            engine.replay(frozen, xbar, per_set)
         r, c = map(int, re.search(r"\((\d+),(\d+)\)",
                                   str(error.value)).groups())
         assert (r, c) in {cell for op in rejected.lines() for cell in op.inputs}
@@ -437,10 +447,10 @@ def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
                 [shifted(op, shift) for shift in shifts for op in bundle.ops]),
                 check=False)
     assert str(expected.value) == "NOR2 reads uninitialized cell (1,11)"
-    deltas = [np.zeros(0, dtype=np.int64)] * engine.NUM_ORIGIN_SETS
-    deltas[set_id] = np.array([r * config.cols + c for r, c in shifts])
+    per_set = [[]] * engine.NUM_ORIGIN_SETS
+    per_set[set_id] = shifts
     with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
-        engine.replay(frozen, xbar, deltas)
+        engine.replay(frozen, xbar, partition_shifts(per_set, config))
     assert np.array_equal(xbar.state, oracle.state)
     assert np.array_equal(xbar.initialized, oracle.initialized)
 
@@ -454,30 +464,58 @@ def test_replay_trace_matches_serial_trace_of_shifted_bundles(case):
     xbar.initialized[:] = 1
     trace = io.StringIO()
     xbar.attach_trace(trace)
-    engine.replay(frozen, xbar, [np.array([dr * config.cols + dc for dr, dc in s],
-                                          dtype=np.int64) for s in shifts])
+    engine.replay(frozen, xbar, partition_shifts(shifts, config))
     copies = [CycleBundle([shifted(op, shift) for shift in shifts[set_id]
                            for op in bundle.ops]) for bundle, _, set_id in bundles]
     assert traced_ops(trace.getvalue()) == \
         bundle_ops(copies, [label for _, label, _ in bundles])
 
 
-@pytest.mark.parametrize("origin", [(0, 1), (4, 0), (8, 7)])
-def test_replay_rejects_delta_off_partition_grid(origin):
+def test_replay_shifts_a_program_left_and_up():
+    # frozen in partition (0, 1), copied to partitions (0, 0) and (1, 0);
+    # no flat cell offset could say "one partition column to the left"
+    config = small_crossbar().config
+    bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (2, 9), 3, (1, 0))]),
+               CycleBundle([MicroOp(GateType.NOR2, ((2, 10), (2, 12)), (2, 9),
+                                    3, (1, 0))])]
+    frozen = engine.freeze(bundles, ["a"] * 2, [engine.SET_UNIT] * 2, config)
+    shifts = [(0, -8), (8, -8)]
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.initialized[:] = 1
+    for bundle in bundles:
+        oracle.execute_bundle(CycleBundle(
+            [shifted(op, shift) for shift in shifts for op in bundle.ops]),
+            label="a")
+    engine.replay(frozen, xbar, unit_shifts((0, -1), (1, -1)))
+    assert np.array_equal(xbar.state, oracle.state)
+    # NOR2 of two zeros, in column 1 of the copies and nowhere else
+    assert np.flatnonzero(xbar.state).tolist() == [
+        r * 16 + 1 for r in (2, 3, 4, 10, 11, 12)]
+    assert xbar.stats.as_dict() == oracle.stats.as_dict()
+
+
+@pytest.mark.parametrize("copies", [
+    np.array([0, 8 * 16 + 8]),                  # the old flat cell offsets
+    np.zeros((1, 3), dtype=np.int64),
+    np.zeros((1, 2)),
+], ids=["flat-deltas", "three-columns", "float"])
+def test_replay_rejects_a_malformed_shift_set(copies):
     xbar = small_crossbar()
     stream = OpStream()
     stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
-    with pytest.raises(ValueError, match="whole"):
-        engine.replay(frozen, xbar, unit_deltas((0, 0), origin))
+    with pytest.raises(ValueError, match=r"integer arrays of shape \[n, 2\]"):
+        engine.replay(frozen, xbar, [copies, NO_COPIES, NO_COPIES])
+    assert xbar.stats.cycles == 0
 
 
 @pytest.mark.parametrize("set_id, output, count, shift", [
-    (engine.SET_UNIT, (0, 0), 1, (-4, 0)),
-    (engine.SET_PARTITION_ROW, (4, 0), 1, (8, 0)),
-    (engine.SET_PARTITION_COL, (0, 8), 1, (0, 8)),
-    (engine.SET_UNIT, (3, 0), 1, (8, 0)),
-    (engine.SET_UNIT, (2, 0), 2, (8, 0)),
+    (engine.SET_UNIT, (0, 0), 1, (-1, 0)),
+    (engine.SET_PARTITION_ROW, (4, 0), 1, (2, 0)),
+    (engine.SET_PARTITION_COL, (0, 8), 1, (0, 2)),
+    (engine.SET_UNIT, (3, 0), 1, (2, 0)),
+    (engine.SET_UNIT, (2, 0), 2, (2, 0)),
 ], ids=["negative-unit", "row-past-grid", "col-past-grid", "padding",
         "padding-run-end"])
 def test_replay_rejects_runs_that_leave_the_crossbar(set_id, output, count, shift):
@@ -493,12 +531,12 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, output, count, shif
     op = MicroOp(GateType.NOT, ((r, c + 1),), (r, c), count=count, stride=(1, 0))
     frozen = engine.freeze([CycleBundle([op])], ["main"], [set_id], config)
     assert frozen.n_events == 1
-    deltas = [np.zeros(0, dtype=np.int64) for _ in range(engine.NUM_ORIGIN_SETS)]
-    deltas[set_id] = np.array([0, shift[0] * config.cols + shift[1]])
+    per_set = [NO_COPIES] * engine.NUM_ORIGIN_SETS
+    per_set[set_id] = np.array([(0, 0), shift])
     state, initialized = xbar.state.copy(), xbar.initialized.copy()
     stats = xbar.stats.as_dict()
     with pytest.raises(AddressError, match="leaves the crossbar"):
-        engine.replay(frozen, xbar, deltas)
+        engine.replay(frozen, xbar, per_set)
     assert np.array_equal(xbar.state, state)
     assert np.array_equal(xbar.initialized, initialized)
     assert xbar.stats.as_dict() == stats
@@ -511,7 +549,7 @@ def test_replay_rejects_a_program_frozen_for_another_geometry():
     frozen, _ = freeze_stream(stream, xbar)
     with pytest.raises(ValueError, match="geometry"):
         engine.replay(frozen, Crossbar(CrossbarConfig(**ORACLE_GEOMETRY)),
-                      unit_deltas((0, 0), cols=14))
+                      unit_shifts((0, 0)))
 
 
 def test_replay_rejects_a_program_whose_arrays_disagree():
@@ -523,7 +561,7 @@ def test_replay_rejects_a_program_whose_arrays_disagree():
     frozen, _ = freeze_stream(stream, xbar)
     frozen.live = frozen.live[:1]
     with pytest.raises(ValueError, match="do not match"):
-        engine.replay(frozen, xbar, unit_deltas((0, 0)))
+        engine.replay(frozen, xbar, unit_shifts((0, 0)))
 
 
 def test_replay_keys_past_the_int16_range():
@@ -536,10 +574,10 @@ def test_replay_keys_past_the_int16_range():
     frozen = engine.freeze([CycleBundle([op])], ["main"],
                            [engine.SET_PARTITION_COL], config)
     assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max
-    engine.replay(frozen, xbar, [np.zeros(0, dtype=np.int64)] * 2
-                  + [np.zeros(1, dtype=np.int64)])
+    engine.replay(frozen, xbar, [NO_COPIES] * 2
+                  + [np.zeros((1, 2), dtype=np.int64)])
     assert xbar.state[1099, 1098] == 0
     xbar.state[1099, 1099] = 0
-    engine.replay(frozen, xbar, [np.zeros(0, dtype=np.int64)] * 2
-                  + [np.zeros(1, dtype=np.int64)])
+    engine.replay(frozen, xbar, [NO_COPIES] * 2
+                  + [np.zeros((1, 2), dtype=np.int64)])
     assert xbar.state[1099, 1098] == 1

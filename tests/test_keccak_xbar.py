@@ -312,22 +312,34 @@ def test_unit_state_io_roundtrip(compiled):
 
 
 def test_absorb_matches_oracle(compiled):
-    # absorbing a block equals XOR at the software level (permute excluded)
+    # absorbing a block equals XOR at the software level (permute excluded),
+    # on every unit the shifts place, each with its own block
     xbar = Crossbar(CrossbarConfig())
     compiled.layout.setup_shared_blocks(xbar)
     rng = random.Random(21)
-    lanes = random_lanes(rng)
-    unit = compiled.layout.unit(0)
-    write_unit_state(xbar, unit, lanes_to_bits(lanes))
-    block = rng.randbytes(KECCAK.rate_bytes)
+    unit_ids = [0, 30]
+    lanes = [random_lanes(rng) for _ in unit_ids]
+    blocks = [rng.randbytes(KECCAK.rate_bytes) for _ in unit_ids]
+    for u, state in zip(unit_ids, lanes):
+        write_unit_state(xbar, compiled.layout.unit(u), lanes_to_bits(state))
     from sha3pim.keccak_xbar import block_to_bits
-    compiled.run_absorb(xbar, [0], compiled.deltas_for([0]),
-                        np.stack([block_to_bits(block)]))
-    got = bits_to_lanes(read_unit_state(xbar, unit))
-    expected = list(lanes)
-    for lane in range(17):
-        expected[lane] ^= int.from_bytes(block[8 * lane:8 * lane + 8], "little")
-    assert got == expected
+    compiled.run_absorb(xbar, compiled.deltas_for(unit_ids),
+                        np.stack([block_to_bits(block) for block in blocks]))
+    for u, state, block in zip(unit_ids, lanes, blocks):
+        expected = list(state)
+        for lane in range(17):
+            expected[lane] ^= int.from_bytes(block[8 * lane:8 * lane + 8], "little")
+        assert bits_to_lanes(read_unit_state(xbar, compiled.layout.unit(u))) \
+            == expected
+
+
+def test_deltas_for_gives_partition_shifts(compiled):
+    # units 0, 1, 2 and 30 of the 27 partition columns sit in partitions
+    # (0, 0), (0, 1), (0, 2) and (1, 3)
+    units, rows, cols = compiled.deltas_for([0, 1, 2, 30])
+    assert units.tolist() == [[0, 0], [0, 1], [0, 2], [1, 3]]
+    assert rows.tolist() == [[0, 0], [1, 0]]
+    assert cols.tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
 
 
 def test_absorb_twice_cancels(compiled):
@@ -339,7 +351,7 @@ def test_absorb_twice_cancels(compiled):
     block = rng.randbytes(KECCAK.rate_bytes)
     from sha3pim.keccak_xbar import block_to_bits
     for _ in range(2):
-        compiled.run_absorb(xbar, [0], compiled.deltas_for([0]),
+        compiled.run_absorb(xbar, compiled.deltas_for([0]),
                             np.stack([block_to_bits(block)]))
     assert bits_to_lanes(read_unit_state(xbar, unit)) == [0] * 25
 
