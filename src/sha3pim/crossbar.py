@@ -302,9 +302,7 @@ class PartitionMap:
         switch at or before it. Ids that are not switches are ignored.
 
         The row and column may be arrays of equal shape; the result is then
-        a pair of arrays. Either way the region is monotone in the row and
-        in the column, so the two ends of a straight run of cells bound the
-        regions of every cell between them.
+        a pair of arrays.
         """
         r, c = cell
         v = np.minimum(r // self.unit_rows, self.vparts - 1)
@@ -315,17 +313,6 @@ class PartitionMap:
             else:
                 h = h - (c >= b)
         return v, h
-
-    def op_region(self, op: MicroOp,
-                  closed_switches: frozenset[SwitchId]) -> tuple[int, int] | None:
-        """The one merged region holding every cell of every line of the run
-        ``op``, or None if there is none: a line crosses an open partition
-        boundary, or two lines sit in different regions."""
-        cells = op.cells() + shift(op.cells(), op.count - 1, op.stride)
-        v, h = self.region_of(np.array(cells).T, closed_switches)
-        if (v != v[0]).any() or (h != h[0]).any():
-            return None
-        return int(v[0]), int(h[0])
 
 
 @dataclass(slots=True)

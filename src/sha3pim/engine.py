@@ -12,7 +12,9 @@ Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its runs are *vector events* - one gate applied
 along a strided run of cells - and the kernel runs over cells without
 touching per-cell metadata. Each run the scheduler carried is one event,
-split only where its lines change tile (no Keccak run does). Cells are
+split only where its lines change tile (no Keccak run does). ``freeze``
+expands each segment to its lines once, and reads the rows, their live
+flags and each key's reach off that one expansion. Cells are
 those of a reference instance; replay moves copies of them by whole
 partitions, so one frozen program serves any set of hash units.
 Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
@@ -132,85 +134,41 @@ class FrozenProgram:
             stats.add_cycles(label, int(self.cycles_by_label[idx]), gates)
 
 
-def _vector_events(bundles: list[CycleBundle], tiles: _Tiles) -> np.ndarray:
-    """One event per run of the bundles: [event, (bundle, gate, count, dr,
-    dc, then the row and column of the output and of two input slots)].
-
-    A run is split only where its lines change tile, so every event stays
-    inside its tiles. Replay slices forward along a tile's cells, so a run
-    whose stride steps backward there starts at its last line, with the
-    stride negated. Input slots a gate does not read repeat its output.
-    """
-    ops = [op for bundle in bundles for op in bundle.ops]
-    owner, cells = run_lines(ops)
-    n = owner.shape[0]
-    if not n:
-        return np.zeros((0, 11), dtype=np.int64)
-    r, c = cells[..., 0], cells[..., 1]
-    off = (r < 0) | (r >= tiles.rows) | (c < 0) | (c >= tiles.cols)
-    if off.any():
-        line, slot = np.argwhere(off)[0]
-        raise AddressError(f"cell ({r[line, slot]},{c[line, slot]}) is off a "
-                           f"grid of {tiles.rows}x{tiles.cols} cells")
-    tile = tiles.locate(r, c)[0]
-    head = np.flatnonzero(np.r_[True, (owner[1:] != owner[:-1])
-                                | (tile[1:] != tile[:-1]).any(axis=1)])
-    count = np.diff(np.r_[head, n])
-    op = owner[head]
-    stride = np.array([o.stride for o in ops], dtype=np.int64)[op]
-    back = stride[:, 0] * tiles.unit_cols + stride[:, 1] < 0
-    stride[back] *= -1
-    first = np.where(back, head + count - 1, head)
-    op_bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
-    op_gate = np.array([o.gate for o in ops], dtype=np.int64)
-    return np.column_stack([op_bundle[op], op_gate[op], count, stride,
-                            cells[first].reshape(-1, 6)])
-
-
-def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
-               local: np.ndarray, keys: np.ndarray, used: np.ndarray,
-               bundle: np.ndarray) -> np.ndarray:
+def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
+               key: np.ndarray, row: np.ndarray, used: np.ndarray) -> np.ndarray:
     """Which rows replay must run: False for a row whose presets are dead.
 
-    A preset is dead when the next bundle that touches its cell overwrites
-    it and reads nothing there, so its value is never seen. Replay moves
-    cells by whole partitions, so two reference cells can only meet on the
-    crossbar if they share a tile-local index. Accesses are therefore
-    grouped by local index, and a preset is dead only if the next bundle
-    touching that index reads none of its cells and writes the preset's
-    own (local, key) - the same cell, moved by the same set's shifts.
-    A preset never touched again in the segment stays live.
+    ``gate`` and ``bundle`` are each row's; ``local`` and ``key`` give each
+    line's tile-local cell and key per slot, ``row`` its row and ``used``
+    the slots it touches, slot 0 written and the others read. A preset is
+    dead when the next bundle that touches its cell overwrites it and reads
+    nothing there, so its value is never seen. Replay moves cells by whole
+    partitions, so two reference cells can only meet on the crossbar if
+    they share a tile-local index. Accesses are therefore grouped by local
+    index, and a preset is dead only if the next bundle touching that index
+    reads none of its cells and writes the preset's own (local, key) - the
+    same cell, moved by the same set's shifts. A preset never touched again
+    in the segment stays live.
     """
     live = gate != GateType.INIT1
-    if not count.sum():
+    line, slot = np.nonzero(used)
+    if not line.shape[0]:
         return live
-    # one access per cell of each slot a row uses, writes first; int32
-    # holds every local index, key and row, in half the memory
-    parts = []
-    for slot in range(3):
-        rows = np.flatnonzero(used[:, slot])
-        n = count[rows]
-        row = np.repeat(rows, n)
-        along = np.arange(row.shape[0]) - np.repeat(np.cumsum(n) - n, n)
-        parts.append(np.stack([local[row, slot] + along * step[row],
-                               keys[row, slot], row]).astype(np.int32))
-    write = np.arange(sum(p.shape[1] for p in parts)) < parts[0].shape[1]
-    cell, key, access_row = np.concatenate(parts, axis=1)
-    del parts
-    at = bundle[access_row]
+    cell, key, row, write = local[line, slot], key[line, slot], row[line], slot == 0
+    del line, slot
+    at = bundle[row]
     order = np.lexsort((key, at, cell))
-    cell, key, write, access_row, at = (
-        a[order] for a in (cell, key, write, access_row, at))
+    cell, key, write, row, at = (a[order] for a in (cell, key, write, row, at))
     del order
     # a group is the accesses of one bundle to one local index
     starts = np.r_[True, (cell[1:] != cell[:-1]) | (at[1:] != at[:-1])]
     group = np.cumsum(starts) - 1
     first = np.flatnonzero(starts)
     reads = np.logical_or.reduceat(~write, first)
-    n_keys = int(keys.max()) + 1
+    n_keys = int(key.max()) + 1
     writes = (group * n_keys + key)[write]      # sorted, as the accesses are
 
-    preset = np.flatnonzero(~live[access_row])
+    preset = np.flatnonzero(~live[row])
     nxt = group[preset] + 1
     dead = nxt < first.shape[0]
     nxt[~dead] = 0
@@ -219,7 +177,7 @@ def _live_rows(gate: np.ndarray, count: np.ndarray, step: np.ndarray,
     wanted = nxt * n_keys + key[preset]
     found = np.minimum(np.searchsorted(writes, wanted), writes.shape[0] - 1)
     dead &= writes[found] == wanted
-    live[access_row[preset[~dead]]] = True
+    live[row[preset[~dead]]] = True
     return live
 
 
@@ -231,46 +189,69 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     ``set_ids`` gives each bundle's origin set. Coordinates must already be
     those of the reference instance (shifts are applied at run time). A
     cell off the crossbar raises ``AddressError``.
+
+    The segment is expanded to its lines once, and located on the tiles
+    once; the rows, their ``live`` flags and each key's ``reach`` are all
+    read off that one expansion. Replay slices forward along a tile's
+    cells, so a run that steps backward there is written from its last
+    line. Input slots a gate does not read are written as 0 and 0.
     """
     tiles = _Tiles(config)
-    ur, uc = tiles.unit_rows, tiles.unit_cols
-    events = _vector_events(bundles, tiles)
-    sizes = np.bincount(events[:, 0], minlength=len(bundles))
-    events = events[:, 1:]
+    ops = [op for bundle in bundles for op in bundle.ops]
+    owner, cells = run_lines(ops)
+    r, c = cells[..., 0], cells[..., 1]                     # [line, slot]
+    off = (r < 0) | (r >= tiles.rows) | (c < 0) | (c >= tiles.cols)
+    if off.any():
+        line, slot = np.argwhere(off)[0]
+        raise AddressError(f"cell ({r[line, slot]},{c[line, slot]}) is off a "
+                           f"grid of {tiles.rows}x{tiles.cols} cells")
+    # each cell's tile, made its (set, tile) key below, and local index;
+    # int32 holds both in half the memory
+    key, local = (a.astype(np.int32) for a in tiles.locate(r, c))
+    del cells, r, c, off
+    op_bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
+    key +=(np.asarray(set_ids, dtype=np.int32)[op_bundle] * tiles.count)[owner, None]
+    op_gate = np.array([op.gate for op in ops], dtype=np.int64)
+    used = np.arange(3) <= _ARITY[op_gate][owner, None]
+
+    # a row per run, split where its lines change tile (and so key)
+    starts = np.ones(owner.shape[0], dtype=bool)
+    starts[1:] = (owner[1:] != owner[:-1]) | (key[1:] != key[:-1]).any(axis=1)
+    head = np.flatnonzero(starts)
+    count = np.diff(np.r_[head, owner.shape[0]])
+    tail = head + count - 1
+    gate, bundle = op_gate[owner[head]], op_bundle[owner[head]]
+    del owner
+    # within a tile, successive lines are one local step apart
+    step = local[np.minimum(head + 1, tail), 0] - local[head, 0]
+    first = np.where(step < 0, tail, head)
+    step = np.where(count > 1, np.abs(step), 1)
+
     label_names = sorted(set(labels))
     label_index = {name: i for i, name in enumerate(label_names)}
     bundle_label = np.array([label_index[name] for name in labels],
                             dtype=np.uint16)
-    gate, count, dr, dc = (events[:, k] for k in range(4))
-    r, c = events[:, 4::2], events[:, 5::2]     # [event, slot]
-    sets = np.repeat(np.asarray(set_ids, dtype=np.int64), sizes)
-    cells = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
-    np.add.at(cells, (np.repeat(bundle_label, sizes), sets), count)
+    sizes = np.bincount(bundle, minlength=len(bundles))
+    gates = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
+    np.add.at(gates, (bundle_label[bundle], key[head, 0] // tiles.count), count)
 
-    bundle_ptr = np.concatenate([[0], np.cumsum(sizes)])
-    last = count - 1
-    step = np.where(count > 1, dr * uc + dc, 1)
-    tile, local = tiles.locate(r, c)
-    keys = sets[:, None] * tiles.count + tile
-    used = np.arange(3) <= _ARITY[gate][:, None]
-    limit = max(ur * uc, NUM_ORIGIN_SETS * tiles.count)
+    limit = max(tiles.unit_rows * tiles.unit_cols, NUM_ORIGIN_SETS * tiles.count)
     dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
-    rows = np.empty((gate.shape[0], 9), dtype=dtype)
-    rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, last * step + 1
-    rows[:, 3::2] = np.where(used, local, 0)
-    rows[:, 4::2] = np.where(used, keys, 0)
-    live = _live_rows(gate, count, step, local, keys, used,
-                      np.repeat(np.arange(sizes.shape[0]), sizes))
-    # runs stay inside their tile, so their two ends bound every local cell
+    rows = np.empty((head.shape[0], 9), dtype=dtype)
+    rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, (count - 1) * step + 1
+    rows[:, 3::2] = np.where(used[head], local[first], 0)
+    rows[:, 4::2] = np.where(used[head], key[head], 0)
+    live = _live_rows(gate, bundle, local, key,
+                      (np.cumsum(starts) - 1).astype(np.int32), used)
+    # runs stay inside their tile, so their two end lines bound every cell
+    ends = np.r_[head, tail]
     reach = np.full((NUM_ORIGIN_SETS * tiles.count, 2), -1, dtype=dtype)
-    for axis, (start, extent) in enumerate(((r % ur, last * dr),
-                                             (c % uc, last * dc))):
-        end = start + extent[:, None]
-        np.maximum.at(reach[:, axis], keys[used], np.maximum(start, end)[used])
-    return FrozenProgram(rows, live, bundle_ptr, bundle_label, label_names,
-                         tiles.geometry, reach,
+    for axis, at in enumerate(np.divmod(local[ends], tiles.unit_cols)):
+        np.maximum.at(reach[:, axis], key[ends][used[ends]], at[used[ends]])
+    return FrozenProgram(rows, live, np.r_[0, np.cumsum(sizes)], bundle_label,
+                         label_names, tiles.geometry, reach,
                          np.bincount(bundle_label, minlength=len(label_names)),
-                         cells)
+                         gates)
 
 
 def concat(programs: list[FrozenProgram]) -> FrozenProgram:
@@ -599,8 +580,8 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
 
     ``per_set[s]`` is an integer array of shape [n, 2]: the n copies of
     origin set ``s``, each as the (partition rows, partition columns) it
-    moves the reference instance by. Anything else, and a program frozen
-    for another geometry, raises ``ValueError``. A shift that moves a cell
+    moves the reference instance by, no shift listed twice. Anything else,
+    and a program frozen for another geometry, raises ``ValueError``. A shift that moves a cell
     off the crossbar raises ``AddressError`` before any bundle runs. The
     initialized map is only maintained, and reads of never-written cells
     only rejected, when ``crossbar.config.strict_init`` is set; then every
@@ -615,10 +596,11 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     """
     shifts = [np.asarray(s) for s in per_set]
     if len(shifts) != NUM_ORIGIN_SETS or any(
-            s.shape[1:] != (2,) or s.dtype.kind not in "iu" for s in shifts):
+            s.shape[1:] != (2,) or s.dtype.kind not in "iu"
+            or len(set(map(tuple, s.tolist()))) < s.shape[0] for s in shifts):
         raise ValueError(f"replay takes {NUM_ORIGIN_SETS} integer arrays of "
-                         "shape [n, 2], one (partition rows, partition "
-                         "columns) shift per copy")
+                         "shape [n, 2], one distinct (partition rows, "
+                         "partition columns) shift per copy")
     shifts = [s.astype(np.int64) for s in shifts]
     tiles = _Tiles(crossbar.config)
     if program.geometry != tiles.geometry:

@@ -321,11 +321,24 @@ def _xor_inplace(stream: OpStream, rows: range, a_col: int, b_col: int,
     stream.barrier()
 
 
-def _copy_col(stream: OpStream, rows: range, src_col: int, dst_col: int,
-              tmp_col: int) -> None:
-    z = rows[0]
-    stream.append(MacroOp(MacroKind.COPY, ((z, src_col),), (z, dst_col),
-                          scratch=((z, tmp_col),), **_along(rows, IN_ROW)))
+def _hop(stream: OpStream, orientation: str, lines: range, src: int,
+         via: int, dst: int, switch=None) -> None:
+    """Double-inverting copy ``src -> via -> dst`` along each of ``lines``,
+    one run per inversion.
+
+    ``src``, ``via`` and ``dst`` are columns of each row for ``IN_ROW`` and
+    rows of each column for ``IN_COL``; only the first inversion may cross
+    ``switch``, so the destination receives the true bit values.
+    """
+    def cell(at: int) -> tuple[int, int]:
+        return (lines[0], at) if orientation == IN_ROW else (at, lines[0])
+
+    run = _along(lines, orientation)
+    switches = frozenset([switch]) if switch else frozenset()
+    stream.append(MacroOp(GateType.NOT, (cell(src),), cell(via),
+                          switches=switches, **run))
+    stream.barrier()
+    stream.append(MacroOp(GateType.NOT, (cell(via),), cell(dst), **run))
     stream.barrier()
 
 
@@ -435,11 +448,11 @@ def pi_microcode(unit: UnitLayout) -> OpStream:
     s = OpStream("pi")
     rows = _lane_rows(unit)
     cols = [unit.lane_col(x, y) for x, y in PI_CYCLE]
-    _copy_col(s, rows, cols[0], unit.x_col, unit.m_col)
-    _copy_col(s, rows, cols[-1], cols[0], unit.m_col)
+    _hop(s, IN_ROW, rows, cols[0], unit.m_col, unit.x_col)
+    _hop(s, IN_ROW, rows, cols[-1], unit.m_col, cols[0])
     for k in range(len(cols) - 1, 1, -1):
-        _copy_col(s, rows, cols[k - 1], cols[k], unit.m_col)
-    _copy_col(s, rows, unit.x_col, cols[1], unit.m_col)
+        _hop(s, IN_ROW, rows, cols[k - 1], unit.m_col, cols[k])
+    _hop(s, IN_ROW, rows, unit.x_col, unit.m_col, cols[1])
     return s
 
 
@@ -475,37 +488,16 @@ def iota_local_microcode(unit: UnitLayout) -> OpStream:
     return s
 
 
-def absorb_microcode(unit: UnitLayout, lanes: list[int], base: int) -> OpStream:
-    """XOR staged message lanes (staging column base+k) into the state."""
+def absorb_microcode(unit: UnitLayout, lanes: list[int]) -> OpStream:
+    """XOR staged message lanes (staging column k) into the state."""
     s = OpStream("io")
     for k, lane in enumerate(lanes):
         _xor_inplace(s, _lane_rows(unit), unit.origin[1] + int(LANE_COLS[lane]),
-                     unit.stage_col(base + k), unit.x_col, unit.m_col)
+                     unit.stage_col(k), unit.x_col, unit.m_col)
     return s
 
 
 # ------------------------------------------------------------- shared fetches
-
-def _hop(stream: OpStream, orientation: str, lines: range, src: int,
-         via: int, dst: int, switch=None) -> None:
-    """Double-inverting copy ``src -> via -> dst`` along each of ``lines``,
-    one run per inversion.
-
-    ``src``, ``via`` and ``dst`` are columns of each row for ``IN_ROW`` and
-    rows of each column for ``IN_COL``; only the first inversion may cross
-    ``switch``, so the destination receives the true bit values.
-    """
-    def cell(at: int) -> tuple[int, int]:
-        return (lines[0], at) if orientation == IN_ROW else (at, lines[0])
-
-    run = _along(lines, orientation)
-    switches = frozenset([switch]) if switch else frozenset()
-    stream.append(MacroOp(GateType.NOT, (cell(src),), cell(via),
-                          switches=switches, **run))
-    stream.barrier()
-    stream.append(MacroOp(GateType.NOT, (cell(via),), cell(dst), **run))
-    stream.barrier()
-
 
 def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     """Copy the offset bit-planes up the chain of vertically aligned units
@@ -604,7 +596,7 @@ class CompiledKeccak:
                                       for program in (*self._steps.values(), iota)])
 
         self.absorb = [
-            compiled(absorb_microcode(ref, lanes, base=0), unit_set)
+            compiled(absorb_microcode(ref, lanes), unit_set)
             for lanes in _ABSORB_BATCHES
         ]
 

@@ -2,28 +2,28 @@
 
 Producers emit streams of macro operations separated by barriers; ops
 between two barriers are declared independent by the producer. A macro is
-one of the two ``MacroKind`` macros, XOR2 and COPY, or a single gate, whose
-kind is its ``GateType``. Every macro is a *run*: its first line's cells
+either XOR2, the one ``MacroKind`` macro, or a single gate, whose kind is
+its ``GateType``. Every macro is a *run*: its first line's cells
 plus a count and a stride that repeats them along parallel rows or
 columns, the unit a row-parallel crossbar operation works in (a single
 macro is a run of one line). Expansion rewrites each run into its fixed
 primitive sequence, as micro-op runs, and a first-fit pass keys each
 micro-op run once and packs it into bundles of one merged region and one
 ``crossbar.line_pattern`` each, where its lines would go one by one. A
-run must lie in one merged region, as every run of the hash microcode
-does inside its unit; ``crossbar.check_bundle`` rejects one that does
-not. The microcode is written for one reference unit and replayed in lockstep on
-every unit, so no bundle needs to hold more than one region.
+run is keyed by the merged region of its first output, and must lie in
+that region, as every run of the hash microcode does inside its unit;
+``crossbar.check_bundle`` rejects one that does not. The microcode is
+written for one reference unit and replayed in lockstep on every unit,
+so no bundle needs to hold more than one region.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
 
     gate(ins)   = INIT1 out; gate ins->out      (INIT1 alone: the preset only)
-    COPY(a)     = INIT1 t; NOT a->t; INIT1 out; NOT t->out
     XOR2(a,b)   = INIT1 u,v,w,out; OR2(a,b)->u; AND2(a,b)->v; NOT v->w;
                   AND2(u,w)->out
 
-XOR2 and COPY carry their scratch cells pinned on the macro, which is
-how the hash microcode lays out its units. No op declares an orientation:
+XOR2 carries its scratch cells pinned on the macro, which is how the
+hash microcode lays out its units. No op declares an orientation:
 a macro's cells share one row or one column, and each micro-op's
 orientation follows from its cells. A stream carries one step label, which
 every bundle scheduled from it takes.
@@ -68,12 +68,11 @@ class MacroKind(Enum):
     """The macros that expand to several gates."""
 
     XOR2 = "xor2"
-    COPY = "copy"
 
 
-_NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.COPY: 1, **GATE_NUM_INPUTS}
+_NUM_INPUTS = {MacroKind.XOR2: 2, **GATE_NUM_INPUTS}
 
-SCRATCH_NEEDS = {MacroKind.XOR2: 3, MacroKind.COPY: 1}
+SCRATCH_NEEDS = {MacroKind.XOR2: 3}
 
 
 @dataclass(slots=True)
@@ -84,8 +83,8 @@ class MacroOp:
     The first line's inputs, output and scratch cells share one row or one
     column, which fixes the orientation of every micro-op it expands to;
     line ``k`` is the first moved by ``k`` strides, and the stride may not
-    move along the line. ``scratch`` pins the cells an XOR2 or COPY
-    expansion uses. ``switches`` lists partition boundaries that must be
+    move along the line. ``scratch`` pins the cells an XOR2 expansion
+    uses. ``switches`` lists partition boundaries that must be
     bridged for this op (used by the inter-unit copy hops); such ops only
     share a bundle with ops declaring the identical switch set.
     """
@@ -186,12 +185,6 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
     def op(gate: GateType, ins: tuple[Cell, ...], out: Cell) -> list[MicroOp]:
         return [MicroOp(gate, ins, out, **run)]
 
-    if kind is MacroKind.COPY:
-        (a,) = macro.inputs
-        (t,) = scratch
-        return [init(t), op(GateType.NOT, (a,), t),
-                init(macro.output), op(GateType.NOT, (t,), macro.output)]
-
     a, b = macro.inputs     # XOR2
     u, v, w = scratch
     return [init(u, v, w, macro.output),
@@ -243,8 +236,8 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     ``line_pattern``; that triple is its key. Within each barrier group,
     first fit puts every micro-op run into the earliest bundle past its
     macro's previous stage whose key equals the run's. A run is keyed
-    once, and placed whole, as each of its lines would be placed alone;
-    a run outside one merged region has no region, and its bundle fails
+    once, by the region of its first output, and placed whole, as each of
+    its lines would be placed alone; a run that leaves that region fails
     the check below.
     Bundle order concatenated across groups preserves the stream's serial
     semantics.
@@ -265,7 +258,7 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
             for stage in expand(macro):
                 stage_top = floor
                 for op in stage:
-                    key = (partitions.op_region(op, macro.switches),
+                    key = (partitions.region_of(op.output, macro.switches),
                            macro.switches, line_pattern(op))
                     try:
                         index = keys.index(key, floor + 1)

@@ -20,9 +20,9 @@ from sha3pim.scheduler import (SCRATCH_NEEDS, MacroKind, MacroOp, OpStream,
                                check_presets, expand, schedule)
 
 GRID = 16
-KINDS = [MacroKind.XOR2, MacroKind.COPY, GateType.NOT, GateType.NOR2,
-         GateType.OR2, GateType.AND2, GateType.INIT1]
-NUM_INPUTS = {MacroKind.XOR2: 2, MacroKind.COPY: 1, **GATE_NUM_INPUTS}
+KINDS = [MacroKind.XOR2, GateType.NOT, GateType.NOR2, GateType.OR2,
+         GateType.AND2, GateType.INIT1]
+NUM_INPUTS = {MacroKind.XOR2: 2, **GATE_NUM_INPUTS}
 
 
 def small_crossbar() -> Crossbar:
@@ -120,7 +120,7 @@ def check_equivalence(rng: random.Random) -> int:
     for bundle in program.bundles:
         ok, violations = bundled.check_bundle(bundle)
         assert ok, f"illegal bundle emitted: {violations}"
-        keys = {(partitions.op_region(op, bundle.closed_switches),
+        keys = {(partitions.region_of(op.output, bundle.closed_switches),
                  line_pattern(op)) for op in bundle.ops}
         assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"
         bundled.execute_bundle(bundle, label=program.label, check=False)

@@ -1,11 +1,19 @@
 """The benchmark's trace hooks resolve: every attribute that
 ``perfbench/spans.py`` wraps exists in ``sha3pim`` and is callable, and
-its replay counter reads the units and gate executions of a replay."""
+its replay counter reads the units and gate executions of a replay. A
+traced benchmark run passes the benchmark's own correctness check."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -37,3 +45,23 @@ def test_replay_counter_reads_the_shift_sets(compiled):
     assert counts["units"] == 4
     assert counts["gates"] == int(
         compiled.permute.gates_by_label_set.sum(axis=0) @ [4, 2, 4])
+
+
+@pytest.mark.parametrize("workload", ["abc_cold", "sweep_0_200"])
+def test_traced_worker_run_is_correct(workload):
+    # what perfbench/run.py checks of each run: every digest right, no
+    # inconsistent figure, and every simulated figure exactly as pinned
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--mode",
+         "trace", "--workload", workload, "--seed", "1"],
+        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert pathlib.Path(out["module"]).is_relative_to(ROOT / "src")
+    assert out["failed"] == 0
+    assert out["problems"] == []
+    assert "errors" not in out
+    expected = json.loads((ROOT / "perfbench" / "expected_sim.json").read_text())
+    assert out["sim"] == expected[workload]

@@ -499,7 +499,8 @@ def test_replay_shifts_a_program_left_and_up():
     np.array([0, 8 * 16 + 8]),                  # the old flat cell offsets
     np.zeros((1, 3), dtype=np.int64),
     np.zeros((1, 2)),
-], ids=["flat-deltas", "three-columns", "float"])
+    np.zeros((2, 2), dtype=np.int64),           # one copy listed twice
+], ids=["flat-deltas", "three-columns", "float", "repeated"])
 def test_replay_rejects_a_malformed_shift_set(copies):
     xbar = small_crossbar()
     stream = OpStream()

@@ -150,6 +150,14 @@ def test_compiled_program_shape(compiled):
         "rho": 57_456, "theta": 9_312, "chi": 6_120, "iota": 2_712, "pi": 2_400}
     assert [(p.n_bundles, p.n_events) for p in compiled.absorb] == [
         (50, 60), (35, 42)]
+    # the largest local (row, col) each key reaches, which replay's bounds
+    # check reads
+    reach = hashlib.sha256()
+    for program in (permute, *compiled.absorb):
+        assert program.reach.dtype == np.int16
+        reach.update(program.reach.tobytes())
+    assert reach.hexdigest() == (
+        "ea511899edf2ec43e166fc939f7b8275b88634b48528d5fb6056ecaae04c669f")
 
 
 def test_compile_carries_runs(monkeypatch):
@@ -180,9 +188,9 @@ def test_compile_carries_runs(monkeypatch):
     compiled = keccak_xbar.CompiledKeccak(CrossbarConfig())
     streams = [stream for stream, _ in scheduled]
     assert len(streams) == 44
-    assert sum(len(stream) for stream in streams) == 60_221       # lines
+    assert sum(len(stream) for stream in streams) == 61_821       # lines
     assert sum(len(group) for stream in streams
-               for group in stream.groups()) == 1_769             # runs
+               for group in stream.groups()) == 1_794             # runs
     assert sum(len(program.bundles) for _, program in scheduled) == 3_167
     assert len(checks) == 3_167
     assert sum(checks) == 3_708                                   # micro-op runs

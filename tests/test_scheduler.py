@@ -48,11 +48,6 @@ def test_xor2_truth_table():
         assert run_macro(MacroKind.XOR2, (a, b)) == a ^ b
 
 
-def test_copy_truth_table():
-    for v in (0, 1):
-        assert run_macro(MacroKind.COPY, (v,)) == v
-
-
 def test_primitives_pass_through_with_preset():
     stages = expand(MacroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0)))
     assert len(stages) == 2
@@ -75,7 +70,7 @@ def test_macro_validation():
         # a run whose stride moves along its own line, a row
         expand(MacroOp(GateType.NOT, ((0, 1),), (0, 0), count=2, stride=(0, 2)))
     # a cell the macro writes that it also reads or writes elsewhere: an
-    # in-place XOR2 or COPY, an output or scratch cell that repeats a
+    # in-place XOR2 or NOT, an output or scratch cell that repeats a
     # scratch cell, and a scratch cell that repeats an input
     repeats = [
         (MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 1),
@@ -86,8 +81,8 @@ def test_macro_validation():
                  scratch=((0, 5), (0, 5), (0, 6))), (0, 5)),
         (MacroOp(MacroKind.XOR2, ((0, 1), (0, 2)), (0, 0),
                  scratch=((0, 2), (0, 5), (0, 6))), (0, 2)),
-        (MacroOp(MacroKind.COPY, ((0, 1),), (0, 1), scratch=((0, 4),)), (0, 1)),
-        (MacroOp(MacroKind.COPY, ((0, 1),), (0, 0), scratch=((0, 1),)), (0, 1)),
+        (MacroOp(GateType.NOT, ((0, 1),), (0, 1)), (0, 1)),
+        (MacroOp(GateType.NOT, ((0, 1),), (0, 0), scratch=((0, 1),)), (0, 1)),
     ]
     for macro, cell in repeats:
         with pytest.raises(ShapeError, match=re.escape(f"writes {cell}")):
