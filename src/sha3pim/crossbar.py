@@ -7,8 +7,9 @@ Transistor switches at fixed partition boundaries electrically isolate
 sub-arrays, which is what lets unrelated gates share a cycle. A bundle holds
 *runs*: one gate pattern repeated along parallel lines (``MicroOp`` with a
 count and a stride). Bundles are validated against the alignment/isolation
-rules before execution, with every run expanded to its cells by numpy, and
-every executed gate is charged one gate-energy quantum.
+rules before execution, a bundle or a whole segment at a time, with every
+run expanded to its cells by numpy, and every executed gate is charged one
+gate-energy quantum.
 
 Peripheral reads/writes (message load, digest readout) move data in and out
 of the array without gates; they are accounted under the separate ``io``
@@ -17,7 +18,6 @@ label with a per-row cycle cost and zero gate energy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -235,14 +235,29 @@ def line_pattern(op: MicroOp) -> tuple:
     return (op.gate, IN_COL, tuple(r for r, _ in op.inputs), op.output[0])
 
 
-def is_grid(rows, cols) -> bool:
-    """True if the cells (``rows[i]``, ``cols[i]``) form a rows x cols cross
-    product, the cell set one preset cycle can drive."""
-    r, c = np.asarray(rows), np.asarray(cols)
-    r, c = r - r.min(), c - c.min()
-    cells = np.sort(r * (int(c.max()) + 1) + c)
-    distinct = 1 + np.count_nonzero(cells[1:] != cells[:-1])
-    return distinct == np.count_nonzero(np.bincount(r)) * np.count_nonzero(np.bincount(c))
+def grids(group: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+          n: int) -> np.ndarray:
+    """For each group ``g < n``, whether the cells (``rows[i]``,
+    ``cols[i]``) with ``group[i] == g`` form a rows x cols cross product,
+    the cell set one preset cycle can drive. A group without cells is a
+    grid.
+
+    One pass for all groups: a group is a grid iff its distinct cells
+    number its distinct rows times its distinct columns, each counted on
+    int64 keys that lead with the group.
+    """
+    if not len(group):
+        return np.ones(n, dtype=bool)
+    group = group.astype(np.int64)
+    r, c = rows - rows.min(), cols - cols.min()
+    height, width = int(r.max()) + 1, int(c.max()) + 1
+
+    def distinct(key, span):
+        key = np.sort(key)
+        return np.bincount(key[np.diff(key, prepend=-1) != 0] // span, minlength=n)
+
+    return distinct((group * height + r) * width + c, height * width) \
+        == distinct(group * height + r, height) * distinct(group * width + c, width)
 
 
 def run_lines(ops: list[MicroOp]) -> tuple[np.ndarray, np.ndarray]:
@@ -356,6 +371,11 @@ class ExecutionStats:
         }
 
 
+# ``Crossbar.check_bundle`` expands a segment in chunks of bundles of about
+# this many lines (one bundle more at most), which bounds its memory.
+_CHECK_LINES = 4096
+
+
 class Crossbar:
     """One crossbar instance: cell grid, partition map, stats, trace."""
 
@@ -376,84 +396,149 @@ class Crossbar:
 
     # ---------------------------------------------------------------- legality
 
-    def check_bundle(self, bundle: CycleBundle) -> tuple[bool, list[str]]:
-        """Validate a bundle against the single-cycle legality rules.
+    def check_bundle(self, bundles: CycleBundle | list[CycleBundle]
+                     ) -> tuple[bool, list[str]]:
+        """Validate one bundle, or a segment's list of bundles, against the
+        single-cycle legality rules.
 
-        Legal iff: op shapes are well-formed and in bounds; every op sits in
-        one merged region, so no line spans an open switch and no run has
-        lines on both sides of one; within each (merged) partition all ops
-        share one ``line_pattern`` and preset cells form a rows x cols grid;
-        and no read/write or write/write cell conflicts exist anywhere in
-        the bundle. The ops are runs. Their lines are expanded to cell
-        arrays, every rule is checked on every cell of every line, and a
-        violation names the run (``op i``) it is found in.
+        A bundle is legal iff: op shapes are well-formed and in bounds, and
+        its closed switches exist; every op sits in one merged region, so
+        no line spans an open switch and no run has lines on both sides of
+        one; within each (merged) partition all ops share one
+        ``line_pattern`` and preset cells form a rows x cols grid; and no
+        read/write or write/write cell conflicts exist anywhere in the
+        bundle. A bundle with a malformed op, a cell out of bounds or an
+        unknown switch reports only that.
+
+        The ops are runs. A list is checked in one pass per chunk of about
+        ``_CHECK_LINES`` lines: its runs are expanded to cell arrays once,
+        and each rule is a group-by over keys that lead with the bundle,
+        so every rule is checked on every cell of every line. A violation
+        names the run (``op i``) it is found in; with more than one
+        bundle, each is prefixed ``bundle k: ``, in bundle order.
         """
-        ops = bundle.ops
-        violations = [f"op {i}: {msg}" for i, op in enumerate(ops)
-                      if (msg := op.validate_shape())]
-        if violations or not ops:
-            return not violations, violations
+        bundles = [bundles] if isinstance(bundles, CycleBundle) else bundles
+        found = [[f"op {i}: {msg}" for i, op in enumerate(bundle.ops)
+                  if (msg := op.validate_shape())] for bundle in bundles]
+        kept = [k for k, bundle in enumerate(bundles)
+                if bundle.ops and not found[k]]
+        chunk = np.cumsum([sum(op.count for op in bundles[k].ops)
+                           for k in kept], dtype=np.int64) // _CHECK_LINES
+        for part in np.split(np.array(kept, dtype=np.int64),
+                             np.flatnonzero(np.diff(chunk)) + 1):
+            if len(part):
+                self._check_runs([bundles[k] for k in part], [found[k] for k in part])
+        violations = found[0] if len(bundles) == 1 else \
+            [f"bundle {k}: {msg}" for k, msgs in enumerate(found) for msg in msgs]
+        return not violations, violations
+
+    def _check_runs(self, bundles: list[CycleBundle],
+                    found: list[list[str]]) -> None:
+        """``check_bundle`` past op shapes, for nonempty bundles of
+        well-formed runs: each bundle's violations go to its list in
+        ``found``."""
+        ops = [op for bundle in bundles for op in bundle.ops]
+        n_ops = np.array([len(bundle.ops) for bundle in bundles])
+        op_bundle = np.repeat(np.arange(len(bundles)), n_ops)
         owner, cells = run_lines(ops)
         rows, cols = self.config.rows, self.config.cols
+        r, c = cells[..., 0], cells[..., 1]                      # [line, slot]
+        bad = set()
         # a slot past a gate's arity repeats its output, so every slot of
         # every line is checked as it stands
-        if cells.min() < 0 or cells[..., 0].max() >= rows \
-                or cells[..., 1].max() >= cols:
-            for i, op in enumerate(ops):
-                cell = next(((r, c) for line in op.lines() for r, c in line.cells()
-                             if not (0 <= r < rows and 0 <= c < cols)), None)
-                if cell is not None:
-                    violations.append(f"op {i}: cell ({cell[0]},{cell[1]}) "
-                                      "out of bounds")
-            return False, violations
-        # slots past the bundle's largest arity only repeat outputs
-        cells = cells[:, :1 + max(len(op.inputs) for op in ops)]
-
+        if cells.min() < 0 or r.max() >= rows or c.max() >= cols:
+            off = ((r < 0) | (r >= rows) | (c < 0) | (c >= cols)).any(axis=1)
+            bad = set(op_bundle[owner[off]].tolist())
+            for k in sorted(bad):
+                for i, op in enumerate(bundles[k].ops):
+                    cell = next((cell for line in op.lines() for cell in line.cells()
+                                 if not (0 <= cell[0] < rows and 0 <= cell[1] < cols)),
+                                None)
+                    if cell is not None:
+                        found[k].append(f"op {i}: cell ({cell[0]},{cell[1]}) "
+                                        "out of bounds")
         partitions = self.partition_map
-        for sw in bundle.closed_switches:
-            if sw not in partitions.switches:
-                violations.append(f"no switch at boundary {sw}")
-        if violations:
-            return False, violations
+        by_switches: dict[frozenset[SwitchId], int] = {}
+        for k, bundle in enumerate(bundles):
+            by_switches.setdefault(bundle.closed_switches, len(by_switches))
+            unknown = [f"no switch at boundary {sw}" for sw in bundle.closed_switches
+                       if sw not in partitions.switches]
+            if unknown and k not in bad:
+                found[k] += unknown
+                bad.add(k)
+        if bad:     # check the rest as if the bad bundles were not there
+            kept = [k for k in range(len(bundles)) if k not in bad]
+            if kept:
+                self._check_runs([bundles[k] for k in kept], [found[k] for k in kept])
+            return
 
         # Rule 2/3: each run must sit inside a single merged region: every
         # cell of every line in the region of its first line's output.
-        v, h = partitions.region_of((cells[..., 0], cells[..., 1]),
-                                    bundle.closed_switches)
-        where = v * partitions.hparts + h                      # [line, slot]
-        home = where[list(itertools.accumulate([op.count for op in ops[:-1]],
-                                               initial=0)), 0]
-        inside = (where == home[owner][:, None]).all(axis=1)
-        crossing = set()
-        if not inside.all():
-            crossing = set(owner[~inside].tolist())
-            violations += [f"op {i}: crosses an open partition boundary"
-                           for i in sorted(crossing)]
+        # Each distinct switch set merges the regions of its own bundles.
+        line_bundle = op_bundle[owner]
+        line_set = np.array([by_switches[b.closed_switches] for b in bundles])[line_bundle]
+        where = np.empty(r.shape, dtype=np.int32)
+        for s, switches in enumerate(by_switches):
+            lines = line_set == s
+            v, h = partitions.region_of((r[lines], c[lines]), switches)
+            where[lines] = v * partitions.hparts + h
+        del line_set
+        first = np.searchsorted(owner, np.arange(len(ops)))   # each run's first line
+        home = where[first, 0]
+        crossing = np.zeros(len(ops), dtype=bool)
+        crossing[owner[(where != home[owner][:, None]).any(axis=1)]] = True
+        del where
+        op_index = np.arange(len(ops)) - (np.cumsum(n_ops) - n_ops)[op_bundle]
+        for j in np.flatnonzero(crossing):
+            found[op_bundle[j]].append(f"op {op_index[j]}: crosses an open "
+                                       "partition boundary")
 
-        # Rule 1: one line pattern per region; presets form a grid.
-        by_region: dict[int, list[int]] = {}
-        for i, region in enumerate(home.tolist()):
-            if i not in crossing:
-                by_region.setdefault(region, []).append(i)
-        for region, indices in by_region.items():
-            patterns = {line_pattern(ops[i]) for i in indices}
-            if len(patterns) > 1:
+        # Rule 1: one line pattern per region; presets form a grid. Groups
+        # are (bundle, region) keys over the runs that do not cross; a line
+        # pattern is the gate, then, past a preset, the orientation and the
+        # along-line coordinates of the first line's slots.
+        gate = np.array([op.gate for op in ops], dtype=np.int64)
+        head = cells[first]
+        in_row = head[:, 1, 0] == head[:, 0, 0]
+        pattern = np.column_stack([gate, in_row, np.where(in_row[:, None], head[..., 1],
+                                                          head[..., 0])])
+        pattern[:, 1:] *= (gate != GateType.INIT1)[:, None]     # a preset: the gate
+        member = np.flatnonzero(~crossing)
+        key = op_bundle[member] * partitions.vparts * partitions.hparts + home[member]
+        order = np.argsort(key, kind="stable")
+        member, key = member[order], key[order]
+        new = np.diff(key, prepend=-1) != 0
+        group = np.cumsum(new) - 1
+        lead = member[new]                  # each group's first run
+        mixed = np.zeros(len(lead), dtype=bool)
+        mixed[group[1:][(pattern[member[1:]] != pattern[member[:-1]]).any(axis=1)
+                        & ~new[1:]]] = True
+        presets = (gate[lead] == GateType.INIT1) & ~mixed
+        op_group = np.full(len(ops), len(lead))     # a crossing run: no group
+        op_group[member] = group
+        line_group = op_group[owner]
+        lines = np.flatnonzero(np.r_[presets, False][line_group])
+        grid = grids(line_group[lines], r[lines, 0], c[lines, 0], len(lead))
+        failed = np.flatnonzero(mixed | (presets & ~grid))
+        for g in failed[np.argsort(lead[failed])]:     # in order of first run
+            j = member[group == g]
+            k = op_bundle[j[0]]
+            region = f"partition {divmod(int(home[j[0]]), partitions.hparts)}"
+            if mixed[g]:
+                patterns = {line_pattern(ops[i]) for i in j}
                 gates = {p[0] for p in patterns}
-                what = (f"mixed gate types {sorted(g.name for g in gates)}"
+                what = (f"mixed gate types {sorted(kind.name for kind in gates)}"
                         if len(gates) > 1 else
                         "mixed orientations" if len({p[1] for p in patterns}) > 1
                         else "unaligned input/output lines")
-                violations.append(f"partition {divmod(region, partitions.hparts)}: "
-                                  f"{what} (ops {indices})")
-            elif patterns.pop()[0] is GateType.INIT1:
-                outputs = cells[np.isin(owner, indices), 0]
-                if not is_grid(outputs[:, 0], outputs[:, 1]):
-                    violations.append(f"partition {divmod(region, partitions.hparts)}: "
-                                      "INIT cells do not form a grid pattern")
+                found[k].append(f"{region}: {what} (ops {op_index[j].tolist()})")
+            else:
+                found[k].append(f"{region}: INIT cells do not form a grid pattern")
 
-        # Rule 4: cell conflicts. Each cell is paired with the last line
-        # that writes it; a pair of different runs is a conflict.
-        flat = cells[..., 0] * cols + cells[..., 1]             # [line, slot]
+        # Rule 4: cell conflicts. Each cell, keyed by its bundle, is paired
+        # with the last line that writes it; a pair of different runs is a
+        # conflict.
+        flat = (line_bundle * (rows * cols))[:, None] + r * cols + c   # [line, slot]
         order = np.argsort(flat[:, 0], kind="stable")
         written = flat[order, 0]
         last = np.searchsorted(written, flat, side="right") - 1
@@ -466,16 +551,16 @@ class Crossbar:
             for j, i in sorted(zip(order[again].tolist(),
                                    order[again + 1].tolist()),
                                key=lambda pair: pair[1]):
-                violations.append(f"ops {owner[j]} and {owner[i]} both write "
-                                  f"{cell(i, 0)}")
+                found[line_bundle[i]].append(
+                    f"ops {op_index[owner[j]]} and {op_index[owner[i]]} both "
+                    f"write {cell(i, 0)}")
             arity = np.array([len(op.inputs) for op in ops])[owner]
             slots = np.arange(cells.shape[1])
             reads = clash & (slots > 0) & (slots <= arity[:, None])
             for i, slot in zip(*np.nonzero(reads)):
-                violations.append(f"op {owner[i]} reads {cell(i, slot)} "
-                                  f"written by op {writer[i, slot]}")
-
-        return not violations, violations
+                found[line_bundle[i]].append(
+                    f"op {op_index[owner[i]]} reads {cell(i, slot)} written by "
+                    f"op {op_index[writer[i, slot]]}")
 
     # --------------------------------------------------------------- execution
 

@@ -14,7 +14,10 @@ run is keyed by the merged region of its first output, and must lie in
 that region, as every run of the hash microcode does inside its unit;
 ``crossbar.check_bundle`` rejects one that does not. The microcode is
 written for one reference unit and replayed in lockstep on every unit,
-so no bundle needs to hold more than one region.
+so no bundle needs to hold more than one region. A segment, the bundles
+scheduled from one stream, is checked at once: one ``grids`` pass
+classifies all its preset bundles, and one ``crossbar.check_bundle`` call
+checks all its bundles.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
 
@@ -53,7 +56,7 @@ from .crossbar import (
     SchedulingError,
     SimulationError,
     SwitchId,
-    is_grid,
+    grids,
     line_pattern,
     run_lines,
     run_violation,
@@ -202,19 +205,34 @@ class ScheduledProgram:
     bundles: list[CycleBundle] = field(default_factory=list)
 
 
-def _close(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundle]:
-    """Emit one open bundle, split into grids if its presets are not one.
+def _close(pending: list[tuple[list[MicroOp], frozenset[SwitchId]]]
+           ) -> list[CycleBundle]:
+    """Emit the open bundles ``pending`` (ops, switch set) in order, each
+    split into grids if its presets are not one.
 
     A single-cycle preset drives selected wordlines x bitlines, so the
-    cells of one INIT group must form a full cross product. A non-grid set
-    is split line by line into the groups of lines sharing one cross-line
-    set (columns or rows, whichever gives fewer), one bundle each.
+    cells of one INIT group must form a full cross product. Every preset
+    bundle is classified in one ``grids`` pass. A non-grid set is split
+    line by line into the groups of lines sharing one cross-line set
+    (columns or rows, whichever gives fewer), one bundle each.
     """
-    if ops[0].gate is not GateType.INIT1:
-        return [CycleBundle(ops, switches)]
-    _, cells = run_lines(ops)
-    if is_grid(cells[:, 0, 0], cells[:, 0, 1]):
-        return [CycleBundle(ops, switches)]
+    presets = [k for k, (ops, _) in enumerate(pending)
+               if ops[0].gate is GateType.INIT1]
+    grid = np.ones(len(pending), dtype=bool)
+    if presets:
+        owner, cells = run_lines([op for k in presets for op in pending[k][0]])
+        op_bundle = np.repeat(np.arange(len(presets)),
+                              [len(pending[k][0]) for k in presets])
+        grid[presets] = grids(op_bundle[owner], cells[:, 0, 0], cells[:, 0, 1],
+                              len(presets))
+    bundles = []
+    for (ops, switches), whole in zip(pending, grid):
+        bundles += [CycleBundle(ops, switches)] if whole else _split(ops, switches)
+    return bundles
+
+
+def _split(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundle]:
+    """A non-grid preset bundle's lines, one bundle per cross-line set."""
     lines = [line for op in ops for line in op.lines()]
     outputs = {line.output for line in lines}
     by_col: dict[frozenset, set[Cell]] = {}
@@ -242,14 +260,17 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
     Bundle order concatenated across groups preserves the stream's serial
     semantics.
 
-    The producer promises that the macros of one group are independent and
-    that no two of them write the same cell. Every bundle is checked by
-    ``crossbar.check_bundle``, and the segment by ``check_presets``; an
-    illegal one, such as two writes of one cell or a gate whose preset was
-    read first, raises ``SchedulingError``.
+    Once every group is packed, the preset bundles that are not a grid are
+    split (``_close``). The producer promises that the macros of one group
+    are independent and that no two of them write the same cell. All the
+    segment's bundles are checked by one ``crossbar.check_bundle`` call, and
+    by ``check_presets``; an illegal bundle, such as one with two writes of
+    one cell or a gate whose preset was read first, raises
+    ``SchedulingError``, which names it (``bundle k``) in a segment of more
+    than one bundle.
     """
-    program = ScheduledProgram(stream.label)
     partitions = crossbar.partition_map
+    pending: list[tuple[list[MicroOp], frozenset[SwitchId]]] = []
     for group in stream.groups():
         keys: list[tuple] = []
         bundles: list[list[MicroOp]] = []
@@ -269,13 +290,12 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
                     bundles[index].append(op)
                     stage_top = max(stage_top, index)
                 floor = stage_top
-        for (_, switches, _), ops in zip(keys, bundles):
-            program.bundles += _close(ops, switches)
-    for bundle in program.bundles:
-        ok, violations = crossbar.check_bundle(bundle)
-        if not ok:
-            raise SchedulingError("scheduler emitted an illegal bundle: "
-                                  + "; ".join(violations))
+        pending += [(ops, switches) for (_, switches, _), ops in zip(keys, bundles)]
+    program = ScheduledProgram(stream.label, _close(pending))
+    ok, violations = crossbar.check_bundle(program.bundles)
+    if not ok:
+        raise SchedulingError("scheduler emitted an illegal bundle: "
+                              + "; ".join(violations))
     check_presets(program.bundles)
     return program
 

@@ -162,9 +162,10 @@ def test_compiled_program_shape(compiled):
 
 def test_compile_carries_runs(monkeypatch):
     # The compile's own structure on the default geometry: the generators
-    # emit runs of lines, and the scheduler packs and checks runs. A fall
-    # back to one macro or micro-op per line multiplies the run counts
-    # while every figure the programs carry stays the same.
+    # emit runs of lines, and the scheduler packs runs and checks each
+    # segment's bundles at once. A fall back to one macro or micro-op per
+    # line multiplies the run counts while every figure the programs carry
+    # stays the same.
     from sha3pim import keccak_xbar
     scheduled, checks, frozen = [], [], []
     schedule, check_bundle = keccak_xbar.schedule, Crossbar.check_bundle
@@ -174,9 +175,9 @@ def test_compile_carries_runs(monkeypatch):
         scheduled.append((stream, schedule(stream, crossbar)))
         return scheduled[-1][1]
 
-    def counted_check(self, bundle):
-        checks.append(len(bundle.ops))
-        return check_bundle(self, bundle)
+    def counted_check(self, bundles):
+        checks.append([len(bundle.ops) for bundle in bundles])
+        return check_bundle(self, bundles)
 
     def recorded_freeze(*args):
         frozen.append(freeze(*args))
@@ -192,8 +193,10 @@ def test_compile_carries_runs(monkeypatch):
     assert sum(len(group) for stream in streams
                for group in stream.groups()) == 1_794             # runs
     assert sum(len(program.bundles) for _, program in scheduled) == 3_167
-    assert len(checks) == 3_167
-    assert sum(checks) == 3_708                                   # micro-op runs
+    # one check per segment, of all its bundles
+    assert len(checks) == 44
+    assert sum(len(bundles) for bundles in checks) == 3_167
+    assert sum(map(sum, checks)) == 3_708                         # micro-op runs
     # freeze writes one row per micro-op run
     assert len(frozen) == 44
     assert sum(program.n_events for program in frozen) == 3_708

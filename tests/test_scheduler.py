@@ -11,7 +11,15 @@ from sha3pim.crossbar import (
     CrossbarConfig,
     CycleBundle,
     GateType,
+    MicroOp,
     SchedulingError,
+)
+from sha3pim.keccak_xbar import (
+    CrossbarLayout,
+    UnitLayout,
+    rot_fetch_microcode,
+    rc_fetch_microcode,
+    theta_microcode,
 )
 from sha3pim.scheduler import (
     SCRATCH_NEEDS,
@@ -23,7 +31,7 @@ from sha3pim.scheduler import (
     schedule,
 )
 from sha3pim import scheduler
-from stream_props import check_equivalence, small_crossbar
+from stream_props import check_equivalence, random_stream, small_crossbar
 
 
 def run_macro(kind, values, scratch_cells=2):
@@ -210,3 +218,100 @@ def test_read_between_preset_and_gate_fails_to_compile():
     stream.append(MacroOp(GateType.NOT, ((0, 3),), (0, 1)))
     with pytest.raises(SchedulingError, match=r"NOT writes \(0, 1\)"):
         schedule(stream, small_crossbar())
+
+
+# ------------------------------------------------- segment legality check
+
+# One kind of violation each, named by the words its message holds.
+VIOLATIONS = ["out of bounds", "no switch at boundary",
+              "crosses an open partition boundary", "mixed gate types",
+              "do not form a grid pattern", "both write", "reads"]
+
+
+def inject(kind, bundle, config, at):
+    """``bundle`` with one violation of ``kind`` added; the new ops lie in
+    partition ``at`` or on its upper edge, or read and write beside the
+    first op's output."""
+    r0, c0 = at[0] * config.unit_rows, at[1] * config.unit_cols
+    ops, switches = list(bundle.ops), bundle.closed_switches
+    first = ops[0]
+    if kind == "out of bounds":
+        ops.append(MicroOp(GateType.INIT1, (), (config.rows, c0)))
+    elif kind == "no switch at boundary":
+        switches |= {("row", 1)}
+    elif kind == "crosses an open partition boundary":
+        assert ("row", r0) not in switches
+        ops.append(MicroOp(GateType.NOT, ((r0 - 1, c0),), (r0 - 1, c0 + 1),
+                           count=2, stride=(1, 0)))
+    elif kind == "mixed gate types":
+        ops += [MicroOp(GateType.NOT, ((r0, c0),), (r0, c0 + 1)),
+                MicroOp(GateType.NOR2, ((r0 + 1, c0), (r0 + 1, c0 + 2)),
+                        (r0 + 1, c0 + 1))]
+    elif kind == "do not form a grid pattern":
+        ops += [MicroOp(GateType.INIT1, (), cell)
+                for cell in ((r0, c0), (r0, c0 + 1), (r0 + 1, c0))]
+    elif kind == "both write":
+        ops.append(MicroOp(first.gate, first.inputs, first.output))
+    else:       # a read of the first op's output, written beside it
+        r, c = first.output
+        beside = c + 1 if (c + 1) % config.unit_cols else c - 1
+        ops.append(MicroOp(GateType.NOT, (first.output,), (r, beside)))
+    return CycleBundle(ops, switches)
+
+
+def prefixed(xbar, bundles):
+    """Each bundle's own check, its messages prefixed with its index."""
+    return [f"bundle {k}: {msg}" for k, bundle in enumerate(bundles)
+            for msg in xbar.check_bundle(bundle)[1]]
+
+
+def test_segment_check_matches_bundle_checks_on_random_streams():
+    # scheduled random streams, then the same with a violation of each
+    # kind in a middle bundle: a list reports what checking its bundles
+    # one by one reports, each message naming its bundle, and a list of
+    # one bundle reports the bundle's own messages
+    rng = random.Random(41)
+    for trial in range(160):
+        xbar = small_crossbar()
+        bundles = schedule(random_stream(rng), xbar).bundles
+        assert xbar.check_bundle(bundles) == (True, [])
+        if len(bundles) < 3:
+            assert xbar.check_bundle(bundles[:1]) == xbar.check_bundle(bundles[0])
+            continue
+        k = rng.randrange(1, len(bundles) - 1)
+        bundles[k] = inject(VIOLATIONS[trial % len(VIOLATIONS)], bundles[k],
+                            xbar.config, (1, rng.randint(0, 1)))
+        ok, violations = xbar.check_bundle(bundles)
+        assert not ok and violations == prefixed(xbar, bundles)
+        assert xbar.check_bundle([bundles[k]]) == xbar.check_bundle(bundles[k])
+
+
+def keccak_segments():
+    config = CrossbarConfig()
+    layout = CrossbarLayout(config)
+    return config, {"theta": theta_microcode(UnitLayout((0, 0))),
+                    "rot_chain": rot_fetch_microcode(layout)[-1],
+                    "rc_chain": rc_fetch_microcode(layout)[-1]}
+
+
+@pytest.mark.parametrize("name", ["theta", "rot_chain", "rc_chain"])
+def test_segment_check_names_the_bundle_of_a_keccak_violation(monkeypatch, name):
+    # a real segment, then the same with one violation of each kind in
+    # its middle bundle, placed away from the unit; schedule's error names
+    # that bundle alone
+    config, streams = keccak_segments()
+    xbar = Crossbar(config)
+    bundles = schedule(streams[name], xbar).bundles
+    middle = len(bundles) // 2
+    for kind in VIOLATIONS:
+        bad = bundles[:middle] + [inject(kind, bundles[middle], config, (12, 25))] \
+            + bundles[middle + 1:]
+        ok, violations = xbar.check_bundle(bad)
+        assert not ok and violations == prefixed(xbar, bad)
+        assert all(v.startswith(f"bundle {middle}: ") for v in violations)
+        assert any(kind in v for v in violations), violations
+        monkeypatch.setattr(scheduler, "_close", lambda pending, bad=bad: bad)
+        with pytest.raises(SchedulingError) as error:
+            schedule(streams[name], xbar)
+        assert str(error.value) == ("scheduler emitted an illegal bundle: "
+                                    + "; ".join(violations))
