@@ -6,10 +6,10 @@ output cell along a single wordline (in-row) or bitline (in-column).
 Transistor switches at fixed partition boundaries electrically isolate
 sub-arrays, which is what lets unrelated gates share a cycle. A bundle holds
 *runs*: one gate pattern repeated along parallel lines (``MicroOp`` with a
-count and a stride). Bundles are validated against the alignment/isolation
-rules before execution, a bundle or a whole segment at a time, with every
-run expanded to its cells by numpy, and every executed gate is charged one
-gate-energy quantum.
+count and a stride), expanded to its lines once per segment, into the
+``LineTable`` every later pass reads. Bundles are validated against the
+alignment/isolation rules before execution, a bundle or a whole segment at
+a time, and every executed gate is charged one gate-energy quantum.
 
 Peripheral reads/writes (message load, digest readout) move data in and out
 of the array without gates; they are accounted under the separate ``io``
@@ -260,25 +260,6 @@ def grids(group: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         == distinct(group * height + r, height) * distinct(group * width + c, width)
 
 
-def run_lines(ops: list[MicroOp]) -> tuple[np.ndarray, np.ndarray]:
-    """Every line of every run in ``ops``, in order: the index of each
-    line's op, and its cells ``[line, slot, (row, col)]`` with slot 0 the
-    output and slots 1 and 2 the inputs; a slot past the gate's arity
-    repeats the output."""
-    table, counts, start = [], [], 0
-    for op in ops:
-        a, b = (op.inputs + (op.output, op.output))[:2]
-        table.append((start, *op.output, *a, *b, *op.stride))
-        counts.append(op.count)
-        start += op.count
-    table = np.array(table, dtype=np.int64).reshape(-1, 9)
-    owner = np.repeat(np.arange(len(ops)), counts)
-    k = np.arange(start) - table[owner, 0]
-    cells = table[owner, 1:7].reshape(-1, 3, 2)
-    cells += (k[:, None] * table[owner, 7:])[:, None, :]
-    return owner, cells
-
-
 @dataclass(slots=True)
 class CycleBundle:
     """Gate events co-scheduled in one clock cycle, as runs.
@@ -293,6 +274,46 @@ class CycleBundle:
     def lines(self) -> list[MicroOp]:
         """Every line of every run, as one-line ops in order."""
         return [line for op in self.ops for line in op.lines()]
+
+
+@dataclass(slots=True)
+class LineTable:
+    """A segment's runs expanded to their lines (``line_table``), runs in
+    bundle order and lines in run order. Line ``i`` touches ``cells[i,
+    slot]`` = (row, col): slot 0 its output, slots 1 and 2 its inputs, and
+    a slot past the gate's arity repeats the output.
+    """
+
+    bundle_ptr: np.ndarray    # int64 [n_bundles + 1]: each bundle's first run
+    line_ptr: np.ndarray      # int64 [n_runs + 1]: each run's first line
+    bundle: np.ndarray        # int64 [n_runs]: each run's bundle
+    gate: np.ndarray          # int64 [n_runs]
+    arity: np.ndarray         # int64 [n_runs]: its number of inputs
+    run: np.ndarray           # int32 [n_lines]: each line's run
+    cells: np.ndarray         # int32 (int64 past its range) [n_lines, 3, 2]
+
+
+def line_table(bundles: list[CycleBundle]) -> LineTable:
+    """Expand every run of ``bundles``, in order, to its lines. A run of
+    no lines (a malformed count below 1) gets none."""
+    runs = []
+    for k, bundle in enumerate(bundles):
+        for op in bundle.ops:
+            a, b = (op.inputs + (op.output, op.output))[:2]
+            runs.append((k, op.gate, len(op.inputs), max(op.count, 0), *op.output,
+                         *a, *b, *op.stride))
+    runs = np.array(runs, dtype=np.int64).reshape(-1, 12)
+    count, first, stride = runs[:, 3], runs[:, 4:10].reshape(-1, 3, 2), runs[:, None, 10:]
+    line_ptr = np.r_[0, np.cumsum(count)]
+    # a run's lines lie between its first and last: int32 unless those are not
+    last = first + np.maximum(count - 1, 0)[:, None, None] * stride
+    wide = np.abs(np.r_[first.ravel(), last.ravel()]).max(initial=0) >= 2 ** 31
+    first, stride = (a.astype(np.int64 if wide else np.int32) for a in (first, stride))
+    run = np.repeat(np.arange(runs.shape[0], dtype=np.int32), count)
+    k = (np.arange(line_ptr[-1]) - line_ptr[run]).astype(first.dtype)
+    cells = first[run] + k[:, None, None] * stride[run]
+    return LineTable(np.searchsorted(runs[:, 0], np.arange(len(bundles) + 1)),
+                     line_ptr, runs[:, 0], runs[:, 1], runs[:, 2], run, cells)
 
 
 class PartitionMap:
@@ -371,8 +392,8 @@ class ExecutionStats:
         }
 
 
-# ``Crossbar.check_bundle`` expands a segment in chunks of bundles of about
-# this many lines (one bundle more at most), which bounds its memory.
+# ``Crossbar.check_bundle`` reads a line table in slices of whole bundles of
+# about this many lines (one bundle more at most), which bounds its memory.
 _CHECK_LINES = 4096
 
 
@@ -396,8 +417,8 @@ class Crossbar:
 
     # ---------------------------------------------------------------- legality
 
-    def check_bundle(self, bundles: CycleBundle | list[CycleBundle]
-                     ) -> tuple[bool, list[str]]:
+    def check_bundle(self, bundles: CycleBundle | list[CycleBundle],
+                     lines: LineTable | None = None) -> tuple[bool, list[str]]:
         """Validate one bundle, or a segment's list of bundles, against the
         single-cycle legality rules.
 
@@ -410,85 +431,75 @@ class Crossbar:
         bundle. A bundle with a malformed op, a cell out of bounds or an
         unknown switch reports only that.
 
-        The ops are runs. A list is checked in one pass per chunk of about
-        ``_CHECK_LINES`` lines: its runs are expanded to cell arrays once,
-        and each rule is a group-by over keys that lead with the bundle,
-        so every rule is checked on every cell of every line. A violation
-        names the run (``op i``) it is found in; with more than one
-        bundle, each is prefixed ``bundle k: ``, in bundle order.
+        ``lines`` is the bundles' ``line_table``, built here if not given.
+        Every rule is checked on every cell of every line, as a group-by
+        over keys that lead with the bundle, on slices of the table of
+        about ``_CHECK_LINES`` lines. A violation names its run (``op i``);
+        with more than one bundle, each is prefixed ``bundle k: ``.
         """
         bundles = [bundles] if isinstance(bundles, CycleBundle) else bundles
+        if lines is None:
+            lines = line_table(bundles)
         found = [[f"op {i}: {msg}" for i, op in enumerate(bundle.ops)
                   if (msg := op.validate_shape())] for bundle in bundles]
-        kept = [k for k, bundle in enumerate(bundles)
-                if bundle.ops and not found[k]]
-        chunk = np.cumsum([sum(op.count for op in bundles[k].ops)
-                           for k in kept], dtype=np.int64) // _CHECK_LINES
-        for part in np.split(np.array(kept, dtype=np.int64),
-                             np.flatnonzero(np.diff(chunk)) + 1):
-            if len(part):
-                self._check_runs([bundles[k] for k in part], [found[k] for k in part])
+        bad = np.array([not bundle.ops or bool(msgs)
+                        for bundle, msgs in zip(bundles, found)], dtype=bool)
+        # every slot is checked as it stands; a run reports its first cell
+        # off the crossbar, in line order, inputs before the output
+        r, c = lines.cells[..., 0], lines.cells[..., 1]          # [line, slot]
+        off = (r < 0) | (r >= self.config.rows) | (c < 0) | (c >= self.config.cols)
+        off &= ~bad[lines.bundle[lines.run]][:, None]
+        hit = np.flatnonzero(off.any(axis=1))
+        ran, at = np.unique(lines.run[hit], return_index=True)
+        slot = np.array([1, 2, 0])[off[hit[at]][:, [1, 2, 0]].argmax(axis=1)]
+        for j, i, s in zip(ran.tolist(), hit[at].tolist(), slot.tolist()):
+            k = lines.bundle[j]
+            found[k].append(f"op {j - lines.bundle_ptr[k]}: cell "
+                            f"({int(r[i, s])},{int(c[i, s])}) out of bounds")
+        bad[lines.bundle[ran]] = True
+        for k, bundle in enumerate(bundles):
+            if not bad[k]:
+                found[k] += [f"no switch at boundary {sw}" for sw in bundle.closed_switches
+                             if sw not in self.partition_map.switches]
+                bad[k] = bool(found[k])
+        # the other rules read the good bundles in slices; a bad one ends a slice
+        chunk = lines.line_ptr[lines.bundle_ptr[1:]] // _CHECK_LINES
+        cuts = np.flatnonzero(np.diff(chunk) | np.diff(bad)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(bundles)]):
+            if lo < hi and not bad[lo]:
+                self._check_lines(bundles, lines, int(lo), int(hi), found)
         violations = found[0] if len(bundles) == 1 else \
             [f"bundle {k}: {msg}" for k, msgs in enumerate(found) for msg in msgs]
         return not violations, violations
 
-    def _check_runs(self, bundles: list[CycleBundle],
-                    found: list[list[str]]) -> None:
-        """``check_bundle`` past op shapes, for nonempty bundles of
-        well-formed runs: each bundle's violations go to its list in
-        ``found``."""
-        ops = [op for bundle in bundles for op in bundle.ops]
-        n_ops = np.array([len(bundle.ops) for bundle in bundles])
-        op_bundle = np.repeat(np.arange(len(bundles)), n_ops)
-        owner, cells = run_lines(ops)
-        rows, cols = self.config.rows, self.config.cols
+    def _check_lines(self, bundles: list[CycleBundle], lines: LineTable,
+                     lo: int, hi: int, found: list[list[str]]) -> None:
+        """``check_bundle``'s rules past op shapes, bounds and switches, on
+        the lines of bundles ``lo`` to ``hi``, which passed those: each
+        bundle's violations go to its list in ``found``."""
+        r0, r1 = lines.bundle_ptr[lo], lines.bundle_ptr[hi]
+        span = slice(lines.line_ptr[r0], lines.line_ptr[r1])
+        owner, cells = lines.run[span] - r0, lines.cells[span]
         r, c = cells[..., 0], cells[..., 1]                      # [line, slot]
-        bad = set()
-        # a slot past a gate's arity repeats its output, so every slot of
-        # every line is checked as it stands
-        if cells.min() < 0 or r.max() >= rows or c.max() >= cols:
-            off = ((r < 0) | (r >= rows) | (c < 0) | (c >= cols)).any(axis=1)
-            bad = set(op_bundle[owner[off]].tolist())
-            for k in sorted(bad):
-                for i, op in enumerate(bundles[k].ops):
-                    cell = next((cell for line in op.lines() for cell in line.cells()
-                                 if not (0 <= cell[0] < rows and 0 <= cell[1] < cols)),
-                                None)
-                    if cell is not None:
-                        found[k].append(f"op {i}: cell ({cell[0]},{cell[1]}) "
-                                        "out of bounds")
+        first = lines.line_ptr[r0:r1] - span.start       # each run's first line
+        op_bundle = lines.bundle[r0:r1]
+        op_index = np.arange(r0, r1) - lines.bundle_ptr[op_bundle]
         partitions = self.partition_map
-        by_switches: dict[frozenset[SwitchId], int] = {}
-        for k, bundle in enumerate(bundles):
-            by_switches.setdefault(bundle.closed_switches, len(by_switches))
-            unknown = [f"no switch at boundary {sw}" for sw in bundle.closed_switches
-                       if sw not in partitions.switches]
-            if unknown and k not in bad:
-                found[k] += unknown
-                bad.add(k)
-        if bad:     # check the rest as if the bad bundles were not there
-            kept = [k for k in range(len(bundles)) if k not in bad]
-            if kept:
-                self._check_runs([bundles[k] for k in kept], [found[k] for k in kept])
-            return
 
         # Rule 2/3: each run must sit inside a single merged region: every
         # cell of every line in the region of its first line's output.
         # Each distinct switch set merges the regions of its own bundles.
         line_bundle = op_bundle[owner]
-        line_set = np.array([by_switches[b.closed_switches] for b in bundles])[line_bundle]
+        switch_sets = [bundles[k].closed_switches for k in range(lo, hi)]
         where = np.empty(r.shape, dtype=np.int32)
-        for s, switches in enumerate(by_switches):
-            lines = line_set == s
-            v, h = partitions.region_of((r[lines], c[lines]), switches)
-            where[lines] = v * partitions.hparts + h
-        del line_set
-        first = np.searchsorted(owner, np.arange(len(ops)))   # each run's first line
+        for switches in set(switch_sets):
+            on = np.array([s == switches for s in switch_sets])[line_bundle - lo]
+            v, h = partitions.region_of((r[on], c[on]), switches)
+            where[on] = v * partitions.hparts + h
         home = where[first, 0]
-        crossing = np.zeros(len(ops), dtype=bool)
+        crossing = np.zeros(first.shape[0], dtype=bool)
         crossing[owner[(where != home[owner][:, None]).any(axis=1)]] = True
         del where
-        op_index = np.arange(len(ops)) - (np.cumsum(n_ops) - n_ops)[op_bundle]
         for j in np.flatnonzero(crossing):
             found[op_bundle[j]].append(f"op {op_index[j]}: crosses an open "
                                        "partition boundary")
@@ -497,7 +508,7 @@ class Crossbar:
         # are (bundle, region) keys over the runs that do not cross; a line
         # pattern is the gate, then, past a preset, the orientation and the
         # along-line coordinates of the first line's slots.
-        gate = np.array([op.gate for op in ops], dtype=np.int64)
+        gate = lines.gate[r0:r1]
         head = cells[first]
         in_row = head[:, 1, 0] == head[:, 0, 0]
         pattern = np.column_stack([gate, in_row, np.where(in_row[:, None], head[..., 1],
@@ -514,18 +525,18 @@ class Crossbar:
         mixed[group[1:][(pattern[member[1:]] != pattern[member[:-1]]).any(axis=1)
                         & ~new[1:]]] = True
         presets = (gate[lead] == GateType.INIT1) & ~mixed
-        op_group = np.full(len(ops), len(lead))     # a crossing run: no group
+        op_group = np.full(first.shape[0], len(lead))   # a crossing run: no group
         op_group[member] = group
         line_group = op_group[owner]
-        lines = np.flatnonzero(np.r_[presets, False][line_group])
-        grid = grids(line_group[lines], r[lines, 0], c[lines, 0], len(lead))
+        at = np.flatnonzero(np.r_[presets, False][line_group])
+        grid = grids(line_group[at], r[at, 0], c[at, 0], len(lead))
         failed = np.flatnonzero(mixed | (presets & ~grid))
         for g in failed[np.argsort(lead[failed])]:     # in order of first run
             j = member[group == g]
             k = op_bundle[j[0]]
             region = f"partition {divmod(int(home[j[0]]), partitions.hparts)}"
             if mixed[g]:
-                patterns = {line_pattern(ops[i]) for i in j}
+                patterns = {line_pattern(bundles[k].ops[i]) for i in op_index[j]}
                 gates = {p[0] for p in patterns}
                 what = (f"mixed gate types {sorted(kind.name for kind in gates)}"
                         if len(gates) > 1 else
@@ -538,7 +549,7 @@ class Crossbar:
         # Rule 4: cell conflicts. Each cell, keyed by its bundle, is paired
         # with the last line that writes it; a pair of different runs is a
         # conflict.
-        flat = (line_bundle * (rows * cols))[:, None] + r * cols + c   # [line, slot]
+        flat = (line_bundle[:, None] * self.config.rows + r) * self.config.cols + c
         order = np.argsort(flat[:, 0], kind="stable")
         written = flat[order, 0]
         last = np.searchsorted(written, flat, side="right") - 1
@@ -554,7 +565,7 @@ class Crossbar:
                 found[line_bundle[i]].append(
                     f"ops {op_index[owner[j]]} and {op_index[owner[i]]} both "
                     f"write {cell(i, 0)}")
-            arity = np.array([len(op.inputs) for op in ops])[owner]
+            arity = lines.arity[r0:r1][owner]
             slots = np.arange(cells.shape[1])
             reads = clash & (slots > 0) & (slots <= arity[:, None])
             for i, slot in zip(*np.nonzero(reads)):

@@ -13,8 +13,8 @@ pattern along a line, so its runs are *vector events* - one gate applied
 along a strided run of cells - and the kernel runs over cells without
 touching per-cell metadata. Each run the scheduler carried is one event,
 split only where its lines change tile (no Keccak run does). ``freeze``
-expands each segment to its lines once, and reads the rows, their live
-flags and each key's reach off that one expansion. Cells are
+reads the rows, their live flags and each key's reach off the segment's
+line table, the one the scheduler built and checked. Cells are
 those of a reference instance; replay moves copies of them by whole
 partitions, so one frozen program serves any set of hash units.
 Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
@@ -70,10 +70,9 @@ from .crossbar import (
     AddressError,
     Crossbar,
     CrossbarConfig,
-    CycleBundle,
     GateType,
+    LineTable,
     StrictInitError,
-    run_lines,
 )
 
 # Benchmark provenance records it; the package never imports it.
@@ -139,16 +138,16 @@ def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
     """Which rows replay must run: False for a row whose presets are dead.
 
     ``gate`` and ``bundle`` are each row's; ``local`` and ``key`` give each
-    line's tile-local cell and key per slot, ``row`` its row and ``used``
-    the slots it touches, slot 0 written and the others read. A preset is
-    dead when the next bundle that touches its cell overwrites it and reads
-    nothing there, so its value is never seen. Replay moves cells by whole
-    partitions, so two reference cells can only meet on the crossbar if
-    they share a tile-local index. Accesses are therefore grouped by local
-    index, and a preset is dead only if the next bundle touching that index
-    reads none of its cells and writes the preset's own (local, key) - the
-    same cell, moved by the same set's shifts. A preset never touched again
-    in the segment stays live.
+    table line's tile-local cell and key per slot, ``row`` its row and
+    ``used`` the slots it touches, slot 0 written and the others read. A
+    preset is dead when the next bundle that touches its cell overwrites it
+    and reads nothing there, so its value is never seen. Replay moves cells
+    by whole partitions, so two reference cells can only meet on the
+    crossbar if they share a tile-local index. Accesses are therefore
+    grouped by local index, and a preset is dead only if the next bundle
+    touching that index reads none of its cells and writes the preset's
+    own (local, key) - the same cell, moved by the same set's shifts. A
+    preset never touched again in the segment stays live.
     """
     live = gate != GateType.INIT1
     line, slot = np.nonzero(used)
@@ -181,25 +180,22 @@ def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
     return live
 
 
-def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
+def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
            config: CrossbarConfig) -> FrozenProgram:
-    """Pack checked bundles into kernel rows for ``config``'s tile grid:
-    one row per micro-op run, split only where its lines change tile.
+    """Pack a checked segment's line table into kernel rows for
+    ``config``'s tile grid: one row per run, split where its lines change
+    tile. ``labels`` and ``set_ids`` give each bundle's label and origin
+    set. Cells are the reference instance's; one off the crossbar raises
+    ``AddressError``.
 
-    ``set_ids`` gives each bundle's origin set. Coordinates must already be
-    those of the reference instance (shifts are applied at run time). A
-    cell off the crossbar raises ``AddressError``.
-
-    The segment is expanded to its lines once, and located on the tiles
-    once; the rows, their ``live`` flags and each key's ``reach`` are all
-    read off that one expansion. Replay slices forward along a tile's
-    cells, so a run that steps backward there is written from its last
-    line. Input slots a gate does not read are written as 0 and 0.
+    The lines are located on the tiles once, and the rows, their ``live``
+    flags and each key's ``reach`` are read off that. Replay slices forward
+    along a tile's cells, so a run that steps backward there is written
+    from its last line. Input slots a gate does not read are written as 0
+    and 0.
     """
     tiles = _Tiles(config)
-    ops = [op for bundle in bundles for op in bundle.ops]
-    owner, cells = run_lines(ops)
-    r, c = cells[..., 0], cells[..., 1]                     # [line, slot]
+    owner, r, c = lines.run, lines.cells[..., 0], lines.cells[..., 1]
     off = (r < 0) | (r >= tiles.rows) | (c < 0) | (c >= tiles.cols)
     if off.any():
         line, slot = np.argwhere(off)[0]
@@ -208,11 +204,8 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     # each cell's tile, made its (set, tile) key below, and local index;
     # int32 holds both in half the memory
     key, local = (a.astype(np.int32) for a in tiles.locate(r, c))
-    del cells, r, c, off
-    op_bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
-    key +=(np.asarray(set_ids, dtype=np.int32)[op_bundle] * tiles.count)[owner, None]
-    op_gate = np.array([op.gate for op in ops], dtype=np.int64)
-    used = np.arange(3) <= _ARITY[op_gate][owner, None]
+    key += (np.asarray(set_ids, dtype=np.int32) * tiles.count)[lines.bundle[owner], None]
+    used = np.arange(3) <= lines.arity[owner, None]
 
     # a row per run, split where its lines change tile (and so key)
     starts = np.ones(owner.shape[0], dtype=bool)
@@ -220,8 +213,7 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     head = np.flatnonzero(starts)
     count = np.diff(np.r_[head, owner.shape[0]])
     tail = head + count - 1
-    gate, bundle = op_gate[owner[head]], op_bundle[owner[head]]
-    del owner
+    gate, bundle = lines.gate[owner[head]], lines.bundle[owner[head]]
     # within a tile, successive lines are one local step apart
     step = local[np.minimum(head + 1, tail), 0] - local[head, 0]
     first = np.where(step < 0, tail, head)
@@ -231,7 +223,7 @@ def freeze(bundles: list[CycleBundle], labels: list[str], set_ids: list[int],
     label_index = {name: i for i, name in enumerate(label_names)}
     bundle_label = np.array([label_index[name] for name in labels],
                             dtype=np.uint16)
-    sizes = np.bincount(bundle, minlength=len(bundles))
+    sizes = np.bincount(bundle, minlength=len(labels))
     gates = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
     np.add.at(gates, (bundle_label[bundle], key[head, 0] // tiles.count), count)
 
@@ -304,7 +296,6 @@ def _gate_form(gate: GateType) -> tuple[int, int]:
                      "inverted or not")
 
 
-_ARITY = np.array([GATE_NUM_INPUTS[g] for g in GateType], dtype=np.int64)
 _GATE_NAMES = [g.name for g in GateType]
 # per gate code: arity, either, invert, preset (the output of no inputs)
 _FORMS = np.array([(GATE_NUM_INPUTS[g], *_gate_form(g), GATE_TRUTH[g << 2])
@@ -501,7 +492,7 @@ def _trace_tails(program: FrozenProgram, tiles: _Tiles,
     sr = np.where(count > 1, r2 - r[:, 0], 0)
     sc = np.where(count > 1, c2 - c[:, 0], 0)
     names = [json.dumps(name) for name in _GATE_NAMES]
-    arity = _ARITY.tolist()
+    arity = _FORMS[:, 0].tolist()
     events = [
         f"[{names[g]}, {n}, [{dr}, {dc}], [{ro}, {co}], "
         + ("[]", f"[[{ra}, {ca}]]", f"[[{ra}, {ca}], [{rb}, {cb}]]")[arity[g]]

@@ -571,7 +571,7 @@ class CompiledKeccak:
         def compiled(stream: OpStream, set_id: int) -> engine.FrozenProgram:
             program = schedule(stream, xbar)
             n = len(program.bundles)
-            return engine.freeze(program.bundles, [program.label] * n,
+            return engine.freeze(program.lines, [program.label] * n,
                                  [set_id] * n, config)
 
         unit_set = engine.SET_UNIT

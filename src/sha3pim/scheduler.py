@@ -15,9 +15,9 @@ that region, as every run of the hash microcode does inside its unit;
 ``crossbar.check_bundle`` rejects one that does not. The microcode is
 written for one reference unit and replayed in lockstep on every unit,
 so no bundle needs to hold more than one region. A segment, the bundles
-scheduled from one stream, is checked at once: one ``grids`` pass
-classifies all its preset bundles, and one ``crossbar.check_bundle`` call
-checks all its bundles.
+scheduled from one stream, is expanded to one ``crossbar.LineTable``,
+which one ``grids`` pass, one ``crossbar.check_bundle`` call,
+``check_presets`` and then ``engine.freeze`` all read.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
 
@@ -41,7 +41,7 @@ marks such rows, and replay skips them outside strict mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,13 +52,14 @@ from .crossbar import (
     Crossbar,
     CycleBundle,
     GateType,
+    LineTable,
     MicroOp,
     SchedulingError,
     SimulationError,
     SwitchId,
     grids,
     line_pattern,
-    run_lines,
+    line_table,
     run_violation,
 )
 
@@ -199,41 +200,40 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
 
 @dataclass
 class ScheduledProgram:
-    """Packed bundles, all under their stream's step label."""
+    """Packed bundles under their stream's step label, and their lines."""
 
     label: str
-    bundles: list[CycleBundle] = field(default_factory=list)
+    bundles: list[CycleBundle]
+    lines: LineTable
 
 
 def _close(pending: list[tuple[list[MicroOp], frozenset[SwitchId]]]
-           ) -> list[CycleBundle]:
+           ) -> tuple[list[CycleBundle], LineTable]:
     """Emit the open bundles ``pending`` (ops, switch set) in order, each
-    split into grids if its presets are not one.
+    split into grids if its presets are not one, with their line table.
 
     A single-cycle preset drives selected wordlines x bitlines, so the
     cells of one INIT group must form a full cross product. Every preset
-    bundle is classified in one ``grids`` pass. A non-grid set is split
-    line by line into the groups of lines sharing one cross-line set
-    (columns or rows, whichever gives fewer), one bundle each.
+    bundle is classified off the segment's table in one ``grids`` pass. A
+    non-grid set is split line by line into the groups of lines sharing one
+    cross-line set (columns or rows, whichever gives fewer), one bundle
+    each, and the split segment is expanded again.
     """
-    presets = [k for k, (ops, _) in enumerate(pending)
-               if ops[0].gate is GateType.INIT1]
-    grid = np.ones(len(pending), dtype=bool)
-    if presets:
-        owner, cells = run_lines([op for k in presets for op in pending[k][0]])
-        op_bundle = np.repeat(np.arange(len(presets)),
-                              [len(pending[k][0]) for k in presets])
-        grid[presets] = grids(op_bundle[owner], cells[:, 0, 0], cells[:, 0, 1],
-                              len(presets))
-    bundles = []
-    for (ops, switches), whole in zip(pending, grid):
-        bundles += [CycleBundle(ops, switches)] if whole else _split(ops, switches)
-    return bundles
+    bundles = [CycleBundle(ops, switches) for ops, switches in pending]
+    lines = line_table(bundles)
+    at = np.flatnonzero(lines.gate[lines.run] == GateType.INIT1)
+    grid = grids(lines.bundle[lines.run[at]], lines.cells[at, 0, 0],
+                 lines.cells[at, 0, 1], len(bundles))
+    if grid.all():
+        return bundles, lines
+    bundles = [part for bundle, whole in zip(bundles, grid)
+               for part in ([bundle] if whole else _split(bundle))]
+    return bundles, line_table(bundles)
 
 
-def _split(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundle]:
+def _split(bundle: CycleBundle) -> list[CycleBundle]:
     """A non-grid preset bundle's lines, one bundle per cross-line set."""
-    lines = [line for op in ops for line in op.lines()]
+    lines = bundle.lines()
     outputs = {line.output for line in lines}
     by_col: dict[frozenset, set[Cell]] = {}
     by_row: dict[frozenset, set[Cell]] = {}
@@ -243,7 +243,8 @@ def _split(ops: list[MicroOp], switches: frozenset[SwitchId]) -> list[CycleBundl
     for r in sorted({r for r, _ in outputs}):
         key = frozenset(c for rr, c in outputs if rr == r)
         by_row.setdefault(key, set()).update((r, c) for c in key)
-    return [CycleBundle([line for line in lines if line.output in group], switches)
+    return [CycleBundle([line for line in lines if line.output in group],
+                        bundle.closed_switches)
             for group in min((by_col, by_row), key=len).values()]
 
 
@@ -262,10 +263,10 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
 
     Once every group is packed, the preset bundles that are not a grid are
     split (``_close``). The producer promises that the macros of one group
-    are independent and that no two of them write the same cell. All the
-    segment's bundles are checked by one ``crossbar.check_bundle`` call, and
-    by ``check_presets``; an illegal bundle, such as one with two writes of
-    one cell or a gate whose preset was read first, raises
+    are independent and that no two of them write the same cell. The
+    segment's line table is checked by one ``crossbar.check_bundle`` call,
+    and by ``check_presets``; an illegal bundle, such as one with two
+    writes of one cell or a gate whose preset was read first, raises
     ``SchedulingError``, which names it (``bundle k``) in a segment of more
     than one bundle.
     """
@@ -291,19 +292,19 @@ def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
                     stage_top = max(stage_top, index)
                 floor = stage_top
         pending += [(ops, switches) for (_, switches, _), ops in zip(keys, bundles)]
-    program = ScheduledProgram(stream.label, _close(pending))
-    ok, violations = crossbar.check_bundle(program.bundles)
+    bundles, lines = _close(pending)
+    ok, violations = crossbar.check_bundle(bundles, lines)
     if not ok:
         raise SchedulingError("scheduler emitted an illegal bundle: "
                               + "; ".join(violations))
-    check_presets(program.bundles)
-    return program
+    check_presets(lines)
+    return ScheduledProgram(stream.label, bundles, lines)
 
 
-def check_presets(bundles: list[CycleBundle]) -> None:
-    """The preset rule: raise ``SchedulingError`` unless every non-INIT1
-    gate writes a cell that was INIT1-preset since its last write, with no
-    read of it in between.
+def check_presets(lines: LineTable) -> None:
+    """The preset rule, on a segment's line table: raise
+    ``SchedulingError`` unless every non-INIT1 gate writes a cell that was
+    INIT1-preset since its last write, with no read of it in between.
 
     A stateful gate can only switch its output cell away from the preset
     value, so without a fresh preset its result would depend on the cell's
@@ -318,21 +319,17 @@ def check_presets(bundles: list[CycleBundle]) -> None:
     before it writes), then line; a gate's write is legal iff the access
     before it is an INIT1 write of its cell.
     """
-    ops = [op for bundle in bundles for op in bundle.ops]
-    if not ops:
+    if not lines.cells.shape[0]:
         return
-    owner, cells = run_lines(ops)
-    gate = np.array([op.gate for op in ops], dtype=np.int64)
-    arity = np.array([len(op.inputs) for op in ops], dtype=np.int64)
-    bundle = np.repeat(np.arange(len(bundles)), [len(b.ops) for b in bundles])
-    r, c = cells[..., 0], cells[..., 1]
-    line, slot = np.nonzero(np.arange(3) <= arity[owner][:, None])
-    cell = (r[line, slot] - r.min()) * (int(c.max() - c.min()) + 1) \
-        + c[line, slot] - c.min()
+    owner, gate, bundle = lines.run, lines.gate, lines.bundle
+    r, c = lines.cells[..., 0], lines.cells[..., 1]
+    line, slot = np.nonzero(np.arange(3) <= lines.arity[owner][:, None])
+    cell = (r[line, slot] - r.min()).astype(np.int64) \
+        * (int(c.max()) - int(c.min()) + 1) + c[line, slot] - c.min()
     # one int64 per access orders it by cell, bundle, then reads before
     # writes; the stable sort keeps the line order of the rest
-    order = np.argsort((cell * len(bundles) + bundle[owner[line]]) * 2 + (slot == 0),
-                       kind="stable")
+    order = np.argsort((cell * len(lines.bundle_ptr) + bundle[owner[line]]) * 2
+                       + (slot == 0), kind="stable")
     line, write, cell = line[order], slot[order] == 0, cell[order]
     del order, slot
     gated = np.flatnonzero(write & (gate[owner[line]] != GateType.INIT1))

@@ -124,7 +124,7 @@ def check_equivalence(rng: random.Random) -> int:
                  line_pattern(op)) for op in bundle.ops}
         assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"
         bundled.execute_bundle(bundle, label=program.label, check=False)
-    check_presets(program.bundles)
+    check_presets(program.lines)
 
     assert np.array_equal(serial.state, bundled.state), \
         "scheduled execution diverged from serial execution"

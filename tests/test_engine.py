@@ -22,6 +22,7 @@ from sha3pim.crossbar import (
     GateType,
     MicroOp,
     StrictInitError,
+    line_table,
 )
 from sha3pim.scheduler import MacroOp, OpStream, schedule
 from stream_props import random_stream, small_crossbar
@@ -30,7 +31,7 @@ from stream_props import random_stream, small_crossbar
 def freeze_stream(stream, xbar):
     program = schedule(stream, xbar)
     n = len(program.bundles)
-    return engine.freeze(program.bundles, [program.label] * n,
+    return engine.freeze(program.lines, [program.label] * n,
                          [engine.SET_UNIT] * n, xbar.config), program
 
 
@@ -96,8 +97,8 @@ def test_vector_event_compression():
     # down the 8-column tile one row at a time
     xbar = small_crossbar()
     run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=8, stride=(1, 0))
-    frozen = engine.freeze([CycleBundle([run])], ["main"], [engine.SET_UNIT],
-                           xbar.config)
+    frozen = engine.freeze(line_table([CycleBundle([run])]), ["main"],
+                           [engine.SET_UNIT], xbar.config)
     assert frozen.n_events == 1
     gate, step, span = frozen.rows[0, :3].tolist()
     assert (gate, step) == (GateType.NOR2, 8)
@@ -105,15 +106,15 @@ def test_vector_event_compression():
     assert frozen.n_gate_executions == 8
     # rows 0-15 span two tiles of 8 rows: one row per tile
     run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=16, stride=(1, 0))
-    frozen = engine.freeze([CycleBundle([run])], ["main"], [engine.SET_UNIT],
-                           xbar.config)
+    frozen = engine.freeze(line_table([CycleBundle([run])]), ["main"],
+                           [engine.SET_UNIT], xbar.config)
     assert frozen.n_events == 2
     for gate, step, span in frozen.rows[:, :3].tolist():
         assert (gate, step, len(range(0, span, step))) == (GateType.NOR2, 8, 8)
     assert frozen.rows[0, 4] != frozen.rows[1, 4]      # the two output tiles
     assert frozen.n_gate_executions == 16
     # freeze keeps the scheduler's runs: eight one-line ops stay eight rows
-    frozen = engine.freeze([CycleBundle(run.lines()[:8])], ["main"],
+    frozen = engine.freeze(line_table([CycleBundle(run.lines()[:8])]), ["main"],
                            [engine.SET_UNIT], xbar.config)
     assert frozen.n_events == 8
     assert frozen.n_gate_executions == 8
@@ -128,7 +129,7 @@ def test_backward_run_is_one_forward_row(run):
     # cells is written from its last line
     config = small_crossbar().config
     bundles = [CycleBundle([run])]
-    frozen = engine.freeze(bundles, ["main"], [engine.SET_UNIT], config)
+    frozen = engine.freeze(line_table(bundles), ["main"], [engine.SET_UNIT], config)
     assert frozen.n_events == 1
     assert frozen.rows[0, 1] > 0
     assert frozen.n_gate_executions == 8
@@ -194,7 +195,7 @@ def test_preset_another_set_reads_runs():
                CycleBundle([MicroOp(GateType.NOT, ((8, 0),), (8, 1))]),
                CycleBundle([MicroOp(GateType.NOT, ((0, 2),), (0, 0))])]
     set_ids = [engine.SET_UNIT, engine.SET_PARTITION_ROW, engine.SET_UNIT]
-    frozen = engine.freeze(bundles, ["a"] * 3, set_ids, config)
+    frozen = engine.freeze(line_table(bundles), ["a"] * 3, set_ids, config)
     assert frozen.live.tolist() == [True, True, True]
     xbar = Crossbar(config)
     engine.replay(frozen, xbar, [np.array([[0, 0], [1, 0]]), np.array([[0, 0]]),
@@ -229,7 +230,7 @@ def test_freeze_rejects_cells_off_the_grid(output, input_):
     # of the remainder tiles
     op = MicroOp(GateType.NOT, (input_,), output)
     with pytest.raises(AddressError, match="off a grid"):
-        engine.freeze([CycleBundle([op])], ["a"], [engine.SET_UNIT],
+        engine.freeze(line_table([CycleBundle([op])]), ["a"], [engine.SET_UNIT],
                       CrossbarConfig(**ORACLE_GEOMETRY))
 
 
@@ -382,7 +383,7 @@ def replay_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     initialized = (rng.random((rows, cols)) < 0.9).astype(np.uint8)
-    return config, engine.freeze(bundles, labels, set_ids, config), \
+    return config, engine.freeze(line_table(bundles), labels, set_ids, config), \
         list(zip(bundles, labels, set_ids)), shifts, state, initialized
 
 
@@ -435,7 +436,7 @@ def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
                      MicroOp(GateType.NOT, ((3, 2),), (3, 3))]),
         CycleBundle([MicroOp(GateType.NOT, ((0, 0),), (0, 2))]),
     ]
-    frozen = engine.freeze(bundles, ["a"] * 3, [set_id] * 3, config)
+    frozen = engine.freeze(line_table(bundles), ["a"] * 3, [set_id] * 3, config)
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
         crossbar.state[:] = np.random.default_rng(9).integers(0, 2, (11, 14))
@@ -478,7 +479,8 @@ def test_replay_shifts_a_program_left_and_up():
     bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (2, 9), 3, (1, 0))]),
                CycleBundle([MicroOp(GateType.NOR2, ((2, 10), (2, 12)), (2, 9),
                                     3, (1, 0))])]
-    frozen = engine.freeze(bundles, ["a"] * 2, [engine.SET_UNIT] * 2, config)
+    frozen = engine.freeze(line_table(bundles), ["a"] * 2, [engine.SET_UNIT] * 2,
+                           config)
     shifts = [(0, -8), (8, -8)]
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
@@ -530,7 +532,7 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, output, count, shif
     xbar.initialized[:] = 1
     r, c = output
     op = MicroOp(GateType.NOT, ((r, c + 1),), (r, c), count=count, stride=(1, 0))
-    frozen = engine.freeze([CycleBundle([op])], ["main"], [set_id], config)
+    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"], [set_id], config)
     assert frozen.n_events == 1
     per_set = [NO_COPIES] * engine.NUM_ORIGIN_SETS
     per_set[set_id] = np.array([(0, 0), shift])
@@ -572,7 +574,7 @@ def test_replay_keys_past_the_int16_range():
     xbar = Crossbar(config)
     xbar.state[1099, 1098:] = 1
     op = MicroOp(GateType.NOT, ((1099, 1099),), (1099, 1098))
-    frozen = engine.freeze([CycleBundle([op])], ["main"],
+    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
                            [engine.SET_PARTITION_COL], config)
     assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max
     engine.replay(frozen, xbar, [NO_COPIES] * 2

@@ -162,30 +162,37 @@ def test_compiled_program_shape(compiled):
 
 def test_compile_carries_runs(monkeypatch):
     # The compile's own structure on the default geometry: the generators
-    # emit runs of lines, and the scheduler packs runs and checks each
-    # segment's bundles at once. A fall back to one macro or micro-op per
-    # line multiplies the run counts while every figure the programs carry
-    # stays the same.
-    from sha3pim import keccak_xbar
-    scheduled, checks, frozen = [], [], []
+    # emit runs of lines, and the scheduler packs runs, expands each
+    # segment to its lines once and checks its bundles at once. A fall back
+    # to one macro or micro-op per line multiplies the run counts, and a
+    # second expansion of a segment adds to the expansions, while every
+    # figure the programs carry stays the same.
+    from sha3pim import crossbar, keccak_xbar, scheduler
+    scheduled, checks, frozen, expanded = [], [], [], []
     schedule, check_bundle = keccak_xbar.schedule, Crossbar.check_bundle
-    freeze = engine.freeze
+    freeze, line_table = engine.freeze, crossbar.line_table
 
     def recorded_schedule(stream, crossbar):
         scheduled.append((stream, schedule(stream, crossbar)))
         return scheduled[-1][1]
 
-    def counted_check(self, bundles):
+    def counted_check(self, bundles, *lines):
         checks.append([len(bundle.ops) for bundle in bundles])
-        return check_bundle(self, bundles)
+        return check_bundle(self, bundles, *lines)
 
     def recorded_freeze(*args):
         frozen.append(freeze(*args))
         return frozen[-1]
 
+    def counted_expansion(bundles):
+        expanded.append(line_table(bundles))
+        return expanded[-1]
+
     monkeypatch.setattr(keccak_xbar, "schedule", recorded_schedule)
     monkeypatch.setattr(Crossbar, "check_bundle", counted_check)
     monkeypatch.setattr(engine, "freeze", recorded_freeze)
+    for module in (crossbar, scheduler):
+        monkeypatch.setattr(module, "line_table", counted_expansion)
     compiled = keccak_xbar.CompiledKeccak(CrossbarConfig())
     streams = [stream for stream, _ in scheduled]
     assert len(streams) == 44
@@ -197,6 +204,9 @@ def test_compile_carries_runs(monkeypatch):
     assert len(checks) == 44
     assert sum(len(bundles) for bundles in checks) == 3_167
     assert sum(map(sum, checks)) == 3_708                         # micro-op runs
+    # each segment expanded to its lines once, for all four readers
+    assert len(expanded) == 44
+    assert sum(table.cells.shape[0] for table in expanded) == 131_322
     # freeze writes one row per micro-op run
     assert len(frozen) == 44
     assert sum(program.n_events for program in frozen) == 3_708

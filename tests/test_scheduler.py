@@ -4,8 +4,10 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
+from sha3pim import crossbar, engine
 from sha3pim.crossbar import (
     Crossbar,
     CrossbarConfig,
@@ -13,6 +15,7 @@ from sha3pim.crossbar import (
     GateType,
     MicroOp,
     SchedulingError,
+    line_table,
 )
 from sha3pim.keccak_xbar import (
     CrossbarLayout,
@@ -27,6 +30,7 @@ from sha3pim.scheduler import (
     MacroOp,
     OpStream,
     ShapeError,
+    check_presets,
     expand,
     schedule,
 )
@@ -182,6 +186,38 @@ def test_run_across_partitions_rejected():
         schedule(stream, small_crossbar())
 
 
+def test_non_grid_presets_split_then_freeze():
+    # a group's presets that are not a grid are split into one bundle per
+    # column set; the split segment's line table is the one checked and
+    # frozen, and replays as the bundles execute
+    stream = OpStream()
+    for cell in ((0, 0), (0, 1), (1, 0)):
+        stream.append(MacroOp(GateType.INIT1, (), cell))
+    stream.append(MacroOp(GateType.NOT, ((2, 3),), (2, 2)))
+    stream.barrier()
+    stream.append(MacroOp(GateType.NOR2, ((0, 0), (0, 1)), (0, 2)))
+    xbar = small_crossbar()
+    program = schedule(stream, xbar)
+    assert [[op.output for op in bundle.ops] for bundle in program.bundles[:3]] \
+        == [[(0, 0), (1, 0)], [(0, 1)], [(2, 2)]]
+    assert len(program.bundles) == len(program.lines.bundle_ptr) - 1 == 6
+    check_presets(program.lines)
+
+    initial = np.random.default_rng(5).integers(0, 2, xbar.state.shape, np.uint8)
+    xbar.state[:] = initial
+    for bundle in program.bundles:
+        xbar.execute_bundle(bundle, label=program.label)
+    n = len(program.bundles)
+    frozen = engine.freeze(program.lines, [program.label] * n,
+                           [engine.SET_UNIT] * n, xbar.config)
+    replayed = small_crossbar()
+    replayed.state[:] = initial
+    engine.replay(frozen, replayed, [np.zeros((1, 2), dtype=np.int64)]
+                  + [np.zeros((0, 2), dtype=np.int64)] * 2)
+    assert np.array_equal(replayed.state, xbar.state)
+    assert replayed.stats.as_dict() == xbar.stats.as_dict()
+
+
 def test_randomized_equivalence_sample():
     rng = random.Random(2024)
     for _ in range(150):
@@ -218,6 +254,18 @@ def test_read_between_preset_and_gate_fails_to_compile():
     stream.append(MacroOp(GateType.NOT, ((0, 3),), (0, 1)))
     with pytest.raises(SchedulingError, match=r"NOT writes \(0, 1\)"):
         schedule(stream, small_crossbar())
+
+
+def test_preset_rule_reads_a_bundle_before_it_writes():
+    # a bundle that reads a preset cell and gates it in the same cycle
+    # reads it first, so the gate's preset was read: the rule rejects it
+    # on its own, though the legality check would reject the bundle too
+    bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (0, 0))]),
+               CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0)),
+                            MicroOp(GateType.NOT, ((0, 0),), (1, 0))])]
+    with pytest.raises(SchedulingError, match=r"bundle 1: NOT writes \(0, 0\)"):
+        check_presets(line_table(bundles))
+    check_presets(line_table(bundles[:1] + [CycleBundle(bundles[1].ops[:1])]))
 
 
 # ------------------------------------------------- segment legality check
@@ -310,8 +358,34 @@ def test_segment_check_names_the_bundle_of_a_keccak_violation(monkeypatch, name)
         assert not ok and violations == prefixed(xbar, bad)
         assert all(v.startswith(f"bundle {middle}: ") for v in violations)
         assert any(kind in v for v in violations), violations
-        monkeypatch.setattr(scheduler, "_close", lambda pending, bad=bad: bad)
+        monkeypatch.setattr(scheduler, "_close",
+                            lambda pending, bad=bad: (bad, line_table(bad)))
         with pytest.raises(SchedulingError) as error:
             schedule(streams[name], xbar)
         assert str(error.value) == ("scheduler emitted an illegal bundle: "
                                     + "; ".join(violations))
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+def test_segment_check_reads_every_line_of_each_slice(monkeypatch, first):
+    # a real segment read one bundle per slice, with a violation of each
+    # kind as the last or the first ops of its middle bundle: each is
+    # found, and reported as the segment read whole reports it
+    config, streams = keccak_segments()
+    xbar = Crossbar(config)
+    bundles = schedule(streams["theta"], xbar).bundles
+    middle = len(bundles) // 2
+    for kind in VIOLATIONS:
+        bad = inject(kind, bundles[middle], config, (12, 25))
+        if first:
+            added = len(bad.ops) - len(bundles[middle].ops)
+            bad = CycleBundle(bad.ops[-added:] + bad.ops[:-added],
+                              bad.closed_switches)
+        bad = bundles[:middle] + [bad] + bundles[middle + 1:]
+        whole = xbar.check_bundle(bad)
+        monkeypatch.setattr(crossbar, "_CHECK_LINES", 1)
+        ok, violations = xbar.check_bundle(bad)
+        monkeypatch.undo()
+        assert not ok and (ok, violations) == whole
+        assert all(v.startswith(f"bundle {middle}: ") for v in violations)
+        assert any(kind in v for v in violations), violations
