@@ -6,9 +6,10 @@
    and of two input slots.  A key's unit axis is three int64s (first,
    stride, count): its tiles are first + u * stride for u < count, or
    index[first + u] when stride is 0.  A gate's form is four int64s
-   (arity, or, invert, preset), read off crossbar.GATE_TABLE: a preset
-   writes `preset`, any other gate the AND (or the OR) of its inputs,
-   XOR `invert`.  Input slots past a gate's arity are never read. */
+   (arity, or, invert, preset): its row of crossbar.GATE_TABLE, then its
+   output on no inputs.  A gate of no inputs writes `preset`, any other
+   gate the AND (or the OR) of its inputs, XOR `invert`.  Input slots past
+   a gate's arity are never read. */
 
 #include <stdint.h>
 

@@ -19,6 +19,7 @@ label with a per-row cycle cost and zero gate energy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO
@@ -42,31 +43,25 @@ class GateType(IntEnum):
     AND2 = 4
 
 
-def _truth(fn) -> tuple[int, ...]:
-    return tuple(fn(a, b) for a in (0, 1) for b in (0, 1))
-
-
-# The semantics of every gate, written once: its arity and its output for
-# each pattern of the input bits (a, b), at index a << 1 | b. Inputs past
-# the arity are ignored.
-GATE_TABLE: dict[GateType, tuple[int, tuple[int, ...]]] = {
-    GateType.INIT1: (0, _truth(lambda a, b: 1)),
-    GateType.NOT: (1, _truth(lambda a, b: a ^ 1)),
-    GateType.NOR2: (2, _truth(lambda a, b: (a | b) ^ 1)),
-    GateType.OR2: (2, _truth(lambda a, b: a | b)),
-    GateType.AND2: (2, _truth(lambda a, b: a & b)),
+# The semantics of every gate, written once: its arity, whether it is the
+# OR (else the AND) of its inputs, and whether that is inverted. Inputs past
+# the arity are ignored, so a gate of no inputs, the preset, writes 1: the
+# AND of none.
+GATE_TABLE: dict[GateType, tuple[int, bool, bool]] = {
+    GateType.INIT1: (0, False, False),
+    GateType.NOT: (1, True, True),
+    GateType.NOR2: (2, True, True),
+    GateType.OR2: (2, True, False),
+    GateType.AND2: (2, False, False),
 }
 
-GATE_NUM_INPUTS = {gate: arity for gate, (arity, _) in GATE_TABLE.items()}
-
-# GATE_TABLE flattened for vectorized lookup at gate << 2 | a << 1 | b.
-GATE_TRUTH = np.array([bit for gate in GateType for bit in GATE_TABLE[gate][1]],
-                      dtype=np.uint8)
+GATE_NUM_INPUTS = {gate: arity for gate, (arity, _, _) in GATE_TABLE.items()}
 
 
 def gate_function(gate: GateType, inputs: tuple[int, ...]) -> int:
-    a, b = (tuple(inputs) + (0, 0))[:2]
-    return GATE_TABLE[gate][1][a << 1 | b]
+    arity, either, invert = GATE_TABLE[gate]
+    bits = tuple(inputs)[:arity]
+    return int(any(bits) if either else all(bits)) ^ invert
 
 
 class SimulationError(Exception):
@@ -110,6 +105,12 @@ class CrossbarConfig:
     strict_init: bool = False
 
     def __post_init__(self):
+        for name in ("rows", "cols", "horizontal_partitions", "vertical_partitions",
+                     "unit_rows", "unit_cols", "io_cycles_per_row"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         numeric = (self.rows, self.cols, self.horizontal_partitions,
                    self.vertical_partitions, self.unit_rows, self.unit_cols,
                    self.gate_delay_ns, self.gate_energy_fj, self.cell_area_f2,
@@ -317,21 +318,68 @@ def line_table(bundles: list[CycleBundle]) -> LineTable:
 
 
 class PartitionMap:
-    """The config's grid of equal partitions and per-cycle switch merging.
+    """The config's grid of equal partitions: its switches, the hash unit
+    each partition holds, and the crossbar cut into partition-sized tiles.
 
     Row switches sit at multiples of ``unit_rows`` inside the partition
-    grid, column switches at multiples of ``unit_cols``; cells beyond the
-    grid belong to the last partition row or column.
+    grid, column switches at multiples of ``unit_cols``; for merging,
+    cells beyond the grid belong to the last partition row or column.
+    Unit ``u`` is partition ``divmod(u, hparts)``.
+
+    The tile grid is the partition grid continued over the rest of the
+    array and padded to whole tiles. Tiles are numbered partitions first,
+    in unit-id order, then the remaining tiles in row-major order (for
+    Keccak, the shared RC column and ROT row), so the tiles of units
+    ``0..n-1`` are the first ``n``. A cell's local index is ``r *
+    unit_cols + c`` within its tile, so a shift of whole partitions keeps
+    the local index and moves only the tile. ``locate`` and ``cell`` are
+    the map between cells and (tile, local index), both ways.
     """
 
     def __init__(self, config: CrossbarConfig):
-        self.unit_rows = config.unit_rows
-        self.unit_cols = config.unit_cols
+        self.rows, self.cols = config.rows, config.cols
+        self.unit_rows, self.unit_cols = config.unit_rows, config.unit_cols
         self.vparts = config.vertical_partitions
         self.hparts = config.horizontal_partitions
+        self.geometry = config.geometry
         self.switches: frozenset[SwitchId] = frozenset(
-            [("row", self.unit_rows * i) for i in range(1, self.vparts)]
-            + [("col", self.unit_cols * i) for i in range(1, self.hparts)])
+            [self.switch("row", v) for v in range(1, self.vparts)]
+            + [self.switch("col", h) for h in range(1, self.hparts)])
+        grid = (-(-self.rows // self.unit_rows), -(-self.cols // self.unit_cols))
+        self.n_tiles = grid[0] * grid[1]
+        partitions = np.ravel_multi_index(
+            self.partition(np.arange(self.vparts * self.hparts)), grid)
+        rest = np.delete(np.arange(self.n_tiles), partitions)
+        # tile -> (tile row, tile column) in the tile grid, and back
+        self.places = np.column_stack(np.divmod(np.r_[partitions, rest], grid[1]))
+        self.index = np.empty(grid, dtype=np.int64)
+        self.index[self.places[:, 0], self.places[:, 1]] = np.arange(self.n_tiles)
+
+    def switch(self, kind: str, k: int) -> SwitchId:
+        """The ``kind`` ("row" or "col") switch between partition rows, or
+        columns, ``k - 1`` and ``k``."""
+        return (kind, k * (self.unit_rows if kind == "row" else self.unit_cols))
+
+    def partition(self, unit_id):
+        """(partition row, partition column) of a unit id or an id array."""
+        return divmod(unit_id, self.hparts)
+
+    def offset(self, shift) -> np.ndarray:
+        """The (row, col) cell offset of a shift by (partition rows,
+        partition columns), or of an array of them."""
+        return np.asarray(shift, dtype=np.int64) * (self.unit_rows, self.unit_cols)
+
+    def locate(self, r, c):
+        """(tile, local index) of the cells (r, c), which must be on the grid."""
+        tv, lr = np.divmod(r, self.unit_rows)
+        th, lc = np.divmod(c, self.unit_cols)
+        return self.index[tv, th], lr * self.unit_cols + lc
+
+    def cell(self, tile, local):
+        """(row, col) of cell ``local`` of ``tile``: the inverse of ``locate``."""
+        r, c = np.divmod(local, self.unit_cols)
+        return (self.places[tile, 0] * self.unit_rows + r,
+                self.places[tile, 1] * self.unit_cols + c)
 
     def region_of(self, cell, closed_switches: frozenset[SwitchId]) -> tuple:
         """Merged region of ``cell``: its partition, less one for each closed

@@ -4,9 +4,9 @@ Microcode is generated and legality-checked once at the object level, then
 frozen into an array of kernel rows. Hashing replays those rows millions of
 times, so replay is the hot loop. One small C kernel (``_rows.c``) runs it:
 the frozen rows are already a straight-line program, so only the host loop
-that walks them is compiled. It evaluates each gate in the form read off
-``crossbar.GATE_TRUTH`` (an OR or AND of its inputs, inverted or not),
-passed to it as data.
+that walks them is compiled. It evaluates each gate in the form
+``crossbar.GATE_TABLE`` gives it (an OR or AND of its inputs, inverted or
+not), passed to it as data.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its runs are *vector events* - one gate applied
@@ -22,19 +22,20 @@ partition row, 2 = per partition column) and each set supplies its own
 shifts at run time, one (partition rows, partition columns) pair per copy.
 
 The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
-column per partition-sized tile, so a shift of whole partitions keeps a
-cell's index and moves only its tile. ``freeze`` therefore writes each event
-as one row of nine tile-local ints: the gate, the run's step and span along
-the cell axis, then the first cell and a (set, tile) key of the output and
-of two input slots. No event leaves its tile, and a run that steps
-backward along the cell axis is written from its last line, so each row is
-a forward walk. Only the unit axis of a key - the tiles its set's shifts
-move the key's tile to - depends on the shifts, so ``replay`` builds those
-axes as (first tile, stride, count), or as a list of tiles where they are
-not evenly spaced, checks them against the crossbar, copies the tiles they
-reach into ``q`` (one column per reached tile) and calls the kernel once.
-For contiguous units the loop over units is a contiguous one that the
-compiler vectorises.
+column per partition-sized tile of the crossbar's ``PartitionMap``, so a
+shift of whole partitions keeps a cell's index and moves only its tile.
+``freeze`` therefore writes each event as one row of nine tile-local ints:
+the gate, the run's step and span along the cell axis, then the first cell
+and a (set, tile) key of the output and of two input slots. No event leaves
+its tile, and a run that steps backward along the cell axis is written
+from its last line, so each row is a forward walk. Only the unit axis of a
+key - the tiles its set's shifts move the key's tile to - depends on the
+shifts, so ``replay`` builds those axes as (first tile, stride, count), or
+as a list of tiles where they are not evenly spaced, checks them against
+the crossbar, copies the tiles they reach into ``q`` (one column per
+reached tile) and calls the kernel once. The map numbers partition tiles
+in unit-id order, so for contiguous units the loop over units is a
+contiguous one that the compiler vectorises.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -65,14 +66,15 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import (
-    GATE_NUM_INPUTS,
-    GATE_TRUTH,
+    GATE_TABLE,
     AddressError,
     Crossbar,
     CrossbarConfig,
     GateType,
     LineTable,
+    PartitionMap,
     StrictInitError,
+    gate_function,
 )
 
 # Benchmark provenance records it; the package never imports it.
@@ -102,7 +104,7 @@ class FrozenProgram:
     bundle_ptr: np.ndarray    # int64 [n_bundles + 1] first row of each bundle
     bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
     label_names: list[str]
-    geometry: tuple           # _Tiles.geometry of the config frozen for
+    geometry: tuple           # PartitionMap.geometry of the config frozen for
     reach: np.ndarray         # rows.dtype [n_keys, 2] largest local (row,
     #                           col) any slot touches per key, -1 if unused
     cycles_by_label: np.ndarray      # int64 [n_labels]
@@ -194,7 +196,7 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     from its last line. Input slots a gate does not read are written as 0
     and 0.
     """
-    tiles = _Tiles(config)
+    tiles = PartitionMap(config)
     owner, r, c = lines.run, lines.cells[..., 0], lines.cells[..., 1]
     off = (r < 0) | (r >= tiles.rows) | (c < 0) | (c >= tiles.cols)
     if off.any():
@@ -204,7 +206,8 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     # each cell's tile, made its (set, tile) key below, and local index;
     # int32 holds both in half the memory
     key, local = (a.astype(np.int32) for a in tiles.locate(r, c))
-    key += (np.asarray(set_ids, dtype=np.int32) * tiles.count)[lines.bundle[owner], None]
+    set_base = np.asarray(set_ids, dtype=np.int32) * tiles.n_tiles
+    key += set_base[lines.bundle[owner], None]
     used = np.arange(3) <= lines.arity[owner, None]
 
     # a row per run, split where its lines change tile (and so key)
@@ -225,9 +228,9 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
                             dtype=np.uint16)
     sizes = np.bincount(bundle, minlength=len(labels))
     gates = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
-    np.add.at(gates, (bundle_label[bundle], key[head, 0] // tiles.count), count)
+    np.add.at(gates, (bundle_label[bundle], key[head, 0] // tiles.n_tiles), count)
 
-    limit = max(tiles.unit_rows * tiles.unit_cols, NUM_ORIGIN_SETS * tiles.count)
+    limit = max(tiles.unit_rows * tiles.unit_cols, NUM_ORIGIN_SETS * tiles.n_tiles)
     dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
     rows = np.empty((head.shape[0], 9), dtype=dtype)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, (count - 1) * step + 1
@@ -237,7 +240,7 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
                       (np.cumsum(starts) - 1).astype(np.int32), used)
     # runs stay inside their tile, so their two end lines bound every cell
     ends = np.r_[head, tail]
-    reach = np.full((NUM_ORIGIN_SETS * tiles.count, 2), -1, dtype=dtype)
+    reach = np.full((NUM_ORIGIN_SETS * tiles.n_tiles, 2), -1, dtype=dtype)
     for axis, at in enumerate(np.divmod(local[ends], tiles.unit_cols)):
         np.maximum.at(reach[:, axis], key[ends][used[ends]], at[used[ends]])
     return FrozenProgram(rows, live, np.r_[0, np.cumsum(sizes)], bundle_label,
@@ -277,29 +280,11 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
 
 # --------------------------------------------------------------------- kernel
 
-def _gate_form(gate: GateType) -> tuple[int, int]:
-    """(either, invert) such that GATE_TRUTH gives the gate's output as the
-    OR (``either``) or AND of its inputs, XOR ``invert``.
-
-    The C kernel evaluates this form, read off the truth table, because it
-    vectorises over units where a table lookup would not.
-    """
-    arity = GATE_NUM_INPUTS[gate]
-    truth = GATE_TRUTH[gate << 2:(gate + 1) << 2].tolist()
-    inputs = [(p >> 1 & 1, p & 1)[:arity] for p in range(4)]
-    for either, fold in ((1, any), (0, all)):
-        plain = [int(fold(bits)) for bits in inputs]
-        for invert in (0, 1):
-            if truth == [bit ^ invert for bit in plain]:
-                return either, invert
-    raise ValueError(f"{gate.name} is not an AND or OR of its inputs, "
-                     "inverted or not")
-
-
 _GATE_NAMES = [g.name for g in GateType]
-# per gate code: arity, either, invert, preset (the output of no inputs)
-_FORMS = np.array([(GATE_NUM_INPUTS[g], *_gate_form(g), GATE_TRUTH[g << 2])
-                   for g in GateType], dtype=np.int64)
+# per gate code: its GATE_TABLE form (arity, either, invert), then its
+# output on no inputs, which a preset writes
+_FORMS = np.array([(*GATE_TABLE[g], gate_function(g, ())) for g in GateType],
+                  dtype=np.int64)
 
 _SOURCE = Path(__file__).with_name("_rows.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -369,90 +354,52 @@ def kernel():
     return run_rows
 
 
-class _Tiles:
-    """The crossbar cut into partition-sized tiles, held as ``q[cell, tile]``.
-
-    The tile grid is the partition grid of the config, continued over the
-    rest of the array and padded to whole tiles. Partitions come first, in
-    unit-id order, then the remaining tiles in row-major order (for Keccak,
-    the shared RC column and ROT row). A cell's local index is ``r *
-    unit_cols + c`` within its tile, so a shift of whole partitions keeps
-    the local index and moves only the tile. ``locate`` and ``cell`` are
-    the map between cells and (tile, local index), both ways.
-    """
-
-    def __init__(self, config: CrossbarConfig):
-        self.rows, self.cols = config.rows, config.cols
-        self.unit_rows, self.unit_cols = config.unit_rows, config.unit_cols
-        self.geometry = config.geometry
-        self.grid = (-(-config.rows // config.unit_rows),
-                     -(-config.cols // config.unit_cols))
-        partitions = np.zeros(self.grid, dtype=bool)
-        partitions[:config.vertical_partitions, :config.horizontal_partitions] = True
-        # tile -> row-major place in the tile grid, and back
-        place = np.concatenate([np.flatnonzero(partitions),
-                                np.flatnonzero(~partitions)])
-        self.index = np.empty(partitions.size, dtype=np.int64)
-        self.index[place] = np.arange(partitions.size)
-        self.index = self.index.reshape(self.grid)
-        self.count = partitions.size
-        self.origins = np.column_stack(np.divmod(place, self.grid[1])) \
-            * (self.unit_rows, self.unit_cols)        # [tile, (row, col)]
-
-    def locate(self, r, c):
-        """(tile, local index) of the cells (r, c), which must be on the grid."""
-        tv, lr = np.divmod(r, self.unit_rows)
-        th, lc = np.divmod(c, self.unit_cols)
-        return self.index[tv, th], lr * self.unit_cols + lc
-
-    def cell(self, tile, local):
-        """(row, col) of cell ``local`` of ``tile``: the inverse of ``locate``."""
-        r, c = np.divmod(local, self.unit_cols)
-        return self.origins[tile, 0] + r, self.origins[tile, 1] + c
-
-    def gather(self, cells: np.ndarray, tiles: np.ndarray) -> np.ndarray:
-        """The listed tiles of ``cells``, as ``q[cell, i]`` for ``tiles[i]``."""
-        q = np.zeros((self.unit_rows, self.unit_cols, tiles.shape[0]),
-                     dtype=cells.dtype)
-        for i, (r, c) in enumerate(self.origins[tiles].tolist()):
-            block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
-            q[:block.shape[0], :block.shape[1], i] = block
-        return q.reshape(self.unit_rows * self.unit_cols, tiles.shape[0])
-
-    def scatter(self, q: np.ndarray, cells: np.ndarray,
-                tiles: np.ndarray) -> None:
-        """Copy ``q``, gathered from ``tiles``, back into ``cells``."""
-        by_cell = q.reshape(self.unit_rows, self.unit_cols, tiles.shape[0])
-        for i, (r, c) in enumerate(self.origins[tiles].tolist()):
-            block = cells[r:r + self.unit_rows, c:c + self.unit_cols]
-            block[...] = by_cell[:block.shape[0], :block.shape[1], i]
+def _gather(tiles: PartitionMap, cells: np.ndarray,
+            reached: np.ndarray) -> np.ndarray:
+    """The tiles ``reached`` of ``cells``, as ``q[cell, i]`` for ``reached[i]``."""
+    q = np.zeros((tiles.unit_rows, tiles.unit_cols, reached.shape[0]),
+                 dtype=cells.dtype)
+    for i, (r, c) in enumerate(tiles.offset(tiles.places[reached]).tolist()):
+        block = cells[r:r + tiles.unit_rows, c:c + tiles.unit_cols]
+        q[:block.shape[0], :block.shape[1], i] = block
+    return q.reshape(tiles.unit_rows * tiles.unit_cols, reached.shape[0])
 
 
-def _unit_axes(program: FrozenProgram, tiles: _Tiles,
+def _scatter(tiles: PartitionMap, q: np.ndarray, cells: np.ndarray,
+             reached: np.ndarray) -> None:
+    """Copy ``q``, gathered from the tiles ``reached``, back into ``cells``."""
+    by_cell = q.reshape(tiles.unit_rows, tiles.unit_cols, reached.shape[0])
+    for i, (r, c) in enumerate(tiles.offset(tiles.places[reached]).tolist()):
+        block = cells[r:r + tiles.unit_rows, c:c + tiles.unit_cols]
+        block[...] = by_cell[:block.shape[0], :block.shape[1], i]
+
+
+def _unit_axes(program: FrozenProgram, tiles: PartitionMap,
                shifts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit axis of each key: the tiles its set shifts its tile to.
+    """The unit axis of each key: the tiles its set's shifts move its tile
+    to on the tile grid.
 
     Returns every tile an axis reaches, sorted; ``axes[key]`` = (first,
     stride, count) of the key's tiles as places in that list where they are
     evenly spaced, else (offset into ``index``, 0, count); and ``index``.
     Raises ``AddressError`` if a shifted tile, or a cell the program
     touches in it, lies off the crossbar. Negative tile indices would wrap,
-    so they are checked before indexing.
+    so they are checked before indexing. ``PartitionMap`` numbers the
+    partitions' tiles in unit-id order, so for units ``0..n-1`` every axis
+    is evenly spaced and ``index`` is empty.
     """
     keys = np.flatnonzero(program.reach[:, 0] >= 0)
     targets = []                                # (keys, [key, unit] tiles)
     for s, shift in enumerate(shifts):
-        own = keys[keys // tiles.count == s]
+        own = keys[keys // tiles.n_tiles == s]
         if not (own.shape[0] and shift.shape[0]):
             continue
-        r, c = tiles.cell(own[:, None] % tiles.count, 0)   # the tiles' origins
-        r, c = r + shift[:, 0] * tiles.unit_rows, c + shift[:, 1] * tiles.unit_cols
-        last = program.reach[own].astype(np.int64)
-        if (r.min() < 0 or c.min() < 0
-                or (r.max(axis=1) + last[:, 0] >= tiles.rows).any()
-                or (c.max(axis=1) + last[:, 1] >= tiles.cols).any()):
+        # [key, copy, (tile row, tile column)], and the last cell reached
+        at = tiles.places[own % tiles.n_tiles][:, None] + shift
+        last = tiles.offset(at) + program.reach[own, None]
+        if (at < 0).any() or (last >= (tiles.rows, tiles.cols)).any():
             raise AddressError("a replayed run leaves the crossbar")
-        targets.append((own, tiles.locate(r, c)[0]))
+        targets.append((own, tiles.index[at[..., 0], at[..., 1]]))
     reached = np.unique(np.concatenate(
         [np.zeros(0, dtype=np.int64)] + [t.ravel() for _, t in targets]))
 
@@ -474,7 +421,7 @@ def _unit_axes(program: FrozenProgram, tiles: _Tiles,
     return reached, axes, np.concatenate(index)
 
 
-def _trace_tails(program: FrozenProgram, tiles: _Tiles,
+def _trace_tails(program: FrozenProgram, tiles: PartitionMap,
                  skipping: bool) -> list[str]:
     """Each bundle's trace record after its cycle number, with a
     ``skipped`` list of its dead rows when ``skipping``; built once per
@@ -485,10 +432,10 @@ def _trace_tails(program: FrozenProgram, tiles: _Tiles,
     rows = program.rows.astype(np.int64)
     gate, step, span = rows[:, 0], rows[:, 1], rows[:, 2]
     # cells on the reference instance, [row, slot]
-    r, c = tiles.cell(rows[:, 4::2] % tiles.count, rows[:, 3::2])
+    r, c = tiles.cell(rows[:, 4::2] % tiles.n_tiles, rows[:, 3::2])
     count = (span - 1) // step + 1
     # runs never leave their tile, so the next cell's offset is the step
-    r2, c2 = tiles.cell(rows[:, 4] % tiles.count, rows[:, 3] + step)
+    r2, c2 = tiles.cell(rows[:, 4] % tiles.n_tiles, rows[:, 3] + step)
     sr = np.where(count > 1, r2 - r[:, 0], 0)
     sc = np.where(count > 1, c2 - c[:, 0], 0)
     names = [json.dumps(name) for name in _GATE_NAMES]
@@ -504,7 +451,7 @@ def _trace_tails(program: FrozenProgram, tiles: _Tiles,
     ptr = program.bundle_ptr.tolist()
     labels = [json.dumps(name) for name in program.label_names]
     # a bundle never mixes sets
-    sets = (rows[:, 4] // tiles.count).tolist()
+    sets = (rows[:, 4] // tiles.n_tiles).tolist()
     skipped: dict[int, list[int]] = {}
     if skipping:
         dead = np.flatnonzero(~program.live)
@@ -524,13 +471,12 @@ def _trace_tails(program: FrozenProgram, tiles: _Tiles,
     return tails
 
 
-def _write_trace(program: FrozenProgram, stream, tiles: _Tiles,
+def _write_trace(program: FrozenProgram, stream, tiles: PartitionMap,
                  shifts: list, first_cycle: int, skipping: bool) -> None:
     """A header with each set's shifts in cells, then one record per bundle
     listing the frozen rows it ran as events of the reference instance,
     and which of them it skipped as dead presets."""
-    offsets = [(shift * (tiles.unit_rows, tiles.unit_cols)).tolist()
-               for shift in shifts]
+    offsets = [tiles.offset(shift).tolist() for shift in shifts]
     stream.write(json.dumps({"trace_schema": 3, "shifts": offsets}) + "\n")
     stream.writelines(f'{{"cycle": {cycle}{tail}' for cycle, tail in
                       enumerate(_trace_tails(program, tiles, skipping),
@@ -593,7 +539,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                          "shape [n, 2], one distinct (partition rows, "
                          "partition columns) shift per copy")
     shifts = [s.astype(np.int64) for s in shifts]
-    tiles = _Tiles(crossbar.config)
+    tiles = crossbar.partition_map
     if program.geometry != tiles.geometry:
         raise ValueError(f"a program frozen for geometry {program.geometry} "
                          f"cannot replay on {tiles.geometry}")
@@ -601,8 +547,8 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     run_rows = kernel()
     first_cycle = crossbar.stats.cycles + 1
 
-    q = tiles.gather(crossbar.state, reached)
-    init = tiles.gather(crossbar.initialized, reached) \
+    q = _gather(tiles, crossbar.state, reached)
+    init = _gather(tiles, crossbar.initialized, reached) \
         if crossbar.config.strict_init else None
     # C buffers, copied only if a caller built the program's arrays with
     # another layout than freeze and concat do
@@ -621,9 +567,9 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                       live.ctypes.data, bundle_ptr.ctypes.data,
                       program.n_bundles, _FORMS.ctypes.data, axes.ctypes.data,
                       index.ctypes.data, fail.ctypes.data)
-    tiles.scatter(q, crossbar.state, reached)
+    _scatter(tiles, q, crossbar.state, reached)
     if init is not None:
-        tiles.scatter(init, crossbar.initialized, reached)
+        _scatter(tiles, init, crossbar.initialized, reached)
     if failed:
         row, _, local, place = fail.tolist()
         r, c = tiles.cell(int(reached[place]), local)

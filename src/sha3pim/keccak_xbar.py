@@ -38,6 +38,7 @@ from .crossbar import (
     CrossbarConfig,
     ExecutionStats,
     GateType,
+    PartitionMap,
 )
 from .scheduler import MacroKind, MacroOp, OpStream, schedule
 
@@ -180,7 +181,10 @@ LANE_COLS = np.array([UnitLayout().lane_col(x, y) for y in range(5) for x in ran
 
 
 class CrossbarLayout:
-    """Unit tiling plus the shared ROT/RC block placement for one crossbar."""
+    """Hash units on the crossbar's partitions plus the shared ROT/RC block
+    placement. Which partition holds which unit, the switch between two
+    partitions and the cell offset of a partition shift are all read off
+    ``partition_map``, the config's ``crossbar.PartitionMap``."""
 
     ROT_PLANES = 6   # offsets are 6-bit
 
@@ -188,6 +192,7 @@ class CrossbarLayout:
         if config.unit_rows != UnitLayout.ROWS or config.unit_cols != UnitLayout.COLS:
             raise ValueError(f"hash units are {UnitLayout.ROWS}x{UnitLayout.COLS}")
         self.config = config
+        self.partition_map = PartitionMap(config)
         self.vparts = config.vertical_partitions
         self.hparts = config.horizontal_partitions
         self.rot_base_row = self.vparts * config.unit_rows
@@ -201,24 +206,14 @@ class CrossbarLayout:
     def num_units(self) -> int:
         return self.vparts * self.hparts
 
-    def partition(self, unit_id):
-        """(partition row, partition column) of a unit id or an id array."""
-        return divmod(unit_id, self.hparts)
-
     def unit_origin(self, unit_id: int) -> tuple[int, int]:
-        v, h = self.partition(unit_id)
-        return (v * self.config.unit_rows, h * self.config.unit_cols)
+        partitions = self.partition_map
+        return tuple(partitions.offset(partitions.partition(unit_id)).tolist())
 
     def unit(self, unit_id: int) -> UnitLayout:
         if not 0 <= unit_id < self.num_units:
             raise ValueError(f"unit {unit_id} out of range")
         return UnitLayout(self.unit_origin(unit_id))
-
-    def row_switch(self, vpart: int) -> tuple[str, int]:
-        return ("row", vpart * self.config.unit_rows)
-
-    def col_switch(self, hpart: int) -> tuple[str, int]:
-        return ("col", hpart * self.config.unit_cols)
 
     # shared-block cells (absolute)
 
@@ -522,7 +517,7 @@ def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     chain = OpStream("rho")
     for v in range(bottom - 1, -1, -1):
         _hop(chain, IN_COL, cols, units[v + 1].t_row, units[v].a_row,
-             units[v].t_row, switch=layout.row_switch(v + 1))
+             units[v].t_row, switch=layout.partition_map.switch("row", v + 1))
     streams.append(chain)
     return streams
 
@@ -549,7 +544,7 @@ def rc_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
     chain = OpStream("iota")
     for h in range(rightmost - 1, -1, -1):
         _hop(chain, IN_ROW, rows, units[h + 1].m_col, units[h].x_col,
-             units[h].m_col, switch=layout.col_switch(h + 1))
+             units[h].m_col, switch=layout.partition_map.switch("col", h + 1))
     streams.append(chain)
     return streams
 
@@ -615,7 +610,7 @@ class CompiledKeccak:
     def deltas_for(self, unit_ids: list[int]) -> list[np.ndarray]:
         """``engine.replay``'s shifts for ``unit_ids``: each unit's partition
         (v, h), then (v, 0) per partition row and (0, h) per column used."""
-        v, h = self.layout.partition(np.asarray(unit_ids, dtype=np.int64))
+        v, h = self.layout.partition_map.partition(np.asarray(unit_ids, dtype=np.int64))
         rows, cols = np.unique(v), np.unique(h)
         return [np.column_stack([v, h]), np.column_stack([rows, 0 * rows]),
                 np.column_stack([0 * cols, cols])]
@@ -630,9 +625,10 @@ class CompiledKeccak:
         ``lane_bits[i]`` is the [rate_lanes, 64] bit array for the unit at
         the i-th shift of ``deltas``'s unit set.
         """
+        origins = self.layout.partition_map.offset(deltas[engine.SET_UNIT]).tolist()
         for batch, program in zip(_ABSORB_BATCHES, self.absorb):
-            for (v, h), bits in zip(deltas[engine.SET_UNIT].tolist(), lane_bits):
-                unit = UnitLayout((v * self.config.unit_rows, h * self.config.unit_cols))
+            for origin, bits in zip(origins, lane_bits):
+                unit = UnitLayout(tuple(origin))
                 r0 = unit.row(0)
                 c0 = unit.stage_col(0)
                 block = bits[batch].T       # rows=bits, cols=lanes

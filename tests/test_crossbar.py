@@ -357,6 +357,19 @@ def test_config_validation():
             CrossbarConfig(gate_delay_ns=value)
         with pytest.raises(ValueError):
             CrossbarConfig(gate_energy_fj=value)
+    # counts are integers: a float, even a whole one, or a bool is refused
+    for name in ("rows", "cols", "horizontal_partitions", "vertical_partitions",
+                 "unit_rows", "unit_cols", "io_cycles_per_row"):
+        whole = getattr(CrossbarConfig(), name)
+        for value in (whole + 0.5, float(whole), True):
+            with pytest.raises(ValueError, match=name):
+                CrossbarConfig(**{name: value})
+    # numpy integers are accepted, as ints
+    config = CrossbarConfig(rows=np.int64(1024), horizontal_partitions=np.int32(27),
+                            io_cycles_per_row=np.uint8(1))
+    assert config == CrossbarConfig()
+    assert all(type(v) is int for v in config.geometry + (config.io_cycles_per_row,))
+    assert Crossbar(config).state.shape == (1024, 1024)
 
 
 def brute_region(config, cell, closed):
@@ -394,6 +407,45 @@ def test_region_of_counts_open_boundaries(config, cells):
         for cell in cells:
             assert partitions.region_of(cell, closed) == \
                 brute_region(config, cell, closed), (cell, sorted(closed))
+
+
+# 2 x 3 partitions of 4 x 4 cells, with a margin of 3 rows and 2 columns
+MARGIN_GEOMETRY = CrossbarConfig(rows=11, cols=14, vertical_partitions=2,
+                                 horizontal_partitions=3, unit_rows=4, unit_cols=4)
+
+
+@pytest.mark.parametrize("config", [small_xbar().config, MARGIN_GEOMETRY,
+                                    CrossbarConfig()],
+                         ids=["oracle_16x16", "margin_11x14", "default"])
+def test_partition_map_tiles_units_and_switches(config):
+    partitions = PartitionMap(config)
+    # every cell round-trips through its tile and local index, and every tile
+    # holds cells
+    r, c = (a.ravel() for a in np.indices((config.rows, config.cols)))
+    tile, local = partitions.locate(r, c)
+    back = partitions.cell(tile, local)
+    assert np.array_equal(back[0], r) and np.array_equal(back[1], c)
+    assert (0 <= local).all() and (local < config.unit_rows * config.unit_cols).all()
+    assert len(np.unique(tile)) == partitions.n_tiles
+    # unit u's partition is tile u, and its origin is that tile's cell 0
+    units = np.arange(config.num_units)
+    v, h = partitions.partition(units)
+    assert np.array_equal(v * config.horizontal_partitions + h, units)
+    origin = partitions.offset(np.column_stack([v, h]))
+    assert np.array_equal(origin, np.column_stack([v * config.unit_rows,
+                                                   h * config.unit_cols]))
+    tile, local = partitions.locate(origin[:, 0], origin[:, 1])
+    assert np.array_equal(tile, units) and not local.any()
+    # the switch between partitions k - 1 and k, spelled for each boundary,
+    # is exactly the set of switches, and closing it merges the two
+    spelled = {partitions.switch("row", k) for k in range(1, partitions.vparts)} \
+        | {partitions.switch("col", k) for k in range(1, partitions.hparts)}
+    assert spelled == partitions.switches
+    for kind, k in spelled:
+        before, after = ((k - 1, 0), (k, 0)) if kind == "row" else ((0, k - 1), (0, k))
+        for closed, step in ((frozenset(), 1), (frozenset({(kind, k)}), 0)):
+            assert np.subtract(partitions.region_of(after, closed),
+                               partitions.region_of(before, closed)).sum() == step
 
 
 # ----------------------------------------------------------------------- trace

@@ -17,6 +17,7 @@ from sha3pim.crossbar import (
     Crossbar,
     CrossbarConfig,
     GateType,
+    PartitionMap,
 )
 from sha3pim.keccak_xbar import (
     KECCAK,
@@ -25,6 +26,7 @@ from sha3pim.keccak_xbar import (
     UnitLayout,
     bits_to_lanes,
     block_state_bits,
+    compiled_keccak,
     hash_message,
     hash_messages,
     lanes_to_bits,
@@ -361,6 +363,24 @@ def test_deltas_for_gives_partition_shifts(compiled):
     assert units.tolist() == [[0, 0], [0, 1], [0, 2], [1, 3]]
     assert rows.tolist() == [[0, 0], [1, 0]]
     assert cols.tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
+
+
+@pytest.mark.parametrize("config", [
+    CrossbarConfig(),
+    CrossbarConfig(rows=300, cols=200, vertical_partitions=3, horizontal_partitions=2),
+    CrossbarConfig(rows=78, cols=61, vertical_partitions=1, horizontal_partitions=1),
+], ids=["27x14", "3x2", "1x1"])
+def test_contiguous_units_need_no_tile_list(config):
+    # the tile map numbers partitions in unit-id order, so the first n units
+    # give every key an evenly spaced unit axis, which the kernel walks with
+    # a stride instead of a listed tile per unit
+    compiled = compiled_keccak(config)
+    tiles = PartitionMap(config)
+    for n in range(1, config.num_units + 1):
+        shifts = compiled.deltas_for(range(n))
+        for program in (compiled.permute, *compiled.absorb):
+            _, _, listed = engine._unit_axes(program, tiles, shifts)
+            assert listed.shape == (0,), n
 
 
 def test_absorb_twice_cancels(compiled):
