@@ -1,24 +1,39 @@
 /* The replay kernel of sha3pim.engine: runs frozen kernel rows over the
-   tile grid q[cell][tile], one byte per cell and `tiles` tiles.
+   bit-sliced tile grid q[cell][word], `words` plain uint64_t words per
+   cell.  A cell holds one bit per tile: bit t of word w is the tile at
+   place 64 * w + t of the replay's list of reached tiles, and the bits past
+   the last place are padding.
 
    A row is nine ints (int16, or int32 when `wide`): the gate, the step and
    span along the tile's cells, then the first cell and key of the output
    and of two input slots.  A key's unit axis is three int64s (first,
-   stride, count): its tiles are first + u * stride for u < count, or
+   stride, count): its places are first + u * stride for u < count, or
    index[first + u] when stride is 0.  A gate's form is four int64s
    (arity, or, invert, preset): its row of crossbar.GATE_TABLE, then its
    output on no inputs.  A gate of no inputs writes `preset`, any other
    gate the AND (or the OR) of its inputs, XOR `invert`.  Input slots past
-   a gate's arity are never read. */
+   a gate's arity are never read.
+
+   A row whose keys all have stride 1 runs on whole words.  Its output
+   places first..last lie in words first / 64 to last / 64, and an edge
+   mask keeps the bits of those words outside that range, which belong to
+   other tiles.  An input key whose first place is d places past the
+   output key's (before it, if d < 0) is read as the 64 places from
+   64 * w + d on, funnelled out of two words when d is not a multiple of
+   64, so that each input bit lines up with its output bit.  Any other row (a strided, descending or
+   listed axis) runs one unit at a time on single bits.  The init grid of
+   strict mode has the same layout, and a read's first unwritten unit is
+   its lowest clear bit under the edge masks. */
 
 #include <stdint.h>
 
-typedef unsigned char u8;
+typedef uint64_t u64;
 typedef int64_t i64;
 
-#define TILE(axis, u) ((axis)[1] ? (axis)[0] + (u) * (axis)[1] \
-                                 : index[(axis)[0] + (u)])
+#define PLACE(axis, u) ((axis)[1] ? (axis)[0] + (u) * (axis)[1] \
+                                  : index[(axis)[0] + (u)])
 #define GATE(a, b) ((((a) & (b)) | (either & ((a) | (b)))) ^ invert)
+#define BIT(x, p) ((x)[(p) >> 6] >> ((p) & 63) & 1)
 
 static void load(const void *rows, int wide, i64 r, i64 *f)
 {
@@ -27,44 +42,98 @@ static void load(const void *rows, int wide, i64 r, i64 *f)
                     : ((const int16_t *)rows)[9 * r + k];
 }
 
+/* The bits of word w that hold places first..last. */
+static u64 edge(i64 w, i64 first, i64 last)
+{
+    u64 mask = ~(u64)0;
+    if (w == first >> 6)
+        mask &= ~(u64)0 << (first & 63);
+    if (w == last >> 6)
+        mask &= ~(u64)0 >> (63 - (last & 63));
+    return mask;
+}
+
+/* Places 64 * k + shift to 64 * k + shift + 63 of cell x, 0 <= shift < 64,
+   read as 0 past either end of the cell's words. */
+static u64 fetch(const u64 *x, i64 words, i64 k, i64 shift)
+{
+    u64 lo = k >= 0 && k < words ? x[k] : 0;
+    if (!shift)
+        return lo;
+    u64 hi = k + 1 >= 0 && k + 1 < words ? x[k + 1] : 0;
+    return lo >> shift | hi << (64 - shift);
+}
+
 /* Row f with gate form g on every unit of its output key. */
-static void run(u8 *q, i64 tiles, const i64 *f, const i64 *g,
+static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
                 const i64 *axes, const i64 *index)
 {
     /* fields of the input slots; a slot past the arity repeats the one
        before it, or the output */
     i64 arity = g[0], fa = arity ? 5 : 3, fb = arity > 1 ? 7 : fa;
-    i64 a = f[fa], b = f[fb];
     const i64 *ko = axes + 3 * f[4], *ka = axes + 3 * f[fa + 1],
               *kb = axes + 3 * f[fb + 1];
-    i64 n = ko[2], so = ko[1], sa = ka[1], sb = kb[1];
-    u8 either = g[1] ? 0xff : 0, invert = (u8)g[2], preset = (u8)g[3];
-    for (i64 i = 0; i < f[2]; i += f[1]) {
-        u8 *out = q + (f[3] + i) * tiles;
-        const u8 *x = q + (a + i) * tiles, *y = q + (b + i) * tiles;
-        if (!(so && sa && sb)) {
-            for (i64 u = 0; u < n; u++)
-                out[TILE(ko, u)] = arity ? GATE(x[TILE(ka, u)], y[TILE(kb, u)])
-                                         : preset;
-            continue;
-        }
-        u8 *po = out + ko[0];
-        const u8 *pa = x + ka[0], *pb = y + kb[0];
-        if (!arity)
-            for (i64 u = 0; u < n; u++) po[u * so] = preset;
-        else if (so == 1 && sa == 1 && sb == 1)
-            for (i64 u = 0; u < n; u++) po[u] = GATE(pa[u], pb[u]);
-        else
-            for (i64 u = 0; u < n; u++) po[u * so] = GATE(pa[u * sa], pb[u * sb]);
+    u64 either = -(u64)g[1], invert = -(u64)g[2], preset = -(u64)g[3];
+    i64 step = f[1] * words, end = f[2] * words;
+    u64 *out = q + f[3] * words;
+    const u64 *x = q + f[fa] * words, *y = q + f[fb] * words;
+    if (!(ko[1] == 1 && ka[1] == 1 && kb[1] == 1)) {
+        for (i64 i = 0; i < end; i += step)
+            for (i64 u = 0; u < ko[2]; u++) {
+                i64 p = PLACE(ko, u), w = i + (p >> 6);
+                u64 v = arity ? GATE(BIT(x + i, PLACE(ka, u)),
+                                     BIT(y + i, PLACE(kb, u)))
+                              : preset;
+                out[w] ^= (out[w] ^ -(v & 1)) & (u64)1 << (p & 63);
+            }
+        return;
     }
+    /* the output's places and words, and per input the word offset and
+       the shift that line its places up with the output's */
+    i64 first = ko[0], last = ko[0] + ko[2] - 1, w0 = first >> 6, w1 = last >> 6;
+    i64 sa = (ka[0] - first) & 63, ja = (ka[0] - first - sa) / 64;
+    i64 sb = (kb[0] - first) & 63, jb = (kb[0] - first - sb) / 64;
+    for (i64 i = 0; i < end; i += step) {
+        u64 *o = out + i;
+        const u64 *a = x + i, *b = y + i;
+        if (!arity)
+            for (i64 w = w0; w <= w1; w++)
+                o[w] ^= (o[w] ^ preset) & edge(w, first, last);
+        else if (!sa && !sb)
+            for (i64 w = w0; w <= w1; w++)
+                o[w] ^= (o[w] ^ GATE(a[w + ja], b[w + jb])) & edge(w, first, last);
+        else
+            for (i64 w = w0; w <= w1; w++)
+                o[w] ^= (o[w] ^ GATE(fetch(a, words, w + ja, sa),
+                                     fetch(b, words, w + jb, sb)))
+                        & edge(w, first, last);
+    }
+}
+
+/* The first place of `key` whose bit in cell x is clear, in unit order,
+   or -1. */
+static i64 unset(const u64 *x, const i64 *key, const i64 *index)
+{
+    if (key[1] == 1) {
+        i64 first = key[0], last = key[0] + key[2] - 1;
+        for (i64 w = first >> 6; w <= last >> 6; w++) {
+            u64 clear = ~x[w] & edge(w, first, last);
+            if (clear)
+                return 64 * w + __builtin_ctzll(clear);
+        }
+    } else
+        for (i64 u = 0; u < key[2]; u++)
+            if (!BIT(x, PLACE(key, u)))
+                return PLACE(key, u);
+    return -1;
 }
 
 /* Run the bundles' rows: the live ones, or, with an init grid, every row,
    each bundle only after checking that it reads no unwritten cell.  On
-   such a read, return 1 with fail = (row, input slot, cell, tile) of the
+   such a read, return 1 with fail = (row, input slot, cell, place) of the
    first one and the grids holding every bundle before; else return 0. */
-int run_rows(u8 *q, u8 *init, i64 tiles, const void *rows, int wide,
-             const u8 *live, const i64 *bundle_ptr, i64 n_bundles,
+int run_rows(u64 *q, u64 *init, i64 words, const void *rows, int wide,
+             const unsigned char *live, const i64 *bundle_ptr, i64 n_bundles,
              const i64 *forms, const i64 *axes, const i64 *index, i64 *fail)
 {
     static const i64 written[4] = {0, 0, 0, 1};
@@ -75,22 +144,22 @@ int run_rows(u8 *q, u8 *init, i64 tiles, const void *rows, int wide,
             load(rows, wide, r, f);
             for (i64 slot = 1; slot <= forms[4 * f[0]]; slot++) {
                 const i64 *key = axes + 3 * f[4 + 2 * slot];
-                for (i64 i = f[3 + 2 * slot]; i < f[3 + 2 * slot] + f[2]; i += f[1])
-                    for (i64 u = 0; u < key[2]; u++)
-                        if (!init[i * tiles + TILE(key, u)]) {
-                            fail[0] = r, fail[1] = slot, fail[2] = i;
-                            fail[3] = TILE(key, u);
-                            return 1;
-                        }
+                for (i64 i = f[3 + 2 * slot]; i < f[3 + 2 * slot] + f[2]; i += f[1]) {
+                    i64 place = unset(init + i * words, key, index);
+                    if (place >= 0) {
+                        fail[0] = r, fail[1] = slot, fail[2] = i, fail[3] = place;
+                        return 1;
+                    }
+                }
             }
         }
         for (i64 r = lo; r < hi; r++) {
             if (!init && !live[r])
                 continue;
             load(rows, wide, r, f);
-            run(q, tiles, f, forms + 4 * f[0], axes, index);
+            run(q, words, f, forms + 4 * f[0], axes, index);
             if (init)
-                run(init, tiles, f, written, axes, index);
+                run(init, words, f, written, axes, index);
         }
     }
     return 0;

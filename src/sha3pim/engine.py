@@ -21,21 +21,27 @@ Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
 partition row, 2 = per partition column) and each set supplies its own
 shifts at run time, one (partition rows, partition columns) pair per copy.
 
-The kernel is partition-major. It holds the grid as ``q[cell, tile]``, one
-column per partition-sized tile of the crossbar's ``PartitionMap``, so a
-shift of whole partitions keeps a cell's index and moves only its tile.
-``freeze`` therefore writes each event as one row of nine tile-local ints:
-the gate, the run's step and span along the cell axis, then the first cell
-and a (set, tile) key of the output and of two input slots. No event leaves
-its tile, and a run that steps backward along the cell axis is written
-from its last line, so each row is a forward walk. Only the unit axis of a
-key - the tiles its set's shifts move the key's tile to - depends on the
-shifts, so ``replay`` builds those axes as (first tile, stride, count), or
-as a list of tiles where they are not evenly spaced, checks them against
-the crossbar, copies the tiles they reach into ``q`` (one column per
-reached tile) and calls the kernel once. The map numbers partition tiles
-in unit-id order, so for contiguous units the loop over units is a
-contiguous one that the compiler vectorises.
+The kernel is partition-major and bit-sliced. It holds the grid as
+``q[cell, word]``: a cell is one bit per partition-sized tile of the
+crossbar's ``PartitionMap`` that the replay reaches, 64 tiles to a 64-bit
+word, so a shift of whole partitions keeps a cell's index and moves only
+its bit. ``freeze`` therefore writes each event as one row of nine
+tile-local ints: the gate, the run's step and span along the cell axis,
+then the first cell and a (set, tile) key of the output and of two input
+slots. No event leaves its tile, and a run that steps backward along the
+cell axis is written from its last line, so each row is a forward walk.
+Only the unit axis of a key - the tiles its set's shifts move the key's
+tile to - depends on the shifts, so ``replay`` builds those axes as (first
+tile, stride, count), or as a list of tiles where they are not evenly
+spaced, checks them against the crossbar, copies the tiles they reach into
+``q`` (bit ``t`` of word ``w`` is the reached tile at place ``64 * w + t``
+of their sorted list) and calls the kernel once. The map numbers partition
+tiles in unit-id order, so contiguous units are contiguous bits, and the
+kernel applies a gate to 64 units at a time with word operations: edge
+masks keep the bits of other tiles in a key's first and last word, and an
+input key whose places start elsewhere than its output key's is shifted
+into line. A strided or listed axis takes a per-bit path. Strict mode packs
+the initialized map the same way.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -356,19 +362,26 @@ def kernel():
 
 def _gather(tiles: PartitionMap, cells: np.ndarray,
             reached: np.ndarray) -> np.ndarray:
-    """The tiles ``reached`` of ``cells``, as ``q[cell, i]`` for ``reached[i]``."""
-    q = np.zeros((tiles.unit_rows, tiles.unit_cols, reached.shape[0]),
-                 dtype=cells.dtype)
+    """The tiles ``reached`` of ``cells``, bit-sliced as ``q[cell, w]``:
+    bit ``t`` of word ``w`` holds tile ``reached[64 * w + t]``."""
+    n = reached.shape[0]
+    q = np.zeros((tiles.unit_rows, tiles.unit_cols, n), dtype=np.uint8)
     for i, (r, c) in enumerate(tiles.offset(tiles.places[reached]).tolist()):
         block = cells[r:r + tiles.unit_rows, c:c + tiles.unit_cols]
         q[:block.shape[0], :block.shape[1], i] = block
-    return q.reshape(tiles.unit_rows * tiles.unit_cols, reached.shape[0])
+    bits = np.packbits(q.reshape(tiles.unit_rows * tiles.unit_cols, n), axis=1,
+                       bitorder="little")
+    words = np.zeros((bits.shape[0], -(-n // 64)), dtype="<u8")
+    words.view(np.uint8)[:, :bits.shape[1]] = bits
+    return words.astype(np.uint64, copy=False)
 
 
 def _scatter(tiles: PartitionMap, q: np.ndarray, cells: np.ndarray,
              reached: np.ndarray) -> None:
     """Copy ``q``, gathered from the tiles ``reached``, back into ``cells``."""
-    by_cell = q.reshape(tiles.unit_rows, tiles.unit_cols, reached.shape[0])
+    bits = np.unpackbits(q.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=reached.shape[0], bitorder="little")
+    by_cell = bits.reshape(tiles.unit_rows, tiles.unit_cols, reached.shape[0])
     for i, (r, c) in enumerate(tiles.offset(tiles.places[reached]).tolist()):
         block = cells[r:r + tiles.unit_rows, c:c + tiles.unit_cols]
         block[...] = by_cell[:block.shape[0], :block.shape[1], i]
@@ -563,7 +576,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                          "pointers do not match")
     fail = np.zeros(4, dtype=np.int64)
     failed = run_rows(q.ctypes.data, None if init is None else init.ctypes.data,
-                      reached.shape[0], rows.ctypes.data, rows.dtype == np.int32,
+                      q.shape[1], rows.ctypes.data, rows.dtype == np.int32,
                       live.ctypes.data, bundle_ptr.ctypes.data,
                       program.n_bundles, _FORMS.ctypes.data, axes.ctypes.data,
                       index.ctypes.data, fail.ctypes.data)

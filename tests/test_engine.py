@@ -292,29 +292,36 @@ def shifted(op, shift):
 
 
 @st.composite
-def replay_cases(draw):
+def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
     """A frozen program, the origin shifts of each set and a start state.
 
-    Ops sit anywhere on the grid, read anywhere along their line (so reads
-    hop partitions, as the ROT and RC fetches do) and are runs of up to six
-    lines, stepping forward or backward, that may cross partitions (freeze
-    splits them there). A run keeps its lines up to the first that does not
-    fit: a line fits when every shifted copy lies on the grid, as the line
-    itself must, and no copy reads or writes a cell that another copy in its
-    bundle writes, which legal bundles guarantee. Unit sets need not be
-    evenly spaced (units 0, 2 and 3, say), so replay also meets unit axes
-    that are not slices.
+    Ops sit anywhere their set's copies fit on the grid, read anywhere
+    along their line that the copies fit (so reads hop partitions, as the
+    ROT and RC fetches do) and are runs of up to six lines, stepping
+    forward or backward, that may cross partitions (freeze splits them
+    there). A run keeps its lines up to the first that does not fit: a
+    line fits when every shifted copy lies on the grid, as the line itself
+    must, and no copy reads or writes a cell that another copy in its
+    bundle writes, which legal bundles guarantee. The unit set is
+    ``units``, in the order given, or else a random subset, which need not
+    be evenly spaced (units 0, 2 and 3, say), so replay also meets unit
+    axes that are not slices.
     """
-    config = CrossbarConfig(**ORACLE_GEOMETRY, strict_init=draw(st.booleans()))
+    config = CrossbarConfig(**geometry, strict_init=draw(st.booleans()))
     rows, cols = config.rows, config.cols
+    vparts, hparts = config.vertical_partitions, config.horizontal_partitions
+    unit_rows, unit_cols = config.unit_rows, config.unit_cols
 
     def subset(n):
         return sorted(draw(st.lists(st.integers(0, n - 1), min_size=1,
                                     max_size=n, unique=True)))
 
-    shifts = [[(u // 3 * 4, u % 3 * 4) for u in subset(6)],
-              [(v * 4, 0) for v in subset(2)],
-              [(0, h * 4) for h in subset(3)]]
+    cover = units is not None
+    units = units if cover else subset(vparts * hparts)
+    shifts = [[(u // hparts * unit_rows, u % hparts * unit_cols) for u in units],
+              [(v * unit_rows, 0) for v in subset(vparts)],
+              [(0, h * unit_cols) for h in (range(hparts) if cover
+                                            else subset(hparts))]]
 
     def add(op, set_id, written, read):
         """Whether ``op`` fits a bundle of ``set_id`` that writes and reads
@@ -340,8 +347,12 @@ def replay_cases(draw):
             gate = draw(st.sampled_from(GateType))
             arity = GATE_NUM_INPUTS[gate]
             orientation = draw(st.sampled_from((IN_ROW, IN_COL)))
-            r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
-            length = cols if orientation == IN_ROW else rows
+            # the largest shifts are whole partitions, so the copies fit
+            # exactly when the reference cell is at most this far in
+            room = (rows - max(dr for dr, _ in shifts[set_id]),
+                    cols - max(dc for _, dc in shifts[set_id]))
+            r, c = draw(st.integers(0, room[0] - 1)), draw(st.integers(0, room[1] - 1))
+            length = room[1] if orientation == IN_ROW else room[0]
             line = draw(st.lists(st.integers(0, length - 1), min_size=arity,
                                  max_size=arity, unique=True))
             inputs = [(r, k) if orientation == IN_ROW else (k, c) for k in line]
@@ -380,6 +391,17 @@ def replay_cases(draw):
             labels[i + 1:i + 1] = [labels[i]] * 2
             set_ids[i + 1:i + 1] = [other, own]
 
+    if cover:
+        # a preset down column 0 of the reference partition column, copied
+        # to every partition column, reaches every unit's tile, so a unit's
+        # place among the tiles replay reaches is its id, and a set such as
+        # units 60-70 crosses a word of the kernel's grid as on the crossbar
+        bundles.append(CycleBundle([MicroOp(GateType.INIT1, (), (0, 0),
+                                            count=vparts * unit_rows,
+                                            stride=(1, 0))]))
+        labels.append("a")
+        set_ids.append(engine.SET_PARTITION_COL)
+
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     initialized = (rng.random((rows, cols)) < 0.9).astype(np.uint8)
@@ -387,9 +409,9 @@ def replay_cases(draw):
         list(zip(bundles, labels, set_ids)), shifts, state, initialized
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(replay_cases())
-def test_replay_matches_serial_execution_of_shifted_bundles(case):
+def check_against_shifted_bundles(case):
+    """Replay ``case`` and run its bundles' shifted copies one line at a
+    time on an oracle crossbar: the same grids, stats and strict failure."""
     config, frozen, bundles, shifts, state, initialized = case
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
@@ -419,6 +441,12 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
     assert np.array_equal(xbar.state, oracle.state)
     if config.strict_init:
         assert np.array_equal(xbar.initialized, oracle.initialized)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(replay_cases())
+def test_replay_matches_serial_execution_of_shifted_bundles(case):
+    check_against_shifted_bundles(case)
 
 
 @pytest.mark.parametrize("set_id, shifts", [
@@ -452,6 +480,94 @@ def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
     per_set[set_id] = shifts
     with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
         engine.replay(frozen, xbar, partition_shifts(per_set, config))
+    assert np.array_equal(xbar.state, oracle.state)
+    assert np.array_equal(xbar.initialized, oracle.initialized)
+
+
+# ------------------------------------------------ replay across 64-bit words
+
+# 9 x 10 partitions of 4 x 4 cells and 2 spare rows and columns: 90 units on
+# 110 tiles, so the tiles of a cell take two words of the kernel's grid
+WORD_GEOMETRY = dict(rows=38, cols=42, vertical_partitions=9,
+                     horizontal_partitions=10, unit_rows=4, unit_cols=4)
+
+
+def word_shifts(units, columns=()):
+    """Shifts of the unit set ``units`` and of the partition-column set
+    ``columns``, as cell offsets on ``WORD_GEOMETRY``."""
+    return [[(u // 10 * 4, u % 10 * 4) for u in units], [],
+            [(0, 4 * h) for h in columns]]
+
+
+@pytest.mark.parametrize("units", [
+    list(range(60, 71)), list(range(90)), [0, 63, 64, 89],
+    list(range(70, 59, -1)),
+], ids=["units-60-70", "all-90", "uneven", "descending"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_replay_across_words_matches_serial_execution(units, data):
+    check_against_shifted_bundles(data.draw(replay_cases(WORD_GEOMETRY, units)))
+
+
+@pytest.mark.parametrize("output, input_, columns", [
+    ((0, 0), (8, 0), 10),
+    ((8, 0), (0, 0), 10),
+    ((0, 0), (6, 4), 6),
+    ((6, 4), (0, 0), 6),
+    ((6, 0), (2, 3), 7),
+    ((0, 1), (0, 0), 9),
+], ids=["80-past", "80-before", "a-word-past", "a-word-before",
+        "output-crosses-words", "1-before"])
+def test_input_key_offset_from_its_output_key(output, input_, columns):
+    # a preset on all 90 units reaches tiles 0-89, so each partition's place
+    # among the reached tiles is its unit id; the partition-column set then
+    # copies a NOR2 run that reads partition `input_` and writes partition
+    # `output`, so its input key's places start (unit id of `input_`) -
+    # (unit id of `output`) places past its output key's, a shift that
+    # crosses words in all but the whole-word cases
+    config = CrossbarConfig(**WORD_GEOMETRY)
+    (vo, ho), (vi, hi) = output, input_
+    run = MicroOp(GateType.NOR2, ((4 * vi, 4 * hi + 1), (4 * vi, 4 * hi + 2)),
+                  (4 * vo, 4 * ho + 3), count=4, stride=(1, 0))
+    bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (0, 0))]),
+               CycleBundle([run])]
+    set_ids = [engine.SET_UNIT, engine.SET_PARTITION_COL]
+    rng = np.random.default_rng(11)
+    check_against_shifted_bundles((
+        config, engine.freeze(line_table(bundles), ["a"] * 2, set_ids, config),
+        list(zip(bundles, ["a"] * 2, set_ids)),
+        word_shifts(range(90), range(columns)),
+        rng.integers(0, 2, (38, 42), dtype=np.uint8),
+        np.ones((38, 42), dtype=np.uint8)))
+
+
+def test_strict_failure_in_the_second_word():
+    # every unit's NOR2 run reads (1,2) first on its first line; units 70
+    # and 80, at places 70 and 80 in the second word, never wrote theirs,
+    # and the first of them in unit order is named, as by the oracle
+    config = CrossbarConfig(**WORD_GEOMETRY, strict_init=True)
+    bundles = [
+        CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0))]),
+        CycleBundle([MicroOp(GateType.NOR2, ((1, 1), (1, 2)), (1, 0), 2, (1, 0))]),
+        CycleBundle([MicroOp(GateType.NOT, ((0, 0),), (0, 3))]),
+    ]
+    shifts = word_shifts(range(90))[0]
+    frozen = engine.freeze(line_table(bundles), ["a"] * 3, [engine.SET_UNIT] * 3,
+                           config)
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.state[:] = np.random.default_rng(12).integers(0, 2, (38, 42))
+        crossbar.initialized[:] = 1
+        crossbar.initialized[29, 2] = crossbar.initialized[33, 2] = 0
+    with pytest.raises(StrictInitError) as expected:
+        for bundle in bundles:
+            oracle.execute_bundle(CycleBundle(
+                [shifted(op, shift) for shift in shifts for op in bundle.ops]),
+                check=False)
+    assert str(expected.value) == "NOR2 reads uninitialized cell (29,2)"
+    with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
+        engine.replay(frozen, xbar, partition_shifts(word_shifts(range(90)),
+                                                     config))
     assert np.array_equal(xbar.state, oracle.state)
     assert np.array_equal(xbar.initialized, oracle.initialized)
 

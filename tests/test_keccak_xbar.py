@@ -16,11 +16,13 @@ from sha3pim.crossbar import (
     CapacityError,
     Crossbar,
     CrossbarConfig,
+    ExecutionStats,
     GateType,
     PartitionMap,
 )
 from sha3pim.keccak_xbar import (
     KECCAK,
+    LANE_BITS,
     CrossbarLayout,
     KeccakParams,
     UnitLayout,
@@ -605,6 +607,42 @@ def test_mixed_lengths_batch():
     messages = [b"", b"abc", bytes(200), b"x" * 136]
     digests, _ = hash_messages(messages)
     assert digests == [ref.sha3_256(m) for m in messages]
+
+
+def charged(compiled, cohorts):
+    """What hashing cohorts of (units, blocks) charges: each replay's
+    ``charge`` for its unit count, and an io cycle per peripheral row."""
+    config, layout = compiled.config, compiled.layout
+    stats = ExecutionStats(gate_energy_fj=config.gate_energy_fj)
+    shared_rows = layout.ROT_PLANES * layout.hparts + LANE_BITS * layout.vparts
+    for units, blocks in cohorts:
+        counts = [len(d) for d in compiled.deltas_for(range(units))]
+        # each unit's first block, absorbed lane batches and digest
+        unit_rows = LANE_BITS * (2 + len(compiled.absorb) * (blocks - 1))
+        stats.add_cycles("io", (shared_rows + units * unit_rows)
+                         * config.io_cycles_per_row, 0)
+        for _ in range(blocks - 1):
+            for program in compiled.absorb:
+                program.charge(stats, counts)
+        for _ in range(blocks):
+            compiled.permute.charge(stats, counts)
+    return stats
+
+
+@pytest.mark.parametrize("one_block, two_block", [
+    (63, 0), (64, 0), (65, 0), (127, 0), (128, 0), (129, 0), (64, 65),
+])
+def test_hash_cohorts_at_word_boundaries(compiled, one_block, two_block):
+    # unit u sits at bit u of the replay kernel's words, so these cohorts
+    # end one unit short of a word boundary, on it, or one unit past it
+    rng = random.Random(one_block * 1000 + two_block)
+    messages = ([rng.randbytes(rng.randrange(136)) for _ in range(one_block)]
+                + [rng.randbytes(136 + rng.randrange(136))
+                   for _ in range(two_block)])
+    digests, stats = hash_messages(messages)
+    assert digests == [hashlib.sha3_256(m).digest() for m in messages]
+    cohorts = [(n, blocks) for n, blocks in ((one_block, 1), (two_block, 2)) if n]
+    assert stats.as_dict() == charged(compiled, cohorts).as_dict()
 
 
 def test_trace_cycles_continue_across_cohorts():

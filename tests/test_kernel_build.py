@@ -1,0 +1,59 @@
+"""The C replay kernel compiles without warnings and runs the replay tests
+that cross its words free of undefined behaviour."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sha3pim import engine
+
+ROOT = Path(__file__).resolve().parent.parent
+# the tests whose replays reach a second word of the kernel's grid
+WORD_TESTS = [
+    "tests/test_engine.py::test_replay_across_words_matches_serial_execution",
+    "tests/test_engine.py::test_input_key_offset_from_its_output_key",
+    "tests/test_engine.py::test_strict_failure_in_the_second_word",
+    "tests/test_keccak_xbar.py::test_hash_cohorts_at_word_boundaries",
+]
+UNDEFINED_ABORTS = ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"]
+
+
+@pytest.fixture(scope="module")
+def compiler():
+    command = engine._compiler()
+    if shutil.which(command[0]) is None:
+        pytest.skip(f"no C compiler: {command[0]} is not on PATH")
+    return command
+
+
+def test_kernel_compiles_without_warnings(compiler, tmp_path):
+    done = subprocess.run(
+        [*compiler, "-O3", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "rows.so"), str(engine._SOURCE)],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_word_tests_pass_with_undefined_behaviour_aborting(compiler, tmp_path):
+    # a child process builds its kernel with the undefined-behaviour
+    # sanitizer into tmp_path, so a shift by 64 or an out-of-range index
+    # aborts it, and runs the word tests on that kernel
+    script = "\n".join([
+        "import sys",
+        "from pathlib import Path",
+        "import pytest",
+        "from sha3pim import engine",
+        f"engine._compiler = lambda: {compiler + UNDEFINED_ABORTS!r}",
+        f"engine._CACHE = Path({str(tmp_path)!r})",
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{WORD_TESTS!r}]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    assert len(list(tmp_path.glob("_rows-*.so"))) == 1
