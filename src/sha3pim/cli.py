@@ -1,14 +1,15 @@
 """Command-line front end: hash on the simulated crossbar, report metrics.
 
-Every digest is cross-checked against the software reference; the exit
-status is nonzero if any digest mismatches (1), an input cannot be parsed
-or read, an output path cannot be written or names the same file as
-another output or a ``--file`` input, the crossbar geometry is invalid, or
-the host cannot allocate the memory the run needs (2), the message count
-exceeds unit capacity (3, checked before any ``--random`` message is
-generated), the C replay kernel cannot be built or loaded, as without a C
-compiler (4), or the reader of stdout closed it early (141, as a shell
-reports SIGPIPE; nothing more is printed).
+Every digest is cross-checked against the software reference. Exit status:
+1 only if a digest mismatches; 2 if an input cannot be parsed or read, an
+output names the same file as another output or a ``--file`` input, an
+output cannot be opened or fails while it is written (a full disk, a closed
+stdout), the crossbar geometry is invalid, or the host cannot allocate the
+memory the run needs; 3 if the message count exceeds unit capacity (checked
+before any ``--random`` message is generated); 4 if the C replay kernel
+cannot be built or loaded, as without a C compiler; 141 if the reader of
+stdout closed it early (as a shell reports SIGPIPE). Statuses 2, 3 and 4
+come with one ``error:`` line on stderr, 141 with nothing more.
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -45,6 +46,12 @@ EXIT_BAD_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_NO_KERNEL = 4
 EXIT_CLOSED_STDOUT = 141
+
+
+class CliError(Exception):
+    """A failed check: its one-line message and the exit status it picks."""
+
+    status = EXIT_BAD_INPUT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,28 +113,28 @@ def _collect_messages(args, config: CrossbarConfig) -> tuple[list[bytes], int | 
         try:
             messages.append(text.encode("utf-8"))
         except UnicodeEncodeError:      # argv held bytes that are not UTF-8
-            raise SystemExit2(f"--text is not valid UTF-8: {text!r}")
+            raise CliError(f"--text is not valid UTF-8: {text!r}")
     for hx in args.hex:
         try:
             messages.append(bytes.fromhex(hx))
         except ValueError:
-            raise SystemExit2(f"malformed hex input: {hx!r}")
+            raise CliError(f"malformed hex input: {hx!r}")
     for path in args.file:
         try:
             with open(path, "rb") as fh:
                 messages.append(fh.read())
         except OSError as exc:
-            raise SystemExit2(f"cannot read file {path}: {exc}")
+            raise CliError(f"cannot read file {path}: {exc}")
     length = 136 if args.len is None else args.len
     seed = 1 if args.seed is None else args.seed
     if args.random is None:
         for flag, value in (("--len", args.len), ("--seed", args.seed)):
             if value is not None:
-                raise SystemExit2(f"{flag} only applies with --random")
+                raise CliError(f"{flag} only applies with --random")
     elif args.random <= 0 or length < 0:
-        raise SystemExit2("--random needs N > 0 and --len L >= 0")
+        raise CliError("--random needs N > 0 and --len L >= 0")
     elif seed < 0:
-        raise SystemExit2(f"--seed needs S >= 0, got {seed}")
+        raise CliError(f"--seed needs S >= 0, got {seed}")
     check_capacity(len(messages) + (args.random or 0), config, args.crossbars)
     if args.random is None:
         return messages, None
@@ -138,10 +145,12 @@ def _collect_messages(args, config: CrossbarConfig) -> tuple[list[bytes], int | 
     return messages, seed
 
 
-def _shared_output(args) -> str | None:
-    """Why an output would clobber another output or a ``--file`` input (the
-    same regular file, by ``realpath``), or None; devices such as /dev/null
-    are exempt."""
+def _check_outputs(args) -> None:
+    """Refuse a closed stdout, or an output that would clobber another
+    output or a ``--file`` input (the same regular file, by ``realpath``);
+    devices such as /dev/null are exempt."""
+    if sys.stdout is None:      # fd 1 was closed when the process started
+        raise CliError("cannot write stdout: it is closed")
     claimed = {os.path.realpath(path): f"--file {path}" for path in args.file}
     for flag, path in (("--trace", args.trace), ("--report", args.report)):
         if not path:
@@ -150,37 +159,38 @@ def _shared_output(args) -> str | None:
         if os.path.exists(real) and not os.path.isfile(real):
             continue
         if real in claimed:
-            return f"{flag} {path} is the same file as {claimed[real]}"
+            raise CliError(f"{flag} {path} is the same file as {claimed[real]}")
         claimed[real] = f"{flag} {path}"
-    return None
-
-
-class SystemExit2(Exception):
-    """Bad input: distinct message, exit status 2."""
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI; the one place a failure becomes its exit status."""
     try:    # grids, compile and --random messages all allocate host memory
         return _main(build_parser().parse_args(argv))
+    except BrokenPipeError:     # e.g. ``sha3pim ... | head -2``
+        return EXIT_CLOSED_STDOUT
+    except CliError as exc:
+        error, status = exc, exc.status
+    except CapacityError as exc:
+        error, status = exc, EXIT_CAPACITY
+    except engine.KernelBuildError as exc:
+        error, status = exc, EXIT_NO_KERNEL
     except MemoryError as exc:      # numpy's names the array it could not get
-        print(f"error: out of host memory: {str(exc) or 'allocation failed'}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        error = f"out of host memory: {str(exc) or 'allocation failed'}"
+        status = EXIT_BAD_INPUT
+    print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 def _main(args) -> int:
     if args.paper_constants and not args.metrics:
-        print("error: --paper-constants only applies with --metrics",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise CliError("--paper-constants only applies with --metrics")
     if not (args.text or args.hex or args.file or args.random is not None
             or args.metrics):
         build_parser().error("no message source given (and no --metrics)")
 
     if args.crossbars < 1:
-        print(f"error: --crossbars needs N >= 1, got {args.crossbars}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise CliError(f"--crossbars needs N >= 1, got {args.crossbars}")
 
     try:
         config = CrossbarConfig(
@@ -190,66 +200,57 @@ def _main(args) -> int:
             strict_init=args.strict_init)
         CrossbarLayout(config)      # the hash units and shared blocks must fit
     except ValueError as exc:
-        print(f"error: bad crossbar geometry: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    clash = _shared_output(args)
-    if clash:
-        print(f"error: {clash}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise CliError(f"bad crossbar geometry: {exc}") from None
+    _check_outputs(args)
+    messages, seed = _collect_messages(args, config)
+    if messages:    # built here, not by the first hash, so it fails before any output
+        engine.kernel()
+    modelled = _metrics(args, config) if args.metrics else {}
+    name = args.trace       # the output being written, for an OSError naming none
     try:
-        messages, seed = _collect_messages(args, config)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except CapacityError as exc:    # before the outputs, so none is left empty
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    if messages:
-        try:    # built here, not by the first hash, so it fails before any output
-            engine.kernel()
-        except engine.KernelBuildError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_KERNEL
-    measured = None
-    if args.metrics and not args.paper_constants:
-        measured = measure_round_stats(n_units=config.num_units, config=config)
-    try:
-        modelled = _metrics(args, config, measured) if args.metrics else {}
-    except (ValueError, OverflowError) as exc:     # a metric is out of range
-        print(f"error: bad crossbar geometry: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    with contextlib.ExitStack() as outputs:
-        try:        # before hashing, so a bad path costs no hash
-            trace, report_file = (
-                outputs.enter_context(open(path, "w")) if path else None
-                for path in (args.trace, args.report))
-        except OSError as exc:
-            print(f"error: cannot write {exc.filename}: {exc.strerror}",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
-        try:
-            status = _run(args, config, messages, seed, modelled, trace,
-                          report_file)
-            sys.stdout.flush()      # a closed pipe shows here, not at exit
-        except BrokenPipeError:     # e.g. ``sha3pim ... | head -2``
-            # point stdout at devnull so the shutdown flush stays quiet
+        with contextlib.ExitStack() as outputs:
+            # opened before hashing, so a bad path costs no hash
+            trace, report_file = (outputs.enter_context(open(path, "w"))
+                                  if path else None
+                                  for path in (args.trace, args.report))
+            report = _report(args, config, messages, seed, modelled, trace)
+            if trace:
+                trace.close()
+            entries = report.get("messages", [])
+            lines = [] if seed is None else [f"seed: {seed}"]
+            lines += [f"{e['digest']}  {e['verdict']}" for e in entries]
+            text = json.dumps(report, indent=2)
+            if report_file:
+                name = args.report
+                print(text, file=report_file)
+                report_file.close()
+            else:
+                lines.append(text)
+            name = "stdout"
+            sys.stdout.write("".join(f"{line}\n" for line in lines))
+            sys.stdout.flush()      # a failure shows here, not at exit
+    except OSError as exc:
+        if name == "stdout":    # drop what it holds, so the shutdown flush stays quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_CLOSED_STDOUT
-        return status
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise CliError(f"cannot write {exc.filename or name}: "
+                       f"{exc.strerror or exc}") from None
+    mismatch = any(e["verdict"] != "OK" for e in entries)
+    return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _metrics(args, config: CrossbarConfig, measured: dict | None) -> dict:
+def _metrics(args, config: CrossbarConfig) -> dict:
     """The report's ``metrics`` entry, from the reference constants, or
-    from the round measurement ``measured``, which is reported before it;
-    raises ``ValueError`` if a metric would not be a finite positive float."""
+    from a round measurement on ``config``, which is reported before it; a
+    metric that would not be a finite positive float is bad geometry."""
     entries: dict = {}
-    if measured is None:
+    if args.paper_constants:
         inputs = dataclasses.replace(metrics.REFERENCE_INPUT,
                                      crossbars=args.crossbars)
         source = "reference-constants"
     else:
+        measured = measure_round_stats(n_units=config.num_units, config=config)
         entries["round_measurement"] = measured
         inputs = metrics.MetricsInput(
             clock_hz=config.clock_hz,
@@ -260,16 +261,19 @@ def _metrics(args, config: CrossbarConfig, measured: dict | None) -> dict:
             cell_area_f2=config.cell_area_f2,
             crossbar_cells=config.rows * config.cols)
         source = "measured"
-    entries["metrics"] = {"source": source,
-                          "inputs": dataclasses.asdict(inputs),
-                          **metrics.compute(inputs).as_dict()}
+    try:
+        entries["metrics"] = {"source": source,
+                              "inputs": dataclasses.asdict(inputs),
+                              **metrics.compute(inputs).as_dict()}
+    except (ValueError, OverflowError) as exc:     # a metric is out of range
+        raise CliError(f"bad crossbar geometry: {exc}") from None
     return entries
 
 
-def _run(args, config: CrossbarConfig, messages: list[bytes],
-         seed: int | None, modelled: dict, trace, report_file) -> int:
-    """Hash, check and report, with the ``modelled`` metrics entries;
-    ``trace`` and ``report_file`` are open streams or None."""
+def _report(args, config: CrossbarConfig, messages: list[bytes],
+            seed: int | None, modelled: dict, trace) -> dict:
+    """Hash (writing the open stream ``trace``, if any), check, and report,
+    with the ``modelled`` metrics entries."""
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "backend": engine.active_backend(),
@@ -278,10 +282,8 @@ def _run(args, config: CrossbarConfig, messages: list[bytes],
                      "crossbars": args.crossbars},
     }
     if seed is not None:
-        print(f"seed: {seed}")
         report["seed"] = seed
 
-    status = EXIT_OK
     if messages:
         digests, stats = hash_messages(messages, config=config,
                                        crossbars=args.crossbars, trace=trace)
@@ -290,9 +292,6 @@ def _run(args, config: CrossbarConfig, messages: list[bytes],
         for i, (message, digest) in enumerate(zip(messages, digests)):
             expected = keccak_ref.sha3_256(message)
             verdict = "OK" if digest == expected else "MISMATCH"
-            if verdict != "OK":
-                status = EXIT_MISMATCH
-            print(f"{digest.hex()}  {verdict}")
             entries.append({"index": i, "bytes": len(message),
                             "blocks": len(pad_message(message)),
                             "digest": digest.hex(), "verdict": verdict})
@@ -315,8 +314,7 @@ def _run(args, config: CrossbarConfig, messages: list[bytes],
         }
 
     report.update(modelled)
-    print(json.dumps(report, indent=2), file=report_file)
-    return status
+    return report
 
 
 if __name__ == "__main__":

@@ -111,6 +111,13 @@ class CrossbarConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
+        for name in ("gate_delay_ns", "gate_energy_fj", "cell_area_f2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.strict_init, (bool, np.bool_)):
+            raise ValueError(f"strict_init must be a bool, got {self.strict_init!r}")
+        self.strict_init = bool(self.strict_init)
         numeric = (self.rows, self.cols, self.horizontal_partitions,
                    self.vertical_partitions, self.unit_rows, self.unit_cols,
                    self.gate_delay_ns, self.gate_energy_fj, self.cell_area_f2,

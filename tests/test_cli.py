@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 import sha3pim
-from sha3pim import engine, keccak_ref as ref
+from sha3pim import cli, engine, keccak_ref as ref
 from sha3pim.crossbar import Crossbar
 from sha3pim.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
     EXIT_CLOSED_STDOUT,
+    EXIT_MISMATCH,
     EXIT_NO_KERNEL,
     EXIT_OK,
     main,
 )
+from sha3pim.keccak_xbar import hash_messages
 
 EMPTY_DIGEST = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
 
@@ -331,6 +333,61 @@ def test_stdout_closed_early():
         os.close(write_end)
     assert "Traceback" not in done.stderr.decode()
     assert done.returncode == EXIT_CLOSED_STDOUT == 141
+
+
+def run_child(argv, stdout=subprocess.DEVNULL, wrapper=()):
+    """``sha3pim argv`` in a child process (started through the ``wrapper``
+    command, if any), its stderr captured as text; its stdout is buffered,
+    as by default, so a failed write can first show at a flush."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(sha3pim.__file__).parents[1])
+    return subprocess.run([*wrapper, sys.executable, "-m", "sha3pim.cli",
+                           *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, text=True, timeout=120)
+
+
+# an output that opens but fails while it is written: a full disk, which
+# /dev/full stands in for, or a stdout closed before the run (``>&-``)
+@pytest.mark.parametrize("where", ["stdout", "--report", "--trace", "closed"])
+def test_output_write_fails(where):
+    if where != "closed" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = ["--text", "abc"]
+    if where == "closed":
+        done = run_child(argv, wrapper=["sh", "-c", 'exec "$@" >&-', "sh"])
+    elif where == "stdout":
+        with open("/dev/full", "w") as full:
+            done = run_child(argv, stdout=full)
+    else:
+        done = run_child(argv + [where, "/dev/full"])
+    assert done.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: cannot write ")
+
+
+def test_digest_mismatch(capsys, monkeypatch, tmp_path):
+    # status 1 is kept for a wrong digest: its line and its report entry say
+    # MISMATCH, the others OK, and nothing goes to stderr
+    def one_wrong(messages, **kwargs):
+        digests, stats = hash_messages(messages, **kwargs)
+        digests[1] = bytes([digests[1][0] ^ 1]) + digests[1][1:]
+        return digests, stats
+    monkeypatch.setattr(cli, "hash_messages", one_wrong)
+    report_path = tmp_path / "report.json"
+    status, out, err = run_cli(capsys, "--text", "a", "--text", "b",
+                               "--text", "c", "--report", str(report_path))
+    assert status == EXIT_MISMATCH == 1
+    assert err == ""
+    wrong = bytearray(ref.sha3_256(b"b"))
+    wrong[0] ^= 1
+    assert out.splitlines() == [f"{ref.sha3_256(b'a').hex()}  OK",
+                                f"{wrong.hex()}  MISMATCH",
+                                f"{ref.sha3_256(b'c').hex()}  OK"]
+    report = json.loads(report_path.read_text())
+    assert [(m["digest"], m["verdict"]) for m in report["messages"]] == \
+        [tuple(line.split("  ")) for line in out.splitlines()]
 
 
 def test_strict_init_flag(capsys):

@@ -370,6 +370,18 @@ def test_config_validation():
     assert config == CrossbarConfig()
     assert all(type(v) is int for v in config.geometry + (config.io_cycles_per_row,))
     assert Crossbar(config).state.shape == (1024, 1024)
+    # cost parameters are numbers, not bools or strings
+    for name in ("gate_delay_ns", "gate_energy_fj", "cell_area_f2"):
+        for value in (True, "3.0"):
+            with pytest.raises(ValueError, match=name):
+                CrossbarConfig(**{name: value})
+    # strict_init is a bool: a truthy string or an int would be misread
+    for value in ("no", 1, None):
+        with pytest.raises(ValueError, match="strict_init"):
+            CrossbarConfig(strict_init=value)
+    for value in (np.bool_(True), np.bool_(False)):
+        config = CrossbarConfig(strict_init=value)
+        assert config.strict_init is bool(value)
 
 
 def brute_region(config, cell, closed):
