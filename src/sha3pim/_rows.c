@@ -1,14 +1,14 @@
-/* The replay kernel of sha3pim.engine: runs frozen kernel rows over the
-   bit-sliced tile grid q[cell][word], `words` plain uint64_t words per
-   cell.  A cell holds one bit per tile: bit t of word w is the tile at
-   place 64 * w + t of the replay's list of reached tiles, and the bits past
-   the last place are padding.
+/* The replay kernel of sha3pim.engine: runs frozen kernel rows in place
+   over a crossbar's bit-sliced cells q[cell][word], `words` plain uint64_t
+   words per cell.  A cell holds one bit per tile: bit t of word w is tile
+   64 * w + t of the crossbar's PartitionMap, and the bits past the last
+   tile are padding.
 
    A row is nine ints (int16, or int32 when `wide`): the gate, the step and
    span along the tile's cells, then the first cell and key of the output
    and of two input slots.  A key's unit axis is three int64s (first,
-   stride, count): its places are first + u * stride for u < count, or
-   index[first + u] when stride is 0.  A gate's form is four int64s
+   stride, count): its places, the tiles it reaches, are first + u * stride
+   for u < count, evenly spaced by construction.  A gate's form is four int64s
    (arity, or, invert, preset): its row of crossbar.GATE_TABLE, then its
    output on no inputs.  A gate of no inputs writes `preset`, any other
    gate the AND (or the OR) of its inputs, XOR `invert`.  Input slots past
@@ -24,8 +24,8 @@
    inputs need no funnel read plain words in a loop of their own: sending
    them through the funnel too made a permutation's kernel call 1.4 to
    1.8 times as long (1 to 136 units, on a 2-core Xeon VM).  Any other
-   row (a strided, descending or listed axis) runs one unit at a time on
-   single bits.  The init grid of strict mode has the same layout, and its
+   row (a strided or descending axis) runs one unit at a time on single
+   bits.  The init grid of strict mode has the same layout, and its
    check reads a key's bits one unit at a time, in unit order. */
 
 #include <stdint.h>
@@ -33,8 +33,7 @@
 typedef uint64_t u64;
 typedef int64_t i64;
 
-#define PLACE(axis, u) ((axis)[1] ? (axis)[0] + (u) * (axis)[1] \
-                                  : index[(axis)[0] + (u)])
+#define PLACE(axis, u) ((axis)[0] + (u) * (axis)[1])
 #define GATE(a, b) ((((a) & (b)) | (either & ((a) | (b)))) ^ invert)
 #define BIT(x, p) ((x)[(p) >> 6] >> ((p) & 63) & 1)
 
@@ -69,7 +68,7 @@ static u64 fetch(const u64 *x, i64 words, i64 k, i64 shift)
 
 /* Row f with gate form g on every unit of its output key. */
 static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
-                const i64 *axes, const i64 *index)
+                const i64 *axes)
 {
     /* fields of the input slots; a slot past the arity repeats the one
        before it, or the output */
@@ -113,23 +112,13 @@ static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
     }
 }
 
-/* The first place of `key` whose bit in cell x is clear, in unit order,
-   or -1. */
-static i64 unset(const u64 *x, const i64 *key, const i64 *index)
-{
-    for (i64 u = 0; u < key[2]; u++)
-        if (!BIT(x, PLACE(key, u)))
-            return PLACE(key, u);
-    return -1;
-}
-
 /* Run the bundles' rows: the live ones, or, with an init grid, every row,
    each bundle only after checking that it reads no unwritten cell.  On
-   such a read, return 1 with fail = (row, input slot, cell, place) of the
+   such a read, return 1 with fail = (row, input slot, cell, tile) of the
    first one and the grids holding every bundle before; else return 0. */
 int run_rows(u64 *q, u64 *init, i64 words, const void *rows, int wide,
              const unsigned char *live, const i64 *bundle_ptr, i64 n_bundles,
-             const i64 *forms, const i64 *axes, const i64 *index, i64 *fail)
+             const i64 *forms, const i64 *axes, i64 *fail)
 {
     static const i64 written[4] = {0, 0, 0, 1};
     i64 f[9];
@@ -139,22 +128,21 @@ int run_rows(u64 *q, u64 *init, i64 words, const void *rows, int wide,
             load(rows, wide, r, f);
             for (i64 slot = 1; slot <= forms[4 * f[0]]; slot++) {
                 const i64 *key = axes + 3 * f[4 + 2 * slot];
-                for (i64 i = f[3 + 2 * slot]; i < f[3 + 2 * slot] + f[2]; i += f[1]) {
-                    i64 place = unset(init + i * words, key, index);
-                    if (place >= 0) {
-                        fail[0] = r, fail[1] = slot, fail[2] = i, fail[3] = place;
-                        return 1;
-                    }
-                }
+                for (i64 i = f[3 + 2 * slot]; i < f[3 + 2 * slot] + f[2]; i += f[1])
+                    for (i64 u = 0, p = key[0]; u < key[2]; u++, p += key[1])
+                        if (!BIT(init + i * words, p)) {
+                            fail[0] = r, fail[1] = slot, fail[2] = i, fail[3] = p;
+                            return 1;
+                        }
             }
         }
         for (i64 r = lo; r < hi; r++) {
             if (!init && !live[r])
                 continue;
             load(rows, wide, r, f);
-            run(q, words, f, forms + 4 * f[0], axes, index);
+            run(q, words, f, forms + 4 * f[0], axes);
             if (init)
-                run(init, words, f, written, axes, index);
+                run(init, words, f, written, axes);
         }
     }
     return 0;

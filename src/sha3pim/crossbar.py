@@ -18,6 +18,7 @@ label with a per-row cycle cost and zero gate energy.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -361,6 +362,14 @@ class PartitionMap:
         self.places = np.column_stack(np.divmod(np.r_[partitions, rest], grid[1]))
         self.index = np.empty(grid, dtype=np.int64)
         self.index[self.places[:, 0], self.places[:, 1]] = np.arange(self.n_tiles)
+        self.words = -(-self.n_tiles // 64)
+
+    @functools.cached_property
+    def bit_of_cell(self) -> np.ndarray:
+        """[rows, cols]: each cell's bit in a crossbar's words read as one
+        little-endian bit string, ``local * 64 * words + tile``."""
+        tile, local = self.locate(*np.indices((self.rows, self.cols)))
+        return local * 64 * self.words + tile
 
     def switch(self, kind: str, k: int) -> SwitchId:
         """The ``kind`` ("row" or "col") switch between partition rows, or
@@ -452,18 +461,62 @@ class ExecutionStats:
 _CHECK_LINES = 4096
 
 
+def _cell_bits(values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a uint8 array of ``shape``; ``ValueError`` unless each
+    is 0 or 1."""
+    values = np.asarray(values).reshape(shape)
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError("cell values must be 0 or 1")
+    return values.astype(np.uint8)
+
+
+def _spans(lo: int, hi: int, size: int):
+    """The tiles of ``size`` cells that cells ``lo..hi-1`` of one axis
+    touch: (tile, its cells, the range's cells), the last two as slices."""
+    for k in range(lo // size, (hi - 1) // size + 1):
+        a, b = max(lo, k * size), min(hi, (k + 1) * size)
+        yield k, slice(a - k * size, b - k * size), slice(a - lo, b - lo)
+
+
 class Crossbar:
-    """One crossbar instance: cell grid, partition map, stats, trace."""
+    """One crossbar instance: cell grid, partition map, stats, trace.
+
+    ``state`` and ``initialized`` hold the cells bit-sliced, in the layout
+    ``engine.replay``'s kernel runs on: each is a C-contiguous uint64 array
+    ``[unit_rows * unit_cols, ceil(n_tiles / 64)]``, where row ``local``,
+    bit ``t % 64`` of word ``t // 64`` is cell ``local`` of tile ``t`` of
+    the ``PartitionMap``. Cells in the padding of the edge tiles stay 0.
+    ``cells`` and ``load`` read and set them as [rows, cols] byte grids.
+    """
 
     def __init__(self, config: CrossbarConfig | None = None):
         self.config = config or CrossbarConfig()
-        self.partition_map = PartitionMap(self.config)
-        self.state = np.zeros((self.config.rows, self.config.cols), dtype=np.uint8)
-        self.initialized = np.zeros((self.config.rows, self.config.cols), dtype=np.uint8)
+        self.partition_map = tiles = PartitionMap(self.config)
+        self.state, self.initialized = np.zeros(
+            (2, tiles.unit_rows * tiles.unit_cols, tiles.words), dtype=np.uint64)
         self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
         self.trace: IO[str] | None = None
 
     # ------------------------------------------------------------------ setup
+
+    def cells(self, initialized: bool = False) -> np.ndarray:
+        """A fresh uint8 [rows, cols] grid of the cell values, or of the
+        initialized map."""
+        words = (self.initialized if initialized else self.state).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        return bits[self.partition_map.bit_of_cell]
+
+    def load(self, state, initialized=None) -> None:
+        """Set every cell from a [rows, cols] grid of 0s and 1s, and the
+        initialized map too if ``initialized`` is given; neither is charged.
+        A value other than 0 or 1 raises ``ValueError`` before any is set."""
+        grids = [state] if initialized is None else [state, initialized]
+        bits = np.zeros((len(grids), 64 * self.state.size), dtype=np.uint8)
+        bits[:, self.partition_map.bit_of_cell] = _cell_bits(
+            grids, (len(grids), self.config.rows, self.config.cols))
+        for words, packed in zip((self.state, self.initialized),
+                                 np.packbits(bits, axis=1, bitorder="little").view("<u8")):
+            words[:] = packed.reshape(words.shape)
 
     def attach_trace(self, stream: IO[str]) -> None:
         """Have ``engine.replay`` write its trace (schema 3: a header per
@@ -643,7 +696,7 @@ class Crossbar:
             ok, violations = self.check_bundle(bundle)
             if not ok:
                 raise SchedulingError("; ".join(violations))
-        state = self.state
+        state, initialized = self.cells(), self.cells(initialized=True)
         rows, cols = state.shape
         results: list[tuple[Cell, int]] = []
         for op in bundle.lines():
@@ -652,14 +705,15 @@ class Crossbar:
                     raise AddressError(f"cell ({r},{c}) out of bounds")
             if self.config.strict_init:
                 for r, c in op.inputs:
-                    if not self.initialized[r, c]:
+                    if not initialized[r, c]:
                         raise StrictInitError(
                             f"{op.gate.name} reads uninitialized cell ({r},{c})")
             values = tuple(int(state[r, c]) for r, c in op.inputs)
             results.append((op.output, gate_function(op.gate, values)))
         for (r, c), value in results:
             state[r, c] = value
-            self.initialized[r, c] = 1
+            initialized[r, c] = 1
+        self.load(state, initialized)
         self.stats.add_cycles(label, 1, len(results))
 
     # -------------------------------------------------------------- peripheral
@@ -670,25 +724,42 @@ class Crossbar:
         if not (0 <= r0 < r1 <= self.config.rows and 0 <= c0 < c1 <= self.config.cols):
             raise AddressError(f"region rows {row_range} cols {col_range} out of bounds")
 
+    def _tiles(self, row_range: tuple[int, int], col_range: tuple[int, int]):
+        """The region's part in each tile it overlaps: its words in
+        ``state`` and in ``initialized``, as slices of their [unit_rows,
+        unit_cols, words] views, the tile's bit in them, and the part as
+        slices of the region."""
+        tiles = self.partition_map
+        shape = (tiles.unit_rows, tiles.unit_cols, tiles.words)
+        for v, lr, rr in _spans(*row_range, tiles.unit_rows):
+            for h, lc, rc in _spans(*col_range, tiles.unit_cols):
+                tile = int(tiles.index[v, h])
+                at = (lr, lc, tile >> 6)
+                yield (self.state.reshape(shape)[at], self.initialized.reshape(shape)[at],
+                       np.uint64(1 << (tile & 63)), (rr, rc))
+
     def write_region(self, row_range: tuple[int, int], col_range: tuple[int, int],
                      bits: np.ndarray) -> None:
-        """Peripheral write; costs io cycles per row, no gate energy."""
+        """Peripheral write; costs io cycles per row, no gate energy. A bit
+        other than 0 or 1 raises ``ValueError`` before any is written."""
         self._check_range(row_range, col_range)
-        r0, r1 = row_range
-        c0, c1 = col_range
-        block = np.asarray(bits, dtype=np.uint8).reshape(r1 - r0, c1 - c0)
-        self.state[r0:r1, c0:c1] = block
-        self.initialized[r0:r1, c0:c1] = 1
+        (r0, r1), (c0, c1) = row_range, col_range
+        block = _cell_bits(bits, (r1 - r0, c1 - c0)).astype(np.uint64)
+        for state, initialized, bit, part in self._tiles(row_range, col_range):
+            state[...] = state & ~bit | block[part] * bit
+            initialized |= bit
         self.stats.add_cycles("io", (r1 - r0) * self.config.io_cycles_per_row, 0)
 
     def read_region(self, row_range: tuple[int, int],
                     col_range: tuple[int, int]) -> np.ndarray:
         """Peripheral read; costs io cycles per row, no gate energy."""
         self._check_range(row_range, col_range)
-        r0, r1 = row_range
-        c0, c1 = col_range
-        if self.config.strict_init and not self.initialized[r0:r1, c0:c1].all():
-            raise StrictInitError(f"region rows {row_range} cols {col_range} "
-                                  "read before being written")
+        (r0, r1), (c0, c1) = row_range, col_range
+        out = np.empty((r1 - r0, c1 - c0), dtype=np.uint8)
+        for state, initialized, bit, part in self._tiles(row_range, col_range):
+            if self.config.strict_init and not (initialized & bit).all():
+                raise StrictInitError(f"region rows {row_range} cols {col_range} "
+                                      "read before being written")
+            out[part] = state & bit != 0
         self.stats.add_cycles("io", (r1 - r0) * self.config.io_cycles_per_row, 0)
-        return self.state[r0:r1, c0:c1].copy()
+        return out

@@ -21,27 +21,27 @@ Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
 partition row, 2 = per partition column) and each set supplies its own
 shifts at run time, one (partition rows, partition columns) pair per copy.
 
-The kernel is partition-major and bit-sliced. It holds the grid as
-``q[cell, word]``: a cell is one bit per partition-sized tile of the
-crossbar's ``PartitionMap`` that the replay reaches, 64 tiles to a 64-bit
-word, so a shift of whole partitions keeps a cell's index and moves only
-its bit. ``freeze`` therefore writes each event as one row of nine
-tile-local ints: the gate, the run's step and span along the cell axis,
-then the first cell and a (set, tile) key of the output and of two input
-slots. No event leaves its tile, and a run that steps backward along the
-cell axis is written from its last line, so each row is a forward walk.
-Only the unit axis of a key - the tiles its set's shifts move the key's
-tile to - depends on the shifts, so ``replay`` builds those axes as (first
-tile, stride, count), or as a list of tiles where they are not evenly
-spaced, checks them against the crossbar, copies the tiles they reach into
-``q`` (bit ``t`` of word ``w`` is the reached tile at place ``64 * w + t``
-of their sorted list) and calls the kernel once. The map numbers partition
-tiles in unit-id order, so contiguous units are contiguous bits, and the
-kernel applies a gate to 64 units at a time with word operations: edge
-masks keep the bits of other tiles in a key's first and last word, and an
-input key whose places start elsewhere than its output key's is shifted
-into line. A strided or listed axis takes a per-bit path. Strict mode packs
-the initialized map the same way.
+The kernel is partition-major and bit-sliced, and runs in place on the
+crossbar's own words. ``Crossbar`` stores each cell as one bit per
+partition-sized tile of its ``PartitionMap``, 64 tiles to a 64-bit word
+(``state[cell, word]``; bit ``t % 64`` of word ``t // 64`` is tile ``t``),
+so a shift of whole partitions keeps a cell's index and moves only its
+bit. ``freeze`` therefore writes each event as one row of nine tile-local
+ints: the gate, the run's step and span along the cell axis, then the
+first cell and a (set, tile) key of the output and of two input slots. No
+event leaves its tile, and a run that steps backward along the cell axis
+is written from its last line, so each row is a forward walk. Only the
+unit axis of a key - the tiles its set's shifts move the key's tile to -
+depends on the shifts, so ``replay`` builds those axes as (first tile,
+stride, count), checks them against the crossbar and calls the kernel
+once on ``crossbar.state`` as it is. A shift set whose tiles are not
+evenly spaced is refused. The map numbers partition tiles in unit-id
+order, so contiguous units are contiguous bits, and the kernel applies a
+gate to 64 units at a time with word operations: edge masks keep the bits
+of other tiles in a key's first and last word, and an input key whose
+tiles start elsewhere than its output key's is shifted into line. A
+strided or descending axis takes a per-bit path. Strict mode runs on
+``crossbar.initialized``, which has the same layout.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -340,14 +340,17 @@ def kernel():
 
     The shared library is cached in the package's ``__pycache__``, keyed by
     a hash of the C source and the compile command, so it is built once
-    per source and compiler. Raises ``KernelBuildError`` if it cannot be
-    built or loaded, as without a C compiler.
+    per source and compiler; a build removes the cache's other builds.
+    Raises ``KernelBuildError`` if it cannot be built or loaded, as without
+    a C compiler.
     """
     command = _compiler() + ["-O3", "-shared", "-fPIC"]
     key = zlib.crc32(_SOURCE.read_bytes() + " ".join(command).encode())
     path = _CACHE / f"_rows-{key:08x}.so"
     if not path.exists():
         _build(command, path)
+        for stale in set(_CACHE.glob("_rows-*.so")) - {path}:
+            stale.unlink(missing_ok=True)
     try:
         run_rows = ctypes.CDLL(str(path)).run_rows
     except OSError as exc:
@@ -355,54 +358,26 @@ def kernel():
             from None
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
     run_rows.argtypes = [pointer, pointer, i64, pointer, ctypes.c_int, pointer,
-                         pointer, i64, pointer, pointer, pointer, pointer]
+                         pointer, i64, pointer, pointer, pointer]
     run_rows.restype = ctypes.c_int
     return run_rows
 
 
-def _gather(tiles: PartitionMap, cells: np.ndarray,
-            reached: np.ndarray) -> np.ndarray:
-    """The tiles ``reached`` of ``cells``, bit-sliced as ``q[cell, w]``:
-    bit ``t`` of word ``w`` holds tile ``reached[64 * w + t]``."""
-    n = reached.shape[0]
-    q = np.zeros((tiles.unit_rows, tiles.unit_cols, n), dtype=np.uint8)
-    for i, (r, c) in enumerate(tiles.offset(tiles.places[reached]).tolist()):
-        block = cells[r:r + tiles.unit_rows, c:c + tiles.unit_cols]
-        q[:block.shape[0], :block.shape[1], i] = block
-    bits = np.packbits(q.reshape(tiles.unit_rows * tiles.unit_cols, n), axis=1,
-                       bitorder="little")
-    words = np.zeros((bits.shape[0], -(-n // 64)), dtype="<u8")
-    words.view(np.uint8)[:, :bits.shape[1]] = bits
-    return words.astype(np.uint64, copy=False)
-
-
-def _scatter(tiles: PartitionMap, q: np.ndarray, cells: np.ndarray,
-             reached: np.ndarray) -> None:
-    """Copy ``q``, gathered from the tiles ``reached``, back into ``cells``."""
-    bits = np.unpackbits(q.astype("<u8", copy=False).view(np.uint8), axis=1,
-                         count=reached.shape[0], bitorder="little")
-    by_cell = bits.reshape(tiles.unit_rows, tiles.unit_cols, reached.shape[0])
-    for i, (r, c) in enumerate(tiles.offset(tiles.places[reached]).tolist()):
-        block = cells[r:r + tiles.unit_rows, c:c + tiles.unit_cols]
-        block[...] = by_cell[:block.shape[0], :block.shape[1], i]
-
-
 def _unit_axes(program: FrozenProgram, tiles: PartitionMap,
-               shifts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit axis of each key: the tiles its set's shifts move its tile
-    to on the tile grid.
+               shifts: list) -> np.ndarray:
+    """The unit axis of each key, ``axes[key]`` = (first tile, stride,
+    count): the tiles its set's shifts move its tile to, as ids of
+    ``PartitionMap``, which are bit places in the crossbar's words.
 
-    Returns every tile an axis reaches, sorted; ``axes[key]`` = (first,
-    stride, count) of the key's tiles as places in that list where they are
-    evenly spaced, else (offset into ``index``, 0, count); and ``index``.
     Raises ``AddressError`` if a shifted tile, or a cell the program
-    touches in it, lies off the crossbar. Negative tile indices would wrap,
-    so they are checked before indexing. ``PartitionMap`` numbers the
-    partitions' tiles in unit-id order, so for units ``0..n-1`` every axis
-    is evenly spaced and ``index`` is empty.
+    touches in it, lies off the crossbar; negative tile indices would
+    wrap, so they are checked before indexing. Raises ``ValueError`` if a
+    key's tiles are not evenly spaced. ``PartitionMap`` numbers the
+    partitions' tiles in unit-id order, so units ``0..n-1`` always give
+    evenly spaced tiles.
     """
     keys = np.flatnonzero(program.reach[:, 0] >= 0)
-    targets = []                                # (keys, [key, unit] tiles)
+    axes = np.zeros((program.reach.shape[0], 3), dtype=np.int64)
     for s, shift in enumerate(shifts):
         own = keys[keys // tiles.n_tiles == s]
         if not (own.shape[0] and shift.shape[0]):
@@ -412,26 +387,13 @@ def _unit_axes(program: FrozenProgram, tiles: PartitionMap,
         last = tiles.offset(at) + program.reach[own, None]
         if (at < 0).any() or (last >= (tiles.rows, tiles.cols)).any():
             raise AddressError("a replayed run leaves the crossbar")
-        targets.append((own, tiles.index[at[..., 0], at[..., 1]]))
-    reached = np.unique(np.concatenate(
-        [np.zeros(0, dtype=np.int64)] + [t.ravel() for _, t in targets]))
-
-    axes = np.zeros((program.reach.shape[0], 3), dtype=np.int64)
-    index = [np.zeros(0, dtype=np.int64)]
-    offset = 0
-    for own, tile in targets:
-        place = np.searchsorted(reached, tile)
-        n = place.shape[1]
-        steps = np.diff(place, axis=1)
-        stride = steps[:, 0] if n > 1 else np.ones(own.shape[0], np.int64)
-        uneven = ~(steps == stride[:, None]).all(axis=1) | (stride == 0)
-        axes[own] = np.column_stack([place[:, 0], stride,
-                                     np.full(own.shape[0], n)])
-        axes[own[uneven], 0] = offset + n * np.arange(np.count_nonzero(uneven))
-        axes[own[uneven], 1] = 0
-        offset += n * np.count_nonzero(uneven)
-        index.append(place[uneven].ravel())
-    return reached, axes, np.concatenate(index)
+        tile, n = tiles.index[at[..., 0], at[..., 1]], shift.shape[0]
+        stride = tile[:, 1:2] - tile[:, :1] if n > 1 else np.ones_like(tile)
+        if (tile != tile[:, :1] + stride * np.arange(n)).any():
+            raise ValueError(f"the shifts of origin set {s} move a key to tiles "
+                             "that are not evenly spaced")
+        axes[own] = np.column_stack([tile[:, 0], stride[:, 0], np.full(own.shape[0], n)])
+    return axes
 
 
 def _trace_tails(program: FrozenProgram, tiles: PartitionMap,
@@ -531,8 +493,12 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     ``per_set[s]`` is an integer array of shape [n, 2]: the n copies of
     origin set ``s``, each as the (partition rows, partition columns) it
     moves the reference instance by, no shift listed twice. Anything else,
-    and a program frozen for another geometry, raises ``ValueError``. A shift that moves a cell
-    off the crossbar raises ``AddressError`` before any bundle runs. The
+    and a program frozen for another geometry, raises ``ValueError``. A
+    shift that moves a cell off the crossbar raises ``AddressError``, and a
+    set that moves a key to tiles of ``PartitionMap`` that are not evenly
+    spaced (units 0, 2 and 3, say) raises ``ValueError``, both before any
+    bundle runs; ``deltas_for(range(n))`` never does. The kernel runs in
+    place on the crossbar's ``state`` and ``initialized`` words. The
     initialized map is only maintained, and reads of never-written cells
     only rejected, when ``crossbar.config.strict_init`` is set; then every
     row runs, and a rejected read raises ``StrictInitError`` and leaves the
@@ -556,13 +522,16 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     if program.geometry != tiles.geometry:
         raise ValueError(f"a program frozen for geometry {program.geometry} "
                          f"cannot replay on {tiles.geometry}")
-    reached, axes, index = _unit_axes(program, tiles, shifts)
+    words = (tiles.unit_rows * tiles.unit_cols, tiles.words)
+    if not all(a.dtype == np.uint64 and a.shape == words and a.flags.c_contiguous
+               for a in (crossbar.state, crossbar.initialized)):
+        raise ValueError(f"a crossbar's words must be C-contiguous uint64 {words}")
+    axes = _unit_axes(program, tiles, shifts)
     run_rows = kernel()
     first_cycle = crossbar.stats.cycles + 1
 
-    q = _gather(tiles, crossbar.state, reached)
-    init = _gather(tiles, crossbar.initialized, reached) \
-        if crossbar.config.strict_init else None
+    # the init words' address, in strict mode only
+    init = crossbar.initialized.ctypes.data if crossbar.config.strict_init else None
     # C buffers, copied only if a caller built the program's arrays with
     # another layout than freeze and concat do
     rows = np.ascontiguousarray(
@@ -575,17 +544,13 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         raise ValueError("a frozen program's rows, live flags and bundle "
                          "pointers do not match")
     fail = np.zeros(4, dtype=np.int64)
-    failed = run_rows(q.ctypes.data, None if init is None else init.ctypes.data,
-                      q.shape[1], rows.ctypes.data, rows.dtype == np.int32,
-                      live.ctypes.data, bundle_ptr.ctypes.data,
-                      program.n_bundles, _FORMS.ctypes.data, axes.ctypes.data,
-                      index.ctypes.data, fail.ctypes.data)
-    _scatter(tiles, q, crossbar.state, reached)
-    if init is not None:
-        _scatter(tiles, init, crossbar.initialized, reached)
+    failed = run_rows(crossbar.state.ctypes.data, init, tiles.words,
+                      rows.ctypes.data, rows.dtype == np.int32, live.ctypes.data,
+                      bundle_ptr.ctypes.data, program.n_bundles,
+                      _FORMS.ctypes.data, axes.ctypes.data, fail.ctypes.data)
     if failed:
-        row, _, local, place = fail.tolist()
-        r, c = tiles.cell(int(reached[place]), local)
+        row, _, local, tile = fail.tolist()
+        r, c = tiles.cell(tile, local)
         raise StrictInitError(f"{GateType(int(rows[row, 0])).name} reads "
                               f"uninitialized cell ({r},{c})")
 

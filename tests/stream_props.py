@@ -104,8 +104,7 @@ def check_equivalence(rng: random.Random) -> int:
                         for _ in range(GRID)], dtype=np.uint8)
 
     serial = small_crossbar()
-    serial.state[:] = initial
-    serial.initialized[:] = 1
+    serial.load(initial, np.ones_like(initial))
     for group in one_line_macros(stream).groups():
         for macro in group:
             for stage in expand(macro):
@@ -113,8 +112,7 @@ def check_equivalence(rng: random.Random) -> int:
                     serial.execute_bundle(CycleBundle([op]), check=False)
 
     bundled = small_crossbar()
-    bundled.state[:] = initial
-    bundled.initialized[:] = 1
+    bundled.load(initial, np.ones_like(initial))
     program = schedule(stream, bundled)
     partitions = bundled.partition_map
     for bundle in program.bundles:
@@ -126,7 +124,7 @@ def check_equivalence(rng: random.Random) -> int:
         bundled.execute_bundle(bundle, label=program.label, check=False)
     check_presets(program.lines)
 
-    assert np.array_equal(serial.state, bundled.state), \
+    assert np.array_equal(serial.cells(), bundled.cells()), \
         "scheduled execution diverged from serial execution"
     one_line = schedule(one_line_macros(stream), small_crossbar())
     assert bundle_cells(one_line.bundles) == bundle_cells(program.bundles), \

@@ -31,9 +31,15 @@ def small_xbar(**kwargs) -> Crossbar:
 
 
 def seed_cells(xbar, assignments):
+    state, initialized = xbar.cells(), xbar.cells(initialized=True)
     for (r, c), v in assignments.items():
-        xbar.state[r, c] = v
-        xbar.initialized[r, c] = 1
+        state[r, c] = v
+        initialized[r, c] = 1
+    xbar.load(state, initialized)
+
+
+def initialize_all(xbar):
+    xbar.load(xbar.cells(), np.ones((xbar.config.rows, xbar.config.cols)))
 
 
 # ----------------------------------------------------------- gate truth tables
@@ -77,15 +83,15 @@ def test_gate_truth_tables_exhaustive(gate, execute):
         seed_cells(xbar, {cell: v for cell, v in zip(inputs, values)})
         seed_cells(xbar, {(0, 0): expected ^ 1})     # the gate must overwrite it
         execute(xbar, MicroOp(gate, inputs, (0, 0)))
-        assert xbar.state[0, 0] == expected, (gate, values)
+        assert xbar.cells()[0, 0] == expected, (gate, values)
         assert (xbar.stats.cycles, xbar.stats.gate_executions) == (1, 1)
 
 
 def test_init_gates():
     xbar = small_xbar()
     xbar.execute_bundle(CycleBundle([MicroOp(GateType.INIT1, (), (3, 3))]))
-    assert xbar.state[3, 3] == 1
-    assert xbar.initialized[3, 3] == 1
+    assert xbar.cells()[3, 3] == 1
+    assert xbar.cells(initialized=True)[3, 3] == 1
     assert xbar.stats.cycles == 1
     assert xbar.stats.gate_executions == 1
 
@@ -97,7 +103,7 @@ def test_nor2_spec_examples():
         seed_cells(xbar, {(0, 1): values[0], (0, 2): values[1]})
         op = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0))
         xbar.execute_bundle(CycleBundle([op]))
-        assert xbar.state[0, 0] == expected
+        assert xbar.cells()[0, 0] == expected
 
 
 # ------------------------------------------------------------------- legality
@@ -112,7 +118,9 @@ def test_row_parallel_bundle_one_cycle():
     # 64 aligned in-row NOR2 ops: 1 cycle, 64 gate executions, 409.6 fJ
     config = CrossbarConfig()
     xbar = Crossbar(config)
-    xbar.initialized[:, 1:3] = 1
+    initialized = xbar.cells(initialized=True)
+    initialized[:, 1:3] = 1
+    xbar.load(xbar.cells(), initialized)
     bundle = row_parallel_nor_bundle(range(64))
     ok, violations = xbar.check_bundle(bundle)
     assert ok, violations
@@ -264,29 +272,27 @@ def test_legal_bundle_equals_any_serial_order():
     for _ in range(50):
         xbar = small_xbar()
         bits = rng.getrandbits(16 * 16)
-        xbar.state[:] = np.array([(bits >> i) & 1 for i in range(256)],
-                                 dtype=np.uint8).reshape(16, 16)
-        xbar.initialized[:] = 1
+        xbar.load(np.array([(bits >> i) & 1 for i in range(256)],
+                           dtype=np.uint8).reshape(16, 16), np.ones((16, 16)))
         bundle = row_parallel_nor_bundle(range(5), in_cols=(1, 2), out_col=3)
         reference = Crossbar(xbar.config)
-        reference.state[:] = xbar.state
-        reference.initialized[:] = 1
+        reference.load(xbar.cells(), np.ones((16, 16)))
 
         xbar.execute_bundle(bundle)
         order = list(bundle.ops)
         rng.shuffle(order)
         for op in order:
             reference.execute_bundle(CycleBundle([op]))
-        assert np.array_equal(xbar.state, reference.state)
+        assert np.array_equal(xbar.cells(), reference.cells())
 
 
 def test_determinism():
     def run():
         xbar = small_xbar()
-        xbar.initialized[:] = 1
+        initialize_all(xbar)
         for _ in range(10):
             xbar.execute_bundle(row_parallel_nor_bundle(range(8)))
-        return xbar.state.copy(), xbar.stats.cycles, xbar.stats.gate_executions
+        return xbar.cells(), xbar.stats.cycles, xbar.stats.gate_executions
 
     s1, c1, g1 = run()
     s2, c2, g2 = run()
@@ -307,6 +313,70 @@ def test_region_roundtrip_and_io_stats():
     assert io.cycles == 8 + 8 + 8 + 1
     assert io.gate_executions == 0
     assert xbar.stats.energy_fj == 0.0
+
+
+@pytest.mark.parametrize("bits", [[2, 1, -1], [0.6, 1, 0], [0, 1, 0.5]],
+                         ids=["two-and-minus-one", "fraction", "half"])
+def test_write_region_refuses_bits_other_than_0_and_1(bits):
+    # a 2 stored as a bit would set a neighbouring tile's bit
+    xbar = small_xbar()
+    state, initialized = xbar.state.copy(), xbar.initialized.copy()
+    with pytest.raises(ValueError, match="0 or 1"):
+        xbar.write_region((0, 1), (0, 3), bits)
+    assert np.array_equal(xbar.state, state)
+    assert np.array_equal(xbar.initialized, initialized)
+    assert xbar.stats.cycles == 0
+    xbar.write_region((0, 1), (0, 3), [True, 1, 0.0])
+    assert xbar.read_region((0, 1), (0, 3)).tolist() == [[1, 1, 0]]
+
+
+def test_regions_across_tiles_match_the_cell_grid():
+    # the default grid's edge tiles are partial (16 rows, 25 columns), and
+    # each region below crosses tiles, so each tile's part is set and read
+    # on its own bit
+    xbar = Crossbar(CrossbarConfig())
+    rng = np.random.default_rng(8)
+    expected, written = np.zeros((2, 1024, 1024), dtype=np.uint8)
+    for rows, cols in [((0, 1024), (990, 1024)), ((60, 150), (30, 80)),
+                       ((1000, 1024), (0, 1024)), ((71, 73), (36, 38))]:
+        block = rng.integers(0, 2, (rows[1] - rows[0], cols[1] - cols[0]))
+        xbar.write_region(rows, cols, block)
+        expected[slice(*rows), slice(*cols)] = block
+        written[slice(*rows), slice(*cols)] = 1
+        assert np.array_equal(xbar.read_region(rows, cols), block)
+        assert np.array_equal(xbar.cells(), expected)
+        assert np.array_equal(xbar.cells(initialized=True), written)
+
+
+@pytest.mark.parametrize("geometry", [
+    {},
+    dict(rows=38, cols=42, vertical_partitions=9, horizontal_partitions=10,
+         unit_rows=4, unit_cols=4),
+], ids=["default", "two-words"])
+def test_load_of_cells_leaves_the_words_as_they_were(geometry):
+    # the default grid's edge tiles are partial (16 rows, 25 columns); the
+    # second grid's 110 tiles take two words per cell
+    xbar = Crossbar(CrossbarConfig(**geometry))
+    rows, cols = xbar.config.rows, xbar.config.cols
+    rng = np.random.default_rng(4)
+    state, initialized = (rng.integers(0, 2, (rows, cols)) for _ in range(2))
+    xbar.load(state, initialized)
+    assert np.array_equal(xbar.cells(), state)
+    assert np.array_equal(xbar.cells(initialized=True), initialized)
+    words, init_words = xbar.state.copy(), xbar.initialized.copy()
+    xbar.load(xbar.cells())
+    xbar.load(xbar.cells(), xbar.cells(initialized=True))
+    assert np.array_equal(xbar.state, words)
+    assert np.array_equal(xbar.initialized, init_words)
+    # cells() is a copy: changing it changes no cell
+    grid = xbar.cells()
+    grid[:] = 1 - grid
+    assert np.array_equal(xbar.state, words)
+    # a value other than 0 or 1 is refused before any cell is set
+    state[0, 0] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        xbar.load(1 - initialized, state)
+    assert np.array_equal(xbar.state, words)
 
 
 def test_region_out_of_bounds():
@@ -338,7 +408,7 @@ def test_strict_gate_input():
 
 def test_energy_invariant():
     xbar = small_xbar()
-    xbar.initialized[:] = 1
+    initialize_all(xbar)
     for rows in (range(3), range(8), range(2)):
         xbar.execute_bundle(row_parallel_nor_bundle(rows))
     assert xbar.stats.energy_fj == xbar.stats.gate_executions * 6.4
@@ -369,7 +439,7 @@ def test_config_validation():
                             io_cycles_per_row=np.uint8(1))
     assert config == CrossbarConfig()
     assert all(type(v) is int for v in config.geometry + (config.io_cycles_per_row,))
-    assert Crossbar(config).state.shape == (1024, 1024)
+    assert Crossbar(config).cells().shape == (1024, 1024)
     # cost parameters are numbers, not bools or strings
     for name in ("gate_delay_ns", "gate_energy_fj", "cell_area_f2"):
         for value in (True, "3.0"):

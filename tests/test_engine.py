@@ -21,6 +21,7 @@ from sha3pim.crossbar import (
     CycleBundle,
     GateType,
     MicroOp,
+    PartitionMap,
     StrictInitError,
     line_table,
 )
@@ -59,18 +60,16 @@ def test_replay_matches_object_execution():
                             for _ in range(16)], dtype=np.uint8)
 
         object_xbar = small_crossbar()
-        object_xbar.state[:] = initial
-        object_xbar.initialized[:] = 1
+        object_xbar.load(initial, np.ones_like(initial))
         frozen, program = freeze_stream(stream, object_xbar)
         for bundle in program.bundles:
             object_xbar.execute_bundle(bundle, label=program.label, check=False)
 
         replay_xbar = small_crossbar()
-        replay_xbar.state[:] = initial
-        replay_xbar.initialized[:] = 1
+        replay_xbar.load(initial, np.ones_like(initial))
         engine.replay(frozen, replay_xbar, unit_shifts((0, 0)))
 
-        assert np.array_equal(object_xbar.state, replay_xbar.state), trial
+        assert np.array_equal(object_xbar.cells(), replay_xbar.cells()), trial
         assert replay_xbar.stats.cycles == object_xbar.stats.cycles
         assert replay_xbar.stats.gate_executions == object_xbar.stats.gate_executions
 
@@ -78,15 +77,15 @@ def test_replay_matches_object_execution():
 def test_origin_replication():
     # one NOT replayed at two unit origins in different partitions
     xbar = small_crossbar()
-    xbar.state[0, 1] = 1
-    xbar.state[8, 9] = 0
-    xbar.initialized[:] = 1
+    state = np.zeros((16, 16), dtype=np.uint8)
+    state[0, 1] = 1
+    xbar.load(state, np.ones_like(state))
     stream = OpStream()
     stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
     engine.replay(frozen, xbar, unit_shifts((0, 0), (1, 1)))
-    assert xbar.state[0, 0] == 0
-    assert xbar.state[8, 8] == 1
+    assert xbar.cells()[0, 0] == 0
+    assert xbar.cells()[8, 8] == 1
     # 2 bundles x 2 units: 2 cycles, 4 gate executions
     assert xbar.stats.cycles == 2
     assert xbar.stats.gate_executions == 4
@@ -136,17 +135,18 @@ def test_backward_run_is_one_forward_row(run):
     state = np.random.default_rng(3).integers(0, 2, (16, 16), dtype=np.uint8)
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
-        crossbar.state[:] = state
-        crossbar.initialized[:] = 1
+        crossbar.load(state, np.ones_like(state))
     oracle.execute_bundle(bundles[0])
     engine.replay(frozen, xbar, unit_shifts((0, 0)))
-    assert np.array_equal(xbar.state, oracle.state)
+    assert np.array_equal(xbar.cells(), oracle.cells())
     assert xbar.stats.as_dict() == oracle.stats.as_dict()
 
 
 def test_strict_mode_catches_uninitialized_read():
     xbar = small_crossbar(); xbar.config.strict_init = True
-    xbar.state[0, 1] = 1
+    state = np.zeros((16, 16), dtype=np.uint8)
+    state[0, 1] = 1
+    xbar.load(state)
     stream = OpStream()
     stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)     # INIT1 (0,0), then NOT
@@ -156,12 +156,12 @@ def test_strict_mode_catches_uninitialized_read():
     # the preset bundle ran and the bundle that read (0,1) did not
     expected = np.zeros((16, 16), dtype=np.uint8)
     expected[0, 0] = 1
-    assert np.array_equal(xbar.initialized, expected)
+    assert np.array_equal(xbar.cells(initialized=True), expected)
     expected[0, 1] = 1                  # the unwritten input's value
-    assert np.array_equal(xbar.state, expected)
-    xbar.initialized[0, 1] = 1
+    assert np.array_equal(xbar.cells(), expected)
+    xbar.load(xbar.cells(), expected)
     engine.replay(frozen, xbar, unit_shifts((0, 0)))
-    assert xbar.state[0, 0] == 0
+    assert xbar.cells()[0, 0] == 0
 
 
 def test_preset_that_is_read_runs():
@@ -181,9 +181,10 @@ def test_preset_that_is_read_runs():
     for bundle in program.bundles:
         oracle.execute_bundle(bundle)
     engine.replay(frozen, xbar, unit_shifts((0, 0), (1, 0)))
-    assert np.array_equal(xbar.state[:8], oracle.state[:8])
-    assert np.array_equal(xbar.state[8:], oracle.state[:8])
-    assert xbar.state[0, [0, 1, 12]].tolist() == [1, 0, 1]
+    cells, oracle_cells = xbar.cells(), oracle.cells()
+    assert np.array_equal(cells[:8], oracle_cells[:8])
+    assert np.array_equal(cells[8:], oracle_cells[:8])
+    assert cells[0, [0, 1, 12]].tolist() == [1, 0, 1]
 
 
 def test_preset_another_set_reads_runs():
@@ -200,7 +201,7 @@ def test_preset_another_set_reads_runs():
     xbar = Crossbar(config)
     engine.replay(frozen, xbar, [np.array([[0, 0], [1, 0]]), np.array([[0, 0]]),
                                  NO_COPIES])
-    assert xbar.state[8, 1] == 0            # NOT of the preset 1
+    assert xbar.cells()[8, 1] == 0          # NOT of the preset 1
 
 
 def test_trace_lists_the_skipped_presets():
@@ -209,7 +210,7 @@ def test_trace_lists_the_skipped_presets():
     for strict, skipped in ((False, [0]), (True, None)):
         xbar = small_crossbar()
         xbar.config.strict_init = strict
-        xbar.initialized[:] = 1
+        xbar.load(xbar.cells(), np.ones((16, 16)))
         trace = io.StringIO()
         xbar.attach_trace(trace)
         frozen, _ = freeze_stream(stream, xbar)
@@ -301,27 +302,31 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
     forward or backward, that may cross partitions (freeze splits them
     there). A run keeps its lines up to the first that does not fit: a
     line fits when every shifted copy lies on the grid, as the line itself
-    must, and no copy reads or writes a cell that another copy in its
-    bundle writes, which legal bundles guarantee. The unit set is
-    ``units``, in the order given, or else a random subset, which need not
-    be evenly spaced (units 0, 2 and 3, say), so replay also meets unit
-    axes that are not slices.
+    must, each of its cells' copies lies on evenly spaced tiles, which
+    replay requires, and no copy reads or writes a cell that another copy
+    in its bundle writes, which legal bundles guarantee. The unit set is
+    ``units``, in the order given, or else evenly spaced units (0, 2 and 4,
+    say), so replay also meets unit axes that are strided.
     """
     config = CrossbarConfig(**geometry, strict_init=draw(st.booleans()))
     rows, cols = config.rows, config.cols
     vparts, hparts = config.vertical_partitions, config.horizontal_partitions
     unit_rows, unit_cols = config.unit_rows, config.unit_cols
 
-    def subset(n):
-        return sorted(draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                    max_size=n, unique=True)))
+    tiles = PartitionMap(config)
+
+    def evenly_spaced(n):
+        first = draw(st.integers(0, n - 1))
+        stride = draw(st.integers(1, max(n - 1 - first, 1)))
+        count = draw(st.integers(1, (n - 1 - first) // stride + 1))
+        return list(range(first, first + count * stride, stride))
 
     cover = units is not None
-    units = units if cover else subset(vparts * hparts)
+    units = units if cover else evenly_spaced(vparts * hparts)
     shifts = [[(u // hparts * unit_rows, u % hparts * unit_cols) for u in units],
-              [(v * unit_rows, 0) for v in subset(vparts)],
+              [(v * unit_rows, 0) for v in evenly_spaced(vparts)],
               [(0, h * unit_cols) for h in (range(hparts) if cover
-                                            else subset(hparts))]]
+                                            else evenly_spaced(hparts))]]
 
     def add(op, set_id, written, read):
         """Whether ``op`` fits a bundle of ``set_id`` that writes and reads
@@ -329,6 +334,10 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
         if op.output in op.inputs or not all(
                 0 <= r + dr < rows and 0 <= c + dc < cols for r, c in op.cells()
                 for dr, dc in [(0, 0)] + shifts[set_id]):
+            return False
+        offsets = np.array(shifts[set_id]).reshape(-1, 2)
+        if any(np.diff(tiles.locate(r + offsets[:, 0], c + offsets[:, 1])[0], 2).any()
+               for r, c in op.cells()):
             return False
         copies = [shifted(op, shift) for shift in shifts[set_id]]
         outs = {copy.output for copy in copies}
@@ -391,17 +400,6 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
             labels[i + 1:i + 1] = [labels[i]] * 2
             set_ids[i + 1:i + 1] = [other, own]
 
-    if cover:
-        # a preset down column 0 of the reference partition column, copied
-        # to every partition column, reaches every unit's tile, so a unit's
-        # place among the tiles replay reaches is its id, and a set such as
-        # units 60-70 crosses a word of the kernel's grid as on the crossbar
-        bundles.append(CycleBundle([MicroOp(GateType.INIT1, (), (0, 0),
-                                            count=vparts * unit_rows,
-                                            stride=(1, 0))]))
-        labels.append("a")
-        set_ids.append(engine.SET_PARTITION_COL)
-
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     initialized = (rng.random((rows, cols)) < 0.9).astype(np.uint8)
@@ -415,8 +413,7 @@ def check_against_shifted_bundles(case):
     config, frozen, bundles, shifts, state, initialized = case
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
-        crossbar.state[:] = state
-        crossbar.initialized[:] = initialized
+        crossbar.load(state, initialized)
     rejected = None
     for bundle, label, set_id in bundles:
         copies = CycleBundle([shifted(op, shift) for shift in shifts[set_id]
@@ -437,10 +434,11 @@ def check_against_shifted_bundles(case):
         r, c = map(int, re.search(r"\((\d+),(\d+)\)",
                                   str(error.value)).groups())
         assert (r, c) in {cell for op in rejected.lines() for cell in op.inputs}
-        assert not oracle.initialized[r, c]
-    assert np.array_equal(xbar.state, oracle.state)
+        assert not oracle.cells(initialized=True)[r, c]
+    assert np.array_equal(xbar.cells(), oracle.cells())
     if config.strict_init:
-        assert np.array_equal(xbar.initialized, oracle.initialized)
+        assert np.array_equal(xbar.cells(initialized=True),
+                              oracle.cells(initialized=True))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -450,9 +448,9 @@ def test_replay_matches_serial_execution_of_shifted_bundles(case):
 
 
 @pytest.mark.parametrize("set_id, shifts", [
-    (engine.SET_UNIT, [(0, 0), (0, 8), (4, 0)]),        # units 0, 2 and 3
+    (engine.SET_UNIT, [(0, 0), (0, 8), (4, 4)]),        # units 0, 2 and 4
     (engine.SET_PARTITION_COL, [(0, 0), (0, 8)]),
-], ids=["uneven-units", "partition-cols"])
+], ids=["strided-units", "partition-cols"])
 def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
     # the middle line of the second run of the second bundle reads (1,3),
     # which is unwritten on the copy shifted by (0,8) alone
@@ -466,10 +464,10 @@ def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
     ]
     frozen = engine.freeze(line_table(bundles), ["a"] * 3, [set_id] * 3, config)
     oracle, xbar = Crossbar(config), Crossbar(config)
+    initialized = np.ones((11, 14), dtype=np.uint8)
+    initialized[1, 11] = 0
     for crossbar in (oracle, xbar):
-        crossbar.state[:] = np.random.default_rng(9).integers(0, 2, (11, 14))
-        crossbar.initialized[:] = 1
-        crossbar.initialized[1, 11] = 0
+        crossbar.load(np.random.default_rng(9).integers(0, 2, (11, 14)), initialized)
     with pytest.raises(StrictInitError) as expected:
         for bundle in bundles:
             oracle.execute_bundle(CycleBundle(
@@ -480,8 +478,8 @@ def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
     per_set[set_id] = shifts
     with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
         engine.replay(frozen, xbar, partition_shifts(per_set, config))
-    assert np.array_equal(xbar.state, oracle.state)
-    assert np.array_equal(xbar.initialized, oracle.initialized)
+    assert np.array_equal(xbar.cells(), oracle.cells())
+    assert np.array_equal(xbar.cells(initialized=True), oracle.cells(initialized=True))
 
 
 # ------------------------------------------------ replay across 64-bit words
@@ -500,9 +498,9 @@ def word_shifts(units, columns=()):
 
 
 @pytest.mark.parametrize("units", [
-    list(range(60, 71)), list(range(90)), [0, 63, 64, 89],
+    list(range(60, 71)), list(range(90)), list(range(3, 90, 7)),
     list(range(70, 59, -1)),
-], ids=["units-60-70", "all-90", "uneven", "descending"])
+], ids=["units-60-70", "all-90", "strided", "descending"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_replay_across_words_matches_serial_execution(units, data):
@@ -519,24 +517,20 @@ def test_replay_across_words_matches_serial_execution(units, data):
 ], ids=["80-past", "80-before", "a-word-past", "a-word-before",
         "output-crosses-words", "1-before"])
 def test_input_key_offset_from_its_output_key(output, input_, columns):
-    # a preset on all 90 units reaches tiles 0-89, so each partition's place
-    # among the reached tiles is its unit id; the partition-column set then
-    # copies a NOR2 run that reads partition `input_` and writes partition
-    # `output`, so its input key's places start (unit id of `input_`) -
-    # (unit id of `output`) places past its output key's, a shift that
-    # crosses words in all but the whole-word cases
+    # a partition's tile is its unit id; the partition-column set copies a
+    # NOR2 run that reads partition `input_` and writes partition `output`,
+    # so its input key's tiles start (unit id of `input_`) - (unit id of
+    # `output`) places past its output key's, a shift that crosses words in
+    # all but the whole-word cases
     config = CrossbarConfig(**WORD_GEOMETRY)
     (vo, ho), (vi, hi) = output, input_
     run = MicroOp(GateType.NOR2, ((4 * vi, 4 * hi + 1), (4 * vi, 4 * hi + 2)),
                   (4 * vo, 4 * ho + 3), count=4, stride=(1, 0))
-    bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (0, 0))]),
-               CycleBundle([run])]
-    set_ids = [engine.SET_UNIT, engine.SET_PARTITION_COL]
+    bundles, set_ids = [CycleBundle([run])], [engine.SET_PARTITION_COL]
     rng = np.random.default_rng(11)
     check_against_shifted_bundles((
-        config, engine.freeze(line_table(bundles), ["a"] * 2, set_ids, config),
-        list(zip(bundles, ["a"] * 2, set_ids)),
-        word_shifts(range(90), range(columns)),
+        config, engine.freeze(line_table(bundles), ["a"], set_ids, config),
+        list(zip(bundles, ["a"], set_ids)), word_shifts((), range(columns)),
         rng.integers(0, 2, (38, 42), dtype=np.uint8),
         np.ones((38, 42), dtype=np.uint8)))
 
@@ -555,10 +549,10 @@ def test_strict_failure_in_the_second_word():
     frozen = engine.freeze(line_table(bundles), ["a"] * 3, [engine.SET_UNIT] * 3,
                            config)
     oracle, xbar = Crossbar(config), Crossbar(config)
+    initialized = np.ones((38, 42), dtype=np.uint8)
+    initialized[29, 2] = initialized[33, 2] = 0
     for crossbar in (oracle, xbar):
-        crossbar.state[:] = np.random.default_rng(12).integers(0, 2, (38, 42))
-        crossbar.initialized[:] = 1
-        crossbar.initialized[29, 2] = crossbar.initialized[33, 2] = 0
+        crossbar.load(np.random.default_rng(12).integers(0, 2, (38, 42)), initialized)
     with pytest.raises(StrictInitError) as expected:
         for bundle in bundles:
             oracle.execute_bundle(CycleBundle(
@@ -568,8 +562,34 @@ def test_strict_failure_in_the_second_word():
     with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
         engine.replay(frozen, xbar, partition_shifts(word_shifts(range(90)),
                                                      config))
-    assert np.array_equal(xbar.state, oracle.state)
-    assert np.array_equal(xbar.initialized, oracle.initialized)
+    assert np.array_equal(xbar.cells(), oracle.cells())
+    assert np.array_equal(xbar.cells(initialized=True), oracle.cells(initialized=True))
+
+
+@pytest.mark.parametrize("geometry, units", [
+    (ORACLE_GEOMETRY, [0, 2, 3]),
+    (WORD_GEOMETRY, [0, 63, 64, 89]),
+], ids=["units-0-2-3", "units-0-63-64-89"])
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_replay_refuses_unevenly_spaced_tiles(geometry, units, strict):
+    # the kernel walks a key's tiles as (first, stride, count) bit places of
+    # the crossbar's words, so replay refuses these sets before any bundle
+    # runs, leaving the grids and the stats as they were
+    config = CrossbarConfig(**geometry, strict_init=strict)
+    xbar = Crossbar(config)
+    rng = np.random.default_rng(6)
+    xbar.load(*rng.integers(0, 2, (2, config.rows, config.cols)))
+    op = MicroOp(GateType.NOT, ((0, 1),), (0, 0))
+    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
+                           [engine.SET_UNIT], config)
+    state, initialized = xbar.cells(), xbar.cells(initialized=True)
+    stats = xbar.stats.as_dict()
+    with pytest.raises(ValueError, match="not evenly spaced"):
+        engine.replay(frozen, xbar, unit_shifts(
+            *(divmod(u, config.horizontal_partitions) for u in units)))
+    assert np.array_equal(xbar.cells(), state)
+    assert np.array_equal(xbar.cells(initialized=True), initialized)
+    assert xbar.stats.as_dict() == stats
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -577,8 +597,7 @@ def test_strict_failure_in_the_second_word():
 def test_replay_trace_matches_serial_trace_of_shifted_bundles(case):
     config, frozen, bundles, shifts, state, _ = case
     xbar = Crossbar(config)
-    xbar.state[:] = state
-    xbar.initialized[:] = 1
+    xbar.load(state, np.ones_like(state))
     trace = io.StringIO()
     xbar.attach_trace(trace)
     engine.replay(frozen, xbar, partition_shifts(shifts, config))
@@ -600,15 +619,15 @@ def test_replay_shifts_a_program_left_and_up():
     shifts = [(0, -8), (8, -8)]
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
-        crossbar.initialized[:] = 1
+        crossbar.load(crossbar.cells(), np.ones((16, 16)))
     for bundle in bundles:
         oracle.execute_bundle(CycleBundle(
             [shifted(op, shift) for shift in shifts for op in bundle.ops]),
             label="a")
     engine.replay(frozen, xbar, unit_shifts((0, -1), (1, -1)))
-    assert np.array_equal(xbar.state, oracle.state)
+    assert np.array_equal(xbar.cells(), oracle.cells())
     # NOR2 of two zeros, in column 1 of the copies and nowhere else
-    assert np.flatnonzero(xbar.state).tolist() == [
+    assert np.flatnonzero(xbar.cells()).tolist() == [
         r * 16 + 1 for r in (2, 3, 4, 10, 11, 12)]
     assert xbar.stats.as_dict() == oracle.stats.as_dict()
 
@@ -644,20 +663,19 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, output, count, shif
     # only the second cell of a run lands there)
     config = CrossbarConfig(**ORACLE_GEOMETRY)
     xbar = Crossbar(config)
-    xbar.state[:] = np.random.default_rng(5).integers(0, 2, xbar.state.shape)
-    xbar.initialized[:] = 1
+    xbar.load(np.random.default_rng(5).integers(0, 2, (11, 14)), np.ones((11, 14)))
     r, c = output
     op = MicroOp(GateType.NOT, ((r, c + 1),), (r, c), count=count, stride=(1, 0))
     frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"], [set_id], config)
     assert frozen.n_events == 1
     per_set = [NO_COPIES] * engine.NUM_ORIGIN_SETS
     per_set[set_id] = np.array([(0, 0), shift])
-    state, initialized = xbar.state.copy(), xbar.initialized.copy()
+    state, initialized = xbar.cells(), xbar.cells(initialized=True)
     stats = xbar.stats.as_dict()
     with pytest.raises(AddressError, match="leaves the crossbar"):
         engine.replay(frozen, xbar, per_set)
-    assert np.array_equal(xbar.state, state)
-    assert np.array_equal(xbar.initialized, initialized)
+    assert np.array_equal(xbar.cells(), state)
+    assert np.array_equal(xbar.cells(initialized=True), initialized)
     assert xbar.stats.as_dict() == stats
 
 
@@ -683,20 +701,36 @@ def test_replay_rejects_a_program_whose_arrays_disagree():
         engine.replay(frozen, xbar, unit_shifts((0, 0)))
 
 
+def test_replay_rejects_a_crossbar_whose_words_were_replaced():
+    # the kernel writes the crossbar's words through a raw pointer
+    xbar = small_crossbar()
+    stream = OpStream()
+    stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
+    frozen, _ = freeze_stream(stream, xbar)
+    xbar.state = np.zeros((16, 16), dtype=np.uint8)
+    with pytest.raises(ValueError, match="C-contiguous uint64"):
+        engine.replay(frozen, xbar, unit_shifts((0, 0)))
+    assert xbar.stats.cycles == 0
+
+
 def test_replay_keys_past_the_int16_range():
     # 138 x 138 tiles: a partition-column key is 2 * 19,044 + tile, past 32,767
     config = CrossbarConfig(rows=1100, cols=1100, vertical_partitions=2,
                             horizontal_partitions=2, unit_rows=8, unit_cols=8)
     xbar = Crossbar(config)
-    xbar.state[1099, 1098:] = 1
+    state = xbar.cells()
+    state[1099, 1098:] = 1
+    xbar.load(state)
     op = MicroOp(GateType.NOT, ((1099, 1099),), (1099, 1098))
     frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
                            [engine.SET_PARTITION_COL], config)
     assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max
     engine.replay(frozen, xbar, [NO_COPIES] * 2
                   + [np.zeros((1, 2), dtype=np.int64)])
-    assert xbar.state[1099, 1098] == 0
-    xbar.state[1099, 1099] = 0
+    assert xbar.cells()[1099, 1098] == 0
+    state = xbar.cells()
+    state[1099, 1099] = 0
+    xbar.load(state)
     engine.replay(frozen, xbar, [NO_COPIES] * 2
                   + [np.zeros((1, 2), dtype=np.int64)])
-    assert xbar.state[1099, 1098] == 1
+    assert xbar.cells()[1099, 1098] == 1

@@ -18,7 +18,6 @@ from sha3pim.crossbar import (
     CrossbarConfig,
     ExecutionStats,
     GateType,
-    PartitionMap,
 )
 from sha3pim.keccak_xbar import (
     KECCAK,
@@ -84,7 +83,7 @@ def test_shared_blocks_hold_reference_tables(prepared_xbar):
     # r[x][y] bit-sliced down the ROT rows of column 5x + y of every unit
     # column, round constant i down rows 0-63 of RC column i of every unit row
     layout = CrossbarLayout(CrossbarConfig())
-    state = prepared_xbar.state
+    state = prepared_xbar.cells()
     rot_rows = range(layout.rot_base_row, layout.rot_base_row + 6)
     for h in range(layout.hparts):
         assert [[sum(int(state[row, 37 * h + 5 * x + y]) << j
@@ -281,9 +280,9 @@ def test_dead_presets_skip_without_changing_the_grid(compiled, units):
         grids = []
         for frozen in (program, every_row):
             xbar = Crossbar(CrossbarConfig())
-            xbar.state[:] = state
+            xbar.load(state)
             engine.replay(frozen, xbar, deltas)
-            grids.append(xbar.state)
+            grids.append(xbar.cells())
         assert np.array_equal(*grids)
 
 
@@ -374,15 +373,17 @@ def test_deltas_for_gives_partition_shifts(compiled):
 ], ids=["27x14", "3x2", "1x1"])
 def test_contiguous_units_need_no_tile_list(config):
     # the tile map numbers partitions in unit-id order, so the first n units
-    # give every key an evenly spaced unit axis, which the kernel walks with
-    # a stride instead of a listed tile per unit
-    compiled = compiled_keccak(config)
-    tiles = PartitionMap(config)
+    # move every key to evenly spaced tiles (the RC tiles of the 3x2 grid
+    # are 4 ids apart), and replay, which refuses any other set before a
+    # bundle runs, takes every n; with no bundles, only that check runs
+    compiled, xbar = compiled_keccak(config), Crossbar(config)
     for n in range(1, config.num_units + 1):
         shifts = compiled.deltas_for(range(n))
         for program in (compiled.permute, *compiled.absorb):
-            _, _, listed = engine._unit_axes(program, tiles, shifts)
-            assert listed.shape == (0,), n
+            keys_only = dataclasses.replace(
+                program, rows=program.rows[:0], live=program.live[:0],
+                bundle_ptr=program.bundle_ptr[:1], bundle_label=program.bundle_label[:0])
+            engine.replay(keys_only, xbar, shifts)
 
 
 def test_absorb_twice_cancels(compiled):

@@ -57,3 +57,16 @@ def test_word_tests_pass_with_undefined_behaviour_aborting(compiler, tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     assert len(list(tmp_path.glob("_rows-*.so"))) == 1
+
+
+def test_a_build_removes_superseded_builds(compiler, tmp_path, monkeypatch):
+    # a build made for an older source or compiler is never loaded again
+    (tmp_path / "_rows-deadbeef.so").write_bytes(b"stale")
+    monkeypatch.setattr(engine, "_CACHE", tmp_path)
+    engine.kernel.cache_clear()
+    try:
+        engine.kernel()
+        assert len(list(tmp_path.glob("_rows-*.so"))) == 1
+        assert not (tmp_path / "_rows-deadbeef.so").exists()
+    finally:
+        engine.kernel.cache_clear()

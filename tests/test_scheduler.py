@@ -43,16 +43,18 @@ def run_macro(kind, values, scratch_cells=2):
     xbar = small_crossbar()
     n = len(values)
     inputs = tuple((0, i + 1) for i in range(n))
+    state, initialized = xbar.cells(), xbar.cells(initialized=True)
     for cell, v in zip(inputs, values):
-        xbar.state[cell] = v
-        xbar.initialized[cell] = 1
+        state[cell] = v
+        initialized[cell] = 1
+    xbar.load(state, initialized)
     need = SCRATCH_NEEDS.get(kind, 0)
     scratch = tuple((0, 4 + i) for i in range(need)) or None
     macro = MacroOp(kind, inputs, (0, 0), scratch=scratch)
     for stage in expand(macro):
         for op in stage:
             xbar.execute_bundle(CycleBundle([op]), check=False)
-    return int(xbar.state[0, 0])
+    return int(xbar.cells()[0, 0])
 
 
 def test_xor2_truth_table():
@@ -123,7 +125,7 @@ def test_column_parallel_xor_collapses():
                               scratch=((4, c), (5, c), (6, c))))
     program = schedule(stream, xbar)
     assert len(program.bundles) == 5
-    xbar.initialized[:] = 1
+    xbar.load(xbar.cells(), np.ones((64, 64)))
     for bundle in program.bundles:
         xbar.execute_bundle(bundle)
     assert xbar.stats.cycles == 5
@@ -203,18 +205,18 @@ def test_non_grid_presets_split_then_freeze():
     assert len(program.bundles) == len(program.lines.bundle_ptr) - 1 == 6
     check_presets(program.lines)
 
-    initial = np.random.default_rng(5).integers(0, 2, xbar.state.shape, np.uint8)
-    xbar.state[:] = initial
+    initial = np.random.default_rng(5).integers(0, 2, (16, 16), np.uint8)
+    xbar.load(initial)
     for bundle in program.bundles:
         xbar.execute_bundle(bundle, label=program.label)
     n = len(program.bundles)
     frozen = engine.freeze(program.lines, [program.label] * n,
                            [engine.SET_UNIT] * n, xbar.config)
     replayed = small_crossbar()
-    replayed.state[:] = initial
+    replayed.load(initial)
     engine.replay(frozen, replayed, [np.zeros((1, 2), dtype=np.int64)]
                   + [np.zeros((0, 2), dtype=np.int64)] * 2)
-    assert np.array_equal(replayed.state, xbar.state)
+    assert np.array_equal(replayed.cells(), xbar.cells())
     assert replayed.stats.as_dict() == xbar.stats.as_dict()
 
 
