@@ -1,8 +1,21 @@
-/* The replay kernel of sha3pim.engine: runs frozen kernel rows in place
-   over a crossbar's bit-sliced cells q[cell][word], `words` plain uint64_t
-   words per cell.  A cell holds one bit per tile: bit t of word w is tile
-   64 * w + t of the crossbar's PartitionMap, and the bits past the last
-   tile are padding.
+/* The C library of sha3pim: the replay kernel of sha3pim.engine, which
+   runs frozen kernel rows in place over a crossbar's bit-sliced cells
+   q[cell][word], `words` plain uint64_t words per cell, and the
+   crossbar's peripheral io.  A cell holds one bit per tile: bit t of word
+   w is tile 64 * w + t of the crossbar's PartitionMap, and the bits past
+   the last tile are padding.
+
+   The io entry points, write_region and read_region, move a region of
+   cells, rows r0..r1-1 and columns c0..c1-1 of the crossbar, between the
+   words and a block of bytes, one per cell in row-major order.  They walk
+   each row of the region in spans that stay in one tile, where successive
+   cells are successive cell indices, one bit of every `words`-th word.
+   The tile of a span comes from `map`, PartitionMap.words_map: the words
+   per cell, unit rows, unit columns and tile-grid columns, then the tile
+   grid's ids row-major.  A write refuses a block holding a byte other
+   than 0 or 1 before it sets any bit, and marks every cell it sets in the
+   init grid; a read given the init grid (strict mode) refuses a region
+   holding a cell never written.
 
    A row is nine ints (int16, or int32 when `wide`): the gate, the step and
    span along the tile's cells, then the first cell and key of the output
@@ -145,5 +158,62 @@ int run_rows(u64 *q, u64 *init, i64 words, const void *rows, int wide,
                 run(init, words, f, written, axes);
         }
     }
+    return 0;
+}
+
+/* The cells of row r from column c on that lie in c's tile, up to column
+   c1: return the column past the last of them, with `at`, the word of
+   cell c in the grids, and `bit`, the tile's bit in it. */
+static i64 span(const i64 *map, i64 r, i64 c, i64 c1, i64 *at, u64 *bit)
+{
+    i64 words = map[0], unit_rows = map[1], unit_cols = map[2];
+    i64 h = c / unit_cols, end = (h + 1) * unit_cols;
+    i64 tile = map[4 + r / unit_rows * map[3] + h];
+    *at = ((r % unit_rows) * unit_cols + c % unit_cols) * words + (tile >> 6);
+    *bit = (u64)1 << (tile & 63);
+    return end < c1 ? end : c1;
+}
+
+/* Set the region's cells from `block` and mark them written in `init`;
+   return 1, and set nothing, if the block holds a byte past 1. */
+int write_region(u64 *q, u64 *init, const i64 *map, i64 r0, i64 r1,
+                 i64 c0, i64 c1, const unsigned char *block)
+{
+    i64 words = map[0];
+    unsigned char bits = 0;
+    for (i64 i = 0; i < (r1 - r0) * (c1 - c0); i++)
+        bits |= block[i];
+    if (bits > 1)
+        return 1;
+    for (i64 r = r0; r < r1; r++)
+        for (i64 c = c0; c < c1;) {
+            i64 at;
+            u64 bit;
+            for (i64 end = span(map, r, c, c1, &at, &bit); c < end;
+                 c++, at += words, block++) {
+                q[at] ^= (q[at] ^ -(u64)*block) & bit;
+                init[at] |= bit;
+            }
+        }
+    return 0;
+}
+
+/* Copy the region's cells into `block`; with an init grid, return 1 if
+   one of them was never written. */
+int read_region(const u64 *q, const u64 *init, const i64 *map, i64 r0,
+                i64 r1, i64 c0, i64 c1, unsigned char *block)
+{
+    i64 words = map[0];
+    for (i64 r = r0; r < r1; r++)
+        for (i64 c = c0; c < c1;) {
+            i64 at;
+            u64 bit;
+            for (i64 end = span(map, r, c, c1, &at, &bit); c < end;
+                 c++, at += words, block++) {
+                if (init && !(init[at] & bit))
+                    return 1;
+                *block = (q[at] & bit) != 0;
+            }
+        }
     return 0;
 }

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import engine, keccak_ref, metrics
+from . import engine, keccak_ref, metrics, native
 from .crossbar import CapacityError, CrossbarConfig
 from .keccak_xbar import (
     KECCAK,
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         error, status = exc, exc.status
     except CapacityError as exc:
         error, status = exc, EXIT_CAPACITY
-    except engine.KernelBuildError as exc:
+    except native.KernelBuildError as exc:
         error, status = exc, EXIT_NO_KERNEL
     except MemoryError as exc:      # numpy's names the array it could not get
         error = f"out of host memory: {str(exc) or 'allocation failed'}"
@@ -204,7 +204,7 @@ def _main(args) -> int:
     _check_outputs(args)
     messages, seed = _collect_messages(args, config)
     if messages:    # built here, not by the first hash, so it fails before any output
-        engine.kernel()
+        native.kernel()
     modelled = _metrics(args, config) if args.metrics else {}
     name = args.trace       # the output being written, for an OSError naming none
     try:

@@ -18,6 +18,7 @@ label with a per-row cycle cost and zero gate energy.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import numbers
@@ -26,6 +27,8 @@ from enum import IntEnum
 from typing import IO
 
 import numpy as np
+
+from . import native
 
 Cell = tuple[int, int]
 SwitchId = tuple[str, int]   # ("row", boundary_row) or ("col", boundary_col)
@@ -365,6 +368,14 @@ class PartitionMap:
         self.words = -(-self.n_tiles // 64)
 
     @functools.cached_property
+    def words_map(self) -> np.ndarray:
+        """The map the C io entry points read: as int64s, the words per
+        cell, ``unit_rows``, ``unit_cols`` and the tile grid's columns,
+        then ``index``, row-major."""
+        return np.r_[self.words, self.unit_rows, self.unit_cols,
+                     self.index.shape[1], self.index.ravel()].astype(np.int64)
+
+    @functools.cached_property
     def bit_of_cell(self) -> np.ndarray:
         """[rows, cols]: each cell's bit in a crossbar's words read as one
         little-endian bit string, ``local * 64 * words + tile``."""
@@ -470,14 +481,6 @@ def _cell_bits(values, shape: tuple[int, ...]) -> np.ndarray:
     return values.astype(np.uint8)
 
 
-def _spans(lo: int, hi: int, size: int):
-    """The tiles of ``size`` cells that cells ``lo..hi-1`` of one axis
-    touch: (tile, its cells, the range's cells), the last two as slices."""
-    for k in range(lo // size, (hi - 1) // size + 1):
-        a, b = max(lo, k * size), min(hi, (k + 1) * size)
-        yield k, slice(a - k * size, b - k * size), slice(a - lo, b - lo)
-
-
 class Crossbar:
     """One crossbar instance: cell grid, partition map, stats, trace.
 
@@ -496,6 +499,7 @@ class Crossbar:
             (2, tiles.unit_rows * tiles.unit_cols, tiles.words), dtype=np.uint64)
         self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
         self.trace: IO[str] | None = None
+        self._addresses: tuple = ()
 
     # ------------------------------------------------------------------ setup
 
@@ -517,6 +521,38 @@ class Crossbar:
         for words, packed in zip((self.state, self.initialized),
                                  np.packbits(bits, axis=1, bitorder="little").view("<u8")):
             words[:] = packed.reshape(words.shape)
+
+    def addresses(self) -> tuple:
+        """(the C library of ``native.kernel``, then the addresses of
+        ``state``, ``initialized`` and the partition map's ``words_map``):
+        what its entry points take for this crossbar.
+
+        The library is loaded on first use. The arrays are checked, and
+        their addresses looked up, again whenever ``state``,
+        ``initialized`` or ``partition_map`` is replaced, so nothing is
+        ever written through the address of an array the crossbar no
+        longer holds; a replaced array that is not C-contiguous uint64 of
+        the old shape raises ``ValueError``.
+        """
+        held = self._addresses
+        if held and held[0] is self.state and held[1] is self.initialized \
+                and held[2] is self.partition_map:
+            return held[3]
+        tiles = self.partition_map
+        shape = (tiles.unit_rows * tiles.unit_cols, tiles.words)
+        words = (self.state, self.initialized)
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.uint64
+                   and a.shape == shape and a.flags.c_contiguous
+                   and a.flags.writeable for a in words):
+            raise ValueError(f"a crossbar's words must be C-contiguous uint64 {shape}")
+        found = (native.kernel(), *(a.ctypes.data for a in words),
+                 tiles.words_map.ctypes.data)
+        self._addresses = (*words, tiles, found)
+        return found
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled crossbar looks up its own arrays' addresses
+        return {**self.__dict__, "_addresses": ()}
 
     def attach_trace(self, stream: IO[str]) -> None:
         """Have ``engine.replay`` write its trace (schema 3: a header per
@@ -690,30 +726,38 @@ class Crossbar:
 
         Reads happen before any write (legal bundles are conflict-free, so
         this matches any serial order). Adds one cycle and one gate
-        execution per line to the stats.
+        execution per line to the stats. Each cell is read and written as
+        its bit of ``partition_map.bit_of_cell`` in the words, in numpy,
+        apart from the C io and kernel, which it checks.
         """
         if check:
             ok, violations = self.check_bundle(bundle)
             if not ok:
                 raise SchedulingError("; ".join(violations))
-        state, initialized = self.cells(), self.cells(initialized=True)
-        rows, cols = state.shape
-        results: list[tuple[Cell, int]] = []
+        state, initialized = self.state.reshape(-1), self.initialized.reshape(-1)
+        bit_of_cell = self.partition_map.bit_of_cell
+        rows, cols = bit_of_cell.shape
+
+        def bit(words: np.ndarray, at: int) -> int:
+            return int(words[at >> 6]) >> (at & 63) & 1
+
+        results: list[tuple[int, int]] = []
         for op in bundle.lines():
             for r, c in op.cells():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise AddressError(f"cell ({r},{c}) out of bounds")
+            inputs = [int(bit_of_cell[cell]) for cell in op.inputs]
             if self.config.strict_init:
-                for r, c in op.inputs:
-                    if not initialized[r, c]:
+                for (r, c), at in zip(op.inputs, inputs):
+                    if not bit(initialized, at):
                         raise StrictInitError(
                             f"{op.gate.name} reads uninitialized cell ({r},{c})")
-            values = tuple(int(state[r, c]) for r, c in op.inputs)
-            results.append((op.output, gate_function(op.gate, values)))
-        for (r, c), value in results:
-            state[r, c] = value
-            initialized[r, c] = 1
-        self.load(state, initialized)
+            values = tuple(bit(state, at) for at in inputs)
+            results.append((int(bit_of_cell[op.output]), gate_function(op.gate, values)))
+        for at, value in results:
+            word, mask = at >> 6, 1 << (at & 63)
+            state[word] = int(state[word]) & ~mask | value * mask
+            initialized[word] = int(initialized[word]) | mask
         self.stats.add_cycles(label, 1, len(results))
 
     # -------------------------------------------------------------- peripheral
@@ -724,30 +768,22 @@ class Crossbar:
         if not (0 <= r0 < r1 <= self.config.rows and 0 <= c0 < c1 <= self.config.cols):
             raise AddressError(f"region rows {row_range} cols {col_range} out of bounds")
 
-    def _tiles(self, row_range: tuple[int, int], col_range: tuple[int, int]):
-        """The region's part in each tile it overlaps: its words in
-        ``state`` and in ``initialized``, as slices of their [unit_rows,
-        unit_cols, words] views, the tile's bit in them, and the part as
-        slices of the region."""
-        tiles = self.partition_map
-        shape = (tiles.unit_rows, tiles.unit_cols, tiles.words)
-        for v, lr, rr in _spans(*row_range, tiles.unit_rows):
-            for h, lc, rc in _spans(*col_range, tiles.unit_cols):
-                tile = int(tiles.index[v, h])
-                at = (lr, lc, tile >> 6)
-                yield (self.state.reshape(shape)[at], self.initialized.reshape(shape)[at],
-                       np.uint64(1 << (tile & 63)), (rr, rc))
-
     def write_region(self, row_range: tuple[int, int], col_range: tuple[int, int],
                      bits: np.ndarray) -> None:
         """Peripheral write; costs io cycles per row, no gate energy. A bit
         other than 0 or 1 raises ``ValueError`` before any is written."""
         self._check_range(row_range, col_range)
         (r0, r1), (c0, c1) = row_range, col_range
-        block = _cell_bits(bits, (r1 - r0, c1 - c0)).astype(np.uint64)
-        for state, initialized, bit, part in self._tiles(row_range, col_range):
-            state[...] = state & ~bit | block[part] * bit
-            initialized |= bit
+        block = np.asarray(bits)
+        if block.dtype != np.uint8:     # the C entry point refuses a byte past 1
+            block = _cell_bits(block, block.shape)
+        if block.size != (r1 - r0) * (c1 - c0):
+            raise ValueError(f"a region of {r1 - r0}x{c1 - c0} cells cannot "
+                             f"take {block.size} bits")
+        library, state, initialized, words_map = self.addresses()
+        if library.write_region(state, initialized, words_map, r0, r1, c0, c1,
+                                block.tobytes()):
+            raise ValueError("cell values must be 0 or 1")
         self.stats.add_cycles("io", (r1 - r0) * self.config.io_cycles_per_row, 0)
 
     def read_region(self, row_range: tuple[int, int],
@@ -755,11 +791,11 @@ class Crossbar:
         """Peripheral read; costs io cycles per row, no gate energy."""
         self._check_range(row_range, col_range)
         (r0, r1), (c0, c1) = row_range, col_range
-        out = np.empty((r1 - r0, c1 - c0), dtype=np.uint8)
-        for state, initialized, bit, part in self._tiles(row_range, col_range):
-            if self.config.strict_init and not (initialized & bit).all():
-                raise StrictInitError(f"region rows {row_range} cols {col_range} "
-                                      "read before being written")
-            out[part] = state & bit != 0
+        library, state, initialized, words_map = self.addresses()
+        out = ctypes.create_string_buffer((r1 - r0) * (c1 - c0))
+        if library.read_region(state, initialized if self.config.strict_init else None,
+                               words_map, r0, r1, c0, c1, out):
+            raise StrictInitError(f"region rows {row_range} cols {col_range} "
+                                  "read before being written")
         self.stats.add_cycles("io", (r1 - r0) * self.config.io_cycles_per_row, 0)
-        return out
+        return np.frombuffer(out, dtype=np.uint8).reshape(r1 - r0, c1 - c0)

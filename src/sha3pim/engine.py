@@ -55,19 +55,15 @@ and the trace lists the rows a bundle skipped.
 
 The kernel is compiled from the checkout on first use with the C compiler
 Python was built with, and cached in the package's ``__pycache__``; see
-``kernel``.
+``native.kernel``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.util
 import json
-import os
-import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -292,77 +288,6 @@ _GATE_NAMES = [g.name for g in GateType]
 _FORMS = np.array([(*GATE_TABLE[g], gate_function(g, ())) for g in GateType],
                   dtype=np.int64)
 
-_SOURCE = Path(__file__).with_name("_rows.c")
-_CACHE = Path(__file__).with_name("__pycache__")
-
-
-class KernelBuildError(RuntimeError):
-    """The C replay kernel could not be built or loaded."""
-
-
-def _compiler() -> list[str]:
-    """The C compiler Python was built with, as a command."""
-    import shlex
-    import sysconfig
-    return shlex.split(sysconfig.get_config_var("CC") or "cc")
-
-
-def _build(command: list[str], path: Path) -> None:
-    """Compile the kernel source into ``path``. It is written under a
-    temporary name and renamed, so a concurrent build never exposes a
-    half-written file."""
-    import subprocess
-    import tempfile
-    tmp = None
-    try:
-        path.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
-        os.close(fd)
-        done = subprocess.run([*command, "-o", tmp, str(_SOURCE)],
-                              capture_output=True, text=True)
-        if done.returncode:
-            lines = done.stderr.strip().splitlines() or [
-                f"exit status {done.returncode}"]
-            raise KernelBuildError(f"cannot build the C replay kernel with "
-                                   f"{command[0]}: {lines[-1]}")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise KernelBuildError(f"cannot build the C replay kernel with "
-                               f"{command[0]}: {exc.strerror or exc}") from None
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-@functools.cache
-def kernel():
-    """The C row kernel's entry point, built on first use.
-
-    The shared library is cached in the package's ``__pycache__``, keyed by
-    a hash of the C source and the compile command, so it is built once
-    per source and compiler; a build removes the cache's other builds.
-    Raises ``KernelBuildError`` if it cannot be built or loaded, as without
-    a C compiler.
-    """
-    command = _compiler() + ["-O3", "-shared", "-fPIC"]
-    key = zlib.crc32(_SOURCE.read_bytes() + " ".join(command).encode())
-    path = _CACHE / f"_rows-{key:08x}.so"
-    if not path.exists():
-        _build(command, path)
-        for stale in set(_CACHE.glob("_rows-*.so")) - {path}:
-            stale.unlink(missing_ok=True)
-    try:
-        run_rows = ctypes.CDLL(str(path)).run_rows
-    except OSError as exc:
-        raise KernelBuildError(f"cannot load the C replay kernel: {exc}") \
-            from None
-    pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-    run_rows.argtypes = [pointer, pointer, i64, pointer, ctypes.c_int, pointer,
-                         pointer, i64, pointer, pointer, pointer]
-    run_rows.restype = ctypes.c_int
-    return run_rows
-
-
 def _unit_axes(program: FrozenProgram, tiles: PartitionMap,
                shifts: list) -> np.ndarray:
     """The unit axis of each key, ``axes[key]`` = (first tile, stride,
@@ -522,16 +447,11 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     if program.geometry != tiles.geometry:
         raise ValueError(f"a program frozen for geometry {program.geometry} "
                          f"cannot replay on {tiles.geometry}")
-    words = (tiles.unit_rows * tiles.unit_cols, tiles.words)
-    if not all(a.dtype == np.uint64 and a.shape == words and a.flags.c_contiguous
-               for a in (crossbar.state, crossbar.initialized)):
-        raise ValueError(f"a crossbar's words must be C-contiguous uint64 {words}")
+    library, state, init, _ = crossbar.addresses()
     axes = _unit_axes(program, tiles, shifts)
-    run_rows = kernel()
     first_cycle = crossbar.stats.cycles + 1
-
-    # the init words' address, in strict mode only
-    init = crossbar.initialized.ctypes.data if crossbar.config.strict_init else None
+    if not crossbar.config.strict_init:     # the init words: strict mode only
+        init = None
     # C buffers, copied only if a caller built the program's arrays with
     # another layout than freeze and concat do
     rows = np.ascontiguousarray(
@@ -544,10 +464,10 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         raise ValueError("a frozen program's rows, live flags and bundle "
                          "pointers do not match")
     fail = np.zeros(4, dtype=np.int64)
-    failed = run_rows(crossbar.state.ctypes.data, init, tiles.words,
-                      rows.ctypes.data, rows.dtype == np.int32, live.ctypes.data,
-                      bundle_ptr.ctypes.data, program.n_bundles,
-                      _FORMS.ctypes.data, axes.ctypes.data, fail.ctypes.data)
+    failed = library.run_rows(state, init, tiles.words, rows.ctypes.data,
+                              rows.dtype == np.int32, live.ctypes.data,
+                              bundle_ptr.ctypes.data, program.n_bundles,
+                              _FORMS.ctypes.data, axes.ctypes.data, fail.ctypes.data)
     if failed:
         row, _, local, tile = fail.tolist()
         r, c = tiles.cell(tile, local)

@@ -279,16 +279,18 @@ def pad_message(message: bytes) -> list[bytes]:
     return [bytes(padded[i:i + rate]) for i in range(0, len(padded), rate)]
 
 
-def block_to_bits(block: bytes) -> np.ndarray:
-    """One rate block -> [rate_lanes, 64] bit array in lane order."""
-    bits = np.unpackbits(np.frombuffer(block, dtype=np.uint8), bitorder="little")
-    return bits.reshape(KECCAK.rate_lanes, KECCAK.lane_bits)
+def blocks_to_bits(blocks: list[bytes]) -> np.ndarray:
+    """Rate blocks -> [len(blocks), rate_lanes, 64] bit array in lane order."""
+    bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
+                         bitorder="little")
+    return bits.reshape(len(blocks), KECCAK.rate_lanes, KECCAK.lane_bits)
 
 
-def block_state_bits(block: bytes) -> np.ndarray:
-    """One rate block -> full 64x25 state bits (capacity lanes zero)."""
-    bits = np.zeros((LANE_BITS, STATE_COLS), dtype=np.uint8)
-    bits[:, LANE_COLS[:KECCAK.rate_lanes]] = block_to_bits(block).T
+def blocks_state_bits(blocks: list[bytes]) -> np.ndarray:
+    """Rate blocks -> [len(blocks), 64, 25] full state bits (capacity lanes
+    zero)."""
+    bits = np.zeros((len(blocks), LANE_BITS, STATE_COLS), dtype=np.uint8)
+    bits[:, :, LANE_COLS[:KECCAK.rate_lanes]] = np.swapaxes(blocks_to_bits(blocks), 1, 2)
     return bits
 
 
@@ -615,6 +617,11 @@ class CompiledKeccak:
         return [np.column_stack([v, h]), np.column_stack([rows, 0 * rows]),
                 np.column_stack([0 * cols, cols])]
 
+    def units(self, deltas: list[np.ndarray]) -> list[UnitLayout]:
+        """The unit at each shift of ``deltas``'s unit set."""
+        origins = self.layout.partition_map.offset(deltas[engine.SET_UNIT])
+        return [UnitLayout(tuple(origin)) for origin in origins.tolist()]
+
     def run_permute(self, xbar: Crossbar, deltas: list[np.ndarray]) -> None:
         engine.replay(self.permute, xbar, deltas)
 
@@ -625,13 +632,13 @@ class CompiledKeccak:
         ``lane_bits[i]`` is the [rate_lanes, 64] bit array for the unit at
         the i-th shift of ``deltas``'s unit set.
         """
-        origins = self.layout.partition_map.offset(deltas[engine.SET_UNIT]).tolist()
+        units = self.units(deltas)
+        staged = np.swapaxes(lane_bits, 1, 2)       # [unit, bit, lane]
         for batch, program in zip(_ABSORB_BATCHES, self.absorb):
-            for origin, bits in zip(origins, lane_bits):
-                unit = UnitLayout(tuple(origin))
-                r0 = unit.row(0)
-                c0 = unit.stage_col(0)
-                block = bits[batch].T       # rows=bits, cols=lanes
+            # one copy per batch, whose per-unit blocks are contiguous
+            blocks = np.ascontiguousarray(staged[:, :, batch])
+            for unit, block in zip(units, blocks):
+                r0, c0 = unit.row(0), unit.stage_col(0)
                 xbar.write_region((r0, r0 + LANE_BITS), (c0, c0 + len(batch)), block)
             engine.replay(program, xbar, deltas)
 
@@ -707,20 +714,18 @@ def hash_messages(messages: list[bytes], config: CrossbarConfig | None = None,
             xbar.attach_trace(trace)
         compiled.layout.setup_shared_blocks(xbar)
         deltas = compiled.deltas_for(range(len(cohort)))
-        n_blocks = len(blocks[cohort[0]])
-
-        for i, msg_index in enumerate(cohort):
-            write_unit_state(xbar, compiled.layout.unit(i),
-                             block_state_bits(blocks[msg_index][0]))
+        units = compiled.units(deltas)
+        # each block position unpacked once for the cohort, then sliced per unit
+        first = blocks_state_bits([blocks[m][0] for m in cohort])
+        for unit, bits in zip(units, first):
+            write_unit_state(xbar, unit, bits)
         compiled.run_permute(xbar, deltas)
-        for b in range(1, n_blocks):
-            lane_bits = np.stack([block_to_bits(blocks[m][b]) for m in cohort])
-            compiled.run_absorb(xbar, deltas, lane_bits)
+        for b in range(1, len(blocks[cohort[0]])):
+            compiled.run_absorb(xbar, deltas, blocks_to_bits([blocks[m][b] for m in cohort]))
             compiled.run_permute(xbar, deltas)
 
-        for i, msg_index in enumerate(cohort):
-            state = read_unit_state(xbar, compiled.layout.unit(i))
-            digests[msg_index] = _digest_from_state(state)
+        for unit, msg_index in zip(units, cohort):
+            digests[msg_index] = _digest_from_state(read_unit_state(xbar, unit))
         del xbar        # free this cohort's grids before the next is built
 
     return digests, stats

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sha3pim
-from sha3pim import cli, engine, keccak_ref as ref
+from sha3pim import cli, keccak_ref as ref, native
 from sha3pim.crossbar import Crossbar
 from sha3pim.cli import (
     EXIT_BAD_INPUT,
@@ -218,14 +218,14 @@ def test_keccak_cycles_per_round(capsys, args):
 
 def test_missing_compiler(capsys, monkeypatch, tmp_path):
     # a fresh kernel cache and no compiler: one line, no traceback, no output
-    monkeypatch.setattr(engine, "_CACHE", tmp_path / "cache")
-    monkeypatch.setattr(engine, "_compiler",
+    monkeypatch.setattr(native, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(native, "_compiler",
                         lambda: [str(tmp_path / "missing-cc")])
-    engine.kernel.cache_clear()
+    native.kernel.cache_clear()
     try:
         status, out, err = run_cli(capsys, "--text", "abc")
     finally:
-        engine.kernel.cache_clear()
+        native.kernel.cache_clear()
     assert status == EXIT_NO_KERNEL
     assert out == ""
     assert err.startswith("error: cannot build the C replay kernel")

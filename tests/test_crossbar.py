@@ -1,5 +1,6 @@
 """Object-level crossbar model: gate semantics, legality rules, io, stats."""
 
+import copy
 import io
 import itertools
 import json
@@ -346,6 +347,134 @@ def test_regions_across_tiles_match_the_cell_grid():
         assert np.array_equal(xbar.read_region(rows, cols), block)
         assert np.array_equal(xbar.cells(), expected)
         assert np.array_equal(xbar.cells(initialized=True), written)
+
+
+REGION_GEOMETRIES = pytest.mark.parametrize("geometry", [
+    {},
+    dict(rows=300, cols=200, vertical_partitions=3, horizontal_partitions=2),
+    dict(rows=78, cols=61, vertical_partitions=1, horizontal_partitions=1),
+], ids=["27x14", "3x2", "1x1"])
+
+
+def random_regions(config, rng, n):
+    """``n`` regions of up to two tiles and a cell each way, so that most
+    cross a tile boundary; every other one ends at the last row and column,
+    in the edge tiles past the partitions."""
+    for k in range(n):
+        h = int(rng.integers(1, min(2 * config.unit_rows + 1, config.rows) + 1))
+        w = int(rng.integers(1, min(2 * config.unit_cols + 1, config.cols) + 1))
+        r0 = config.rows - h if k % 2 else int(rng.integers(0, config.rows - h + 1))
+        c0 = config.cols - w if k % 2 else int(rng.integers(0, config.cols - w + 1))
+        yield (r0, r0 + h), (c0, c0 + w)
+
+
+def crosses_tiles(config, rows, cols):
+    return ((rows[0] // config.unit_rows != (rows[1] - 1) // config.unit_rows)
+            or (cols[0] // config.unit_cols != (cols[1] - 1) // config.unit_cols))
+
+
+@REGION_GEOMETRIES
+def test_region_io_agrees_with_load_and_cells(geometry):
+    # the C io sets and reads the same cells as the numpy load and cells
+    config = CrossbarConfig(**geometry)
+    xbar = Crossbar(config)
+    rng = np.random.default_rng(27)
+    state, written = rng.integers(0, 2, (2, config.rows, config.cols), dtype=np.uint8)
+    xbar.load(state, written)
+    regions = list(random_regions(config, rng, 24))
+    assert sum(crosses_tiles(config, *region) for region in regions) >= 12
+    for rows, cols in regions:
+        at = (slice(*rows), slice(*cols))
+        assert np.array_equal(xbar.read_region(rows, cols), state[at])
+        block = rng.integers(0, 2, state[at].shape, dtype=np.uint8)
+        xbar.write_region(rows, cols, block)
+        state[at], written[at] = block, 1
+        assert np.array_equal(xbar.cells(), state)
+        assert np.array_equal(xbar.cells(initialized=True), written)
+    assert xbar.stats.cycles == 2 * sum(r1 - r0 for (r0, r1), _ in regions)
+
+
+@REGION_GEOMETRIES
+@pytest.mark.parametrize("bad", [np.uint8(2), 2, -1, 0.6],
+                         ids=["two-uint8", "two", "minus-one", "fraction"])
+def test_region_write_of_a_bad_bit_sets_nothing(geometry, bad):
+    # the bad bit is the block's last, so a writer that checked as it went
+    # would have set every other cell first
+    config = CrossbarConfig(**geometry)
+    xbar = Crossbar(config)
+    rng = np.random.default_rng(6)
+    xbar.load(*rng.integers(0, 2, (2, config.rows, config.cols)))
+    words = xbar.state.tobytes(), xbar.initialized.tobytes()
+    for rows, cols in random_regions(config, rng, 6):
+        block = rng.integers(0, 2, (rows[1] - rows[0], cols[1] - cols[0]))
+        block = block.astype(np.asarray(bad).dtype)
+        block[-1, -1] = bad
+        with pytest.raises(ValueError, match="cell values must be 0 or 1"):
+            xbar.write_region(rows, cols, block)
+        assert (xbar.state.tobytes(), xbar.initialized.tobytes()) == words
+    assert xbar.stats.cycles == 0
+
+
+@REGION_GEOMETRIES
+def test_strict_read_of_a_partly_written_region(geometry):
+    config = CrossbarConfig(**geometry, strict_init=True)
+    rng = np.random.default_rng(9)
+    for rows, cols in random_regions(config, rng, 8):
+        (r0, r1), (c0, c1) = rows, cols
+        if (r1 - r0) * (c1 - c0) < 2:
+            continue
+        # every cell but the last, in row-major order
+        xbar = Crossbar(config)
+        if r1 - r0 > 1:
+            xbar.write_region((r0, r1 - 1), cols, np.ones((r1 - r0 - 1, c1 - c0)))
+        if c1 - c0 > 1:
+            xbar.write_region((r1 - 1, r1), (c0, c1 - 1), np.ones((1, c1 - c0 - 1)))
+        cycles = xbar.stats.cycles
+        with pytest.raises(StrictInitError, match="read before being written"):
+            xbar.read_region(rows, cols)
+        assert xbar.stats.cycles == cycles
+        xbar.write_region((r1 - 1, r1), (c1 - 1, c1), np.zeros((1, 1)))
+        expected = np.ones((r1 - r0, c1 - c0))
+        expected[-1, -1] = 0
+        assert np.array_equal(xbar.read_region(rows, cols), expected)
+
+
+@REGION_GEOMETRIES
+def test_region_io_out_of_range(geometry):
+    config = CrossbarConfig(**geometry)
+    xbar = Crossbar(config)
+    rows, cols = config.rows, config.cols
+    for region in [((0, rows + 1), (0, 1)), ((0, 1), (cols - 1, cols + 1)),
+                   ((-1, 1), (0, 1)), ((0, 1), (-1, 1)), ((3, 3), (0, 1)),
+                   ((rows, rows + 1), (0, 1))]:
+        shape = (max(region[0][1] - region[0][0], 0), max(region[1][1] - region[1][0], 0))
+        with pytest.raises(AddressError):
+            xbar.write_region(*region, np.ones(shape, dtype=np.uint8))
+        with pytest.raises(AddressError):
+            xbar.read_region(*region)
+    assert not xbar.state.any() and not xbar.initialized.any()
+    assert xbar.stats.cycles == 0
+
+
+def test_region_io_follows_replaced_words():
+    # the io writes the words through their addresses, so it must never
+    # use the address of an array the crossbar no longer holds
+    xbar = small_xbar()
+    xbar.write_region((0, 1), (0, 1), [[1]])
+    old = xbar.state
+    xbar.state = old.copy()
+    xbar.write_region((0, 1), (1, 2), [[1]])
+    assert xbar.read_region((0, 1), (0, 3)).tolist() == [[1, 1, 0]]
+    assert not np.array_equal(old, xbar.state)
+    twin = copy.deepcopy(xbar)
+    twin.write_region((0, 1), (2, 3), [[1]])
+    assert xbar.read_region((0, 1), (0, 3)).tolist() == [[1, 1, 0]]
+    assert twin.read_region((0, 1), (0, 3)).tolist() == [[1, 1, 1]]
+    xbar.initialized = np.zeros((16, 16), dtype=np.uint8)
+    with pytest.raises(ValueError, match="C-contiguous uint64"):
+        xbar.write_region((0, 1), (0, 1), [[1]])
+    with pytest.raises(ValueError, match="C-contiguous uint64"):
+        xbar.read_region((0, 1), (0, 1))
 
 
 @pytest.mark.parametrize("geometry", [

@@ -26,7 +26,8 @@ from sha3pim.keccak_xbar import (
     KeccakParams,
     UnitLayout,
     bits_to_lanes,
-    block_state_bits,
+    blocks_state_bits,
+    blocks_to_bits,
     compiled_keccak,
     hash_message,
     hash_messages,
@@ -315,7 +316,7 @@ def test_pad_exact_rate_forces_extra_block(length):
 
 def test_first_block_state_bits():
     block = pad_message(b"")[0]
-    bits = block_state_bits(block)
+    bits = blocks_state_bits([block])[0]
     lanes = bits_to_lanes(bits)
     assert lanes[0] == 0x06          # first byte, little-endian lane 0
     assert lanes[16] == 0x80 << 56   # final rate lane carries the 0x80
@@ -346,9 +347,7 @@ def test_absorb_matches_oracle(compiled):
     blocks = [rng.randbytes(KECCAK.rate_bytes) for _ in unit_ids]
     for u, state in zip(unit_ids, lanes):
         write_unit_state(xbar, compiled.layout.unit(u), lanes_to_bits(state))
-    from sha3pim.keccak_xbar import block_to_bits
-    compiled.run_absorb(xbar, compiled.deltas_for(unit_ids),
-                        np.stack([block_to_bits(block) for block in blocks]))
+    compiled.run_absorb(xbar, compiled.deltas_for(unit_ids), blocks_to_bits(blocks))
     for u, state, block in zip(unit_ids, lanes, blocks):
         expected = list(state)
         for lane in range(17):
@@ -393,10 +392,8 @@ def test_absorb_twice_cancels(compiled):
     write_unit_state(xbar, unit, np.zeros((64, 25), dtype=np.uint8))
     rng = random.Random(5)
     block = rng.randbytes(KECCAK.rate_bytes)
-    from sha3pim.keccak_xbar import block_to_bits
     for _ in range(2):
-        compiled.run_absorb(xbar, compiled.deltas_for([0]),
-                            np.stack([block_to_bits(block)]))
+        compiled.run_absorb(xbar, compiled.deltas_for([0]), blocks_to_bits([block]))
     assert bits_to_lanes(read_unit_state(xbar, unit)) == [0] * 25
 
 

@@ -1,5 +1,5 @@
-"""The C replay kernel compiles without warnings and runs the replay tests
-that cross its words free of undefined behaviour."""
+"""The C library compiles without warnings and runs the replay and io
+tests that cross its words free of undefined behaviour."""
 
 import os
 import shutil
@@ -9,22 +9,28 @@ from pathlib import Path
 
 import pytest
 
-from sha3pim import engine
+from sha3pim import keccak_xbar, native
+from sha3pim.crossbar import CrossbarConfig
 
 ROOT = Path(__file__).resolve().parent.parent
-# the tests whose replays reach a second word of the kernel's grid
+# the tests whose replays reach a second word of the kernel's grid, and
+# those of the io entry points, whose regions do at the default geometry
 WORD_TESTS = [
     "tests/test_engine.py::test_replay_across_words_matches_serial_execution",
     "tests/test_engine.py::test_input_key_offset_from_its_output_key",
     "tests/test_engine.py::test_strict_failure_in_the_second_word",
     "tests/test_keccak_xbar.py::test_hash_cohorts_at_word_boundaries",
+    "tests/test_crossbar.py::test_region_io_agrees_with_load_and_cells",
+    "tests/test_crossbar.py::test_region_write_of_a_bad_bit_sets_nothing",
+    "tests/test_crossbar.py::test_strict_read_of_a_partly_written_region",
+    "tests/test_crossbar.py::test_region_io_out_of_range",
 ]
 UNDEFINED_ABORTS = ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"]
 
 
 @pytest.fixture(scope="module")
 def compiler():
-    command = engine._compiler()
+    command = native._compiler()
     if shutil.which(command[0]) is None:
         pytest.skip(f"no C compiler: {command[0]} is not on PATH")
     return command
@@ -33,7 +39,7 @@ def compiler():
 def test_kernel_compiles_without_warnings(compiler, tmp_path):
     done = subprocess.run(
         [*compiler, "-O3", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "rows.so"), str(engine._SOURCE)],
+         "-o", str(tmp_path / "rows.so"), str(native._SOURCE)],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
@@ -46,9 +52,9 @@ def test_word_tests_pass_with_undefined_behaviour_aborting(compiler, tmp_path):
         "import sys",
         "from pathlib import Path",
         "import pytest",
-        "from sha3pim import engine",
-        f"engine._compiler = lambda: {compiler + UNDEFINED_ABORTS!r}",
-        f"engine._CACHE = Path({str(tmp_path)!r})",
+        "from sha3pim import native",
+        f"native._compiler = lambda: {compiler + UNDEFINED_ABORTS!r}",
+        f"native._CACHE = Path({str(tmp_path)!r})",
         f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{WORD_TESTS!r}]))",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -62,11 +68,30 @@ def test_word_tests_pass_with_undefined_behaviour_aborting(compiler, tmp_path):
 def test_a_build_removes_superseded_builds(compiler, tmp_path, monkeypatch):
     # a build made for an older source or compiler is never loaded again
     (tmp_path / "_rows-deadbeef.so").write_bytes(b"stale")
-    monkeypatch.setattr(engine, "_CACHE", tmp_path)
-    engine.kernel.cache_clear()
+    monkeypatch.setattr(native, "_CACHE", tmp_path)
+    native.kernel.cache_clear()
     try:
-        engine.kernel()
+        native.kernel()
         assert len(list(tmp_path.glob("_rows-*.so"))) == 1
         assert not (tmp_path / "_rows-deadbeef.so").exists()
     finally:
-        engine.kernel.cache_clear()
+        native.kernel.cache_clear()
+
+
+def test_set_up_neither_builds_nor_loads_the_library(tmp_path, monkeypatch):
+    # compiling the microcode schedules, checks and freezes without it; its
+    # first use is a hash's first write_region, which reports the failure
+    monkeypatch.setattr(native, "_CACHE", tmp_path)
+    monkeypatch.setattr(native, "_compiler", lambda: [str(tmp_path / "missing-cc")])
+    native.kernel.cache_clear()
+    try:
+        config = CrossbarConfig(rows=78, cols=61, vertical_partitions=1,
+                                horizontal_partitions=1)
+        keccak_xbar.CompiledKeccak(config)
+        assert native.kernel.cache_info().misses == 0
+        with pytest.raises(native.KernelBuildError, match="missing-cc"):
+            keccak_xbar.hash_messages([b"abc"], config)
+        assert native.kernel.cache_info().misses == 1
+        assert not list(tmp_path.iterdir())
+    finally:
+        native.kernel.cache_clear()
