@@ -27,19 +27,25 @@
    gate the AND (or the OR) of its inputs, XOR `invert`.  Input slots past
    a gate's arity are never read.
 
-   A row whose keys all have stride 1 runs on whole words.  Its output
-   places first..last lie in words first / 64 to last / 64, and an edge
-   mask keeps the bits of those words outside that range, which belong to
-   other tiles.  An input key whose first place is d places past the
-   output key's (before it, if d < 0) is read as the 64 places from
-   64 * w + d on, funnelled out of two words when d is not a multiple of
-   64, so that each input bit lines up with its output bit.  Rows whose
+   A row whose keys all have one stride runs on whole words.  A
+   descending axis holds the same places as an ascending one counted from
+   its last unit, so only the stride's size matters.  An input key whose
+   first place is d places past the output key's (before it, if d < 0) is
+   read as the 64 places from 64 * w + d on, funnelled out of two words
+   when d is not a multiple of 64, so that each input bit lines up with
+   its output bit.  At stride 1 the output's places first..last lie in
+   words first / 64 to last / 64, and an edge mask keeps the bits of those
+   words outside that range, which belong to other tiles.  Rows whose
    inputs need no funnel read plain words in a loop of their own: sending
    them through the funnel too made a permutation's kernel call 1.4 to
-   1.8 times as long (1 to 136 units, on a 2-core Xeon VM).  Any other
-   row (a strided or descending axis) runs one unit at a time on single
-   bits.  The init grid of strict mode has the same layout, and its
-   check reads a key's bits one unit at a time, in unit order. */
+   1.8 times as long (1 to 136 units, on a 2-core Xeon VM).  At a larger
+   stride (the partition-row set, whose copies are a partition row apart)
+   the row runs word by word, each word under the mask of the places it
+   holds, with the row's cells in the inner loop.  Only a row whose keys
+   have different strides (an RC fetch, say, from the RC column's tiles
+   onto the partitions') runs one unit at a time on single bits.  The
+   init grid of strict mode has the same layout, and its check reads a
+   key's bits one unit at a time, in unit order. */
 
 #include <stdint.h>
 
@@ -92,9 +98,11 @@ static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
     i64 step = f[1] * words, end = f[2] * words;
     u64 *out = q + f[3] * words;
     const u64 *x = q + f[fa] * words, *y = q + f[fb] * words;
-    if (!(ko[1] == 1 && ka[1] == 1 && kb[1] == 1)) {
+    /* a row's keys belong to one origin set, so they share its count */
+    i64 stride = ko[1], n = ko[2];
+    if (ka[1] != stride || kb[1] != stride) {
         for (i64 i = 0; i < end; i += step)
-            for (i64 u = 0; u < ko[2]; u++) {
+            for (i64 u = 0; u < n; u++) {
                 i64 p = PLACE(ko, u), w = i + (p >> 6);
                 u64 v = arity ? GATE(BIT(x + i, PLACE(ka, u)),
                                      BIT(y + i, PLACE(kb, u)))
@@ -103,11 +111,36 @@ static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
             }
         return;
     }
-    /* the output's places and words, and per input the word offset and
-       the shift that line its places up with the output's */
-    i64 first = ko[0], last = ko[0] + ko[2] - 1, w0 = first >> 6, w1 = last >> 6;
-    i64 sa = (ka[0] - first) & 63, ja = (ka[0] - first - sa) / 64;
-    i64 sb = (kb[0] - first) & 63, jb = (kb[0] - first - sb) / 64;
+    /* the output's places, ascending (a descending axis holds the same
+       places counted from its last unit), and per input the word offset
+       and the shift that line its places up with the output's */
+    i64 first = stride > 0 ? ko[0] : ko[0] + (n - 1) * stride;
+    stride = stride > 0 ? stride : -stride;
+    i64 last = first + (n - 1) * stride;
+    i64 sa = (ka[0] - ko[0]) & 63, ja = (ka[0] - ko[0] - sa) / 64;
+    i64 sb = (kb[0] - ko[0]) & 63, jb = (kb[0] - ko[0] - sb) / 64;
+    if (stride > 1) {
+        /* word by word, each with the mask of the places it holds */
+        for (i64 p = first; p <= last;) {
+            i64 w = p >> 6;
+            u64 mask = 0;
+            for (; p <= last && p >> 6 == w; p += stride)
+                mask |= (u64)1 << (p & 63);
+            u64 *o = out + w;
+            if (!arity)
+                for (i64 i = 0; i < end; i += step)
+                    o[i] ^= (o[i] ^ preset) & mask;
+            else if (!sa && !sb)
+                for (i64 i = 0; i < end; i += step)
+                    o[i] ^= (o[i] ^ GATE(x[i + w + ja], y[i + w + jb])) & mask;
+            else
+                for (i64 i = 0; i < end; i += step)
+                    o[i] ^= (o[i] ^ GATE(fetch(x + i, words, w + ja, sa),
+                                         fetch(y + i, words, w + jb, sb))) & mask;
+        }
+        return;
+    }
+    i64 w0 = first >> 6, w1 = last >> 6;
     for (i64 i = 0; i < end; i += step) {
         u64 *o = out + i;
         const u64 *a = x + i, *b = y + i;

@@ -39,9 +39,12 @@ evenly spaced is refused. The map numbers partition tiles in unit-id
 order, so contiguous units are contiguous bits, and the kernel applies a
 gate to 64 units at a time with word operations: edge masks keep the bits
 of other tiles in a key's first and last word, and an input key whose
-tiles start elsewhere than its output key's is shifted into line. A
-strided or descending axis takes a per-bit path. Strict mode runs on
-``crossbar.initialized``, which has the same layout.
+tiles start elsewhere than its output key's is shifted into line. A row
+whose keys share a larger stride (the partition-row set's) or a
+descending one runs on whole words as well, under a mask of its places
+per word; only a row whose keys' strides differ (an RC fetch) runs one
+bit at a time. Strict mode runs on ``crossbar.initialized``, which has
+the same layout.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a

@@ -535,6 +535,47 @@ def test_input_key_offset_from_its_output_key(output, input_, columns):
         np.ones((38, 42), dtype=np.uint8)))
 
 
+@pytest.mark.parametrize("output, input_, rows", [
+    ((0, 1), (0, 1), 9),
+    ((0, 1), (0, 2), 9),
+    ((0, 1), (0, 0), 9),
+    ((0, 0), (6, 4), 2),
+    ((6, 4), (0, 0), 2),
+    ((0, 0), (7, 0), 2),
+    ((7, 0), (0, 0), 2),
+], ids=["same-tile", "1-past", "1-before", "a-word-past", "a-word-before",
+        "70-past", "70-before"])
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_strided_keys_match_serial_execution(output, input_, rows, order, strict):
+    # the partition-row set copies an INIT1, a NOT and a NOR2 run that
+    # write partition `output` and read partition `input_`, so every key's
+    # tiles are 10 apart (descending when the shifts are listed so): over
+    # all 9 partition rows they spread over both words, and over 2 rows an
+    # input lies a whole word, or more, from its output
+    config = CrossbarConfig(**WORD_GEOMETRY, strict_init=strict)
+    (vo, ho), (vi, hi) = output, input_
+    target = (4 * vo, 4 * ho + 3)
+    bundles = [CycleBundle([MicroOp(gate, inputs, target, count=4, stride=(1, 0))])
+               for gate, inputs in [
+                   (GateType.INIT1, ()),
+                   (GateType.NOT, ((4 * vi, 4 * hi + 1),)),
+                   (GateType.NOR2, ((4 * vi, 4 * hi + 1), (4 * vi, 4 * hi + 2)))]]
+    set_ids = [engine.SET_PARTITION_ROW] * 3
+    shifts = [[], [(4 * v, 0) for v in range(rows)[::order]], []]
+    frozen = engine.freeze(line_table(bundles), ["a"] * 3, set_ids, config)
+    axes = engine._unit_axes(frozen, PartitionMap(config),
+                             partition_shifts(shifts, config))
+    assert set(axes[np.flatnonzero(frozen.reach[:, 0] >= 0), 1]) == {10 * order}
+    rng = np.random.default_rng(13)
+    # the outputs' column starts unwritten, so strict mode marks it
+    initialized = np.ones((38, 42), dtype=np.uint8)
+    initialized[:, 3::4] = 0
+    check_against_shifted_bundles((
+        config, frozen, list(zip(bundles, ["a"] * 3, set_ids)), shifts,
+        rng.integers(0, 2, (38, 42), dtype=np.uint8), initialized))
+
+
 def test_strict_failure_in_the_second_word():
     # every unit's NOR2 run reads (1,2) first on its first line; units 70
     # and 80, at places 70 and 80 in the second word, never wrote theirs,
