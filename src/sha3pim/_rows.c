@@ -17,15 +17,18 @@
    init grid; a read given the init grid (strict mode) refuses a region
    holding a cell never written.
 
-   A row is nine ints (int16, or int32 when `wide`): the gate, the step and
-   span along the tile's cells, then the first cell and key of the output
-   and of two input slots.  A key's unit axis is three int64s (first,
-   stride, count): its places, the tiles it reaches, are first + u * stride
-   for u < count, evenly spaced by construction.  A gate's form is four int64s
-   (arity, or, invert, preset): its row of crossbar.GATE_TABLE, then its
-   output on no inputs.  A gate of no inputs writes `preset`, any other
-   gate the AND (or the OR) of its inputs, XOR `invert`.  Input slots past
-   a gate's arity are never read.
+   A row is nine int32s, read in place: the gate, the step and span along
+   the tile's cells, then the first cell and key of the output and of two
+   input slots.  An input slot past the gate's arity repeats the slot
+   before it, or the output for a gate of no inputs, so every row names
+   two input cells the row already touches.  Index products are taken in
+   int64.  A key's unit axis is three int64s (first, stride, count): its
+   places, the tiles it reaches, are first + u * stride for u < count,
+   evenly spaced by construction.  A gate's form is four int64s (arity,
+   or, invert, preset): its row of crossbar.GATE_TABLE, then its output on
+   no inputs.  A gate of no inputs writes `preset`, any other gate the AND
+   (or the OR) of its inputs, XOR `invert`; an input read twice leaves
+   the AND and the OR unchanged.
 
    A row whose keys all have one stride runs on whole words.  A
    descending axis holds the same places as an ascending one counted from
@@ -56,13 +59,6 @@ typedef int64_t i64;
 #define GATE(a, b) ((((a) & (b)) | (either & ((a) | (b)))) ^ invert)
 #define BIT(x, p) ((x)[(p) >> 6] >> ((p) & 63) & 1)
 
-static void load(const void *rows, int wide, i64 r, i64 *f)
-{
-    for (int k = 0; k < 9; k++)
-        f[k] = wide ? ((const int32_t *)rows)[9 * r + k]
-                    : ((const int16_t *)rows)[9 * r + k];
-}
-
 /* The bits of word w that hold places first..last. */
 static u64 edge(i64 w, i64 first, i64 last)
 {
@@ -86,18 +82,16 @@ static u64 fetch(const u64 *x, i64 words, i64 k, i64 shift)
 }
 
 /* Row f with gate form g on every unit of its output key. */
-static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
+static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
                 const i64 *axes)
 {
-    /* fields of the input slots; a slot past the arity repeats the one
-       before it, or the output */
-    i64 arity = g[0], fa = arity ? 5 : 3, fb = arity > 1 ? 7 : fa;
-    const i64 *ko = axes + 3 * f[4], *ka = axes + 3 * f[fa + 1],
-              *kb = axes + 3 * f[fb + 1];
+    i64 arity = g[0];
+    const i64 *ko = axes + 3 * (i64)f[4], *ka = axes + 3 * (i64)f[6],
+              *kb = axes + 3 * (i64)f[8];
     u64 either = -(u64)g[1], invert = -(u64)g[2], preset = -(u64)g[3];
     i64 step = f[1] * words, end = f[2] * words;
     u64 *out = q + f[3] * words;
-    const u64 *x = q + f[fa] * words, *y = q + f[fb] * words;
+    const u64 *x = q + f[5] * words, *y = q + f[7] * words;
     /* a row's keys belong to one origin set, so they share its count */
     i64 stride = ko[1], n = ko[2];
     if (ka[1] != stride || kb[1] != stride) {
@@ -162,19 +156,18 @@ static void run(u64 *q, i64 words, const i64 *f, const i64 *g,
    each bundle only after checking that it reads no unwritten cell.  On
    such a read, return 1 with fail = (row, input slot, cell, tile) of the
    first one and the grids holding every bundle before; else return 0. */
-int run_rows(u64 *q, u64 *init, i64 words, const void *rows, int wide,
+int run_rows(u64 *q, u64 *init, i64 words, const int32_t *rows,
              const unsigned char *live, const i64 *bundle_ptr, i64 n_bundles,
              const i64 *forms, const i64 *axes, i64 *fail)
 {
     static const i64 written[4] = {0, 0, 0, 1};
-    i64 f[9];
     for (i64 bundle = 0; bundle < n_bundles; bundle++) {
         i64 lo = bundle_ptr[bundle], hi = bundle_ptr[bundle + 1];
         for (i64 r = lo; init && r < hi; r++) {
-            load(rows, wide, r, f);
-            for (i64 slot = 1; slot <= forms[4 * f[0]]; slot++) {
-                const i64 *key = axes + 3 * f[4 + 2 * slot];
-                for (i64 i = f[3 + 2 * slot]; i < f[3 + 2 * slot] + f[2]; i += f[1])
+            const int32_t *f = rows + 9 * r;
+            for (i64 slot = 1; slot <= forms[4 * (i64)f[0]]; slot++) {
+                const i64 *key = axes + 3 * (i64)f[4 + 2 * slot];
+                for (i64 i = f[3 + 2 * slot]; i < (i64)f[3 + 2 * slot] + f[2]; i += f[1])
                     for (i64 u = 0, p = key[0]; u < key[2]; u++, p += key[1])
                         if (!BIT(init + i * words, p)) {
                             fail[0] = r, fail[1] = slot, fail[2] = i, fail[3] = p;
@@ -185,8 +178,8 @@ int run_rows(u64 *q, u64 *init, i64 words, const void *rows, int wide,
         for (i64 r = lo; r < hi; r++) {
             if (!init && !live[r])
                 continue;
-            load(rows, wide, r, f);
-            run(q, words, f, forms + 4 * f[0], axes);
+            const int32_t *f = rows + 9 * r;
+            run(q, words, f, forms + 4 * (i64)f[0], axes);
             if (init)
                 run(init, words, f, written, axes);
         }

@@ -292,8 +292,9 @@ class CycleBundle:
 class LineTable:
     """A segment's runs expanded to their lines (``line_table``), runs in
     bundle order and lines in run order. Line ``i`` touches ``cells[i,
-    slot]`` = (row, col): slot 0 its output, slots 1 and 2 its inputs, and
-    a slot past the gate's arity repeats the output.
+    slot]`` = (row, col): slot 0 its output, slots 1 and 2 its inputs. An
+    input slot past the gate's arity repeats the slot before it, or the
+    output for a gate of no inputs.
     """
 
     bundle_ptr: np.ndarray    # int64 [n_bundles + 1]: each bundle's first run
@@ -302,7 +303,7 @@ class LineTable:
     gate: np.ndarray          # int64 [n_runs]
     arity: np.ndarray         # int64 [n_runs]: its number of inputs
     run: np.ndarray           # int32 [n_lines]: each line's run
-    cells: np.ndarray         # int32 (int64 past its range) [n_lines, 3, 2]
+    cells: np.ndarray         # int64 [n_lines, 3, 2]
 
 
 def line_table(bundles: list[CycleBundle]) -> LineTable:
@@ -311,18 +312,15 @@ def line_table(bundles: list[CycleBundle]) -> LineTable:
     runs = []
     for k, bundle in enumerate(bundles):
         for op in bundle.ops:
-            a, b = (op.inputs + (op.output, op.output))[:2]
+            inputs = op.inputs or (op.output,)
+            a, b = (inputs + inputs[-1:])[:2]
             runs.append((k, op.gate, len(op.inputs), max(op.count, 0), *op.output,
                          *a, *b, *op.stride))
     runs = np.array(runs, dtype=np.int64).reshape(-1, 12)
     count, first, stride = runs[:, 3], runs[:, 4:10].reshape(-1, 3, 2), runs[:, None, 10:]
     line_ptr = np.r_[0, np.cumsum(count)]
-    # a run's lines lie between its first and last: int32 unless those are not
-    last = first + np.maximum(count - 1, 0)[:, None, None] * stride
-    wide = np.abs(np.r_[first.ravel(), last.ravel()]).max(initial=0) >= 2 ** 31
-    first, stride = (a.astype(np.int64 if wide else np.int32) for a in (first, stride))
     run = np.repeat(np.arange(runs.shape[0], dtype=np.int32), count)
-    k = (np.arange(line_ptr[-1]) - line_ptr[run]).astype(first.dtype)
+    k = np.arange(line_ptr[-1]) - line_ptr[run]
     cells = first[run] + k[:, None, None] * stride[run]
     return LineTable(np.searchsorted(runs[:, 0], np.arange(len(bundles) + 1)),
                      line_ptr, runs[:, 0], runs[:, 1], runs[:, 2], run, cells)

@@ -27,12 +27,14 @@ partition-sized tile of its ``PartitionMap``, 64 tiles to a 64-bit word
 (``state[cell, word]``; bit ``t % 64`` of word ``t // 64`` is tile ``t``),
 so a shift of whole partitions keeps a cell's index and moves only its
 bit. ``freeze`` therefore writes each event as one row of nine tile-local
-ints: the gate, the run's step and span along the cell axis, then the
-first cell and a (set, tile) key of the output and of two input slots. No
-event leaves its tile, and a run that steps backward along the cell axis
-is written from its last line, so each row is a forward walk. Only the
-unit axis of a key - the tiles its set's shifts move the key's tile to -
-depends on the shifts, so ``replay`` builds those axes as (first tile,
+int32s, which the kernel reads in place: the gate, the run's step and span
+along the cell axis, then the first cell and a (set, tile) key of the
+output and of two input slots. An input slot past the gate's arity
+repeats the slot before it, or the output for a preset, as in the line
+table. No event leaves its tile, and a run that steps backward along the
+cell axis is written from its last line, so each row is a forward walk.
+Only the unit axis of a key - the tiles its set's shifts move the key's
+tile to - depends on the shifts, so ``replay`` builds those axes as (first tile,
 stride, count), checks them against the crossbar and calls the kernel
 once on ``crossbar.state`` as it is. A shift set whose tiles are not
 evenly spaced is refused. The map numbers partition tiles in unit-id
@@ -98,10 +100,10 @@ SET_UNIT, SET_PARTITION_ROW, SET_PARTITION_COL = 0, 1, 2
 class FrozenProgram:
     """Kernel rows for one replayable microcode segment."""
 
-    rows: np.ndarray          # int16 (int32 past its range) [n_events, 9]:
-    #                           gate, step, span, then the first cell and the
-    #                           key of the output and of in1 and in2 (0 and 0
-    #                           for a slot not read)
+    rows: np.ndarray          # int32 [n_events, 9]: gate, step, span, then
+    #                           the first cell and the key of the output and
+    #                           of in1 and in2; a slot past the gate's arity
+    #                           repeats the one before it, or the output
     live: np.ndarray          # bool [n_events]: False for a row of INIT1
     #                           presets that are all dead (overwritten before
     #                           any read); counted and charged, never replayed
@@ -110,7 +112,7 @@ class FrozenProgram:
     bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
     label_names: list[str]
     geometry: tuple           # PartitionMap.geometry of the config frozen for
-    reach: np.ndarray         # rows.dtype [n_keys, 2] largest local (row,
+    reach: np.ndarray         # int32 [n_keys, 2] largest local (row,
     #                           col) any slot touches per key, -1 if unused
     cycles_by_label: np.ndarray      # int64 [n_labels]
     gates_by_label_set: np.ndarray   # int64 [n_labels, NUM_ORIGIN_SETS] cells
@@ -129,7 +131,7 @@ class FrozenProgram:
 
     @property
     def n_gate_executions(self) -> int:
-        step, span = self.rows[:, 1].astype(np.int64), self.rows[:, 2]
+        step, span = self.rows[:, 1], self.rows[:, 2]
         return int(((span - 1) // step + 1).sum())
 
     def charge(self, stats, origin_counts: list[int]) -> None:
@@ -198,8 +200,8 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     The lines are located on the tiles once, and the rows, their ``live``
     flags and each key's ``reach`` are read off that. Replay slices forward
     along a tile's cells, so a run that steps backward there is written
-    from its last line. Input slots a gate does not read are written as 0
-    and 0.
+    from its last line. Input slots a gate does not read are copied as
+    the line table pads them.
     """
     tiles = PartitionMap(config)
     owner, r, c = lines.run, lines.cells[..., 0], lines.cells[..., 1]
@@ -235,19 +237,16 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     gates = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
     np.add.at(gates, (bundle_label[bundle], key[head, 0] // tiles.n_tiles), count)
 
-    limit = max(tiles.unit_rows * tiles.unit_cols, NUM_ORIGIN_SETS * tiles.n_tiles)
-    dtype = np.int16 if limit <= np.iinfo(np.int16).max else np.int32
-    rows = np.empty((head.shape[0], 9), dtype=dtype)
+    rows = np.empty((head.shape[0], 9), dtype=np.int32)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, (count - 1) * step + 1
-    rows[:, 3::2] = np.where(used[head], local[first], 0)
-    rows[:, 4::2] = np.where(used[head], key[head], 0)
+    rows[:, 3::2], rows[:, 4::2] = local[first], key[head]
     live = _live_rows(gate, bundle, local, key,
                       (np.cumsum(starts) - 1).astype(np.int32), used)
     # runs stay inside their tile, so their two end lines bound every cell
     ends = np.r_[head, tail]
-    reach = np.full((NUM_ORIGIN_SETS * tiles.n_tiles, 2), -1, dtype=dtype)
+    reach = np.full((NUM_ORIGIN_SETS * tiles.n_tiles, 2), -1, dtype=np.int32)
     for axis, at in enumerate(np.divmod(local[ends], tiles.unit_cols)):
-        np.maximum.at(reach[:, axis], key[ends][used[ends]], at[used[ends]])
+        np.maximum.at(reach[:, axis], key[ends], at)
     return FrozenProgram(rows, live, np.r_[0, np.cumsum(sizes)], bundle_label,
                          label_names, tiles.geometry, reach,
                          np.bincount(bundle_label, minlength=len(label_names)),
@@ -457,8 +456,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         init = None
     # C buffers, copied only if a caller built the program's arrays with
     # another layout than freeze and concat do
-    rows = np.ascontiguousarray(
-        program.rows, np.int16 if program.rows.dtype == np.int16 else np.int32)
+    rows = np.ascontiguousarray(program.rows, np.int32)
     live = np.ascontiguousarray(program.live, np.bool_)
     bundle_ptr = np.ascontiguousarray(program.bundle_ptr, np.int64)
     if (rows.shape[1:] != (9,) or live.shape != rows.shape[:1]
@@ -468,7 +466,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                          "pointers do not match")
     fail = np.zeros(4, dtype=np.int64)
     failed = library.run_rows(state, init, tiles.words, rows.ctypes.data,
-                              rows.dtype == np.int32, live.ctypes.data,
+                              live.ctypes.data,
                               bundle_ptr.ctypes.data, program.n_bundles,
                               _FORMS.ctypes.data, axes.ctypes.data, fail.ctypes.data)
     if failed:

@@ -14,7 +14,7 @@ from the published reference constants (see ``REFERENCE_INPUT``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,3 @@ def compute(inputs: MetricsInput) -> MetricsReport:
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"metric {name} is not finite and positive ({value})")
     return report
-
-
-def scaled(inputs: MetricsInput, crossbars: int) -> MetricsReport:
-    return compute(replace(inputs, crossbars=crossbars))

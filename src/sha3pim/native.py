@@ -81,8 +81,8 @@ def kernel() -> ctypes.CDLL:
         raise KernelBuildError(f"cannot load the C replay kernel: {exc}") \
             from None
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
-    library.run_rows.argtypes = [pointer, pointer, i64, pointer, ctypes.c_int,
-                                 pointer, pointer, i64, pointer, pointer, pointer]
+    library.run_rows.argtypes = [pointer, pointer, i64, pointer, pointer,
+                                 pointer, i64, pointer, pointer, pointer]
     for io in (library.write_region, library.read_region):
         io.argtypes = [pointer, pointer, pointer, i64, i64, i64, i64, pointer]
     for entry in (library.run_rows, library.write_region, library.read_region):

@@ -324,8 +324,8 @@ def check_presets(lines: LineTable) -> None:
     owner, gate, bundle = lines.run, lines.gate, lines.bundle
     r, c = lines.cells[..., 0], lines.cells[..., 1]
     line, slot = np.nonzero(np.arange(3) <= lines.arity[owner][:, None])
-    cell = (r[line, slot] - r.min()).astype(np.int64) \
-        * (int(c.max()) - int(c.min()) + 1) + c[line, slot] - c.min()
+    cell = (r[line, slot] - r.min()) * (c.max() - c.min() + 1) \
+        + c[line, slot] - c.min()
     # one int64 per access orders it by cell, bundle, then reads before
     # writes; the stable sort keeps the line order of the rest
     order = np.argsort((cell * len(lines.bundle_ptr) + bundle[owner[line]]) * 2

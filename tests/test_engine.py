@@ -119,6 +119,33 @@ def test_vector_event_compression():
     assert frozen.n_gate_executions == 8
 
 
+def test_unused_input_slots_repeat_the_slot_before():
+    # a slot past the gate's arity repeats the slot before it, or the
+    # output for a preset, in the line table and in the frozen rows alike
+    config = small_crossbar().config
+    bundles = [
+        CycleBundle([MicroOp(GateType.NOT, ((1, 2),), (1, 3), count=4, stride=(1, 0))]),
+        CycleBundle([MicroOp(GateType.INIT1, (), (9, 11), count=4, stride=(1, 0))])]
+    lines = line_table(bundles)
+    negate, preset = lines.cells[lines.run == 0], lines.cells[lines.run == 1]
+    assert (negate[:, 2] == negate[:, 1]).all()
+    assert (negate[:, 1] != negate[:, 0]).any()
+    assert (preset[:, 1:] == preset[:, :1]).all()
+    frozen = engine.freeze(lines, ["main"] * 2, [engine.SET_UNIT] * 2, config)
+    negate, preset = frozen.rows.tolist()
+    assert (negate[0], preset[0]) == (GateType.NOT, GateType.INIT1)
+    assert negate[7:9] == negate[5:7] != negate[3:5]
+    assert preset[7:9] == preset[5:7] == preset[3:5] != [0, 0]
+    state = np.random.default_rng(5).integers(0, 2, (16, 16), dtype=np.uint8)
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.load(state, np.ones_like(state))
+    for bundle in bundles:
+        oracle.execute_bundle(bundle)
+    engine.replay(frozen, xbar, unit_shifts((0, 0)))
+    assert np.array_equal(xbar.cells(), oracle.cells())
+
+
 @pytest.mark.parametrize("run", [
     MicroOp(GateType.NOR2, ((7, 1), (7, 2)), (7, 0), count=8, stride=(-1, 0)),
     MicroOp(GateType.NOR2, ((1, 7), (2, 7)), (0, 7), count=8, stride=(0, -1)),
@@ -765,6 +792,7 @@ def test_replay_keys_past_the_int16_range():
     op = MicroOp(GateType.NOT, ((1099, 1099),), (1099, 1098))
     frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
                            [engine.SET_PARTITION_COL], config)
+    assert frozen.rows.dtype == np.int32
     assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max
     engine.replay(frozen, xbar, [NO_COPIES] * 2
                   + [np.zeros((1, 2), dtype=np.int64)])

@@ -155,11 +155,11 @@ def test_compiled_program_shape(compiled):
     assert [(p.n_bundles, p.n_events) for p in compiled.absorb] == [
         (50, 60), (35, 42)]
     # the largest local (row, col) each key reaches, which replay's bounds
-    # check reads
+    # check reads; the digest is of its values as int16, which hold them
     reach = hashlib.sha256()
     for program in (permute, *compiled.absorb):
-        assert program.reach.dtype == np.int16
-        reach.update(program.reach.tobytes())
+        assert program.rows.dtype == program.reach.dtype == np.int32
+        reach.update(program.reach.astype(np.int16).tobytes())
     assert reach.hexdigest() == (
         "ea511899edf2ec43e166fc939f7b8275b88634b48528d5fb6056ecaae04c669f")
 

@@ -20,6 +20,7 @@ WORD_TESTS = [
     "tests/test_engine.py::test_input_key_offset_from_its_output_key",
     "tests/test_engine.py::test_strided_keys_match_serial_execution",
     "tests/test_engine.py::test_strict_failure_in_the_second_word",
+    "tests/test_engine.py::test_replay_keys_past_the_int16_range",
     "tests/test_keccak_xbar.py::test_hash_cohorts_at_word_boundaries",
     "tests/test_crossbar.py::test_region_io_agrees_with_load_and_cells",
     "tests/test_crossbar.py::test_region_write_of_a_bad_bit_sets_nothing",

@@ -1,8 +1,10 @@
 """Throughput/power/area model against the published comparison figures."""
 
+from dataclasses import replace
+
 import pytest
 
-from sha3pim.metrics import REFERENCE_INPUT, MetricsInput, compute, scaled
+from sha3pim.metrics import REFERENCE_INPUT, MetricsInput, compute
 
 
 def test_reference_point_one_crossbar():
@@ -13,7 +15,7 @@ def test_reference_point_one_crossbar():
 
 
 def test_reference_point_two_crossbars():
-    report = scaled(REFERENCE_INPUT, 2)
+    report = compute(replace(REFERENCE_INPUT, crossbars=2))
     assert report.tput_system_bps / 1e9 == pytest.approx(78.4, rel=0.01)
     assert report.tput_per_watt_bps / 1e9 == pytest.approx(1422, rel=0.01)
 
@@ -21,17 +23,15 @@ def test_reference_point_two_crossbars():
 def test_linear_scaling_and_invariance():
     one = compute(REFERENCE_INPUT)
     for n in (2, 3, 10):
-        report = scaled(REFERENCE_INPUT, n)
+        report = compute(replace(REFERENCE_INPUT, crossbars=n))
         assert report.tput_system_bps == pytest.approx(n * one.tput_system_bps)
         assert report.tput_per_watt_bps == pytest.approx(one.tput_per_watt_bps)
 
 
 def test_tput_per_watt_is_rate_over_energy():
-    import dataclasses
     for units, crossbars in [(1, 1), (378, 1), (50, 4)]:
-        inputs = dataclasses.replace(REFERENCE_INPUT,
-                                     units_per_crossbar=units,
-                                     crossbars=crossbars)
+        inputs = replace(REFERENCE_INPUT, units_per_crossbar=units,
+                         crossbars=crossbars)
         report = compute(inputs)
         assert report.tput_per_watt_bps == pytest.approx(
             inputs.rate_bits / inputs.energy_unit_j)
