@@ -24,7 +24,8 @@
    two input cells the row already touches.  Index products are taken in
    int64.  A key's unit axis is three int64s (first, stride, count): its
    places, the tiles it reaches, are first + u * stride for u < count,
-   evenly spaced by construction.  A gate's form is four int64s (arity,
+   evenly spaced by construction.  A key of count 0, of an origin set
+   with no copies, runs nothing.  A gate's form is four int64s (arity,
    or, invert, preset): its row of crossbar.GATE_TABLE, then its output on
    no inputs.  A gate of no inputs writes `preset`, any other gate the AND
    (or the OR) of its inputs, XOR `invert`; an input read twice leaves
@@ -94,6 +95,8 @@ static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
     const u64 *x = q + f[5] * words, *y = q + f[7] * words;
     /* a row's keys belong to one origin set, so they share its count */
     i64 stride = ko[1], n = ko[2];
+    if (!n)
+        return;
     if (ka[1] != stride || kb[1] != stride) {
         for (i64 i = 0; i < end; i += step)
             for (i64 u = 0; u < n; u++) {

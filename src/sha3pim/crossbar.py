@@ -160,23 +160,34 @@ class CrossbarConfig:
         return 1.0 / (self.gate_delay_ns * 1e-9)
 
 
-def run_violation(cells: tuple[Cell, ...], count: int, stride: Cell) -> str | None:
-    """Why ``count`` copies of the line ``cells``, each ``stride`` past the
-    last, are not a run, or None if they are.
+def shape_violation(name: str, arity: int, inputs: tuple[Cell, ...],
+                    written: tuple[Cell, ...], count: int,
+                    stride: Cell) -> str | None:
+    """Why an op ``name`` of ``arity`` inputs, reading ``inputs`` and
+    writing ``written`` along ``count`` lines, each ``stride`` past the
+    last, is malformed, or None if it is not. The one shape rule of
+    micro-ops and macros.
 
-    A run's lines must not meet, so its stride is nonzero and does not move
-    along the line; every line then shares the first line's
+    Only inputs may repeat. The first line's cells share one row or one
+    column, and a run's lines must not meet, so its stride is nonzero and
+    does not move along the line; every line then shares the first line's
     ``line_pattern``.
     """
-    if count < 1:
-        return f"a run needs at least one line, got {count}"
-    if count == 1:
-        return None
+    if len(inputs) != arity:
+        return f"{name} takes {arity} inputs, got {len(inputs)}"
+    cells = inputs + written
+    for cell in written:
+        if cells.count(cell) > 1:
+            return f"{name} writes {cell}, which it also reads or writes elsewhere"
     in_row = len({r for r, _ in cells}) == 1
     in_col = len({c for _, c in cells}) == 1
-    if stride == (0, 0) or (in_row and not in_col and stride[1]) \
-            or (in_col and not in_row and stride[0]):
-        return f"run stride {stride} moves along the line of {cells}"
+    if not (in_row or in_col):
+        return f"{name} cells {cells} share neither one row nor one column"
+    if count < 1:
+        return f"{name}: a run needs at least one line, got {count}"
+    if count > 1 and (stride == (0, 0) or (in_row and not in_col and stride[1])
+                      or (in_col and not in_row and stride[0])):
+        return f"{name}: run stride {stride} moves along the line of {cells}"
     return None
 
 
@@ -223,16 +234,8 @@ class MicroOp:
 
     def validate_shape(self) -> str | None:
         """Return a violation message, or None if the op is well-formed."""
-        expected = GATE_NUM_INPUTS[self.gate]
-        if len(self.inputs) != expected:
-            return f"{self.gate.name} takes {expected} inputs, got {len(self.inputs)}"
-        if self.output in self.inputs:
-            return f"output cell {self.output} repeats an input"
-        axis = 0 if self.orientation == IN_ROW else 1
-        line = self.output[axis]
-        if any(cell[axis] != line for cell in self.inputs):
-            return f"cells {self.cells()} share neither one row nor one column"
-        return run_violation(self.cells(), self.count, self.stride)
+        return shape_violation(self.gate.name, GATE_NUM_INPUTS[self.gate],
+                               self.inputs, (self.output,), self.count, self.stride)
 
 
 def line_pattern(op: MicroOp) -> tuple:
@@ -487,17 +490,32 @@ class Crossbar:
     ``[unit_rows * unit_cols, ceil(n_tiles / 64)]``, where row ``local``,
     bit ``t % 64`` of word ``t // 64`` is cell ``local`` of tile ``t`` of
     the ``PartitionMap``. Cells in the padding of the edge tiles stay 0.
-    ``cells`` and ``load`` read and set them as [rows, cols] byte grids.
+    Both arrays and ``partition_map`` are built once, with the crossbar,
+    and cannot be replaced, only written in place; the C library holds
+    their addresses. ``cells`` and ``load`` read and set them as [rows,
+    cols] byte grids.
     """
 
     def __init__(self, config: CrossbarConfig | None = None):
         self.config = config or CrossbarConfig()
-        self.partition_map = tiles = PartitionMap(self.config)
-        self.state, self.initialized = np.zeros(
+        self._partition_map = tiles = PartitionMap(self.config)
+        self._state, self._initialized = np.zeros(
             (2, tiles.unit_rows * tiles.unit_cols, tiles.words), dtype=np.uint64)
         self.stats = ExecutionStats(gate_energy_fj=self.config.gate_energy_fj)
         self.trace: IO[str] | None = None
         self._addresses: tuple = ()
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._state
+
+    @property
+    def initialized(self) -> np.ndarray:
+        return self._initialized
+
+    @property
+    def partition_map(self) -> PartitionMap:
+        return self._partition_map
 
     # ------------------------------------------------------------------ setup
 
@@ -523,30 +541,13 @@ class Crossbar:
     def addresses(self) -> tuple:
         """(the C library of ``native.kernel``, then the addresses of
         ``state``, ``initialized`` and the partition map's ``words_map``):
-        what its entry points take for this crossbar.
-
-        The library is loaded on first use. The arrays are checked, and
-        their addresses looked up, again whenever ``state``,
-        ``initialized`` or ``partition_map`` is replaced, so nothing is
-        ever written through the address of an array the crossbar no
-        longer holds; a replaced array that is not C-contiguous uint64 of
-        the old shape raises ``ValueError``.
-        """
-        held = self._addresses
-        if held and held[0] is self.state and held[1] is self.initialized \
-                and held[2] is self.partition_map:
-            return held[3]
-        tiles = self.partition_map
-        shape = (tiles.unit_rows * tiles.unit_cols, tiles.words)
-        words = (self.state, self.initialized)
-        if not all(isinstance(a, np.ndarray) and a.dtype == np.uint64
-                   and a.shape == shape and a.flags.c_contiguous
-                   and a.flags.writeable for a in words):
-            raise ValueError(f"a crossbar's words must be C-contiguous uint64 {shape}")
-        found = (native.kernel(), *(a.ctypes.data for a in words),
-                 tiles.words_map.ctypes.data)
-        self._addresses = (*words, tiles, found)
-        return found
+        what its entry points take for this crossbar. They are looked up,
+        and the library loaded, on first use."""
+        if not self._addresses:
+            self._addresses = (native.kernel(), self._state.ctypes.data,
+                               self._initialized.ctypes.data,
+                               self._partition_map.words_map.ctypes.data)
+        return self._addresses
 
     def __getstate__(self) -> dict:
         # a copy or an unpickled crossbar looks up its own arrays' addresses

@@ -33,10 +33,14 @@ output and of two input slots. An input slot past the gate's arity
 repeats the slot before it, or the output for a preset, as in the line
 table. No event leaves its tile, and a run that steps backward along the
 cell axis is written from its last line, so each row is a forward walk.
+``FrozenProgram`` checks every row once, when it is built (each gate
+code, step, span, cell and key in range), and holds its arrays
+read-only, so no replay checks or copies them again.
 Only the unit axis of a key - the tiles its set's shifts move the key's
 tile to - depends on the shifts, so ``replay`` builds those axes as (first tile,
 stride, count), checks them against the crossbar and calls the kernel
-once on ``crossbar.state`` as it is. A shift set whose tiles are not
+once on ``crossbar.state`` as it is; a key of a set with no copies has
+count 0 and runs nothing. A shift set whose tiles are not
 evenly spaced is refused. The map numbers partition tiles in unit-id
 order, so contiguous units are contiguous bits, and the kernel applies a
 gate to 64 units at a time with word operations: edge masks keep the bits
@@ -96,9 +100,18 @@ def active_backend() -> str:
 NUM_ORIGIN_SETS = 3
 SET_UNIT, SET_PARTITION_ROW, SET_PARTITION_COL = 0, 1, 2
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenProgram:
-    """Kernel rows for one replayable microcode segment."""
+    """Kernel rows for one replayable microcode segment.
+
+    The kernel reads ``rows``, ``live`` and ``bundle_ptr`` in place through
+    raw pointers, so they are checked once, here: brought to the dtypes
+    below (``np.require`` copies nothing ``freeze`` and ``concat`` build),
+    checked to agree with each other and with ``geometry``, and made
+    read-only with every other array. A program that fails raises
+    ``ValueError``, so no program that exists can make ``replay`` touch
+    memory outside the crossbar's words.
+    """
 
     rows: np.ndarray          # int32 [n_events, 9]: gate, step, span, then
     #                           the first cell and the key of the output and
@@ -120,6 +133,38 @@ class FrozenProgram:
     # dead rows were skipped; built by the first traced replay of each kind
     trace_tails: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+
+    def __post_init__(self):
+        for name, dtype in (("rows", np.int32), ("live", np.bool_),
+                            ("bundle_ptr", np.int64)):
+            object.__setattr__(self, name, np.require(getattr(self, name), dtype, "C"))
+        rows, ptr = self.rows, self.bundle_ptr
+        if (rows.ndim != 2 or rows.shape[1] != 9 or self.live.shape != rows.shape[:1]
+                or ptr.shape != (self.n_bundles + 1,) or ptr[0] != 0
+                or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()):
+            raise ValueError("a frozen program's rows, live flags and bundle "
+                             "pointers do not match")
+        if ((self.bundle_label < 0) | (self.bundle_label >= len(self.label_names))).any():
+            raise ValueError("a frozen program's bundle labels run past its label names")
+        grid_rows, grid_cols, _, _, unit_rows, unit_cols = self.geometry
+        n_keys = NUM_ORIGIN_SETS * -(-grid_rows // unit_rows) * -(-grid_cols // unit_cols)
+        if self.reach.shape != (n_keys, 2):
+            raise ValueError(f"a frozen program's reach is not [{n_keys}, 2]")
+        # the kernel indexes memory with every field of a row; each field is
+        # checked a column at a time, so the temporaries stay small
+        span = rows[:, 2]
+        if ((rows[:, 0] < 0) | (rows[:, 0] >= len(GateType)) | (rows[:, 1] < 1)
+                | (span < 1)).any():
+            raise ValueError("a frozen row's gate is not a GateType, or its step "
+                             "or span is below 1")
+        for first, key in zip(rows[:, 3::2].T, rows[:, 4::2].T):
+            if ((first < 0) | (first > unit_rows * unit_cols - span)
+                    | (key < 0) | (key >= n_keys)).any():
+                raise ValueError("a frozen row's cells leave its tile, or its key "
+                                 f"is outside 0..{n_keys - 1}")
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_events(self) -> int:
@@ -424,8 +469,9 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     shift that moves a cell off the crossbar raises ``AddressError``, and a
     set that moves a key to tiles of ``PartitionMap`` that are not evenly
     spaced (units 0, 2 and 3, say) raises ``ValueError``, both before any
-    bundle runs; ``deltas_for(range(n))`` never does. The kernel runs in
-    place on the crossbar's ``state`` and ``initialized`` words. The
+    bundle runs; ``deltas_for(range(n))`` never does. The kernel reads the
+    program's arrays as they are, checked when the program was built, and
+    runs in place on the crossbar's ``state`` and ``initialized`` words. The
     initialized map is only maintained, and reads of never-written cells
     only rejected, when ``crossbar.config.strict_init`` is set; then every
     row runs, and a rejected read raises ``StrictInitError`` and leaves the
@@ -454,25 +500,15 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
     first_cycle = crossbar.stats.cycles + 1
     if not crossbar.config.strict_init:     # the init words: strict mode only
         init = None
-    # C buffers, copied only if a caller built the program's arrays with
-    # another layout than freeze and concat do
-    rows = np.ascontiguousarray(program.rows, np.int32)
-    live = np.ascontiguousarray(program.live, np.bool_)
-    bundle_ptr = np.ascontiguousarray(program.bundle_ptr, np.int64)
-    if (rows.shape[1:] != (9,) or live.shape != rows.shape[:1]
-            or bundle_ptr.shape != (program.n_bundles + 1,)
-            or bundle_ptr[0] != 0 or bundle_ptr[-1] != rows.shape[0]):
-        raise ValueError("a frozen program's rows, live flags and bundle "
-                         "pointers do not match")
     fail = np.zeros(4, dtype=np.int64)
-    failed = library.run_rows(state, init, tiles.words, rows.ctypes.data,
-                              live.ctypes.data,
-                              bundle_ptr.ctypes.data, program.n_bundles,
+    failed = library.run_rows(state, init, tiles.words, program.rows.ctypes.data,
+                              program.live.ctypes.data,
+                              program.bundle_ptr.ctypes.data, program.n_bundles,
                               _FORMS.ctypes.data, axes.ctypes.data, fail.ctypes.data)
     if failed:
         row, _, local, tile = fail.tolist()
         r, c = tiles.cell(tile, local)
-        raise StrictInitError(f"{GateType(int(rows[row, 0])).name} reads "
+        raise StrictInitError(f"{GateType(int(program.rows[row, 0])).name} reads "
                               f"uninitialized cell ({r},{c})")
 
     program.charge(crossbar.stats, [s.shape[0] for s in shifts])

@@ -60,7 +60,7 @@ from .crossbar import (
     grids,
     line_pattern,
     line_table,
-    run_violation,
+    shape_violation,
 )
 
 
@@ -102,23 +102,11 @@ class MacroOp:
     stride: Cell = (0, 0)
 
     def validate(self) -> None:
-        if len(self.inputs) != _NUM_INPUTS[self.kind]:
-            raise ShapeError(
-                f"{self.kind.name} takes {_NUM_INPUTS[self.kind]} inputs, "
-                f"got {len(self.inputs)}")
-        cells = self.inputs + (self.output,) + (self.scratch or ())
-        if len(set(cells)) < len(cells):        # only inputs may repeat
-            for cell in cells[len(self.inputs):]:
-                if cells.count(cell) > 1:
-                    raise ShapeError(f"{self.kind.name} writes {cell}, which it "
-                                     "also reads or writes elsewhere")
-        if len({r for r, _ in cells}) > 1 and len({c for _, c in cells}) > 1:
-            raise ShapeError(
-                f"{self.kind.name} cells {cells} share neither one row nor "
-                "one column")
-        msg = run_violation(cells, self.count, self.stride)
+        msg = shape_violation(self.kind.name, _NUM_INPUTS[self.kind], self.inputs,
+                              (self.output, *(self.scratch or ())),
+                              self.count, self.stride)
         if msg:
-            raise ShapeError(f"{self.kind.name}: {msg}")
+            raise ShapeError(msg)
 
 
 _BARRIER = object()

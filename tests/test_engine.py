@@ -333,7 +333,8 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
     replay requires, and no copy reads or writes a cell that another copy
     in its bundle writes, which legal bundles guarantee. The unit set is
     ``units``, in the order given, or else evenly spaced units (0, 2 and 4,
-    say), so replay also meets unit axes that are strided.
+    say), so replay also meets unit axes that are strided. Without
+    ``units``, any set may have no copies, whose rows replay must skip.
     """
     config = CrossbarConfig(**geometry, strict_init=draw(st.booleans()))
     rows, cols = config.rows, config.cols
@@ -346,6 +347,8 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
         first = draw(st.integers(0, n - 1))
         stride = draw(st.integers(1, max(n - 1 - first, 1)))
         count = draw(st.integers(1, (n - 1 - first) // stride + 1))
+        if draw(st.integers(0, 9)) == 4:       # now and then, no copies
+            return []
         return list(range(first, first + count * stride, stride))
 
     cover = units is not None
@@ -362,7 +365,7 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
                 0 <= r + dr < rows and 0 <= c + dc < cols for r, c in op.cells()
                 for dr, dc in [(0, 0)] + shifts[set_id]):
             return False
-        offsets = np.array(shifts[set_id]).reshape(-1, 2)
+        offsets = np.array(shifts[set_id], dtype=np.int64).reshape(-1, 2)
         if any(np.diff(tiles.locate(r + offsets[:, 0], c + offsets[:, 1])[0], 2).any()
                for r, c in op.cells()):
             return False
@@ -385,8 +388,8 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
             orientation = draw(st.sampled_from((IN_ROW, IN_COL)))
             # the largest shifts are whole partitions, so the copies fit
             # exactly when the reference cell is at most this far in
-            room = (rows - max(dr for dr, _ in shifts[set_id]),
-                    cols - max(dc for _, dc in shifts[set_id]))
+            room = (rows - max((dr for dr, _ in shifts[set_id]), default=0),
+                    cols - max((dc for _, dc in shifts[set_id]), default=0))
             r, c = draw(st.integers(0, room[0] - 1)), draw(st.integers(0, room[1] - 1))
             length = room[1] if orientation == IN_ROW else room[0]
             line = draw(st.lists(st.integers(0, length - 1), min_size=arity,
@@ -409,11 +412,12 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
     # a shifted copy of the preset before the preset's own gate overwrites
     # it, so the preset is seen only where two sets' copies meet.
     presets = [(i, op.output) for i, bundle in enumerate(bundles)
-               for op in bundle.ops if op.gate is GateType.INIT1]
+               for op in bundle.ops if op.gate is GateType.INIT1
+               if shifts[set_ids[i]] and sum(map(bool, shifts)) > 1]
     if presets:
         i, (r, c) = draw(st.sampled_from(presets))
         own = set_ids[i]
-        other = draw(st.sampled_from([k for k in range(3) if k != own]))
+        other = draw(st.sampled_from([k for k in range(3) if k != own and shifts[k]]))
         ar, ac = draw(st.sampled_from(shifts[own]))
         br, bc = draw(st.sampled_from(shifts[other]))
         qr, qc = r + ar - br, c + ac - bc
@@ -758,27 +762,71 @@ def test_replay_rejects_a_program_frozen_for_another_geometry():
 
 
 def test_replay_rejects_a_program_whose_arrays_disagree():
-    # the kernel reads the arrays through raw pointers, so replay checks
-    # their shapes first
+    # the kernel reads the arrays through raw pointers, so a program checks
+    # their shapes when it is built
     xbar = small_crossbar()
     stream = OpStream()
     stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
-    frozen.live = frozen.live[:1]
     with pytest.raises(ValueError, match="do not match"):
-        engine.replay(frozen, xbar, unit_shifts((0, 0)))
+        dataclasses.replace(frozen, live=frozen.live[:1])
 
 
-def test_replay_rejects_a_crossbar_whose_words_were_replaced():
-    # the kernel writes the crossbar's words through a raw pointer
+def test_a_frozen_program_refuses_rows_the_kernel_cannot_run():
+    # the kernel indexes memory with every field of a row, so a program
+    # checks each when it is built, and its arrays cannot be changed after;
+    # nothing here replays
     xbar = small_crossbar()
     stream = OpStream()
     stream.append(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
     frozen, _ = freeze_stream(stream, xbar)
-    xbar.state = np.zeros((16, 16), dtype=np.uint8)
-    with pytest.raises(ValueError, match="C-contiguous uint64"):
-        engine.replay(frozen, xbar, unit_shifts((0, 0)))
-    assert xbar.stats.cycles == 0
+    assert frozen.rows[1, :3].tolist() == [GateType.NOT, 1, 1]
+    cells = xbar.config.unit_rows * xbar.config.unit_cols
+    n_keys = engine.NUM_ORIGIN_SETS * PartitionMap(xbar.config).n_tiles
+
+    def row(**fields):
+        """The program's rows with the NOT row's columns changed."""
+        rows = frozen.rows.copy()
+        for name, value in fields.items():
+            rows[1, int(name[1:])] = value
+        return {"rows": rows}
+
+    bad = [row(c0=len(GateType)), row(c0=-1),                   # gate code
+           row(c1=0), row(c2=0), row(c2=10 ** 8),               # step, span
+           row(c3=10 ** 8), row(c3=-1), row(c3=cells),          # output cell
+           row(c2=2, c5=cells - 1), row(c7=cells),              # input cells
+           row(c4=2 * 10 ** 9), row(c6=-1), row(c8=n_keys),     # keys
+           {"reach": frozen.reach[:-1]},
+           {"bundle_ptr": np.array([0, 2, 1, 2]),
+            "bundle_label": np.zeros(3, dtype=np.uint16)},
+           {"bundle_label": np.array([0, 1], dtype=np.uint16)}]
+    for change in bad:
+        with pytest.raises(ValueError):
+            dataclasses.replace(frozen, **change)
+    dataclasses.replace(frozen, **row(c2=2, c5=cells - 2))
+    for name in ("rows", "live", "bundle_ptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(frozen, name)[-1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frozen.live = frozen.live[:1]
+
+
+@pytest.mark.parametrize("set_id", range(engine.NUM_ORIGIN_SETS))
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_a_set_with_no_copies_runs_nothing(set_id, strict):
+    # a key of a set with no copies has count 0; taking its zero stride for
+    # the stride-1 word path would write unit 0's tile
+    config = CrossbarConfig(**ORACLE_GEOMETRY, strict_init=strict)
+    xbar = Crossbar(config)
+    runs = [MicroOp(GateType.NOT, ((0, 2),), (0, 3), count=4, stride=(1, 0)),
+            MicroOp(GateType.INIT1, (), (0, 1), count=4, stride=(1, 0))]
+    frozen = engine.freeze(line_table([CycleBundle([run]) for run in runs]),
+                           ["main"] * 2, [set_id] * 2, config)
+    assert frozen.live.all()
+    engine.replay(frozen, xbar, [NO_COPIES] * engine.NUM_ORIGIN_SETS)
+    assert not xbar.cells().any()
+    assert not xbar.cells(initialized=True).any()
+    assert xbar.stats.gate_executions == 0
 
 
 def test_replay_keys_past_the_int16_range():
