@@ -435,24 +435,23 @@ class LabelStats:
 
 @dataclass(slots=True)
 class ExecutionStats:
-    """Latency/energy bookkeeping, broken down by microcode step label."""
+    """Latency/energy bookkeeping per microcode step label; totals sum the labels."""
 
     gate_energy_fj: float = 6.4
-    cycles: int = 0
-    gate_executions: int = 0
     per_label: dict[str, LabelStats] = field(default_factory=dict)
 
-    def _label(self, label: str) -> LabelStats:
-        if label not in self.per_label:
-            self.per_label[label] = LabelStats()
-        return self.per_label[label]
-
     def add_cycles(self, label: str, cycles: int, gate_executions: int) -> None:
-        self.cycles += cycles
-        self.gate_executions += gate_executions
-        entry = self._label(label)
+        entry = self.per_label.setdefault(label, LabelStats())
         entry.cycles += cycles
         entry.gate_executions += gate_executions
+
+    @property
+    def cycles(self) -> int:
+        return sum(entry.cycles for entry in self.per_label.values())
+
+    @property
+    def gate_executions(self) -> int:
+        return sum(entry.gate_executions for entry in self.per_label.values())
 
     @property
     def energy_fj(self) -> float:

@@ -34,8 +34,8 @@ repeats the slot before it, or the output for a preset, as in the line
 table. No event leaves its tile, and a run that steps backward along the
 cell axis is written from its last line, so each row is a forward walk.
 ``FrozenProgram`` checks every row once, when it is built (each gate
-code, step, span, cell and key in range), and holds its arrays
-read-only, so no replay checks or copies them again.
+code, step, span, cell and key in range), reads its charges off them,
+and holds its arrays read-only, so no replay checks or copies them again.
 Only the unit axis of a key - the tiles its set's shifts move the key's
 tile to - depends on the shifts, so ``replay`` builds those axes as (first tile,
 stride, count), checks them against the crossbar and calls the kernel
@@ -110,7 +110,8 @@ class FrozenProgram:
     checked to agree with each other and with ``geometry``, and made
     read-only with every other array. A program that fails raises
     ``ValueError``, so no program that exists can make ``replay`` touch
-    memory outside the crossbar's words.
+    memory outside the crossbar's words. Its charges are read off its
+    rows here: a cycle per bundle, a gate execution per line.
     """
 
     rows: np.ndarray          # int32 [n_events, 9]: gate, step, span, then
@@ -126,9 +127,11 @@ class FrozenProgram:
     label_names: list[str]
     geometry: tuple           # PartitionMap.geometry of the config frozen for
     reach: np.ndarray         # int32 [n_keys, 2] largest local (row,
-    #                           col) any slot touches per key, -1 if unused
-    cycles_by_label: np.ndarray      # int64 [n_labels]
-    gates_by_label_set: np.ndarray   # int64 [n_labels, NUM_ORIGIN_SETS] cells
+    #                           col) any slot touches per key, -1 if unused;
+    #                           stored, as computing it from permute's
+    #                           rows takes 7-8 ms, 5% of a cold compile
+    cycles_by_label: np.ndarray = field(init=False)     # int64 [n_labels]
+    gates_by_label_set: np.ndarray = field(init=False)  # int64 [n_labels, 3]
     # each bundle's trace record after its cycle number, keyed by whether
     # dead rows were skipped; built by the first traced replay of each kind
     trace_tails: dict = field(default_factory=dict, init=False, repr=False,
@@ -139,9 +142,10 @@ class FrozenProgram:
                             ("bundle_ptr", np.int64)):
             object.__setattr__(self, name, np.require(getattr(self, name), dtype, "C"))
         rows, ptr = self.rows, self.bundle_ptr
+        sizes = np.diff(ptr)
         if (rows.ndim != 2 or rows.shape[1] != 9 or self.live.shape != rows.shape[:1]
                 or ptr.shape != (self.n_bundles + 1,) or ptr[0] != 0
-                or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()):
+                or ptr[-1] != rows.shape[0] or (sizes < 0).any()):
             raise ValueError("a frozen program's rows, live flags and bundle "
                              "pointers do not match")
         if ((self.bundle_label < 0) | (self.bundle_label >= len(self.label_names))).any():
@@ -150,18 +154,29 @@ class FrozenProgram:
         n_keys = NUM_ORIGIN_SETS * -(-grid_rows // unit_rows) * -(-grid_cols // unit_cols)
         if self.reach.shape != (n_keys, 2):
             raise ValueError(f"a frozen program's reach is not [{n_keys}, 2]")
-        # the kernel indexes memory with every field of a row; each field is
-        # checked a column at a time, so the temporaries stay small
-        span = rows[:, 2]
-        if ((rows[:, 0] < 0) | (rows[:, 0] >= len(GateType)) | (rows[:, 1] < 1)
-                | (span < 1)).any():
-            raise ValueError("a frozen row's gate is not a GateType, or its step "
-                             "or span is below 1")
-        for first, key in zip(rows[:, 3::2].T, rows[:, 4::2].T):
-            if ((first < 0) | (first > unit_rows * unit_cols - span)
-                    | (key < 0) | (key >= n_keys)).any():
-                raise ValueError("a frozen row's cells leave its tile, or its key "
-                                 f"is outside 0..{n_keys - 1}")
+        # the kernel indexes memory with every field of a row: each is checked
+        # a column at a time, over blocks of 16,384 rows that stay in cache,
+        # and each row charges its lines (exact int64s) to its label and set
+        n = len(self.label_names)
+        label = np.repeat(self.bundle_label.astype(np.int32), sizes) * NUM_ORIGIN_SETS
+        gates = np.zeros(n * NUM_ORIGIN_SETS, dtype=np.int64)
+        for lo in range(0, rows.shape[0], 16384):
+            block, at = rows[lo:lo + 16384], label[lo:lo + 16384]
+            step, span = block[:, 1], block[:, 2]
+            if ((block[:, 0] < 0) | (block[:, 0] >= len(GateType)) | (step < 1)
+                    | (span < 1)).any():
+                raise ValueError("a frozen row's gate is not a GateType, or its step "
+                                 "or span is below 1")
+            for first, key in zip(block[:, 3::2].T, block[:, 4::2].T):
+                if ((first < 0) | (first > unit_rows * unit_cols - span)
+                        | (key < 0) | (key >= n_keys)).any():
+                    raise ValueError("a frozen row's cells leave its tile, or its "
+                                     f"key is outside 0..{n_keys - 1}")
+            np.add.at(gates, at + block[:, 4] // (n_keys // NUM_ORIGIN_SETS),
+                      ((span - 1) // step + 1).astype(np.int64))
+        object.__setattr__(self, "cycles_by_label",
+                           np.bincount(self.bundle_label, minlength=n))
+        object.__setattr__(self, "gates_by_label_set", gates.reshape(n, NUM_ORIGIN_SETS))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -176,8 +191,7 @@ class FrozenProgram:
 
     @property
     def n_gate_executions(self) -> int:
-        step, span = self.rows[:, 1], self.rows[:, 2]
-        return int(((span - 1) // step + 1).sum())
+        return int(self.gates_by_label_set.sum())
 
     def charge(self, stats, origin_counts: list[int]) -> None:
         """Add this program's cycles and gate executions to ``stats``."""
@@ -279,8 +293,6 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     bundle_label = np.array([label_index[name] for name in labels],
                             dtype=np.uint16)
     sizes = np.bincount(bundle, minlength=len(labels))
-    gates = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
-    np.add.at(gates, (bundle_label[bundle], key[head, 0] // tiles.n_tiles), count)
 
     rows = np.empty((head.shape[0], 9), dtype=np.int32)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, (count - 1) * step + 1
@@ -293,38 +305,26 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     for axis, at in enumerate(np.divmod(local[ends], tiles.unit_cols)):
         np.maximum.at(reach[:, axis], key[ends], at)
     return FrozenProgram(rows, live, np.r_[0, np.cumsum(sizes)], bundle_label,
-                         label_names, tiles.geometry, reach,
-                         np.bincount(bundle_label, minlength=len(label_names)),
-                         gates)
+                         label_names, tiles.geometry, reach)
 
 
 def concat(programs: list[FrozenProgram]) -> FrozenProgram:
-    """Concatenate segments into one program (bundle order preserved)."""
-    label_names = sorted({name for p in programs for name in p.label_names})
-    label_index = {name: i for i, name in enumerate(label_names)}
+    """Concatenate segments into one program (bundle order preserved);
+    ``ValueError`` if they were frozen for different geometries."""
     geometry = programs[0].geometry
-    assert all(p.geometry == geometry for p in programs)
-
-    remaps = [np.array([label_index[name] for name in p.label_names], dtype=np.uint16)
-              for p in programs]
+    if any(p.geometry != geometry for p in programs):
+        raise ValueError("cannot concatenate programs of different geometries")
+    label_names = sorted({name for p in programs for name in p.label_names})
     row_offsets = np.cumsum([0] + [p.n_events for p in programs])
-    bundle_ptr = np.concatenate(
-        [p.bundle_ptr[:-1] + off for p, off in zip(programs, row_offsets)]
-        + [np.array([row_offsets[-1]], dtype=np.int64)])
-    cycles = np.zeros(len(label_names), dtype=np.int64)
-    cells = np.zeros((len(label_names), NUM_ORIGIN_SETS), dtype=np.int64)
-    for p, remap in zip(programs, remaps):
-        for old, new in enumerate(remap):
-            cycles[new] += p.cycles_by_label[old]
-            cells[new] += p.gates_by_label_set[old]
     return FrozenProgram(
         np.concatenate([p.rows for p in programs]),
         np.concatenate([p.live for p in programs]),
-        bundle_ptr,
-        np.concatenate([remap[p.bundle_label] for p, remap in zip(programs, remaps)]),
+        np.concatenate([p.bundle_ptr[:-1] + off for p, off in zip(programs, row_offsets)]
+                       + [row_offsets[-1:]]),
+        np.concatenate([np.array([label_names.index(name) for name in p.label_names],
+                                 dtype=np.uint16)[p.bundle_label] for p in programs]),
         label_names, geometry,
-        functools.reduce(np.maximum, [p.reach for p in programs]),
-        cycles, cells)
+        functools.reduce(np.maximum, [p.reach for p in programs]))
 
 
 # --------------------------------------------------------------------- kernel

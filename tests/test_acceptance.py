@@ -5,9 +5,10 @@ and the per-step cycle/energy breakdown table.
 
 The 1 MB functional case is always skipped: the replay kernel runs every
 event on all active units at once, but the 1 MB message is 7,711 blocks
-hashed one permutation at a time on a single unit, about 4.9 ms per block
-with its absorb, which took 38 s in one run on 2 cores, longer than the
-rest of the suite. Criterion 1 hashes a 5-block message in its place.
+hashed one permutation at a time on a single unit, about 3.6 ms per block
+with its absorb: ``hash_message`` took 27.9 s in each of two runs after a
+warm compile, timed with ``time.perf_counter`` on a 2-core VM, longer
+than the rest of the suite. Criterion 1 hashes a 5-block message in its place.
 """
 
 import random
@@ -77,7 +78,7 @@ def test_criterion_1_functional_correctness():
 
 
 @pytest.mark.skip(reason="7,711 one-unit permutations and absorbs at about "
-                         "4.9 ms each took 38 s")
+                         "3.6 ms each took 27.9 s")
 def test_criterion_1_one_megabyte_message():
     with verdict(1, "1 MB message, digest bit-exact"):
         rng = np.random.default_rng(1 << 20)

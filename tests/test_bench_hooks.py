@@ -47,7 +47,7 @@ def test_replay_counter_reads_the_shift_sets(compiled):
         compiled.permute.gates_by_label_set.sum(axis=0) @ [4, 2, 4])
 
 
-@pytest.mark.parametrize("workload", ["abc_cold", "sweep_0_200"])
+@pytest.mark.parametrize("workload", ["abc_cold", "sweep_0_200", "lockstep_378"])
 def test_traced_worker_run_is_correct(workload):
     # what perfbench/run.py checks of each run: every digest right, no
     # inconsistent figure, and every simulated figure exactly as pinned

@@ -277,6 +277,42 @@ def test_concat_preserves_counts():
     assert whole.cycles_by_label.tolist() == [4, 2]
 
 
+def test_concat_refuses_programs_of_different_geometries():
+    # a key names a tile of its own grid, so rows of two grids cannot mix
+    op = MicroOp(GateType.NOT, ((0, 1),), (0, 0))
+    frozen = [engine.freeze(line_table([CycleBundle([op])]), ["a"], [engine.SET_UNIT],
+                            config)
+              for config in (CrossbarConfig(), CrossbarConfig(
+                  rows=300, cols=200, vertical_partitions=3, horizontal_partitions=2))]
+    with pytest.raises(ValueError, match="different geometries"):
+        engine.concat(frozen)
+
+
+def test_charges_follow_the_rows():
+    # a program's charges are read off its rows, so a row cut from a 4-line
+    # run to 2 lines charges 2 gate executions fewer, per copy
+    config = small_crossbar().config
+    runs = [MicroOp(GateType.NOT, ((0, 2),), (0, 3), count=4, stride=(1, 0)),
+            MicroOp(GateType.NOR2, ((1, 1), (1, 2)), (1, 4), count=4, stride=(1, 0))]
+    frozen = engine.freeze(line_table([CycleBundle([run]) for run in runs]),
+                           ["a", "b"], [engine.SET_UNIT] * 2, config)
+    rows = frozen.rows.copy()
+    assert rows[0, 1:3].tolist() == [8, 25]             # 4 lines, 8 cells apart
+    rows[0, 2] = 9
+    cut = dataclasses.replace(frozen, rows=rows)
+    assert cut.gates_by_label_set.tolist() == [[2, 0, 0], [4, 0, 0]]
+    assert frozen.gates_by_label_set.tolist() == [[4, 0, 0], [4, 0, 0]]
+    assert cut.n_gate_executions == frozen.n_gate_executions - 2 == 6
+    assert cut.cycles_by_label.tolist() == frozen.cycles_by_label.tolist() == [1, 1]
+    charged = []
+    for program in (frozen, cut):
+        xbar = small_crossbar()
+        engine.replay(program, xbar, unit_shifts((0, 0)))
+        charged.append((xbar.stats.cycles, xbar.stats.gate_executions,
+                        xbar.stats.per_label["a"].gate_executions))
+    assert charged == [(2, 8, 4), (2, 6, 2)]
+
+
 def traced_ops(text):
     """(cycle, label, sorted ops) per record: a cycle's ops are a multiset."""
     return [(cycle, label, sorted(ops))

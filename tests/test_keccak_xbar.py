@@ -374,7 +374,8 @@ def test_contiguous_units_need_no_tile_list(config):
     # the tile map numbers partitions in unit-id order, so the first n units
     # move every key to evenly spaced tiles (the RC tiles of the 3x2 grid
     # are 4 ids apart), and replay, which refuses any other set before a
-    # bundle runs, takes every n; with no bundles, only that check runs
+    # bundle runs, takes every n; with no bundles, only that check runs,
+    # and nothing is charged
     compiled, xbar = compiled_keccak(config), Crossbar(config)
     for n in range(1, config.num_units + 1):
         shifts = compiled.deltas_for(range(n))
@@ -383,6 +384,8 @@ def test_contiguous_units_need_no_tile_list(config):
                 program, rows=program.rows[:0], live=program.live[:0],
                 bundle_ptr=program.bundle_ptr[:1], bundle_label=program.bundle_label[:0])
             engine.replay(keys_only, xbar, shifts)
+    assert xbar.stats.cycles == 0
+    assert xbar.stats.gate_executions == 0
 
 
 def test_absorb_twice_cancels(compiled):
@@ -395,6 +398,15 @@ def test_absorb_twice_cancels(compiled):
     for _ in range(2):
         compiled.run_absorb(xbar, compiled.deltas_for([0]), blocks_to_bits([block]))
     assert bits_to_lanes(read_unit_state(xbar, unit)) == [0] * 25
+
+
+def test_a_bad_row_past_the_first_block_is_refused(compiled):
+    # a program checks its rows in blocks of 16,384; permute's last row is
+    # in its sixth
+    rows = compiled.permute.rows.copy()
+    rows[-1, 8] = -1
+    with pytest.raises(ValueError, match="key is outside"):
+        dataclasses.replace(compiled.permute, rows=rows)
 
 
 def test_microcode_runs_every_gate(compiled):
