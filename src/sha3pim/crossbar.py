@@ -6,10 +6,11 @@ output cell along a single wordline (in-row) or bitline (in-column).
 Transistor switches at fixed partition boundaries electrically isolate
 sub-arrays, which is what lets unrelated gates share a cycle. A bundle holds
 *runs*: one gate pattern repeated along parallel lines (``MicroOp`` with a
-count and a stride), expanded to its lines once per segment, into the
-``LineTable`` every later pass reads. Bundles are validated against the
-alignment/isolation rules before execution, a bundle or a whole segment at
-a time, and every executed gate is charged one gate-energy quantum.
+count and a stride), expanded to its lines once per batch of segments,
+into the ``LineTable`` every later pass reads. Bundles are validated
+against the alignment/isolation rules before execution, a bundle or a
+whole batch at a time, and every executed gate is charged one
+gate-energy quantum.
 
 Peripheral reads/writes (message load, digest readout) move data in and out
 of the array without gates; they are accounted under the separate ``io``
@@ -293,13 +294,15 @@ class CycleBundle:
 
 @dataclass(slots=True)
 class LineTable:
-    """A segment's runs expanded to their lines (``line_table``), runs in
-    bundle order and lines in run order. Line ``i`` touches ``cells[i,
-    slot]`` = (row, col): slot 0 its output, slots 1 and 2 its inputs. An
-    input slot past the gate's arity repeats the slot before it, or the
-    output for a gate of no inputs.
+    """The runs of one or more segments expanded to their lines
+    (``line_table``), runs in bundle order and lines in run order. Line
+    ``i`` touches ``cells[i, slot]`` = (row, col): slot 0 its output, slots
+    1 and 2 its inputs. An input slot past the gate's arity repeats the
+    slot before it, or the output for a gate of no inputs. A segment is
+    the bundles of one stream; no rule reads across two of them.
     """
 
+    segment_ptr: np.ndarray   # int64 [n_segments + 1]: each segment's first bundle
     bundle_ptr: np.ndarray    # int64 [n_bundles + 1]: each bundle's first run
     line_ptr: np.ndarray      # int64 [n_runs + 1]: each run's first line
     bundle: np.ndarray        # int64 [n_runs]: each run's bundle
@@ -309,9 +312,11 @@ class LineTable:
     cells: np.ndarray         # int64 [n_lines, 3, 2]
 
 
-def line_table(bundles: list[CycleBundle]) -> LineTable:
+def line_table(bundles: list[CycleBundle], segment_ptr=None) -> LineTable:
     """Expand every run of ``bundles``, in order, to its lines. A run of
-    no lines (a malformed count below 1) gets none."""
+    no lines (a malformed count below 1) gets none. ``segment_ptr`` gives
+    each segment's first bundle, then ``len(bundles)``; the bundles are
+    one segment by default."""
     runs = []
     for k, bundle in enumerate(bundles):
         for op in bundle.ops:
@@ -325,7 +330,10 @@ def line_table(bundles: list[CycleBundle]) -> LineTable:
     run = np.repeat(np.arange(runs.shape[0], dtype=np.int32), count)
     k = np.arange(line_ptr[-1]) - line_ptr[run]
     cells = first[run] + k[:, None, None] * stride[run]
-    return LineTable(np.searchsorted(runs[:, 0], np.arange(len(bundles) + 1)),
+    if segment_ptr is None:
+        segment_ptr = [0, len(bundles)]
+    return LineTable(np.asarray(segment_ptr, dtype=np.int64),
+                     np.searchsorted(runs[:, 0], np.arange(len(bundles) + 1)),
                      line_ptr, runs[:, 0], runs[:, 1], runs[:, 2], run, cells)
 
 
@@ -441,7 +449,9 @@ class ExecutionStats:
     per_label: dict[str, LabelStats] = field(default_factory=dict)
 
     def add_cycles(self, label: str, cycles: int, gate_executions: int) -> None:
-        entry = self.per_label.setdefault(label, LabelStats())
+        entry = self.per_label.get(label)
+        if entry is None:
+            entry = self.per_label[label] = LabelStats()
         entry.cycles += cycles
         entry.gate_executions += gate_executions
 
@@ -561,8 +571,9 @@ class Crossbar:
 
     def check_bundle(self, bundles: CycleBundle | list[CycleBundle],
                      lines: LineTable | None = None) -> tuple[bool, list[str]]:
-        """Validate one bundle, or a segment's list of bundles, against the
-        single-cycle legality rules.
+        """Validate one bundle, or a list of bundles (a batch of segments),
+        against the single-cycle legality rules. Every rule is of one
+        bundle, so none reads across two segments.
 
         A bundle is legal iff: op shapes are well-formed and in bounds, and
         its closed switches exist; every op sits in one merged region, so

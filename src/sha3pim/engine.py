@@ -13,8 +13,9 @@ pattern along a line, so its runs are *vector events* - one gate applied
 along a strided run of cells - and the kernel runs over cells without
 touching per-cell metadata. Each run the scheduler carried is one event,
 split only where its lines change tile (no Keccak run does). ``freeze``
-reads the rows, their live flags and each key's reach off the segment's
-line table, the one the scheduler built and checked. Cells are
+reads the rows, their live flags and each key's reach off a batch of
+segments' line table, the one the scheduler built and checked, and gives
+back one program per segment. Cells are
 those of a reference instance; replay moves copies of them by whole
 partitions, so one frozen program serves any set of hash units.
 Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -202,12 +204,14 @@ class FrozenProgram:
 
 
 def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
-               key: np.ndarray, row: np.ndarray, used: np.ndarray) -> np.ndarray:
+               key: np.ndarray, row: np.ndarray, used: np.ndarray,
+               segment: np.ndarray) -> np.ndarray:
     """Which rows replay must run: False for a row whose presets are dead.
 
-    ``gate`` and ``bundle`` are each row's; ``local`` and ``key`` give each
-    table line's tile-local cell and key per slot, ``row`` its row and
-    ``used`` the slots it touches, slot 0 written and the others read. A
+    ``gate`` and ``bundle`` are each row's, and ``segment`` each bundle's;
+    ``local`` and ``key`` give each table line's tile-local cell and key
+    per slot, ``row`` its row and ``used`` the slots it touches, slot 0
+    written and the others read. A
     preset is dead when the next bundle that touches its cell overwrites it
     and reads nothing there, so its value is never seen. Replay moves cells
     by whole partitions, so two reference cells can only meet on the
@@ -215,7 +219,8 @@ def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
     grouped by local index, and a preset is dead only if the next bundle
     touching that index reads none of its cells and writes the preset's
     own (local, key) - the same cell, moved by the same set's shifts. A
-    preset never touched again in the segment stays live.
+    preset never touched again in its own segment stays live, since
+    segments are replayed apart.
     """
     live = gate != GateType.INIT1
     line, slot = np.nonzero(used)
@@ -240,6 +245,7 @@ def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
     dead = nxt < first.shape[0]
     nxt[~dead] = 0
     dead &= cell[first[nxt]] == cell[preset]
+    dead &= segment[at[first[nxt]]] == segment[at[preset]]
     dead &= ~reads[nxt]
     wanted = nxt * n_keys + key[preset]
     found = np.minimum(np.searchsorted(writes, wanted), writes.shape[0] - 1)
@@ -249,18 +255,19 @@ def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,
 
 
 def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
-           config: CrossbarConfig) -> FrozenProgram:
-    """Pack a checked segment's line table into kernel rows for
-    ``config``'s tile grid: one row per run, split where its lines change
-    tile. ``labels`` and ``set_ids`` give each bundle's label and origin
-    set. Cells are the reference instance's; one off the crossbar raises
-    ``AddressError``.
+           config: CrossbarConfig) -> list[FrozenProgram]:
+    """Pack a checked line table into kernel rows for ``config``'s tile
+    grid, one program per segment of the table, in order: one row per
+    run, split where its lines change tile. ``labels`` and ``set_ids``
+    give each bundle's label and origin set. Cells are the reference
+    instance's; one off the crossbar raises ``AddressError``.
 
     The lines are located on the tiles once, and the rows, their ``live``
-    flags and each key's ``reach`` are read off that. Replay slices forward
-    along a tile's cells, so a run that steps backward there is written
-    from its last line. Input slots a gate does not read are copied as
-    the line table pads them.
+    flags and each key's ``reach`` are read off that; a segment's program
+    is that of its table alone, as no preset is found dead across two
+    segments. Replay slices forward along a tile's cells, so a run that
+    steps backward there is written from its last line. Input slots a gate
+    does not read are copied as the line table pads them.
     """
     tiles = PartitionMap(config)
     owner, r, c = lines.run, lines.cells[..., 0], lines.cells[..., 1]
@@ -288,24 +295,33 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     first = np.where(step < 0, tail, head)
     step = np.where(count > 1, np.abs(step), 1)
 
-    label_names = sorted(set(labels))
-    label_index = {name: i for i, name in enumerate(label_names)}
-    bundle_label = np.array([label_index[name] for name in labels],
-                            dtype=np.uint16)
-    sizes = np.bincount(bundle, minlength=len(labels))
+    segment_ptr = lines.segment_ptr.tolist()
+    segment = np.repeat(np.arange(len(segment_ptr) - 1), np.diff(segment_ptr))
+    ptr = np.r_[0, np.cumsum(np.bincount(bundle, minlength=len(labels)))]
 
     rows = np.empty((head.shape[0], 9), dtype=np.int32)
     rows[:, 0], rows[:, 1], rows[:, 2] = gate, step, (count - 1) * step + 1
     rows[:, 3::2], rows[:, 4::2] = local[first], key[head]
     live = _live_rows(gate, bundle, local, key,
-                      (np.cumsum(starts) - 1).astype(np.int32), used)
-    # runs stay inside their tile, so their two end lines bound every cell
+                      (np.cumsum(starts) - 1).astype(np.int32), used, segment)
+    # runs stay inside their tile, so their two end lines bound every cell;
+    # each segment has its own reach, [segment, key, axis], copied out so
+    # that a program kept does not keep the batch's
     ends = np.r_[head, tail]
-    reach = np.full((NUM_ORIGIN_SETS * tiles.n_tiles, 2), -1, dtype=np.int32)
+    n_keys = NUM_ORIGIN_SETS * tiles.n_tiles
+    reach = np.full((len(segment_ptr) - 1, n_keys, 2), -1, dtype=np.int32)
+    at_key = np.tile(segment[bundle], 2)[:, None] * n_keys + key[ends]
     for axis, at in enumerate(np.divmod(local[ends], tiles.unit_cols)):
-        np.maximum.at(reach[:, axis], key[ends], at)
-    return FrozenProgram(rows, live, np.r_[0, np.cumsum(sizes)], bundle_label,
-                         label_names, tiles.geometry, reach)
+        np.maximum.at(reach.reshape(-1, 2)[:, axis], at_key, at)
+    programs = []
+    for s, (lo, hi) in enumerate(itertools.pairwise(segment_ptr)):
+        names = sorted(set(labels[lo:hi]))
+        index = {name: i for i, name in enumerate(names)}
+        programs.append(FrozenProgram(
+            rows[ptr[lo]:ptr[hi]], live[ptr[lo]:ptr[hi]], ptr[lo:hi + 1] - ptr[lo],
+            np.array([index[name] for name in labels[lo:hi]], dtype=np.uint16),
+            names, tiles.geometry, reach[s].copy()))
+    return programs
 
 
 def concat(programs: list[FrozenProgram]) -> FrozenProgram:
@@ -497,7 +513,6 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
                          f"cannot replay on {tiles.geometry}")
     library, state, init, _ = crossbar.addresses()
     axes = _unit_axes(program, tiles, shifts)
-    first_cycle = crossbar.stats.cycles + 1
     if not crossbar.config.strict_init:     # the init words: strict mode only
         init = None
     fail = np.zeros(4, dtype=np.int64)
@@ -513,5 +528,7 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
 
     program.charge(crossbar.stats, [s.shape[0] for s in shifts])
     if crossbar.trace is not None:
-        _write_trace(program, crossbar.trace, tiles, shifts, first_cycle,
+        # the charge added a cycle per bundle
+        _write_trace(program, crossbar.trace, tiles, shifts,
+                     crossbar.stats.cycles - program.n_bundles + 1,
                      skipping=init is None)

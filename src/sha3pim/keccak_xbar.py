@@ -25,6 +25,7 @@ every round's or plane's own first hop.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .crossbar import (
     GateType,
     PartitionMap,
 )
-from .scheduler import MacroKind, MacroOp, OpStream, schedule
+from .scheduler import MacroKind, MacroOp, OpStream, batches, schedule
 
 STATE_COLS = 25
 
@@ -565,37 +566,44 @@ class CompiledKeccak:
         xbar = Crossbar(config)
         ref = UnitLayout((0, 0))
 
-        def compiled(stream: OpStream, set_id: int) -> engine.FrozenProgram:
-            program = schedule(stream, xbar)
-            n = len(program.bundles)
-            return engine.freeze(program.lines, [program.label] * n,
-                                 [set_id] * n, config)
+        def compiled(streams: list[tuple[OpStream, int]]) -> list[engine.FrozenProgram]:
+            """Each (stream, origin set)'s program, in order, scheduled and
+            frozen a batch of streams at a time."""
+            set_ids = [set_id for _, set_id in streams]
+            programs: list[engine.FrozenProgram] = []
+            for batch in batches([stream for stream, _ in streams]):
+                program = schedule(batch, xbar)
+                ids = set_ids[len(programs):len(programs) + len(batch)]
+                programs += engine.freeze(
+                    program.lines, program.labels,
+                    np.repeat(ids, np.diff(program.lines.segment_ptr)), config)
+                del program     # its table is freed before the next batch's is built
+            return programs
 
         unit_set = engine.SET_UNIT
         row_set, col_set = engine.SET_PARTITION_ROW, engine.SET_PARTITION_COL
         *rot_hops, rot_chain = rot_fetch_microcode(self.layout)
-        rot_chain = compiled(rot_chain, col_set)
-        rho = []
-        for hop, core in zip(rot_hops, variable_rotate(ref, rho_lane_cols(ref))):
-            rho += [compiled(hop, col_set), rot_chain, compiled(core, unit_set)]
-        self._steps = {          # in round order; permute below relies on it
-            "theta": compiled(theta_microcode(ref), unit_set),
-            "rho": engine.concat(rho),
-            "pi": compiled(pi_microcode(ref), unit_set),
-            "chi": compiled(chi_microcode(ref), unit_set),
-        }
         *rc_hops, rc_chain = rc_fetch_microcode(self.layout)
-        rc_chain = compiled(rc_chain, row_set)
-        iota_local = compiled(iota_local_microcode(ref), unit_set)
-        self._iota = [engine.concat([compiled(hop, row_set), rc_chain, iota_local])
-                      for hop in rc_hops]
+        # taken off the front, so each segment's program is freed once used
+        programs = collections.deque(compiled(
+            [(rot_chain, col_set)]
+            + [pair for hop, core in zip(rot_hops, variable_rotate(ref, rho_lane_cols(ref)))
+               for pair in ((hop, col_set), (core, unit_set))]
+            + [(theta_microcode(ref), unit_set), (pi_microcode(ref), unit_set),
+               (chi_microcode(ref), unit_set), (rc_chain, row_set),
+               (iota_local_microcode(ref), unit_set)]
+            + [(hop, row_set) for hop in rc_hops]
+            + [(absorb_microcode(ref, lanes), unit_set) for lanes in _ABSORB_BATCHES]))
+        take = programs.popleft
+        rot_chain = take()
+        rho = [program for _ in rot_hops for program in (take(), rot_chain, take())]
+        theta, pi, chi, rc_chain, iota_local = (take() for _ in range(5))
+        # in round order; permute below relies on it
+        self._steps = {"theta": theta, "rho": engine.concat(rho), "pi": pi, "chi": chi}
+        self._iota = [engine.concat([take(), rc_chain, iota_local]) for _ in rc_hops]
+        self.absorb = list(programs)
         self.permute = engine.concat([program for iota in self._iota
                                       for program in (*self._steps.values(), iota)])
-
-        self.absorb = [
-            compiled(absorb_microcode(ref, lanes), unit_set)
-            for lanes in _ABSORB_BATCHES
-        ]
 
     def step_program(self, step: str, round_index: int = 0) -> engine.FrozenProgram:
         """Frozen microcode for a single permutation step (testing aid)."""

@@ -14,10 +14,21 @@ run is keyed by the merged region of its first output, and must lie in
 that region, as every run of the hash microcode does inside its unit;
 ``crossbar.check_bundle`` rejects one that does not. The microcode is
 written for one reference unit and replayed in lockstep on every unit,
-so no bundle needs to hold more than one region. A segment, the bundles
-scheduled from one stream, is expanded to one ``crossbar.LineTable``,
-which one ``grids`` pass, one ``crossbar.check_bundle`` call,
-``check_presets`` and then ``engine.freeze`` all read.
+so no bundle needs to hold more than one region.
+
+A segment is the bundles scheduled from one stream. ``schedule`` takes
+one stream or a *batch*: consecutive whole streams, each packed on its
+own, whose segments are expanded to one ``crossbar.LineTable``, which one
+``grids`` pass, one ``crossbar.check_bundle`` call, ``check_presets``
+and then one ``engine.freeze`` call, giving back one program per segment,
+all read. A compile cuts its streams into batches with ``batches``: a
+batch holds no more lines than the longest single stream expands to, so
+no table is larger than that stream's alone. No rule reads across two
+segments, since segments are replayed apart and some (the RC and ROT
+chains) are spliced between others: the preset rule takes a gate's
+preset only from its own segment, ``freeze`` finds a preset dead only in
+its own, and an error is the one scheduling the failing stream alone
+raises, naming its own bundle.
 
 Fixed decompositions (each line is one cycle; presets batched where legal):
 
@@ -41,6 +52,9 @@ marks such rows, and replay skips them outside strict mode.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,6 +68,7 @@ from .crossbar import (
     GateType,
     LineTable,
     MicroOp,
+    PartitionMap,
     SchedulingError,
     SimulationError,
     SwitchId,
@@ -135,6 +150,12 @@ class OpStream:
         """The number of lines of its macros."""
         return sum(item.count for item in self._items if item is not _BARRIER)
 
+    def expanded_len(self) -> int:
+        """The number of lines ``expand`` makes of its macros: the length
+        of its line table when scheduled."""
+        return sum(item.count * _EXPANDED_LINES[item.kind]
+                   for item in self._items if item is not _BARRIER)
+
     def groups(self):
         """Yield lists of macros delimited by barriers."""
         group: list[MacroOp] = []
@@ -186,37 +207,65 @@ def expand(macro: MacroOp) -> list[list[MicroOp]]:
             op(GateType.AND2, (u, w), macro.output)]
 
 
+# the lines ``expand`` makes of each line of a macro: XOR2's four presets
+# and four gates, a gate and its preset, or a preset alone
+_EXPANDED_LINES = {MacroKind.XOR2: 8, **{gate: 2 for gate in GateType},
+                   GateType.INIT1: 1}
+
+
+def batches(streams: list[OpStream]) -> list[list[OpStream]]:
+    """Cut ``streams``, in order, into batches of consecutive whole streams
+    for ``schedule``: each batch takes the next streams while their lines
+    (``OpStream.expanded_len``) fit in those of the longest stream. So no
+    batch's line table is longer than that stream's alone, and scheduling
+    and freezing a batch take no more memory than that stream does."""
+    sizes = [stream.expanded_len() for stream in streams]
+    bound, room = max(sizes, default=0), -1
+    cut: list[list[OpStream]] = []
+    for stream, size in zip(streams, sizes):
+        if size > room:
+            cut.append([])
+            room = bound
+        cut[-1].append(stream)
+        room -= size
+    return cut
+
+
 @dataclass
 class ScheduledProgram:
-    """Packed bundles under their stream's step label, and their lines."""
+    """Packed bundles of one or more streams, in order, each bundle under
+    its stream's step label, and their lines: one segment per stream."""
 
-    label: str
+    labels: list[str]
     bundles: list[CycleBundle]
     lines: LineTable
 
 
-def _close(pending: list[tuple[list[MicroOp], frozenset[SwitchId]]]
+def _close(pending: list[list[tuple[list[MicroOp], frozenset[SwitchId]]]]
            ) -> tuple[list[CycleBundle], LineTable]:
-    """Emit the open bundles ``pending`` (ops, switch set) in order, each
-    split into grids if its presets are not one, with their line table.
+    """Emit each stream's open bundles ``pending[s]`` (ops, switch set) in
+    order, each split into grids if its presets are not one, with their
+    line table, one segment per stream.
 
     A single-cycle preset drives selected wordlines x bitlines, so the
     cells of one INIT group must form a full cross product. Every preset
-    bundle is classified off the segment's table in one ``grids`` pass. A
-    non-grid set is split line by line into the groups of lines sharing one
+    bundle is classified off the table in one ``grids`` pass. A non-grid
+    set is split line by line into the groups of lines sharing one
     cross-line set (columns or rows, whichever gives fewer), one bundle
-    each, and the split segment is expanded again.
+    each, and the split bundles are expanded again.
     """
-    bundles = [CycleBundle(ops, switches) for ops, switches in pending]
-    lines = line_table(bundles)
+    bundles = [CycleBundle(ops, switches) for stream in pending
+               for ops, switches in stream]
+    starts = np.cumsum([0] + [len(stream) for stream in pending])
+    lines = line_table(bundles, starts)
     at = np.flatnonzero(lines.gate[lines.run] == GateType.INIT1)
     grid = grids(lines.bundle[lines.run[at]], lines.cells[at, 0, 0],
                  lines.cells[at, 0, 1], len(bundles))
     if grid.all():
         return bundles, lines
-    bundles = [part for bundle, whole in zip(bundles, grid)
-               for part in ([bundle] if whole else _split(bundle))]
-    return bundles, line_table(bundles)
+    parts = [[bundle] if whole else _split(bundle) for bundle, whole in zip(bundles, grid)]
+    bundles = [part for split in parts for part in split]
+    return bundles, line_table(bundles, np.cumsum([0] + list(map(len, parts)))[starts])
 
 
 def _split(bundle: CycleBundle) -> list[CycleBundle]:
@@ -236,76 +285,101 @@ def _split(bundle: CycleBundle) -> list[CycleBundle]:
             for group in min((by_col, by_row), key=len).values()]
 
 
-def schedule(stream: OpStream, crossbar: Crossbar) -> ScheduledProgram:
-    """Expand and pack a macro stream into legal cycle bundles.
+def schedule(streams: OpStream | list[OpStream], crossbar: Crossbar
+             ) -> ScheduledProgram:
+    """Expand and pack one macro stream, or a batch of them, into legal
+    cycle bundles.
 
-    Each bundle holds one merged region, one switch set and one
-    ``line_pattern``; that triple is its key. Within each barrier group,
-    first fit puts every micro-op run into the earliest bundle past its
-    macro's previous stage whose key equals the run's. A run is keyed
-    once, by the region of its first output, and placed whole, as each of
-    its lines would be placed alone; a run that leaves that region fails
-    the check below.
+    Each stream is packed on its own. Each bundle holds one merged region,
+    one switch set and one ``line_pattern``; that triple is its key.
+    Within each barrier group, first fit puts every micro-op run into the
+    earliest bundle past its macro's previous stage whose key equals the
+    run's. A run is keyed once, by the region of its first output, and
+    placed whole, as each of its lines would be placed alone; a run that
+    leaves that region fails the check below.
     Bundle order concatenated across groups preserves the stream's serial
     semantics.
 
-    Once every group is packed, the preset bundles that are not a grid are
+    Once every stream is packed, the preset bundles that are not a grid are
     split (``_close``). The producer promises that the macros of one group
     are independent and that no two of them write the same cell. The
-    segment's line table is checked by one ``crossbar.check_bundle`` call,
-    and by ``check_presets``; an illegal bundle, such as one with two
-    writes of one cell or a gate whose preset was read first, raises
-    ``SchedulingError``, which names it (``bundle k``) in a segment of more
-    than one bundle.
+    batch's line table, one segment per stream, is checked by one
+    ``crossbar.check_bundle`` call and by ``check_presets``; an illegal
+    bundle, such as one with two writes of one cell or a gate whose preset
+    was read first, raises ``SchedulingError``. The error is the one
+    scheduling the first illegal stream alone raises: it names the bundle
+    (``bundle k``, counted in that stream) in a stream of more than one
+    bundle. A stream that fails to expand (``ShapeError``) raises while
+    the batch is packed, before any stream is checked.
     """
-    partitions = crossbar.partition_map
+    streams = [streams] if isinstance(streams, OpStream) else streams
+    bundles, lines = _close([_pack(stream, crossbar.partition_map)
+                             for stream in streams])
+    _check(crossbar, bundles, lines)
+    sizes = np.diff(lines.segment_ptr).tolist()
+    return ScheduledProgram([stream.label for stream, n in zip(streams, sizes)
+                             for _ in range(n)], bundles, lines)
+
+
+def _pack(stream: OpStream, partitions: PartitionMap
+          ) -> list[tuple[list[MicroOp], frozenset[SwitchId]]]:
+    """First fit of ``stream``'s micro-op runs (``schedule``): its open
+    bundles in order, as (ops, switch set)."""
     pending: list[tuple[list[MicroOp], frozenset[SwitchId]]] = []
     for group in stream.groups():
-        keys: list[tuple] = []
-        bundles: list[list[MicroOp]] = []
+        opened: list[tuple[list[MicroOp], frozenset[SwitchId]]] = []
+        by_key: dict[tuple, list[int]] = defaultdict(list)  # ascending indices
         for macro in group:
             floor = -1
             for stage in expand(macro):
                 stage_top = floor
                 for op in stage:
-                    key = (partitions.region_of(op.output, macro.switches),
-                           macro.switches, line_pattern(op))
-                    try:
-                        index = keys.index(key, floor + 1)
-                    except ValueError:
-                        index = len(keys)
-                        keys.append(key)
-                        bundles.append([])
-                    bundles[index].append(op)
-                    stage_top = max(stage_top, index)
+                    fits = by_key[(partitions.region_of(op.output, macro.switches),
+                                   macro.switches, line_pattern(op))]
+                    at = bisect_right(fits, floor)
+                    if at == len(fits):
+                        fits.append(len(opened))
+                        opened.append(([], macro.switches))
+                    opened[fits[at]][0].append(op)
+                    stage_top = max(stage_top, fits[at])
                 floor = stage_top
-        pending += [(ops, switches) for (_, switches, _), ops in zip(keys, bundles)]
-    bundles, lines = _close(pending)
+        pending += opened
+    return pending
+
+
+def _check(crossbar: Crossbar, bundles: list[CycleBundle], lines: LineTable) -> None:
+    """``check_bundle`` and ``check_presets`` on a scheduled table: raise
+    ``SchedulingError`` as checking each segment alone, in order, would."""
     ok, violations = crossbar.check_bundle(bundles, lines)
     if not ok:
+        # each segment alone: the first illegal one names its own bundles
+        for lo, hi in itertools.pairwise(lines.segment_ptr.tolist()):
+            if hi - lo < len(bundles):
+                _check(crossbar, bundles[lo:hi], line_table(bundles[lo:hi]))
         raise SchedulingError("scheduler emitted an illegal bundle: "
                               + "; ".join(violations))
     check_presets(lines)
-    return ScheduledProgram(stream.label, bundles, lines)
 
 
 def check_presets(lines: LineTable) -> None:
-    """The preset rule, on a segment's line table: raise
-    ``SchedulingError`` unless every non-INIT1 gate writes a cell that was
-    INIT1-preset since its last write, with no read of it in between.
+    """The preset rule, on a line table: raise ``SchedulingError`` unless
+    every non-INIT1 gate writes a cell that was INIT1-preset since its last
+    write in its own segment, with no read of it in between. The error
+    names the first such gate's bundle, counted in its segment.
 
     A stateful gate can only switch its output cell away from the preset
     value, so without a fresh preset its result would depend on the cell's
     old value.
     Each preset comes from the same macro as its gate, and so from the same
     segment, which makes this check of one segment in reference
-    coordinates exact. A preset that is read (a constant 1) is legal; it
-    only cannot then serve a gate.
+    coordinates exact; a preset from another segment never serves, as
+    segments are replayed apart. A preset that is read (a constant 1) is
+    legal; it only cannot then serve a gate.
 
     Every line of every run is one access per cell it touches. Accesses
     are sorted by cell, then bundle, reads before writes (a bundle reads
     before it writes), then line; a gate's write is legal iff the access
-    before it is an INIT1 write of its cell.
+    before it is an INIT1 write of its cell in its segment.
     """
     if not lines.cells.shape[0]:
         return
@@ -322,11 +396,16 @@ def check_presets(lines: LineTable) -> None:
     del order, slot
     gated = np.flatnonzero(write & (gate[owner[line]] != GateType.INIT1))
     before = np.maximum(gated - 1, 0)
+    # each bundle's segment
+    segment = np.repeat(np.arange(len(lines.segment_ptr) - 1), np.diff(lines.segment_ptr))
     legal = (gated > 0) & (cell[before] == cell[gated]) & write[before] \
-        & (gate[owner[line[before]]] == GateType.INIT1)
+        & (gate[owner[line[before]]] == GateType.INIT1) \
+        & (segment[bundle[owner[line[before]]]] == segment[bundle[owner[line[gated]]]])
     if not legal.all():
         bad = int(line[gated[~legal]].min())
+        b = bundle[owner[bad]]
         raise SchedulingError(
-            f"bundle {bundle[owner[bad]]}: {GateType(gate[owner[bad]]).name} writes "
+            f"bundle {b - lines.segment_ptr[segment[b]]}: "
+            f"{GateType(gate[owner[bad]]).name} writes "
             f"{(int(r[bad, 0]), int(c[bad, 0]))}, which was not preset since "
             "its last write or read")

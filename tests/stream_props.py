@@ -115,13 +115,13 @@ def check_equivalence(rng: random.Random) -> int:
     bundled.load(initial, np.ones_like(initial))
     program = schedule(stream, bundled)
     partitions = bundled.partition_map
-    for bundle in program.bundles:
+    for bundle, label in zip(program.bundles, program.labels):
         ok, violations = bundled.check_bundle(bundle)
         assert ok, f"illegal bundle emitted: {violations}"
         keys = {(partitions.region_of(op.output, bundle.closed_switches),
                  line_pattern(op)) for op in bundle.ops}
         assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"
-        bundled.execute_bundle(bundle, label=program.label, check=False)
+        bundled.execute_bundle(bundle, label=label, check=False)
     check_presets(program.lines)
 
     assert np.array_equal(serial.cells(), bundled.cells()), \

@@ -64,8 +64,8 @@ def execute_object(xbar, op):
 
 
 def execute_frozen(xbar, op):
-    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
-                           [engine.SET_UNIT], xbar.config)
+    [frozen] = engine.freeze(line_table([CycleBundle([op])]), ["main"],
+                             [engine.SET_UNIT], xbar.config)
     engine.replay(frozen, xbar, [np.zeros((1, 2), dtype=np.int64),
                                  np.zeros((0, 2), dtype=np.int64),
                                  np.zeros((0, 2), dtype=np.int64)])
@@ -663,9 +663,9 @@ def test_trace_export_format():
     run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=2, stride=(1, 0))
     bundles = [CycleBundle([run]),
                CycleBundle([MicroOp(GateType.INIT1, (), (1, 3))])]
-    frozen = engine.freeze(line_table(bundles), ["theta", "main"],
-                           [engine.SET_UNIT, engine.SET_PARTITION_ROW],
-                           xbar.config)
+    [frozen] = engine.freeze(line_table(bundles), ["theta", "main"],
+                             [engine.SET_UNIT, engine.SET_PARTITION_ROW],
+                             xbar.config)
     engine.replay(frozen, xbar, [np.array([[0, 0], [1, 1]]), np.array([[1, 0]]),
                                  np.zeros((0, 2), dtype=int)])
     header, *records = map(json.loads, stream.getvalue().splitlines())

@@ -31,9 +31,9 @@ from stream_props import random_stream, small_crossbar
 
 def freeze_stream(stream, xbar):
     program = schedule(stream, xbar)
-    n = len(program.bundles)
-    return engine.freeze(program.lines, [program.label] * n,
-                         [engine.SET_UNIT] * n, xbar.config), program
+    [frozen] = engine.freeze(program.lines, program.labels,
+                             [engine.SET_UNIT] * len(program.bundles), xbar.config)
+    return frozen, program
 
 
 NO_COPIES = np.zeros((0, 2), dtype=np.int64)
@@ -62,8 +62,8 @@ def test_replay_matches_object_execution():
         object_xbar = small_crossbar()
         object_xbar.load(initial, np.ones_like(initial))
         frozen, program = freeze_stream(stream, object_xbar)
-        for bundle in program.bundles:
-            object_xbar.execute_bundle(bundle, label=program.label, check=False)
+        for bundle, label in zip(program.bundles, program.labels):
+            object_xbar.execute_bundle(bundle, label=label, check=False)
 
         replay_xbar = small_crossbar()
         replay_xbar.load(initial, np.ones_like(initial))
@@ -96,8 +96,8 @@ def test_vector_event_compression():
     # down the 8-column tile one row at a time
     xbar = small_crossbar()
     run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=8, stride=(1, 0))
-    frozen = engine.freeze(line_table([CycleBundle([run])]), ["main"],
-                           [engine.SET_UNIT], xbar.config)
+    [frozen] = engine.freeze(line_table([CycleBundle([run])]), ["main"],
+                             [engine.SET_UNIT], xbar.config)
     assert frozen.n_events == 1
     gate, step, span = frozen.rows[0, :3].tolist()
     assert (gate, step) == (GateType.NOR2, 8)
@@ -105,16 +105,16 @@ def test_vector_event_compression():
     assert frozen.n_gate_executions == 8
     # rows 0-15 span two tiles of 8 rows: one row per tile
     run = MicroOp(GateType.NOR2, ((0, 1), (0, 2)), (0, 0), count=16, stride=(1, 0))
-    frozen = engine.freeze(line_table([CycleBundle([run])]), ["main"],
-                           [engine.SET_UNIT], xbar.config)
+    [frozen] = engine.freeze(line_table([CycleBundle([run])]), ["main"],
+                             [engine.SET_UNIT], xbar.config)
     assert frozen.n_events == 2
     for gate, step, span in frozen.rows[:, :3].tolist():
         assert (gate, step, len(range(0, span, step))) == (GateType.NOR2, 8, 8)
     assert frozen.rows[0, 4] != frozen.rows[1, 4]      # the two output tiles
     assert frozen.n_gate_executions == 16
     # freeze keeps the scheduler's runs: eight one-line ops stay eight rows
-    frozen = engine.freeze(line_table([CycleBundle(run.lines()[:8])]), ["main"],
-                           [engine.SET_UNIT], xbar.config)
+    [frozen] = engine.freeze(line_table([CycleBundle(run.lines()[:8])]), ["main"],
+                             [engine.SET_UNIT], xbar.config)
     assert frozen.n_events == 8
     assert frozen.n_gate_executions == 8
 
@@ -131,7 +131,7 @@ def test_unused_input_slots_repeat_the_slot_before():
     assert (negate[:, 2] == negate[:, 1]).all()
     assert (negate[:, 1] != negate[:, 0]).any()
     assert (preset[:, 1:] == preset[:, :1]).all()
-    frozen = engine.freeze(lines, ["main"] * 2, [engine.SET_UNIT] * 2, config)
+    [frozen] = engine.freeze(lines, ["main"] * 2, [engine.SET_UNIT] * 2, config)
     negate, preset = frozen.rows.tolist()
     assert (negate[0], preset[0]) == (GateType.NOT, GateType.INIT1)
     assert negate[7:9] == negate[5:7] != negate[3:5]
@@ -155,7 +155,7 @@ def test_backward_run_is_one_forward_row(run):
     # cells is written from its last line
     config = small_crossbar().config
     bundles = [CycleBundle([run])]
-    frozen = engine.freeze(line_table(bundles), ["main"], [engine.SET_UNIT], config)
+    [frozen] = engine.freeze(line_table(bundles), ["main"], [engine.SET_UNIT], config)
     assert frozen.n_events == 1
     assert frozen.rows[0, 1] > 0
     assert frozen.n_gate_executions == 8
@@ -223,7 +223,7 @@ def test_preset_another_set_reads_runs():
                CycleBundle([MicroOp(GateType.NOT, ((8, 0),), (8, 1))]),
                CycleBundle([MicroOp(GateType.NOT, ((0, 2),), (0, 0))])]
     set_ids = [engine.SET_UNIT, engine.SET_PARTITION_ROW, engine.SET_UNIT]
-    frozen = engine.freeze(line_table(bundles), ["a"] * 3, set_ids, config)
+    [frozen] = engine.freeze(line_table(bundles), ["a"] * 3, set_ids, config)
     assert frozen.live.tolist() == [True, True, True]
     xbar = Crossbar(config)
     engine.replay(frozen, xbar, [np.array([[0, 0], [1, 0]]), np.array([[0, 0]]),
@@ -280,10 +280,10 @@ def test_concat_preserves_counts():
 def test_concat_refuses_programs_of_different_geometries():
     # a key names a tile of its own grid, so rows of two grids cannot mix
     op = MicroOp(GateType.NOT, ((0, 1),), (0, 0))
-    frozen = [engine.freeze(line_table([CycleBundle([op])]), ["a"], [engine.SET_UNIT],
-                            config)
-              for config in (CrossbarConfig(), CrossbarConfig(
-                  rows=300, cols=200, vertical_partitions=3, horizontal_partitions=2))]
+    frozen = [program for config in (CrossbarConfig(), CrossbarConfig(
+                  rows=300, cols=200, vertical_partitions=3, horizontal_partitions=2))
+              for program in engine.freeze(line_table([CycleBundle([op])]), ["a"],
+                                           [engine.SET_UNIT], config)]
     with pytest.raises(ValueError, match="different geometries"):
         engine.concat(frozen)
 
@@ -294,8 +294,8 @@ def test_charges_follow_the_rows():
     config = small_crossbar().config
     runs = [MicroOp(GateType.NOT, ((0, 2),), (0, 3), count=4, stride=(1, 0)),
             MicroOp(GateType.NOR2, ((1, 1), (1, 2)), (1, 4), count=4, stride=(1, 0))]
-    frozen = engine.freeze(line_table([CycleBundle([run]) for run in runs]),
-                           ["a", "b"], [engine.SET_UNIT] * 2, config)
+    [frozen] = engine.freeze(line_table([CycleBundle([run]) for run in runs]),
+                             ["a", "b"], [engine.SET_UNIT] * 2, config)
     rows = frozen.rows.copy()
     assert rows[0, 1:3].tolist() == [8, 25]             # 4 lines, 8 cells apart
     rows[0, 2] = 9
@@ -334,9 +334,8 @@ def test_replay_trace_matches_object_trace():
         xbar.attach_trace(trace)
         frozen, program = freeze_stream(stream, xbar)
         engine.replay(frozen, xbar, unit_shifts((0, 0)))
-        labels = [program.label] * len(program.bundles)
         assert traced_ops(trace.getvalue()) == \
-            bundle_ops(program.bundles, labels), seed
+            bundle_ops(program.bundles, program.labels), seed
 
 
 # ------------------------------------------------ differential replay oracle
@@ -470,7 +469,7 @@ def replay_cases(draw, geometry=ORACLE_GEOMETRY, units=None):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     state = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     initialized = (rng.random((rows, cols)) < 0.9).astype(np.uint8)
-    return config, engine.freeze(line_table(bundles), labels, set_ids, config), \
+    return config, *engine.freeze(line_table(bundles), labels, set_ids, config), \
         list(zip(bundles, labels, set_ids)), shifts, state, initialized
 
 
@@ -529,7 +528,7 @@ def test_strict_read_in_mid_bundle_leaves_the_bundle_before(set_id, shifts):
                      MicroOp(GateType.NOT, ((3, 2),), (3, 3))]),
         CycleBundle([MicroOp(GateType.NOT, ((0, 0),), (0, 2))]),
     ]
-    frozen = engine.freeze(line_table(bundles), ["a"] * 3, [set_id] * 3, config)
+    [frozen] = engine.freeze(line_table(bundles), ["a"] * 3, [set_id] * 3, config)
     oracle, xbar = Crossbar(config), Crossbar(config)
     initialized = np.ones((11, 14), dtype=np.uint8)
     initialized[1, 11] = 0
@@ -596,7 +595,7 @@ def test_input_key_offset_from_its_output_key(output, input_, columns):
     bundles, set_ids = [CycleBundle([run])], [engine.SET_PARTITION_COL]
     rng = np.random.default_rng(11)
     check_against_shifted_bundles((
-        config, engine.freeze(line_table(bundles), ["a"], set_ids, config),
+        config, *engine.freeze(line_table(bundles), ["a"], set_ids, config),
         list(zip(bundles, ["a"], set_ids)), word_shifts((), range(columns)),
         rng.integers(0, 2, (38, 42), dtype=np.uint8),
         np.ones((38, 42), dtype=np.uint8)))
@@ -630,7 +629,7 @@ def test_strided_keys_match_serial_execution(output, input_, rows, order, strict
                    (GateType.NOR2, ((4 * vi, 4 * hi + 1), (4 * vi, 4 * hi + 2)))]]
     set_ids = [engine.SET_PARTITION_ROW] * 3
     shifts = [[], [(4 * v, 0) for v in range(rows)[::order]], []]
-    frozen = engine.freeze(line_table(bundles), ["a"] * 3, set_ids, config)
+    [frozen] = engine.freeze(line_table(bundles), ["a"] * 3, set_ids, config)
     axes = engine._unit_axes(frozen, PartitionMap(config),
                              partition_shifts(shifts, config))
     assert set(axes[np.flatnonzero(frozen.reach[:, 0] >= 0), 1]) == {10 * order}
@@ -654,8 +653,8 @@ def test_strict_failure_in_the_second_word():
         CycleBundle([MicroOp(GateType.NOT, ((0, 0),), (0, 3))]),
     ]
     shifts = word_shifts(range(90))[0]
-    frozen = engine.freeze(line_table(bundles), ["a"] * 3, [engine.SET_UNIT] * 3,
-                           config)
+    [frozen] = engine.freeze(line_table(bundles), ["a"] * 3, [engine.SET_UNIT] * 3,
+                             config)
     oracle, xbar = Crossbar(config), Crossbar(config)
     initialized = np.ones((38, 42), dtype=np.uint8)
     initialized[29, 2] = initialized[33, 2] = 0
@@ -688,8 +687,8 @@ def test_replay_refuses_unevenly_spaced_tiles(geometry, units, strict):
     rng = np.random.default_rng(6)
     xbar.load(*rng.integers(0, 2, (2, config.rows, config.cols)))
     op = MicroOp(GateType.NOT, ((0, 1),), (0, 0))
-    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
-                           [engine.SET_UNIT], config)
+    [frozen] = engine.freeze(line_table([CycleBundle([op])]), ["main"],
+                             [engine.SET_UNIT], config)
     state, initialized = xbar.cells(), xbar.cells(initialized=True)
     stats = xbar.stats.as_dict()
     with pytest.raises(ValueError, match="not evenly spaced"):
@@ -722,8 +721,8 @@ def test_replay_shifts_a_program_left_and_up():
     bundles = [CycleBundle([MicroOp(GateType.INIT1, (), (2, 9), 3, (1, 0))]),
                CycleBundle([MicroOp(GateType.NOR2, ((2, 10), (2, 12)), (2, 9),
                                     3, (1, 0))])]
-    frozen = engine.freeze(line_table(bundles), ["a"] * 2, [engine.SET_UNIT] * 2,
-                           config)
+    [frozen] = engine.freeze(line_table(bundles), ["a"] * 2, [engine.SET_UNIT] * 2,
+                             config)
     shifts = [(0, -8), (8, -8)]
     oracle, xbar = Crossbar(config), Crossbar(config)
     for crossbar in (oracle, xbar):
@@ -774,7 +773,7 @@ def test_replay_rejects_runs_that_leave_the_crossbar(set_id, output, count, shif
     xbar.load(np.random.default_rng(5).integers(0, 2, (11, 14)), np.ones((11, 14)))
     r, c = output
     op = MicroOp(GateType.NOT, ((r, c + 1),), (r, c), count=count, stride=(1, 0))
-    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"], [set_id], config)
+    [frozen] = engine.freeze(line_table([CycleBundle([op])]), ["main"], [set_id], config)
     assert frozen.n_events == 1
     per_set = [NO_COPIES] * engine.NUM_ORIGIN_SETS
     per_set[set_id] = np.array([(0, 0), shift])
@@ -856,8 +855,8 @@ def test_a_set_with_no_copies_runs_nothing(set_id, strict):
     xbar = Crossbar(config)
     runs = [MicroOp(GateType.NOT, ((0, 2),), (0, 3), count=4, stride=(1, 0)),
             MicroOp(GateType.INIT1, (), (0, 1), count=4, stride=(1, 0))]
-    frozen = engine.freeze(line_table([CycleBundle([run]) for run in runs]),
-                           ["main"] * 2, [set_id] * 2, config)
+    [frozen] = engine.freeze(line_table([CycleBundle([run]) for run in runs]),
+                             ["main"] * 2, [set_id] * 2, config)
     assert frozen.live.all()
     engine.replay(frozen, xbar, [NO_COPIES] * engine.NUM_ORIGIN_SETS)
     assert not xbar.cells().any()
@@ -874,8 +873,8 @@ def test_replay_keys_past_the_int16_range():
     state[1099, 1098:] = 1
     xbar.load(state)
     op = MicroOp(GateType.NOT, ((1099, 1099),), (1099, 1098))
-    frozen = engine.freeze(line_table([CycleBundle([op])]), ["main"],
-                           [engine.SET_PARTITION_COL], config)
+    [frozen] = engine.freeze(line_table([CycleBundle([op])]), ["main"],
+                             [engine.SET_PARTITION_COL], config)
     assert frozen.rows.dtype == np.int32
     assert int(frozen.rows[0, 4]) > np.iinfo(np.int16).max
     engine.replay(frozen, xbar, [NO_COPIES] * 2

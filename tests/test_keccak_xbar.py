@@ -166,18 +166,18 @@ def test_compiled_program_shape(compiled):
 
 def test_compile_carries_runs(monkeypatch):
     # The compile's own structure on the default geometry: the generators
-    # emit runs of lines, and the scheduler packs runs, expands each
-    # segment to its lines once and checks its bundles at once. A fall back
-    # to one macro or micro-op per line multiplies the run counts, and a
-    # second expansion of a segment adds to the expansions, while every
-    # figure the programs carry stays the same.
+    # emit runs of lines, and the scheduler packs runs, then expands each
+    # batch of streams to its lines once, checks its bundles at once and
+    # freezes it once. A fall back to one macro or micro-op per line
+    # multiplies the run counts, and a second expansion of a batch adds to
+    # the expansions, while every figure the programs carry stays the same.
     from sha3pim import crossbar, keccak_xbar, scheduler
     scheduled, checks, frozen, expanded = [], [], [], []
     schedule, check_bundle = keccak_xbar.schedule, Crossbar.check_bundle
     freeze, line_table = engine.freeze, crossbar.line_table
 
-    def recorded_schedule(stream, crossbar):
-        scheduled.append((stream, schedule(stream, crossbar)))
+    def recorded_schedule(streams, crossbar):
+        scheduled.append((streams, schedule(streams, crossbar)))
         return scheduled[-1][1]
 
     def counted_check(self, bundles, *lines):
@@ -188,8 +188,8 @@ def test_compile_carries_runs(monkeypatch):
         frozen.append(freeze(*args))
         return frozen[-1]
 
-    def counted_expansion(bundles):
-        expanded.append(line_table(bundles))
+    def counted_expansion(bundles, *segments):
+        expanded.append(line_table(bundles, *segments))
         return expanded[-1]
 
     monkeypatch.setattr(keccak_xbar, "schedule", recorded_schedule)
@@ -198,22 +198,29 @@ def test_compile_carries_runs(monkeypatch):
     for module in (crossbar, scheduler):
         monkeypatch.setattr(module, "line_table", counted_expansion)
     compiled = keccak_xbar.CompiledKeccak(CrossbarConfig())
-    streams = [stream for stream, _ in scheduled]
-    assert len(streams) == 44
+    # 44 streams in 7 batches: ROT chain and rho, theta, pi, chi, then
+    # the RC chain, iota and absorb
+    assert [len(batch) for batch, _ in scheduled] == [6, 4, 3, 1, 1, 1, 28]
+    streams = [stream for batch, _ in scheduled for stream in batch]
     assert sum(len(stream) for stream in streams) == 61_821       # lines
     assert sum(len(group) for stream in streams
                for group in stream.groups()) == 1_794             # runs
     assert sum(len(program.bundles) for _, program in scheduled) == 3_167
-    # one check per segment, of all its bundles
-    assert len(checks) == 44
+    # one check per batch, of all its bundles
+    assert len(checks) == 7
     assert sum(len(bundles) for bundles in checks) == 3_167
     assert sum(map(sum, checks)) == 3_708                         # micro-op runs
-    # each segment expanded to its lines once, for all four readers
-    assert len(expanded) == 44
+    # each batch expanded to its lines once, for all four readers; no
+    # table is longer than the longest stream's (theta's) alone
+    assert len(expanded) == 7
     assert sum(table.cells.shape[0] for table in expanded) == 131_322
-    # freeze writes one row per micro-op run
-    assert len(frozen) == 44
-    assert sum(program.n_events for program in frozen) == 3_708
+    assert max(table.cells.shape[0] for table in expanded) == 23_060
+    # freeze, once per batch, writes a program per stream and one row per
+    # micro-op run
+    assert len(frozen) == 7
+    programs = [program for batch in frozen for program in batch]
+    assert len(programs) == 44
+    assert sum(program.n_events for program in programs) == 3_708
     assert compiled.permute.n_events == 90_576
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from sha3pim import crossbar, engine
 from sha3pim.crossbar import (
+    GATE_NUM_INPUTS,
     Crossbar,
     CrossbarConfig,
     CycleBundle,
@@ -30,6 +31,7 @@ from sha3pim.scheduler import (
     MacroOp,
     OpStream,
     ShapeError,
+    batches,
     check_presets,
     expand,
     schedule,
@@ -207,11 +209,10 @@ def test_non_grid_presets_split_then_freeze():
 
     initial = np.random.default_rng(5).integers(0, 2, (16, 16), np.uint8)
     xbar.load(initial)
-    for bundle in program.bundles:
-        xbar.execute_bundle(bundle, label=program.label)
-    n = len(program.bundles)
-    frozen = engine.freeze(program.lines, [program.label] * n,
-                           [engine.SET_UNIT] * n, xbar.config)
+    for bundle, label in zip(program.bundles, program.labels):
+        xbar.execute_bundle(bundle, label=label)
+    [frozen] = engine.freeze(program.lines, program.labels,
+                             [engine.SET_UNIT] * len(program.bundles), xbar.config)
     replayed = small_crossbar()
     replayed.load(initial)
     engine.replay(frozen, replayed, [np.zeros((1, 2), dtype=np.int64)]
@@ -391,3 +392,123 @@ def test_segment_check_reads_every_line_of_each_slice(monkeypatch, first):
         assert not ok and (ok, violations) == whole
         assert all(v.startswith(f"bundle {middle}: ") for v in violations)
         assert any(kind in v for v in violations), violations
+
+
+# ---------------------------------------------------------------- batches
+
+def test_expanded_len_is_the_length_of_the_line_table():
+    # batches are cut by expanded_len, so it must count what expand makes
+    xbar = small_crossbar()
+    for kind in (MacroKind.XOR2, *GateType):
+        stream = OpStream()
+        n = 2 if kind is MacroKind.XOR2 else GATE_NUM_INPUTS[kind]
+        scratch = ((0, 4), (0, 5), (0, 6)) if kind is MacroKind.XOR2 else None
+        stream.append(MacroOp(kind, tuple((0, 1 + i) for i in range(n)), (0, 0),
+                              scratch=scratch, count=3, stride=(1, 0)))
+        assert stream.expanded_len() == schedule(stream, xbar).lines.cells.shape[0]
+
+
+def presets(*counts):
+    """A stream of one INIT1 run of each count, barrier-separated: a
+    stream of ``sum(counts)`` lines."""
+    stream = OpStream()
+    for col, count in enumerate(counts):
+        stream.append(MacroOp(GateType.INIT1, (), (0, col), count=count, stride=(1, 0)))
+        stream.barrier()
+    return stream
+
+
+def test_batches_hold_consecutive_streams_up_to_the_longest():
+    streams = [presets(2), presets(3, 3), presets(3), presets(3), presets(1),
+               presets(4)]
+    cut = batches(streams)
+    assert [[streams.index(s) for s in batch] for batch in cut] == \
+        [[0], [1], [2, 3], [4, 5]]
+    assert max(sum(s.expanded_len() for s in batch) for batch in cut) == 6
+    assert batches([]) == []
+
+
+def compile_streams(streams, batched):
+    """Each stream's frozen program, every stream scheduled and frozen
+    alone, or all of them as one batch."""
+    xbar = small_crossbar()
+    programs = []
+    for batch in [streams] if batched else [[stream] for stream in streams]:
+        program = schedule(batch, xbar)
+        programs += engine.freeze(program.lines, program.labels,
+                                  [engine.SET_UNIT] * len(program.bundles),
+                                  xbar.config)
+    return programs
+
+
+def fields(program):
+    return [value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in vars(program).items() if name != "trace_tails"]
+
+
+def stream_of(*macros, label="main"):
+    """The macros, each in a group of its own."""
+    stream = OpStream(label)
+    for macro in macros:
+        stream.append(macro)
+        stream.barrier()
+    return stream
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["apart", "batched"])
+def test_a_preset_from_another_stream_does_not_serve(monkeypatch, batched):
+    # stream a ends with a preset of (0, 0); stream b's first gate writes
+    # (0, 0) with no preset of its own: the preset rule rejects it, naming
+    # b's bundle 0, though a's preset is the access before it in the batch
+    def forgetful(macro):
+        stages = expand(macro)
+        return stages[1:] if macro.kind is GateType.NOT else stages
+    monkeypatch.setattr(scheduler, "expand", forgetful)
+    a = stream_of(MacroOp(GateType.INIT1, (), (0, 5)),
+                  MacroOp(GateType.INIT1, (), (0, 0)))
+    b = stream_of(MacroOp(GateType.NOT, ((0, 1),), (0, 0)))
+    with pytest.raises(SchedulingError) as error:
+        compile_streams([a, b], batched)
+    assert str(error.value) == ("bundle 0: NOT writes (0, 0), which was not "
+                                "preset since its last write or read")
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["apart", "batched"])
+def test_a_preset_a_later_stream_overwrites_stays_live(batched):
+    # a's last preset is never touched again in a; b presets and writes
+    # the same cell first. Replay splices other segments between them, so
+    # a's preset stays live
+    a = stream_of(MacroOp(GateType.NOT, ((0, 3),), (0, 2)),
+                  MacroOp(GateType.INIT1, (), (0, 0)), label="a")
+    b = stream_of(MacroOp(GateType.NOT, ((0, 1),), (0, 0)), label="b")
+    first, second = compile_streams([a, b], batched)
+    assert first.live.tolist() == [False, True, True]
+    assert second.live.tolist() == [False, True]
+    assert (first.label_names, second.label_names) == (["a"], ["b"])
+    assert schedule([a, b], small_crossbar()).labels == ["a"] * 3 + ["b"] * 2
+    assert [fields(p) for p in (first, second)] == \
+        [fields(p) for p in compile_streams([a, b], not batched)]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["apart", "batched"])
+def test_an_illegal_bundle_is_named_in_its_own_stream(batched):
+    # two writes of (0, 0) in b's bundle 2 (the batch's bundle 4) are
+    # reported as scheduling b alone reports them; with a illegal too,
+    # a's bundle is the one named, as a is scheduled first
+    legal = stream_of(MacroOp(GateType.NOT, ((0, 3),), (0, 2)))
+    illegal = stream_of(MacroOp(GateType.NOT, ((0, 3),), (0, 2)))
+    illegal.append(MacroOp(GateType.INIT1, (), (0, 0)))
+    illegal.append(MacroOp(GateType.INIT1, (), (0, 0)))
+    for streams in ([legal, illegal], [illegal, legal, illegal]):
+        with pytest.raises(SchedulingError) as error:
+            compile_streams(streams, batched)
+        assert str(error.value) == ("scheduler emitted an illegal bundle: "
+                                    "bundle 2: ops 0 and 1 both write (0, 0)")
+
+
+def test_random_streams_compile_alike_apart_and_batched():
+    rng = random.Random(4242)
+    for _ in range(10):
+        streams = [random_stream(rng) for _ in range(4)]
+        assert [fields(p) for p in compile_streams(streams, True)] == \
+            [fields(p) for p in compile_streams(streams, False)]
