@@ -4,12 +4,14 @@ Every digest is cross-checked against the software reference. Exit status:
 1 only if a digest mismatches; 2 if an input cannot be parsed or read, an
 output names the same file as another output or a ``--file`` input, an
 output cannot be opened or fails while it is written (a full disk, a closed
-stdout), the crossbar geometry is invalid, or the host cannot allocate the
-memory the run needs; 3 if the message count exceeds unit capacity (checked
-before any ``--random`` message is generated); 4 if the C replay kernel
-cannot be built or loaded, as without a C compiler; 141 if the reader of
-stdout closed it early (as a shell reports SIGPIPE). Statuses 2, 3 and 4
-come with one ``error:`` line on stderr, 141 with nothing more.
+stdout), the crossbar geometry is invalid, a report figure overflows to a
+value strict JSON cannot hold (infinity or NaN; nothing goes to stdout),
+or the host cannot allocate the memory the run needs; 3 if the message
+count exceeds unit capacity (checked before any ``--random`` message is
+generated); 4 if the C replay kernel cannot be built or loaded, as
+without a C compiler; 141 if the reader of stdout closed it early (as a
+shell reports SIGPIPE). Statuses 2, 3 and 4 come with one ``error:`` line
+on stderr, 141 with nothing more.
 
 Output: one line per message (``<digest-hex>  <OK|MISMATCH>``), then a
 versioned JSON report (redirect with ``--report``).
@@ -21,6 +23,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -214,6 +217,7 @@ def _main(args) -> int:
                                   if path else None
                                   for path in (args.trace, args.report))
             report = _report(args, config, messages, seed, modelled, trace)
+            _check_finite(report)
             if trace:
                 trace.close()
             entries = report.get("messages", [])
@@ -238,6 +242,18 @@ def _main(args) -> int:
                        f"{exc.strerror or exc}") from None
     mismatch = any(e["verdict"] != "OK" for e in entries)
     return EXIT_MISMATCH if mismatch else EXIT_OK
+
+
+def _check_finite(value, name: str = "") -> None:
+    """Raise ``CliError`` naming the first figure of the report ``value``
+    (``stats.energy_fj``, say) that is infinite or NaN, as an overflowed
+    product is: strict JSON has no such number."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        _check_finite(item, f"{name}.{key}" if name else str(key))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CliError(f"{name} is {value}, which a JSON report cannot hold")
 
 
 def _metrics(args, config: CrossbarConfig) -> dict:

@@ -12,7 +12,8 @@ Rotation offsets sit bit-sliced in a shared ROT block under the bottom
 partition row (one copy per column of units) and the round constants in a
 shared RC block right of the last partition column (one copy per row of
 units); both are copied into a unit over the partition switches, one
-double-inverting hop per unit, once per use.
+double-inverting hop (``_hop``) per unit, once per use. One generator,
+``_fetch``, writes both fetches; theta's top-bit stash is a hop too.
 
 Microcode is generated for a reference unit, packed by the scheduler,
 checked once, and frozen; hashing replays the frozen program on every
@@ -368,14 +369,11 @@ def theta_microcode(unit: UnitLayout) -> OpStream:
     s.barrier()
 
     # Rotate the D columns by one row (in-column). The top bit is stashed
-    # through two spare rows (double inversion), then a descending pass
-    # shifts in place; each NOT also undoes the inversion from the copy.
+    # by a hop through two spare rows (double inversion), then a descending
+    # pass shifts in place; each NOT also undoes the inversion from the copy.
     dcols = range(unit.d_col(0), unit.d_col(5))
     d, across = dcols[0], _along(dcols, IN_COL)
-    s.append(MacroOp(GateType.NOT, ((unit.row(63), d),), (unit.a_row, d), **across))
-    s.barrier()
-    s.append(MacroOp(GateType.NOT, ((unit.a_row, d),), (unit.b_row, d), **across))
-    s.barrier()
+    _hop(s, IN_COL, dcols, unit.row(63), unit.a_row, unit.b_row)
     for row in range(63, 0, -1):
         s.append(MacroOp(GateType.NOT, ((unit.row(row - 1), d),), (unit.row(row), d),
                          **across))
@@ -497,59 +495,42 @@ def absorb_microcode(unit: UnitLayout, lanes: list[int]) -> OpStream:
 
 # ------------------------------------------------------------- shared fetches
 
-def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
-    """Copy the offset bit-planes up the chain of vertically aligned units
-    (reference column of units; replicated per active unit column).
-
-    Returns one stream per plane, then the shared chain. Stream ``j`` is the
-    first hop: it copies plane ``j`` from the ROT block into the bottom
-    unit's select row. The chain then hops the select row up one unit at a
-    time, each hop crossing one closed row switch. Only the first hop reads
-    the ROT block, so the chain is the same for every plane and is compiled
-    once.
+def _fetch(layout: CrossbarLayout, label: str, orientation: str, lines: range,
+           block: list[int], stops: list[tuple[int, int]]) -> list[OpStream]:
+    """A shared-block fetch: one first-hop stream per ``block`` line, then
+    the chain. ``stops[k]`` is the k-th unit's (via, destination) line. A
+    first hop copies its block line into the last stop; the chain hops it
+    from stop to stop back to stop 0, across the closed switch between each
+    two. Only the first hop reads the block, so the chain is compiled once.
     """
-    cols = range(STATE_COLS)
+    via, dst = stops[-1]
+    streams = [OpStream(label) for _ in block]
+    for stream, line in zip(streams, block):
+        _hop(stream, orientation, lines, line, via, dst)
+    chain = OpStream(label)
+    kind = "row" if orientation == IN_COL else "col"
+    for k in range(len(stops) - 1, 0, -1):
+        _hop(chain, orientation, lines, stops[k][1], *stops[k - 1],
+             switch=layout.partition_map.switch(kind, k))
+    return streams + [chain]
+
+
+def rot_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
+    """Each offset bit-plane, from the ROT block up the reference column of
+    units into their select rows (replicated per active unit column)."""
     units = [layout.unit(v * layout.hparts) for v in range(layout.vparts)]
-    bottom = layout.vparts - 1
-    streams = []
-    for plane in range(layout.ROT_PLANES):
-        first = OpStream("rho")
-        _hop(first, IN_COL, cols, layout.rot_base_row + plane,
-             units[bottom].a_row, units[bottom].t_row)
-        streams.append(first)
-    chain = OpStream("rho")
-    for v in range(bottom - 1, -1, -1):
-        _hop(chain, IN_COL, cols, units[v + 1].t_row, units[v].a_row,
-             units[v].t_row, switch=layout.partition_map.switch("row", v + 1))
-    streams.append(chain)
-    return streams
+    return _fetch(layout, "rho", IN_COL, range(STATE_COLS),
+                  [layout.rot_base_row + plane for plane in range(layout.ROT_PLANES)],
+                  [(unit.a_row, unit.t_row) for unit in units])
 
 
 def rc_fetch_microcode(layout: CrossbarLayout) -> list[OpStream]:
-    """Copy a round constant leftward along a row of units into each
-    scratch column (reference row of units; replicated per active unit row).
-
-    Returns one stream per round, then the shared chain. Stream ``r`` is the
-    first hop: it copies RC column ``r`` into the rightmost unit's scratch
-    column. The chain then hops the scratch column left one unit at a time,
-    each hop crossing one closed column switch. Only the first hop reads the
-    RC block, so the chain is the same for every round and is compiled once.
-    """
+    """Each round constant, from the RC block left along the reference row
+    of units into their scratch columns (replicated per active unit row)."""
     units = [layout.unit(h) for h in range(layout.hparts)]
-    rows = range(LANE_BITS)
-    rightmost = layout.hparts - 1
-    streams = []
-    for round_index in range(KECCAK.rounds):
-        first = OpStream("iota")
-        _hop(first, IN_ROW, rows, layout.rc_col(round_index),
-             units[rightmost].x_col, units[rightmost].m_col)
-        streams.append(first)
-    chain = OpStream("iota")
-    for h in range(rightmost - 1, -1, -1):
-        _hop(chain, IN_ROW, rows, units[h + 1].m_col, units[h].x_col,
-             units[h].m_col, switch=layout.partition_map.switch("col", h + 1))
-    streams.append(chain)
-    return streams
+    return _fetch(layout, "iota", IN_ROW, range(LANE_BITS),
+                  [layout.rc_col(r) for r in range(KECCAK.rounds)],
+                  [(unit.x_col, unit.m_col) for unit in units])
 
 
 # ------------------------------------------------------------------ compiler
@@ -561,7 +542,12 @@ class CompiledKeccak:
     """Frozen microcode for one crossbar geometry, replayable on any units."""
 
     def __init__(self, config: CrossbarConfig):
-        self.config = config
+        # the geometry alone, as every caller of that geometry shares it
+        self.config = config = CrossbarConfig(
+            rows=config.rows, cols=config.cols,
+            vertical_partitions=config.vertical_partitions,
+            horizontal_partitions=config.horizontal_partitions,
+            unit_rows=config.unit_rows, unit_cols=config.unit_cols)
         self.layout = CrossbarLayout(config)
         xbar = Crossbar(config)
         ref = UnitLayout((0, 0))

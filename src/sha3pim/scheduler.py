@@ -1,7 +1,8 @@
 """Macro-op expansion and greedy packing of gate streams into cycle bundles.
 
 Producers emit streams of macro operations separated by barriers; ops
-between two barriers are declared independent by the producer. A macro is
+between two barriers are declared independent by the producer, and an
+``OpStream`` stores them as that group. A macro is
 either XOR2, the one ``MacroKind`` macro, or a single gate, whose kind is
 its ``GateType``. Every macro is a *run*: its first line's cells
 plus a count and a stride that repeats them along parallel rows or
@@ -124,50 +125,40 @@ class MacroOp:
             raise ShapeError(msg)
 
 
-_BARRIER = object()
-
-
 class OpStream:
     """Ordered macro ops with explicit sequence-point barriers, under one
     step label.
 
     The macros between two barriers form a group. They must be independent
-    of each other, and no two of them may write the same cell.
+    of each other, and no two of them may write the same cell. The stream
+    stores its groups; only the last may be empty, so repeated barriers
+    count as one.
     """
 
     def __init__(self, label: str = "main"):
         self.label = label
-        self._items: list = []
+        self._groups: list[list[MacroOp]] = [[]]
 
     def append(self, op: MacroOp) -> None:
-        self._items.append(op)
+        self._groups[-1].append(op)
 
     def barrier(self) -> None:
-        if self._items and self._items[-1] is not _BARRIER:
-            self._items.append(_BARRIER)
+        if self._groups[-1]:
+            self._groups.append([])
 
     def __len__(self) -> int:
         """The number of lines of its macros."""
-        return sum(item.count for item in self._items if item is not _BARRIER)
+        return sum(op.count for group in self._groups for op in group)
 
     def expanded_len(self) -> int:
         """The number of lines ``expand`` makes of its macros: the length
         of its line table when scheduled."""
-        return sum(item.count * _EXPANDED_LINES[item.kind]
-                   for item in self._items if item is not _BARRIER)
+        return sum(op.count * _EXPANDED_LINES[op.kind]
+                   for group in self._groups for op in group)
 
-    def groups(self):
-        """Yield lists of macros delimited by barriers."""
-        group: list[MacroOp] = []
-        for item in self._items:
-            if item is _BARRIER:
-                if group:
-                    yield group
-                    group = []
-            else:
-                group.append(item)
-        if group:
-            yield group
+    def groups(self) -> list[list[MacroOp]]:
+        """Its groups of macros, in order, none empty."""
+        return [group for group in self._groups if group]
 
 
 def expand(macro: MacroOp) -> list[list[MicroOp]]:

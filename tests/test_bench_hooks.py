@@ -1,7 +1,9 @@
 """The benchmark's trace hooks resolve: every attribute that
 ``perfbench/spans.py`` wraps exists in ``sha3pim`` and is callable, and
 its replay counter reads the units and gate executions of a replay. A
-traced benchmark run passes the benchmark's own correctness check."""
+traced benchmark run passes the benchmark's own correctness check, and
+the committed ``BENCHMARK.json`` is the one ``perfbench/catalog.py``
+prints."""
 
 import importlib.util
 import json
@@ -14,13 +16,25 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+CATALOG = ROOT / "perfbench" / "catalog.py"
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return load(SPANS, "perfbench_spans")
+
+
+def test_benchmark_json_matches_catalog():
+    # what ``python3 perfbench/catalog.py`` prints, byte for byte
+    catalog = load(CATALOG, "perfbench_catalog")
+    printed = json.dumps(catalog.benchmark_json(), indent=2) + "\n"
+    assert (ROOT / "BENCHMARK.json").read_text() == printed
 
 
 def test_trace_hooks_resolve(monkeypatch):

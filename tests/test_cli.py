@@ -104,6 +104,16 @@ def test_gate_power_underflow_rejected(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_overflowed_report_figure_rejected(capsys):
+    # a finite gate energy whose product over the run's gates overflows;
+    # strict JSON has no infinity, so no report is printed
+    status, out, err = run_cli(capsys, "--text", "a", "--gate-energy-fj", "1e308")
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: stats.energy_fj ")
+    assert len(err.splitlines()) == 1
+
+
 # each case ends in a flag given a count it rejects; the error names that flag
 @pytest.mark.parametrize("argv", [("--metrics", "--paper-constants",
                                    "--crossbars", "0"),

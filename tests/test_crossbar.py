@@ -8,9 +8,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sha3pim import engine
 from sha3pim.crossbar import (
+    GATE_NUM_INPUTS,
+    IN_COL,
     AddressError,
     Crossbar,
     CrossbarConfig,
@@ -20,7 +23,9 @@ from sha3pim.crossbar import (
     PartitionMap,
     SchedulingError,
     StrictInitError,
+    line_pattern,
     line_table,
+    shift,
 )
 
 
@@ -155,6 +160,53 @@ def test_same_partition_mixed_gates_illegal():
            MicroOp(GateType.AND2, ((1, 1), (1, 2)), (1, 0))]
     ok, _ = xbar.check_bundle(CycleBundle(ops))
     assert not ok
+
+
+@st.composite
+def partition_runs(draw):
+    """A well-formed run of 1-3 lines near partition (0, 0) of ``small_xbar``:
+    any gate on cells of one row or column, inputs possibly repeated."""
+    gate = draw(st.sampled_from(list(GateType)))
+    line, out_at = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    ins_at = draw(st.lists(st.integers(0, 7).filter(lambda at: at != out_at),
+                           min_size=GATE_NUM_INPUTS[gate], max_size=GATE_NUM_INPUTS[gate]))
+    in_row, step = draw(st.booleans()), draw(st.sampled_from((1, 2, -1)))
+
+    def cell(at):
+        return (line, at) if in_row else (at, line)
+
+    return MicroOp(gate, tuple(map(cell, ins_at)), cell(out_at),
+                   count=draw(st.integers(1, 3)),
+                   stride=(step, 0) if in_row else (0, step))
+
+
+@st.composite
+def run_pairs(draw):
+    """Two runs: independent, or the second the first moved a few lines
+    across, so that half the pairs share a line pattern."""
+    a = draw(partition_runs())
+    if draw(st.booleans()):
+        return a, draw(partition_runs())
+    d = draw(st.integers(1, 7))
+    *ins, out = shift(a.cells(), 1, (0, d) if a.orientation == IN_COL else (d, 0))
+    return a, MicroOp(a.gate, tuple(ins), out, count=draw(st.integers(1, 3)),
+                      stride=a.stride)
+
+
+@given(run_pairs())
+@settings(max_examples=200, deadline=None)
+def test_mixed_pattern_rule_is_line_pattern(pair):
+    # check_bundle computes the line-pattern rule again, in numpy, off the
+    # line table; on two runs of disjoint cells in one partition it reports
+    # a mixed pattern exactly when their line_patterns differ
+    a, b = pair
+    cells_a, cells_b = ({cell for line in run.lines() for cell in line.cells()}
+                        for run in (a, b))
+    assume(all(0 <= r < 8 and 0 <= c < 8 for r, c in cells_a | cells_b))
+    assume(not cells_a & cells_b)
+    _, violations = small_xbar().check_bundle(CycleBundle([a, b]))
+    mixed = any("mixed" in v or "unaligned" in v for v in violations)
+    assert mixed == (line_pattern(a) != line_pattern(b)), violations
 
 
 def test_op_crossing_open_switch_illegal():

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from sha3pim import engine
+from sha3pim import engine, keccak_xbar
 from sha3pim import keccak_ref as ref
 from sha3pim.crossbar import (
     GATE_NUM_INPUTS,
@@ -624,6 +624,19 @@ def test_mixed_lengths_batch():
     messages = [b"", b"abc", bytes(200), b"x" * 136]
     digests, _ = hash_messages(messages)
     assert digests == [ref.sha3_256(m) for m in messages]
+
+
+def test_cached_compile_keeps_no_caller_config(monkeypatch):
+    # a compile is cached by geometry and shared by every later caller, so
+    # its config is the geometry alone, not the first caller's object with
+    # that caller's costs and strict mode (which a caller may change later)
+    monkeypatch.setattr(keccak_xbar, "_compiled_cache", {})
+    geometry = dict(rows=300, cols=200, vertical_partitions=3, horizontal_partitions=2)
+    first = CrossbarConfig(**geometry, strict_init=True, gate_energy_fj=1.0)
+    digests, _ = hash_messages([b"abc"], config=first)
+    assert digests == [ref.sha3_256(b"abc")]
+    first.gate_delay_ns = 5.0
+    assert compiled_keccak(CrossbarConfig(**geometry)).config == CrossbarConfig(**geometry)
 
 
 def charged(compiled, cohorts):
