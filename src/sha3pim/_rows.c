@@ -37,19 +37,21 @@
    first place is d places past the output key's (before it, if d < 0) is
    read as the 64 places from 64 * w + d on, funnelled out of two words
    when d is not a multiple of 64, so that each input bit lines up with
-   its output bit.  At stride 1 the output's places first..last lie in
-   words first / 64 to last / 64, and an edge mask keeps the bits of those
-   words outside that range, which belong to other tiles.  Rows whose
-   inputs need no funnel read plain words in a loop of their own: sending
-   them through the funnel too made a permutation's kernel call 1.4 to
-   1.8 times as long (1 to 136 units, on a 2-core Xeon VM).  At a larger
-   stride (the partition-row set, whose copies are a partition row apart)
-   the row runs word by word, each word under the mask of the places it
-   holds, with the row's cells in the inner loop.  Only a row whose keys
+   its output bit.  Every stride runs in one loop, word by word: a word's
+   mask holds the output key's places in it, as the other bits belong to
+   other tiles (at stride 1, those of the first and last word outside
+   first..last; at a larger stride, the partition-row set's, whose copies
+   are a partition row apart, also those between), and the row's cells
+   run in the inner loop under that mask.  Rows whose inputs need no
+   funnel read plain words in a loop of their own.  Only a row whose keys
    have different strides (an RC fetch, say, from the RC column's tiles
    onto the partitions') runs one unit at a time on single bits.  The
    init grid of strict mode has the same layout, and its check reads a
-   key's bits one unit at a time, in unit order. */
+   key's bits one unit at a time, in unit order.
+
+   The rows are stored in bundles, and `order` names the stored bundle
+   that each cycle runs, so a bundle that a program runs many times (a
+   round of the permutation, say) is stored once. */
 
 #include <stdint.h>
 
@@ -116,56 +118,43 @@ static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
     i64 last = first + (n - 1) * stride;
     i64 sa = (ka[0] - ko[0]) & 63, ja = (ka[0] - ko[0] - sa) / 64;
     i64 sb = (kb[0] - ko[0]) & 63, jb = (kb[0] - ko[0] - sb) / 64;
-    if (stride > 1) {
-        /* word by word, each with the mask of the places it holds */
-        for (i64 p = first; p <= last;) {
-            i64 w = p >> 6;
-            u64 mask = 0;
+    /* word by word, each under the mask of the places it holds, with the
+       row's cells in the inner loop */
+    for (i64 p = first; p <= last;) {
+        i64 w = p >> 6;
+        u64 mask = 0;
+        if (stride == 1)
+            mask = edge(w, first, last), p = (w + 1) << 6;
+        else
             for (; p <= last && p >> 6 == w; p += stride)
                 mask |= (u64)1 << (p & 63);
-            u64 *o = out + w;
-            if (!arity)
-                for (i64 i = 0; i < end; i += step)
-                    o[i] ^= (o[i] ^ preset) & mask;
-            else if (!sa && !sb)
-                for (i64 i = 0; i < end; i += step)
-                    o[i] ^= (o[i] ^ GATE(x[i + w + ja], y[i + w + jb])) & mask;
-            else
-                for (i64 i = 0; i < end; i += step)
-                    o[i] ^= (o[i] ^ GATE(fetch(x + i, words, w + ja, sa),
-                                         fetch(y + i, words, w + jb, sb))) & mask;
-        }
-        return;
-    }
-    i64 w0 = first >> 6, w1 = last >> 6;
-    for (i64 i = 0; i < end; i += step) {
-        u64 *o = out + i;
-        const u64 *a = x + i, *b = y + i;
+        u64 *o = out + w;
         if (!arity)
-            for (i64 w = w0; w <= w1; w++)
-                o[w] ^= (o[w] ^ preset) & edge(w, first, last);
+            for (i64 i = 0; i < end; i += step)
+                o[i] ^= (o[i] ^ preset) & mask;
         else if (!sa && !sb)
-            for (i64 w = w0; w <= w1; w++)
-                o[w] ^= (o[w] ^ GATE(a[w + ja], b[w + jb])) & edge(w, first, last);
+            for (i64 i = 0; i < end; i += step)
+                o[i] ^= (o[i] ^ GATE(x[i + w + ja], y[i + w + jb])) & mask;
         else
-            for (i64 w = w0; w <= w1; w++)
-                o[w] ^= (o[w] ^ GATE(fetch(a, words, w + ja, sa),
-                                     fetch(b, words, w + jb, sb)))
-                        & edge(w, first, last);
+            for (i64 i = 0; i < end; i += step)
+                o[i] ^= (o[i] ^ GATE(fetch(x + i, words, w + ja, sa),
+                                     fetch(y + i, words, w + jb, sb))) & mask;
     }
 }
 
-/* Run the bundles' rows: the live ones, or, with an init grid, every row,
-   each bundle only after checking that it reads no unwritten cell.  On
-   such a read, return 1 with fail = (row, input slot, cell, tile) of the
-   first one and the grids holding every bundle before; else return 0. */
+/* Run n_cycles bundles, bundle order[k] at cycle k: its live rows, or,
+   with an init grid, every row, each bundle only after checking that it
+   reads no unwritten cell.  On such a read, return 1 with fail = (row,
+   input slot, cell, tile) of the first one and the grids holding every
+   bundle before; else return 0. */
 int run_rows(u64 *q, u64 *init, i64 words, const int32_t *rows,
-             const unsigned char *live, const i64 *bundle_ptr, i64 n_bundles,
-             const i64 *forms, const i64 *axes, i64 *fail)
+             const unsigned char *live, const i64 *bundle_ptr,
+             const int32_t *order, i64 n_cycles, const i64 *forms,
+             const i64 *axes, i64 *fail)
 {
     static const i64 written[4] = {0, 0, 0, 1};
-    for (i64 bundle = 0; bundle < n_bundles; bundle++) {
-        i64 lo = bundle_ptr[bundle], hi = bundle_ptr[bundle + 1];
+    for (i64 k = 0; k < n_cycles; k++) {
+        i64 lo = bundle_ptr[order[k]], hi = bundle_ptr[order[k] + 1];
         for (i64 r = lo; init && r < hi; r++) {
             const int32_t *f = rows + 9 * r;
             for (i64 slot = 1; slot <= forms[4 * (i64)f[0]]; slot++) {

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -166,6 +167,41 @@ def _check_outputs(args) -> None:
         claimed[real] = f"{flag} {path}"
 
 
+def _open_output(outputs: contextlib.ExitStack, path: str):
+    """A text stream for output ``path``, and the call that puts what it
+    holds in place once the run has succeeded.
+
+    A device or a pipe is written in place. Any other path is written to
+    a temporary file in its directory, with the mode the path has or a new
+    file would get, and the call renames it onto the path, so a run that
+    fails leaves no new file and an existing file as it was; ``outputs``
+    removes the temporary file if it is still there.
+    """
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        return outputs.enter_context(open(path, "w")), lambda: None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.",
+                                   dir=os.path.dirname(real))
+    except OSError as exc:      # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    stream = outputs.enter_context(open(fd, "w"))
+    outputs.callback(_remove_if_there, tmp)
+    if os.path.exists(real):
+        mode = os.stat(real).st_mode
+    else:
+        mode = os.umask(0)
+        os.umask(mode)
+        mode = 0o666 & ~mode
+    os.fchmod(fd, mode & 0o7777)
+    return stream, lambda: os.replace(tmp, real)
+
+
+def _remove_if_there(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; the one place a failure becomes its exit status."""
     try:    # grids, compile and --random messages all allocate host memory
@@ -213,9 +249,9 @@ def _main(args) -> int:
     try:
         with contextlib.ExitStack() as outputs:
             # opened before hashing, so a bad path costs no hash
-            trace, report_file = (outputs.enter_context(open(path, "w"))
-                                  if path else None
-                                  for path in (args.trace, args.report))
+            (trace, place_trace), (report_file, place_report) = (
+                _open_output(outputs, path) if path else (None, None)
+                for path in (args.trace, args.report))
             report = _report(args, config, messages, seed, modelled, trace)
             _check_finite(report)
             if trace:
@@ -233,6 +269,8 @@ def _main(args) -> int:
             name = "stdout"
             sys.stdout.write("".join(f"{line}\n" for line in lines))
             sys.stdout.flush()      # a failure shows here, not at exit
+            for place in filter(None, (place_trace, place_report)):
+                place()
     except OSError as exc:
         if name == "stdout":    # drop what it holds, so the shutdown flush stays quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -44,14 +44,23 @@ once on ``crossbar.state`` as it is; a key of a set with no copies has
 count 0 and runs nothing. A shift set whose tiles are not
 evenly spaced is refused. The map numbers partition tiles in unit-id
 order, so contiguous units are contiguous bits, and the kernel applies a
-gate to 64 units at a time with word operations: edge masks keep the bits
-of other tiles in a key's first and last word, and an input key whose
-tiles start elsewhere than its output key's is shifted into line. A row
-whose keys share a larger stride (the partition-row set's) or a
-descending one runs on whole words as well, under a mask of its places
-per word; only a row whose keys' strides differ (an RC fetch) runs one
+gate to 64 units at a time with word operations. It walks a row word by
+word, with the row's cells in the inner loop, under a mask of the output
+key's places in that word: at stride 1 an edge mask keeps the bits of
+other tiles in a key's first and last word, and a larger stride (the
+partition-row set's) or a descending one keeps its places' own bits. An
+input key whose tiles start elsewhere than its output key's is shifted
+into line. Only a row whose keys' strides differ (an RC fetch) runs one
 bit at a time. Strict mode runs on ``crossbar.initialized``, which has
 the same layout.
+
+A program stores its rows a bundle at a time, and ``order`` names the
+stored bundle each cycle runs. ``freeze`` writes the identity; ``concat``
+stores each distinct program it is given once (by identity) and
+concatenates their orders. The permutation runs the same theta, rho, pi
+and chi programs in each of its 24 rounds, so it stores 6,136 rows where
+it runs 90,576. Charges, ``n_bundles``, ``n_events`` and the trace count
+what the cycles run.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -106,50 +115,62 @@ SET_UNIT, SET_PARTITION_ROW, SET_PARTITION_COL = 0, 1, 2
 class FrozenProgram:
     """Kernel rows for one replayable microcode segment.
 
-    The kernel reads ``rows``, ``live`` and ``bundle_ptr`` in place through
-    raw pointers, so they are checked once, here: brought to the dtypes
-    below (``np.require`` copies nothing ``freeze`` and ``concat`` build),
-    checked to agree with each other and with ``geometry``, and made
-    read-only with every other array. A program that fails raises
-    ``ValueError``, so no program that exists can make ``replay`` touch
-    memory outside the crossbar's words. Its charges are read off its
-    rows here: a cycle per bundle, a gate execution per line.
+    The rows are stored a bundle at a time, and ``order`` names the stored
+    bundle each cycle runs, so a program that runs a bundle many times (the
+    permutation runs each of theta's, rho's, pi's and chi's 24 times)
+    stores it once. ``n_bundles``, ``n_events`` and the charges count what
+    the cycles run, each stored bundle as often as ``order`` names it.
+
+    The kernel reads ``rows``, ``live``, ``bundle_ptr`` and ``order`` in
+    place through raw pointers, so they are checked once, here: brought to
+    the dtypes below (``np.require`` copies nothing ``freeze`` and
+    ``concat`` build), checked to agree with each other and with
+    ``geometry``, and made read-only with every other array. A program
+    that fails raises ``ValueError``, so no program that exists can make
+    ``replay`` touch memory outside the crossbar's words. Its charges are
+    read off its rows here: a cycle per bundle run, a gate execution per
+    line.
     """
 
-    rows: np.ndarray          # int32 [n_events, 9]: gate, step, span, then
+    rows: np.ndarray          # int32 [stored rows, 9]: gate, step, span, then
     #                           the first cell and the key of the output and
     #                           of in1 and in2; a slot past the gate's arity
     #                           repeats the one before it, or the output
-    live: np.ndarray          # bool [n_events]: False for a row of INIT1
+    live: np.ndarray          # bool [stored rows]: False for a row of INIT1
     #                           presets that are all dead (overwritten before
     #                           any read); counted and charged, never replayed
     #                           outside strict mode
-    bundle_ptr: np.ndarray    # int64 [n_bundles + 1] first row of each bundle
-    bundle_label: np.ndarray  # uint16 [n_bundles] index into label_names
+    bundle_ptr: np.ndarray    # int64 [stored bundles + 1] first row of each
+    bundle_label: np.ndarray  # uint16 [stored bundles] index into label_names
+    order: np.ndarray         # int32 [n_bundles] the stored bundle each cycle
+    #                           runs; the identity for a program freeze built
     label_names: list[str]
     geometry: tuple           # PartitionMap.geometry of the config frozen for
     reach: np.ndarray         # int32 [n_keys, 2] largest local (row,
     #                           col) any slot touches per key, -1 if unused;
     #                           stored, as computing it from permute's
     #                           rows takes 7-8 ms, 5% of a cold compile
+    n_events: int = field(init=False)                   # rows the cycles run
     cycles_by_label: np.ndarray = field(init=False)     # int64 [n_labels]
     gates_by_label_set: np.ndarray = field(init=False)  # int64 [n_labels, 3]
-    # each bundle's trace record after its cycle number, keyed by whether
-    # dead rows were skipped; built by the first traced replay of each kind
+    # each stored bundle's trace record after its cycle number, keyed by
+    # whether dead rows were skipped; built by the first traced replay of
+    # each kind
     trace_tails: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
         for name, dtype in (("rows", np.int32), ("live", np.bool_),
-                            ("bundle_ptr", np.int64)):
+                            ("bundle_ptr", np.int64), ("order", np.int32)):
             object.__setattr__(self, name, np.require(getattr(self, name), dtype, "C"))
-        rows, ptr = self.rows, self.bundle_ptr
+        rows, ptr, order = self.rows, self.bundle_ptr, self.order
         sizes = np.diff(ptr)
         if (rows.ndim != 2 or rows.shape[1] != 9 or self.live.shape != rows.shape[:1]
-                or ptr.shape != (self.n_bundles + 1,) or ptr[0] != 0
-                or ptr[-1] != rows.shape[0] or (sizes < 0).any()):
-            raise ValueError("a frozen program's rows, live flags and bundle "
-                             "pointers do not match")
+                or ptr.shape != (self.bundle_label.shape[0] + 1,) or ptr[0] != 0
+                or ptr[-1] != rows.shape[0] or (sizes < 0).any() or order.ndim != 1
+                or ((order < 0) | (order >= sizes.shape[0])).any()):
+            raise ValueError("a frozen program's rows, live flags, bundle "
+                             "pointers and order do not match")
         if ((self.bundle_label < 0) | (self.bundle_label >= len(self.label_names))).any():
             raise ValueError("a frozen program's bundle labels run past its label names")
         grid_rows, grid_cols, _, _, unit_rows, unit_cols = self.geometry
@@ -158,12 +179,16 @@ class FrozenProgram:
             raise ValueError(f"a frozen program's reach is not [{n_keys}, 2]")
         # the kernel indexes memory with every field of a row: each is checked
         # a column at a time, over blocks of 16,384 rows that stay in cache,
-        # and each row charges its lines (exact int64s) to its label and set
+        # and each row charges its lines (exact int64s) to its label and set,
+        # once per cycle that runs its bundle
         n = len(self.label_names)
+        runs = np.bincount(order, minlength=sizes.shape[0])
         label = np.repeat(self.bundle_label.astype(np.int32), sizes) * NUM_ORIGIN_SETS
+        weight = np.repeat(runs, sizes)
         gates = np.zeros(n * NUM_ORIGIN_SETS, dtype=np.int64)
         for lo in range(0, rows.shape[0], 16384):
             block, at = rows[lo:lo + 16384], label[lo:lo + 16384]
+            times = weight[lo:lo + 16384]
             step, span = block[:, 1], block[:, 2]
             if ((block[:, 0] < 0) | (block[:, 0] >= len(GateType)) | (step < 1)
                     | (span < 1)).any():
@@ -175,21 +200,18 @@ class FrozenProgram:
                     raise ValueError("a frozen row's cells leave its tile, or its "
                                      f"key is outside 0..{n_keys - 1}")
             np.add.at(gates, at + block[:, 4] // (n_keys // NUM_ORIGIN_SETS),
-                      ((span - 1) // step + 1).astype(np.int64))
+                      ((span - 1) // step + 1).astype(np.int64) * times)
+        object.__setattr__(self, "n_events", int(sizes @ runs))
         object.__setattr__(self, "cycles_by_label",
-                           np.bincount(self.bundle_label, minlength=n))
+                           np.bincount(self.bundle_label[order], minlength=n))
         object.__setattr__(self, "gates_by_label_set", gates.reshape(n, NUM_ORIGIN_SETS))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
     @property
-    def n_events(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
     def n_bundles(self) -> int:
-        return int(self.bundle_label.shape[0])
+        return int(self.order.shape[0])
 
     @property
     def n_gate_executions(self) -> int:
@@ -320,27 +342,33 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
         programs.append(FrozenProgram(
             rows[ptr[lo]:ptr[hi]], live[ptr[lo]:ptr[hi]], ptr[lo:hi + 1] - ptr[lo],
             np.array([index[name] for name in labels[lo:hi]], dtype=np.uint16),
-            names, tiles.geometry, reach[s].copy()))
+            np.arange(hi - lo, dtype=np.int32), names, tiles.geometry, reach[s].copy()))
     return programs
 
 
 def concat(programs: list[FrozenProgram]) -> FrozenProgram:
-    """Concatenate segments into one program (bundle order preserved);
-    ``ValueError`` if they were frozen for different geometries."""
+    """One program that runs the given programs' cycles in turn. Each
+    distinct program (by identity) is stored once, and the order runs its
+    bundles wherever it appears; ``ValueError`` if they were frozen for
+    different geometries."""
     geometry = programs[0].geometry
     if any(p.geometry != geometry for p in programs):
         raise ValueError("cannot concatenate programs of different geometries")
-    label_names = sorted({name for p in programs for name in p.label_names})
-    row_offsets = np.cumsum([0] + [p.n_events for p in programs])
+    stored = list({id(p): p for p in programs}.values())
+    label_names = sorted({name for p in stored for name in p.label_names})
+    row_offsets = np.cumsum([0] + [p.rows.shape[0] for p in stored])
+    bundle_offsets = np.cumsum([0] + [p.bundle_label.shape[0] for p in stored])
+    first_bundle = {id(p): off for p, off in zip(stored, bundle_offsets.tolist())}
     return FrozenProgram(
-        np.concatenate([p.rows for p in programs]),
-        np.concatenate([p.live for p in programs]),
-        np.concatenate([p.bundle_ptr[:-1] + off for p, off in zip(programs, row_offsets)]
+        np.concatenate([p.rows for p in stored]),
+        np.concatenate([p.live for p in stored]),
+        np.concatenate([p.bundle_ptr[:-1] + off for p, off in zip(stored, row_offsets)]
                        + [row_offsets[-1:]]),
         np.concatenate([np.array([label_names.index(name) for name in p.label_names],
-                                 dtype=np.uint16)[p.bundle_label] for p in programs]),
+                                 dtype=np.uint16)[p.bundle_label] for p in stored]),
+        np.concatenate([p.order + np.int32(first_bundle[id(p)]) for p in programs]),
         label_names, geometry,
-        functools.reduce(np.maximum, [p.reach for p in programs]))
+        functools.reduce(np.maximum, [p.reach for p in stored]))
 
 
 # --------------------------------------------------------------------- kernel
@@ -386,7 +414,7 @@ def _unit_axes(program: FrozenProgram, tiles: PartitionMap,
 
 def _trace_tails(program: FrozenProgram, tiles: PartitionMap,
                  skipping: bool) -> list[str]:
-    """Each bundle's trace record after its cycle number, with a
+    """Each stored bundle's trace record after its cycle number, with a
     ``skipped`` list of its dead rows when ``skipping``; built once per
     program and kind, then reused by every traced replay."""
     tails = program.trace_tails.get(skipping)
@@ -441,9 +469,9 @@ def _write_trace(program: FrozenProgram, stream, tiles: PartitionMap,
     and which of them it skipped as dead presets."""
     offsets = [tiles.offset(shift).tolist() for shift in shifts]
     stream.write(json.dumps({"trace_schema": 3, "shifts": offsets}) + "\n")
-    stream.writelines(f'{{"cycle": {cycle}{tail}' for cycle, tail in
-                      enumerate(_trace_tails(program, tiles, skipping),
-                                first_cycle))
+    tails = _trace_tails(program, tiles, skipping)
+    stream.writelines(f'{{"cycle": {cycle}{tails[bundle]}' for cycle, bundle in
+                      enumerate(program.order.tolist(), first_cycle))
 
 
 def trace_ops(lines):
@@ -517,8 +545,8 @@ def replay(program: FrozenProgram, crossbar: Crossbar,
         init = None
     fail = np.zeros(4, dtype=np.int64)
     failed = library.run_rows(state, init, tiles.words, program.rows.ctypes.data,
-                              program.live.ctypes.data,
-                              program.bundle_ptr.ctypes.data, program.n_bundles,
+                              program.live.ctypes.data, program.bundle_ptr.ctypes.data,
+                              program.order.ctypes.data, program.n_bundles,
                               _FORMS.ctypes.data, axes.ctypes.data, fail.ctypes.data)
     if failed:
         row, _, local, tile = fail.tolist()

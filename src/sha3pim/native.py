@@ -82,7 +82,7 @@ def kernel() -> ctypes.CDLL:
             from None
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
     library.run_rows.argtypes = [pointer, pointer, i64, pointer, pointer,
-                                 pointer, i64, pointer, pointer, pointer]
+                                 pointer, pointer, i64, pointer, pointer, pointer]
     for io in (library.write_region, library.read_region):
         io.argtypes = [pointer, pointer, pointer, i64, i64, i64, i64, pointer]
     for entry in (library.run_rows, library.write_region, library.read_region):

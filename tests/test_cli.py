@@ -114,6 +114,25 @@ def test_overflowed_report_figure_rejected(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_run_leaves_its_outputs_as_they_were(capsys, tmp_path, existing):
+    # the report is refused after hashing, with the trace written; each
+    # output goes to a temporary file that only a run that succeeds puts
+    # in place, so no new file is left and an existing one is unchanged
+    report, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+    if existing:
+        report.write_text("old report")
+        trace.write_text("old trace")
+    status, out, err = run_cli(capsys, "--text", "a", "--gate-energy-fj", "1e308",
+                               "--report", str(report), "--trace", str(trace))
+    assert status == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: stats.energy_fj ")
+    if existing:
+        assert (report.read_text(), trace.read_text()) == ("old report", "old trace")
+    assert sorted(tmp_path.iterdir()) == ([report, trace] if existing else [])
+
+
 # each case ends in a flag given a count it rejects; the error names that flag
 @pytest.mark.parametrize("argv", [("--metrics", "--paper-constants",
                                    "--crossbars", "0"),

@@ -673,6 +673,84 @@ def test_strict_failure_in_the_second_word():
     assert np.array_equal(xbar.cells(initialized=True), oracle.cells(initialized=True))
 
 
+# ------------------------------------------------- stored bundles run in order
+
+# p's second copy reads what q wrote, so only a replay that follows the
+# order matches the oracle: from a 0 in each unit's columns 1 and 2, the
+# first copy leaves 1 and 0 in columns 0 and 3, the second 0 and 0; r
+# reads a cell that neither writes
+ORDERED_PARTS = {
+    "p": [CycleBundle([MicroOp(GateType.NOT, ((0, 1),), (0, 0), 3, (1, 0))]),
+          CycleBundle([MicroOp(GateType.AND2, ((0, 0), (0, 2)), (0, 3), 3, (1, 0))])],
+    "q": [CycleBundle([MicroOp(GateType.INIT1, (), (0, 2), 3, (1, 0))]),
+          CycleBundle([MicroOp(GateType.NOT, ((0, 3),), (0, 1), 3, (1, 0))])],
+    "r": [CycleBundle([MicroOp(GateType.NOR2, ((3, 0), (3, 1)), (3, 2))])],
+}
+
+
+def ordered_case(parts, units, strict):
+    """``concat`` of the frozen ``ORDERED_PARTS`` named by ``parts``, each
+    frozen once, as a case of ``check_against_shifted_bundles`` on
+    ``WORD_GEOMETRY``: every cell written, and 0 in columns 1 and 2 of
+    every partition."""
+    config = CrossbarConfig(**WORD_GEOMETRY, strict_init=strict)
+    frozen = {name: engine.freeze(line_table(bundles), [name] * len(bundles),
+                                  [engine.SET_UNIT] * len(bundles), config)[0]
+              for name, bundles in ORDERED_PARTS.items() if name in parts}
+    bundles = [(bundle, name, engine.SET_UNIT) for name in parts
+               for bundle in ORDERED_PARTS[name]]
+    state = np.random.default_rng(len(units)).integers(0, 2, (38, 42), dtype=np.uint8)
+    state[:, 1::4] = state[:, 2::4] = 0
+    return (config, engine.concat([frozen[name] for name in parts]), bundles,
+            word_shifts(units), state, np.ones((38, 42), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("units", [[0], [62, 63, 64]], ids=["1-unit", "3-units"])
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_a_repeated_program_replays_like_the_oracle(units, strict):
+    # concat stores p once and runs it again after q; three units span
+    # both words of the grid
+    case = ordered_case("pqp", units, strict)
+    config, whole, bundles, shifts, state, _ = case
+    assert whole.rows.shape[0] == 4 and whole.order.tolist() == [0, 1, 2, 3, 0, 1]
+    assert whole.n_bundles == 6 and whole.n_events == 6
+    check_against_shifted_bundles(case)
+    # the trace lists every cycle, p's bundles twice
+    xbar = Crossbar(config)
+    xbar.load(state, np.ones_like(state))
+    trace = io.StringIO()
+    xbar.attach_trace(trace)
+    engine.replay(whole, xbar, partition_shifts(shifts, config))
+    copies = [CycleBundle([shifted(op, shift) for shift in shifts[set_id]
+                           for op in bundle.ops]) for bundle, _, set_id in bundles]
+    assert traced_ops(trace.getvalue()) == \
+        bundle_ops(copies, [label for _, label, _ in bundles])
+
+
+def test_strict_failure_after_a_repeated_program():
+    # strict mode only ever marks cells written, so a repeated bundle
+    # passes its check again, and the first failure can only come after
+    # p's second copy: r's read of unit 63's (3,1), never written. It names
+    # the oracle's cell and r's gate, stored after p's and q's rows, and
+    # leaves the grids holding p, q and p
+    config, whole, bundles, shifts, state, initialized = ordered_case(
+        "pqpr", [62, 63, 64], strict=True)
+    initialized[27, 13] = 0
+    oracle, xbar = Crossbar(config), Crossbar(config)
+    for crossbar in (oracle, xbar):
+        crossbar.load(state, initialized)
+    with pytest.raises(StrictInitError) as expected:
+        for bundle, label, set_id in bundles:
+            oracle.execute_bundle(CycleBundle(
+                [shifted(op, shift) for shift in shifts[set_id] for op in bundle.ops]),
+                label=label, check=False)
+    assert str(expected.value) == "NOR2 reads uninitialized cell (27,13)"
+    with pytest.raises(StrictInitError, match=re.escape(str(expected.value))):
+        engine.replay(whole, xbar, partition_shifts(shifts, config))
+    assert np.array_equal(xbar.cells(), oracle.cells())
+    assert np.array_equal(xbar.cells(initialized=True), oracle.cells(initialized=True))
+
+
 @pytest.mark.parametrize("geometry, units", [
     (ORACLE_GEOMETRY, [0, 2, 3]),
     (WORD_GEOMETRY, [0, 63, 64, 89]),
@@ -834,12 +912,14 @@ def test_a_frozen_program_refuses_rows_the_kernel_cannot_run():
            {"reach": frozen.reach[:-1]},
            {"bundle_ptr": np.array([0, 2, 1, 2]),
             "bundle_label": np.zeros(3, dtype=np.uint16)},
-           {"bundle_label": np.array([0, 1], dtype=np.uint16)}]
+           {"bundle_label": np.array([0, 1], dtype=np.uint16)},
+           {"order": np.array([0, 2])}, {"order": np.array([-1, 1])},  # stored bundle
+           {"order": np.zeros((1, 2))}]
     for change in bad:
         with pytest.raises(ValueError):
             dataclasses.replace(frozen, **change)
     dataclasses.replace(frozen, **row(c2=2, c5=cells - 2))
-    for name in ("rows", "live", "bundle_ptr"):
+    for name in ("rows", "live", "bundle_ptr", "order"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(frozen, name)[-1] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -224,14 +224,23 @@ def test_compile_carries_runs(monkeypatch):
     assert compiled.permute.n_events == 90_576
 
 
+def cycle_rows(program, lo, hi):
+    """The stored rows that cycles ``lo`` to ``hi`` run, in order, and how
+    many each cycle runs."""
+    stored = program.order[lo:hi]
+    sizes = np.diff(program.bundle_ptr)[stored]
+    starts = np.repeat(program.bundle_ptr[stored] - (np.cumsum(sizes) - sizes), sizes)
+    return starts + np.arange(sizes.sum()), sizes
+
+
 def expanded_lines(program, lo, hi):
-    """The lines of bundles ``lo`` to ``hi`` (bundle, [line, 8]), sorted.
+    """The lines that cycles ``lo`` to ``hi`` run (bundle, [line, 8]), sorted.
 
     A line is its gate, then the tile-local cell and key of each slot it
     uses (-1 and -1 for a slot it does not use), then its row's ``live``.
     """
-    start, end = program.bundle_ptr[lo], program.bundle_ptr[hi]
-    rows = program.rows[start:end].astype(np.int64)
+    stored_rows, sizes = cycle_rows(program, lo, hi)
+    rows = program.rows[stored_rows].astype(np.int64)
     step, span = rows[:, 1], rows[:, 2]
     count = (span - 1) // step + 1
     row = np.repeat(np.arange(rows.shape[0]), count)
@@ -242,8 +251,8 @@ def expanded_lines(program, lo, hi):
     local = np.where(used, rows[:, 3::2] + (along * step[row])[:, None], -1)
     key = np.where(used, rows[:, 4::2], -1)
     table = np.column_stack([rows[:, 0], np.stack([local, key], axis=2).reshape(-1, 6),
-                             program.live[start:end][row]])
-    bundle = np.repeat(np.arange(lo, hi), np.diff(program.bundle_ptr[lo:hi + 1]))[row]
+                             program.live[stored_rows][row]])
+    bundle = np.repeat(np.arange(lo, hi), sizes)[row]
     order = np.lexsort((*table.T[::-1], bundle))
     return bundle[order], table[order]
 
@@ -262,7 +271,7 @@ def test_compiled_programs_fingerprint(compiled):
             bundle, table = expanded_lines(program, lo, hi)
             ends = np.searchsorted(bundle, np.arange(lo, hi + 1))
             for b in range(lo, hi):
-                label = program.label_names[program.bundle_label[b]]
+                label = program.label_names[program.bundle_label[program.order[b]]]
                 lines = table[ends[b - lo]:ends[b - lo + 1]]
                 digest.update(f"{label}:{len(lines)};".encode())
                 digest.update(lines.tobytes())
@@ -273,7 +282,8 @@ def test_compiled_programs_fingerprint(compiled):
 @pytest.mark.parametrize("units", [1, 378])
 def test_dead_presets_skip_without_changing_the_grid(compiled, units):
     # every preset of the compiled microcode is overwritten unread, so
-    # replay runs only the gate rows; the grid must match running every row
+    # replay runs only the gate rows; the grid must match running every
+    # row. The live count is of the rows the cycles run
     programs = [(compiled.permute, 45_288), (compiled.absorb[0], 30),
                 (compiled.absorb[1], 21)]
     deltas = compiled.deltas_for(list(range(units)))
@@ -282,7 +292,7 @@ def test_dead_presets_skip_without_changing_the_grid(compiled, units):
         presets = program.rows[:, 0] == GateType.INIT1
         assert not program.live[presets].any()
         assert program.live[~presets].all()
-        assert int(program.live.sum()) == live
+        assert int(program.live[cycle_rows(program, 0, program.n_bundles)[0]].sum()) == live
         every_row = dataclasses.replace(program, live=np.ones_like(program.live))
         state = rng.integers(0, 2, (1024, 1024), dtype=np.uint8)
         grids = []
@@ -389,7 +399,8 @@ def test_contiguous_units_need_no_tile_list(config):
         for program in (compiled.permute, *compiled.absorb):
             keys_only = dataclasses.replace(
                 program, rows=program.rows[:0], live=program.live[:0],
-                bundle_ptr=program.bundle_ptr[:1], bundle_label=program.bundle_label[:0])
+                bundle_ptr=program.bundle_ptr[:1], bundle_label=program.bundle_label[:0],
+                order=program.order[:0])
             engine.replay(keys_only, xbar, shifts)
     assert xbar.stats.cycles == 0
     assert xbar.stats.gate_executions == 0
@@ -408,12 +419,37 @@ def test_absorb_twice_cancels(compiled):
 
 
 def test_a_bad_row_past_the_first_block_is_refused(compiled):
-    # a program checks its rows in blocks of 16,384; permute's last row is
-    # in its sixth
-    rows = compiled.permute.rows.copy()
+    # a program checks its rows in blocks of 16,384; permute stores 6,136,
+    # so three distinct copies of it store 18,408, the last in the second
+    big = engine.concat([dataclasses.replace(compiled.permute) for _ in range(3)])
+    assert big.rows.shape[0] > 16_384
+    rows = big.rows.copy()
     rows[-1, 8] = -1
     with pytest.raises(ValueError, match="key is outside"):
-        dataclasses.replace(compiled.permute, rows=rows)
+        dataclasses.replace(big, rows=rows)
+
+
+def test_compiled_programs_hold_little_memory(compiled):
+    # permute stores one round's theta, rho, pi and chi once, and each
+    # round's iota, so every program the compile keeps at 27x14 holds at
+    # most 1.5 MB of arrays (4.75 MB when permute stored all 24 rounds),
+    # counting the whole array that each view keeps alive
+    steps = [compiled.step_program(step) for step in ("theta", "rho", "pi", "chi")]
+    iotas = [compiled.step_program("iota", r) for r in range(KECCAK.rounds)]
+    held = {}
+    for program in (compiled.permute, *compiled.absorb, *steps, *iotas):
+        for value in vars(program).values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                held[id(value)] = value.nbytes
+    assert sum(held.values()) <= 1_500_000
+    # each of theta's, rho's, pi's and chi's bundles is stored once
+    permute = compiled.permute
+    stored = dict(zip(permute.label_names, np.bincount(permute.bundle_label).tolist()))
+    for name, program in zip(("theta", "rho", "pi", "chi"), steps):
+        assert stored[name] == program.bundle_label.shape[0]
+    assert permute.rows.shape[0] == sum(p.rows.shape[0] for p in (*steps, *iotas))
 
 
 def test_microcode_runs_every_gate(compiled):

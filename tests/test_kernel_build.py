@@ -13,9 +13,9 @@ from sha3pim import keccak_xbar, native
 from sha3pim.crossbar import CrossbarConfig
 
 ROOT = Path(__file__).resolve().parent.parent
-# the tests whose replays reach a second word of the kernel's grid or run
-# a set with no copies, and those of the io entry points, whose regions
-# reach a second word at the default geometry
+# the tests whose replays reach a second word of the kernel's grid, run a
+# set with no copies or run a stored bundle twice, and those of the io
+# entry points, whose regions reach a second word at the default geometry
 WORD_TESTS = [
     "tests/test_engine.py::test_replay_across_words_matches_serial_execution",
     "tests/test_engine.py::test_input_key_offset_from_its_output_key",
@@ -23,6 +23,8 @@ WORD_TESTS = [
     "tests/test_engine.py::test_strict_failure_in_the_second_word",
     "tests/test_engine.py::test_replay_keys_past_the_int16_range",
     "tests/test_engine.py::test_a_set_with_no_copies_runs_nothing",
+    "tests/test_engine.py::test_a_repeated_program_replays_like_the_oracle",
+    "tests/test_engine.py::test_strict_failure_after_a_repeated_program",
     "tests/test_keccak_xbar.py::test_hash_cohorts_at_word_boundaries",
     "tests/test_crossbar.py::test_region_io_agrees_with_load_and_cells",
     "tests/test_crossbar.py::test_region_write_of_a_bad_bit_sets_nothing",
