@@ -13,9 +13,9 @@ pattern along a line, so its runs are *vector events* - one gate applied
 along a strided run of cells - and the kernel runs over cells without
 touching per-cell metadata. Each run the scheduler carried is one event,
 split only where its lines change tile (no Keccak run does). ``freeze``
-reads the rows, their live flags and each key's reach off a batch of
-segments' line table, the one the scheduler built and checked, and gives
-back one program per segment. Cells are
+reads the rows and their live flags off a batch of segments' line table,
+the one the scheduler built and checked, and gives back one program per
+segment. Cells are
 those of a reference instance; replay moves copies of them by whole
 partitions, so one frozen program serves any set of hash units.
 Each bundle belongs to an *origin set* (0 = per active unit, 1 = per
@@ -35,11 +35,12 @@ repeats the slot before it, or the output for a preset, as in the line
 table. No event leaves its tile, and a run that steps backward along the
 cell axis is written from its last line, so each row is a forward walk.
 ``FrozenProgram`` checks every row once, when it is built (each gate
-code, step, span, cell and key in range), reads its charges off them,
-and holds its arrays read-only, so no replay checks or copies them again.
-Only the unit axis of a key - the tiles its set's shifts move the key's
-tile to - depends on the shifts, so ``replay`` builds those axes as (first tile,
-stride, count), checks them against the crossbar and calls the kernel
+code, step, span, cell and key in range), reads its charges and each
+key's reach off them, and holds its arrays read-only, so no replay checks
+or copies them again. Only the unit axis of a key - the tiles its set's
+shifts move the key's tile to - depends on the shifts, so ``replay``
+builds those axes as (first tile, stride, count), checks them and the
+reach against the crossbar and calls the kernel
 once on ``crossbar.state`` as it is; a key of a set with no copies has
 count 0 and runs nothing. A shift set whose tiles are not
 evenly spaced is refused. The map numbers partition tiles in unit-id
@@ -57,10 +58,9 @@ the same layout.
 A program stores its rows a bundle at a time, and ``order`` names the
 stored bundle each cycle runs. ``freeze`` writes the identity; ``concat``
 stores each distinct program it is given once (by identity) and
-concatenates their orders. The permutation runs the same theta, rho, pi
-and chi programs in each of its 24 rounds, so it stores 6,136 rows where
-it runs 90,576. Charges, ``n_bundles``, ``n_events`` and the trace count
-what the cycles run.
+concatenates their orders. The permutation, one ``concat`` of its 42
+distinct segments, stores 3,606 rows where it runs 90,576. Charges,
+``n_bundles``, ``n_events`` and the trace count what the cycles run.
 
 Every gate's output is preset (INIT1) first, and the model charges that
 cycle. But a gate here computes its output from its inputs alone, so a
@@ -79,7 +79,6 @@ Python was built with, and cached in the package's ``__pycache__``; see
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import itertools
 import json
@@ -116,10 +115,10 @@ class FrozenProgram:
     """Kernel rows for one replayable microcode segment.
 
     The rows are stored a bundle at a time, and ``order`` names the stored
-    bundle each cycle runs, so a program that runs a bundle many times (the
-    permutation runs each of theta's, rho's, pi's and chi's 24 times)
-    stores it once. ``n_bundles``, ``n_events`` and the charges count what
-    the cycles run, each stored bundle as often as ``order`` names it.
+    bundle each cycle runs, so a program that runs a bundle many times
+    stores it once (the permutation stores 3,606 rows and runs 90,576).
+    ``n_bundles``, ``n_events`` and the charges count what the cycles run,
+    each stored bundle as often as ``order`` names it.
 
     The kernel reads ``rows``, ``live``, ``bundle_ptr`` and ``order`` in
     place through raw pointers, so they are checked once, here: brought to
@@ -127,9 +126,10 @@ class FrozenProgram:
     ``concat`` build), checked to agree with each other and with
     ``geometry``, and made read-only with every other array. A program
     that fails raises ``ValueError``, so no program that exists can make
-    ``replay`` touch memory outside the crossbar's words. Its charges are
-    read off its rows here: a cycle per bundle run, a gate execution per
-    line.
+    ``replay`` touch memory outside the crossbar's words. Its charges (a
+    cycle per bundle run, a gate execution per line) and each key's
+    ``reach``, which ``replay`` checks against the crossbar's edge, are
+    read off its rows here.
     """
 
     rows: np.ndarray          # int32 [stored rows, 9]: gate, step, span, then
@@ -146,10 +146,8 @@ class FrozenProgram:
     #                           runs; the identity for a program freeze built
     label_names: list[str]
     geometry: tuple           # PartitionMap.geometry of the config frozen for
-    reach: np.ndarray         # int32 [n_keys, 2] largest local (row,
-    #                           col) any slot touches per key, -1 if unused;
-    #                           stored, as computing it from permute's
-    #                           rows takes 7-8 ms, 5% of a cold compile
+    reach: np.ndarray = field(init=False)               # int32 [n_keys, 2]
+    # the largest local (row, col) any slot touches per key, -1 if unused
     n_events: int = field(init=False)                   # rows the cycles run
     cycles_by_label: np.ndarray = field(init=False)     # int64 [n_labels]
     gates_by_label_set: np.ndarray = field(init=False)  # int64 [n_labels, 3]
@@ -175,8 +173,6 @@ class FrozenProgram:
             raise ValueError("a frozen program's bundle labels run past its label names")
         grid_rows, grid_cols, _, _, unit_rows, unit_cols = self.geometry
         n_keys = NUM_ORIGIN_SETS * -(-grid_rows // unit_rows) * -(-grid_cols // unit_cols)
-        if self.reach.shape != (n_keys, 2):
-            raise ValueError(f"a frozen program's reach is not [{n_keys}, 2]")
         # the kernel indexes memory with every field of a row: each is checked
         # a column at a time, over blocks of 16,384 rows that stay in cache,
         # and each row charges its lines (exact int64s) to its label and set,
@@ -186,6 +182,7 @@ class FrozenProgram:
         label = np.repeat(self.bundle_label.astype(np.int32), sizes) * NUM_ORIGIN_SETS
         weight = np.repeat(runs, sizes)
         gates = np.zeros(n * NUM_ORIGIN_SETS, dtype=np.int64)
+        reach = np.full((n_keys, 2), -1, dtype=np.int32)
         for lo in range(0, rows.shape[0], 16384):
             block, at = rows[lo:lo + 16384], label[lo:lo + 16384]
             times = weight[lo:lo + 16384]
@@ -194,13 +191,23 @@ class FrozenProgram:
                     | (span < 1)).any():
                 raise ValueError("a frozen row's gate is not a GateType, or its step "
                                  "or span is below 1")
+            steps = (span - 1) // step      # lines after the first
             for first, key in zip(block[:, 3::2].T, block[:, 4::2].T):
                 if ((first < 0) | (first > unit_rows * unit_cols - span)
                         | (key < 0) | (key >= n_keys)).any():
                     raise ValueError("a frozen row's cells leave its tile, or its "
                                      f"key is outside 0..{n_keys - 1}")
+                # cell[(row, col), (first, second, last)]: a run whose steps
+                # all equal its first lies on a line, so its ends bound it
+                cell = np.stack(np.divmod(first + np.stack(
+                    [0 * step, np.minimum(step, steps * step), steps * step]), unit_cols))
+                if (cell[:, 2] - cell[:, 0] != steps * (cell[:, 1] - cell[:, 0])).any():
+                    raise ValueError("a frozen row's run wraps from a row of its tile")
+                np.maximum.at(reach.reshape(-1), 2 * key, cell[0, 2])
+                np.maximum.at(reach.reshape(-1), 2 * key + 1, cell[1, ::2].max(axis=0))
             np.add.at(gates, at + block[:, 4] // (n_keys // NUM_ORIGIN_SETS),
-                      ((span - 1) // step + 1).astype(np.int64) * times)
+                      (steps + 1).astype(np.int64) * times)
+        object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "n_events", int(sizes @ runs))
         object.__setattr__(self, "cycles_by_label",
                            np.bincount(self.bundle_label[order], minlength=n))
@@ -284,12 +291,13 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     give each bundle's label and origin set. Cells are the reference
     instance's; one off the crossbar raises ``AddressError``.
 
-    The lines are located on the tiles once, and the rows, their ``live``
-    flags and each key's ``reach`` are read off that; a segment's program
-    is that of its table alone, as no preset is found dead across two
-    segments. Replay slices forward along a tile's cells, so a run that
-    steps backward there is written from its last line. Input slots a gate
-    does not read are copied as the line table pads them.
+    The lines are located on the tiles once, and the rows and their
+    ``live`` flags are read off that (a program reads its ``reach`` off
+    its rows); a segment's program is that of its table alone, as no
+    preset is found dead across two segments. Replay slices forward along
+    a tile's cells, so a run that steps backward there is written from its
+    last line. Input slots a gate does not read are copied as the line
+    table pads them.
     """
     tiles = PartitionMap(config)
     owner, r, c = lines.run, lines.cells[..., 0], lines.cells[..., 1]
@@ -326,23 +334,14 @@ def freeze(lines: LineTable, labels: list[str], set_ids: list[int],
     rows[:, 3::2], rows[:, 4::2] = local[first], key[head]
     live = _live_rows(gate, bundle, local, key,
                       (np.cumsum(starts) - 1).astype(np.int32), used, segment)
-    # runs stay inside their tile, so their two end lines bound every cell;
-    # each segment has its own reach, [segment, key, axis], copied out so
-    # that a program kept does not keep the batch's
-    ends = np.r_[head, tail]
-    n_keys = NUM_ORIGIN_SETS * tiles.n_tiles
-    reach = np.full((len(segment_ptr) - 1, n_keys, 2), -1, dtype=np.int32)
-    at_key = np.tile(segment[bundle], 2)[:, None] * n_keys + key[ends]
-    for axis, at in enumerate(np.divmod(local[ends], tiles.unit_cols)):
-        np.maximum.at(reach.reshape(-1, 2)[:, axis], at_key, at)
     programs = []
-    for s, (lo, hi) in enumerate(itertools.pairwise(segment_ptr)):
+    for lo, hi in itertools.pairwise(segment_ptr):
         names = sorted(set(labels[lo:hi]))
         index = {name: i for i, name in enumerate(names)}
         programs.append(FrozenProgram(
             rows[ptr[lo]:ptr[hi]], live[ptr[lo]:ptr[hi]], ptr[lo:hi + 1] - ptr[lo],
             np.array([index[name] for name in labels[lo:hi]], dtype=np.uint16),
-            np.arange(hi - lo, dtype=np.int32), names, tiles.geometry, reach[s].copy()))
+            np.arange(hi - lo, dtype=np.int32), names, tiles.geometry))
     return programs
 
 
@@ -367,8 +366,7 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
         np.concatenate([np.array([label_names.index(name) for name in p.label_names],
                                  dtype=np.uint16)[p.bundle_label] for p in stored]),
         np.concatenate([p.order + np.int32(first_bundle[id(p)]) for p in programs]),
-        label_names, geometry,
-        functools.reduce(np.maximum, [p.reach for p in stored]))
+        label_names, geometry)
 
 
 # --------------------------------------------------------------------- kernel

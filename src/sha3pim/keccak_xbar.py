@@ -584,22 +584,22 @@ class CompiledKeccak:
         rot_chain = take()
         rho = [program for _ in rot_hops for program in (take(), rot_chain, take())]
         theta, pi, chi, rc_chain, iota_local = (take() for _ in range(5))
-        # in round order; permute below relies on it
-        self._steps = {"theta": theta, "rho": engine.concat(rho), "pi": pi, "chi": chi}
-        self._iota = [engine.concat([take(), rc_chain, iota_local]) for _ in rc_hops]
+        # each step's segments in cycle order, the steps in round order;
+        # permute below relies on both, and stores each segment once
+        self._steps = {"theta": [theta], "rho": rho, "pi": [pi], "chi": [chi]}
+        self._iota = [[take(), rc_chain, iota_local] for _ in rc_hops]
         self.absorb = list(programs)
-        self.permute = engine.concat([program for iota in self._iota
-                                      for program in (*self._steps.values(), iota)])
+        self.permute = engine.concat([program for iota in self._iota for step in
+                                      (*self._steps.values(), iota) for program in step])
 
     def step_program(self, step: str, round_index: int = 0) -> engine.FrozenProgram:
-        """Frozen microcode for a single permutation step (testing aid)."""
-        if step == "iota":
-            if not 0 <= round_index < KECCAK.rounds:
-                raise ValueError(f"round index {round_index} out of range")
-            return self._iota[round_index]
-        if step not in self._steps:
+        """Frozen microcode for one permutation step of round ``round_index``
+        (testing aid); only iota's differs from round to round."""
+        if not 0 <= round_index < KECCAK.rounds:
+            raise ValueError(f"round index {round_index} out of range")
+        if step not in (*self._steps, "iota"):
             raise ValueError(f"unknown step {step!r}")
-        return self._steps[step]
+        return engine.concat(self._steps.get(step, self._iota[round_index]))
 
     # ------------------------------------------------------------- replay glue
 

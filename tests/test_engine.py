@@ -909,7 +909,7 @@ def test_a_frozen_program_refuses_rows_the_kernel_cannot_run():
            row(c3=10 ** 8), row(c3=-1), row(c3=cells),          # output cell
            row(c2=2, c5=cells - 1), row(c7=cells),              # input cells
            row(c4=2 * 10 ** 9), row(c6=-1), row(c8=n_keys),     # keys
-           {"reach": frozen.reach[:-1]},
+           row(c1=1, c2=3, c3=xbar.config.unit_cols - 2),       # wraps a tile row
            {"bundle_ptr": np.array([0, 2, 1, 2]),
             "bundle_label": np.zeros(3, dtype=np.uint16)},
            {"bundle_label": np.array([0, 1], dtype=np.uint16)},
@@ -924,6 +924,30 @@ def test_a_frozen_program_refuses_rows_the_kernel_cannot_run():
             getattr(frozen, name)[-1] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         frozen.live = frozen.live[:1]
+
+
+def test_reach_follows_the_rows():
+    # replay's bounds check reads each key's reach, which a program reads
+    # off its own rows: a NOT moved to local columns 30 and 31 reaches
+    # column 31, so the unit shift (0, 27), into the default grid's last,
+    # partial column of tiles, would write column 27 * 37 + 30 = 1029, past
+    # the grid's last; replay refuses it before any bundle runs
+    config = CrossbarConfig()
+    op = MicroOp(GateType.NOT, ((0, 1),), (0, 0))
+    [frozen] = engine.freeze(line_table([CycleBundle([op])]), ["a"],
+                             [engine.SET_UNIT], config)
+    key = int(frozen.rows[0, 4])
+    assert frozen.reach[key].tolist() == [0, 1]
+    rows = frozen.rows.copy()
+    rows[:, 3::2] += 30
+    moved = dataclasses.replace(frozen, rows=rows)
+    assert moved.reach[key].tolist() == [0, 31]
+    assert (np.delete(moved.reach, key, axis=0) == -1).all()
+    xbar = Crossbar(config)
+    with pytest.raises(AddressError, match="leaves the crossbar"):
+        engine.replay(moved, xbar, unit_shifts((0, 27)))
+    assert not xbar.state.any()
+    assert xbar.stats.cycles == 0
 
 
 @pytest.mark.parametrize("set_id", range(engine.NUM_ORIGIN_SETS))

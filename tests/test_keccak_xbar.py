@@ -172,9 +172,9 @@ def test_compile_carries_runs(monkeypatch):
     # multiplies the run counts, and a second expansion of a batch adds to
     # the expansions, while every figure the programs carry stays the same.
     from sha3pim import crossbar, keccak_xbar, scheduler
-    scheduled, checks, frozen, expanded = [], [], [], []
+    scheduled, checks, frozen, expanded, joined = [], [], [], [], []
     schedule, check_bundle = keccak_xbar.schedule, Crossbar.check_bundle
-    freeze, line_table = engine.freeze, crossbar.line_table
+    freeze, concat, line_table = engine.freeze, engine.concat, crossbar.line_table
 
     def recorded_schedule(streams, crossbar):
         scheduled.append((streams, schedule(streams, crossbar)))
@@ -188,6 +188,10 @@ def test_compile_carries_runs(monkeypatch):
         frozen.append(freeze(*args))
         return frozen[-1]
 
+    def recorded_concat(programs):
+        joined.append(programs)
+        return concat(programs)
+
     def counted_expansion(bundles, *segments):
         expanded.append(line_table(bundles, *segments))
         return expanded[-1]
@@ -195,6 +199,7 @@ def test_compile_carries_runs(monkeypatch):
     monkeypatch.setattr(keccak_xbar, "schedule", recorded_schedule)
     monkeypatch.setattr(Crossbar, "check_bundle", counted_check)
     monkeypatch.setattr(engine, "freeze", recorded_freeze)
+    monkeypatch.setattr(engine, "concat", recorded_concat)
     for module in (crossbar, scheduler):
         monkeypatch.setattr(module, "line_table", counted_expansion)
     compiled = keccak_xbar.CompiledKeccak(CrossbarConfig())
@@ -221,6 +226,9 @@ def test_compile_carries_runs(monkeypatch):
     programs = [program for batch in frozen for program in batch]
     assert len(programs) == 44
     assert sum(program.n_events for program in programs) == 3_708
+    # permute is one concat: 24 segments a round, 42 of them distinct
+    [parts] = joined
+    assert len(parts) == 24 * 24 and len({id(p) for p in parts}) == 42
     assert compiled.permute.n_events == 90_576
 
 
@@ -419,9 +427,9 @@ def test_absorb_twice_cancels(compiled):
 
 
 def test_a_bad_row_past_the_first_block_is_refused(compiled):
-    # a program checks its rows in blocks of 16,384; permute stores 6,136,
-    # so three distinct copies of it store 18,408, the last in the second
-    big = engine.concat([dataclasses.replace(compiled.permute) for _ in range(3)])
+    # a program checks its rows in blocks of 16,384; permute stores 3,606,
+    # so five distinct copies of it store 18,030, the last in the second
+    big = engine.concat([dataclasses.replace(compiled.permute) for _ in range(5)])
     assert big.rows.shape[0] > 16_384
     rows = big.rows.copy()
     rows[-1, 8] = -1
@@ -430,26 +438,40 @@ def test_a_bad_row_past_the_first_block_is_refused(compiled):
 
 
 def test_compiled_programs_hold_little_memory(compiled):
-    # permute stores one round's theta, rho, pi and chi once, and each
-    # round's iota, so every program the compile keeps at 27x14 holds at
-    # most 1.5 MB of arrays (4.75 MB when permute stored all 24 rounds),
-    # counting the whole array that each view keeps alive
-    steps = [compiled.step_program(step) for step in ("theta", "rho", "pi", "chi")]
-    iotas = [compiled.step_program("iota", r) for r in range(KECCAK.rounds)]
+    # permute stores each of its segments once: one round's theta, rho, pi
+    # and chi, the RC chain and iota's own XOR, and each round's first RC
+    # hop. Every program the compile keeps at 27x14, the segments behind
+    # the step programs included, holds at most 1.2 MB of arrays (4.75 MB
+    # when permute stored all 24 rounds), counting the whole array that
+    # each view keeps alive
+    segments = {id(p): p for step in (*compiled._steps.values(), *compiled._iota)
+                for p in step}.values()
     held = {}
-    for program in (compiled.permute, *compiled.absorb, *steps, *iotas):
+    for program in (compiled.permute, *compiled.absorb, *segments):
         for value in vars(program).values():
             if isinstance(value, np.ndarray):
                 while isinstance(value.base, np.ndarray):
                     value = value.base
                 held[id(value)] = value.nbytes
-    assert sum(held.values()) <= 1_500_000
-    # each of theta's, rho's, pi's and chi's bundles is stored once
+    assert sum(held.values()) <= 1_200_000
     permute = compiled.permute
-    stored = dict(zip(permute.label_names, np.bincount(permute.bundle_label).tolist()))
-    for name, program in zip(("theta", "rho", "pi", "chi"), steps):
-        assert stored[name] == program.bundle_label.shape[0]
-    assert permute.rows.shape[0] == sum(p.rows.shape[0] for p in (*steps, *iotas))
+    assert len(segments) == 42
+    assert permute.rows.shape[0] == sum(p.rows.shape[0] for p in segments) == 3_606
+    assert (permute.bundle_label.shape[0]
+            == sum(p.bundle_label.shape[0] for p in segments) == 3_082)
+
+
+def test_step_programs_add_up_to_permute(compiled):
+    # permute is the step programs of the 24 rounds in turn
+    steps = ("theta", "rho", "pi", "chi", "iota")
+    whole = engine.concat([compiled.step_program(step, r)
+                           for r in range(KECCAK.rounds) for step in steps])
+    permute = compiled.permute
+    assert whole.n_bundles == permute.n_bundles == 78_000
+    assert whole.n_events == permute.n_events == 90_576
+    assert whole.label_names == permute.label_names
+    assert whole.cycles_by_label.tolist() == permute.cycles_by_label.tolist()
+    assert whole.gates_by_label_set.tolist() == permute.gates_by_label_set.tolist()
 
 
 def test_microcode_runs_every_gate(compiled):
@@ -567,9 +589,12 @@ def test_step_on_every_unit(compiled, step, round_index):
         assert got == expected, unit_id
 
 
-def test_iota_out_of_range(compiled):
-    with pytest.raises(ValueError):
-        compiled.step_program("iota", round_index=24)
+@pytest.mark.parametrize("step", ["theta", "rho", "pi", "chi", "iota"])
+def test_iota_out_of_range(compiled, step):
+    # every step names a round, not only the one whose program differs
+    for round_index in (-1, KECCAK.rounds):
+        with pytest.raises(ValueError, match="out of range"):
+            compiled.step_program(step, round_index=round_index)
 
 
 # ----------------------------------------------------------- variable rotation
