@@ -29,7 +29,12 @@
    or, invert, preset): its row of crossbar.GATE_TABLE, then its output on
    no inputs.  A gate of no inputs writes `preset`, any other gate the AND
    (or the OR) of its inputs, XOR `invert`; an input read twice leaves
-   the AND and the OR unchanged.
+   the AND and the OR unchanged.  run() switches on a row's (or, invert)
+   pair and calls run_form(), inlined, with the pair as constants, so the
+   compiler emits every loop below once per form, each evaluating the
+   gate in the one or two word operations of its form.  The forms stay
+   data read off the table: the switch is over the pair's four values,
+   not over gates.
 
    A row whose keys all have one stride runs on whole words.  A
    descending axis holds the same places as an ascending one counted from
@@ -84,14 +89,15 @@ static u64 fetch(const u64 *x, i64 words, i64 k, i64 shift)
     return lo >> shift | hi << (64 - shift);
 }
 
-/* Row f with gate form g on every unit of its output key. */
-static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
-                const i64 *axes)
+/* Row f on every unit of its output key, for a gate of `arity` inputs
+   whose form is `either` and `invert` (all ones or all zeros) and whose
+   output on no inputs is `preset`.  Inlined into run() once per form. */
+static inline __attribute__((always_inline)) void
+run_form(u64 *q, i64 words, const int32_t *f, const i64 *axes, i64 arity,
+         u64 either, u64 invert, u64 preset)
 {
-    i64 arity = g[0];
     const i64 *ko = axes + 3 * (i64)f[4], *ka = axes + 3 * (i64)f[6],
               *kb = axes + 3 * (i64)f[8];
-    u64 either = -(u64)g[1], invert = -(u64)g[2], preset = -(u64)g[3];
     i64 step = f[1] * words, end = f[2] * words;
     u64 *out = q + f[3] * words;
     const u64 *x = q + f[5] * words, *y = q + f[7] * words;
@@ -139,6 +145,27 @@ static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
             for (i64 i = 0; i < end; i += step)
                 o[i] ^= (o[i] ^ GATE(fetch(x + i, words, w + ja, sa),
                                      fetch(y + i, words, w + jb, sb))) & mask;
+    }
+}
+
+/* Row f with gate form g, run by the copy of run_form's loops that has
+   g's (either, invert) pair as constants. */
+static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
+                const i64 *axes)
+{
+    const u64 ones = ~(u64)0, preset = -(u64)g[3];
+    switch (g[1] << 1 | g[2]) {
+    case 0:
+        run_form(q, words, f, axes, g[0], 0, 0, preset);
+        break;
+    case 1:
+        run_form(q, words, f, axes, g[0], 0, ones, preset);
+        break;
+    case 2:
+        run_form(q, words, f, axes, g[0], ones, 0, preset);
+        break;
+    default:
+        run_form(q, words, f, axes, g[0], ones, ones, preset);
     }
 }
 

@@ -23,9 +23,12 @@ import ctypes
 import functools
 import math
 import numbers
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import IO
+from types import MappingProxyType
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -435,33 +438,58 @@ class PartitionMap:
         return v, h
 
 
-@dataclass(slots=True)
-class LabelStats:
-    cycles: int = 0
-    gate_executions: int = 0
+class LabelStats(NamedTuple):
+    """One label's charges, as ``ExecutionStats.per_label`` gives them."""
+
+    cycles: int
+    gate_executions: int
+
+
+@functools.lru_cache(maxsize=64)
+def _with_label(labels: tuple[str, ...], label: str) -> tuple[str, ...]:
+    """``labels`` and then ``label``, as one tuple that every stats record
+    charging the same labels in the same order shares."""
+    return labels + (label,)
 
 
 @dataclass(slots=True)
 class ExecutionStats:
-    """Latency/energy bookkeeping per microcode step label; totals sum the labels."""
+    """Latency/energy bookkeeping per microcode step label; totals sum the labels.
+
+    The charges are one flat int64 record, each label's cycles then its gate
+    executions, in the order the labels were first charged, beside a tuple
+    of the labels: a hash result's stats hold a few hundred bytes, not a
+    dict of records of Python ints. A charge past the int64 range raises
+    ``OverflowError``. ``per_label`` is a read-only view of the record.
+    """
 
     gate_energy_fj: float = 6.4
-    per_label: dict[str, LabelStats] = field(default_factory=dict)
+    _labels: tuple[str, ...] = field(default=(), init=False)
+    _counts: array = field(default_factory=lambda: array("q"), init=False)
 
     def add_cycles(self, label: str, cycles: int, gate_executions: int) -> None:
-        entry = self.per_label.get(label)
-        if entry is None:
-            entry = self.per_label[label] = LabelStats()
-        entry.cycles += cycles
-        entry.gate_executions += gate_executions
+        try:
+            at = 2 * self._labels.index(label)
+        except ValueError:
+            at = 2 * len(self._labels)
+            self._labels = _with_label(self._labels, label)
+            self._counts = self._counts + array("q", (0, 0))   # no spare room
+        self._counts[at] += cycles
+        self._counts[at + 1] += gate_executions
+
+    @property
+    def per_label(self) -> Mapping[str, LabelStats]:
+        counts = self._counts
+        return MappingProxyType({label: LabelStats(counts[2 * i], counts[2 * i + 1])
+                                 for i, label in enumerate(self._labels)})
 
     @property
     def cycles(self) -> int:
-        return sum(entry.cycles for entry in self.per_label.values())
+        return sum(self._counts[::2])
 
     @property
     def gate_executions(self) -> int:
-        return sum(entry.gate_executions for entry in self.per_label.values())
+        return sum(self._counts[1::2])
 
     @property
     def energy_fj(self) -> float:
@@ -472,8 +500,7 @@ class ExecutionStats:
             "cycles": self.cycles,
             "gate_executions": self.gate_executions,
             "energy_fj": self.energy_fj,
-            "per_label": {k: {"cycles": v.cycles, "gate_executions": v.gate_executions}
-                          for k, v in sorted(self.per_label.items())},
+            "per_label": {k: v._asdict() for k, v in sorted(self.per_label.items())},
         }
 
 

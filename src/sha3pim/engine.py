@@ -6,7 +6,9 @@ times, so replay is the hot loop. One small C kernel (``_rows.c``) runs it:
 the frozen rows are already a straight-line program, so only the host loop
 that walks them is compiled. It evaluates each gate in the form
 ``crossbar.GATE_TABLE`` gives it (an OR or AND of its inputs, inverted or
-not), passed to it as data.
+not), passed to it as data, and dispatches each row on that form to one of
+four copies of its loops, compiled from one body with the form as
+constants, so a word costs the one or two operations of its form.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its runs are *vector events* - one gate applied
@@ -122,9 +124,11 @@ class FrozenProgram:
 
     The kernel reads ``rows``, ``live``, ``bundle_ptr`` and ``order`` in
     place through raw pointers, so they are checked once, here: brought to
-    the dtypes below (``np.require`` copies nothing ``freeze`` and
-    ``concat`` build), checked to agree with each other and with
-    ``geometry``, and made read-only with every other array. A program
+    the dtypes below, as arrays that own their data (``np.require`` copies
+    the slices ``freeze`` cuts from a batch, and nothing ``concat``
+    builds), checked to agree with each other and with ``geometry``, and
+    made read-only with every other array, so no writable base is left
+    behind them. A program
     that fails raises ``ValueError``, so no program that exists can make
     ``replay`` touch memory outside the crossbar's words. Its charges (a
     cycle per bundle run, a gate execution per line) and each key's
@@ -158,9 +162,11 @@ class FrozenProgram:
                               compare=False)
 
     def __post_init__(self):
+        # each array owns its data, so locking it below leaves no writable base
         for name, dtype in (("rows", np.int32), ("live", np.bool_),
-                            ("bundle_ptr", np.int64), ("order", np.int32)):
-            object.__setattr__(self, name, np.require(getattr(self, name), dtype, "C"))
+                            ("bundle_ptr", np.int64), ("bundle_label", None),
+                            ("order", np.int32)):
+            object.__setattr__(self, name, np.require(getattr(self, name), dtype, "CO"))
         rows, ptr, order = self.rows, self.bundle_ptr, self.order
         sizes = np.diff(ptr)
         if (rows.ndim != 2 or rows.shape[1] != 9 or self.live.shape != rows.shape[:1]
@@ -181,7 +187,7 @@ class FrozenProgram:
         runs = np.bincount(order, minlength=sizes.shape[0])
         label = np.repeat(self.bundle_label.astype(np.int32), sizes) * NUM_ORIGIN_SETS
         weight = np.repeat(runs, sizes)
-        gates = np.zeros(n * NUM_ORIGIN_SETS, dtype=np.int64)
+        gates = np.zeros((n, NUM_ORIGIN_SETS), dtype=np.int64)
         reach = np.full((n_keys, 2), -1, dtype=np.int32)
         for lo in range(0, rows.shape[0], 16384):
             block, at = rows[lo:lo + 16384], label[lo:lo + 16384]
@@ -205,13 +211,14 @@ class FrozenProgram:
                     raise ValueError("a frozen row's run wraps from a row of its tile")
                 np.maximum.at(reach.reshape(-1), 2 * key, cell[0, 2])
                 np.maximum.at(reach.reshape(-1), 2 * key + 1, cell[1, ::2].max(axis=0))
-            np.add.at(gates, at + block[:, 4] // (n_keys // NUM_ORIGIN_SETS),
+            np.add.at(gates.reshape(-1),
+                      at + block[:, 4] // (n_keys // NUM_ORIGIN_SETS),
                       (steps + 1).astype(np.int64) * times)
         object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "n_events", int(sizes @ runs))
         object.__setattr__(self, "cycles_by_label",
                            np.bincount(self.bundle_label[order], minlength=n))
-        object.__setattr__(self, "gates_by_label_set", gates.reshape(n, NUM_ORIGIN_SETS))
+        object.__setattr__(self, "gates_by_label_set", gates)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

@@ -642,6 +642,72 @@ def test_strided_keys_match_serial_execution(output, input_, rows, order, strict
         rng.integers(0, 2, (38, 42), dtype=np.uint8), initialized))
 
 
+# 70 x 2 partitions of 4 x 4 cells and a spare row and column of tiles: 140
+# units on 213 tiles, four words of the kernel's grid, and 70 copies of the
+# partition-row set, whose partition tiles lie 2 places apart
+FORM_GEOMETRY = dict(rows=284, cols=12, vertical_partitions=70,
+                     horizontal_partitions=2, unit_rows=4, unit_cols=4)
+# per path of the kernel: the origin set, the reference output and input
+# cells, each set's copies as cell offsets, and the (output stride, input
+# stride, input offset in places) that the copies give the NOR2 row's keys
+FORM_PATHS = {
+    "plain": (engine.SET_UNIT, (0, 0), (0, 0), "units", (1, 1, 0)),
+    "word-off": (engine.SET_UNIT, (0, 0), (128, 0), "units", (1, 1, 64)),
+    "funnel": (engine.SET_UNIT, (0, 0), (4, 0), "units", (1, 1, 2)),
+    "descending": (engine.SET_UNIT, (0, 0), (4, 0), "descending", (-1, -1, 2)),
+    "strided": (engine.SET_PARTITION_ROW, (0, 4), (0, 4), "rows", (2, 2, 0)),
+    "strided-funnel": (engine.SET_PARTITION_ROW, (0, 4), (0, 0), "rows", (2, 2, -1)),
+    "mixed-stride": (engine.SET_PARTITION_ROW, (0, 0), (0, 8), "rows", (2, 1, 140)),
+}
+FORM_COPIES = {
+    "units": [(u // 2 * 4, u % 2 * 4) for u in range(70)],
+    "descending": [(u // 2 * 4, u % 2 * 4) for u in range(69, -1, -1)],
+    "rows": [(4 * v, 0) for v in range(70)],
+}
+
+
+@pytest.mark.parametrize("path", FORM_PATHS)
+@pytest.mark.parametrize("copies", [1, 70], ids=["1-copy", "70-copies"])
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_every_gate_form_on_every_path(path, copies, strict):
+    # each gate, a 2-line run along a tile row, writes its own cells from
+    # inputs a and b, so a kernel that ran one form's loop for another's
+    # gate leaves a different grid; one copy (the last listed) runs every
+    # path with stride 1
+    set_id, (ro, co), (ri, ci), copies_of, expected = FORM_PATHS[path]
+    config = CrossbarConfig(**FORM_GEOMETRY, strict_init=strict)
+    a, b = (ri, ci), (ri, ci + 2)
+    bundles = [CycleBundle([MicroOp(gate, inputs, (ro + dr, co + dc), 2, (0, 1))])
+               for gate, inputs, (dr, dc) in [
+                   (GateType.AND2, (a, b), (1, 0)), (GateType.OR2, (a, b), (1, 2)),
+                   (GateType.NOR2, (a, b), (2, 0)), (GateType.NOT, (a,), (2, 2)),
+                   (GateType.INIT1, (), (3, 0))]]
+    set_ids = [set_id] * len(bundles)
+    shifts = [[], [], []]
+    shifts[set_id] = FORM_COPIES[copies_of][-copies:]
+    [frozen] = engine.freeze(line_table(bundles), ["a"] * 5, set_ids, config)
+    if copies > 1:
+        axes = engine._unit_axes(frozen, PartitionMap(config),
+                                 partition_shifts(shifts, config))
+        [nor] = frozen.rows[frozen.rows[:, 0] == GateType.NOR2]
+        out, in1, in2 = axes[nor[4]], axes[nor[6]], axes[nor[8]]
+        assert (in1 == in2).all()
+        assert (out[1], in1[1], in1[0] - out[0]) == expected
+    # in every tile, a and b differ on the first line and agree on the
+    # second, so each form writes a pair of bits no other form writes;
+    # rows 1-3, which the gates write, start unwritten, so strict mode
+    # marks them
+    state = np.random.default_rng(copies).integers(0, 2, (284, 12), dtype=np.uint8)
+    state[::4, 2::4] = 1 - state[::4, ::4]
+    state[::4, 3::4] = state[::4, 1::4]
+    initialized = np.ones((284, 12), dtype=np.uint8)
+    for r in (1, 2, 3):
+        initialized[r::4] = 0
+    check_against_shifted_bundles((
+        config, frozen, list(zip(bundles, ["a"] * 5, set_ids)), shifts,
+        state, initialized))
+
+
 def test_strict_failure_in_the_second_word():
     # every unit's NOR2 run reads (1,2) first on its first line; units 70
     # and 80, at places 70 and 80 in the second word, never wrote theirs,

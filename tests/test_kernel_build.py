@@ -20,6 +20,7 @@ WORD_TESTS = [
     "tests/test_engine.py::test_replay_across_words_matches_serial_execution",
     "tests/test_engine.py::test_input_key_offset_from_its_output_key",
     "tests/test_engine.py::test_strided_keys_match_serial_execution",
+    "tests/test_engine.py::test_every_gate_form_on_every_path",
     "tests/test_engine.py::test_strict_failure_in_the_second_word",
     "tests/test_engine.py::test_replay_keys_past_the_int16_range",
     "tests/test_engine.py::test_a_set_with_no_copies_runs_nothing",
