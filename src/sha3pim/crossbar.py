@@ -806,16 +806,18 @@ class Crossbar:
 
     def write_region(self, row_range: tuple[int, int], col_range: tuple[int, int],
                      bits: np.ndarray) -> None:
-        """Peripheral write; costs io cycles per row, no gate energy. A bit
-        other than 0 or 1 raises ``ValueError`` before any is written."""
+        """Peripheral write of ``bits``, a block of the region's shape or a
+        flat one of its size, in row-major order; costs io cycles per row,
+        no gate energy. A block of another shape, or a bit other than 0 or
+        1, raises ``ValueError`` before any is written."""
         self._check_range(row_range, col_range)
         (r0, r1), (c0, c1) = row_range, col_range
         block = np.asarray(bits)
+        if block.shape not in ((r1 - r0, c1 - c0), ((r1 - r0) * (c1 - c0),)):
+            raise ValueError(f"a region of {r1 - r0}x{c1 - c0} cells cannot "
+                             f"take a block of shape {block.shape}")
         if block.dtype != np.uint8:     # the C entry point refuses a byte past 1
             block = _cell_bits(block, block.shape)
-        if block.size != (r1 - r0) * (c1 - c0):
-            raise ValueError(f"a region of {r1 - r0}x{c1 - c0} cells cannot "
-                             f"take {block.size} bits")
         library, state, initialized, words_map = self.addresses()
         if library.write_region(state, initialized, words_map, r0, r1, c0, c1,
                                 block.tobytes()):

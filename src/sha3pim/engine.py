@@ -120,7 +120,9 @@ class FrozenProgram:
     bundle each cycle runs, so a program that runs a bundle many times
     stores it once (the permutation stores 3,606 rows and runs 90,576).
     ``n_bundles``, ``n_events`` and the charges count what the cycles run,
-    each stored bundle as often as ``order`` names it.
+    each stored bundle as often as ``order`` names it, and ``charge`` adds
+    only the labels they run. A step program is ``permute`` with a shorter
+    ``order``, so it stores bundles it never runs.
 
     The kernel reads ``rows``, ``live``, ``bundle_ptr`` and ``order`` in
     place through raw pointers, so they are checked once, here: brought to
@@ -151,7 +153,8 @@ class FrozenProgram:
     label_names: list[str]
     geometry: tuple           # PartitionMap.geometry of the config frozen for
     reach: np.ndarray = field(init=False)               # int32 [n_keys, 2]
-    # the largest local (row, col) any slot touches per key, -1 if unused
+    # the largest local (row, col) any slot of a row the cycles run touches
+    # per key, -1 if unused
     n_events: int = field(init=False)                   # rows the cycles run
     cycles_by_label: np.ndarray = field(init=False)     # int64 [n_labels]
     gates_by_label_set: np.ndarray = field(init=False)  # int64 [n_labels, 3]
@@ -180,40 +183,39 @@ class FrozenProgram:
         grid_rows, grid_cols, _, _, unit_rows, unit_cols = self.geometry
         n_keys = NUM_ORIGIN_SETS * -(-grid_rows // unit_rows) * -(-grid_cols // unit_cols)
         # the kernel indexes memory with every field of a row: each is checked
-        # a column at a time, over blocks of 16,384 rows that stay in cache,
-        # and each row charges its lines (exact int64s) to its label and set,
-        # once per cycle that runs its bundle
+        # a column at a time, and each row charges its lines (exact int64s)
+        # to its label and set, once per cycle that runs its bundle
         n = len(self.label_names)
         runs = np.bincount(order, minlength=sizes.shape[0])
         label = np.repeat(self.bundle_label.astype(np.int32), sizes) * NUM_ORIGIN_SETS
         weight = np.repeat(runs, sizes)
+        ran = weight > 0
         gates = np.zeros((n, NUM_ORIGIN_SETS), dtype=np.int64)
         reach = np.full((n_keys, 2), -1, dtype=np.int32)
-        for lo in range(0, rows.shape[0], 16384):
-            block, at = rows[lo:lo + 16384], label[lo:lo + 16384]
-            times = weight[lo:lo + 16384]
-            step, span = block[:, 1], block[:, 2]
-            if ((block[:, 0] < 0) | (block[:, 0] >= len(GateType)) | (step < 1)
-                    | (span < 1)).any():
-                raise ValueError("a frozen row's gate is not a GateType, or its step "
-                                 "or span is below 1")
-            steps = (span - 1) // step      # lines after the first
-            for first, key in zip(block[:, 3::2].T, block[:, 4::2].T):
-                if ((first < 0) | (first > unit_rows * unit_cols - span)
-                        | (key < 0) | (key >= n_keys)).any():
-                    raise ValueError("a frozen row's cells leave its tile, or its "
-                                     f"key is outside 0..{n_keys - 1}")
-                # cell[(row, col), (first, second, last)]: a run whose steps
-                # all equal its first lies on a line, so its ends bound it
-                cell = np.stack(np.divmod(first + np.stack(
-                    [0 * step, np.minimum(step, steps * step), steps * step]), unit_cols))
-                if (cell[:, 2] - cell[:, 0] != steps * (cell[:, 1] - cell[:, 0])).any():
-                    raise ValueError("a frozen row's run wraps from a row of its tile")
-                np.maximum.at(reach.reshape(-1), 2 * key, cell[0, 2])
-                np.maximum.at(reach.reshape(-1), 2 * key + 1, cell[1, ::2].max(axis=0))
-            np.add.at(gates.reshape(-1),
-                      at + block[:, 4] // (n_keys // NUM_ORIGIN_SETS),
-                      (steps + 1).astype(np.int64) * times)
+        step, span = rows[:, 1], rows[:, 2]
+        if ((rows[:, 0] < 0) | (rows[:, 0] >= len(GateType)) | (step < 1)
+                | (span < 1)).any():
+            raise ValueError("a frozen row's gate is not a GateType, or its step "
+                             "or span is below 1")
+        steps = (span - 1) // step      # lines after the first
+        for first, key in zip(rows[:, 3::2].T, rows[:, 4::2].T):
+            if ((first < 0) | (first > unit_rows * unit_cols - span)
+                    | (key < 0) | (key >= n_keys)).any():
+                raise ValueError("a frozen row's cells leave its tile, or its "
+                                 f"key is outside 0..{n_keys - 1}")
+            # cell[(row, col), (first, second, last)]: a run whose steps
+            # all equal its first lies on a line, so its ends bound it
+            cell = np.stack(np.divmod(first + np.stack(
+                [0 * step, np.minimum(step, steps * step), steps * step]), unit_cols))
+            if (cell[:, 2] - cell[:, 0] != steps * (cell[:, 1] - cell[:, 0])).any():
+                raise ValueError("a frozen row's run wraps from a row of its tile")
+            # replay maps and checks the keys of the rows the cycles run; a
+            # stored row that no cycle runs reaches nothing
+            cell, at = cell[:, :, ran], 2 * key[ran]
+            np.maximum.at(reach.reshape(-1), at, cell[0, 2])
+            np.maximum.at(reach.reshape(-1), at + 1, cell[1, ::2].max(axis=0))
+        np.add.at(gates.reshape(-1), label + rows[:, 4] // (n_keys // NUM_ORIGIN_SETS),
+                  (steps + 1).astype(np.int64) * weight)
         object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "n_events", int(sizes @ runs))
         object.__setattr__(self, "cycles_by_label",
@@ -232,11 +234,12 @@ class FrozenProgram:
         return int(self.gates_by_label_set.sum())
 
     def charge(self, stats, origin_counts: list[int]) -> None:
-        """Add this program's cycles and gate executions to ``stats``."""
+        """Add this program's cycles and gate executions to ``stats``, under
+        each label that its cycles run."""
         counts = np.asarray(origin_counts, dtype=np.int64)
-        for idx, label in enumerate(self.label_names):
+        for idx in np.flatnonzero(self.cycles_by_label).tolist():
             gates = int(self.gates_by_label_set[idx] @ counts)
-            stats.add_cycles(label, int(self.cycles_by_label[idx]), gates)
+            stats.add_cycles(self.label_names[idx], int(self.cycles_by_label[idx]), gates)
 
 
 def _live_rows(gate: np.ndarray, bundle: np.ndarray, local: np.ndarray,

@@ -21,13 +21,16 @@ active unit in lockstep (`engine`). Each distinct program is compiled
 once: only the first hop of a fetch reads the shared block, so the RC
 chain (shared by the 24 rounds) and the ROT chain (shared by the 6 offset
 planes) are each scheduled, checked and frozen once, and spliced after
-every round's or plane's own first hop.
+every round's or plane's own first hop. The segments are joined into one
+program, ``permute``, and freed; the compile keeps ``permute`` and the
+two ``absorb`` programs alone. A step program (``step_program``) is
+``permute`` restricted to one step's cycles of one round.
 """
 
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -65,7 +68,7 @@ ROUND_CONSTANTS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class KeccakParams:
     """Sponge geometry for SHA3-256."""
 
@@ -584,22 +587,28 @@ class CompiledKeccak:
         rot_chain = take()
         rho = [program for _ in rot_hops for program in (take(), rot_chain, take())]
         theta, pi, chi, rc_chain, iota_local = (take() for _ in range(5))
-        # each step's segments in cycle order, the steps in round order;
-        # permute below relies on both, and stores each segment once
-        self._steps = {"theta": [theta], "rho": rho, "pi": [pi], "chi": [chi]}
-        self._iota = [[take(), rc_chain, iota_local] for _ in rc_hops]
+        # each round's segments in cycle order, theta first (step_program
+        # relies on it); permute stores each distinct segment once
+        rounds = [[theta, *rho, pi, chi, take(), rc_chain, iota_local] for _ in rc_hops]
         self.absorb = list(programs)
-        self.permute = engine.concat([program for iota in self._iota for step in
-                                      (*self._steps.values(), iota) for program in step])
+        self.permute = engine.concat([program for segments in rounds for program in segments])
 
     def step_program(self, step: str, round_index: int = 0) -> engine.FrozenProgram:
         """Frozen microcode for one permutation step of round ``round_index``
-        (testing aid); only iota's differs from round to round."""
+        (testing aid): ``permute`` restricted to that step's cycles of that
+        round. A round starts at each cycle that runs theta's first stored
+        bundle."""
         if not 0 <= round_index < KECCAK.rounds:
             raise ValueError(f"round index {round_index} out of range")
-        if step not in (*self._steps, "iota"):
+        permute, names = self.permute, self.permute.label_names
+        if step not in names:
             raise ValueError(f"unknown step {step!r}")
-        return engine.concat(self._steps.get(step, self._iota[round_index]))
+        label, order = permute.bundle_label, permute.order
+        first = np.flatnonzero(label == names.index("theta"))[0]
+        starts = np.r_[np.flatnonzero(order == first), order.shape[0]]
+        cycles = order[starts[round_index]:starts[round_index + 1]]
+        return dataclasses.replace(
+            permute, order=cycles[label[cycles] == names.index(step)])
 
     # ------------------------------------------------------------- replay glue
 

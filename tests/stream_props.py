@@ -114,10 +114,11 @@ def check_equivalence(rng: random.Random) -> int:
     bundled = small_crossbar()
     bundled.load(initial, np.ones_like(initial))
     program = schedule(stream, bundled)
+    # one check of the emitted bundles, on a line table built from them
+    ok, violations = bundled.check_bundle(program.bundles)
+    assert ok, f"illegal bundle emitted: {violations}"
     partitions = bundled.partition_map
     for bundle, label in zip(program.bundles, program.labels):
-        ok, violations = bundled.check_bundle(bundle)
-        assert ok, f"illegal bundle emitted: {violations}"
         keys = {(partitions.region_of(op.output, bundle.closed_switches),
                  line_pattern(op)) for op in bundle.ops}
         assert len(keys) == 1, f"bundle spans regions or patterns: {keys}"

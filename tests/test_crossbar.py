@@ -383,6 +383,23 @@ def test_write_region_refuses_bits_other_than_0_and_1(bits):
     assert xbar.read_region((0, 1), (0, 3)).tolist() == [[1, 1, 0]]
 
 
+def test_write_region_refuses_a_block_of_another_shape():
+    # a transposed block has the region's size, but its bits would land in
+    # other cells: bit (0, 1) below would be set at cell (2, 14)
+    xbar = Crossbar(CrossbarConfig())
+    bits = np.zeros((64, 25), dtype=np.uint8)
+    bits[0, 1] = 1
+    state, initialized = xbar.state.copy(), xbar.initialized.copy()
+    for block in (bits.T, bits.reshape(32, 50), bits.reshape(1, -1)):
+        with pytest.raises(ValueError, match="cannot take a block of shape"):
+            xbar.write_region((0, 64), (0, 25), block)
+    assert np.array_equal(xbar.state, state)
+    assert np.array_equal(xbar.initialized, initialized)
+    assert xbar.stats.cycles == 0
+    xbar.write_region((0, 64), (0, 25), bits.ravel())
+    assert xbar.cells()[:64, :25].tolist() == bits.tolist()
+
+
 def test_regions_across_tiles_match_the_cell_grid():
     # the default grid's edge tiles are partial (16 rows, 25 columns), and
     # each region below crosses tiles, so each tile's part is set and read

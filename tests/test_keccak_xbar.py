@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -428,48 +429,37 @@ def test_absorb_twice_cancels(compiled):
     assert bits_to_lanes(read_unit_state(xbar, unit)) == [0] * 25
 
 
-def test_a_bad_row_past_the_first_block_is_refused(compiled):
-    # a program checks its rows in blocks of 16,384; permute stores 3,606,
-    # so five distinct copies of it store 18,030, the last in the second
-    big = engine.concat([dataclasses.replace(compiled.permute) for _ in range(5)])
-    assert big.rows.shape[0] > 16_384
-    rows = big.rows.copy()
+def test_a_bad_last_row_is_refused(compiled):
+    # a program checks all of its rows at once, the last of the largest
+    # compiled program included
+    rows = compiled.permute.rows.copy()
     rows[-1, 8] = -1
     with pytest.raises(ValueError, match="key is outside"):
-        dataclasses.replace(big, rows=rows)
+        dataclasses.replace(compiled.permute, rows=rows)
 
 
 def test_compiled_programs_hold_little_memory(compiled):
     # permute stores each of its segments once: one round's theta, rho, pi
     # and chi, the RC chain and iota's own XOR, and each round's first RC
-    # hop. Every program the compile keeps at 27x14, the segments behind
-    # the step programs included, holds at most 1.2 MB of arrays (4.75 MB
-    # when permute stored all 24 rounds), counting the whole array that
-    # each view keeps alive
-    segments = {id(p): p for step in (*compiled._steps.values(), *compiled._iota)
-                for p in step}.values()
+    # hop. The programs the compile keeps at 27x14, permute and the two
+    # absorb programs, hold at most 0.55 MB of arrays, counting the whole
+    # array that each view keeps alive
     held = {}
-    for program in (compiled.permute, *compiled.absorb, *segments):
+    for program in (compiled.permute, *compiled.absorb):
         for value in vars(program).values():
             if isinstance(value, np.ndarray):
                 while isinstance(value.base, np.ndarray):
                     value = value.base
                 held[id(value)] = value.nbytes
-    assert sum(held.values()) <= 1_200_000
-    permute = compiled.permute
-    assert len(segments) == 42
-    assert permute.rows.shape[0] == sum(p.rows.shape[0] for p in segments) == 3_606
-    assert (permute.bundle_label.shape[0]
-            == sum(p.bundle_label.shape[0] for p in segments) == 3_082)
+    assert sum(held.values()) <= 550_000
+    assert compiled.permute.rows.shape[0] == 3_606
+    assert compiled.permute.bundle_label.shape[0] == 3_082
 
 
 def test_compiled_programs_hold_no_writable_array(compiled):
     # the kernel reads a program's arrays through raw pointers after they
     # were checked, so neither they nor any array behind them is writable
-    segments = {id(p): p for step in (*compiled._steps.values(), *compiled._iota)
-                for p in step}.values()
-    programs = (compiled.permute, *compiled.absorb, *segments,
-                compiled.step_program("rho", 0))
+    programs = (compiled.permute, *compiled.absorb, compiled.step_program("rho", 0))
     for program in programs:
         for name, value in vars(program).items():
             while isinstance(value, np.ndarray):
@@ -478,16 +468,33 @@ def test_compiled_programs_hold_no_writable_array(compiled):
 
 
 def test_step_programs_add_up_to_permute(compiled):
-    # permute is the step programs of the 24 rounds in turn
+    # permute is the step programs of the 24 rounds in turn: their orders
+    # concatenate to its order, each runs its own step's cycles only, and
+    # together they charge what it charges
     steps = ("theta", "rho", "pi", "chi", "iota")
-    whole = engine.concat([compiled.step_program(step, r)
-                           for r in range(KECCAK.rounds) for step in steps])
-    permute = compiled.permute
-    assert whole.n_bundles == permute.n_bundles == 78_000
-    assert whole.n_events == permute.n_events == 90_576
-    assert whole.label_names == permute.label_names
-    assert whole.cycles_by_label.tolist() == permute.cycles_by_label.tolist()
-    assert whole.gates_by_label_set.tolist() == permute.gates_by_label_set.tolist()
+    one_unit = CrossbarConfig(rows=100, cols=100, vertical_partitions=1,
+                              horizontal_partitions=1)
+    for geometry in (compiled, compiled_keccak(one_unit)):
+        programs = [geometry.step_program(step, r)
+                    for r in range(KECCAK.rounds) for step in steps]
+        permute = geometry.permute
+        assert (np.concatenate([p.order for p in programs]).tolist()
+                == permute.order.tolist())
+        for step, program in zip(itertools.cycle(steps), programs):
+            assert [name for name, n in zip(permute.label_names,
+                                            program.cycles_by_label.tolist()) if n] == [step]
+        # each reaches only the cells its cycles touch: theta those of the
+        # unit set alone, and all of them together what permute reaches
+        assert (programs[0].reach[geometry.layout.partition_map.n_tiles:] < 0).all()
+        assert np.array_equal(np.maximum.reduce([p.reach for p in programs]), permute.reach)
+        whole = engine.concat(programs)
+        assert whole.n_bundles == permute.n_bundles
+        assert whole.n_events == permute.n_events
+        assert whole.label_names == permute.label_names
+        assert whole.cycles_by_label.tolist() == permute.cycles_by_label.tolist()
+        assert whole.gates_by_label_set.tolist() == permute.gates_by_label_set.tolist()
+    assert compiled.permute.n_bundles == 78_000
+    assert compiled.permute.n_events == 90_576
 
 
 def test_microcode_runs_every_gate(compiled):
