@@ -25,16 +25,15 @@
    int64.  A key's unit axis is three int64s (first, stride, count): its
    places, the tiles it reaches, are first + u * stride for u < count,
    evenly spaced by construction.  A key of count 0, of an origin set
-   with no copies, runs nothing.  A gate's form is four int64s (arity,
-   or, invert, preset): its row of crossbar.GATE_TABLE, then its output on
-   no inputs.  A gate of no inputs writes `preset`, any other gate the AND
-   (or the OR) of its inputs, XOR `invert`; an input read twice leaves
-   the AND and the OR unchanged.  run() switches on a row's (or, invert)
-   pair and calls run_form(), inlined, with the pair as constants, so the
+   with no copies, runs nothing.  A gate's form is three int64s (arity,
+   or, invert), its row of crossbar.GATE_TABLE.  A gate writes the AND (or
+   the OR) of its inputs, XOR `invert`, so one of no inputs writes 1 (or
+   0) XOR `invert`; an input read twice leaves the AND and the OR
+   unchanged.  run() calls run_form(), inlined, once per form the table
+   has (AND, OR and NOR), with its (or, invert) pair as constants, so the
    compiler emits every loop below once per form, each evaluating the
    gate in the one or two word operations of its form.  The forms stay
-   data read off the table: the switch is over the pair's four values,
-   not over gates.
+   data read off the table: run() branches on the pair, not on gates.
 
    A row whose keys all have one stride runs on whole words.  A
    descending axis holds the same places as an ascending one counted from
@@ -90,12 +89,12 @@ static u64 fetch(const u64 *x, i64 words, i64 k, i64 shift)
 }
 
 /* Row f on every unit of its output key, for a gate of `arity` inputs
-   whose form is `either` and `invert` (all ones or all zeros) and whose
-   output on no inputs is `preset`.  Inlined into run() once per form. */
+   of form `either`, `invert` (all ones or zeros), inlined per form. */
 static inline __attribute__((always_inline)) void
 run_form(u64 *q, i64 words, const int32_t *f, const i64 *axes, i64 arity,
-         u64 either, u64 invert, u64 preset)
+         u64 either, u64 invert)
 {
+    const u64 preset = ~either ^ invert;        /* the output on no inputs */
     const i64 *ko = axes + 3 * (i64)f[4], *ka = axes + 3 * (i64)f[6],
               *kb = axes + 3 * (i64)f[8];
     i64 step = f[1] * words, end = f[2] * words;
@@ -149,24 +148,16 @@ run_form(u64 *q, i64 words, const int32_t *f, const i64 *axes, i64 arity,
 }
 
 /* Row f with gate form g, run by the copy of run_form's loops that has
-   g's (either, invert) pair as constants. */
+   g's (either, invert) pair as constants: AND, OR or NOR. */
 static void run(u64 *q, i64 words, const int32_t *f, const i64 *g,
                 const i64 *axes)
 {
-    const u64 ones = ~(u64)0, preset = -(u64)g[3];
-    switch (g[1] << 1 | g[2]) {
-    case 0:
-        run_form(q, words, f, axes, g[0], 0, 0, preset);
-        break;
-    case 1:
-        run_form(q, words, f, axes, g[0], 0, ones, preset);
-        break;
-    case 2:
-        run_form(q, words, f, axes, g[0], ones, 0, preset);
-        break;
-    default:
-        run_form(q, words, f, axes, g[0], ones, ones, preset);
-    }
+    if (!g[1])
+        run_form(q, words, f, axes, g[0], 0, 0);
+    else if (!g[2])
+        run_form(q, words, f, axes, g[0], ~(u64)0, 0);
+    else
+        run_form(q, words, f, axes, g[0], ~(u64)0, ~(u64)0);
 }
 
 /* Run n_cycles bundles, bundle order[k] at cycle k: its live rows, or,
@@ -179,12 +170,12 @@ int run_rows(u64 *q, u64 *init, i64 words, const int32_t *rows,
              const int32_t *order, i64 n_cycles, const i64 *forms,
              const i64 *axes, i64 *fail)
 {
-    static const i64 written[4] = {0, 0, 0, 1};
+    static const i64 written[3] = {0, 0, 0};   /* the AND of no inputs */
     for (i64 k = 0; k < n_cycles; k++) {
         i64 lo = bundle_ptr[order[k]], hi = bundle_ptr[order[k] + 1];
         for (i64 r = lo; init && r < hi; r++) {
             const int32_t *f = rows + 9 * r;
-            for (i64 slot = 1; slot <= forms[4 * (i64)f[0]]; slot++) {
+            for (i64 slot = 1; slot <= forms[3 * (i64)f[0]]; slot++) {
                 const i64 *key = axes + 3 * (i64)f[4 + 2 * slot];
                 for (i64 i = f[3 + 2 * slot]; i < (i64)f[3 + 2 * slot] + f[2]; i += f[1])
                     for (i64 u = 0, p = key[0]; u < key[2]; u++, p += key[1])
@@ -198,7 +189,7 @@ int run_rows(u64 *q, u64 *init, i64 words, const int32_t *rows,
             if (!init && !live[r])
                 continue;
             const int32_t *f = rows + 9 * r;
-            run(q, words, f, forms + 4 * (i64)f[0], axes);
+            run(q, words, f, forms + 3 * (i64)f[0], axes);
             if (init)
                 run(init, words, f, written, axes);
         }

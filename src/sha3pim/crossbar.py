@@ -72,6 +72,13 @@ def gate_function(gate: GateType, inputs: tuple[int, ...]) -> int:
     return int(any(bits) if either else all(bits)) ^ invert
 
 
+def integer(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class SimulationError(Exception):
     """Base class for crossbar model errors."""
 
@@ -115,10 +122,7 @@ class CrossbarConfig:
     def __post_init__(self):
         for name in ("rows", "cols", "horizontal_partitions", "vertical_partitions",
                      "unit_rows", "unit_cols", "io_cycles_per_row"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, integer(name, getattr(self, name)))
         for name in ("gate_delay_ns", "gate_energy_fj", "cell_area_f2"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

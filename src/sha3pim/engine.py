@@ -6,9 +6,10 @@ times, so replay is the hot loop. One small C kernel (``_rows.c``) runs it:
 the frozen rows are already a straight-line program, so only the host loop
 that walks them is compiled. It evaluates each gate in the form
 ``crossbar.GATE_TABLE`` gives it (an OR or AND of its inputs, inverted or
-not), passed to it as data, and dispatches each row on that form to one of
-four copies of its loops, compiled from one body with the form as
-constants, so a word costs the one or two operations of its form.
+not), passed to it as the table's rows, on one of three copies of its
+loops, one per form in the table, compiled from one body with the form as
+constants, so a word costs the one or two operations of its form, and each
+copy derives its preset from its form.
 
 Freezing exploits the bundle structure: a legal bundle replicates one gate
 pattern along a line, so its runs are *vector events* - one gate applied
@@ -37,14 +38,14 @@ repeats the slot before it, or the output for a preset, as in the line
 table. No event leaves its tile, and a run that steps backward along the
 cell axis is written from its last line, so each row is a forward walk.
 ``FrozenProgram`` checks every row once, when it is built (each gate
-code, step, span, cell and key in range), reads its charges and each
-key's reach off them, and holds its arrays read-only, so no replay checks
-or copies them again. Only the unit axis of a key - the tiles its set's
-shifts move the key's tile to - depends on the shifts, so ``replay``
-builds those axes as (first tile, stride, count), checks them and the
-reach against the crossbar and calls the kernel
-once on ``crossbar.state`` as it is; a key of a set with no copies has
-count 0 and runs nothing. A shift set whose tiles are not
+code, step, span, cell and key in range, and that only presets are marked
+dead), reads its charges and each key's reach off them, and holds its
+arrays read-only, so no replay checks or copies them again. Only the unit
+axis of a key - the tiles its set's shifts move the key's tile to -
+depends on the shifts, so ``replay`` builds those axes as (first tile,
+stride, count), checks them and the reach against the crossbar and calls
+the kernel once on ``crossbar.state`` as it is; a key of a set with no
+copies has count 0 and runs nothing. A shift set whose tiles are not
 evenly spaced is refused. The map numbers partition tiles in unit-id
 order, so contiguous units are contiguous bits, and the kernel applies a
 gate to 64 units at a time with word operations. It walks a row word by
@@ -97,7 +98,6 @@ from .crossbar import (
     LineTable,
     PartitionMap,
     StrictInitError,
-    gate_function,
 )
 
 # Benchmark provenance records it; the package never imports it.
@@ -122,7 +122,7 @@ class FrozenProgram:
     ``n_bundles``, ``n_events`` and the charges count what the cycles run,
     each stored bundle as often as ``order`` names it, and ``charge`` adds
     only the labels they run. A step program is ``permute`` with a shorter
-    ``order``, so it stores bundles it never runs.
+    ``order``: it stores bundles it never runs, and shares ``trace_tails``.
 
     The kernel reads ``rows``, ``live``, ``bundle_ptr`` and ``order`` in
     place through raw pointers, so they are checked once, here: brought to
@@ -197,6 +197,9 @@ class FrozenProgram:
                 | (span < 1)).any():
             raise ValueError("a frozen row's gate is not a GateType, or its step "
                              "or span is below 1")
+        # the kernel skips a row marked dead, which only an unread preset may be
+        if (~self.live & (rows[:, 0] != GateType.INIT1)).any():
+            raise ValueError("a frozen program marks a row dead that is not an INIT1 preset")
         steps = (span - 1) // step      # lines after the first
         for first, key in zip(rows[:, 3::2].T, rows[:, 4::2].T):
             if ((first < 0) | (first > unit_rows * unit_cols - span)
@@ -382,10 +385,20 @@ def concat(programs: list[FrozenProgram]) -> FrozenProgram:
 # --------------------------------------------------------------------- kernel
 
 _GATE_NAMES = [g.name for g in GateType]
-# per gate code: its GATE_TABLE form (arity, either, invert), then its
-# output on no inputs, which a preset writes
-_FORMS = np.array([(*GATE_TABLE[g], gate_function(g, ())) for g in GateType],
-                  dtype=np.int64)
+
+
+def _forms(table: dict) -> np.ndarray:
+    """Per gate code, its row of ``table``; ``ValueError`` for a form that
+    the kernel compiles no copy of its loops for."""
+    for gate, (_, either, invert) in table.items():
+        if invert and not either:
+            raise ValueError(f"the replay kernel has no copy for {gate.name}'s "
+                             "form, an inverted AND")
+    return np.array([table[g] for g in GateType], dtype=np.int64)
+
+
+_FORMS = _forms(GATE_TABLE)
+
 
 def _unit_axes(program: FrozenProgram, tiles: PartitionMap,
                shifts: list) -> np.ndarray:

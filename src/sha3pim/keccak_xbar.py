@@ -44,6 +44,7 @@ from .crossbar import (
     ExecutionStats,
     GateType,
     PartitionMap,
+    integer,
 )
 from .scheduler import MacroKind, MacroOp, OpStream, batches, schedule
 
@@ -598,7 +599,7 @@ class CompiledKeccak:
         (testing aid): ``permute`` restricted to that step's cycles of that
         round. A round starts at each cycle that runs theta's first stored
         bundle."""
-        if not 0 <= round_index < KECCAK.rounds:
+        if not 0 <= integer("round_index", round_index) < KECCAK.rounds:
             raise ValueError(f"round index {round_index} out of range")
         permute, names = self.permute, self.permute.label_names
         if step not in names:
@@ -607,8 +608,11 @@ class CompiledKeccak:
         first = np.flatnonzero(label == names.index("theta"))[0]
         starts = np.r_[np.flatnonzero(order == first), order.shape[0]]
         cycles = order[starts[round_index]:starts[round_index + 1]]
-        return dataclasses.replace(
+        program = dataclasses.replace(
             permute, order=cycles[label[cycles] == names.index(step)])
+        # its stored bundles, so their trace records, are permute's
+        object.__setattr__(program, "trace_tails", permute.trace_tails)
+        return program
 
     # ------------------------------------------------------------- replay glue
 
@@ -683,7 +687,10 @@ def plan_cohorts(block_counts: list[int], units_per_crossbar: int) -> list[list[
 
 
 def check_capacity(n_messages: int, config: CrossbarConfig, crossbars: int) -> None:
-    """Raise ``CapacityError`` if the messages need more units than exist."""
+    """Raise ``CapacityError`` if the messages need more units than exist,
+    and ``ValueError`` if ``crossbars`` is not an integer of at least 1."""
+    if integer("crossbars", crossbars) < 1:
+        raise ValueError(f"crossbars must be at least 1, got {crossbars}")
     capacity = config.num_units * crossbars
     if n_messages > capacity:
         raise CapacityError(
@@ -745,6 +752,7 @@ def measure_round_stats(n_units: int = 1,
     """Per-round cycle/gate/energy figures of one permutation on ``n_units``
     units, as replaying it would charge them."""
     config = config or CrossbarConfig()
+    n_units = integer("n_units", n_units)
     compiled = compiled_keccak(config)
     if not 0 < n_units <= compiled.layout.num_units:
         raise ValueError(f"n_units must be 1 to {compiled.layout.num_units}, "

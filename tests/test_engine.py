@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sha3pim import engine
 from sha3pim.crossbar import (
     GATE_NUM_INPUTS,
+    GATE_TABLE,
     AddressError,
     IN_COL,
     IN_ROW,
@@ -708,6 +709,17 @@ def test_every_gate_form_on_every_path(path, copies, strict):
         state, initialized))
 
 
+def test_the_kernel_runs_the_gate_table_rows_as_they_are():
+    # the kernel compiles one copy of its loops per form the table has
+    # (AND, OR and NOR) and derives each preset from its form, so it is
+    # passed the table's rows; a table holding a form it has no copy for,
+    # an inverted AND, is refused rather than run as the AND copy
+    assert np.array_equal(engine._FORMS, np.array([GATE_TABLE[g] for g in GateType]))
+    assert not hasattr(engine, "gate_function")
+    with pytest.raises(ValueError, match="no copy for AND2"):
+        engine._forms({**GATE_TABLE, GateType.AND2: (2, False, True)})
+
+
 def test_strict_failure_in_the_second_word():
     # every unit's NOR2 run reads (1,2) first on its first line; units 70
     # and 80, at places 70 and 80 in the second word, never wrote theirs,
@@ -980,11 +992,13 @@ def test_a_frozen_program_refuses_rows_the_kernel_cannot_run():
             "bundle_label": np.zeros(3, dtype=np.uint16)},
            {"bundle_label": np.array([0, 1], dtype=np.uint16)},
            {"order": np.array([0, 2])}, {"order": np.array([-1, 1])},  # stored bundle
-           {"order": np.zeros((1, 2))}]
+           {"order": np.zeros((1, 2))},
+           {"live": np.zeros_like(frozen.live)}]                # a dead NOT
     for change in bad:
         with pytest.raises(ValueError):
             dataclasses.replace(frozen, **change)
     dataclasses.replace(frozen, **row(c2=2, c5=cells - 2))
+    dataclasses.replace(frozen, live=frozen.rows[:, 0] != GateType.INIT1)
     for name in ("rows", "live", "bundle_ptr", "order"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(frozen, name)[-1] = 0

@@ -612,6 +612,40 @@ def test_step_on_every_unit(compiled, step, round_index):
         assert got == expected, unit_id
 
 
+def test_step_programs_share_the_trace_records_of_permute(compiled):
+    # a step program stores permute's bundles, so it reuses their trace
+    # records, formatted once, and traces as with records made afresh
+    programs = [compiled.step_program("theta", 0), compiled.step_program("pi", 5)]
+    assert all(p.trace_tails is compiled.permute.trace_tails for p in programs)
+    for program in programs:
+        traces = []
+        for frozen in (program, dataclasses.replace(program)):
+            xbar = Crossbar(CrossbarConfig())
+            xbar.attach_trace(io.StringIO())
+            engine.replay(frozen, xbar, compiled.deltas_for([0]))
+            traces.append(xbar.trace.getvalue())
+        assert traces[0] == traces[1]
+
+
+def test_permute_marks_only_presets_dead(compiled):
+    # the kernel skips every row marked dead, so a program marking a gate
+    # row dead would run none of its gates and still charge them
+    permute = compiled.permute
+    with pytest.raises(ValueError, match="dead"):
+        dataclasses.replace(permute, live=np.zeros_like(permute.live))
+
+
+@pytest.mark.parametrize("round_index", [True, 2.0, "1"])
+def test_step_program_refuses_a_round_index_that_is_no_integer(compiled, round_index):
+    with pytest.raises(ValueError, match="round_index must be an integer"):
+        compiled.step_program("theta", round_index)
+
+
+def test_step_program_takes_a_numpy_round_index(compiled):
+    program = compiled.step_program("iota", np.int64(3))
+    assert program.order.tolist() == compiled.step_program("iota", 3).order.tolist()
+
+
 @pytest.mark.parametrize("step", ["theta", "rho", "pi", "chi", "iota"])
 def test_iota_out_of_range(compiled, step):
     # every step names a round, not only the one whose program differs
@@ -779,6 +813,19 @@ def test_capacity_error():
     assert len(digests) == 379
 
 
+@pytest.mark.parametrize("crossbars, match", [
+    (1.5, "crossbars must be an integer"), (True, "crossbars must be an integer"),
+    (-1, "crossbars must be at least 1"), (0, "crossbars must be at least 1")])
+def test_hash_messages_refuses_a_bad_crossbar_count(crossbars, match):
+    with pytest.raises(ValueError, match=match):
+        hash_messages([b"a"], crossbars=crossbars)
+
+
+def test_hash_messages_takes_a_numpy_crossbar_count():
+    digests, _ = hash_messages([b"a"], crossbars=np.int64(2))
+    assert digests == [ref.sha3_256(b"a")]
+
+
 def test_strict_init_hash():
     # the generated microcode never reads a never-written cell
     config = CrossbarConfig(strict_init=True)
@@ -833,6 +880,8 @@ def test_measure_round_stats_shape():
     assert set(measured["per_step"]) == {"theta", "rho", "pi", "chi", "iota"}
     assert measured["cycles_per_round"] == pytest.approx(
         sum(s["cycles_per_round"] for s in measured["per_step"].values()))
-    for n_units in (0, 379):
+    for n_units in (0, 379, True, 2.0):
         with pytest.raises(ValueError, match="n_units"):
             measure_round_stats(n_units=n_units)
+    assert measure_round_stats(n_units=np.int64(1)) == measured
+    assert type(measure_round_stats(n_units=np.int64(1))["units"]) is int

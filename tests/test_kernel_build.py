@@ -1,5 +1,6 @@
-"""The C library compiles without warnings and runs the replay and io
-tests that cross its words free of undefined behaviour."""
+"""The C library compiles without warnings, runs the replay and io tests
+that cross its words free of undefined behaviour, and the benchmark's
+workloads run every copy of its loops."""
 
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from sha3pim import keccak_xbar, native
-from sha3pim.crossbar import CrossbarConfig
+from sha3pim.crossbar import GATE_TABLE, CrossbarConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 # the tests whose replays reach a second word of the kernel's grid, run a
@@ -33,6 +34,8 @@ WORD_TESTS = [
     "tests/test_crossbar.py::test_region_io_out_of_range",
 ]
 UNDEFINED_ABORTS = ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +67,46 @@ def test_word_tests_pass_with_undefined_behaviour_aborting(compiler, tmp_path):
         f"native._CACHE = Path({str(tmp_path)!r})",
         f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{WORD_TESTS!r}]))",
     ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     assert len(list(tmp_path.glob("_rows-*.so"))) == 1
+
+
+def test_workloads_run_every_form_copy(compiler, tmp_path):
+    # run() dispatches each row to the copy of the kernel's loops compiled
+    # for its gate form, one copy per form of GATE_TABLE; a child process
+    # builds the kernel with coverage counters into tmp_path and hashes the
+    # benchmark's messages, b"abc" and the 0-200-byte sweep, and gcov must
+    # count a run of every copy, so no copy is code that no workload runs
+    if shutil.which("gcov") is None:
+        pytest.skip("no gcov on PATH")
+    script = "\n".join([
+        "import random",
+        "from pathlib import Path",
+        "from sha3pim import keccak_xbar, native",
+        f"native._compiler = lambda: {compiler + ['--coverage']!r}",
+        f"native._CACHE = Path({str(tmp_path)!r})",
+        "keccak_xbar.hash_messages([b'abc'])",
+        "rng = random.Random(1)",
+        "keccak_xbar.hash_messages([rng.randbytes(n) for n in range(201)])",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    [data] = tmp_path.glob("*.gcda")
+    report = subprocess.run(["gcov", "-t", data.name], cwd=tmp_path,
+                            capture_output=True, text=True)
+    assert report.returncode == 0, report.stderr
+    # gcov's lines are count:line:source, from run()'s signature to its "}"
+    lines = [line.split(":", 2) for line in report.stdout.splitlines()]
+    first = next(i for i, (_, _, text) in enumerate(lines)
+                 if text.startswith("static void run("))
+    last = next(i for i in range(first, len(lines)) if lines[i][2] == "}")
+    counts = [count.strip().rstrip("*") for count, _, text in lines[first:last]
+              if "run_form(" in text]
+    assert len(counts) == len({form[1:] for form in GATE_TABLE.values()})
+    assert all(count.isdigit() and int(count) > 0 for count in counts), counts
 
 
 def test_a_build_removes_superseded_builds(compiler, tmp_path, monkeypatch):
